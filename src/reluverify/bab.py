@@ -10,6 +10,7 @@ input bisection restores completeness when no neuron split is available.
 
 from __future__ import annotations
 
+import dataclasses
 import heapq
 import time
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import heuristics, relax, witness as witness_mod
 from .model import Network, RELU, VerificationTask
-from .relax import BoundResult, NeuronBounds, RelaxationParams
+from .relax import NeuronBounds, RelaxationParams
 
 SAFE = "Safe"
 UNSAFE = "Unsafe"
@@ -29,13 +30,8 @@ FALLBACK_BABSR = "babsr"
 FALLBACK_BISECT = "bisect"
 
 
-@dataclass(frozen=True)
-class SplitConstraint:
-    """Fixes the sign of one neuron: +1 active (z >= 0), -1 inactive (z < 0)."""
-
-    layer: int
-    neuron: int
-    sign: int
+class InvariantError(RuntimeError):
+    """A structural invariant of the search failed; the run cannot be trusted."""
 
 
 @dataclass
@@ -54,9 +50,6 @@ class SubDomain:
     neuron_bounds: NeuronBounds
     depth: int
     parent_lower_bound: float
-
-    def split_list(self) -> List[SplitConstraint]:
-        return [SplitConstraint(l, n, s) for (l, n), s in sorted(self.splits.items())]
 
 
 @dataclass
@@ -77,26 +70,14 @@ class RunStats:
 class BabConfig:
     """Search knobs; verification budgets live on the task itself."""
 
-    batch: int = 1
     alpha_iters: int = 20
     alpha_step: float = 0.25
     realpha_per_node: bool = False
     fallback: str = FALLBACK_BABSR
     trace: bool = False
-    seed: int = 0
-    full_recompute: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "batch": self.batch,
-            "alpha_iters": self.alpha_iters,
-            "alpha_step": self.alpha_step,
-            "realpha_per_node": self.realpha_per_node,
-            "fallback": self.fallback,
-            "trace": self.trace,
-            "seed": self.seed,
-            "full_recompute": self.full_recompute,
-        }
+        return dataclasses.asdict(self)
 
 
 class Worklist:
@@ -137,7 +118,6 @@ def split_subdomain(
     d: SubDomain,
     layer: int,
     neuron: int,
-    full_recompute: bool = False,
 ) -> Tuple[SubDomain, SubDomain]:
     """Split a sub-domain on one unstable neuron.
 
@@ -159,9 +139,8 @@ def split_subdomain(
     for sign in (+1, -1):
         splits = dict(d.splits)
         splits[key] = sign
-        start = 0 if full_recompute else layer + 1
         bounds = relax.propagate_bounds(
-            net, d.box_lower, d.box_upper, splits, base=d.neuron_bounds, start_layer=start
+            net, d.box_lower, d.box_upper, splits, base=d.neuron_bounds, start_layer=layer + 1
         )
         children.append(
             SubDomain(
@@ -221,7 +200,6 @@ class SearchState:
     stats: RunStats
     params_by_row: List[RelaxationParams]
     start_time: float
-    node_counter: int = 0
     stuck_unknown: bool = False
     exhausted_reason: Optional[str] = None
 
@@ -236,11 +214,13 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, via_split: b
     # unstable neuron (bounds only shrink via intersection), a bisection
     # strictly reduces the descending-sorted width tuple.
     if via_split:
-        assert len(child.splits) > len(parent.splits)
+        if len(child.splits) <= len(parent.splits):
+            raise InvariantError("neuron split did not add a split constraint")
     else:
         pw = tuple(sorted(parent.box_upper - parent.box_lower, reverse=True))
         cw = tuple(sorted(child.box_upper - child.box_lower, reverse=True))
-        assert cw < pw
+        if not cw < pw:
+            raise InvariantError("input bisection did not shrink the box widths")
 
 
 def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[str]:
@@ -262,13 +242,12 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
         return None
 
     # Phase 1: bound every spec row over this sub-domain.
-    results: List[BoundResult] = []
-    for r in range(task.n_spec):
-        if config.realpha_per_node and node_id > 0:
-            params = relax.optimize_alpha(net, C[r], d, config.alpha_iters, config.alpha_step)
-        else:
-            params = state.params_by_row[r]
-        results.append(relax.compute_bounds(net, C[r], d, params))
+    if config.realpha_per_node and node_id > 0:
+        row_params = [relax.optimize_alpha(net, C[r], d, config.alpha_iters, config.alpha_step)
+                      for r in range(task.n_spec)]
+    else:
+        row_params = state.params_by_row
+    results = [relax.compute_bounds(net, C[r], d, row_params[r]) for r in range(task.n_spec)]
     row_lbs = [res.lower_bound for res in results]
     raw_lb = min(row_lbs)
     worst_row = row_lbs.index(raw_lb)
@@ -297,27 +276,27 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
         return UNSAFE
 
     # Phase 4: refinement guided by the spurious witness.
-    params = state.params_by_row[worst_row]
+    params = row_params[worst_row]
     scores, clamps = heuristics.score_branches(
         state.heuristic, net, C[worst_row], bound, d, x_star, params
     )
     state.stats.gap_clamp_events += clamps
     pick = None
     used_kind = state.heuristic
-    if scores and not heuristics.all_zero(scores):
+    if not heuristics.all_zero(scores):
         pick = heuristics.select_branch(scores)
     elif config.fallback == FALLBACK_BABSR and state.heuristic != heuristics.BABSR:
         fb_scores, _ = heuristics.score_branches(
             heuristics.BABSR, net, C[worst_row], bound, d, x_star, params
         )
-        if fb_scores and not heuristics.all_zero(fb_scores):
+        if not heuristics.all_zero(fb_scores):
             pick = heuristics.select_branch(fb_scores)
             used_kind = heuristics.BABSR
             scores = fb_scores
 
     if pick is not None:
         layer, neuron = pick
-        children = split_subdomain(net, d, layer, neuron, config.full_recompute)
+        children = split_subdomain(net, d, layer, neuron)
         entry["action"] = "split"
         entry["split"] = [layer, neuron]
         entry["split_kind"] = used_kind
@@ -332,9 +311,10 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
         entry["action"] = "bisect"
 
     state.stats.splits_made += 1
-    if scores:
-        entry["score_max"] = max(s.score for s in scores)
-        entry["score_n"] = len(scores)
+    score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
+    if score_n:
+        entry["score_max"] = float(max(s.max() for s in scores.values()))
+        entry["score_n"] = score_n
     pushed = 0
     for child in children:
         _check_termination_measure(d, child, via_split=pick is not None)
@@ -391,30 +371,23 @@ def _budget_exhausted(state: SearchState) -> Optional[str]:
     return None
 
 
-def worklist_step(state: SearchState, batch: int) -> Optional[str]:
-    """Pop and process up to `batch` sub-domains in priority order.
+def worklist_step(state: SearchState) -> Optional[str]:
+    """Pop and process the sub-domain with the lowest bound.
 
     Returns a final verdict when one is reached (Unsafe on a violation, Safe
     when the worklist drains with nothing stuck), else None. Budgets are
     checked between nodes, never mid-bound; hitting one sets
-    state.exhausted_reason and stops the step.
+    state.exhausted_reason instead of popping.
     """
-    if batch < 1:
-        raise ValueError("worklist_step: batch must be >= 1")
-    for _ in range(batch):
-        reason = _budget_exhausted(state)
-        if reason is not None:
-            state.exhausted_reason = reason
-            return None
-        d = state.worklist.pop()
-        if d is None:
-            return UNKNOWN if state.stuck_unknown else SAFE
-        state.stats.branches_visited += 1
-        state.node_counter += 1
-        verdict = _process_node(state, d, node_id=state.node_counter)
-        if verdict == UNSAFE:
-            return UNSAFE
-    return None
+    reason = _budget_exhausted(state)
+    if reason is not None:
+        state.exhausted_reason = reason
+        return None
+    d = state.worklist.pop()
+    if d is None:
+        return UNKNOWN if state.stuck_unknown else SAFE
+    state.stats.branches_visited += 1
+    return _process_node(state, d, node_id=state.stats.branches_visited)
 
 
 def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
@@ -424,7 +397,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
     timeout, branch budget, or an unrefinable leaf. Deterministic given
-    (task, heuristic, config, seed).
+    (task, heuristic, config).
     """
     config = config or BabConfig()
     state = init_search(task, heuristic, config)
@@ -433,7 +406,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
         stats.wall_time_s = time.perf_counter() - state.start_time
         return stats
     while True:
-        verdict = worklist_step(state, config.batch)
+        verdict = worklist_step(state)
         if state.exhausted_reason is not None:
             stats.verdict = UNKNOWN
             stats.unknown_reason = state.exhausted_reason

@@ -25,21 +25,17 @@ EXIT_INPUT_ERROR = 3
 
 def _config_from_args(args) -> bab.BabConfig:
     return bab.BabConfig(
-        batch=args.batch,
         alpha_iters=args.alpha_iters,
         alpha_step=args.alpha_step,
         realpha_per_node=args.realpha_per_node,
         fallback=args.fallback,
         trace=bool(args.trace),
-        seed=args.seed,
-        full_recompute=args.full_recompute,
     )
 
 
 def _add_verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=60.0, help="wall-clock budget in seconds")
     p.add_argument("--max-branches", type=int, default=100_000, help="sub-domain budget")
-    p.add_argument("--batch", type=int, default=1, help="sub-domains processed per worklist step")
     p.add_argument("--alpha-iters", type=int, default=20, help="slope-optimization iterations")
     p.add_argument("--alpha-step", type=float, default=0.25, help="initial ascent step size")
     p.add_argument("--realpha-per-node", action="store_true",
@@ -47,9 +43,6 @@ def _add_verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--fallback", default=bab.FALLBACK_BABSR,
                    choices=[bab.FALLBACK_BABSR, bab.FALLBACK_BISECT],
                    help="what to do when the heuristic scores are all zero")
-    p.add_argument("--full-recompute", action="store_true",
-                   help="recompute all intermediate bounds after each split")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig,

@@ -6,12 +6,17 @@ which only a split can tighten, while non-negative coefficients lean on the
 adjustable lower slope that the optimizer already handles. The remaining kinds
 are the comparison variants (symmetric gap, gradient/center/intercept
 ablations, the one-shot intercept-magnitude baseline, and raw interval width).
+
+Every kind is one masked array formula per layer, |coef| * gap: the
+coefficient is the backward coefficient A (the concrete margin gradient for
+grad), and the gap is the upper chord minus the ReLU at a point (the witness,
+or the box center for center), the upper-line intercept (babsr, intercept),
+or the interval width (width).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -31,175 +36,9 @@ KINDS = (DRG, DRG_SYMMETRIC, BABSR, CENTER, INTERCEPT, GRAD, WIDTH)
 # fallback; numerical noise should not masquerade as guidance.
 ZERO_SCORE_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class BranchScore:
-    layer: int
-    neuron: int
-    score: float
-
-
-def _upper_line(l: float, u: float) -> Tuple[float, float]:
-    denom = u - l
-    return u / denom, -u * l / denom
-
-
-def directional_gap(A_ij: float, z_star: float, l: float, u: float) -> float:
-    """Upper-line-minus-ReLU gap at z_star, masked to negative coefficients.
-
-    Zero whenever A_ij >= 0 (there the lower relaxation is in play and its
-    slope is adjustable). Clamped below at 0: z_star can fall outside [l, u]
-    because the witness ignores split constraints.
-    """
-    if not (l < 0.0 < u):
-        raise ValueError(f"directional_gap: neuron with bounds [{l}, {u}] is not unstable")
-    if A_ij >= 0.0:
-        return 0.0
-    slope, icpt = _upper_line(l, u)
-    return max(0.0, slope * z_star + icpt - max(z_star, 0.0))
-
-
-def _splittable(bound: BoundResult, k: int) -> np.ndarray:
-    # Split neurons are clamped stable in the sub-domain's bounds, so the
-    # unstable mask already excludes them.
-    return bound.neuron_bounds.unstable_mask(k)
-
-
-def drg_score(bound: BoundResult, witness_preacts: List[np.ndarray]) -> List[BranchScore]:
-    """|A| times the directional gap at the witness, per splittable unstable neuron."""
-    out = []
-    for k in sorted(bound.A):
-        A = bound.A[k]
-        l, u = bound.neuron_bounds.lower[k], bound.neuron_bounds.upper[k]
-        for j in np.flatnonzero(_splittable(bound, k)):
-            gap = directional_gap(float(A[j]), float(witness_preacts[k][j]), float(l[j]), float(u[j]))
-            out.append(BranchScore(k, int(j), abs(float(A[j])) * gap))
-    return out
-
-
-def symmetric_score(
-    bound: BoundResult,
-    witness_preacts: List[np.ndarray],
-    params: Optional[RelaxationParams],
-) -> List[BranchScore]:
-    """Gap in whichever direction the coefficient sign selects: the upper line
-    for negative coefficients (same as drg) and ReLU minus the alpha line for
-    non-negative ones."""
-    out = []
-    for k in sorted(bound.A):
-        A = bound.A[k]
-        l, u = bound.neuron_bounds.lower[k], bound.neuron_bounds.upper[k]
-        alpha = _alpha_for(params, bound.neuron_bounds, k)
-        for j in np.flatnonzero(_splittable(bound, k)):
-            z = float(witness_preacts[k][j])
-            if A[j] < 0.0:
-                gap = directional_gap(float(A[j]), z, float(l[j]), float(u[j]))
-            else:
-                gap = max(z, 0.0) - float(alpha[j]) * z
-            out.append(BranchScore(k, int(j), abs(float(A[j])) * gap))
-    return out
-
-
-def center_score(bound: BoundResult, center_preacts: List[np.ndarray]) -> List[BranchScore]:
-    """The drg formula with the witness replaced by the geometric box center."""
-    return drg_score(bound, center_preacts)
-
-
-def intercept_score(bound: BoundResult) -> List[BranchScore]:
-    """Location-agnostic variant: |A| times the upper-line intercept where A < 0."""
-    out = []
-    for k in sorted(bound.A):
-        A = bound.A[k]
-        l, u = bound.neuron_bounds.lower[k], bound.neuron_bounds.upper[k]
-        for j in np.flatnonzero(_splittable(bound, k)):
-            if A[j] < 0.0:
-                _, icpt = _upper_line(float(l[j]), float(u[j]))
-                score = abs(float(A[j])) * icpt
-            else:
-                score = 0.0
-            out.append(BranchScore(k, int(j), score))
-    return out
-
-
-def grad_score(
-    bound: BoundResult,
-    witness_preacts: List[np.ndarray],
-    preact_grads: List[np.ndarray],
-) -> List[BranchScore]:
-    """Concrete-gradient variant: the margin's partial derivative w.r.t. each
-    pre-activation replaces the abstract coefficient, with the same sign
-    convention applied to the gap indicator."""
-    out = []
-    for k in sorted(bound.A):
-        l, u = bound.neuron_bounds.lower[k], bound.neuron_bounds.upper[k]
-        g = preact_grads[k]
-        for j in np.flatnonzero(_splittable(bound, k)):
-            gap = directional_gap(float(g[j]), float(witness_preacts[k][j]), float(l[j]), float(u[j]))
-            out.append(BranchScore(k, int(j), abs(float(g[j])) * gap))
-    return out
-
-
-def babsr_score(bound: BoundResult) -> List[BranchScore]:
-    """One-shot baseline: magnitude of the relaxation intercept contribution
-    |A * u * l / (u - l)| to the bound."""
-    out = []
-    for k in sorted(bound.A):
-        A = bound.A[k]
-        l, u = bound.neuron_bounds.lower[k], bound.neuron_bounds.upper[k]
-        for j in np.flatnonzero(_splittable(bound, k)):
-            score = abs(float(A[j]) * float(u[j]) * float(l[j]) / (float(u[j]) - float(l[j])))
-            out.append(BranchScore(k, int(j), score))
-    return out
-
-
-def width_score(bound: BoundResult) -> List[BranchScore]:
-    """Sanity baseline: the raw pre-activation interval width u - l."""
-    out = []
-    for k in sorted(bound.A):
-        l, u = bound.neuron_bounds.lower[k], bound.neuron_bounds.upper[k]
-        for j in np.flatnonzero(_splittable(bound, k)):
-            out.append(BranchScore(k, int(j), float(u[j]) - float(l[j])))
-    return out
-
-
-def select_branch(scores: List[BranchScore]) -> Optional[Tuple[int, int]]:
-    """Argmax by score; ties break toward the lower layer, then lower neuron.
-
-    Order-independent in the input list. An empty list signals that no neuron
-    is splittable, returned as None.
-    """
-    best: Optional[BranchScore] = None
-    for s in scores:
-        if (
-            best is None
-            or s.score > best.score
-            or (s.score == best.score and (s.layer, s.neuron) < (best.layer, best.neuron))
-        ):
-            best = s
-    if best is None:
-        return None
-    return best.layer, best.neuron
-
-
-def _count_gap_clamps(
-    bound: BoundResult,
-    preacts: List[np.ndarray],
-    sign_arrays: Dict[int, np.ndarray],
-) -> int:
-    """Count neurons where the upper-line gap went negative before clamping,
-    i.e. the evaluation point fell outside [l, u]."""
-    events = 0
-    for k in sorted(bound.A):
-        l, u = bound.neuron_bounds.lower[k], bound.neuron_bounds.upper[k]
-        signs = sign_arrays[k]
-        for j in np.flatnonzero(_splittable(bound, k)):
-            if signs[j] >= 0.0:
-                continue
-            slope, icpt = _upper_line(float(l[j]), float(u[j]))
-            z = float(preacts[k][j])
-            if slope * z + icpt - max(z, 0.0) < 0.0:
-                events += 1
-    return events
+# Per ReLU layer, one score per neuron; -inf marks a neuron that cannot be
+# split (stable, or already split and therefore clamped stable).
+Scores = Dict[int, np.ndarray]
 
 
 def score_branches(
@@ -210,36 +49,62 @@ def score_branches(
     domain,
     x_star: np.ndarray,
     params: Optional[RelaxationParams],
-) -> Tuple[List[BranchScore], int]:
-    """Dispatch a heuristic kind; returns (scores, gap clamp events)."""
+) -> Tuple[Scores, int]:
+    """Score every unstable neuron for a heuristic kind.
+
+    Returns (scores, gap clamp events). A clamp event is a neuron scored on
+    the upper side whose raw chord-minus-ReLU gap at the evaluation point is
+    negative, i.e. the point lies outside [l, u]; the witness can, because it
+    ignores split constraints. Such gaps are clamped to zero.
+    """
     if kind not in KINDS:
         raise ValueError(f"unknown heuristic kind {kind!r}; valid kinds: {', '.join(KINDS)}")
-    clamps = 0
-    if kind in (DRG, DRG_SYMMETRIC, GRAD):
+    nb = bound.neuron_bounds
+    coefs = bound.A
+    if kind == GRAD:
+        coefs = model.margin_preact_gradients(net, c_row, x_star)
+    if kind == CENTER:
+        _, preacts = model.forward(net, 0.5 * (domain.box_lower + domain.box_upper))
+    elif kind in (DRG, DRG_SYMMETRIC, GRAD):
         _, preacts = model.forward(net, x_star)
-    if kind == DRG:
-        scores = drg_score(bound, preacts)
-        clamps = _count_gap_clamps(bound, preacts, bound.A)
-    elif kind == DRG_SYMMETRIC:
-        scores = symmetric_score(bound, preacts, params)
-        clamps = _count_gap_clamps(bound, preacts, bound.A)
-    elif kind == GRAD:
-        grads = model.margin_preact_gradients(net, c_row, x_star)
-        scores = grad_score(bound, preacts, grads)
-        clamps = _count_gap_clamps(bound, preacts, {k: grads[k] for k in bound.A})
-    elif kind == CENTER:
-        center = 0.5 * (domain.box_lower + domain.box_upper)
-        _, cpre = model.forward(net, center)
-        scores = center_score(bound, cpre)
-        clamps = _count_gap_clamps(bound, cpre, bound.A)
-    elif kind == INTERCEPT:
-        scores = intercept_score(bound)
-    elif kind == BABSR:
-        scores = babsr_score(bound)
-    else:
-        scores = width_score(bound)
+    scores: Scores = {}
+    clamps = 0
+    for k in sorted(bound.A):
+        _, unst, up_slope, up_icpt = nb.relaxation(k)
+        coef = coefs[k]
+        if kind == WIDTH:
+            score = nb.upper[k] - nb.lower[k]
+        elif kind in (BABSR, INTERCEPT):
+            score = np.abs(coef) * up_icpt
+            if kind == INTERCEPT:
+                score = np.where(coef < 0.0, score, 0.0)
+        else:
+            z = preacts[k]
+            raw_gap = up_slope * z + up_icpt - np.maximum(z, 0.0)
+            upper_side = coef < 0.0
+            clamps += int(np.count_nonzero(unst & upper_side & (raw_gap < 0.0)))
+            if kind == DRG_SYMMETRIC:
+                other = np.maximum(z, 0.0) - _alpha_for(params, nb, k) * z
+            else:
+                other = 0.0
+            score = np.abs(coef) * np.where(upper_side, np.maximum(raw_gap, 0.0), other)
+        scores[k] = np.where(unst, score, -np.inf)
     return scores, clamps
 
 
-def all_zero(scores: List[BranchScore]) -> bool:
-    return all(s.score <= ZERO_SCORE_TOL for s in scores)
+def select_branch(scores: Scores) -> Optional[Tuple[int, int]]:
+    """Argmax by score; ties break toward the lower layer, then lower neuron.
+
+    Returns None when no neuron is splittable.
+    """
+    best, pick = -np.inf, None
+    for k in sorted(scores):
+        j = int(np.argmax(scores[k]))
+        if scores[k][j] > best:
+            best, pick = scores[k][j], (k, j)
+    return pick
+
+
+def all_zero(scores: Scores) -> bool:
+    """True when no splittable neuron scores above ZERO_SCORE_TOL."""
+    return all(np.all(s <= ZERO_SCORE_TOL) for s in scores.values())

@@ -250,7 +250,6 @@ def load_model(path: str) -> Network:
     if not isinstance(raw_layers, list) or not raw_layers:
         raise InputError(f"{path}: layers: expected a non-empty list")
     layers = []
-    prev = input_dim
     for i, entry in enumerate(raw_layers):
         where = f"{path}: layers[{i}]"
         if not isinstance(entry, dict):
@@ -258,22 +257,14 @@ def load_model(path: str) -> Network:
         for key in ("weights", "bias", "activation"):
             if key not in entry:
                 raise InputError(f"{where}: missing key '{key}'")
-        W = _as_matrix(entry["weights"], f"{where}.weights")
-        b = _as_vector(entry["bias"], f"{where}.bias")
-        act = entry["activation"]
-        if act not in ACTIVATIONS:
-            raise InputError(
-                f"{where}.activation: unknown activation {act!r} (expected 'relu' or 'linear')"
-            )
-        if W.shape[1] != prev:
-            raise InputError(f"{where}.weights: expected {prev} columns, got {W.shape[1]}")
-        if b.shape[0] != W.shape[0]:
-            raise InputError(f"{where}.bias: length {b.shape[0]} does not match {W.shape[0]} rows")
-        layers.append(Layer(W, b, act))
-        prev = W.shape[0]
-    if layers[-1].activation != LINEAR:
-        raise InputError(f"{path}: layers[{len(layers) - 1}].activation: last layer must be linear")
-    return Network(tuple(layers), input_dim, prev)
+        try:
+            layers.append(Layer(entry["weights"], entry["bias"], entry["activation"]))
+        except InputError as exc:
+            raise InputError(f"{where}: {exc}") from None
+    try:
+        return Network(tuple(layers), input_dim, layers[-1].out_dim)
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
 
 
 def load_spec(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -13,16 +13,12 @@ branching heuristics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .model import Network, RELU
-
-STABLE_ACTIVE = "stable-active"
-STABLE_INACTIVE = "stable-inactive"
-UNSTABLE = "unstable"
 
 # Clamp-induced bound crossings larger than this prune a sub-domain as
 # infeasible; smaller crossings are treated as floating-point slivers and
@@ -30,13 +26,8 @@ UNSTABLE = "unstable"
 INFEASIBILITY_TOL = 1e-9
 
 
-def stability_tag(l: float, u: float) -> str:
-    """Stability of a neuron from its pre-activation interval (l = 0 counts as active)."""
-    if l >= 0.0:
-        return STABLE_ACTIVE
-    if u <= 0.0:
-        return STABLE_INACTIVE
-    return UNSTABLE
+# Per layer: (active mask, unstable mask, upper slope, upper intercept).
+Relaxation = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -44,20 +35,43 @@ class NeuronBounds:
     """Pre-activation intervals for every hidden layer (layer k = 0 .. L-2).
 
     lower[k] > upper[k] anywhere marks the sub-domain infeasible; that is a
-    legitimate signal produced by split clamping, not an error.
+    legitimate signal produced by split clamping, not an error. The intervals
+    must not be modified once a layer's relaxation has been read.
     """
 
     lower: List[np.ndarray]
     upper: List[np.ndarray]
     infeasible_layer: Optional[int] = None
+    _relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False, compare=False)
 
     def is_feasible(self) -> bool:
         if self.infeasible_layer is not None:
             return False
         return all(np.all(l <= u) for l, u in zip(self.lower, self.upper))
 
+    def relaxation(self, k: int) -> Relaxation:
+        """Triangle relaxation of layer k's ReLUs, computed once per instance.
+
+        A neuron is active when l >= 0 (l = 0 counts as active), inactive when
+        u <= 0 otherwise, and unstable when l < 0 < u. The upper line is the
+        identity on active neurons, zero on inactive ones, and on unstable ones
+        the chord through (l, 0) and (u, u): slope u / (u - l), intercept
+        -u * l / (u - l). The lower line (alpha * z) depends on the slopes
+        being optimized and is left to the caller.
+        """
+        rel = self._relaxations.get(k)
+        if rel is None:
+            l, u = self.lower[k], self.upper[k]
+            act = l >= 0.0
+            unst = (l < 0.0) & (u > 0.0)
+            denom = np.where(unst, u - l, 1.0)
+            up_slope = np.where(unst, u / denom, act)
+            up_icpt = np.where(unst, -u * l / denom, 0.0)
+            rel = self._relaxations[k] = (act, unst, up_slope, up_icpt)
+        return rel
+
     def unstable_mask(self, k: int) -> np.ndarray:
-        return (self.lower[k] < 0.0) & (self.upper[k] > 0.0)
+        return self.relaxation(k)[1]
 
     def n_unstable(self, net: Network) -> int:
         total = 0
@@ -66,12 +80,9 @@ class NeuronBounds:
                 total += int(np.count_nonzero(self.unstable_mask(k)))
         return total
 
-    def copy(self) -> "NeuronBounds":
-        return NeuronBounds(
-            [l.copy() for l in self.lower],
-            [u.copy() for u in self.upper],
-            self.infeasible_layer,
-        )
+
+def _adaptive_alpha(bounds: NeuronBounds, k: int) -> np.ndarray:
+    return np.where(bounds.upper[k] >= -bounds.lower[k], 1.0, 0.0)
 
 
 @dataclass
@@ -92,11 +103,8 @@ class RelaxationParams:
     @classmethod
     def adaptive(cls, net: Network, bounds: NeuronBounds) -> "RelaxationParams":
         """Default slopes: 1 where u >= |l|, else 0 (good zero-iteration baseline)."""
-        alpha = {}
-        for k in range(len(bounds.lower)):
-            if net.layers[k].activation == RELU:
-                alpha[k] = np.where(bounds.upper[k] >= -bounds.lower[k], 1.0, 0.0)
-        return cls(alpha)
+        return cls({k: _adaptive_alpha(bounds, k) for k in range(len(bounds.lower))
+                    if net.layers[k].activation == RELU})
 
     def copy(self) -> "RelaxationParams":
         return RelaxationParams({k: v.copy() for k, v in self.alpha.items()})
@@ -123,67 +131,42 @@ class BoundResult:
         return cls(None, float("nan"), float("inf"), {}, bounds, feasible=False)
 
 
-def relu_relaxation(l: float, u: float, alpha: float) -> Tuple[float, float, float]:
-    """Triangle relaxation lines for an unstable neuron.
+def concretize(lam: np.ndarray, off, lo: np.ndarray, hi: np.ndarray):
+    """Box minimizer and minimum of the linear function(s) lam @ x + off.
 
-    Returns (upper_slope, upper_intercept, lower_slope): the chord through
-    (l, 0) and (u, u) above, and alpha * z below. Stable neurons must be
-    substituted by the caller (identity or zero) and are rejected here.
+    x_star takes the lower corner where the coefficient is non-negative and
+    the upper corner otherwise; the minimum is then evaluated at x_star, so a
+    bound and its witness's value agree bit for bit. lam may hold one row or
+    a stack of rows (one value per row).
     """
-    if not (l < 0.0 < u):
-        raise ValueError(f"relu_relaxation: neuron with bounds [{l}, {u}] is not unstable")
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"relu_relaxation: alpha {alpha} outside [0, 1]")
-    denom = u - l
-    return u / denom, -u * l / denom, alpha
-
-
-def dot_ordered(w: np.ndarray, x: np.ndarray) -> float:
-    """Dot product accumulated left-to-right over dimensions (fixed-order contract)."""
-    total = 0.0
-    for k in range(w.shape[0]):
-        total += w[k] * x[k]
-    return float(total)
-
-
-def concretize_lower(w: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> float:
-    """Box minimum of w @ x, accumulated left-to-right like dot_ordered.
-
-    Term-by-term this equals w @ x* for the corner x* picked by the witness
-    sign rule, so the two agree bit-for-bit.
-    """
-    total = 0.0
-    for k in range(w.shape[0]):
-        total += min(w[k] * lo[k], w[k] * hi[k])
-    return float(total)
+    x_star = np.where(lam >= 0.0, lo, hi)
+    return x_star, (lam * x_star).sum(axis=-1) + off
 
 
 def _alpha_for(params: Optional[RelaxationParams], bounds: NeuronBounds, k: int) -> np.ndarray:
     if params is not None and k in params.alpha:
         return params.alpha[k]
-    return np.where(bounds.upper[k] >= -bounds.lower[k], 1.0, 0.0)
+    return _adaptive_alpha(bounds, k)
+
+
+def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
+    """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable."""
+    act, unst, _, _ = rel
+    return np.where(unst, np.clip(alpha, 0.0, 1.0), act)
 
 
 def _relu_backward(
-    lam: np.ndarray, l: np.ndarray, u: np.ndarray, alpha: np.ndarray
+    lam: np.ndarray, rel: Relaxation, alpha: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Push backward coefficients through one ReLU layer's relaxation.
 
     lam has shape (m, n); returns the new coefficients on the pre-activations
     and the per-row offset contribution from upper-line intercepts.
     """
-    act = l >= 0.0
-    inact = (u <= 0.0) & ~act
-    unst = ~(act | inact)
-    denom = np.where(unst, u - l, 1.0)
-    up_slope = np.where(unst, u / denom, 0.0)
-    up_icpt = np.where(unst, -u * l / denom, 0.0)
-    lo_slope = np.where(act, 1.0, np.where(unst, alpha, 0.0))
-
+    _, _, up_slope, up_icpt = rel
     pos = lam >= 0.0  # ties at exactly 0 take the lower relaxation
-    slope_neg = np.where(unst, up_slope, lo_slope)
-    slope = np.where(pos, lo_slope[None, :], slope_neg[None, :])
-    off_delta = np.where(pos, 0.0, lam * up_icpt[None, :]).sum(axis=1)
+    slope = np.where(pos, _lower_slope(rel, alpha), up_slope)
+    off_delta = np.where(pos, 0.0, lam * up_icpt).sum(axis=1)
     return lam * slope, off_delta
 
 
@@ -193,7 +176,6 @@ def _backward_from_layer(
     c_mat: np.ndarray,
     bounds: NeuronBounds,
     params: Optional[RelaxationParams],
-    record_A: bool,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
     """Linear lower bounds of c_mat @ z^(obj_layer) as functions of the input.
 
@@ -207,20 +189,12 @@ def _backward_from_layer(
     for k in range(obj_layer - 1, -1, -1):
         lyr = net.layers[k]
         if lyr.activation == RELU:
-            if record_A:
-                A[k] = lam.copy()
-            alpha = np.clip(_alpha_for(params, bounds, k), 0.0, 1.0)
-            lam, delta = _relu_backward(lam, bounds.lower[k], bounds.upper[k], alpha)
+            A[k] = lam
+            lam, delta = _relu_backward(lam, bounds.relaxation(k), _alpha_for(params, bounds, k))
             off = off + delta
         off = off + lam @ lyr.bias
         lam = lam @ lyr.weights
     return lam, off, A
-
-
-def _concretize_rows(
-    lam: np.ndarray, off: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    return np.minimum(lam * lo[None, :], lam * hi[None, :]).sum(axis=1) + off
 
 
 def compute_bounds(net: Network, c_row, domain, params: Optional[RelaxationParams] = None):
@@ -234,13 +208,9 @@ def compute_bounds(net: Network, c_row, domain, params: Optional[RelaxationParam
     if not bounds.is_feasible():
         return BoundResult.infeasible_marker(bounds)
     c_row = np.asarray(c_row, dtype=np.float64)
-    lam, off, A = _backward_from_layer(
-        net, net.n_layers - 1, c_row[None, :], bounds, params, record_A=True
-    )
-    w = lam[0]
-    b = float(off[0])
-    lb = concretize_lower(w, domain.box_lower, domain.box_upper) + b
-    return BoundResult(w, b, lb, {k: v[0] for k, v in A.items()}, bounds)
+    lam, off, A = _backward_from_layer(net, net.n_layers - 1, c_row[None, :], bounds, params)
+    _, lb = concretize(lam[0], off[0], domain.box_lower, domain.box_upper)
+    return BoundResult(lam[0], float(off[0]), float(lb), {k: v[0] for k, v in A.items()}, bounds)
 
 
 def propagate_bounds(
@@ -260,30 +230,28 @@ def propagate_bounds(
     split clamps are applied: sign +1 lifts the lower bound to 0, sign -1 drops
     the upper bound to 0. With a base (the parent's bounds), layers below
     start_layer are copied instead of recomputed and recomputed layers are
-    intersected with the base as well.
+    intersected with the base as well. The result carries no relaxations yet.
     """
+    if start_layer > 0 and base is None:
+        raise ValueError("propagate_bounds: start_layer > 0 needs the parent's bounds as base")
     n_hidden = net.n_layers - 1
-    out = NeuronBounds([None] * n_hidden, [None] * n_hidden)  # type: ignore[list-item]
+    work = NeuronBounds([None] * n_hidden, [None] * n_hidden)  # type: ignore[list-item]
     infeasible_at: Optional[int] = None
     post_lo = box_lower
     post_hi = box_upper
     for k in range(n_hidden):
         layer = net.layers[k]
-        if k < start_layer or (infeasible_at is not None and base is not None):
-            assert base is not None
+        if base is not None and (k < start_layer or infeasible_at is not None):
             l = base.lower[k].copy()
             u = base.upper[k].copy()
         elif infeasible_at is not None:
-            n_k = layer.out_dim
-            l = np.zeros(n_k)
-            u = np.zeros(n_k)
+            l = np.zeros(layer.out_dim)
+            u = np.zeros(layer.out_dim)
         else:
             n_k = layer.out_dim
             eye = np.eye(n_k)
-            lam, off, _ = _backward_from_layer(
-                net, k, np.vstack([eye, -eye]), out, params, record_A=False
-            )
-            vals = _concretize_rows(lam, off, box_lower, box_upper)
+            lam, off, _ = _backward_from_layer(net, k, np.vstack([eye, -eye]), work, params)
+            _, vals = concretize(lam, off, box_lower, box_upper)
             l = vals[:n_k].copy()
             u = -vals[n_k:]
             Wp = np.maximum(layer.weights, 0.0)
@@ -308,21 +276,14 @@ def propagate_bounds(
                 mid = 0.5 * (l + u)
                 l = np.where(crossed, mid, l)
                 u = np.where(crossed, mid, u)
-        out.lower[k] = l
-        out.upper[k] = u
+        work.lower[k] = l
+        work.upper[k] = u
         if layer.activation == RELU:
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    out.infeasible_layer = infeasible_at
-    return out
-
-
-def compute_intermediate_bounds(
-    net: Network, domain, params: Optional[RelaxationParams] = None
-) -> NeuronBounds:
-    """Bounds for all hidden neurons of a sub-domain, honoring its split clamps."""
-    return propagate_bounds(net, domain.box_lower, domain.box_upper, domain.splits, params)
+    # A fresh object, so sub-domains waiting in the worklist hold no relaxations.
+    return NeuronBounds(work.lower, work.upper, infeasible_at)
 
 
 def _relaxed_forward(
@@ -343,18 +304,10 @@ def _relaxed_forward(
         z = layer.weights @ h + layer.bias
         if layer.activation == RELU:
             pre[k] = z
-            l, u = bounds.lower[k], bounds.upper[k]
-            act = l >= 0.0
-            inact = (u <= 0.0) & ~act
-            unst = ~(act | inact)
-            alpha = np.clip(_alpha_for(params, bounds, k), 0.0, 1.0)
-            denom = np.where(unst, u - l, 1.0)
-            up_slope = np.where(unst, u / denom, 0.0)
-            up_icpt = np.where(unst, -u * l / denom, 0.0)
-            coeff = A.get(k, np.zeros_like(z))
-            lower_branch = np.where(act, z, np.where(unst, alpha * z, 0.0))
-            upper_branch = np.where(unst, up_slope * z + up_icpt, lower_branch)
-            h = np.where(coeff >= 0.0, lower_branch, upper_branch)
+            rel = bounds.relaxation(k)
+            _, _, up_slope, up_icpt = rel
+            lower = _lower_slope(rel, _alpha_for(params, bounds, k)) * z
+            h = np.where(A[k] >= 0.0, lower, up_slope * z + up_icpt)
         else:
             h = z
     return pre
@@ -373,7 +326,7 @@ def alpha_gradient(
     res = compute_bounds(net, c_row, domain, params)
     if not res.feasible:
         return {k: np.zeros_like(v) for k, v in params.alpha.items()}
-    x_star = np.where(res.w >= 0.0, domain.box_lower, domain.box_upper)
+    x_star, _ = concretize(res.w, res.b, domain.box_lower, domain.box_upper)
     pre = _relaxed_forward(net, x_star, res.neuron_bounds, res.A, params)
     grads: Dict[int, np.ndarray] = {}
     for k, alpha in params.alpha.items():

@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from . import model
-from .relax import BoundResult, dot_ordered
+from .relax import BoundResult, concretize
 
 CONCRETE_VIOLATION = "concrete_violation"
 SPURIOUS = "spurious"
@@ -44,7 +44,8 @@ def construct_witness(bound: BoundResult, box_lower, box_upper) -> np.ndarray:
         raise ValueError("construct_witness: bound is an infeasible marker")
     lo = np.asarray(box_lower, dtype=np.float64)
     hi = np.asarray(box_upper, dtype=np.float64)
-    return np.where(bound.w >= 0.0, lo, hi)
+    x_star, _ = concretize(bound.w, bound.b, lo, hi)
+    return x_star
 
 
 def validate_witness(
@@ -60,7 +61,9 @@ def validate_witness(
     concrete = model.margin(net, C, x_star)
     kind = CONCRETE_VIOLATION if float(concrete.min()) <= 0.0 else SPURIOUS
     if bound is not None and bound.feasible:
-        abstract = dot_ordered(bound.w, x_star) + bound.b
+        # The box [x_star, x_star] has x_star as its minimizer, so this is the
+        # bound's own value whenever x_star came from construct_witness.
+        abstract = float(concretize(bound.w, bound.b, x_star, x_star)[1])
     else:
         abstract = float("nan")
     return Witness(x_star, abstract, concrete, kind)

@@ -14,6 +14,15 @@ def scalar_relu_net(out_weight=1.0, out_bias=0.0):
     ])
 
 
+def identity_relu_net(n, out_weights=None):
+    """m(x) = out_weights @ ReLU(x): layer 0's pre-activations equal the input."""
+    w = np.ones(n) if out_weights is None else np.asarray(out_weights, dtype=float)
+    return model.make_network([
+        (np.eye(n), np.zeros(n), model.RELU),
+        (w[None, :], np.array([0.0]), model.LINEAR),
+    ])
+
+
 def scalar_task(net, lo=-1.0, hi=1.0, C=None, **kw):
     C = np.array([[1.0]]) if C is None else np.asarray(C)
     return model.VerificationTask(net, np.atleast_1d(lo).astype(float),

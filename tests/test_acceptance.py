@@ -13,7 +13,7 @@ import numpy as np
 
 from reluverify import bab, cli, heuristics, model, oracle, relax, witness
 
-from helpers import make_domain, oracle_sized_task, random_net, random_task
+from helpers import identity_relu_net, make_domain, oracle_sized_task, random_net, random_task
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -26,18 +26,24 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 def test_case_study_regression():
     t0 = time.perf_counter()
     ok = True
-    slope_a, icpt_a, _ = relax.relu_relaxation(-2.0, 18.0, 1.0)
-    ok &= abs(slope_a - 0.9) <= 1e-12 and abs(icpt_a - 1.8) <= 1e-12
-    ok &= abs(heuristics.directional_gap(-1.0, 8.0, -2.0, 18.0) - 1.0) <= 1e-12
-    slope_b, icpt_b, _ = relax.relu_relaxation(-4.0, 4.0, 1.0)
-    ok &= abs(slope_b - 0.5) <= 1e-12 and abs(icpt_b - 2.0) <= 1e-12
-    ok &= abs(heuristics.directional_gap(-1.0, 0.0, -4.0, 4.0) - 2.0) <= 1e-12
-
+    # n_A spans [-2, 18], n_B spans [-4, 4]; both have coefficient -1 and the
+    # witness sits at z*_A = 8, z*_B = 0 (the identity layer passes x through).
     nb = relax.NeuronBounds([np.array([-2.0, -4.0])], [np.array([18.0, 4.0])])
-    bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb)
-    z_star = [np.array([8.0, 0.0])]
-    ok &= heuristics.select_branch(heuristics.drg_score(bound, z_star)) == (0, 1)
-    ok &= heuristics.select_branch(heuristics.width_score(bound)) == (0, 0)
+    _, _, slope, icpt = nb.relaxation(0)
+    ok &= abs(slope[0] - 0.9) <= 1e-12 and abs(icpt[0] - 1.8) <= 1e-12
+    ok &= abs(slope[1] - 0.5) <= 1e-12 and abs(icpt[1] - 2.0) <= 1e-12
+
+    net = identity_relu_net(2)
+    bound = relax.BoundResult(np.array([1.0, 1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb)
+    z_star = np.array([8.0, 0.0])
+
+    def scores(kind):  # neither kind reads the domain (only center does)
+        return heuristics.score_branches(kind, net, np.array([1.0]), bound, None, z_star, None)[0]
+
+    drg = scores(heuristics.DRG)
+    ok &= abs(drg[0][0] - 1.0) <= 1e-12 and abs(drg[0][1] - 2.0) <= 1e-12
+    ok &= heuristics.select_branch(drg) == (0, 1)
+    ok &= heuristics.select_branch(scores(heuristics.WIDTH)) == (0, 0)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     _report("case-study regression", bool(ok), f"{elapsed:.3f}s")
@@ -92,7 +98,9 @@ def test_relaxation_validity():
         l = -rng.uniform(1e-3, 10.0)
         u = rng.uniform(1e-3, 10.0)
         alpha = rng.uniform(0.0, 1.0)
-        up_slope, up_icpt, lo_slope = relax.relu_relaxation(l, u, alpha)
+        rel = relax.NeuronBounds([np.array([l])], [np.array([u])]).relaxation(0)
+        up_slope, up_icpt = rel[2][0], rel[3][0]
+        lo_slope = relax._lower_slope(rel, np.array([alpha]))[0]
         z = np.linspace(l, u, 1000)
         relu = np.maximum(z, 0.0)
         if np.any(lo_slope * z > relu + 1e-12):
@@ -114,9 +122,9 @@ def test_witness_optimality():
         nb = relax.NeuronBounds([], [])
         bound = relax.BoundResult(w, b, 0.0, {}, nb)
         x_star = witness.construct_witness(bound, lo, hi)
-        val = relax.dot_ordered(w, x_star) + b
+        val = relax.concretize(w, b, x_star, x_star)[1]
         corner_min = min(
-            relax.dot_ordered(w, np.array(c)) + b for c in itertools.product(*zip(lo, hi))
+            relax.concretize(w, b, c, c)[1] for c in map(np.array, itertools.product(*zip(lo, hi)))
         )
         if val == corner_min:
             exact += 1
@@ -196,7 +204,7 @@ def test_bench_determinism():
         assert cli.main(["gen", "--seed", "13", "--layers", "2", "--widths", "5,4",
                          "--count", "6", "--eps", "0.25", "--out", str(suite)]) == 0
         args = ["bench", "--suite", str(suite), "--heuristics", "drg,babsr,width",
-                "--timeout", "10", "--max-branches", "400", "--seed", "13"]
+                "--timeout", "10", "--max-branches", "400"]
         assert cli.main(args + ["--out", str(tmp / "r1")]) == 0
         assert cli.main(args + ["--out", str(tmp / "r2")]) == 0
         same = True

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from reluverify import bab, model, oracle, relax
+from reluverify import bab, heuristics, model, oracle, relax
 
 from helpers import make_domain, oracle_sized_task, random_task, scalar_relu_net, scalar_task
 
@@ -177,17 +177,7 @@ def test_empty_worklist_step_returns_safe():
     task = scalar_task(scalar_relu_net(out_bias=0.1))
     state = bab.init_search(task, "drg", bab.BabConfig())
     assert len(state.worklist) == 0
-    assert bab.worklist_step(state, 4) == bab.SAFE
-
-
-def test_batch_size_does_not_change_verdicts():
-    rng = np.random.default_rng(53)
-    for trial in range(10):
-        task = random_task(rng, 3, (5, 4), 2, eps=float(rng.uniform(0.2, 0.5)),
-                           timeout_seconds=20.0, max_branches=5000)
-        v1 = bab.verify(task, "drg", bab.BabConfig(batch=1))
-        v8 = bab.verify(task, "drg", bab.BabConfig(batch=8))
-        assert v1.verdict == v8.verdict
+    assert bab.worklist_step(state) == bab.SAFE
 
 
 def test_determinism_identical_runs():
@@ -280,13 +270,52 @@ def test_realpha_per_node_stays_sound():
     assert stats.verdict == expected
 
 
-def test_full_recompute_flag_matches_default_verdict():
-    rng = np.random.default_rng(59)
-    for _ in range(5):
-        task = oracle_sized_task(rng, timeout_seconds=30.0, max_branches=50_000)
-        a = bab.verify(task, "drg", bab.BabConfig())
-        b = bab.verify(task, "drg", bab.BabConfig(full_recompute=True))
-        assert a.verdict == b.verdict
+def test_realpha_per_node_scores_with_the_node_slopes(monkeypatch):
+    # The spurious witness is scored with the slopes its bound was computed
+    # with: the node's own optimized slopes for the worst row, not the root's.
+    rng = np.random.default_rng(63)
+    task = random_task(rng, 3, (6, 5), 3, eps=0.5, timeout_seconds=30.0, max_branches=40)
+    events = []
+    optimize, score = relax.optimize_alpha, heuristics.score_branches
+
+    def recording_optimize(*args, **kwargs):
+        params = optimize(*args, **kwargs)
+        events.append(("optimize", params))
+        return params
+
+    def recording_score(kind, *args):
+        events.append(("score", kind, args[-1]))
+        return score(kind, *args)
+
+    monkeypatch.setattr(relax, "optimize_alpha", recording_optimize)
+    monkeypatch.setattr(heuristics, "score_branches", recording_score)
+    config = bab.BabConfig(realpha_per_node=True, alpha_iters=3, trace=True)
+    stats = bab.verify(task, "drg_symmetric", config)
+    worst_rows = [e["row"] for e in stats.per_node_trace
+                  if e["action"] in ("split", "bisect", "stuck")]
+    node_params, scored = [], []
+    for event in events:
+        if event[0] == "optimize":
+            node_params = (node_params + [event[1]])[-task.n_spec:]
+        elif event[1] == "drg_symmetric":
+            scored.append((event[2], node_params))
+    assert task.n_spec == 2 and set(worst_rows) == {0, 1}
+    assert len(scored) == len(worst_rows)
+    for (params, row_params), row in zip(scored, worst_rows):
+        assert params is row_params[row]
+
+
+def test_termination_measure_violations_raise():
+    net = model.make_network([(np.eye(2), np.zeros(2), model.RELU),
+                              (np.ones((1, 2)), np.zeros(1), model.LINEAR)])
+    parent = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, 0): 1})
+    same = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, 1): 1})
+    with pytest.raises(bab.InvariantError, match="split"):
+        bab._check_termination_measure(parent, same, via_split=True)
+    with pytest.raises(bab.InvariantError, match="bisection"):
+        bab._check_termination_measure(parent, same, via_split=False)
+    child, _ = bab.input_bisect(net, parent)
+    bab._check_termination_measure(parent, child, via_split=False)
 
 
 def test_safe_verdicts_survive_grid_attack():

@@ -1,11 +1,15 @@
 import csv
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import reluverify
 from reluverify import cli, model
 
 from helpers import scalar_relu_net, scalar_task
@@ -236,3 +240,14 @@ def test_oracle_subcommand_budget_refusal(tmp_path, capsys):
     rc = cli.main(["oracle", "--model", mp, "--spec", sp])
     assert rc == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    src = str(Path(reluverify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "reluverify.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: reluverify" in proc.stdout

@@ -1,9 +1,8 @@
 import numpy as np
-import pytest
 
-from reluverify import heuristics, model, relax
+from reluverify import bab, heuristics, relax
 
-from helpers import make_domain, random_net
+from helpers import identity_relu_net, make_domain, random_net
 
 # The two-neuron scenario used throughout: n_A spans [-2, 18] (width 20),
 # n_B spans [-4, 4] (width 8), both with sensitivity magnitude 1 on the
@@ -13,49 +12,72 @@ CASE_U = np.array([18.0, 4.0])
 CASE_Z = np.array([8.0, 0.0])
 
 
-def _case_bound(A_row):
-    nb = relax.NeuronBounds([CASE_L.copy()], [CASE_U.copy()])
-    return relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: np.asarray(A_row, float)}, nb)
+def _scores(kind, A, l, u, z, alpha=None, out_weights=None):
+    """Score one layer of neurons with bounds [l, u], backward coefficients A,
+    and witness pre-activations z. The network is an identity ReLU layer, so
+    the witness x* = z; its output weights set the concrete gradients. The box
+    is the single point z, so the center is z as well.
+
+    Returns (layer-0 scores, gap clamp events).
+    """
+    z = np.asarray(z, dtype=float)
+    net = identity_relu_net(z.size, out_weights)
+    nb = relax.NeuronBounds([np.asarray(l, dtype=float)], [np.asarray(u, dtype=float)])
+    bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, nb)
+    domain = bab.SubDomain(z, z, {}, nb, depth=0, parent_lower_bound=float("-inf"))
+    params = None if alpha is None else relax.RelaxationParams({0: np.asarray(alpha, float)})
+    scores, clamps = heuristics.score_branches(kind, net, np.array([1.0]), bound, domain, z, params)
+    assert sorted(scores) == [0]
+    return scores[0], clamps
+
+
+def _upper_gap(l, u, z):
+    """Reference: upper chord minus ReLU at z, clamped at zero, in scalars."""
+    up = u / (u - l) * z - u * l / (u - l)
+    return max(0.0, up - max(z, 0.0))
 
 
 def test_directional_gap_wide_neuron():
-    assert abs(heuristics.directional_gap(-1.0, 8.0, -2.0, 18.0) - 1.0) < 1e-12
+    s, _ = _scores("drg", [-1.0], [-2.0], [18.0], [8.0])
+    assert abs(s[0] - 1.0) < 1e-12
 
 
 def test_directional_gap_narrow_neuron():
-    assert abs(heuristics.directional_gap(-1.0, 0.0, -4.0, 4.0) - 2.0) < 1e-12
+    s, _ = _scores("drg", [-1.0], [-4.0], [4.0], [0.0])
+    assert abs(s[0] - 2.0) < 1e-12
 
 
 def test_directional_gap_masks_nonnegative_coefficients():
     for z in (-3.0, 0.0, 2.0, 17.0):
-        assert heuristics.directional_gap(1.0, z, -2.0, 18.0) == 0.0
-        assert heuristics.directional_gap(0.0, z, -2.0, 18.0) == 0.0
+        s, _ = _scores("drg", [1.0, 0.0], [-2.0, -2.0], [18.0, 18.0], [z, z])
+        assert s.tolist() == [0.0, 0.0]
 
 
 def test_directional_gap_rejects_stable():
-    with pytest.raises(ValueError):
-        heuristics.directional_gap(-1.0, 0.5, 1.0, 2.0)
+    # stable neurons are never candidates, whatever their coefficient
+    s, _ = _scores("drg", [-1.0, -1.0], [1.0, -2.0], [2.0, -0.5], [0.5, -1.0])
+    assert s.tolist() == [-np.inf, -np.inf]
+    assert heuristics.select_branch({0: s}) is None
 
 
 def test_directional_gap_clamps_outside_interval():
     # z* below l: upper line goes negative there, gap clamps at zero
-    assert heuristics.directional_gap(-1.0, -10.0, -2.0, 18.0) == 0.0
+    s, clamps = _scores("drg", [-1.0], [-2.0], [18.0], [-10.0])
+    assert s[0] == 0.0
+    assert clamps == 1
 
 
 def test_drg_score_prefers_narrow_neuron_with_larger_gap():
-    bound = _case_bound([-1.0, -1.0])
-    scores = heuristics.drg_score(bound, [CASE_Z])
-    by_neuron = {s.neuron: s.score for s in scores}
-    assert abs(by_neuron[0] - 1.0) < 1e-12
-    assert abs(by_neuron[1] - 2.0) < 1e-12
-    assert heuristics.select_branch(scores) == (0, 1)
+    s, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
+    assert abs(s[0] - 1.0) < 1e-12
+    assert abs(s[1] - 2.0) < 1e-12
+    assert heuristics.select_branch({0: s}) == (0, 1)
 
 
 def test_drg_score_all_zero_when_coefficients_nonnegative():
-    bound = _case_bound([1.0, 0.5])
-    scores = heuristics.drg_score(bound, [CASE_Z])
-    assert scores and all(s.score == 0.0 for s in scores)
-    assert heuristics.all_zero(scores)
+    s, _ = _scores("drg", [1.0, 0.5], CASE_L, CASE_U, CASE_Z)
+    assert s.tolist() == [0.0, 0.0]
+    assert heuristics.all_zero({0: s})
 
 
 def test_drg_score_matches_independent_formula():
@@ -66,25 +88,16 @@ def test_drg_score_matches_independent_formula():
         u = rng.uniform(0.1, 5.0, n)
         A = rng.normal(size=n)
         z = rng.uniform(l, u)
-        nb = relax.NeuronBounds([l], [u])
-        bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: A}, nb)
-        scores = {s.neuron: s.score for s in heuristics.drg_score(bound, [z])}
+        s, _ = _scores("drg", A, l, u, z)
         for j in range(n):
-            if A[j] < 0:
-                up = u[j] / (u[j] - l[j]) * z[j] - u[j] * l[j] / (u[j] - l[j])
-                expected = abs(A[j]) * max(0.0, up - max(z[j], 0.0))
-            else:
-                expected = 0.0
-            assert abs(scores[j] - expected) < 1e-12
+            expected = abs(A[j]) * _upper_gap(l[j], u[j], z[j]) if A[j] < 0 else 0.0
+            assert abs(s[j] - expected) < 1e-12
 
 
 def test_symmetric_score_lower_side():
     # A = +1, alpha = 0.5, z* = -1, (l, u) = (-2, 2): |1| * (0 - (-0.5)) = 0.5
-    nb = relax.NeuronBounds([np.array([-2.0])], [np.array([2.0])])
-    bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: np.array([1.0])}, nb)
-    params = relax.RelaxationParams({0: np.array([0.5])})
-    scores = heuristics.symmetric_score(bound, [np.array([-1.0])], params)
-    assert abs(scores[0].score - 0.5) < 1e-12
+    s, _ = _scores("drg_symmetric", [1.0], [-2.0], [2.0], [-1.0], alpha=[0.5])
+    assert abs(s[0] - 0.5) < 1e-12
 
 
 def test_symmetric_agrees_with_drg_on_negative_coefficients():
@@ -95,13 +108,10 @@ def test_symmetric_agrees_with_drg_on_negative_coefficients():
         u = rng.uniform(0.1, 5.0, n)
         A = -rng.uniform(0.1, 2.0, n)  # all negative
         z = rng.uniform(l - 1.0, u + 1.0)
-        nb = relax.NeuronBounds([l], [u])
-        bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: A}, nb)
-        params = relax.RelaxationParams({0: rng.uniform(0, 1, n)})
-        drg = heuristics.drg_score(bound, [z])
-        sym = heuristics.symmetric_score(bound, [z], params)
-        for a, b in zip(drg, sym):
-            assert a.score == b.score
+        drg, drg_clamps = _scores("drg", A, l, u, z)
+        sym, sym_clamps = _scores("drg_symmetric", A, l, u, z, alpha=rng.uniform(0, 1, n))
+        assert drg.tolist() == sym.tolist()
+        assert drg_clamps == sym_clamps
 
 
 def test_symmetric_matches_independent_formula():
@@ -113,34 +123,28 @@ def test_symmetric_matches_independent_formula():
         A = rng.normal(size=n)
         alpha = rng.uniform(0, 1, n)
         z = rng.uniform(l, u)
-        nb = relax.NeuronBounds([l], [u])
-        bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: A}, nb)
-        params = relax.RelaxationParams({0: alpha})
-        scores = {s.neuron: s.score for s in heuristics.symmetric_score(bound, [z], params)}
+        s, _ = _scores("drg_symmetric", A, l, u, z, alpha=alpha)
         for j in range(n):
-            relu = max(z[j], 0.0)
             if A[j] < 0:
-                up = u[j] / (u[j] - l[j]) * z[j] - u[j] * l[j] / (u[j] - l[j])
-                gap = max(0.0, up - relu)
+                gap = _upper_gap(l[j], u[j], z[j])
             else:
-                gap = relu - alpha[j] * z[j]
-            assert abs(scores[j] - abs(A[j]) * gap) < 1e-12
+                gap = max(z[j], 0.0) - alpha[j] * z[j]
+            assert abs(s[j] - abs(A[j]) * gap) < 1e-12
 
 
 def test_intercept_score_value():
-    bound = _case_bound([-1.0, 1.0])
-    scores = {s.neuron: s.score for s in heuristics.intercept_score(bound)}
-    assert abs(scores[0] - 1.8) < 1e-12
-    assert scores[1] == 0.0
+    s, _ = _scores("intercept", [-1.0, 1.0], CASE_L, CASE_U, CASE_Z)
+    assert abs(s[0] - 1.8) < 1e-12
+    assert s[1] == 0.0
 
 
 def test_width_score_reproduces_the_trap():
-    bound = _case_bound([-1.0, -1.0])
-    widths = {s.neuron: s.score for s in heuristics.width_score(bound)}
-    assert widths[0] == 20.0 and widths[1] == 8.0
+    widths, _ = _scores("width", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
+    assert widths.tolist() == [20.0, 8.0]
     # width prefers the wide neuron, the gap heuristic the narrow one
-    assert heuristics.select_branch(heuristics.width_score(bound)) == (0, 0)
-    assert heuristics.select_branch(heuristics.drg_score(bound, [CASE_Z])) == (0, 1)
+    assert heuristics.select_branch({0: widths}) == (0, 0)
+    drg, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
+    assert heuristics.select_branch({0: drg}) == (0, 1)
 
 
 def test_babsr_score_matches_independent_formula():
@@ -150,54 +154,62 @@ def test_babsr_score_matches_independent_formula():
         l = -rng.uniform(0.1, 5.0, n)
         u = rng.uniform(0.1, 5.0, n)
         A = rng.normal(size=n)
-        nb = relax.NeuronBounds([l], [u])
-        bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: A}, nb)
-        scores = {s.neuron: s.score for s in heuristics.babsr_score(bound)}
+        s, clamps = _scores("babsr", A, l, u, np.zeros(n))
+        assert clamps == 0
         for j in range(n):
-            assert abs(scores[j] - abs(A[j] * u[j] * l[j] / (u[j] - l[j]))) < 1e-12
+            assert abs(s[j] - abs(A[j] * u[j] * l[j] / (u[j] - l[j]))) < 1e-12
 
 
 def test_grad_score_uses_concrete_gradient_sign():
+    # output weights (2, -3) make the concrete gradients (2, -3) at z* = (8, 1):
+    # the positive partial masks the first neuron whatever A says
+    z = np.array([8.0, 1.0])
+    s, _ = _scores("grad", [-1.0, -1.0], CASE_L, CASE_U, z, out_weights=[2.0, -3.0])
+    assert s[0] == 0.0
+    assert abs(s[1] - 3.0 * _upper_gap(-4.0, 4.0, 1.0)) < 1e-12
+
+
+def test_center_scores_at_the_box_center():
+    net = identity_relu_net(2)
     nb = relax.NeuronBounds([CASE_L.copy()], [CASE_U.copy()])
-    bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb)
-    grads = [np.array([2.0, -3.0])]  # positive partial masks the first neuron
-    scores = {s.neuron: s.score for s in heuristics.grad_score(bound, [CASE_Z], grads)}
-    assert scores[0] == 0.0
-    assert abs(scores[1] - 3.0 * 2.0) < 1e-12
+    bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb)
+    domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), {}, nb, 0, -np.inf)
+    far_corner = np.array([10.0, 2.0])
+    s, _ = heuristics.score_branches("center", net, np.array([1.0]), bound, domain, far_corner,
+                                     None)
+    drg_at_center, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
+    assert s[0].tolist() == drg_at_center.tolist()
 
 
 def test_select_branch_argmax_and_ties():
-    scores = [heuristics.BranchScore(1, 0, 1.0), heuristics.BranchScore(1, 1, 2.0)]
-    assert heuristics.select_branch(scores) == (1, 1)
-    equal = [heuristics.BranchScore(2, 3, 1.0), heuristics.BranchScore(1, 4, 1.0),
-             heuristics.BranchScore(1, 2, 1.0)]
-    assert heuristics.select_branch(equal) == (1, 2)
-    assert heuristics.select_branch(list(reversed(equal))) == (1, 2)
+    assert heuristics.select_branch({1: np.array([1.0, 2.0])}) == (1, 1)
+    out = -np.inf  # not splittable
+    layer1 = np.array([out, out, 1.0, out, 1.0])
+    layer2 = np.array([out, out, out, 1.0])
+    assert heuristics.select_branch({1: layer1, 2: layer2}) == (1, 2)
+    assert heuristics.select_branch({2: layer2, 1: layer1}) == (1, 2)
 
 
 def test_select_branch_invariant_to_positive_rescaling():
     rng = np.random.default_rng(45)
-    scores = [heuristics.BranchScore(0, j, float(v)) for j, v in enumerate(rng.uniform(0, 5, 10))]
+    scores = {0: rng.uniform(0, 5, 10)}
     base = heuristics.select_branch(scores)
     for c in (0.5, 2.0, 17.0):
-        scaled = [heuristics.BranchScore(s.layer, s.neuron, c * s.score) for s in scores]
-        assert heuristics.select_branch(scaled) == base
+        assert heuristics.select_branch({0: c * scores[0]}) == base
 
 
 def test_select_branch_empty_signals_none():
-    assert heuristics.select_branch([]) is None
+    assert heuristics.select_branch({}) is None
+    assert heuristics.select_branch({0: np.array([-np.inf, -np.inf])}) is None
 
 
 def test_gap_clamp_counting():
     # witness pre-activation above u on a negative-coefficient neuron: the raw
     # upper-line gap is negative there, so the clamp fires and is counted
-    nb = relax.NeuronBounds([np.array([-2.0, -2.0])], [np.array([2.0, 2.0])])
-    bound = relax.BoundResult(np.array([1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb)
-    preacts = [np.array([5.0, 0.0])]  # first neuron outside [l, u], second inside
-    assert heuristics._count_gap_clamps(bound, preacts, bound.A) == 1
-    scores = {s.neuron: s.score for s in heuristics.drg_score(bound, preacts)}
-    assert scores[0] == 0.0  # clamped
-    assert scores[1] > 0.0
+    s, clamps = _scores("drg", [-1.0, -1.0], [-2.0, -2.0], [2.0, 2.0], [5.0, 0.0])
+    assert clamps == 1
+    assert s[0] == 0.0  # clamped
+    assert s[1] > 0.0
 
 
 def test_scores_skip_stable_and_split_neurons():
@@ -208,6 +220,7 @@ def test_scores_skip_stable_and_split_neurons():
     j = int(unstable[0])
     d2 = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, j): +1})
     res = relax.compute_bounds(net, np.array([1.0]), d2)
-    _, preacts = model.forward(net, np.zeros(2))
-    scored = {s.neuron for s in heuristics.drg_score(res, preacts)}
-    assert j not in scored
+    scores, _ = heuristics.score_branches("drg", net, np.array([1.0]), res, d2, np.zeros(2), None)
+    candidates = set(np.flatnonzero(np.isfinite(scores[0])).tolist())
+    assert j not in candidates
+    assert candidates == set(np.flatnonzero(d2.neuron_bounds.unstable_mask(0)).tolist())

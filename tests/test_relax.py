@@ -6,42 +6,63 @@ from reluverify import bab, model, relax
 from helpers import make_domain, random_net, scalar_relu_net
 
 
+def _relaxation(l, u):
+    """Relaxation of one neuron with pre-activation bounds [l, u], as scalars."""
+    nb = relax.NeuronBounds([np.array([l])], [np.array([u])])
+    act, unst, slope, icpt = nb.relaxation(0)
+    return bool(act[0]), bool(unst[0]), float(slope[0]), float(icpt[0])
+
+
 def test_relu_relaxation_wide_interval():
-    slope, icpt, lower = relax.relu_relaxation(-2.0, 18.0, 0.5)
+    _, unst, slope, icpt = _relaxation(-2.0, 18.0)
+    assert unst
     assert abs(slope - 0.9) < 1e-12
     assert abs(icpt - 1.8) < 1e-12
-    assert lower == 0.5
+    nb = relax.NeuronBounds([np.array([-2.0])], [np.array([18.0])])
+    assert relax._lower_slope(nb.relaxation(0), np.array([0.5])).tolist() == [0.5]
 
 
 def test_relu_relaxation_moderate_interval():
-    slope, icpt, _ = relax.relu_relaxation(-4.0, 4.0, 1.0)
+    _, _, slope, icpt = _relaxation(-4.0, 4.0)
     assert abs(slope - 0.5) < 1e-12
     assert abs(icpt - 2.0) < 1e-12
 
 
 def test_relu_relaxation_symmetric_interval():
-    slope, icpt, _ = relax.relu_relaxation(-1.0, 1.0, 0.0)
+    _, _, slope, icpt = _relaxation(-1.0, 1.0)
     assert abs(slope - 0.5) < 1e-12
     assert abs(icpt - 0.5) < 1e-12
 
 
-def test_relu_relaxation_rejects_stable_neuron():
-    with pytest.raises(ValueError):
-        relax.relu_relaxation(0.5, 2.0, 0.5)
-    with pytest.raises(ValueError):
-        relax.relu_relaxation(-2.0, -0.5, 0.5)
+def test_relu_relaxation_stable_neurons_are_exact():
+    # stable neurons are never unstable and get their exact line, not a chord
+    assert _relaxation(0.5, 2.0) == (True, False, 1.0, 0.0)
+    assert _relaxation(-2.0, -0.5) == (False, False, 0.0, 0.0)
+    nb = relax.NeuronBounds([np.array([0.5, -2.0])], [np.array([2.0, -0.5])])
+    assert relax._lower_slope(nb.relaxation(0), np.array([0.3, 0.3])).tolist() == [1.0, 0.0]
 
 
 def test_relu_relaxation_rejects_bad_alpha():
     with pytest.raises(ValueError):
-        relax.relu_relaxation(-1.0, 1.0, 1.5)
+        relax.RelaxationParams({0: np.array([1.5])})
+    with pytest.raises(ValueError):
+        relax.RelaxationParams({0: np.array([-0.5])})
 
 
 def test_stability_tag_tie_rules():
-    assert relax.stability_tag(0.0, 2.0) == relax.STABLE_ACTIVE
-    assert relax.stability_tag(-2.0, 0.0) == relax.STABLE_INACTIVE
-    assert relax.stability_tag(-1.0, 1.0) == relax.UNSTABLE
-    assert relax.stability_tag(1.0, 2.0) == relax.STABLE_ACTIVE
+    # l = 0 counts as active, u = 0 as inactive; only l < 0 < u is unstable
+    assert _relaxation(0.0, 2.0)[:2] == (True, False)
+    assert _relaxation(-2.0, 0.0)[:2] == (False, False)
+    assert _relaxation(-1.0, 1.0)[:2] == (False, True)
+    assert _relaxation(1.0, 2.0)[:2] == (True, False)
+
+
+def test_relaxation_is_computed_once_per_bounds_object():
+    net = random_net(np.random.default_rng(29), 3, [6, 5], 2)
+    d = make_domain(net, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
+    # propagation reads layer 0's relaxation, but hands back bounds without it
+    assert d.neuron_bounds._relaxations == {}
+    assert d.neuron_bounds.relaxation(1) is d.neuron_bounds.relaxation(1)
 
 
 def test_compute_bounds_single_neuron_lower_line():
@@ -230,7 +251,10 @@ def test_triangle_validity_on_grid():
         l = -rng.uniform(0.01, 10.0)
         u = rng.uniform(0.01, 10.0)
         a = rng.uniform(0.0, 1.0)
-        slope, icpt, lower = relax.relu_relaxation(l, u, a)
+        nb = relax.NeuronBounds([np.array([l])], [np.array([u])])
+        rel = nb.relaxation(0)
+        lower = relax._lower_slope(rel, np.array([a]))[0]
+        slope, icpt = rel[2][0], rel[3][0]
         z = np.linspace(l, u, 1000)
         relu = np.maximum(z, 0.0)
         assert np.all(lower * z <= relu + 1e-12)
@@ -289,9 +313,43 @@ def test_alpha_gradient_matches_finite_differences():
 def test_concretize_matches_witness_dot_bitwise():
     rng = np.random.default_rng(28)
     for _ in range(200):
-        n = rng.integers(1, 10)
+        n = int(rng.integers(1, 20))
         w = rng.normal(size=n)
+        off = float(rng.normal())
         lo = rng.uniform(-2, 0, n)
         hi = lo + rng.uniform(0, 2, n)
-        x_star = np.where(w >= 0, lo, hi)
-        assert relax.concretize_lower(w, lo, hi) == relax.dot_ordered(w, x_star)
+        x_star, value = relax.concretize(w, off, lo, hi)
+        assert x_star.tolist() == np.where(w >= 0, lo, hi).tolist()
+        assert value == relax.concretize(w, off, x_star, x_star)[1]
+        # a stack of rows concretizes each row exactly as it would alone
+        rows = np.vstack([w, -w, 2.0 * w])
+        _, values = relax.concretize(rows, np.array([off, 0.0, -off]), lo, hi)
+        for row, o, v in zip(rows, (off, 0.0, -off), values):
+            assert v == relax.concretize(row, o, lo, hi)[1]
+
+
+def test_bound_equals_witness_abstract_margin_bitwise():
+    from reluverify import witness
+
+    rng = np.random.default_rng(30)
+    for trial in range(20):
+        n0 = int(rng.integers(1, 13))
+        net = random_net(rng, n0, [6, 5], 2, scale=2.0)
+        lo = rng.uniform(-1.0, 0.0, n0)
+        hi = lo + rng.uniform(0.1, 1.0, n0)
+        d = make_domain(net, lo, hi)
+        c = rng.normal(size=2)
+        res = relax.compute_bounds(net, c, d)
+        x_star = witness.construct_witness(res, lo, hi)
+        wit = witness.validate_witness(net, c[None, :], x_star, res)
+        assert wit.abstract_margin == res.lower_bound
+
+
+def test_propagate_bounds_from_later_layer_needs_base():
+    net = random_net(np.random.default_rng(31), 2, [4, 3], 1)
+    lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
+    with pytest.raises(ValueError, match="base"):
+        relax.propagate_bounds(net, lo, hi, {}, start_layer=1)
+    base = relax.propagate_bounds(net, lo, hi, {})
+    again = relax.propagate_bounds(net, lo, hi, {}, base=base, start_layer=1)
+    assert again.lower[0].tolist() == base.lower[0].tolist()

@@ -13,6 +13,11 @@ def _bound(w, b=0.0):
     return relax.BoundResult(np.asarray(w, dtype=float), b, 0.0, {}, nb)
 
 
+def _value_at(w, b, x):
+    """w @ x + b summed exactly as concretization sums it."""
+    return relax.concretize(w, b, x, x)[1]
+
+
 def test_sign_rule():
     x = witness.construct_witness(_bound([1.0, -2.0]), [0.0, 0.0], [1.0, 1.0])
     assert x.tolist() == [0.0, 1.0]
@@ -32,10 +37,8 @@ def test_witness_attains_corner_minimum():
         lo = rng.uniform(-2, 0, n)
         hi = lo + rng.uniform(0, 3, n)
         x_star = witness.construct_witness(_bound(w, b), lo, hi)
-        val = relax.dot_ordered(w, x_star) + b
-        corner_min = min(
-            relax.dot_ordered(w, np.array(c)) + b for c in itertools.product(*zip(lo, hi))
-        )
+        val = _value_at(w, b, x_star)
+        corner_min = min(_value_at(w, b, np.array(c)) for c in itertools.product(*zip(lo, hi)))
         assert val == corner_min
 
 
@@ -47,7 +50,7 @@ def test_minimizer_property_exact():
         lo = rng.uniform(-2, 0, n)
         hi = lo + rng.uniform(0, 3, n)
         x_star = witness.construct_witness(_bound(w), lo, hi)
-        assert relax.dot_ordered(w, x_star) == relax.concretize_lower(w, lo, hi)
+        assert _value_at(w, 0.0, x_star) == relax.concretize(w, 0.0, lo, hi)[1]
 
 
 def test_validate_concrete_violation():
