@@ -198,7 +198,7 @@ class SearchState:
     config: BabConfig
     worklist: Worklist
     stats: RunStats
-    params_by_row: List[RelaxationParams]
+    params: RelaxationParams  # the root's optimized slopes, one row per spec row
     start_time: float
     stuck_unknown: bool = False
     exhausted_reason: Optional[str] = None
@@ -241,16 +241,15 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
         _trace(state, entry)
         return None
 
-    # Phase 1: bound every spec row over this sub-domain.
+    # Phase 1: bound every spec row over this sub-domain, in one stacked pass.
     if config.realpha_per_node and node_id > 0:
-        row_params = [relax.optimize_alpha(net, C[r], d, config.alpha_iters, config.alpha_step)
-                      for r in range(task.n_spec)]
+        params = relax.optimize_alpha(net, C, d, config.alpha_iters, config.alpha_step,
+                                      _deadline(state))
     else:
-        row_params = state.params_by_row
-    results = [relax.compute_bounds(net, C[r], d, row_params[r]) for r in range(task.n_spec)]
-    row_lbs = [res.lower_bound for res in results]
-    raw_lb = min(row_lbs)
-    worst_row = row_lbs.index(raw_lb)
+        params = state.params
+    results = relax.compute_bounds(net, C, d, params)
+    worst_row = int(np.argmin(results.lower_bound))  # the first row on ties
+    raw_lb = float(results.lower_bound[worst_row])
     # The parent's bound remains valid on this shrunken region; inheriting it
     # keeps node bounds monotone even when the clamped relaxation drifts.
     eff_lb = max(raw_lb, d.parent_lower_bound)
@@ -265,7 +264,7 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
         return None
 
     # Phase 3: counterexample validation.
-    bound = results[worst_row]
+    bound = results.row(worst_row)
     x_star = witness_mod.construct_witness(bound, d.box_lower, d.box_upper)
     wit = witness_mod.validate_witness(net, C, x_star, bound)
     entry["witness_margin"] = float(wit.concrete_margin.min())
@@ -276,7 +275,7 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
         return UNSAFE
 
     # Phase 4: refinement guided by the spurious witness.
-    params = row_params[worst_row]
+    params = params.row(worst_row)
     scores, clamps = heuristics.score_branches(
         state.heuristic, net, C[worst_row], bound, d, x_star, params
     )
@@ -332,8 +331,10 @@ def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> Se
 
     The root does not count toward branches_visited: instances decided here
     report zero branches. If the root is neither pruned nor falsified, its
-    children enter the worklist.
+    children enter the worklist. The run's clock starts here, so the root's
+    bounds and slope optimization count toward the time budget.
     """
+    start_time = time.perf_counter()
     if heuristic not in heuristics.KINDS:
         raise ValueError(
             f"unknown heuristic {heuristic!r}; valid kinds: {', '.join(heuristics.KINDS)}"
@@ -342,19 +343,16 @@ def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> Se
         raise ValueError(f"unknown fallback {config.fallback!r}; expected babsr or bisect")
     root = make_root(task)
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
-    params_by_row = [
-        relax.optimize_alpha(task.network, task.spec_matrix[r], root, config.alpha_iters,
-                             config.alpha_step)
-        for r in range(task.n_spec)
-    ]
+    params = relax.optimize_alpha(task.network, task.spec_matrix, root, config.alpha_iters,
+                                  config.alpha_step, start_time + task.timeout_seconds)
     state = SearchState(
         task=task,
         heuristic=heuristic,
         config=config,
         worklist=Worklist(),
         stats=stats,
-        params_by_row=params_by_row,
-        start_time=time.perf_counter(),
+        params=params,
+        start_time=start_time,
     )
     verdict = _process_node(state, root, node_id=0)
     if verdict == UNSAFE:
@@ -363,8 +361,12 @@ def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> Se
     return state
 
 
+def _deadline(state: SearchState) -> float:
+    return state.start_time + state.task.timeout_seconds
+
+
 def _budget_exhausted(state: SearchState) -> Optional[str]:
-    if time.perf_counter() - state.start_time > state.task.timeout_seconds:
+    if time.perf_counter() > _deadline(state):
         return "timeout"
     if state.stats.branches_visited >= state.task.max_branches and len(state.worklist) > 0:
         return "branch budget exhausted"

@@ -9,10 +9,18 @@ takes the upper chord through (l, 0) and (u, u) and its intercept folds into
 the offset. The coefficient on each post-activation, captured just before the
 layer's relaxation is traversed, is the per-neuron sensitivity used by the
 branching heuristics.
+
+The spec rows of a sub-domain are bounded together: their coefficients ride a
+leading axis as (m, 1, n) stacks, and the relaxed forward pass evaluates
+W @ h on (m, n, 1) stacks. Each product is then the same matrix-vector call a
+single row makes, so every row's bound, coefficients and minimizer agree bit
+for bit with bounding that row alone. A flat (m, n) @ (n, p) product would
+not: the matrix-matrix kernel sums in another order.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -89,15 +97,16 @@ def _adaptive_alpha(bounds: NeuronBounds, k: int) -> np.ndarray:
 class RelaxationParams:
     """Lower-bound slope per neuron for each ReLU layer; entries live in [0, 1].
 
-    Only the entries at unstable neurons matter; stable neurons are substituted
-    exactly regardless of the stored slope.
+    alpha[k] is either (n_k,), shared by every spec row, or (m, n_k), one row
+    of slopes per spec row. Only the entries at unstable neurons matter;
+    stable neurons are substituted exactly regardless of the stored slope.
     """
 
     alpha: Dict[int, np.ndarray]
 
     def __post_init__(self):
         for k, arr in self.alpha.items():
-            if np.any(arr < 0.0) or np.any(arr > 1.0):
+            if (arr < 0.0).any() or (arr > 1.0).any():
                 raise ValueError(f"alpha[{k}]: slopes must lie in [0, 1]")
 
     @classmethod
@@ -109,14 +118,22 @@ class RelaxationParams:
     def copy(self) -> "RelaxationParams":
         return RelaxationParams({k: v.copy() for k, v in self.alpha.items()})
 
+    def row(self, r) -> "RelaxationParams":
+        """The slopes of spec row r (or of the rows r indexes); shared slopes
+        are returned as they are."""
+        return RelaxationParams({k: v[r] if v.ndim == 2 else v for k, v in self.alpha.items()})
+
 
 @dataclass
 class BoundResult:
-    """A sound linear lower bound w @ x + b of one margin row over a sub-domain.
+    """A sound linear lower bound w @ x + b of margin rows over a sub-domain.
 
     A[k] holds the backward coefficients on layer k's post-activations,
     recorded before that layer's relaxation was traversed; w is the same
-    quantity at the input layer. neuron_bounds is the snapshot the pass used.
+    quantity at the input layer, and x_star the bound's box minimizer.
+    neuron_bounds is the snapshot the pass used. For one row, b and
+    lower_bound are floats; for a stack of m rows every field but
+    neuron_bounds gains a leading axis of length m.
     """
 
     w: Optional[np.ndarray]
@@ -124,11 +141,34 @@ class BoundResult:
     lower_bound: float
     A: Dict[int, np.ndarray]
     neuron_bounds: NeuronBounds
+    x_star: Optional[np.ndarray] = None
     feasible: bool = True
 
     @classmethod
-    def infeasible_marker(cls, bounds: NeuronBounds) -> "BoundResult":
-        return cls(None, float("nan"), float("inf"), {}, bounds, feasible=False)
+    def infeasible_marker(cls, bounds: NeuronBounds, m: Optional[int] = None) -> "BoundResult":
+        lower = float("inf") if m is None else np.full(m, np.inf)
+        return cls(None, float("nan"), lower, {}, bounds, feasible=False)
+
+    def row(self, r: int) -> "BoundResult":
+        """Spec row r of a stacked result, as if it had been bounded alone."""
+        return BoundResult(self.w[r], float(self.b[r]), float(self.lower_bound[r]),
+                           {k: v[r] for k, v in self.A.items()}, self.neuron_bounds,
+                           self.x_star[r])
+
+    def take(self, rows: np.ndarray) -> "BoundResult":
+        """The stacked result restricted to the given spec rows."""
+        return BoundResult(self.w[rows], self.b[rows], self.lower_bound[rows],
+                           {k: v[rows] for k, v in self.A.items()}, self.neuron_bounds,
+                           self.x_star[rows])
+
+    def put(self, rows: np.ndarray, other: "BoundResult") -> None:
+        """Overwrite the given spec rows in place with the rows of other."""
+        self.w[rows] = other.w
+        self.b[rows] = other.b
+        self.lower_bound[rows] = other.lower_bound
+        self.x_star[rows] = other.x_star
+        for k, v in self.A.items():
+            v[rows] = other.A[k]
 
 
 def concretize(lam: np.ndarray, off, lo: np.ndarray, hi: np.ndarray):
@@ -150,9 +190,10 @@ def _alpha_for(params: Optional[RelaxationParams], bounds: NeuronBounds, k: int)
 
 
 def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
-    """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable."""
+    """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable.
+    Slopes come from RelaxationParams or the adaptive rule, so lie in [0, 1]."""
     act, unst, _, _ = rel
-    return np.where(unst, np.clip(alpha, 0.0, 1.0), act)
+    return np.where(unst, alpha, act)
 
 
 def _relu_backward(
@@ -160,13 +201,14 @@ def _relu_backward(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Push backward coefficients through one ReLU layer's relaxation.
 
-    lam has shape (m, n); returns the new coefficients on the pre-activations
-    and the per-row offset contribution from upper-line intercepts.
+    lam has shape (..., n) and alpha broadcasts against it; returns the new
+    coefficients on the pre-activations and the per-row offset contribution
+    from upper-line intercepts.
     """
     _, _, up_slope, up_icpt = rel
     pos = lam >= 0.0  # ties at exactly 0 take the lower relaxation
     slope = np.where(pos, _lower_slope(rel, alpha), up_slope)
-    off_delta = np.where(pos, 0.0, lam * up_icpt).sum(axis=1)
+    off_delta = np.where(pos, 0.0, lam * up_icpt).sum(axis=-1)
     return lam * slope, off_delta
 
 
@@ -179,8 +221,10 @@ def _backward_from_layer(
 ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
     """Linear lower bounds of c_mat @ z^(obj_layer) as functions of the input.
 
-    Returns (coeffs on x, offsets, A) where A maps each traversed ReLU layer
-    to the coefficients recorded before its relaxation.
+    c_mat is (r, p), rows sharing one set of slopes, or (m, 1, p), spec rows
+    with per-row slopes of shape (m, n_k). Returns (coeffs on x, offsets, A)
+    where A maps each traversed ReLU layer to the coefficients recorded before
+    its relaxation; all keep c_mat's leading axes.
     """
     layer = net.layers[obj_layer]
     lam = c_mat @ layer.weights
@@ -190,27 +234,36 @@ def _backward_from_layer(
         lyr = net.layers[k]
         if lyr.activation == RELU:
             A[k] = lam
-            lam, delta = _relu_backward(lam, bounds.relaxation(k), _alpha_for(params, bounds, k))
+            alpha = _alpha_for(params, bounds, k)
+            if alpha.ndim == 2:
+                alpha = alpha[:, None, :]
+            lam, delta = _relu_backward(lam, bounds.relaxation(k), alpha)
             off = off + delta
         off = off + lam @ lyr.bias
         lam = lam @ lyr.weights
     return lam, off, A
 
 
-def compute_bounds(net: Network, c_row, domain, params: Optional[RelaxationParams] = None):
-    """Sound linear lower bound of one margin row over a sub-domain.
+def compute_bounds(net: Network, C, domain, params: Optional[RelaxationParams] = None):
+    """Sound linear lower bounds of margin rows over a sub-domain.
 
-    For every x in the sub-domain box that satisfies all split constraints,
-    w @ x + b <= c_row @ f(x). Returns an infeasible marker instead of a bound
-    when the domain's neuron bounds signal an empty region.
+    C is one row or an (m, p) stack of rows; params holds shared slopes or one
+    row of slopes per spec row. For every x in the sub-domain box that
+    satisfies all split constraints, w @ x + b <= c_row @ f(x) for each row.
+    A stack gives each row exactly the result of bounding it alone. Returns an
+    infeasible marker instead of a bound when the domain's neuron bounds
+    signal an empty region.
     """
+    C = np.asarray(C, dtype=np.float64)
+    rows = np.atleast_2d(C)
     bounds = domain.neuron_bounds
     if not bounds.is_feasible():
-        return BoundResult.infeasible_marker(bounds)
-    c_row = np.asarray(c_row, dtype=np.float64)
-    lam, off, A = _backward_from_layer(net, net.n_layers - 1, c_row[None, :], bounds, params)
-    _, lb = concretize(lam[0], off[0], domain.box_lower, domain.box_upper)
-    return BoundResult(lam[0], float(off[0]), float(lb), {k: v[0] for k, v in A.items()}, bounds)
+        return BoundResult.infeasible_marker(bounds, None if C.ndim == 1 else len(rows))
+    lam, off, A = _backward_from_layer(net, net.n_layers - 1, rows[:, None, :], bounds, params)
+    lam, off = lam[:, 0, :], off[:, 0]
+    x_star, lb = concretize(lam, off, domain.box_lower, domain.box_upper)
+    res = BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, bounds, x_star)
+    return res.row(0) if C.ndim == 1 else res
 
 
 def propagate_bounds(
@@ -218,19 +271,19 @@ def propagate_bounds(
     box_lower: np.ndarray,
     box_upper: np.ndarray,
     splits: Dict[Tuple[int, int], int],
-    params: Optional[RelaxationParams] = None,
     base: Optional[NeuronBounds] = None,
     start_layer: int = 0,
 ) -> NeuronBounds:
     """Pre-activation bounds for every hidden layer, earlier layers first.
 
-    Each layer is bounded by a backward pass using the layers already bounded,
-    intersected with a plain interval-arithmetic pass (both enclose the true
-    range, so the intersection does too and is never looser than either), then
-    split clamps are applied: sign +1 lifts the lower bound to 0, sign -1 drops
-    the upper bound to 0. With a base (the parent's bounds), layers below
-    start_layer are copied instead of recomputed and recomputed layers are
-    intersected with the base as well. The result carries no relaxations yet.
+    Each layer is bounded by a backward pass with adaptive slopes using the
+    layers already bounded, intersected with a plain interval-arithmetic pass
+    (both enclose the true range, so the intersection does too and is never
+    looser than either), then split clamps are applied: sign +1 lifts the
+    lower bound to 0, sign -1 drops the upper bound to 0. With a base (the
+    parent's bounds), layers below start_layer are copied instead of
+    recomputed and recomputed layers are intersected with the base as well.
+    The result carries no relaxations yet.
     """
     if start_layer > 0 and base is None:
         raise ValueError("propagate_bounds: start_layer > 0 needs the parent's bounds as base")
@@ -250,7 +303,7 @@ def propagate_bounds(
         else:
             n_k = layer.out_dim
             eye = np.eye(n_k)
-            lam, off, _ = _backward_from_layer(net, k, np.vstack([eye, -eye]), work, params)
+            lam, off, _ = _backward_from_layer(net, k, np.vstack([eye, -eye]), work, None)
             _, vals = concretize(lam, off, box_lower, box_upper)
             l = vals[:n_k].copy()
             u = -vals[n_k:]
@@ -296,12 +349,16 @@ def _relaxed_forward(
     """Pre-activation values at x_star under the relaxation lines the backward
     pass chose. These equal the sensitivities of the concretized bound to the
     pre-activation coefficients, which is what the alpha gradient needs.
+
+    x_star is one minimizer or an (m, n_in) stack, one per spec row, with A
+    shaped to match; each W @ h runs on an (m, n, 1) stack, as one row at a
+    time would.
     """
     h = x_star
     pre: Dict[int, np.ndarray] = {}
     for k in range(net.n_layers - 1):
         layer = net.layers[k]
-        z = layer.weights @ h + layer.bias
+        z = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if layer.activation == RELU:
             pre[k] = z
             rel = bounds.relaxation(k)
@@ -314,20 +371,22 @@ def _relaxed_forward(
 
 
 def alpha_gradient(
-    net: Network, c_row, domain, params: RelaxationParams
+    net: Network, C, domain, params: RelaxationParams, bound: Optional[BoundResult] = None
 ) -> Dict[int, np.ndarray]:
-    """Analytic derivative of the concretized lower bound w.r.t. each slope.
+    """Analytic derivative of each row's concretized lower bound w.r.t. its slopes.
 
     For an unstable neuron whose backward coefficient is non-negative the bound
     is locally linear in its slope with derivative A * z_tilde, where z_tilde is
     the neuron's pre-activation under the relaxed forward evaluation at the
-    bound's box minimizer. All other neurons contribute zero.
+    bound's box minimizer. All other neurons contribute zero. C and params are
+    shaped as for compute_bounds. bound, when given, is the result of
+    compute_bounds(net, C, domain, params); its A and x_star are reused
+    instead of bounding again.
     """
-    res = compute_bounds(net, c_row, domain, params)
+    res = bound if bound is not None else compute_bounds(net, C, domain, params)
     if not res.feasible:
         return {k: np.zeros_like(v) for k, v in params.alpha.items()}
-    x_star, _ = concretize(res.w, res.b, domain.box_lower, domain.box_upper)
-    pre = _relaxed_forward(net, x_star, res.neuron_bounds, res.A, params)
+    pre = _relaxed_forward(net, res.x_star, res.neuron_bounds, res.A, params)
     grads: Dict[int, np.ndarray] = {}
     for k, alpha in params.alpha.items():
         coeff = res.A.get(k)
@@ -339,37 +398,63 @@ def alpha_gradient(
     return grads
 
 
-def optimize_alpha(net: Network, c_row, domain, iters: int, step: float) -> RelaxationParams:
-    """Maximize the concretized lower bound over the slopes by projected
-    gradient ascent with backtracking; always returns the best iterate seen.
+def optimize_alpha(net: Network, C, domain, iters: int, step: float,
+                   deadline: Optional[float] = None) -> RelaxationParams:
+    """Maximize each row's concretized lower bound over its slopes by projected
+    gradient ascent with backtracking; returns the best iterate seen per row.
 
-    iters = 0 returns the adaptive initialization unchanged.
+    C is one row or an (m, p) stack of rows; a stack gets (m, n_k) slopes, one
+    row per spec row. The rows are optimized together, one bound pass per
+    line-search round, yet each follows exactly its own single-row path: a row
+    stops on an all-zero gradient or when 8 halvings of its step find no
+    improvement, and then leaves the stack. The gradient reuses the A and
+    x_star of the bound that the current slopes produced. iters = 0 returns
+    the adaptive initialization. Once deadline (a time.perf_counter() value)
+    has passed, no further iteration starts; any slopes in [0, 1] are sound.
     """
+    C = np.asarray(C, dtype=np.float64)
+    rows = np.atleast_2d(C)
     bounds = domain.neuron_bounds
     params = RelaxationParams.adaptive(net, bounds)
     if not bounds.is_feasible() or not params.alpha:
         return params
-    best = params.copy()
-    best_lb = compute_bounds(net, c_row, domain, params).lower_bound
-    cur = params
+    cur = RelaxationParams({k: np.repeat(v[None, :], len(rows), axis=0)
+                            for k, v in params.alpha.items()})
+    best = compute_bounds(net, rows, domain, cur)
+    active = np.arange(len(rows))
     for _ in range(iters):
-        grads = alpha_gradient(net, c_row, domain, cur)
-        if all(np.all(g == 0.0) for g in grads.values()):
+        if deadline is not None and time.perf_counter() > deadline:
             break
-        trial = step
-        improved = False
+        if len(active) == len(rows):
+            grads = alpha_gradient(net, rows, domain, cur, best)
+        else:
+            grads = alpha_gradient(net, rows[active], domain, cur.row(active), best.take(active))
+        moving = np.zeros(len(active), dtype=bool)
+        for g in grads.values():
+            moving |= (g != 0.0).any(axis=1)
+        active = active[moving]
+        grads = {k: g[moving] for k, g in grads.items()}
+        trial = np.full(len(active), step)
+        improved = np.zeros(len(active), dtype=bool)
+        searching = np.arange(len(active))  # positions in active still backtracking
         for _ in range(8):
-            cand = RelaxationParams(
-                {k: np.clip(cur.alpha[k] + trial * grads[k], 0.0, 1.0) for k in cur.alpha}
-            )
-            lb = compute_bounds(net, c_row, domain, cand).lower_bound
-            if lb > best_lb:
-                best_lb = lb
-                best = cand.copy()
-                cur = cand
-                improved = True
+            if not len(searching):
                 break
-            trial *= 0.5
-        if not improved:
+            r = active[searching]
+            cand = RelaxationParams({
+                k: (cur.alpha[k][r] + trial[searching, None] * grads[k][searching]).clip(0.0, 1.0)
+                for k in cur.alpha
+            })
+            res = compute_bounds(net, rows[r], domain, cand)
+            better = res.lower_bound > best.lower_bound[r]
+            if better.any():
+                for k in cur.alpha:
+                    cur.alpha[k][r[better]] = cand.alpha[k][better]
+                best.put(r[better], res.take(better))
+                improved[searching[better]] = True
+            searching = searching[~better]
+            trial[searching] *= 0.5
+        active = active[improved]
+        if not len(active):
             break
-    return best
+    return cur.row(0) if C.ndim == 1 else cur

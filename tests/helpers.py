@@ -101,3 +101,43 @@ def naive_forward(net, x):
         else:
             h = z
     return h
+
+
+def reference_optimize_alpha(net, c_row, domain, iters, step):
+    """Slope optimization for one spec row, one bound pass per call: the
+    per-row loop that the stacked relax.optimize_alpha must reproduce.
+
+    Returns (params, attempts): attempts holds, per gradient evaluation, the
+    number of line-search bound passes it led to (0 for an all-zero gradient).
+    """
+    bounds = domain.neuron_bounds
+    params = relax.RelaxationParams.adaptive(net, bounds)
+    attempts = []
+    if not bounds.is_feasible() or not params.alpha:
+        return params, attempts
+    best = params.copy()
+    best_lb = relax.compute_bounds(net, c_row, domain, params).lower_bound
+    cur = params
+    for _ in range(iters):
+        grads = relax.alpha_gradient(net, c_row, domain, cur)
+        if all(np.all(g == 0.0) for g in grads.values()):
+            attempts.append(0)
+            break
+        trial = step
+        improved = False
+        for n_tries in range(1, 9):
+            cand = relax.RelaxationParams(
+                {k: np.clip(cur.alpha[k] + trial * grads[k], 0.0, 1.0) for k in cur.alpha}
+            )
+            lb = relax.compute_bounds(net, c_row, domain, cand).lower_bound
+            if lb > best_lb:
+                best_lb = lb
+                best = cand.copy()
+                cur = cand
+                improved = True
+                break
+            trial *= 0.5
+        attempts.append(n_tries)
+        if not improved:
+            break
+    return best, attempts

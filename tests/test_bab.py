@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -272,7 +273,8 @@ def test_realpha_per_node_stays_sound():
 
 def test_realpha_per_node_scores_with_the_node_slopes(monkeypatch):
     # The spurious witness is scored with the slopes its bound was computed
-    # with: the node's own optimized slopes for the worst row, not the root's.
+    # with: the worst row's slice of the node's own optimized slopes, not the
+    # root's.
     rng = np.random.default_rng(63)
     task = random_task(rng, 3, (6, 5), 3, eps=0.5, timeout_seconds=30.0, max_branches=40)
     events = []
@@ -293,16 +295,62 @@ def test_realpha_per_node_scores_with_the_node_slopes(monkeypatch):
     stats = bab.verify(task, "drg_symmetric", config)
     worst_rows = [e["row"] for e in stats.per_node_trace
                   if e["action"] in ("split", "bisect", "stuck")]
-    node_params, scored = [], []
+    root_params, node_params, scored = None, None, []
     for event in events:
         if event[0] == "optimize":
-            node_params = (node_params + [event[1]])[-task.n_spec:]
+            root_params = event[1] if root_params is None else root_params
+            node_params = event[1]
         elif event[1] == "drg_symmetric":
             scored.append((event[2], node_params))
     assert task.n_spec == 2 and set(worst_rows) == {0, 1}
-    assert len(scored) == len(worst_rows)
-    for (params, row_params), row in zip(scored, worst_rows):
-        assert params is row_params[row]
+    assert len(scored) == len(worst_rows) > 1
+    differs_from_root = False
+    for (params, stacked), row in zip(scored, worst_rows):
+        for k, v in params.alpha.items():
+            assert np.shares_memory(v, stacked.alpha[k])
+            assert np.array_equal(v, stacked.alpha[k][row])
+            differs_from_root |= not np.array_equal(v, root_params.alpha[k][row])
+    assert differs_from_root
+
+
+def test_wall_time_counts_root_slope_optimization(monkeypatch):
+    optimize = relax.optimize_alpha
+
+    def slow_optimize(*args, **kwargs):
+        time.sleep(0.05)
+        return optimize(*args, **kwargs)
+
+    monkeypatch.setattr(relax, "optimize_alpha", slow_optimize)
+    stats = bab.verify(scalar_task(scalar_relu_net(out_bias=0.1)), "drg")
+    assert stats.verdict == bab.SAFE and stats.wall_time_s >= 0.05
+
+
+def test_timeout_stops_root_slope_optimization(monkeypatch):
+    # 5 spec rows over 64-wide layers, undecided at the root: with a tiny
+    # timeout the root's slope optimization stops after its first stacked
+    # bound pass, and the run ends on the timeout.
+    rng = np.random.default_rng(64)
+    task = random_task(rng, 8, (64, 64), 6, eps=0.3, timeout_seconds=1e-6, max_branches=10**9)
+    compute, optimize = relax.compute_bounds, relax.optimize_alpha
+    passes = {"in_optimize": 0}
+    inside = []
+
+    def counting_bounds(*args, **kwargs):
+        passes["in_optimize"] += bool(inside)
+        return compute(*args, **kwargs)
+
+    def tracking_optimize(*args, **kwargs):
+        inside.append(1)
+        try:
+            return optimize(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(relax, "compute_bounds", counting_bounds)
+    monkeypatch.setattr(relax, "optimize_alpha", tracking_optimize)
+    stats = bab.verify(task, "drg")
+    assert stats.verdict == bab.UNKNOWN and stats.unknown_reason == "timeout"
+    assert 1 <= passes["in_optimize"] <= 2
 
 
 def test_termination_measure_violations_raise():

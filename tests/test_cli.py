@@ -204,6 +204,21 @@ def test_bench_equal_branches_count_as_ties_and_wins(tmp_path):
     assert int(row["ties"]) == 1 and int(row["wins"]) == 0
 
 
+def test_bench_results_and_summary_share_the_run_clock(tmp_path):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _write_toy(suite, -0.5, "only")
+    out = tmp_path / "report"
+    assert cli.main(["bench", "--suite", str(suite), "--heuristics", "drg",
+                     "--out", str(out)]) == 0
+    with open(out / "results.csv") as fh:
+        row = next(csv.DictReader(fh))
+    with open(out / "summary.csv") as fh:
+        summary = next(csv.DictReader(fh))
+    # one run: its time in results.csv is the summary's mean, to the last digit
+    assert row["time_s"] == summary["time_mean_s"] == summary["time_median_s"]
+
+
 def test_bench_empty_suite_exits_3(tmp_path, capsys):
     suite = tmp_path / "empty"
     suite.mkdir()

@@ -3,7 +3,9 @@ import pytest
 
 from reluverify import bab, model, relax
 
-from helpers import make_domain, random_net, scalar_relu_net
+from reluverify.cli import generate_instance
+
+from helpers import make_domain, random_net, reference_optimize_alpha, scalar_relu_net
 
 
 def _relaxation(l, u):
@@ -353,3 +355,90 @@ def test_propagate_bounds_from_later_layer_needs_base():
     base = relax.propagate_bounds(net, lo, hi, {})
     again = relax.propagate_bounds(net, lo, hi, {}, base=base, start_layer=1)
     assert again.lower[0].tolist() == base.lower[0].tolist()
+
+
+def _stacked_cases(seed=31, count=4):
+    """Seeded 8-input gen instances with 3-5 spec rows, as (net, C, domain)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n_out = int(rng.integers(4, 7))
+        net, lo, hi, C = generate_instance(rng, 8, [12, 10], n_out, 0.3, 1.5)
+        yield net, C, make_domain(net, lo, hi)
+
+
+def _assert_same_bound(stacked, single):
+    assert np.array_equal(stacked.w, single.w)
+    assert stacked.b == single.b and stacked.lower_bound == single.lower_bound
+    assert np.array_equal(stacked.x_star, single.x_star)
+    assert sorted(stacked.A) == sorted(single.A)
+    for k in single.A:
+        assert np.array_equal(stacked.A[k], single.A[k])
+
+
+def test_compute_bounds_stack_equals_single_rows_bitwise():
+    rng = np.random.default_rng(32)
+    for net, C, d in _stacked_cases():
+        shared = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
+        per_row = relax.RelaxationParams(
+            {k: rng.uniform(0.0, 1.0, (len(C), v.size)) for k, v in shared.alpha.items()})
+        for params in (None, shared, per_row):
+            res = relax.compute_bounds(net, C, d, params)
+            assert res.lower_bound.shape == (len(C),)
+            for r in range(len(C)):
+                row_params = None if params is None else params.row(r)
+                single = relax.compute_bounds(net, C[r], d, row_params)
+                _assert_same_bound(res.row(r), single)
+
+
+def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
+    stop_points = set()
+    for net, C, d in _stacked_cases():
+        for iters in (0, 20):
+            params = relax.optimize_alpha(net, C, d, iters, 0.25)
+            res = relax.compute_bounds(net, C, d, params)
+            for r in range(len(C)):
+                ref, attempts = reference_optimize_alpha(net, C[r], d, iters, 0.25)
+                stop_points.add(len(attempts))
+                for k, v in ref.alpha.items():
+                    assert np.array_equal(params.alpha[k][r], v), (iters, r, k)
+                assert res.lower_bound[r] == relax.compute_bounds(net, C[r], d, ref).lower_bound
+    # rows left the stack at different iterations (after 1, 9, 10, 11 and 17 here)
+    assert len(stop_points - {0, 20}) >= 3
+
+
+def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch):
+    compute, gradient = relax.compute_bounds, relax.alpha_gradient
+    for net, C, d in _stacked_cases():
+        logs = [reference_optimize_alpha(net, C[r], d, 20, 0.25)[1] for r in range(len(C))]
+        iterations = max(len(log) for log in logs)
+        rounds = sum(max(log[i] if i < len(log) else 0 for log in logs)
+                     for i in range(iterations))
+        calls = {"bounds": 0, "gradients": 0, "bounds_in_gradient": 0}
+        inside = []
+
+        def counting_bounds(*args, **kwargs):
+            calls["bounds"] += 1
+            calls["bounds_in_gradient"] += bool(inside)
+            return compute(*args, **kwargs)
+
+        def counting_gradient(*args, **kwargs):
+            calls["gradients"] += 1
+            inside.append(1)
+            try:
+                return gradient(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(relax, "compute_bounds", counting_bounds)
+        monkeypatch.setattr(relax, "alpha_gradient", counting_gradient)
+        relax.optimize_alpha(net, C, d, 20, 0.25)
+        monkeypatch.undo()
+        assert calls == {"bounds": 1 + rounds, "gradients": iterations, "bounds_in_gradient": 0}
+
+
+def test_optimize_alpha_stops_at_the_deadline():
+    net, C, d = next(_stacked_cases())
+    adaptive = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
+    params = relax.optimize_alpha(net, C, d, 20, 0.25, deadline=0.0)
+    for k, v in adaptive.alpha.items():
+        assert np.array_equal(params.alpha[k], np.repeat(v[None, :], len(C), axis=0))
