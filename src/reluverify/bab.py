@@ -36,20 +36,44 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class SubDomain:
-    """A box plus split constraints, with cached pre-activation bounds.
+    """A box plus split constraints, with pre-activation bounds.
 
     splits maps (layer, neuron) to a sign; at most one constraint per neuron.
     depth counts neuron splits plus input bisections. parent_lower_bound is the
     bound of the node that created this one (it stays valid here because the
     region only shrank) and doubles as the worklist priority.
+
+    A child made by a split or a bisection defers its bounds: while net is
+    set, bounds holds the parent's intervals (without their relaxations) and
+    neuron_bounds recomputes layers start_layer and later on first read.
+    Children that are never popped are never bounded.
     """
 
     box_lower: np.ndarray
     box_upper: np.ndarray
     splits: Dict[Tuple[int, int], int]
-    neuron_bounds: NeuronBounds
+    bounds: NeuronBounds
     depth: int
     parent_lower_bound: float
+    net: Optional[Network] = None
+    start_layer: int = 0
+
+    @property
+    def neuron_bounds(self) -> NeuronBounds:
+        if self.net is not None:
+            self.bounds = relax.propagate_bounds(self.net, self.box_lower, self.box_upper,
+                                                 self.splits, self.bounds, self.start_layer)
+            self.net = None
+        return self.bounds
+
+    @classmethod
+    def child(cls, net: Network, parent: "SubDomain", box_lower: np.ndarray,
+              box_upper: np.ndarray, splits: Dict[Tuple[int, int], int],
+              start_layer: int) -> "SubDomain":
+        base = parent.neuron_bounds
+        return cls(box_lower, box_upper, splits,
+                   NeuronBounds(base.lower, base.upper, base.infeasible_layer),
+                   parent.depth + 1, parent.parent_lower_bound, net, start_layer)
 
 
 @dataclass
@@ -93,9 +117,13 @@ class Worklist:
         self._seq += 1
 
     def pop(self) -> Optional[SubDomain]:
-        if not self._heap:
-            return None
-        return heapq.heappop(self._heap)[2]
+        """The next feasible sub-domain, or None. Popping bounds a sub-domain;
+        those whose bounds prove them empty are dropped on the way."""
+        while self._heap:
+            d = heapq.heappop(self._heap)[2]
+            if d.neuron_bounds.is_feasible():
+                return d
+        return None
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -107,7 +135,7 @@ def make_root(task: VerificationTask) -> SubDomain:
         box_lower=np.asarray(task.input_lower, dtype=np.float64),
         box_upper=np.asarray(task.input_upper, dtype=np.float64),
         splits={},
-        neuron_bounds=bounds,
+        bounds=bounds,
         depth=0,
         parent_lower_bound=float("-inf"),
     )
@@ -123,8 +151,9 @@ def split_subdomain(
 
     The +1 child takes z >= 0 (the boundary belongs to it), the -1 child
     z < 0. Earlier-layer bounds are reused with the new clamp applied; later
-    layers are recomputed and intersected with the parent's. Children whose
-    bounds cross are infeasible and should be pruned by the caller.
+    layers are recomputed and intersected with the parent's when a child's
+    bounds are first read. Children whose bounds cross are infeasible; the
+    worklist drops them when popped.
     """
     key = (layer, neuron)
     if key in d.splits:
@@ -135,24 +164,10 @@ def split_subdomain(
     u = d.neuron_bounds.upper[layer][neuron]
     if not (l < 0.0 < u):
         raise ValueError(f"split_subdomain: neuron {key} with bounds [{l}, {u}] is not unstable")
-    children = []
-    for sign in (+1, -1):
-        splits = dict(d.splits)
-        splits[key] = sign
-        bounds = relax.propagate_bounds(
-            net, d.box_lower, d.box_upper, splits, base=d.neuron_bounds, start_layer=layer + 1
-        )
-        children.append(
-            SubDomain(
-                box_lower=d.box_lower,
-                box_upper=d.box_upper,
-                splits=splits,
-                neuron_bounds=bounds,
-                depth=d.depth + 1,
-                parent_lower_bound=d.parent_lower_bound,
-            )
-        )
-    return children[0], children[1]
+    pos, neg = dict(d.splits), dict(d.splits)
+    pos[key], neg[key] = +1, -1
+    return (SubDomain.child(net, d, d.box_lower, d.box_upper, pos, layer + 1),
+            SubDomain.child(net, d, d.box_lower, d.box_upper, neg, layer + 1))
 
 
 def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDomain]]:
@@ -160,33 +175,20 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
 
     Completeness fallback for when no unstable neuron is splittable. Returns
     None when the box has zero width in every dimension, which makes the leaf
-    undecidable (Unknown).
+    undecidable (Unknown). The halves' bounds are recomputed from the first
+    layer when first read.
     """
     widths = d.box_upper - d.box_lower
     dim = int(np.argmax(widths))
     mid = 0.5 * (d.box_lower[dim] + d.box_upper[dim])
     if not (d.box_lower[dim] < mid < d.box_upper[dim]):
         return None
-    children = []
-    for half in (0, 1):
-        lo = d.box_lower.copy()
-        hi = d.box_upper.copy()
-        if half == 0:
-            hi[dim] = mid
-        else:
-            lo[dim] = mid
-        bounds = relax.propagate_bounds(net, lo, hi, d.splits, base=d.neuron_bounds, start_layer=0)
-        children.append(
-            SubDomain(
-                box_lower=lo,
-                box_upper=hi,
-                splits=dict(d.splits),
-                neuron_bounds=bounds,
-                depth=d.depth + 1,
-                parent_lower_bound=d.parent_lower_bound,
-            )
-        )
-    return children[0], children[1]
+    lower_hi = d.box_upper.copy()
+    lower_hi[dim] = mid
+    upper_lo = d.box_lower.copy()
+    upper_lo[dim] = mid
+    return (SubDomain.child(net, d, d.box_lower.copy(), lower_hi, dict(d.splits), 0),
+            SubDomain.child(net, d, upper_lo, d.box_upper.copy(), dict(d.splits), 0))
 
 
 @dataclass
@@ -223,9 +225,12 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, via_split: b
             raise InvariantError("input bisection did not shrink the box widths")
 
 
-def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[str]:
+def _process_node(state: SearchState, d: SubDomain, node_id: int,
+                  results: Optional[relax.BoundResult] = None) -> Optional[str]:
     """Run the four phases on one sub-domain. Returns Unsafe on a concrete
-    violation, None otherwise (pruned or split)."""
+    violation, None otherwise (pruned or split). results, when given, is the
+    sub-domain's stacked bound under state.params (the root's, from its slope
+    optimization) and is used instead of bounding again."""
     task, config = state.task, state.config
     net = task.network
     C = task.spec_matrix
@@ -236,18 +241,20 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
         "n_splits": len(d.splits),
     }
 
+    # The worklist drops infeasible children, so only a root can fail here.
     if not d.neuron_bounds.is_feasible():
         entry["action"] = "pruned-infeasible"
         _trace(state, entry)
         return None
 
-    # Phase 1: bound every spec row over this sub-domain, in one stacked pass.
+    # Phase 1: bound every spec row over this sub-domain, in one stacked pass
+    # (slope optimization hands back the bound of the slopes it returns).
+    params = state.params
     if config.realpha_per_node and node_id > 0:
-        params = relax.optimize_alpha(net, C, d, config.alpha_iters, config.alpha_step,
-                                      _deadline(state))
-    else:
-        params = state.params
-    results = relax.compute_bounds(net, C, d, params)
+        params, results = relax.optimize_alpha(net, C, d, config.alpha_iters,
+                                               config.alpha_step, _deadline(state))
+    if results is None:
+        results = relax.compute_bounds(net, C, d, params)
     worst_row = int(np.argmin(results.lower_bound))  # the first row on ties
     raw_lb = float(results.lower_bound[worst_row])
     # The parent's bound remains valid on this shrunken region; inheriting it
@@ -314,14 +321,11 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int) -> Optional[st
     if score_n:
         entry["score_max"] = float(max(s.max() for s in scores.values()))
         entry["score_n"] = score_n
-    pushed = 0
     for child in children:
         _check_termination_measure(d, child, via_split=pick is not None)
         child.parent_lower_bound = eff_lb
-        if child.neuron_bounds.is_feasible():
-            state.worklist.push(child)
-            pushed += 1
-    entry["children"] = pushed
+        state.worklist.push(child)
+    entry["children"] = len(children)
     _trace(state, entry)
     return None
 
@@ -343,8 +347,9 @@ def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> Se
         raise ValueError(f"unknown fallback {config.fallback!r}; expected babsr or bisect")
     root = make_root(task)
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
-    params = relax.optimize_alpha(task.network, task.spec_matrix, root, config.alpha_iters,
-                                  config.alpha_step, start_time + task.timeout_seconds)
+    params, root_bound = relax.optimize_alpha(task.network, task.spec_matrix, root,
+                                              config.alpha_iters, config.alpha_step,
+                                              start_time + task.timeout_seconds)
     state = SearchState(
         task=task,
         heuristic=heuristic,
@@ -354,7 +359,7 @@ def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> Se
         params=params,
         start_time=start_time,
     )
-    verdict = _process_node(state, root, node_id=0)
+    verdict = _process_node(state, root, node_id=0, results=root_bound)
     if verdict == UNSAFE:
         state.exhausted_reason = None
         state.stats.verdict = UNSAFE
@@ -365,29 +370,25 @@ def _deadline(state: SearchState) -> float:
     return state.start_time + state.task.timeout_seconds
 
 
-def _budget_exhausted(state: SearchState) -> Optional[str]:
-    if time.perf_counter() > _deadline(state):
-        return "timeout"
-    if state.stats.branches_visited >= state.task.max_branches and len(state.worklist) > 0:
-        return "branch budget exhausted"
-    return None
-
-
 def worklist_step(state: SearchState) -> Optional[str]:
     """Pop and process the sub-domain with the lowest bound.
 
     Returns a final verdict when one is reached (Unsafe on a violation, Safe
     when the worklist drains with nothing stuck), else None. Budgets are
     checked between nodes, never mid-bound; hitting one sets
-    state.exhausted_reason instead of popping.
+    state.exhausted_reason instead of processing. The timeout is checked
+    before popping, the branch budget after: it is exhausted only while a
+    feasible sub-domain is waiting.
     """
-    reason = _budget_exhausted(state)
-    if reason is not None:
-        state.exhausted_reason = reason
+    if time.perf_counter() > _deadline(state):
+        state.exhausted_reason = "timeout"
         return None
     d = state.worklist.pop()
     if d is None:
         return UNKNOWN if state.stuck_unknown else SAFE
+    if state.stats.branches_visited >= state.task.max_branches:
+        state.exhausted_reason = "branch budget exhausted"
+        return None
     state.stats.branches_visited += 1
     return _process_node(state, d, node_id=state.stats.branches_visited)
 

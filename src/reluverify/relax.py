@@ -44,18 +44,21 @@ class NeuronBounds:
 
     lower[k] > upper[k] anywhere marks the sub-domain infeasible; that is a
     legitimate signal produced by split clamping, not an error. The intervals
-    must not be modified once a layer's relaxation has been read.
+    must not be modified once a layer's relaxation or the feasibility has
+    been read: both are computed once per instance.
     """
 
     lower: List[np.ndarray]
     upper: List[np.ndarray]
     infeasible_layer: Optional[int] = None
     _relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False, compare=False)
+    _feasible: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def is_feasible(self) -> bool:
-        if self.infeasible_layer is not None:
-            return False
-        return all(np.all(l <= u) for l, u in zip(self.lower, self.upper))
+        if self._feasible is None:
+            self._feasible = self.infeasible_layer is None and all(
+                np.all(l <= u) for l, u in zip(self.lower, self.upper))
+        return self._feasible
 
     def relaxation(self, k: int) -> Relaxation:
         """Triangle relaxation of layer k's ReLUs, computed once per instance.
@@ -100,6 +103,9 @@ class RelaxationParams:
     alpha[k] is either (n_k,), shared by every spec row, or (m, n_k), one row
     of slopes per spec row. Only the entries at unstable neurons matter;
     stable neurons are substituted exactly regardless of the stored slope.
+    The constructor checks the range; slopes derived from checked ones (rows,
+    copies, clipped gradient steps) go through _valid and are not scanned
+    again.
     """
 
     alpha: Dict[int, np.ndarray]
@@ -110,18 +116,25 @@ class RelaxationParams:
                 raise ValueError(f"alpha[{k}]: slopes must lie in [0, 1]")
 
     @classmethod
+    def _valid(cls, alpha: Dict[int, np.ndarray]) -> "RelaxationParams":
+        """Wrap slopes known to lie in [0, 1] without scanning them."""
+        params = object.__new__(cls)
+        params.alpha = alpha
+        return params
+
+    @classmethod
     def adaptive(cls, net: Network, bounds: NeuronBounds) -> "RelaxationParams":
         """Default slopes: 1 where u >= |l|, else 0 (good zero-iteration baseline)."""
-        return cls({k: _adaptive_alpha(bounds, k) for k in range(len(bounds.lower))
-                    if net.layers[k].activation == RELU})
+        return cls._valid({k: _adaptive_alpha(bounds, k) for k in range(len(bounds.lower))
+                           if net.layers[k].activation == RELU})
 
     def copy(self) -> "RelaxationParams":
-        return RelaxationParams({k: v.copy() for k, v in self.alpha.items()})
+        return self._valid({k: v.copy() for k, v in self.alpha.items()})
 
     def row(self, r) -> "RelaxationParams":
         """The slopes of spec row r (or of the rows r indexes); shared slopes
         are returned as they are."""
-        return RelaxationParams({k: v[r] if v.ndim == 2 else v for k, v in self.alpha.items()})
+        return self._valid({k: v[r] if v.ndim == 2 else v for k, v in self.alpha.items()})
 
 
 @dataclass
@@ -398,10 +411,16 @@ def alpha_gradient(
     return grads
 
 
-def optimize_alpha(net: Network, C, domain, iters: int, step: float,
-                   deadline: Optional[float] = None) -> RelaxationParams:
+def optimize_alpha(
+    net: Network, C, domain, iters: int, step: float, deadline: Optional[float] = None
+) -> Tuple[RelaxationParams, Optional[BoundResult]]:
     """Maximize each row's concretized lower bound over its slopes by projected
-    gradient ascent with backtracking; returns the best iterate seen per row.
+    gradient ascent with backtracking.
+
+    Returns the best iterate seen per row and the bound it gives, which equals
+    compute_bounds(net, C, domain, params) bit for bit; the bound is None when
+    there is nothing to optimize (infeasible domain or no ReLU layer) and the
+    adaptive slopes come back unbounded.
 
     C is one row or an (m, p) stack of rows; a stack gets (m, n_k) slopes, one
     row per spec row. The rows are optimized together, one bound pass per
@@ -417,9 +436,9 @@ def optimize_alpha(net: Network, C, domain, iters: int, step: float,
     bounds = domain.neuron_bounds
     params = RelaxationParams.adaptive(net, bounds)
     if not bounds.is_feasible() or not params.alpha:
-        return params
-    cur = RelaxationParams({k: np.repeat(v[None, :], len(rows), axis=0)
-                            for k, v in params.alpha.items()})
+        return params, None
+    cur = RelaxationParams._valid({k: np.repeat(v[None, :], len(rows), axis=0)
+                                   for k, v in params.alpha.items()})
     best = compute_bounds(net, rows, domain, cur)
     active = np.arange(len(rows))
     for _ in range(iters):
@@ -441,7 +460,7 @@ def optimize_alpha(net: Network, C, domain, iters: int, step: float,
             if not len(searching):
                 break
             r = active[searching]
-            cand = RelaxationParams({
+            cand = RelaxationParams._valid({
                 k: (cur.alpha[k][r] + trial[searching, None] * grads[k][searching]).clip(0.0, 1.0)
                 for k in cur.alpha
             })
@@ -457,4 +476,6 @@ def optimize_alpha(net: Network, C, domain, iters: int, step: float,
         active = active[improved]
         if not len(active):
             break
-    return cur.row(0) if C.ndim == 1 else cur
+    if C.ndim == 1:
+        return cur.row(0), best.row(0)
+    return cur, best

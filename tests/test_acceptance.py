@@ -163,7 +163,7 @@ def test_alpha_gradient_check():
         init = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
         lb_init = relax.compute_bounds(net, c, d, init).lower_bound
         lb_opt = relax.compute_bounds(
-            net, c, d, relax.optimize_alpha(net, c, d, 20, 0.25)
+            net, c, d, relax.optimize_alpha(net, c, d, 20, 0.25)[0]
         ).lower_bound
         never_worse &= lb_opt >= lb_init
     _report("alpha gradient check", worst <= 1e-4 and never_worse,

@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from reluverify import bab, heuristics, model, oracle, relax
+from reluverify import bab, cli, heuristics, model, oracle, relax
 
 from helpers import make_domain, oracle_sized_task, random_task, scalar_relu_net, scalar_task
 
@@ -281,9 +281,9 @@ def test_realpha_per_node_scores_with_the_node_slopes(monkeypatch):
     optimize, score = relax.optimize_alpha, heuristics.score_branches
 
     def recording_optimize(*args, **kwargs):
-        params = optimize(*args, **kwargs)
+        params, bound = optimize(*args, **kwargs)
         events.append(("optimize", params))
-        return params
+        return params, bound
 
     def recording_score(kind, *args):
         events.append(("score", kind, args[-1]))
@@ -377,3 +377,109 @@ def test_safe_verdicts_survive_grid_attack():
             assert oracle.grid_attack(task, 20_000, seed=trial) is None
             attacked += 1
     assert attacked > 0
+
+
+def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
+    # Splitting and bisecting bound nothing; a child's bounds, once read, are
+    # exactly what propagating them at split time gave.
+    def assert_same(lazy, eager):
+        assert lazy.infeasible_layer == eager.infeasible_layer
+        for a, b in zip(lazy.lower + lazy.upper, eager.lower + eager.upper):
+            assert np.array_equal(a, b)
+
+    propagate = relax.propagate_bounds
+    checked = 0
+    for seed in range(70, 76):
+        task = random_task(np.random.default_rng(seed), 3, (6, 5), 2, eps=0.6)
+        net = task.network
+        root = make_domain(net, task.input_lower, task.input_upper)
+        for layer in (0, 1):
+            root.neuron_bounds.relaxation(layer)  # the parent's memo is not handed on
+            for j in np.flatnonzero(root.neuron_bounds.unstable_mask(layer))[:2]:
+                calls = []
+                monkeypatch.setattr(relax, "propagate_bounds",
+                                    lambda *a, **k: calls.append(1) or propagate(*a, **k))
+                children = bab.split_subdomain(net, root, layer, int(j))
+                grand = bab.input_bisect(net, children[0])
+                assert calls == [1]  # the bisection read children[0]'s bounds
+                monkeypatch.undo()
+                for child in (children[1],) + grand:
+                    assert child.net is not None and child.bounds._relaxations == {}
+                for child in grand:
+                    eager = propagate(net, child.box_lower, child.box_upper, child.splits,
+                                      base=children[0].neuron_bounds, start_layer=0)
+                    assert_same(child.neuron_bounds, eager)
+                for child in children:
+                    eager = propagate(net, root.box_lower, root.box_upper, child.splits,
+                                      base=root.neuron_bounds, start_layer=layer + 1)
+                    assert_same(child.neuron_bounds, eager)
+                checked += 1
+    assert checked >= 10
+
+
+def _straddling_bisection():
+    """Bisection children of z = x on [-1, 3] split z < 0: the lower half
+    [-1, 1] is feasible, the upper half [1, 3] (z >= 1 but z <= 0) is not."""
+    net = scalar_relu_net()
+    parent = make_domain(net, [-1.0], [3.0], splits={(0, 0): -1})
+    low, high = bab.input_bisect(net, parent)
+    return net, low, high
+
+
+def test_worklist_pop_skips_infeasible_children():
+    _, low, high = _straddling_bisection()
+    low.parent_lower_bound, high.parent_lower_bound = -1.0, -2.0  # high comes first
+    w = bab.Worklist()
+    w.push(low)
+    w.push(high)
+    assert w.pop() is low
+    assert not high.neuron_bounds.is_feasible() and len(w) == 0
+    _, low, high = _straddling_bisection()
+    w.push(high)
+    assert w.pop() is None and len(w) == 0
+
+
+def test_budget_is_not_exhausted_by_an_infeasible_child():
+    # A zero branch budget with only an infeasible child queued ends Safe: the
+    # budget counts as exhausted only while a feasible sub-domain waits.
+    task = scalar_task(scalar_relu_net(out_bias=0.1), max_branches=0)
+    state = bab.init_search(task, "drg", bab.BabConfig())
+    _, _, high = _straddling_bisection()
+    state.worklist.push(high)
+    assert bab.worklist_step(state) == bab.SAFE
+    assert state.exhausted_reason is None and state.stats.branches_visited == 0
+
+
+def test_propagate_bounds_runs_once_per_popped_subdomain(monkeypatch, tmp_path):
+    # Children are bounded when popped, never when queued: one pass for the
+    # root and one per sub-domain taken off the worklist, including the
+    # infeasible ones dropped there and the one popped when the budget ran out.
+    assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "4",
+                     "--eps", "0.25", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
+    propagate, pop = relax.propagate_bounds, bab.Worklist.pop
+    counts = {"bounds": 0, "popped": 0}
+
+    def counting_propagate(*args, **kwargs):
+        counts["bounds"] += 1
+        return propagate(*args, **kwargs)
+
+    def counting_pop(self):
+        before = len(self)
+        d = pop(self)
+        counts["popped"] += before - len(self)
+        return d
+
+    monkeypatch.setattr(relax, "propagate_bounds", counting_propagate)
+    monkeypatch.setattr(bab.Worklist, "pop", counting_pop)
+    capped = 0
+    for _, model_path, spec_path in cli.discover_suite(str(tmp_path)):
+        task = model.load_task(model_path, spec_path, 600.0, 100)
+        for kind in ("drg", "babsr"):
+            counts.update(bounds=0, popped=0)
+            stats = bab.verify(task, kind)
+            assert counts["bounds"] == 1 + counts["popped"]
+            if stats.unknown_reason == "branch budget exhausted":
+                capped += 1
+                # each split queued two children; far fewer were ever bounded
+                assert counts["popped"] < 1.5 * stats.splits_made
+    assert capped >= 3

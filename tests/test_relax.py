@@ -1,3 +1,6 @@
+import itertools
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -194,7 +197,7 @@ def test_optimize_alpha_relu_identity():
     d = make_domain(net, [-1.0], [1.0])
     sweep_lb, sweep_alpha = _sweep_alpha(net, np.array([1.0]), d)
     assert sweep_alpha == 0.0 and sweep_lb == 0.0
-    params = relax.optimize_alpha(net, np.array([1.0]), d, iters=30, step=0.25)
+    params, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=30, step=0.25)
     lb = relax.compute_bounds(net, np.array([1.0]), d, params).lower_bound
     assert abs(lb - sweep_lb) < 1e-9
     assert abs(params.alpha[0][0] - 0.0) < 1e-9
@@ -219,7 +222,7 @@ def test_optimize_alpha_interior_optimum():
             params = relax.RelaxationParams({0: np.array([a1, a2])})
             best = max(best, relax.compute_bounds(net, np.array([1.0]), d, params).lower_bound)
     assert best == 0.0
-    params = relax.optimize_alpha(net, np.array([1.0]), d, iters=40, step=0.25)
+    params, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=40, step=0.25)
     lb = relax.compute_bounds(net, np.array([1.0]), d, params).lower_bound
     assert abs(lb - best) < 1e-9
 
@@ -227,7 +230,7 @@ def test_optimize_alpha_interior_optimum():
 def test_optimize_alpha_zero_iters_returns_adaptive_init():
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    params = relax.optimize_alpha(net, np.array([1.0]), d, iters=0, step=0.25)
+    params, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=0, step=0.25)
     init = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
     assert np.array_equal(params.alpha[0], init.alpha[0])
 
@@ -242,7 +245,7 @@ def test_optimize_alpha_never_worse_than_init():
         c = rng.normal(size=2)
         init = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
         lb0 = relax.compute_bounds(net, c, d, init).lower_bound
-        params = relax.optimize_alpha(net, c, d, iters=20, step=0.25)
+        params, _ = relax.optimize_alpha(net, c, d, iters=20, step=0.25)
         lb1 = relax.compute_bounds(net, c, d, params).lower_bound
         assert lb1 >= lb0
 
@@ -394,7 +397,7 @@ def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
     stop_points = set()
     for net, C, d in _stacked_cases():
         for iters in (0, 20):
-            params = relax.optimize_alpha(net, C, d, iters, 0.25)
+            params, _ = relax.optimize_alpha(net, C, d, iters, 0.25)
             res = relax.compute_bounds(net, C, d, params)
             for r in range(len(C)):
                 ref, attempts = reference_optimize_alpha(net, C[r], d, iters, 0.25)
@@ -439,6 +442,71 @@ def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch
 def test_optimize_alpha_stops_at_the_deadline():
     net, C, d = next(_stacked_cases())
     adaptive = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-    params = relax.optimize_alpha(net, C, d, 20, 0.25, deadline=0.0)
+    params, _ = relax.optimize_alpha(net, C, d, 20, 0.25, deadline=0.0)
     for k, v in adaptive.alpha.items():
         assert np.array_equal(params.alpha[k], np.repeat(v[None, :], len(C), axis=0))
+
+
+def _assert_same_stacked_bound(a, b):
+    assert a.neuron_bounds is b.neuron_bounds and a.feasible and b.feasible
+    for field in ("w", "b", "lower_bound", "x_star"):
+        assert np.array_equal(getattr(a, field), getattr(b, field)), field
+    assert sorted(a.A) == sorted(b.A)
+    for k in a.A:
+        assert np.array_equal(a.A[k], b.A[k])
+
+
+def test_optimize_alpha_bound_equals_compute_bounds_bitwise(monkeypatch):
+    # The bound handed back with the slopes is the one compute_bounds gives
+    # them: after all iterations, with none, and when the deadline cuts the
+    # run short (a clock ticking once per reading passes 3.5 in iteration 4).
+    gradient = relax.alpha_gradient
+    for net, C, d in _stacked_cases():
+        for iters, deadline in ((20, None), (0, None), (20, 3.5)):
+            ticks = itertools.count(1)
+            gradients = []
+            monkeypatch.setattr(relax, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
+            monkeypatch.setattr(relax, "alpha_gradient",
+                                lambda *a, **k: gradients.append(1) or gradient(*a, **k))
+            params, bound = relax.optimize_alpha(net, C, d, iters, 0.25, deadline)
+            monkeypatch.undo()
+            if deadline is not None:
+                assert len(gradients) == 3
+            _assert_same_stacked_bound(bound, relax.compute_bounds(net, C, d, params))
+        params, bound = relax.optimize_alpha(net, C[0], d, 20, 0.25)
+        _assert_same_bound(bound, relax.compute_bounds(net, C[0], d, params))
+
+
+def test_optimize_alpha_without_relu_layers_returns_no_bound():
+    net = model.make_network([(np.ones((1, 2)), np.zeros(1), model.LINEAR)])
+    d = make_domain(net, [-1.0, -1.0], [1.0, 1.0])
+    params, bound = relax.optimize_alpha(net, np.array([[1.0]]), d, 20, 0.25)
+    assert params.alpha == {} and bound is None
+    infeasible = make_domain(scalar_relu_net(), [0.5], [1.0], splits={(0, 0): -1})
+    params, bound = relax.optimize_alpha(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
+    assert bound is None
+
+
+def test_is_feasible_reads_hand_built_bounds_once():
+    crossed = relax.NeuronBounds([np.array([0.0, 2.0])], [np.array([1.0, 1.0])])
+    assert not crossed.is_feasible() and crossed._feasible is False
+    fine = relax.NeuronBounds([np.array([0.0, 1.0])], [np.array([1.0, 1.0])])
+    assert fine.is_feasible() and fine._feasible is True
+    marked = relax.NeuronBounds([np.array([0.0])], [np.array([1.0])], infeasible_layer=0)
+    assert not marked.is_feasible()
+
+
+def test_derived_slopes_are_not_validated_again(monkeypatch):
+    # Only slopes from outside are range-checked; rows, copies, the adaptive
+    # rule and the optimizer's clipped steps are valid by construction.
+    net, C, d = next(_stacked_cases())
+    checks = []
+    post_init = relax.RelaxationParams.__post_init__
+    monkeypatch.setattr(relax.RelaxationParams, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    params, _ = relax.optimize_alpha(net, C, d, 20, 0.25)
+    params.row(1).copy()
+    relax.RelaxationParams.adaptive(net, d.neuron_bounds)
+    assert checks == []
+    relax.RelaxationParams({0: np.array([0.5])})
+    assert checks == [1]
