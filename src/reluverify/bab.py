@@ -96,7 +96,6 @@ class BabConfig:
 
     alpha_iters: int = 20
     alpha_step: float = 0.25
-    realpha_per_node: bool = False
     fallback: str = FALLBACK_BABSR
     trace: bool = False
 
@@ -248,13 +247,9 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
         return None
 
     # Phase 1: bound every spec row over this sub-domain, in one stacked pass
-    # (slope optimization hands back the bound of the slopes it returns).
-    params = state.params
-    if config.realpha_per_node and node_id > 0:
-        params, results = relax.optimize_alpha(net, C, d, config.alpha_iters,
-                                               config.alpha_step, _deadline(state))
+    # (the root's slope optimization hands back the bound of its slopes).
     if results is None:
-        results = relax.compute_bounds(net, C, d, params)
+        results = relax.compute_bounds(net, C, d, state.params)
     worst_row = int(np.argmin(results.lower_bound))  # the first row on ties
     raw_lb = float(results.lower_bound[worst_row])
     # The parent's bound remains valid on this shrunken region; inheriting it
@@ -270,10 +265,9 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
         _trace(state, entry)
         return None
 
-    # Phase 3: counterexample validation.
+    # Phase 3: counterexample validation at the bound's own minimizer.
     bound = results.row(worst_row)
-    x_star = witness_mod.construct_witness(bound, d.box_lower, d.box_upper)
-    wit = witness_mod.validate_witness(net, C, x_star, bound)
+    wit = witness_mod.validate_witness(net, C, bound)
     entry["witness_margin"] = float(wit.concrete_margin.min())
     if wit.kind == witness_mod.CONCRETE_VIOLATION:
         state.stats.witness = wit
@@ -282,9 +276,9 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
         return UNSAFE
 
     # Phase 4: refinement guided by the spurious witness.
-    params = params.row(worst_row)
+    params = state.params.row(worst_row)
     scores, clamps = heuristics.score_branches(
-        state.heuristic, net, C[worst_row], bound, d, x_star, params
+        state.heuristic, net, C[worst_row], bound, d, wit.preacts, params
     )
     state.stats.gap_clamp_events += clamps
     pick = None
@@ -293,7 +287,7 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
         pick = heuristics.select_branch(scores)
     elif config.fallback == FALLBACK_BABSR and state.heuristic != heuristics.BABSR:
         fb_scores, _ = heuristics.score_branches(
-            heuristics.BABSR, net, C[worst_row], bound, d, x_star, params
+            heuristics.BABSR, net, C[worst_row], bound, d, wit.preacts, params
         )
         if not heuristics.all_zero(fb_scores):
             pick = heuristics.select_branch(fb_scores)
@@ -366,10 +360,6 @@ def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> Se
     return state
 
 
-def _deadline(state: SearchState) -> float:
-    return state.start_time + state.task.timeout_seconds
-
-
 def worklist_step(state: SearchState) -> Optional[str]:
     """Pop and process the sub-domain with the lowest bound.
 
@@ -380,7 +370,7 @@ def worklist_step(state: SearchState) -> Optional[str]:
     before popping, the branch budget after: it is exhausted only while a
     feasible sub-domain is waiting.
     """
-    if time.perf_counter() > _deadline(state):
+    if time.perf_counter() > state.start_time + state.task.timeout_seconds:
         state.exhausted_reason = "timeout"
         return None
     d = state.worklist.pop()

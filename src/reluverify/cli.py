@@ -22,13 +22,12 @@ EXIT_BY_VERDICT = {bab.SAFE: 0, bab.UNSAFE: 1, bab.UNKNOWN: 2}
 EXIT_INPUT_ERROR = 3
 
 
-def _config_from_args(args) -> bab.BabConfig:
+def _config_from_args(args, trace: bool = False) -> bab.BabConfig:
     return bab.BabConfig(
         alpha_iters=args.alpha_iters,
         alpha_step=args.alpha_step,
-        realpha_per_node=args.realpha_per_node,
         fallback=args.fallback,
-        trace=bool(args.trace),
+        trace=trace,
     )
 
 
@@ -37,8 +36,6 @@ def _add_verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-branches", type=int, default=100_000, help="sub-domain budget")
     p.add_argument("--alpha-iters", type=int, default=20, help="slope-optimization iterations")
     p.add_argument("--alpha-step", type=float, default=0.25, help="initial ascent step size")
-    p.add_argument("--realpha-per-node", action="store_true",
-                   help="re-optimize slopes at every node instead of inheriting the root's")
     p.add_argument("--fallback", default=bab.FALLBACK_BABSR,
                    choices=[bab.FALLBACK_BABSR, bab.FALLBACK_BISECT],
                    help="what to do when the heuristic scores are all zero")
@@ -75,7 +72,7 @@ def cmd_verify(args) -> int:
         )
         return EXIT_INPUT_ERROR
     task = model.load_task(args.model, args.spec, args.timeout, args.max_branches)
-    config = _config_from_args(args)
+    config = _config_from_args(args, trace=bool(args.trace))
     stats = bab.verify(task, args.heuristic, config)
     result = _result_dict(stats, args.heuristic, config, task)
     text = json.dumps(result, indent=2, sort_keys=True)
@@ -318,6 +315,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.samples < 1:
+        print(f"error: --samples must be positive, got {args.samples}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     task = model.load_task(args.model, args.spec)
     try:
         min_value, argmin = oracle.exact_min_margin(task)
@@ -358,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--baseline", default=None,
                    help="baseline heuristic for win rates (default: babsr if run, else first)")
     p.add_argument("--out", required=True, help="output directory for CSV reports")
-    p.add_argument("--trace", default=None, help=argparse.SUPPRESS)
     _add_verify_options(p)
     p.set_defaults(func=cmd_bench)
 

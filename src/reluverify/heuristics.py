@@ -16,7 +16,7 @@ or the interval width (width).
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -47,10 +47,13 @@ def score_branches(
     c_row: np.ndarray,
     bound: BoundResult,
     domain,
-    x_star: np.ndarray,
+    preacts: List[np.ndarray],
     params: Optional[RelaxationParams],
 ) -> Tuple[Scores, int]:
     """Score every unstable neuron for a heuristic kind.
+
+    preacts are the network's pre-activations at the witness (from
+    model.forward), read by drg, drg_symmetric and grad.
 
     Returns (scores, gap clamp events). A clamp event is a neuron scored on
     the upper side whose raw chord-minus-ReLU gap at the evaluation point is
@@ -62,11 +65,9 @@ def score_branches(
     nb = bound.neuron_bounds
     coefs = bound.A
     if kind == GRAD:
-        coefs = model.margin_preact_gradients(net, c_row, x_star)
+        coefs = model.margin_preact_gradients(net, c_row, preacts)
     if kind == CENTER:
         _, preacts = model.forward(net, 0.5 * (domain.box_lower + domain.box_upper))
-    elif kind in (DRG, DRG_SYMMETRIC, GRAD):
-        _, preacts = model.forward(net, x_star)
     scores: Scores = {}
     clamps = 0
     for k in sorted(bound.A):

@@ -161,13 +161,14 @@ def margin(net: Network, C, x) -> np.ndarray:
     return C @ logits
 
 
-def margin_preact_gradients(net: Network, c_row, x) -> List[np.ndarray]:
+def margin_preact_gradients(net: Network, c_row,
+                            preacts: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Gradient of the scalar margin c_row @ f(x) w.r.t. each pre-activation vector.
 
+    preacts are the pre-activations at x, as forward returns them.
     Backpropagation through the concrete network, with ReLU subgradient 0 at z = 0.
     """
     c_row = np.asarray(c_row, dtype=np.float64)
-    _, preacts = forward(net, x)
     n = net.n_layers
     grads: List[Optional[np.ndarray]] = [None] * n
     g = c_row.copy()  # d margin / d z at the current layer

@@ -143,24 +143,19 @@ class BoundResult:
 
     A[k] holds the backward coefficients on layer k's post-activations,
     recorded before that layer's relaxation was traversed; w is the same
-    quantity at the input layer, and x_star the bound's box minimizer.
-    neuron_bounds is the snapshot the pass used. For one row, b and
-    lower_bound are floats; for a stack of m rows every field but
+    quantity at the input layer, and x_star the bound's box minimizer: the
+    closed-form candidate counterexample, at which the bound takes the value
+    lower_bound. neuron_bounds is the snapshot the pass used. For one row, b
+    and lower_bound are floats; for a stack of m rows every field but
     neuron_bounds gains a leading axis of length m.
     """
 
-    w: Optional[np.ndarray]
+    w: np.ndarray
     b: float
     lower_bound: float
     A: Dict[int, np.ndarray]
     neuron_bounds: NeuronBounds
-    x_star: Optional[np.ndarray] = None
-    feasible: bool = True
-
-    @classmethod
-    def infeasible_marker(cls, bounds: NeuronBounds, m: Optional[int] = None) -> "BoundResult":
-        lower = float("inf") if m is None else np.full(m, np.inf)
-        return cls(None, float("nan"), lower, {}, bounds, feasible=False)
+    x_star: np.ndarray
 
     def row(self, r: int) -> "BoundResult":
         """Spec row r of a stacked result, as if it had been bounded alone."""
@@ -263,15 +258,15 @@ def compute_bounds(net: Network, C, domain, params: Optional[RelaxationParams] =
     C is one row or an (m, p) stack of rows; params holds shared slopes or one
     row of slopes per spec row. For every x in the sub-domain box that
     satisfies all split constraints, w @ x + b <= c_row @ f(x) for each row.
-    A stack gives each row exactly the result of bounding it alone. Returns an
-    infeasible marker instead of a bound when the domain's neuron bounds
-    signal an empty region.
+    A stack gives each row exactly the result of bounding it alone. Raises
+    ValueError when the domain's neuron bounds signal an empty region, which
+    has no bound to give.
     """
     C = np.asarray(C, dtype=np.float64)
     rows = np.atleast_2d(C)
     bounds = domain.neuron_bounds
     if not bounds.is_feasible():
-        return BoundResult.infeasible_marker(bounds, None if C.ndim == 1 else len(rows))
+        raise ValueError("compute_bounds: the sub-domain is infeasible")
     lam, off, A = _backward_from_layer(net, net.n_layers - 1, rows[:, None, :], bounds, params)
     lam, off = lam[:, 0, :], off[:, 0]
     x_star, lb = concretize(lam, off, domain.box_lower, domain.box_upper)
@@ -397,8 +392,6 @@ def alpha_gradient(
     instead of bounding again.
     """
     res = bound if bound is not None else compute_bounds(net, C, domain, params)
-    if not res.feasible:
-        return {k: np.zeros_like(v) for k, v in params.alpha.items()}
     pre = _relaxed_forward(net, res.x_star, res.neuron_bounds, res.A, params)
     grads: Dict[int, np.ndarray] = {}
     for k, alpha in params.alpha.items():

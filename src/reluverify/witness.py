@@ -1,15 +1,15 @@
-"""Closed-form candidate counterexamples from linear bounds, and their
-classification as concrete violations versus spurious witnesses."""
+"""Classification of a bound's closed-form minimizer as a concrete violation
+or a spurious counterexample."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 
 from . import model
-from .relax import BoundResult, concretize
+from .relax import BoundResult
 
 CONCRETE_VIOLATION = "concrete_violation"
 SPURIOUS = "spurious"
@@ -21,13 +21,16 @@ class Witness:
 
     x_star always sits on box corners. It is not clipped by split constraints,
     so it may lie outside the sub-domain's exact region; the classification and
-    the branching scores still use it as the bound's minimizer.
+    the branching scores still use it as the bound's minimizer. preacts holds
+    the network's pre-activations at x_star, from the pass that gave the
+    concrete margin.
     """
 
     x_star: np.ndarray
     abstract_margin: float
     concrete_margin: np.ndarray
     kind: str
+    preacts: List[np.ndarray] = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -38,32 +41,14 @@ class Witness:
         }
 
 
-def construct_witness(bound: BoundResult, box_lower, box_upper) -> np.ndarray:
-    """Box minimizer of w @ x + b: lower corner where w_k >= 0, upper otherwise."""
-    if not bound.feasible:
-        raise ValueError("construct_witness: bound is an infeasible marker")
-    lo = np.asarray(box_lower, dtype=np.float64)
-    hi = np.asarray(box_upper, dtype=np.float64)
-    x_star, _ = concretize(bound.w, bound.b, lo, hi)
-    return x_star
+def validate_witness(net: model.Network, C, bound: BoundResult) -> Witness:
+    """Run the network once at the bound's minimizer and classify it.
 
-
-def validate_witness(
-    net: model.Network, C, x_star, bound: Optional[BoundResult] = None
-) -> Witness:
-    """Evaluate the concrete margin at x_star and classify the candidate.
-
-    A concrete_violation terminates the whole verification with Unsafe; a
-    spurious witness feeds the branching heuristic. The abstract margin is
-    filled in from the bound when one is supplied.
+    The abstract margin is the bound itself, its value at x_star. A
+    concrete_violation terminates the whole verification with Unsafe; a
+    spurious witness feeds the branching heuristic.
     """
-    x_star = np.asarray(x_star, dtype=np.float64)
-    concrete = model.margin(net, C, x_star)
+    logits, preacts = model.forward(net, bound.x_star)
+    concrete = np.asarray(C, dtype=np.float64) @ logits
     kind = CONCRETE_VIOLATION if float(concrete.min()) <= 0.0 else SPURIOUS
-    if bound is not None and bound.feasible:
-        # The box [x_star, x_star] has x_star as its minimizer, so this is the
-        # bound's own value whenever x_star came from construct_witness.
-        abstract = float(concretize(bound.w, bound.b, x_star, x_star)[1])
-    else:
-        abstract = float("nan")
-    return Witness(x_star, abstract, concrete, kind)
+    return Witness(bound.x_star, float(bound.lower_bound), concrete, kind, preacts)

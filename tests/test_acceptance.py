@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from reluverify import bab, cli, heuristics, model, oracle, relax, witness
+from reluverify import bab, cli, heuristics, model, oracle, relax
 
 from helpers import identity_relu_net, make_domain, oracle_sized_task, random_net, random_task
 
@@ -34,11 +34,14 @@ def test_case_study_regression():
     ok &= abs(slope[1] - 0.5) <= 1e-12 and abs(icpt[1] - 2.0) <= 1e-12
 
     net = identity_relu_net(2)
-    bound = relax.BoundResult(np.array([1.0, 1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb)
     z_star = np.array([8.0, 0.0])
+    bound = relax.BoundResult(np.array([1.0, 1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb,
+                              z_star)
+    preacts = model.forward(net, z_star)[1]
 
     def scores(kind):  # neither kind reads the domain (only center does)
-        return heuristics.score_branches(kind, net, np.array([1.0]), bound, None, z_star, None)[0]
+        return heuristics.score_branches(kind, net, np.array([1.0]), bound, None, preacts,
+                                         None)[0]
 
     drg = scores(heuristics.DRG)
     ok &= abs(drg[0][0] - 1.0) <= 1e-12 and abs(drg[0][1] - 2.0) <= 1e-12
@@ -119,9 +122,7 @@ def test_witness_optimality():
         b = float(rng.normal())
         lo = rng.uniform(-3, 0, n0)
         hi = lo + rng.uniform(0, 4, n0)
-        nb = relax.NeuronBounds([], [])
-        bound = relax.BoundResult(w, b, 0.0, {}, nb)
-        x_star = witness.construct_witness(bound, lo, hi)
+        x_star = relax.concretize(w, b, lo, hi)[0]
         val = relax.concretize(w, b, x_star, x_star)[1]
         corner_min = min(
             relax.concretize(w, b, c, c)[1] for c in map(np.array, itertools.product(*zip(lo, hi)))

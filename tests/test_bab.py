@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from reluverify import bab, cli, heuristics, model, oracle, relax
+from reluverify import bab, cli, model, oracle, relax
 
 from helpers import make_domain, oracle_sized_task, random_task, scalar_relu_net, scalar_task
 
@@ -262,57 +262,6 @@ def test_every_heuristic_reaches_correct_verdicts():
         assert stats.verdict == expected, f"{kind}: {stats.verdict} vs {expected}"
 
 
-def test_realpha_per_node_stays_sound():
-    rng = np.random.default_rng(58)
-    task = oracle_sized_task(rng, timeout_seconds=30.0, max_branches=50_000)
-    mv, _ = oracle.exact_min_margin(task)
-    expected = bab.UNSAFE if mv <= 0 else bab.SAFE
-    stats = bab.verify(task, "drg", bab.BabConfig(realpha_per_node=True, alpha_iters=5))
-    assert stats.verdict == expected
-
-
-def test_realpha_per_node_scores_with_the_node_slopes(monkeypatch):
-    # The spurious witness is scored with the slopes its bound was computed
-    # with: the worst row's slice of the node's own optimized slopes, not the
-    # root's.
-    rng = np.random.default_rng(63)
-    task = random_task(rng, 3, (6, 5), 3, eps=0.5, timeout_seconds=30.0, max_branches=40)
-    events = []
-    optimize, score = relax.optimize_alpha, heuristics.score_branches
-
-    def recording_optimize(*args, **kwargs):
-        params, bound = optimize(*args, **kwargs)
-        events.append(("optimize", params))
-        return params, bound
-
-    def recording_score(kind, *args):
-        events.append(("score", kind, args[-1]))
-        return score(kind, *args)
-
-    monkeypatch.setattr(relax, "optimize_alpha", recording_optimize)
-    monkeypatch.setattr(heuristics, "score_branches", recording_score)
-    config = bab.BabConfig(realpha_per_node=True, alpha_iters=3, trace=True)
-    stats = bab.verify(task, "drg_symmetric", config)
-    worst_rows = [e["row"] for e in stats.per_node_trace
-                  if e["action"] in ("split", "bisect", "stuck")]
-    root_params, node_params, scored = None, None, []
-    for event in events:
-        if event[0] == "optimize":
-            root_params = event[1] if root_params is None else root_params
-            node_params = event[1]
-        elif event[1] == "drg_symmetric":
-            scored.append((event[2], node_params))
-    assert task.n_spec == 2 and set(worst_rows) == {0, 1}
-    assert len(scored) == len(worst_rows) > 1
-    differs_from_root = False
-    for (params, stacked), row in zip(scored, worst_rows):
-        for k, v in params.alpha.items():
-            assert np.shares_memory(v, stacked.alpha[k])
-            assert np.array_equal(v, stacked.alpha[k][row])
-            differs_from_root |= not np.array_equal(v, root_params.alpha[k][row])
-    assert differs_from_root
-
-
 def test_wall_time_counts_root_slope_optimization(monkeypatch):
     optimize = relax.optimize_alpha
 
@@ -483,3 +432,21 @@ def test_propagate_bounds_runs_once_per_popped_subdomain(monkeypatch, tmp_path):
                 # each split queued two children; far fewer were ever bounded
                 assert counts["popped"] < 1.5 * stats.splits_made
     assert capped >= 3
+
+
+def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
+    # The witness's forward pass gives both its concrete margin and the
+    # pre-activations drg and grad score with; nothing evaluates x* again.
+    assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "2",
+                     "--eps", "0.25", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
+    forward = model.forward
+    calls = []
+    monkeypatch.setattr(model, "forward", lambda *a: calls.append(1) or forward(*a))
+    for _, model_path, spec_path in cli.discover_suite(str(tmp_path)):
+        task = model.load_task(model_path, spec_path, 600.0, 50)
+        for kind in ("drg", "grad"):
+            calls.clear()
+            stats = bab.verify(task, kind, bab.BabConfig(trace=True))
+            witnesses = sum("witness_margin" in e for e in stats.per_node_trace)
+            assert stats.splits_made > 0
+            assert len(calls) == witnesses

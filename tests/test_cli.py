@@ -56,6 +56,14 @@ def test_verify_unsafe_exit_code_and_witness(tmp_path, capsys):
     assert result["witness"]["kind"] == "concrete_violation"
 
 
+def test_verify_config_echo_keys(tmp_path, capsys):
+    mp, sp = _write_toy(tmp_path, 0.1)
+    assert cli.main(["verify", "--model", mp, "--spec", sp]) == 0
+    echo = json.loads(capsys.readouterr().out)["config_echo"]
+    assert set(echo) == {"alpha_iters", "alpha_step", "fallback", "trace", "timeout_seconds",
+                         "max_branches", "heuristic"}
+
+
 def test_verify_unknown_exit_code(tmp_path, capsys):
     net = model.make_network([
         (np.array([[1.0], [-1.0]]), np.zeros(2), model.RELU),
@@ -237,6 +245,17 @@ def test_bench_rejects_unknown_heuristic(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+def test_bench_has_no_trace_option(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _write_toy(suite, 0.1, "a")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["bench", "--suite", str(suite), "--heuristics", "drg",
+                  "--out", str(tmp_path / "r"), "--trace", str(tmp_path / "t.jsonl")])
+    assert exc.value.code == 2
+    assert "--trace" in capsys.readouterr().err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     mp, sp = _write_toy(tmp_path, -0.5)
     rc = cli.main(["oracle", "--model", mp, "--spec", sp, "--samples", "100"])
@@ -255,6 +274,16 @@ def test_oracle_subcommand_budget_refusal(tmp_path, capsys):
     rc = cli.main(["oracle", "--model", mp, "--spec", sp])
     assert rc == 3
     assert "budget" in capsys.readouterr().err
+
+
+def test_oracle_subcommand_rejects_nonpositive_samples(tmp_path, capsys):
+    mp, sp = _write_toy(tmp_path, -0.5)
+    for samples in ("0", "-3"):
+        rc = cli.main(["oracle", "--model", mp, "--spec", sp, "--samples", samples])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("error:") and "--samples" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_module_entry_point_runs_without_runtime_warning():

@@ -1,6 +1,6 @@
 import numpy as np
 
-from reluverify import bab, heuristics, relax
+from reluverify import bab, heuristics, model, relax
 
 from helpers import identity_relu_net, make_domain, random_net
 
@@ -23,10 +23,11 @@ def _scores(kind, A, l, u, z, alpha=None, out_weights=None):
     z = np.asarray(z, dtype=float)
     net = identity_relu_net(z.size, out_weights)
     nb = relax.NeuronBounds([np.asarray(l, dtype=float)], [np.asarray(u, dtype=float)])
-    bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, nb)
+    bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, nb, z)
     domain = bab.SubDomain(z, z, {}, nb, depth=0, parent_lower_bound=float("-inf"))
     params = None if alpha is None else relax.RelaxationParams({0: np.asarray(alpha, float)})
-    scores, clamps = heuristics.score_branches(kind, net, np.array([1.0]), bound, domain, z, params)
+    scores, clamps = heuristics.score_branches(kind, net, np.array([1.0]), bound, domain,
+                                               model.forward(net, z)[1], params)
     assert sorted(scores) == [0]
     return scores[0], clamps
 
@@ -172,11 +173,11 @@ def test_grad_score_uses_concrete_gradient_sign():
 def test_center_scores_at_the_box_center():
     net = identity_relu_net(2)
     nb = relax.NeuronBounds([CASE_L.copy()], [CASE_U.copy()])
-    bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb)
-    domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), {}, nb, 0, -np.inf)
     far_corner = np.array([10.0, 2.0])
-    s, _ = heuristics.score_branches("center", net, np.array([1.0]), bound, domain, far_corner,
-                                     None)
+    bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb, far_corner)
+    domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), {}, nb, 0, -np.inf)
+    s, _ = heuristics.score_branches("center", net, np.array([1.0]), bound, domain,
+                                     model.forward(net, far_corner)[1], None)
     drg_at_center, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
     assert s[0].tolist() == drg_at_center.tolist()
 
@@ -220,7 +221,8 @@ def test_scores_skip_stable_and_split_neurons():
     j = int(unstable[0])
     d2 = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, j): +1})
     res = relax.compute_bounds(net, np.array([1.0]), d2)
-    scores, _ = heuristics.score_branches("drg", net, np.array([1.0]), res, d2, np.zeros(2), None)
+    scores, _ = heuristics.score_branches("drg", net, np.array([1.0]), res, d2,
+                                          model.forward(net, np.zeros(2))[1], None)
     candidates = set(np.flatnonzero(np.isfinite(scores[0])).tolist())
     assert j not in candidates
     assert candidates == set(np.flatnonzero(d2.neuron_bounds.unstable_mask(0)).tolist())

@@ -94,12 +94,14 @@ def test_compute_bounds_single_neuron_upper_line():
     assert res.A[0].tolist() == [-1.0]
 
 
-def test_compute_bounds_infeasible_marker():
+def test_compute_bounds_raises_on_infeasible_subdomain():
     net = scalar_relu_net()
     d = make_domain(net, [0.5], [1.0], splits={(0, 0): -1})  # z = x >= 0.5 but clamped <= 0
     assert not d.neuron_bounds.is_feasible()
-    res = relax.compute_bounds(net, np.array([1.0]), d)
-    assert not res.feasible
+    with pytest.raises(ValueError, match="infeasible"):
+        relax.compute_bounds(net, np.array([1.0]), d)
+    with pytest.raises(ValueError, match="infeasible"):
+        relax.compute_bounds(net, np.array([[1.0], [2.0]]), d)
 
 
 def test_compute_bounds_sampled_soundness():
@@ -127,9 +129,9 @@ def test_compute_bounds_sampled_soundness_with_splits():
     j = int(unstable[0])
     for sign in (+1, -1):
         d = make_domain(net, lo, hi, splits={(0, j): sign})
-        res = relax.compute_bounds(net, np.array([1.0]), d)
-        if not res.feasible:
+        if not d.neuron_bounds.is_feasible():
             continue
+        res = relax.compute_bounds(net, np.array([1.0]), d)
         xs = rng.uniform(lo, hi, size=(10_000, 2))
         z = xs @ net.layers[0].weights.T + net.layers[0].bias
         keep = z[:, j] >= 0.0 if sign > 0 else z[:, j] < 0.0
@@ -345,8 +347,7 @@ def test_bound_equals_witness_abstract_margin_bitwise():
         d = make_domain(net, lo, hi)
         c = rng.normal(size=2)
         res = relax.compute_bounds(net, c, d)
-        x_star = witness.construct_witness(res, lo, hi)
-        wit = witness.validate_witness(net, c[None, :], x_star, res)
+        wit = witness.validate_witness(net, c[None, :], res)
         assert wit.abstract_margin == res.lower_bound
 
 
@@ -448,7 +449,7 @@ def test_optimize_alpha_stops_at_the_deadline():
 
 
 def _assert_same_stacked_bound(a, b):
-    assert a.neuron_bounds is b.neuron_bounds and a.feasible and b.feasible
+    assert a.neuron_bounds is b.neuron_bounds
     for field in ("w", "b", "lower_bound", "x_star"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert sorted(a.A) == sorted(b.A)

@@ -1,16 +1,16 @@
 import itertools
 
 import numpy as np
-import pytest
 
 from reluverify import model, relax, witness
 
 from helpers import make_domain, scalar_relu_net
 
 
-def _bound(w, b=0.0):
-    nb = relax.NeuronBounds([], [])
-    return relax.BoundResult(np.asarray(w, dtype=float), b, 0.0, {}, nb)
+def _minimizer(w, lo, hi, b=0.0):
+    """The box minimizer of w @ x + b, as every bound computes its x_star."""
+    return relax.concretize(np.asarray(w, dtype=float), b, np.asarray(lo, dtype=float),
+                            np.asarray(hi, dtype=float))[0]
 
 
 def _value_at(w, b, x):
@@ -18,13 +18,22 @@ def _value_at(w, b, x):
     return relax.concretize(w, b, x, x)[1]
 
 
+def _validate_at(net, C, x):
+    """Validate the witness of a bound over the single point x, whose box
+    minimizer can only be x itself."""
+    d = make_domain(net, x, x)
+    bound = relax.compute_bounds(net, C[0], d)
+    assert np.array_equal(bound.x_star, x)
+    return witness.validate_witness(net, C, bound)
+
+
 def test_sign_rule():
-    x = witness.construct_witness(_bound([1.0, -2.0]), [0.0, 0.0], [1.0, 1.0])
+    x = _minimizer([1.0, -2.0], [0.0, 0.0], [1.0, 1.0])
     assert x.tolist() == [0.0, 1.0]
 
 
 def test_zero_coefficient_takes_lower():
-    x = witness.construct_witness(_bound([0.0, 0.0]), [-3.0, 2.0], [5.0, 7.0])
+    x = _minimizer([0.0, 0.0], [-3.0, 2.0], [5.0, 7.0])
     assert x.tolist() == [-3.0, 2.0]
 
 
@@ -36,7 +45,7 @@ def test_witness_attains_corner_minimum():
         b = float(rng.normal())
         lo = rng.uniform(-2, 0, n)
         hi = lo + rng.uniform(0, 3, n)
-        x_star = witness.construct_witness(_bound(w, b), lo, hi)
+        x_star = _minimizer(w, lo, hi, b)
         val = _value_at(w, b, x_star)
         corner_min = min(_value_at(w, b, np.array(c)) for c in itertools.product(*zip(lo, hi)))
         assert val == corner_min
@@ -49,20 +58,20 @@ def test_minimizer_property_exact():
         w = rng.normal(size=n)
         lo = rng.uniform(-2, 0, n)
         hi = lo + rng.uniform(0, 3, n)
-        x_star = witness.construct_witness(_bound(w), lo, hi)
+        x_star = _minimizer(w, lo, hi)
         assert _value_at(w, 0.0, x_star) == relax.concretize(w, 0.0, lo, hi)[1]
 
 
 def test_validate_concrete_violation():
     net = scalar_relu_net(out_bias=-0.5)  # m(x) = ReLU(x) - 0.5
-    wit = witness.validate_witness(net, np.array([[1.0]]), np.array([-1.0]))
+    wit = _validate_at(net, np.array([[1.0]]), np.array([-1.0]))
     assert wit.kind == witness.CONCRETE_VIOLATION
     assert wit.concrete_margin.tolist() == [-0.5]
 
 
 def test_validate_spurious():
     net = scalar_relu_net(out_bias=0.1)  # m(x) = ReLU(x) + 0.1
-    wit = witness.validate_witness(net, np.array([[1.0]]), np.array([-1.0]))
+    wit = _validate_at(net, np.array([[1.0]]), np.array([-1.0]))
     assert wit.kind == witness.SPURIOUS
     assert abs(wit.concrete_margin[0] - 0.1) < 1e-15
 
@@ -72,8 +81,8 @@ def test_abstract_margin_equals_lower_bound():
     d = make_domain(net, [-1.0], [1.0])
     params = relax.RelaxationParams({0: np.array([0.5])})
     res = relax.compute_bounds(net, np.array([1.0]), d, params)
-    x_star = witness.construct_witness(res, d.box_lower, d.box_upper)
-    wit = witness.validate_witness(net, np.array([[1.0]]), x_star, res)
+    wit = witness.validate_witness(net, np.array([[1.0]]), res)
+    assert wit.x_star is res.x_star
     assert abs(wit.abstract_margin - res.lower_bound) <= 1e-12
     # the safety check failed, so the witness violates in the abstract domain
     assert res.lower_bound < 0
@@ -86,16 +95,10 @@ def test_classification_consistent_with_margin():
     C = np.array([[1.0]])
     for _ in range(50):
         x = rng.uniform(-1, 1, 1)
-        wit = witness.validate_witness(net, C, x)
+        wit = _validate_at(net, C, x)
         assert np.array_equal(wit.concrete_margin, model.margin(net, C, x))
         expected = witness.CONCRETE_VIOLATION if wit.concrete_margin.min() <= 0 else witness.SPURIOUS
         assert wit.kind == expected
-
-
-def test_construct_rejects_infeasible_bound():
-    nb = relax.NeuronBounds([], [])
-    with pytest.raises(ValueError):
-        witness.construct_witness(relax.BoundResult.infeasible_marker(nb), [0.0], [1.0])
 
 
 def test_x_star_lies_on_corners():
@@ -105,5 +108,5 @@ def test_x_star_lies_on_corners():
         w = rng.normal(size=n)
         lo = rng.uniform(-2, 0, n)
         hi = lo + rng.uniform(0.1, 3, n)
-        x = witness.construct_witness(_bound(w), lo, hi)
+        x = _minimizer(w, lo, hi)
         assert np.all((x == lo) | (x == hi))
