@@ -4,8 +4,10 @@ Each popped sub-domain goes through four phases: bound the margin with the
 convex relaxation, prune if the bound clears zero, otherwise evaluate the
 bound's box minimizer on the concrete network (a violation ends the search as
 Unsafe), and finally split on the neuron the heuristic blames for the spurious
-witness. Splits are enforced by clamping the neuron's pre-activation bounds;
-input bisection restores completeness when no neuron split is available.
+witness. A split lives only in its clamp: each child's pre-activation interval
+of the split neuron starts (+1) or ends (-1) at zero, and every later bound
+pass intersects with it. Input bisection restores completeness when no neuron
+split is available.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import dataclasses
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -36,25 +38,25 @@ class InvariantError(RuntimeError):
 
 @dataclass
 class SubDomain:
-    """A box plus split constraints, with pre-activation bounds.
+    """A box plus pre-activation bounds, which carry every split as a clamp.
 
-    splits maps (layer, neuron) to a sign; at most one constraint per neuron.
-    depth counts neuron splits plus input bisections. parent_lower_bound is the
-    bound of the node that created this one (it stays valid here because the
-    region only shrank) and doubles as the worklist priority.
+    n_splits counts the neuron splits on the path from the root, depth the
+    splits plus input bisections. parent_lower_bound is the bound of the node
+    that created this one (it stays valid here because the region only
+    shrank) and doubles as the worklist priority.
 
     A child made by a split or a bisection defers its bounds: while net is
-    set, bounds holds the parent's intervals (without their relaxations) and
-    neuron_bounds recomputes layers start_layer and later on first read.
-    Children that are never popped are never bounded.
+    set, bounds holds the parent's intervals (without their relaxations, and
+    with the split's clamp) and neuron_bounds recomputes layers start_layer
+    and later on first read. Children that are never popped are never bounded.
     """
 
     box_lower: np.ndarray
     box_upper: np.ndarray
-    splits: Dict[Tuple[int, int], int]
     bounds: NeuronBounds
-    depth: int
-    parent_lower_bound: float
+    depth: int = 0
+    parent_lower_bound: float = float("-inf")
+    n_splits: int = 0
     net: Optional[Network] = None
     start_layer: int = 0
 
@@ -62,18 +64,29 @@ class SubDomain:
     def neuron_bounds(self) -> NeuronBounds:
         if self.net is not None:
             self.bounds = relax.propagate_bounds(self.net, self.box_lower, self.box_upper,
-                                                 self.splits, self.bounds, self.start_layer)
+                                                 self.bounds, self.start_layer)
             self.net = None
         return self.bounds
 
     @classmethod
     def child(cls, net: Network, parent: "SubDomain", box_lower: np.ndarray,
-              box_upper: np.ndarray, splits: Dict[Tuple[int, int], int],
-              start_layer: int) -> "SubDomain":
+              box_upper: np.ndarray, start_layer: int,
+              clamp: Optional[Tuple[int, int, int]] = None) -> "SubDomain":
+        """A sub-domain of parent over the given box. clamp = (layer, neuron,
+        sign) narrows that neuron to z >= 0 (+1) or z <= 0 (-1) in the child's
+        own copy of the layer; ancestors' clamps hold by intersection."""
         base = parent.neuron_bounds
-        return cls(box_lower, box_upper, splits,
-                   NeuronBounds(base.lower, base.upper, base.infeasible_layer),
-                   parent.depth + 1, parent.parent_lower_bound, net, start_layer)
+        lower, upper = list(base.lower), list(base.upper)
+        if clamp is not None:
+            layer, neuron, sign = clamp
+            lower[layer], upper[layer] = lower[layer].copy(), upper[layer].copy()
+            if sign > 0:
+                lower[layer][neuron] = max(lower[layer][neuron], 0.0)
+            else:
+                upper[layer][neuron] = min(upper[layer][neuron], 0.0)
+        return cls(box_lower, box_upper, NeuronBounds(lower, upper), parent.depth + 1,
+                   parent.parent_lower_bound, parent.n_splits + (clamp is not None),
+                   net, start_layer)
 
 
 @dataclass
@@ -129,15 +142,8 @@ class Worklist:
 
 
 def make_root(task: VerificationTask) -> SubDomain:
-    bounds = relax.propagate_bounds(task.network, task.input_lower, task.input_upper, {})
-    return SubDomain(
-        box_lower=np.asarray(task.input_lower, dtype=np.float64),
-        box_upper=np.asarray(task.input_upper, dtype=np.float64),
-        splits={},
-        bounds=bounds,
-        depth=0,
-        parent_lower_bound=float("-inf"),
-    )
+    lo, hi = task.input_lower, task.input_upper  # float64, as the task stores them
+    return SubDomain(lo, hi, relax.propagate_bounds(task.network, lo, hi))
 
 
 def split_subdomain(
@@ -152,21 +158,18 @@ def split_subdomain(
     z < 0. Earlier-layer bounds are reused with the new clamp applied; later
     layers are recomputed and intersected with the parent's when a child's
     bounds are first read. Children whose bounds cross are infeasible; the
-    worklist drops them when popped.
+    worklist drops them when popped. A neuron split before is clamped at
+    zero, so it is not unstable and cannot be split again.
     """
     key = (layer, neuron)
-    if key in d.splits:
-        raise ValueError(f"split_subdomain: neuron {key} already split in this sub-domain")
     if net.layers[layer].activation != RELU:
         raise ValueError(f"split_subdomain: layer {layer} is not a ReLU layer")
     l = d.neuron_bounds.lower[layer][neuron]
     u = d.neuron_bounds.upper[layer][neuron]
     if not (l < 0.0 < u):
         raise ValueError(f"split_subdomain: neuron {key} with bounds [{l}, {u}] is not unstable")
-    pos, neg = dict(d.splits), dict(d.splits)
-    pos[key], neg[key] = +1, -1
-    return (SubDomain.child(net, d, d.box_lower, d.box_upper, pos, layer + 1),
-            SubDomain.child(net, d, d.box_lower, d.box_upper, neg, layer + 1))
+    return (SubDomain.child(net, d, d.box_lower, d.box_upper, layer + 1, (layer, neuron, +1)),
+            SubDomain.child(net, d, d.box_lower, d.box_upper, layer + 1, (layer, neuron, -1)))
 
 
 def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDomain]]:
@@ -186,8 +189,8 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
     lower_hi[dim] = mid
     upper_lo = d.box_lower.copy()
     upper_lo[dim] = mid
-    return (SubDomain.child(net, d, d.box_lower.copy(), lower_hi, dict(d.splits), 0),
-            SubDomain.child(net, d, upper_lo, d.box_upper.copy(), dict(d.splits), 0))
+    return (SubDomain.child(net, d, d.box_lower.copy(), lower_hi, 0),
+            SubDomain.child(net, d, upper_lo, d.box_upper.copy(), 0))
 
 
 @dataclass
@@ -210,13 +213,15 @@ def _trace(state: SearchState, entry: dict) -> None:
         state.stats.per_node_trace.append(entry)
 
 
-def _check_termination_measure(parent: SubDomain, child: SubDomain, via_split: bool) -> None:
-    # Structural termination argument: a neuron split removes at least one
-    # unstable neuron (bounds only shrink via intersection), a bisection
-    # strictly reduces the descending-sorted width tuple.
-    if via_split:
-        if len(child.splits) <= len(parent.splits):
-            raise InvariantError("neuron split did not add a split constraint")
+def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> None:
+    # Structural termination argument: a neuron split (layer, neuron) leaves
+    # it stable in the child's own, not yet propagated, bounds, which only
+    # shrink via intersection, so it removes an unstable neuron for good; a
+    # bisection (split None) strictly reduces the descending-sorted width tuple.
+    if split is not None:
+        layer, neuron = split
+        if child.bounds.lower[layer][neuron] < 0.0 < child.bounds.upper[layer][neuron]:
+            raise InvariantError(f"neuron split {split} left the neuron unstable in a child")
     else:
         pw = tuple(sorted(parent.box_upper - parent.box_lower, reverse=True))
         cw = tuple(sorted(child.box_upper - child.box_lower, reverse=True))
@@ -237,14 +242,8 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
         "node": node_id,
         "depth": d.depth,
         "parent_lower_bound": d.parent_lower_bound,
-        "n_splits": len(d.splits),
+        "n_splits": d.n_splits,
     }
-
-    # The worklist drops infeasible children, so only a root can fail here.
-    if not d.neuron_bounds.is_feasible():
-        entry["action"] = "pruned-infeasible"
-        _trace(state, entry)
-        return None
 
     # Phase 1: bound every spec row over this sub-domain, in one stacked pass
     # (the root's slope optimization hands back the bound of its slopes).
@@ -316,7 +315,7 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
         entry["score_max"] = float(max(s.max() for s in scores.values()))
         entry["score_n"] = score_n
     for child in children:
-        _check_termination_measure(d, child, via_split=pick is not None)
+        _check_termination_measure(d, child, pick)
         child.parent_lower_bound = eff_lb
         state.worklist.push(child)
     entry["children"] = len(children)
@@ -355,7 +354,6 @@ def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> Se
     )
     verdict = _process_node(state, root, node_id=0, results=root_bound)
     if verdict == UNSAFE:
-        state.exhausted_reason = None
         state.stats.verdict = UNSAFE
     return state
 

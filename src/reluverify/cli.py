@@ -384,6 +384,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "seed", 0) < 0:  # gen and oracle seed numpy generators
+        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
     try:
         return args.func(args)
     except model.InputError as exc:

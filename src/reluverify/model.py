@@ -223,10 +223,6 @@ class VerificationTask:
         object.__setattr__(self, "input_upper", _freeze(hi))
         object.__setattr__(self, "spec_matrix", _freeze(C))
 
-    @property
-    def n_spec(self) -> int:
-        return self.spec_matrix.shape[0]
-
 
 def _read_json(path: str):
     try:

@@ -10,6 +10,9 @@ the offset. The coefficient on each post-activation, captured just before the
 layer's relaxation is traversed, is the per-neuron sensitivity used by the
 branching heuristics.
 
+A region is a box plus the pre-activation intervals of every hidden layer
+(NeuronBounds), nothing else: how a search narrowed them is not known here.
+
 The spec rows of a sub-domain are bounded together: their coefficients ride a
 leading axis as (m, 1, n) stacks, and the relaxed forward pass evaluates
 W @ h on (m, n, 1) stacks. Each product is then the same matrix-vector call a
@@ -28,9 +31,9 @@ import numpy as np
 
 from .model import Network, RELU
 
-# Clamp-induced bound crossings larger than this prune a sub-domain as
-# infeasible; smaller crossings are treated as floating-point slivers and
-# collapsed to a point so that pruning never relies on rounding noise.
+# Bound crossings against a base's intervals larger than this make a region
+# empty; smaller crossings are treated as floating-point slivers and collapsed
+# to a point so that pruning never relies on rounding noise.
 INFEASIBILITY_TOL = 1e-9
 
 
@@ -42,22 +45,23 @@ Relaxation = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 class NeuronBounds:
     """Pre-activation intervals for every hidden layer (layer k = 0 .. L-2).
 
-    lower[k] > upper[k] anywhere marks the sub-domain infeasible; that is a
-    legitimate signal produced by split clamping, not an error. The intervals
+    They are the whole abstraction of a region: a narrowing (a branch's
+    clamp of a neuron to one sign) is written here, and propagate_bounds
+    keeps it by intersection. lower[k] > upper[k] marks the region empty, a
+    legitimate outcome of a narrowing; propagate_bounds then stops at that
+    layer, so the lists can be shorter than the hidden layers. The intervals
     must not be modified once a layer's relaxation or the feasibility has
     been read: both are computed once per instance.
     """
 
     lower: List[np.ndarray]
     upper: List[np.ndarray]
-    infeasible_layer: Optional[int] = None
     _relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False, compare=False)
     _feasible: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def is_feasible(self) -> bool:
         if self._feasible is None:
-            self._feasible = self.infeasible_layer is None and all(
-                np.all(l <= u) for l, u in zip(self.lower, self.upper))
+            self._feasible = all(np.all(l <= u) for l, u in zip(self.lower, self.upper))
         return self._feasible
 
     def relaxation(self, k: int) -> Relaxation:
@@ -256,8 +260,9 @@ def compute_bounds(net: Network, C, domain, params: Optional[RelaxationParams] =
     """Sound linear lower bounds of margin rows over a sub-domain.
 
     C is one row or an (m, p) stack of rows; params holds shared slopes or one
-    row of slopes per spec row. For every x in the sub-domain box that
-    satisfies all split constraints, w @ x + b <= c_row @ f(x) for each row.
+    row of slopes per spec row. For every x in the sub-domain box whose
+    pre-activations lie in its neuron bounds, w @ x + b <= c_row @ f(x) for
+    each row.
     A stack gives each row exactly the result of bounding it alone. Raises
     ValueError when the domain's neuron bounds signal an empty region, which
     has no bound to give.
@@ -278,7 +283,6 @@ def propagate_bounds(
     net: Network,
     box_lower: np.ndarray,
     box_upper: np.ndarray,
-    splits: Dict[Tuple[int, int], int],
     base: Optional[NeuronBounds] = None,
     start_layer: int = 0,
 ) -> NeuronBounds:
@@ -287,64 +291,53 @@ def propagate_bounds(
     Each layer is bounded by a backward pass with adaptive slopes using the
     layers already bounded, intersected with a plain interval-arithmetic pass
     (both enclose the true range, so the intersection does too and is never
-    looser than either), then split clamps are applied: sign +1 lifts the
-    lower bound to 0, sign -1 drops the upper bound to 0. With a base (the
-    parent's bounds), layers below start_layer are copied instead of
-    recomputed and recomputed layers are intersected with the base as well.
-    The result carries no relaxations yet.
+    looser than either). With a base (the bounds of an enclosing region),
+    layers below start_layer are taken from it as they are and recomputed
+    layers are intersected with it, so every narrowing written into the base
+    holds in the result.
+
+    Crossings (l > u) are rounding slivers and collapse to their midpoint,
+    unless a base is given and one exceeds INFEASIBILITY_TOL: the region is
+    then empty, and the result stops at that crossed layer. Without a base
+    the box alone is never empty, so every crossing collapses. The result
+    carries no relaxations yet.
     """
     if start_layer > 0 and base is None:
         raise ValueError("propagate_bounds: start_layer > 0 needs the parent's bounds as base")
-    n_hidden = net.n_layers - 1
-    work = NeuronBounds([None] * n_hidden, [None] * n_hidden)  # type: ignore[list-item]
-    infeasible_at: Optional[int] = None
+    work = NeuronBounds([], [])
     post_lo = box_lower
     post_hi = box_upper
-    for k in range(n_hidden):
+    for k in range(net.n_layers - 1):
         layer = net.layers[k]
-        if base is not None and (k < start_layer or infeasible_at is not None):
-            l = base.lower[k].copy()
-            u = base.upper[k].copy()
-        elif infeasible_at is not None:
-            l = np.zeros(layer.out_dim)
-            u = np.zeros(layer.out_dim)
+        if k < start_layer:
+            l, u = base.lower[k], base.upper[k]
         else:
             n_k = layer.out_dim
             eye = np.eye(n_k)
             lam, off, _ = _backward_from_layer(net, k, np.vstack([eye, -eye]), work, None)
             _, vals = concretize(lam, off, box_lower, box_upper)
-            l = vals[:n_k].copy()
-            u = -vals[n_k:]
             Wp = np.maximum(layer.weights, 0.0)
             Wn = np.minimum(layer.weights, 0.0)
-            l = np.maximum(l, Wp @ post_lo + Wn @ post_hi + layer.bias)
-            u = np.minimum(u, Wp @ post_hi + Wn @ post_lo + layer.bias)
+            l = np.maximum(vals[:n_k], Wp @ post_lo + Wn @ post_hi + layer.bias)
+            u = np.minimum(-vals[n_k:], Wp @ post_hi + Wn @ post_lo + layer.bias)
             if base is not None:
                 l = np.maximum(l, base.lower[k])
                 u = np.minimum(u, base.upper[k])
-        for (sl, sj), sign in splits.items():
-            if sl != k:
-                continue
-            if sign > 0:
-                l[sj] = max(l[sj], 0.0)
-            else:
-                u[sj] = min(u[sj], 0.0)
         crossed = l > u
         if np.any(crossed):
-            if infeasible_at is None and np.any(l - u > INFEASIBILITY_TOL):
-                infeasible_at = k
-            else:
-                mid = 0.5 * (l + u)
-                l = np.where(crossed, mid, l)
-                u = np.where(crossed, mid, u)
-        work.lower[k] = l
-        work.upper[k] = u
+            if base is not None and np.any(l - u > INFEASIBILITY_TOL):
+                return NeuronBounds(work.lower + [l], work.upper + [u])
+            mid = 0.5 * (l + u)
+            l = np.where(crossed, mid, l)
+            u = np.where(crossed, mid, u)
+        work.lower.append(l)
+        work.upper.append(u)
         if layer.activation == RELU:
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
     # A fresh object, so sub-domains waiting in the worklist hold no relaxations.
-    return NeuronBounds(work.lower, work.upper, infeasible_at)
+    return NeuronBounds(work.lower, work.upper)
 
 
 def _relaxed_forward(
@@ -412,8 +405,9 @@ def optimize_alpha(
 
     Returns the best iterate seen per row and the bound it gives, which equals
     compute_bounds(net, C, domain, params) bit for bit; the bound is None when
-    there is nothing to optimize (infeasible domain or no ReLU layer) and the
-    adaptive slopes come back unbounded.
+    there is nothing to optimize (no ReLU layer) and the adaptive slopes come
+    back unbounded. An infeasible domain raises ValueError, as in
+    compute_bounds.
 
     C is one row or an (m, p) stack of rows; a stack gets (m, n_k) slopes, one
     row per spec row. The rows are optimized together, one bound pass per
@@ -426,9 +420,8 @@ def optimize_alpha(
     """
     C = np.asarray(C, dtype=np.float64)
     rows = np.atleast_2d(C)
-    bounds = domain.neuron_bounds
-    params = RelaxationParams.adaptive(net, bounds)
-    if not bounds.is_feasible() or not params.alpha:
+    params = RelaxationParams.adaptive(net, domain.neuron_bounds)
+    if not params.alpha:
         return params, None
     cur = RelaxationParams._valid({k: np.repeat(v[None, :], len(rows), axis=0)
                                    for k, v in params.alpha.items()})

@@ -30,12 +30,60 @@ def scalar_task(net, lo=-1.0, hi=1.0, C=None, **kw):
 
 
 def make_domain(net, lo, hi, splits=None):
-    """A SubDomain over the given box with freshly propagated bounds."""
+    """A SubDomain over the given box with propagated bounds; splits maps
+    (layer, neuron) to a sign, each clamped in turn through SubDomain.child."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    splits = dict(splits or {})
-    bounds = relax.propagate_bounds(net, lo, hi, splits)
-    return bab.SubDomain(lo, hi, splits, bounds, depth=len(splits), parent_lower_bound=float("-inf"))
+    d = bab.SubDomain(lo, hi, relax.propagate_bounds(net, lo, hi))
+    for (layer, neuron), sign in (splits or {}).items():
+        d = bab.SubDomain.child(net, d, lo, hi, layer + 1, (layer, neuron, sign))
+    d.neuron_bounds  # bound now, not on first read
+    return d
+
+
+def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
+    """relax.propagate_bounds under the rule of a sub-domain that kept its
+    splits as a (layer, neuron) -> sign dict: every split is clamped again at
+    its layer on every pass, right after the layer is bounded, and a region
+    found empty keeps the base's intervals (zeros without one) past the
+    crossed layer. Reference for the clamp-only bounds of bab.SubDomain."""
+    n_hidden = net.n_layers - 1
+    work = relax.NeuronBounds([None] * n_hidden, [None] * n_hidden)
+    infeasible_at = None
+    post_lo, post_hi = lo, hi
+    for k in range(n_hidden):
+        layer = net.layers[k]
+        if base is not None and (k < start_layer or infeasible_at is not None):
+            l, u = base.lower[k].copy(), base.upper[k].copy()
+        elif infeasible_at is not None:
+            l, u = np.zeros(layer.out_dim), np.zeros(layer.out_dim)
+        else:
+            eye = np.eye(layer.out_dim)
+            lam, off, _ = relax._backward_from_layer(net, k, np.vstack([eye, -eye]), work, None)
+            _, vals = relax.concretize(lam, off, lo, hi)
+            Wp, Wn = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
+            l = np.maximum(vals[:layer.out_dim], Wp @ post_lo + Wn @ post_hi + layer.bias)
+            u = np.minimum(-vals[layer.out_dim:], Wp @ post_hi + Wn @ post_lo + layer.bias)
+            if base is not None:
+                l, u = np.maximum(l, base.lower[k]), np.minimum(u, base.upper[k])
+        for (sl, sj), sign in splits.items():
+            if sl == k and sign > 0:
+                l[sj] = max(l[sj], 0.0)
+            elif sl == k:
+                u[sj] = min(u[sj], 0.0)
+        crossed = l > u
+        if np.any(crossed):
+            if infeasible_at is None and np.any(l - u > relax.INFEASIBILITY_TOL):
+                infeasible_at = k
+            else:
+                mid = 0.5 * (l + u)
+                l, u = np.where(crossed, mid, l), np.where(crossed, mid, u)
+        work.lower[k], work.upper[k] = l, u
+        if layer.activation == model.RELU:
+            post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
+        else:
+            post_lo, post_hi = l, u
+    return relax.NeuronBounds(work.lower, work.upper)
 
 
 def random_net(rng, n_inputs, widths, n_outputs, scale=1.5):

@@ -6,7 +6,8 @@ import pytest
 
 from reluverify import bab, cli, model, oracle, relax
 
-from helpers import make_domain, oracle_sized_task, random_task, scalar_relu_net, scalar_task
+from helpers import (make_domain, oracle_sized_task, random_task, reference_propagate_bounds,
+                     scalar_relu_net, scalar_task)
 
 
 def test_verify_safe_at_root_with_optimized_alpha():
@@ -38,12 +39,18 @@ def test_split_subdomain_clamps_children():
     d = make_domain(net, [-1.0], [1.0])
     assert d.neuron_bounds.lower[0].tolist() == [-2.0]
     pos, neg = bab.split_subdomain(net, d, 0, 0)
+    # the clamp is written into each child's own copy of the layer at split time
+    assert pos.bounds.lower[0].tolist() == [0.0] and pos.bounds.upper[0].tolist() == [2.0]
+    assert neg.bounds.lower[0].tolist() == [-2.0] and neg.bounds.upper[0].tolist() == [0.0]
+    assert d.neuron_bounds.lower[0].tolist() == [-2.0] and d.neuron_bounds.upper[0].tolist() == [2.0]
     assert pos.neuron_bounds.lower[0].tolist() == [0.0]
     assert pos.neuron_bounds.upper[0].tolist() == [2.0]
     assert neg.neuron_bounds.lower[0].tolist() == [-2.0]
     assert neg.neuron_bounds.upper[0].tolist() == [0.0]
-    assert pos.splits == {(0, 0): +1} and neg.splits == {(0, 0): -1}
+    assert d.n_splits == 0 and pos.n_splits == neg.n_splits == 1
     assert pos.depth == d.depth + 1
+    a, b = bab.input_bisect(net, pos)
+    assert a.n_splits == b.n_splits == 1 and a.depth == pos.depth + 1
 
 
 def test_split_partition_covers_parent_exactly_once():
@@ -66,7 +73,7 @@ def test_split_partition_covers_parent_exactly_once():
 
 def _satisfies_splits(net, x, splits):
     _, preacts = model.forward(net, x)
-    for (layer, j), sign in splits.items():
+    for layer, j, sign in splits:
         z = preacts[layer][j]
         if sign > 0 and not z >= 0.0:
             return False
@@ -91,14 +98,16 @@ def test_nested_split_sets_partition_parent_region():
         layer = 1
     j1 = int(unstable1[0])
     g1, g2 = bab.split_subdomain(net, child, layer, j1)
+    path = [(0, j0, +1)]
+    path1, path2 = path + [(layer, j1, +1)], path + [(layer, j1, -1)]
     checked = 0
     for x in rng.uniform(task.input_lower, task.input_upper, size=(1000, 2)):
-        if not _satisfies_splits(net, x, child.splits):
-            assert not (_satisfies_splits(net, x, g1.splits)
-                        or _satisfies_splits(net, x, g2.splits))
+        if not _satisfies_splits(net, x, path):
+            assert not (_satisfies_splits(net, x, path1)
+                        or _satisfies_splits(net, x, path2))
             continue
-        in1 = _satisfies_splits(net, x, g1.splits)
-        in2 = _satisfies_splits(net, x, g2.splits)
+        in1 = _satisfies_splits(net, x, path1)
+        in2 = _satisfies_splits(net, x, path2)
         assert in1 ^ in2  # exactly one grandchild, boundary on the +1 side
         checked += 1
     assert checked > 50
@@ -308,11 +317,28 @@ def test_termination_measure_violations_raise():
     parent = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, 0): 1})
     same = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, 1): 1})
     with pytest.raises(bab.InvariantError, match="split"):
-        bab._check_termination_measure(parent, same, via_split=True)
+        bab._check_termination_measure(parent, same, (0, 0))
     with pytest.raises(bab.InvariantError, match="bisection"):
-        bab._check_termination_measure(parent, same, via_split=False)
+        bab._check_termination_measure(parent, same, None)
     child, _ = bab.input_bisect(net, parent)
-    bab._check_termination_measure(parent, child, via_split=False)
+    bab._check_termination_measure(parent, child, None)
+    for child in bab.split_subdomain(net, parent, 0, 1):
+        bab._check_termination_measure(parent, child, (0, 1))
+
+
+def test_split_child_without_its_clamp_raises(monkeypatch):
+    # The termination measure reads the clamp itself: a split whose children
+    # lose it would leave the neuron unstable and could repeat forever.
+    child = bab.SubDomain.child.__func__
+    monkeypatch.setattr(bab.SubDomain, "child", classmethod(
+        lambda cls, net, parent, lo, hi, start_layer, clamp=None:
+            child(cls, net, parent, lo, hi, start_layer)))
+    net = model.make_network([
+        (np.array([[1.0], [-1.0]]), np.zeros(2), model.RELU),
+        (np.array([[1.0, 1.0]]), np.array([-0.2]), model.LINEAR),
+    ])
+    with pytest.raises(bab.InvariantError, match="unstable"):
+        bab.verify(scalar_task(net, max_branches=10), "drg")
 
 
 def test_safe_verdicts_survive_grid_attack():
@@ -330,40 +356,56 @@ def test_safe_verdicts_survive_grid_attack():
 
 def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
     # Splitting and bisecting bound nothing; a child's bounds, once read, are
-    # exactly what propagating them at split time gave.
+    # exactly what the eager rule gives: propagate at split time and clamp
+    # every split on the path again at its layer (reference_propagate_bounds).
     def assert_same(lazy, eager):
-        assert lazy.infeasible_layer == eager.infeasible_layer
-        for a, b in zip(lazy.lower + lazy.upper, eager.lower + eager.upper):
-            assert np.array_equal(a, b)
+        assert lazy.is_feasible() == eager.is_feasible()
+        if lazy.is_feasible():
+            assert len(lazy.lower) == len(eager.lower)
+        for lazy_side, eager_side in ((lazy.lower, eager.lower), (lazy.upper, eager.upper)):
+            for a, b in zip(lazy_side, eager_side):
+                assert np.array_equal(a, b)
 
     propagate = relax.propagate_bounds
-    checked = 0
+    long_chains = 0
     for seed in range(70, 76):
         task = random_task(np.random.default_rng(seed), 3, (6, 5), 2, eps=0.6)
-        net = task.network
-        root = make_domain(net, task.input_lower, task.input_upper)
-        for layer in (0, 1):
-            root.neuron_bounds.relaxation(layer)  # the parent's memo is not handed on
-            for j in np.flatnonzero(root.neuron_bounds.unstable_mask(layer))[:2]:
-                calls = []
-                monkeypatch.setattr(relax, "propagate_bounds",
-                                    lambda *a, **k: calls.append(1) or propagate(*a, **k))
-                children = bab.split_subdomain(net, root, layer, int(j))
-                grand = bab.input_bisect(net, children[0])
-                assert calls == [1]  # the bisection read children[0]'s bounds
-                monkeypatch.undo()
-                for child in (children[1],) + grand:
-                    assert child.net is not None and child.bounds._relaxations == {}
-                for child in grand:
-                    eager = propagate(net, child.box_lower, child.box_upper, child.splits,
-                                      base=children[0].neuron_bounds, start_layer=0)
-                    assert_same(child.neuron_bounds, eager)
-                for child in children:
-                    eager = propagate(net, root.box_lower, root.box_upper, child.splits,
-                                      base=root.neuron_bounds, start_layer=layer + 1)
-                    assert_same(child.neuron_bounds, eager)
-                checked += 1
-    assert checked >= 10
+        net, lo, hi = task.network, task.input_lower, task.input_upper
+        d = make_domain(net, lo, hi)
+        ref = reference_propagate_bounds(net, lo, hi, {})
+        assert_same(d.neuron_bounds, ref)
+        path = {}
+        for _ in range(4):
+            d.neuron_bounds.relaxation(0)  # the parent's memo is not handed on
+            calls = []
+            monkeypatch.setattr(relax, "propagate_bounds",
+                                lambda *a, **k: calls.append(1) or propagate(*a, **k))
+            halves = bab.input_bisect(net, d)
+            unstable = [(k, int(j)) for k in (0, 1)
+                        for j in np.flatnonzero(d.neuron_bounds.unstable_mask(k))]
+            children = bab.split_subdomain(net, d, *unstable[0]) if unstable else ()
+            monkeypatch.undo()
+            assert calls == []
+            for child in halves + children:
+                assert child.net is not None and child.bounds._relaxations == {}
+            for half in halves:
+                assert_same(half.neuron_bounds, reference_propagate_bounds(
+                    net, half.box_lower, half.box_upper, path, ref, 0))
+            if not unstable:
+                break
+            layer = unstable[0][0]
+            feasible = []
+            for child, sign in zip(children, (+1, -1)):
+                splits = {**path, unstable[0]: sign}
+                eager = reference_propagate_bounds(net, lo, hi, splits, ref, layer + 1)
+                assert_same(child.neuron_bounds, eager)
+                if eager.is_feasible():
+                    feasible.append((child, splits, eager))
+            if not feasible:
+                break
+            d, path, ref = feasible[0]
+        long_chains += len(path) >= 3
+    assert long_chains >= 4
 
 
 def _straddling_bisection():
@@ -450,3 +492,31 @@ def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
             witnesses = sum("witness_margin" in e for e in stats.per_node_trace)
             assert stats.splits_made > 0
             assert len(calls) == witnesses
+
+
+def _single_point_task(seed):
+    """8 inputs, one ReLU layer of 4 with weights of order 1e4, a box that is
+    the single point x ~ U(1e3, 1e4), and a margin of -1 at x."""
+    rng = np.random.default_rng(seed)
+    W0 = rng.normal(0.0, 1e4, (4, 8))
+    b0 = rng.normal(0.0, 1.0, 4)
+    W1 = rng.normal(0.0, 1.0, (1, 4))
+    x = rng.uniform(1e3, 1e4, 8)
+    b1 = -1.0 - W1 @ np.maximum(W0 @ x + b0, 0.0)
+    net = model.make_network([(W0, b0, model.RELU), (W1, b1, model.LINEAR)])
+    return model.VerificationTask(net, x, x, np.array([[1.0]]))
+
+
+def test_single_point_root_is_never_pruned_as_empty():
+    # At this scale the backward and the interval-arithmetic bounds of layer 0
+    # cross by more than INFEASIBILITY_TOL from rounding alone; without a
+    # clamp the root's region is never empty, so the crossing collapses and
+    # the concrete violation at x is found.
+    for seed in range(20):
+        task = _single_point_task(seed)
+        assert model.margin(task.network, task.spec_matrix, task.input_lower)[0] < -0.5
+        assert bab.make_root(task).neuron_bounds.is_feasible()
+        stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
+        assert stats.verdict == bab.UNSAFE, f"seed {seed}"
+        assert [e["action"] for e in stats.per_node_trace] == ["unsafe"]
+        assert np.array_equal(stats.witness.x_star, task.input_lower)

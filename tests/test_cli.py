@@ -286,6 +286,26 @@ def test_oracle_subcommand_rejects_nonpositive_samples(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def test_oracle_subcommand_rejects_negative_seed(tmp_path, capsys):
+    mp, sp = _write_toy(tmp_path, -0.5)
+    rc = cli.main(["oracle", "--model", mp, "--spec", sp, "--seed", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "--seed" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_gen_subcommand_rejects_negative_seed(tmp_path, capsys):
+    out = tmp_path / "suite"
+    rc = cli.main(["gen", "--seed", "-1", "--layers", "1", "--widths", "3", "--count", "2",
+                   "--eps", "0.1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err.startswith("error:") and "--seed" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not out.exists()
+
+
 def test_module_entry_point_runs_without_runtime_warning():
     src = str(Path(reluverify.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -24,7 +24,7 @@ def _scores(kind, A, l, u, z, alpha=None, out_weights=None):
     net = identity_relu_net(z.size, out_weights)
     nb = relax.NeuronBounds([np.asarray(l, dtype=float)], [np.asarray(u, dtype=float)])
     bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, nb, z)
-    domain = bab.SubDomain(z, z, {}, nb, depth=0, parent_lower_bound=float("-inf"))
+    domain = bab.SubDomain(z, z, nb)
     params = None if alpha is None else relax.RelaxationParams({0: np.asarray(alpha, float)})
     scores, clamps = heuristics.score_branches(kind, net, np.array([1.0]), bound, domain,
                                                model.forward(net, z)[1], params)
@@ -175,7 +175,7 @@ def test_center_scores_at_the_box_center():
     nb = relax.NeuronBounds([CASE_L.copy()], [CASE_U.copy()])
     far_corner = np.array([10.0, 2.0])
     bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb, far_corner)
-    domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), {}, nb, 0, -np.inf)
+    domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), nb)
     s, _ = heuristics.score_branches("center", net, np.array([1.0]), bound, domain,
                                      model.forward(net, far_corner)[1], None)
     drg_at_center, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)

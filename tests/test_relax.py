@@ -355,9 +355,9 @@ def test_propagate_bounds_from_later_layer_needs_base():
     net = random_net(np.random.default_rng(31), 2, [4, 3], 1)
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     with pytest.raises(ValueError, match="base"):
-        relax.propagate_bounds(net, lo, hi, {}, start_layer=1)
-    base = relax.propagate_bounds(net, lo, hi, {})
-    again = relax.propagate_bounds(net, lo, hi, {}, base=base, start_layer=1)
+        relax.propagate_bounds(net, lo, hi, start_layer=1)
+    base = relax.propagate_bounds(net, lo, hi)
+    again = relax.propagate_bounds(net, lo, hi, base=base, start_layer=1)
     assert again.lower[0].tolist() == base.lower[0].tolist()
 
 
@@ -484,8 +484,8 @@ def test_optimize_alpha_without_relu_layers_returns_no_bound():
     params, bound = relax.optimize_alpha(net, np.array([[1.0]]), d, 20, 0.25)
     assert params.alpha == {} and bound is None
     infeasible = make_domain(scalar_relu_net(), [0.5], [1.0], splits={(0, 0): -1})
-    params, bound = relax.optimize_alpha(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
-    assert bound is None
+    with pytest.raises(ValueError, match="infeasible"):
+        relax.optimize_alpha(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
 
 
 def test_is_feasible_reads_hand_built_bounds_once():
@@ -493,8 +493,6 @@ def test_is_feasible_reads_hand_built_bounds_once():
     assert not crossed.is_feasible() and crossed._feasible is False
     fine = relax.NeuronBounds([np.array([0.0, 1.0])], [np.array([1.0, 1.0])])
     assert fine.is_feasible() and fine._feasible is True
-    marked = relax.NeuronBounds([np.array([0.0])], [np.array([1.0])], infeasible_layer=0)
-    assert not marked.is_feasible()
 
 
 def test_derived_slopes_are_not_validated_again(monkeypatch):
