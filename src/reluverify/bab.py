@@ -21,7 +21,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from . import heuristics, relax, witness as witness_mod
-from .model import Network, RELU, VerificationTask
+from .model import InputError, Network, RELU, VerificationTask
 from .relax import NeuronBounds, RelaxationParams
 
 SAFE = "Safe"
@@ -111,6 +111,12 @@ class BabConfig:
     alpha_step: float = 0.25
     fallback: str = FALLBACK_BABSR
     trace: bool = False
+
+    def __post_init__(self):
+        if self.alpha_iters < 0:
+            raise InputError(f"config.alpha_iters must be non-negative, got {self.alpha_iters}")
+        if not 0.0 < self.alpha_step < float("inf"):  # NaN too: no step can improve
+            raise InputError(f"config.alpha_step must be finite and > 0, got {self.alpha_step}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -310,10 +316,11 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
         entry["action"] = "bisect"
 
     state.stats.splits_made += 1
-    score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
-    if score_n:
-        entry["score_max"] = float(max(s.max() for s in scores.values()))
-        entry["score_n"] = score_n
+    if state.stats.per_node_trace is not None:  # only the trace reads them
+        score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
+        if score_n:
+            entry["score_max"] = float(max(s.max() for s in scores.values()))
+            entry["score_n"] = score_n
     for child in children:
         _check_termination_measure(d, child, pick)
         child.parent_lower_bound = eff_lb

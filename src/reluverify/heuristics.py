@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import model
-from .relax import BoundResult, RelaxationParams, _alpha_for
+from .relax import BoundResult, RelaxationParams, _slope_for
 
 DRG = "drg"
 DRG_SYMMETRIC = "drg_symmetric"
@@ -85,7 +85,8 @@ def score_branches(
             upper_side = coef < 0.0
             clamps += int(np.count_nonzero(unst & upper_side & (raw_gap < 0.0)))
             if kind == DRG_SYMMETRIC:
-                other = np.maximum(z, 0.0) - _alpha_for(params, nb, k) * z
+                # the lower line's slope is alpha wherever the score is kept
+                other = np.maximum(z, 0.0) - _slope_for(params, nb, k) * z
             else:
                 other = 0.0
             score = np.abs(coef) * np.where(upper_side, np.maximum(raw_gap, 0.0), other)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,6 +80,20 @@ class Layer:
     @property
     def in_dim(self) -> int:
         return self.weights.shape[1]
+
+    # Read-only constants of the bound passes, built once per layer.
+    @cached_property
+    def stacked_pm(self) -> Tuple[np.ndarray, np.ndarray]:
+        """([W; -W], [b; -b]): equal to [I; -I] @ W and [I; -I] @ b (each entry
+        is one product with 1, up to the sign of a zero), the start of the
+        backward pass that bounds each pre-activation from below and above."""
+        return (_freeze(np.vstack([self.weights, -self.weights])),
+                _freeze(np.concatenate([self.bias, -self.bias])))
+
+    @cached_property
+    def weight_parts(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(max(W, 0), min(W, 0)), for interval arithmetic."""
+        return _freeze(np.maximum(self.weights, 0.0)), _freeze(np.minimum(self.weights, 0.0))
 
 
 @dataclass(frozen=True)
@@ -215,8 +230,8 @@ class VerificationTask:
                 f"task.spec_matrix: {C.shape[1]} columns do not match output_dim"
                 f" {self.network.output_dim}"
             )
-        if self.timeout_seconds <= 0:
-            raise InputError("task.timeout_seconds must be positive")
+        if not self.timeout_seconds > 0:  # NaN too: it would never time out
+            raise InputError(f"task.timeout_seconds must be positive, got {self.timeout_seconds}")
         if self.max_branches < 0:
             raise InputError("task.max_branches must be non-negative")
         object.__setattr__(self, "input_lower", _freeze(lo))

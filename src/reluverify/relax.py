@@ -50,13 +50,14 @@ class NeuronBounds:
     keeps it by intersection. lower[k] > upper[k] marks the region empty, a
     legitimate outcome of a narrowing; propagate_bounds then stops at that
     layer, so the lists can be shorter than the hidden layers. The intervals
-    must not be modified once a layer's relaxation or the feasibility has
-    been read: both are computed once per instance.
+    must not be modified once a layer's relaxation, adaptive slope or the
+    feasibility has been read: each is computed once per instance.
     """
 
     lower: List[np.ndarray]
     upper: List[np.ndarray]
     _relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False, compare=False)
+    _adaptive_slopes: Dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
     _feasible: Optional[bool] = field(default=None, repr=False, compare=False)
 
     def is_feasible(self) -> bool:
@@ -85,15 +86,16 @@ class NeuronBounds:
             rel = self._relaxations[k] = (act, unst, up_slope, up_icpt)
         return rel
 
+    def adaptive_slope(self, k: int) -> np.ndarray:
+        """Layer k's lower-line slope under the adaptive alpha, computed once per instance."""
+        slope = self._adaptive_slopes.get(k)
+        if slope is None:
+            slope = self._adaptive_slopes[k] = _lower_slope(self.relaxation(k),
+                                                            _adaptive_alpha(self, k))
+        return slope
+
     def unstable_mask(self, k: int) -> np.ndarray:
         return self.relaxation(k)[1]
-
-    def n_unstable(self, net: Network) -> int:
-        total = 0
-        for k in range(len(self.lower)):
-            if net.layers[k].activation == RELU:
-                total += int(np.count_nonzero(self.unstable_mask(k)))
-        return total
 
 
 def _adaptive_alpha(bounds: NeuronBounds, k: int) -> np.ndarray:
@@ -195,12 +197,6 @@ def concretize(lam: np.ndarray, off, lo: np.ndarray, hi: np.ndarray):
     return x_star, (lam * x_star).sum(axis=-1) + off
 
 
-def _alpha_for(params: Optional[RelaxationParams], bounds: NeuronBounds, k: int) -> np.ndarray:
-    if params is not None and k in params.alpha:
-        return params.alpha[k]
-    return _adaptive_alpha(bounds, k)
-
-
 def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
     """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable.
     Slopes come from RelaxationParams or the adaptive rule, so lie in [0, 1]."""
@@ -208,18 +204,25 @@ def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
     return np.where(unst, alpha, act)
 
 
+def _slope_for(params: Optional[RelaxationParams], bounds: NeuronBounds, k: int) -> np.ndarray:
+    """Layer k's lower-line slope under params, else the memoized adaptive one."""
+    if params is not None and k in params.alpha:
+        return _lower_slope(bounds.relaxation(k), params.alpha[k])
+    return bounds.adaptive_slope(k)
+
+
 def _relu_backward(
-    lam: np.ndarray, rel: Relaxation, alpha: np.ndarray
+    lam: np.ndarray, rel: Relaxation, lower_slope: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Push backward coefficients through one ReLU layer's relaxation.
 
-    lam has shape (..., n) and alpha broadcasts against it; returns the new
-    coefficients on the pre-activations and the per-row offset contribution
-    from upper-line intercepts.
+    lam has shape (..., n) and the lower-line slope broadcasts against it;
+    returns the new coefficients on the pre-activations and the per-row
+    offset contribution from upper-line intercepts.
     """
     _, _, up_slope, up_icpt = rel
     pos = lam >= 0.0  # ties at exactly 0 take the lower relaxation
-    slope = np.where(pos, _lower_slope(rel, alpha), up_slope)
+    slope = np.where(pos, lower_slope, up_slope)
     off_delta = np.where(pos, 0.0, lam * up_icpt).sum(axis=-1)
     return lam * slope, off_delta
 
@@ -227,29 +230,28 @@ def _relu_backward(
 def _backward_from_layer(
     net: Network,
     obj_layer: int,
-    c_mat: np.ndarray,
+    lam: np.ndarray,
+    off: np.ndarray,
     bounds: NeuronBounds,
     params: Optional[RelaxationParams],
 ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
     """Linear lower bounds of c_mat @ z^(obj_layer) as functions of the input.
 
-    c_mat is (r, p), rows sharing one set of slopes, or (m, 1, p), spec rows
-    with per-row slopes of shape (m, n_k). Returns (coeffs on x, offsets, A)
-    where A maps each traversed ReLU layer to the coefficients recorded before
-    its relaxation; all keep c_mat's leading axes.
+    lam and off are c_mat @ W and c_mat @ b of layer obj_layer. c_mat is
+    (r, p), rows sharing one set of slopes, or (m, 1, p), spec rows with
+    per-row slopes of shape (m, n_k). Returns (coeffs on x, offsets, A) where
+    A maps each traversed ReLU layer to the coefficients recorded before its
+    relaxation; all keep c_mat's leading axes.
     """
-    layer = net.layers[obj_layer]
-    lam = c_mat @ layer.weights
-    off = c_mat @ layer.bias
     A: Dict[int, np.ndarray] = {}
     for k in range(obj_layer - 1, -1, -1):
         lyr = net.layers[k]
         if lyr.activation == RELU:
             A[k] = lam
-            alpha = _alpha_for(params, bounds, k)
-            if alpha.ndim == 2:
-                alpha = alpha[:, None, :]
-            lam, delta = _relu_backward(lam, bounds.relaxation(k), alpha)
+            slope = _slope_for(params, bounds, k)
+            if slope.ndim == 2:
+                slope = slope[:, None, :]
+            lam, delta = _relu_backward(lam, bounds.relaxation(k), slope)
             off = off + delta
         off = off + lam @ lyr.bias
         lam = lam @ lyr.weights
@@ -272,7 +274,9 @@ def compute_bounds(net: Network, C, domain, params: Optional[RelaxationParams] =
     bounds = domain.neuron_bounds
     if not bounds.is_feasible():
         raise ValueError("compute_bounds: the sub-domain is infeasible")
-    lam, off, A = _backward_from_layer(net, net.n_layers - 1, rows[:, None, :], bounds, params)
+    c_mat, last = rows[:, None, :], net.layers[-1]
+    lam, off, A = _backward_from_layer(net, net.n_layers - 1, c_mat @ last.weights,
+                                       c_mat @ last.bias, bounds, params)
     lam, off = lam[:, 0, :], off[:, 0]
     x_star, lb = concretize(lam, off, domain.box_lower, domain.box_upper)
     res = BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, bounds, x_star)
@@ -300,11 +304,13 @@ def propagate_bounds(
     unless a base is given and one exceeds INFEASIBILITY_TOL: the region is
     then empty, and the result stops at that crossed layer. Without a base
     the box alone is never empty, so every crossing collapses. The result
-    carries no relaxations yet.
+    keeps its feasibility and the relaxations and adaptive slopes its own
+    passes computed.
     """
     if start_layer > 0 and base is None:
         raise ValueError("propagate_bounds: start_layer > 0 needs the parent's bounds as base")
     work = NeuronBounds([], [])
+    feasible = True
     post_lo = box_lower
     post_hi = box_upper
     for k in range(net.n_layers - 1):
@@ -313,31 +319,31 @@ def propagate_bounds(
             l, u = base.lower[k], base.upper[k]
         else:
             n_k = layer.out_dim
-            eye = np.eye(n_k)
-            lam, off, _ = _backward_from_layer(net, k, np.vstack([eye, -eye]), work, None)
+            lam, off, _ = _backward_from_layer(net, k, *layer.stacked_pm, work, None)
             _, vals = concretize(lam, off, box_lower, box_upper)
-            Wp = np.maximum(layer.weights, 0.0)
-            Wn = np.minimum(layer.weights, 0.0)
+            Wp, Wn = layer.weight_parts
             l = np.maximum(vals[:n_k], Wp @ post_lo + Wn @ post_hi + layer.bias)
             u = np.minimum(-vals[n_k:], Wp @ post_hi + Wn @ post_lo + layer.bias)
             if base is not None:
                 l = np.maximum(l, base.lower[k])
                 u = np.minimum(u, base.upper[k])
-        crossed = l > u
-        if np.any(crossed):
+        if not np.all(l <= u):  # a crossing, or a NaN left by an overflow
             if base is not None and np.any(l - u > INFEASIBILITY_TOL):
-                return NeuronBounds(work.lower + [l], work.upper + [u])
+                return NeuronBounds(work.lower + [l], work.upper + [u], work._relaxations,
+                                    work._adaptive_slopes, False)
+            crossed = l > u
             mid = 0.5 * (l + u)
             l = np.where(crossed, mid, l)
             u = np.where(crossed, mid, u)
+            feasible = feasible and bool(np.all(l <= u))
         work.lower.append(l)
         work.upper.append(u)
         if layer.activation == RELU:
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    # A fresh object, so sub-domains waiting in the worklist hold no relaxations.
-    return NeuronBounds(work.lower, work.upper)
+    work._feasible = feasible
+    return work
 
 
 def _relaxed_forward(
@@ -362,9 +368,8 @@ def _relaxed_forward(
         z = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if layer.activation == RELU:
             pre[k] = z
-            rel = bounds.relaxation(k)
-            _, _, up_slope, up_icpt = rel
-            lower = _lower_slope(rel, _alpha_for(params, bounds, k)) * z
+            _, _, up_slope, up_icpt = bounds.relaxation(k)
+            lower = _slope_for(params, bounds, k) * z
             h = np.where(A[k] >= 0.0, lower, up_slope * z + up_icpt)
         else:
             h = z

@@ -59,7 +59,9 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
             l, u = np.zeros(layer.out_dim), np.zeros(layer.out_dim)
         else:
             eye = np.eye(layer.out_dim)
-            lam, off, _ = relax._backward_from_layer(net, k, np.vstack([eye, -eye]), work, None)
+            stack = np.vstack([eye, -eye])
+            lam, off, _ = relax._backward_from_layer(net, k, stack @ layer.weights,
+                                                     stack @ layer.bias, work, None)
             _, vals = relax.concretize(lam, off, lo, hi)
             Wp, Wn = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
             l = np.maximum(vals[:layer.out_dim], Wp @ post_lo + Wn @ post_hi + layer.bias)

@@ -408,6 +408,60 @@ def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
     assert long_chains >= 4
 
 
+def _searches():
+    """Seeded budget-capped searches that split, bisect and meet empty children."""
+    for seed in (86, 88):
+        task = random_task(np.random.default_rng(seed), 3, (6, 5), 2, eps=0.6,
+                           max_branches=150)
+        for kind in ("drg", "babsr"):
+            bab.verify(task, kind)
+
+
+def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
+    # propagate_bounds records whether it stopped at a crossed layer; that
+    # must be exactly what is_feasible() reads from the intervals alone.
+    propagate, calls = relax.propagate_bounds, []
+
+    def recording(net, lo, hi, base=None, start_layer=0):
+        nb = propagate(net, lo, hi, base, start_layer)
+        calls.append((base is not None, start_layer, nb))
+        return nb
+
+    monkeypatch.setattr(relax, "propagate_bounds", recording)
+    _searches()
+    _, _, high = _straddling_bisection()
+    high.neuron_bounds  # bounds the empty half
+    kinds = {"split": 0, "bisect": 0, "empty": 0}
+    for has_base, start_layer, nb in calls:
+        assert nb._feasible is not None
+        scan = relax.NeuronBounds(nb.lower, nb.upper).is_feasible()
+        assert nb._feasible == scan
+        kinds["split"] += start_layer > 0
+        kinds["bisect"] += has_base and start_layer == 0
+        kinds["empty"] += not scan
+    assert kinds["split"] > 100 and kinds["bisect"] > 100 and kinds["empty"] > 20
+
+
+def test_each_layer_relaxation_is_computed_once_per_bounds(monkeypatch):
+    # A bound pass hands its relaxations and adaptive slopes on with the
+    # bounds it returns, so no later reader of the same intervals builds them
+    # again. Keyed by the interval lists, so a fresh object over the same
+    # lists counts as the same bounds; the lists are kept alive for the keys.
+    built = {"relaxation": [], "adaptive_slope": []}
+    alive = []
+    for name, memo in (("relaxation", "_relaxations"), ("adaptive_slope", "_adaptive_slopes")):
+        def counting(self, k, method=getattr(relax.NeuronBounds, name), memo=memo, name=name):
+            if k not in getattr(self, memo):
+                alive.append(self.lower)
+                built[name].append((id(self.lower), k))
+            return method(self, k)
+        monkeypatch.setattr(relax.NeuronBounds, name, counting)
+    _searches()
+    for name, keys in built.items():
+        assert len(keys) > 100, name
+        assert len(set(keys)) == len(keys), name
+
+
 def _straddling_bisection():
     """Bisection children of z = x on [-1, 3] split z < 0: the lower half
     [-1, 1] is feasible, the upper half [1, 3] (z >= 1 but z <= 0) is not."""

@@ -96,6 +96,35 @@ def test_verify_malformed_model_exits_3(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def _assert_input_error(capsys, rc, name):
+    out, err = capsys.readouterr()
+    assert rc == 3 and out == ""
+    assert err.startswith("error:") and name in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_verify_rejects_timeout_that_is_not_positive(tmp_path, capsys):
+    mp, sp = _write_toy(tmp_path, 0.1)
+    for timeout in ("nan", "0", "-1"):
+        rc = cli.main(["verify", "--model", mp, "--spec", sp, "--timeout", timeout])
+        _assert_input_error(capsys, rc, "timeout")
+
+
+def test_bad_slope_options_exit_3(tmp_path, capsys):
+    mp, sp = _write_toy(tmp_path, 0.1)
+    out = tmp_path / "report"
+    runs = (["verify", "--model", mp, "--spec", sp],
+            ["bench", "--suite", str(tmp_path), "--heuristics", "drg", "--out", str(out)])
+    bad = [("--alpha-iters", "-1")] + [("--alpha-step", v) for v in ("0", "-1", "nan", "inf")]
+    for flag, value in bad:
+        for argv in runs:
+            rc = cli.main(argv + [flag, value])
+            _assert_input_error(capsys, rc, flag[2:].replace("-", "_"))
+    assert not out.exists()
+    rc = cli.main(runs[0] + ["--alpha-iters", "0", "--alpha-step", "1e-3"])
+    assert rc == 0 and json.loads(capsys.readouterr().out)["verdict"] == "Safe"
+
+
 def test_verify_output_and_trace_files(tmp_path, capsys):
     net = model.make_network([
         (np.array([[1.0], [-1.0]]), np.zeros(2), model.RELU),

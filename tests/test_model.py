@@ -208,6 +208,16 @@ def test_load_model_rejects_relu_last_layer(tmp_path):
         model.load_model(mp)
 
 
+def test_task_rejects_timeout_that_is_not_positive():
+    # NaN fails every comparison, so a `<= 0` check would let it through and
+    # the budget would never run out.
+    net = model.make_network([(np.eye(1), np.zeros(1), model.LINEAR)])
+    for timeout in (0.0, -1.0, float("nan")):
+        with pytest.raises(model.InputError, match="timeout_seconds"):
+            model.VerificationTask(net, np.zeros(1), np.ones(1), np.eye(1),
+                                   timeout_seconds=timeout)
+
+
 def test_spec_c_columns_must_match_output_dim(tmp_path):
     mp = _minimal_model(tmp_path)
     sp = _write(tmp_path, "s.json",

@@ -65,9 +65,19 @@ def test_stability_tag_tie_rules():
 def test_relaxation_is_computed_once_per_bounds_object():
     net = random_net(np.random.default_rng(29), 3, [6, 5], 2)
     d = make_domain(net, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
-    # propagation reads layer 0's relaxation, but hands back bounds without it
-    assert d.neuron_bounds._relaxations == {}
-    assert d.neuron_bounds.relaxation(1) is d.neuron_bounds.relaxation(1)
+    nb = d.neuron_bounds
+    # propagation hands back layer 0's relaxation and adaptive slope, which
+    # its pass over layer 1 read, and its feasibility
+    assert set(nb._relaxations) == {0} and set(nb._adaptive_slopes) == {0}
+    assert nb._feasible is True
+    fresh = relax.NeuronBounds(nb.lower, nb.upper)
+    for k in (0, 1):
+        for kept, new in zip(nb.relaxation(k), fresh.relaxation(k)):
+            assert kept.dtype == new.dtype and kept.tobytes() == new.tobytes()
+        slope = relax._lower_slope(fresh.relaxation(k), relax._adaptive_alpha(fresh, k))
+        assert nb.adaptive_slope(k).tobytes() == slope.tobytes()
+    assert nb.relaxation(1) is nb.relaxation(1)
+    assert nb.adaptive_slope(1) is nb.adaptive_slope(1)
 
 
 def test_compute_bounds_single_neuron_lower_line():
@@ -280,7 +290,7 @@ def test_exactness_when_every_relu_is_stable():
         ])
         lo, hi = np.array([-0.5, -0.5]), np.array([0.5, 0.5])
         d = make_domain(net, lo, hi)
-        assert d.neuron_bounds.n_unstable(net) == 0
+        assert not d.neuron_bounds.unstable_mask(0).any()  # layer 0 is the only hidden layer
         c = np.array([1.0])
         res = relax.compute_bounds(net, c, d)
         # exact affine margin: m(x) = W1 (W0 x + b0') + b1 on this box
@@ -493,6 +503,23 @@ def test_is_feasible_reads_hand_built_bounds_once():
     assert not crossed.is_feasible() and crossed._feasible is False
     fine = relax.NeuronBounds([np.array([0.0, 1.0])], [np.array([1.0, 1.0])])
     assert fine.is_feasible() and fine._feasible is True
+
+
+def test_propagated_feasibility_sees_a_nan_left_by_overflow():
+    # 1e300 weights overflow to inf, and 0 * inf in the interval pass leaves a
+    # NaN that no crossing check sees; the recorded feasibility must still be
+    # what the layer scan reads.
+    net = model.make_network([
+        (np.array([[1e300]]), np.zeros(1), model.RELU),
+        (np.array([[1e300]]), np.zeros(1), model.RELU),
+        (np.array([[1.0]]), np.zeros(1), model.RELU),
+        (np.array([[1.0]]), np.zeros(1), model.LINEAR),
+    ])
+    with np.errstate(over="ignore", invalid="ignore"):
+        nb = relax.propagate_bounds(net, np.array([-1.0]), np.array([1.0]))
+    assert np.isnan(nb.lower[2]).any()
+    assert nb._feasible is False
+    assert not relax.NeuronBounds(nb.lower, nb.upper).is_feasible()
 
 
 def test_derived_slopes_are_not_validated_again(monkeypatch):
