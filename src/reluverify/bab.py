@@ -28,10 +28,6 @@ SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
 
-FALLBACK_BABSR = "babsr"
-FALLBACK_BISECT = "bisect"
-
-
 class InvariantError(RuntimeError):
     """A structural invariant of the search failed; the run cannot be trusted."""
 
@@ -109,7 +105,6 @@ class BabConfig:
 
     alpha_iters: int = 20
     alpha_step: float = 0.25
-    fallback: str = FALLBACK_BABSR
     trace: bool = False
 
     def __post_init__(self):
@@ -181,7 +176,7 @@ def split_subdomain(
 def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDomain]]:
     """Bisect the widest input dimension at its midpoint (lowest index on ties).
 
-    Completeness fallback for when no unstable neuron is splittable. Returns
+    Restores completeness when no unstable neuron is splittable. Returns
     None when the box has zero width in every dimension, which makes the leaf
     undecidable (Unknown). The halves' bounds are recomputed from the first
     layer when first read.
@@ -197,26 +192,6 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
     upper_lo[dim] = mid
     return (SubDomain.child(net, d, d.box_lower.copy(), lower_hi, 0),
             SubDomain.child(net, d, upper_lo, d.box_upper.copy(), 0))
-
-
-@dataclass
-class SearchState:
-    """Everything the worklist loop threads between steps."""
-
-    task: VerificationTask
-    heuristic: str
-    config: BabConfig
-    worklist: Worklist
-    stats: RunStats
-    params: RelaxationParams  # the root's optimized slopes, one row per spec row
-    start_time: float
-    stuck_unknown: bool = False
-    exhausted_reason: Optional[str] = None
-
-
-def _trace(state: SearchState, entry: dict) -> None:
-    if state.stats.per_node_trace is not None:
-        state.stats.per_node_trace.append(entry)
 
 
 def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> None:
@@ -235,26 +210,30 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
             raise InvariantError("input bisection did not shrink the box widths")
 
 
-def _process_node(state: SearchState, d: SubDomain, node_id: int,
-                  results: Optional[relax.BoundResult] = None) -> Optional[str]:
-    """Run the four phases on one sub-domain. Returns Unsafe on a concrete
-    violation, None otherwise (pruned or split). results, when given, is the
-    sub-domain's stacked bound under state.params (the root's, from its slope
-    optimization) and is used instead of bounding again."""
-    task, config = state.task, state.config
+def _process_node(task: VerificationTask, heuristic: str, params: RelaxationParams,
+                  stats: RunStats, d: SubDomain,
+                  results: Optional[relax.BoundResult] = None
+                  ) -> Tuple[dict, Tuple[SubDomain, ...]]:
+    """Run the four phases on one sub-domain, node stats.branches_visited.
+
+    Returns its trace entry, whose "action" is pruned-safe, unsafe, split,
+    bisect or stuck, and the children to queue. params are the root's
+    optimized slopes; results, when given, is the sub-domain's stacked bound
+    under them (the root's, from its slope optimization) and is used instead
+    of bounding again. The witness, split and clamp counts go into stats.
+    """
     net = task.network
     C = task.spec_matrix
     entry = {
-        "node": node_id,
+        "node": stats.branches_visited,
         "depth": d.depth,
         "parent_lower_bound": d.parent_lower_bound,
         "n_splits": d.n_splits,
     }
 
-    # Phase 1: bound every spec row over this sub-domain, in one stacked pass
-    # (the root's slope optimization hands back the bound of its slopes).
+    # Phase 1: bound every spec row over this sub-domain, in one stacked pass.
     if results is None:
-        results = relax.compute_bounds(net, C, d, state.params)
+        results = relax.compute_bounds(net, C, d, params)
     worst_row = int(np.argmin(results.lower_bound))  # the first row on ties
     raw_lb = float(results.lower_bound[worst_row])
     # The parent's bound remains valid on this shrunken region; inheriting it
@@ -267,56 +246,43 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
     # Phase 2: safety check.
     if eff_lb > 0.0:
         entry["action"] = "pruned-safe"
-        _trace(state, entry)
-        return None
+        return entry, ()
 
     # Phase 3: counterexample validation at the bound's own minimizer.
     bound = results.row(worst_row)
     wit = witness_mod.validate_witness(net, C, bound)
     entry["witness_margin"] = float(wit.concrete_margin.min())
     if wit.kind == witness_mod.CONCRETE_VIOLATION:
-        state.stats.witness = wit
+        stats.witness = wit
         entry["action"] = "unsafe"
-        _trace(state, entry)
-        return UNSAFE
+        return entry, ()
 
-    # Phase 4: refinement guided by the spurious witness.
-    params = state.params.row(worst_row)
-    scores, clamps = heuristics.score_branches(
-        state.heuristic, net, C[worst_row], bound, d, wit.preacts, params
-    )
-    state.stats.gap_clamp_events += clamps
-    pick = None
-    used_kind = state.heuristic
-    if not heuristics.all_zero(scores):
-        pick = heuristics.select_branch(scores)
-    elif config.fallback == FALLBACK_BABSR and state.heuristic != heuristics.BABSR:
-        fb_scores, _ = heuristics.score_branches(
-            heuristics.BABSR, net, C[worst_row], bound, d, wit.preacts, params
+    # Phase 4: refinement guided by the spurious witness. When every score of
+    # the heuristic vanishes, babsr picks; when babsr's vanish too, bisect.
+    row_params = params.row(worst_row)
+    primary = None
+    for kind in dict.fromkeys((heuristic, heuristics.BABSR)):
+        scores, clamps = heuristics.score_branches(
+            kind, net, C[worst_row], bound, d, wit.preacts, row_params
         )
-        if not heuristics.all_zero(fb_scores):
-            pick = heuristics.select_branch(fb_scores)
-            used_kind = heuristics.BABSR
-            scores = fb_scores
-
-    if pick is not None:
-        layer, neuron = pick
-        children = split_subdomain(net, d, layer, neuron)
-        entry["action"] = "split"
-        entry["split"] = [layer, neuron]
-        entry["split_kind"] = used_kind
+        stats.gap_clamp_events += clamps  # babsr never clamps: the count is the heuristic's
+        if primary is None:
+            primary = scores
+        pick = heuristics.select_branch(scores)
+        if pick is not None:
+            children = split_subdomain(net, d, *pick)
+            entry.update(action="split", split=list(pick), split_kind=kind)
+            break
     else:
-        bisected = input_bisect(net, d)
-        if bisected is None:
-            state.stuck_unknown = True
+        scores = primary  # a bisection traces the heuristic's own scores
+        children = input_bisect(net, d)
+        if children is None:
             entry["action"] = "stuck"
-            _trace(state, entry)
-            return None
-        children = bisected
+            return entry, ()
         entry["action"] = "bisect"
 
-    state.stats.splits_made += 1
-    if state.stats.per_node_trace is not None:  # only the trace reads them
+    stats.splits_made += 1
+    if stats.per_node_trace is not None:  # only the trace reads them
         score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
         if score_n:
             entry["score_max"] = float(max(s.max() for s in scores.values()))
@@ -324,95 +290,62 @@ def _process_node(state: SearchState, d: SubDomain, node_id: int,
     for child in children:
         _check_termination_measure(d, child, pick)
         child.parent_lower_bound = eff_lb
-        state.worklist.push(child)
     entry["children"] = len(children)
-    _trace(state, entry)
-    return None
-
-
-def init_search(task: VerificationTask, heuristic: str, config: BabConfig) -> SearchState:
-    """Build the search state and process the root sub-domain.
-
-    The root does not count toward branches_visited: instances decided here
-    report zero branches. If the root is neither pruned nor falsified, its
-    children enter the worklist. The run's clock starts here, so the root's
-    bounds and slope optimization count toward the time budget.
-    """
-    start_time = time.perf_counter()
-    if heuristic not in heuristics.KINDS:
-        raise ValueError(
-            f"unknown heuristic {heuristic!r}; valid kinds: {', '.join(heuristics.KINDS)}"
-        )
-    if config.fallback not in (FALLBACK_BABSR, FALLBACK_BISECT):
-        raise ValueError(f"unknown fallback {config.fallback!r}; expected babsr or bisect")
-    root = make_root(task)
-    stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
-    params, root_bound = relax.optimize_alpha(task.network, task.spec_matrix, root,
-                                              config.alpha_iters, config.alpha_step,
-                                              start_time + task.timeout_seconds)
-    state = SearchState(
-        task=task,
-        heuristic=heuristic,
-        config=config,
-        worklist=Worklist(),
-        stats=stats,
-        params=params,
-        start_time=start_time,
-    )
-    verdict = _process_node(state, root, node_id=0, results=root_bound)
-    if verdict == UNSAFE:
-        state.stats.verdict = UNSAFE
-    return state
-
-
-def worklist_step(state: SearchState) -> Optional[str]:
-    """Pop and process the sub-domain with the lowest bound.
-
-    Returns a final verdict when one is reached (Unsafe on a violation, Safe
-    when the worklist drains with nothing stuck), else None. Budgets are
-    checked between nodes, never mid-bound; hitting one sets
-    state.exhausted_reason instead of processing. The timeout is checked
-    before popping, the branch budget after: it is exhausted only while a
-    feasible sub-domain is waiting.
-    """
-    if time.perf_counter() > state.start_time + state.task.timeout_seconds:
-        state.exhausted_reason = "timeout"
-        return None
-    d = state.worklist.pop()
-    if d is None:
-        return UNKNOWN if state.stuck_unknown else SAFE
-    if state.stats.branches_visited >= state.task.max_branches:
-        state.exhausted_reason = "branch budget exhausted"
-        return None
-    state.stats.branches_visited += 1
-    return _process_node(state, d, node_id=state.stats.branches_visited)
+    return entry, children
 
 
 def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
            config: Optional[BabConfig] = None) -> RunStats:
-    """Run the full search loop on a task.
+    """Run the search on a task: bound, check the counterexample, refine, repeat.
+
+    The root's slopes are optimized first and the root is processed; then,
+    until a verdict or a budget, the sub-domain with the lowest bound is
+    popped and processed. The root does not count toward branches_visited:
+    instances decided there report zero branches. The clock starts here, so
+    the root's bounds and slope optimization count toward the time budget.
+    Budgets are checked between nodes, never mid-bound: the timeout before
+    popping, the branch budget after, so it counts as exhausted only while a
+    feasible sub-domain waits.
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
     timeout, branch budget, or an unrefinable leaf. Deterministic given
     (task, heuristic, config).
     """
+    start_time = time.perf_counter()
     config = config or BabConfig()
-    state = init_search(task, heuristic, config)
-    stats = state.stats
-    if stats.verdict == UNSAFE:
-        stats.wall_time_s = time.perf_counter() - state.start_time
-        return stats
+    heuristics.check_kind(heuristic)
+    deadline = start_time + task.timeout_seconds
+    stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
+    root = make_root(task)
+    params, results = relax.optimize_alpha(task.network, task.spec_matrix, root,
+                                           config.alpha_iters, config.alpha_step, deadline)
+    worklist = Worklist()
+    stuck = False
+    d = root
     while True:
-        verdict = worklist_step(state)
-        if state.exhausted_reason is not None:
-            stats.verdict = UNKNOWN
-            stats.unknown_reason = state.exhausted_reason
+        entry, children = _process_node(task, heuristic, params, stats, d, results)
+        if stats.per_node_trace is not None:
+            stats.per_node_trace.append(entry)
+        if entry["action"] == "unsafe":
+            stats.verdict = UNSAFE
             break
-        if verdict is not None:
-            stats.verdict = verdict
-            if verdict == UNKNOWN:
+        stuck |= entry["action"] == "stuck"
+        for child in children:
+            worklist.push(child)
+        if time.perf_counter() > deadline:
+            stats.unknown_reason = "timeout"
+            break
+        d, results = worklist.pop(), None
+        if d is None:
+            if stuck:
                 stats.unknown_reason = "unrefinable leaf"
+            else:
+                stats.verdict = SAFE
             break
-    stats.wall_time_s = time.perf_counter() - state.start_time
+        if stats.branches_visited >= task.max_branches:
+            stats.unknown_reason = "branch budget exhausted"
+            break
+        stats.branches_visited += 1
+    stats.wall_time_s = time.perf_counter() - start_time
     return stats

@@ -26,7 +26,6 @@ def _config_from_args(args, trace: bool = False) -> bab.BabConfig:
     return bab.BabConfig(
         alpha_iters=args.alpha_iters,
         alpha_step=args.alpha_step,
-        fallback=args.fallback,
         trace=trace,
     )
 
@@ -36,9 +35,6 @@ def _add_verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--max-branches", type=int, default=100_000, help="sub-domain budget")
     p.add_argument("--alpha-iters", type=int, default=20, help="slope-optimization iterations")
     p.add_argument("--alpha-step", type=float, default=0.25, help="initial ascent step size")
-    p.add_argument("--fallback", default=bab.FALLBACK_BABSR,
-                   choices=[bab.FALLBACK_BABSR, bab.FALLBACK_BISECT],
-                   help="what to do when the heuristic scores are all zero")
 
 
 def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig,
@@ -64,13 +60,6 @@ def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig,
 
 
 def cmd_verify(args) -> int:
-    if args.heuristic not in heuristics.KINDS:
-        print(
-            f"error: unknown heuristic {args.heuristic!r}; valid kinds: "
-            + ", ".join(heuristics.KINDS),
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
     task = model.load_task(args.model, args.spec, args.timeout, args.max_branches)
     config = _config_from_args(args, trace=bool(args.trace))
     stats = bab.verify(task, args.heuristic, config)
@@ -100,20 +89,13 @@ def generate_instance(
     sits near eps times the local margin gradient, which keeps the suites
     balanced between Safe and Unsafe instead of collapsing to one verdict."""
     dims = [n_inputs, *hidden_widths, n_outputs]
-    weights = []
-    biases = []
+    layer_defs = []
     for i in range(1, len(dims)):
         fan_in = dims[i - 1]
-        weights.append(rng.normal(0.0, weight_scale / np.sqrt(fan_in), size=(dims[i], fan_in)))
-        biases.append(rng.normal(0.0, 0.1 * weight_scale, size=dims[i]))
+        weights = rng.normal(0.0, weight_scale / np.sqrt(fan_in), size=(dims[i], fan_in))
+        bias = rng.normal(0.0, 0.1 * weight_scale, size=dims[i])
+        layer_defs.append((weights, bias, model.LINEAR if i == len(dims) - 1 else model.RELU))
     anchor = rng.uniform(-1.0, 1.0, size=n_inputs)
-
-    h = anchor
-    acts = []
-    for W, b, is_last in zip(weights, biases, [False] * (len(dims) - 2) + [True]):
-        z = W @ h + b
-        acts.append(z)
-        h = z if is_last else np.maximum(z, 0.0)
     if n_outputs == 1:
         C = np.array([[1.0]])
     else:
@@ -121,24 +103,19 @@ def generate_instance(
         C[:, 0] = 1.0
         for r in range(n_outputs - 1):
             C[r, r + 1] = -1.0
-    anchor_margin = float((C @ h).min())
-    grad_scale = 0.0
-    for r in range(C.shape[0]):
-        g = C[r]
-        for k in range(len(weights) - 1, -1, -1):
-            if k < len(weights) - 1:
-                g = g * (acts[k] > 0.0)
-            g = weights[k].T @ g
-        grad_scale = max(grad_scale, float(np.abs(g).sum()))
-    target = eps * max(grad_scale, 1e-6) * rng.uniform(0.4, 1.6)
-    biases[-1][0] += target - anchor_margin  # shifts every margin row equally
 
-    layer_defs = [
-        (W, b, model.LINEAR if i == len(weights) - 1 else model.RELU)
-        for i, (W, b) in enumerate(zip(weights, biases))
-    ]
     net = model.make_network(layer_defs)
-    return net, anchor - eps, anchor + eps, C
+    logits, preacts = model.forward(net, anchor)
+    anchor_margin = float((C @ logits).min())
+    grad_scale = max(
+        float(np.abs(net.layers[0].weights.T
+                     @ model.margin_preact_gradients(net, c_row, preacts)[0]).sum())
+        for c_row in C
+    )
+    target = eps * max(grad_scale, 1e-6) * rng.uniform(0.4, 1.6)
+    output_bias = layer_defs[-1][1]
+    output_bias[0] += target - anchor_margin  # shifts every margin row equally
+    return model.make_network(layer_defs), anchor - eps, anchor + eps, C
 
 
 def cmd_gen(args) -> int:
@@ -156,9 +133,12 @@ def cmd_gen(args) -> int:
             file=sys.stderr,
         )
         return EXIT_INPUT_ERROR
-    if args.count < 1 or args.eps <= 0 or args.weight_scale <= 0 or args.inputs < 1 or args.outputs < 1:
-        print("error: --count/--eps/--weight-scale/--inputs/--outputs must be positive",
-              file=sys.stderr)
+    for flag, value in (("--eps", args.eps), ("--weight-scale", args.weight_scale)):
+        if not 0.0 < value < float("inf"):  # NaN too
+            print(f"error: {flag} must be finite and > 0, got {value}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+    if args.count < 1 or args.inputs < 1 or args.outputs < 1:
+        print("error: --count/--inputs/--outputs must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -198,12 +178,7 @@ def _write_csv(path: Path, header: List[str], rows: List[List]) -> None:
 def cmd_bench(args) -> int:
     kinds = [k.strip() for k in args.heuristics.split(",") if k.strip()]
     for kind in kinds:
-        if kind not in heuristics.KINDS:
-            print(
-                f"error: unknown heuristic {kind!r}; valid kinds: " + ", ".join(heuristics.KINDS),
-                file=sys.stderr,
-            )
-            return EXIT_INPUT_ERROR
+        heuristics.check_kind(kind)
     if not kinds:
         print("error: --heuristics: empty list", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -335,8 +310,16 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_INPUT_ERROR: argparse's own 2 is the Unknown code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT_ERROR, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="reluverify",
         description="Complete verifier for feedforward ReLU networks over box domains",
     )

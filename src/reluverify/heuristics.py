@@ -32,13 +32,19 @@ GRAD = "grad"
 WIDTH = "width"
 KINDS = (DRG, DRG_SYMMETRIC, BABSR, CENTER, INTERCEPT, GRAD, WIDTH)
 
-# Scores at or below this are treated as zero when deciding the all-zero
-# fallback; numerical noise should not masquerade as guidance.
+# Scores at or below this are treated as zero: no neuron is picked on them,
+# since numerical noise should not masquerade as guidance.
 ZERO_SCORE_TOL = 1e-12
 
 # Per ReLU layer, one score per neuron; -inf marks a neuron that cannot be
 # split (stable, or already split and therefore clamped stable).
 Scores = Dict[int, np.ndarray]
+
+
+def check_kind(kind: str) -> None:
+    """Raise InputError unless kind names a heuristic."""
+    if kind not in KINDS:
+        raise model.InputError(f"unknown heuristic {kind!r}; valid kinds: {', '.join(KINDS)}")
 
 
 def score_branches(
@@ -60,8 +66,6 @@ def score_branches(
     negative, i.e. the point lies outside [l, u]; the witness can, because it
     ignores split constraints. Such gaps are clamped to zero.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown heuristic kind {kind!r}; valid kinds: {', '.join(KINDS)}")
     nb = bound.neuron_bounds
     coefs = bound.A
     if kind == GRAD:
@@ -97,16 +101,12 @@ def score_branches(
 def select_branch(scores: Scores) -> Optional[Tuple[int, int]]:
     """Argmax by score; ties break toward the lower layer, then lower neuron.
 
-    Returns None when no neuron is splittable.
+    Returns None unless some neuron scores above ZERO_SCORE_TOL (stable and
+    split neurons score -inf).
     """
-    best, pick = -np.inf, None
+    best, pick = ZERO_SCORE_TOL, None
     for k in sorted(scores):
         j = int(np.argmax(scores[k]))
         if scores[k][j] > best:
             best, pick = scores[k][j], (k, j)
     return pick
-
-
-def all_zero(scores: Scores) -> bool:
-    """True when no splittable neuron scores above ZERO_SCORE_TOL."""
-    return all(np.all(s <= ZERO_SCORE_TOL) for s in scores.values())

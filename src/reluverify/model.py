@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -256,7 +257,7 @@ def load_model(path: str) -> Network:
     if "input_dim" not in data or "layers" not in data:
         raise InputError(f"{path}: missing required key 'input_dim' or 'layers'")
     input_dim = data["input_dim"]
-    if not isinstance(input_dim, int) or input_dim <= 0:
+    if not isinstance(input_dim, int) or isinstance(input_dim, bool) or input_dim <= 0:
         raise InputError(f"{path}: input_dim: expected a positive integer, got {input_dim!r}")
     raw_layers = data["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
@@ -289,12 +290,6 @@ def load_spec(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     lo = _as_vector(data["input_lower"], f"{path}: input_lower")
     hi = _as_vector(data["input_upper"], f"{path}: input_upper")
     C = _as_matrix(data["C"], f"{path}: C")
-    if lo.shape != hi.shape:
-        raise InputError(f"{path}: input_lower and input_upper have different lengths")
-    bad = np.flatnonzero(lo > hi)
-    if bad.size:
-        k = int(bad[0])
-        raise InputError(f"{path}: input_lower[{k}] = {lo[k]} exceeds input_upper[{k}] = {hi[k]}")
     return lo, hi, C
 
 
@@ -307,16 +302,12 @@ def load_task(
     """Load and fully validate a verification task from a model file and a spec file."""
     net = load_model(model_path)
     lo, hi, C = load_spec(spec_path)
-    if lo.shape[0] != net.input_dim:
-        raise InputError(
-            f"{spec_path}: input_lower: length {lo.shape[0]} does not match model input_dim"
-            f" {net.input_dim}"
-        )
-    if C.shape[1] != net.output_dim:
-        raise InputError(
-            f"{spec_path}: C: {C.shape[1]} columns do not match model output_dim {net.output_dim}"
-        )
-    return VerificationTask(net, lo, hi, C, timeout_seconds, max_branches)
+    try:
+        task = VerificationTask(net, lo, hi, C)
+    except InputError as exc:
+        raise InputError(f"{spec_path}: {exc}") from None
+    # The budgets are checked apart: an error in them is not the spec file's.
+    return dataclasses.replace(task, timeout_seconds=timeout_seconds, max_branches=max_branches)
 
 
 def _write_json(obj, path: str) -> None:

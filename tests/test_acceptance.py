@@ -84,7 +84,7 @@ def test_oracle_equivalence():
     for i in range(50):
         task = oracle_sized_task(rng, timeout_seconds=60.0, max_branches=100_000)
         min_value, _ = oracle.exact_min_margin(task)
-        stats = bab.verify(task, "drg", bab.BabConfig(fallback=bab.FALLBACK_BABSR))
+        stats = bab.verify(task, "drg")
         expected = bab.UNSAFE if min_value <= 0 else bab.SAFE
         if stats.verdict == expected:
             matches += 1

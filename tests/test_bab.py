@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from reluverify import bab, cli, model, oracle, relax
+from reluverify import bab, cli, heuristics, model, oracle, relax
 
 from helpers import (make_domain, oracle_sized_task, random_task, reference_propagate_bounds,
                      scalar_relu_net, scalar_task)
@@ -183,11 +183,19 @@ def test_worklist_pops_lowest_bound_first():
     assert w.pop() is None
 
 
-def test_empty_worklist_step_returns_safe():
-    task = scalar_task(scalar_relu_net(out_bias=0.1))
-    state = bab.init_search(task, "drg", bab.BabConfig())
-    assert len(state.worklist) == 0
-    assert bab.worklist_step(state) == bab.SAFE
+def test_empty_worklist_step_returns_safe(monkeypatch):
+    # The root is pruned and queues nothing, so the first pop finds the
+    # worklist empty and the run ends Safe.
+    pop, popped = bab.Worklist.pop, []
+
+    def recording_pop(self):
+        popped.append((len(self), pop(self)))
+        return popped[-1][1]
+
+    monkeypatch.setattr(bab.Worklist, "pop", recording_pop)
+    stats = bab.verify(scalar_task(scalar_relu_net(out_bias=0.1)), "drg")
+    assert popped == [(0, None)]
+    assert stats.verdict == bab.SAFE and stats.unknown_reason is None
 
 
 def test_determinism_identical_runs():
@@ -247,10 +255,27 @@ def test_all_zero_scores_fall_back_to_babsr_then_bisect():
             (np.array([[1.0, 1.0]]), np.array([c]), model.LINEAR),
         ])
         task = scalar_task(net, max_branches=10_000)
-        stats = bab.verify(task, "drg", bab.BabConfig(fallback=bab.FALLBACK_BABSR))
+        stats = bab.verify(task, "drg")
         assert stats.verdict == expected
-        stats2 = bab.verify(task, "drg", bab.BabConfig(fallback=bab.FALLBACK_BISECT))
-        assert stats2.verdict == expected
+
+
+def test_bisect_after_both_kinds_score_zero_traces_the_heuristics_own_scores():
+    # Neuron 1 is unstable but weighs 1e-14 in the margin: drg scores it 0 and
+    # babsr about 5e-15, both within ZERO_SCORE_TOL, so once babsr has split
+    # the other neurons the search bisects. The trace keeps drg's scores.
+    net = model.make_network([
+        (np.array([[1.0], [1.0], [-1.0]]), np.array([0.0, 0.1, 0.0]), model.RELU),
+        (np.array([[1.0, 1e-14, 0.5]]), np.array([-0.2]), model.LINEAR),
+    ])
+    task = scalar_task(net, max_branches=200)
+    traces = {kind: bab.verify(task, kind, bab.BabConfig(trace=True)).per_node_trace
+              for kind in ("drg", "babsr")}
+    assert any(e.get("split_kind") == "babsr" for e in traces["drg"])
+    bisects = {kind: [e for e in trace if e["action"] == "bisect"]
+               for kind, trace in traces.items()}
+    assert bisects["drg"] and all(e["score_max"] == 0.0 for e in bisects["drg"])
+    assert bisects["babsr"]
+    assert all(0.0 < e["score_max"] <= heuristics.ZERO_SCORE_TOL for e in bisects["babsr"])
 
 
 def test_unsafe_needs_no_branching_when_root_witness_hits():
@@ -484,15 +509,22 @@ def test_worklist_pop_skips_infeasible_children():
     assert w.pop() is None and len(w) == 0
 
 
-def test_budget_is_not_exhausted_by_an_infeasible_child():
+def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
     # A zero branch budget with only an infeasible child queued ends Safe: the
     # budget counts as exhausted only while a feasible sub-domain waits.
     task = scalar_task(scalar_relu_net(out_bias=0.1), max_branches=0)
-    state = bab.init_search(task, "drg", bab.BabConfig())
     _, _, high = _straddling_bisection()
-    state.worklist.push(high)
-    assert bab.worklist_step(state) == bab.SAFE
-    assert state.exhausted_reason is None and state.stats.branches_visited == 0
+    process = bab._process_node
+
+    def root_queues_only_high(*args, **kwargs):
+        entry, _ = process(*args, **kwargs)
+        return entry, ((high,) if entry["node"] == 0 else ())
+
+    monkeypatch.setattr(bab, "_process_node", root_queues_only_high)
+    stats = bab.verify(task, "drg")
+    assert not high.neuron_bounds.is_feasible()
+    assert stats.verdict == bab.SAFE
+    assert stats.unknown_reason is None and stats.branches_visited == 0
 
 
 def test_propagate_bounds_runs_once_per_popped_subdomain(monkeypatch, tmp_path):

@@ -60,7 +60,7 @@ def test_verify_config_echo_keys(tmp_path, capsys):
     mp, sp = _write_toy(tmp_path, 0.1)
     assert cli.main(["verify", "--model", mp, "--spec", sp]) == 0
     echo = json.loads(capsys.readouterr().out)["config_echo"]
-    assert set(echo) == {"alpha_iters", "alpha_step", "fallback", "trace", "timeout_seconds",
+    assert set(echo) == {"alpha_iters", "alpha_step", "trace", "timeout_seconds",
                          "max_branches", "heuristic"}
 
 
@@ -281,8 +281,38 @@ def test_bench_has_no_trace_option(tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["bench", "--suite", str(suite), "--heuristics", "drg",
                   "--out", str(tmp_path / "r"), "--trace", str(tmp_path / "t.jsonl")])
-    assert exc.value.code == 2
+    assert exc.value.code == 3
     assert "--trace" in capsys.readouterr().err
+
+
+def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
+    # argparse's own usage code, 2, would read as the Unknown verdict.
+    mp, sp = _write_toy(tmp_path, 0.1)
+    verify = ["verify", "--model", mp, "--spec", sp]
+    for argv in (verify + ["--timeout", "abc"], verify + ["--bogus", "1"],
+                 verify + ["--fallback", "bisect"], ["verify", "--model", mp], ["nosuch"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 3, argv
+        out, err = capsys.readouterr()
+        assert out == "" and "error:" in err
+    for argv in (["--help"], ["verify", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+        assert "usage: reluverify" in capsys.readouterr().out
+
+
+def test_gen_rejects_eps_and_weight_scale_that_are_not_finite_and_positive(tmp_path, capsys):
+    out = tmp_path / "suite"
+    base = ["gen", "--seed", "1", "--layers", "1", "--widths", "3", "--count", "2",
+            "--out", str(out)]
+    bad = [["--eps", v] for v in ("nan", "inf", "0", "-1")]
+    bad += [["--eps", "0.1", "--weight-scale", v] for v in ("nan", "inf", "0")]
+    for extra in bad:
+        rc = cli.main(base + extra)
+        _assert_input_error(capsys, rc, extra[-2])
+    assert not out.exists()
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from reluverify import bab, heuristics, model, relax
 
@@ -78,7 +79,7 @@ def test_drg_score_prefers_narrow_neuron_with_larger_gap():
 def test_drg_score_all_zero_when_coefficients_nonnegative():
     s, _ = _scores("drg", [1.0, 0.5], CASE_L, CASE_U, CASE_Z)
     assert s.tolist() == [0.0, 0.0]
-    assert heuristics.all_zero({0: s})
+    assert heuristics.select_branch({0: s}) is None
 
 
 def test_drg_score_matches_independent_formula():
@@ -202,6 +203,19 @@ def test_select_branch_invariant_to_positive_rescaling():
 def test_select_branch_empty_signals_none():
     assert heuristics.select_branch({}) is None
     assert heuristics.select_branch({0: np.array([-np.inf, -np.inf])}) is None
+
+
+def test_select_branch_ignores_scores_within_tolerance():
+    tol = heuristics.ZERO_SCORE_TOL
+    assert heuristics.select_branch({0: np.array([tol, 0.0]), 1: np.array([-np.inf])}) is None
+    assert heuristics.select_branch({0: np.array([tol, 0.0]), 1: np.array([2 * tol])}) == (1, 0)
+
+
+def test_unknown_kind_is_an_input_error():
+    with pytest.raises(model.InputError, match="valid kinds: drg"):
+        heuristics.check_kind("nonsense")
+    for kind in heuristics.KINDS:
+        heuristics.check_kind(kind)
 
 
 def test_gap_clamp_counting():

@@ -199,6 +199,29 @@ def test_load_model_rejects_non_finite(tmp_path):
         model.load_model(mp)
 
 
+def test_load_model_rejects_boolean_input_dim(tmp_path):
+    # JSON true is a Python bool, which is an int subclass equal to 1.
+    mp = _write(tmp_path, "m.json", {
+        "input_dim": True,
+        "layers": [{"weights": [[1.0]], "bias": [0.0], "activation": "linear"}],
+    })
+    with pytest.raises(model.InputError, match="input_dim"):
+        model.load_model(mp)
+
+
+def test_load_task_names_the_spec_for_its_errors_but_not_for_budgets(tmp_path):
+    mp = _minimal_model(tmp_path)
+    sp = _write(tmp_path, "s.json", {"input_lower": [-1.0, 0.0], "input_upper": [1.0, 1.0],
+                                     "C": [[1.0]]})
+    with pytest.raises(model.InputError, match="input_dim") as exc:
+        model.load_task(mp, sp)
+    assert str(exc.value).startswith(f"{sp}: ")
+    sp = _write(tmp_path, "s2.json", {"input_lower": [-1.0], "input_upper": [1.0], "C": [[1.0]]})
+    with pytest.raises(model.InputError, match="timeout_seconds") as exc:
+        model.load_task(mp, sp, timeout_seconds=0.0)
+    assert not str(exc.value).startswith(sp)
+
+
 def test_load_model_rejects_relu_last_layer(tmp_path):
     mp = _write(tmp_path, "m.json", {
         "input_dim": 1,
