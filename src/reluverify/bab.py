@@ -22,7 +22,7 @@ import numpy as np
 
 from . import heuristics, relax, witness as witness_mod
 from .model import InputError, Network, RELU, VerificationTask
-from .relax import NeuronBounds, RelaxationParams
+from .relax import NeuronBounds, Slopes
 
 SAFE = "Safe"
 UNSAFE = "Unsafe"
@@ -210,17 +210,18 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
             raise InvariantError("input bisection did not shrink the box widths")
 
 
-def _process_node(task: VerificationTask, heuristic: str, params: RelaxationParams,
+def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
                   stats: RunStats, d: SubDomain,
                   results: Optional[relax.BoundResult] = None
                   ) -> Tuple[dict, Tuple[SubDomain, ...]]:
     """Run the four phases on one sub-domain, node stats.branches_visited.
 
     Returns its trace entry, whose "action" is pruned-safe, unsafe, split,
-    bisect or stuck, and the children to queue. params are the root's
-    optimized slopes; results, when given, is the sub-domain's stacked bound
-    under them (the root's, from its slope optimization) and is used instead
-    of bounding again. The witness, split and clamp counts go into stats.
+    bisect or stuck, and the children to queue. slopes are the root's
+    optimized slopes, one row per spec row; results, when given, is the
+    sub-domain's stacked bound under them (the root's, from its slope
+    optimization) and is used instead of bounding again. The witness, split
+    and clamp counts go into stats.
     """
     net = task.network
     C = task.spec_matrix
@@ -233,7 +234,7 @@ def _process_node(task: VerificationTask, heuristic: str, params: RelaxationPara
 
     # Phase 1: bound every spec row over this sub-domain, in one stacked pass.
     if results is None:
-        results = relax.compute_bounds(net, C, d, params)
+        results = relax.compute_bounds(net, C, d, slopes)
     worst_row = int(np.argmin(results.lower_bound))  # the first row on ties
     raw_lb = float(results.lower_bound[worst_row])
     # The parent's bound remains valid on this shrunken region; inheriting it
@@ -259,11 +260,11 @@ def _process_node(task: VerificationTask, heuristic: str, params: RelaxationPara
 
     # Phase 4: refinement guided by the spurious witness. When every score of
     # the heuristic vanishes, babsr picks; when babsr's vanish too, bisect.
-    row_params = params.row(worst_row)
+    row_slopes = {k: v[worst_row] for k, v in slopes.items()}
     primary = None
     for kind in dict.fromkeys((heuristic, heuristics.BABSR)):
         scores, clamps = heuristics.score_branches(
-            kind, net, C[worst_row], bound, d, wit.preacts, row_params
+            kind, net, C[worst_row], bound, d, wit.preacts, row_slopes
         )
         stats.gap_clamp_events += clamps  # babsr never clamps: the count is the heuristic's
         if primary is None:
@@ -318,13 +319,13 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     deadline = start_time + task.timeout_seconds
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
     root = make_root(task)
-    params, results = relax.optimize_alpha(task.network, task.spec_matrix, root,
+    slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, root,
                                            config.alpha_iters, config.alpha_step, deadline)
     worklist = Worklist()
     stuck = False
     d = root
     while True:
-        entry, children = _process_node(task, heuristic, params, stats, d, results)
+        entry, children = _process_node(task, heuristic, slopes, stats, d, results)
         if stats.per_node_trace is not None:
             stats.per_node_trace.append(entry)
         if entry["action"] == "unsafe":

@@ -87,7 +87,11 @@ def generate_instance(
     """One seeded random instance: a ReLU net, a box around a random anchor,
     and a one-vs-rest spec. The output bias is shifted so the anchor's margin
     sits near eps times the local margin gradient, which keeps the suites
-    balanced between Safe and Unsafe instead of collapsing to one verdict."""
+    balanced between Safe and Unsafe instead of collapsing to one verdict.
+
+    Raises InputError naming --weight-scale when the network or its margin
+    gradient at the anchor leaves float64, and --eps when the bias shift does.
+    """
     dims = [n_inputs, *hidden_widths, n_outputs]
     layer_defs = []
     for i in range(1, len(dims)):
@@ -104,17 +108,24 @@ def generate_instance(
         for r in range(n_outputs - 1):
             C[r, r + 1] = -1.0
 
-    net = model.make_network(layer_defs)
-    logits, preacts = model.forward(net, anchor)
-    anchor_margin = float((C @ logits).min())
-    grad_scale = max(
-        float(np.abs(net.layers[0].weights.T
-                     @ model.margin_preact_gradients(net, c_row, preacts)[0]).sum())
-        for c_row in C
-    )
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            net = model.make_network(layer_defs)
+            logits, preacts = model.forward(net, anchor)
+            anchor_margin = float((C @ logits).min())
+            grad_scale = max(
+                float(np.abs(net.layers[0].weights.T
+                             @ model.margin_preact_gradients(net, c_row, preacts)[0]).sum())
+                for c_row in C
+            )
+    except (FloatingPointError, model.InputError):  # a weight or an activation overflowed
+        raise model.InputError(f"--weight-scale {weight_scale!r}: the generated network"
+                               " overflows float64") from None
     target = eps * max(grad_scale, 1e-6) * rng.uniform(0.4, 1.6)
     output_bias = layer_defs[-1][1]
     output_bias[0] += target - anchor_margin  # shifts every margin row equally
+    if not np.isfinite(output_bias[0]):
+        raise model.InputError(f"--eps {eps!r}: the margin shift overflows float64")
     return model.make_network(layer_defs), anchor - eps, anchor + eps, C
 
 
@@ -140,13 +151,20 @@ def cmd_gen(args) -> int:
     if args.count < 1 or args.inputs < 1 or args.outputs < 1:
         print("error: --count/--inputs/--outputs must be positive", file=sys.stderr)
         return EXIT_INPUT_ERROR
+
+    def instances():
+        rng = np.random.default_rng(args.seed)
+        for _ in range(args.count):
+            yield generate_instance(rng, args.inputs, widths, args.outputs, args.eps,
+                                    args.weight_scale)
+
+    # A first pass, cheap next to writing, stops an overflow before any file
+    # is written, without holding the whole suite in memory.
+    for _ in instances():
+        pass
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(args.seed)
-    for i in range(args.count):
-        net, lo, hi, C = generate_instance(
-            rng, args.inputs, widths, args.outputs, args.eps, args.weight_scale
-        )
+    for i, (net, lo, hi, C) in enumerate(instances()):
         stem = out_dir / f"case_{i:03d}"
         model.save_model(net, str(stem) + ".model.json")
         model.save_spec(lo, hi, C, str(stem) + ".spec.json")
@@ -190,11 +208,12 @@ def cmd_bench(args) -> int:
     if baseline not in kinds:
         print(f"error: --baseline {baseline!r} is not among the heuristics run", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    out_dir = Path(args.out)
+    if out_dir.exists() and not out_dir.is_dir():
+        print(f"error: --out {args.out}: exists and is not a directory", file=sys.stderr)
+        return EXIT_INPUT_ERROR
 
     config = _config_from_args(args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     records: Dict[Tuple[str, str], bab.RunStats] = {}
     rows = []
     for name, model_path, spec_path in instances:
@@ -207,6 +226,9 @@ def cmd_bench(args) -> int:
                  _fmt(stats.wall_time_s)]
             )
     rows.sort(key=lambda r: (r[0], r[1]))
+    # Made once every run is done, so a task or budget error leaves no empty
+    # report directory (building every task first would hold the whole suite).
+    out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "results.csv",
                ["instance", "heuristic", "verdict", "branches", "splits", "time_s"], rows)
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import model
-from .relax import BoundResult, RelaxationParams, _slope_for
+from .relax import BoundResult, Slopes, _slope_for
 
 DRG = "drg"
 DRG_SYMMETRIC = "drg_symmetric"
@@ -54,19 +54,21 @@ def score_branches(
     bound: BoundResult,
     domain,
     preacts: List[np.ndarray],
-    params: Optional[RelaxationParams],
+    slopes: Optional[Slopes],
 ) -> Tuple[Scores, int]:
     """Score every unstable neuron for a heuristic kind.
 
-    preacts are the network's pre-activations at the witness (from
-    model.forward), read by drg, drg_symmetric and grad.
+    bound is the row's bound over domain, whose neuron bounds it was taken
+    under; preacts are the network's pre-activations at the witness (from
+    model.forward), read by drg, drg_symmetric and grad; slopes are the row's
+    lower-line slopes (None: adaptive), read by drg_symmetric.
 
     Returns (scores, gap clamp events). A clamp event is a neuron scored on
     the upper side whose raw chord-minus-ReLU gap at the evaluation point is
     negative, i.e. the point lies outside [l, u]; the witness can, because it
     ignores split constraints. Such gaps are clamped to zero.
     """
-    nb = bound.neuron_bounds
+    nb = domain.neuron_bounds
     coefs = bound.A
     if kind == GRAD:
         coefs = model.margin_preact_gradients(net, c_row, preacts)
@@ -90,7 +92,7 @@ def score_branches(
             clamps += int(np.count_nonzero(unst & upper_side & (raw_gap < 0.0)))
             if kind == DRG_SYMMETRIC:
                 # the lower line's slope is alpha wherever the score is kept
-                other = np.maximum(z, 0.0) - _slope_for(params, nb, k) * z
+                other = np.maximum(z, 0.0) - _slope_for(slopes, nb, k) * z
             else:
                 other = 0.0
             score = np.abs(coef) * np.where(upper_side, np.maximum(raw_gap, 0.0), other)

@@ -26,6 +26,21 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise InputError(f"{where}: non-finite value at [{pos}]")
 
 
+def _reject_bools(value, arr: np.ndarray, where: str) -> None:
+    """Raise InputError at a boolean in the nested lists value, read as arr.
+    np.array reads JSON true as 1.0 and false as 0.0, even beside numbers, so
+    only the entries of arr that are exactly 0 or 1 are looked up in value."""
+    if isinstance(value, np.ndarray):
+        return
+    for idx in np.argwhere((arr == 0.0) | (arr == 1.0)):
+        item = value
+        for i in idx:
+            item = item[i]
+        if isinstance(item, bool):
+            pos = "][".join(str(int(i)) for i in idx)
+            raise InputError(f"{where}: boolean value at [{pos}]")
+
+
 def _as_matrix(value, where: str) -> np.ndarray:
     try:
         arr = np.array(value, dtype=np.float64)
@@ -34,6 +49,7 @@ def _as_matrix(value, where: str) -> np.ndarray:
     if arr.ndim != 2 or arr.size == 0:
         raise InputError(f"{where}: expected a non-empty 2-D matrix, got shape {arr.shape}")
     _check_finite(arr, where)
+    _reject_bools(value, arr, where)
     return arr
 
 
@@ -45,6 +61,7 @@ def _as_vector(value, where: str) -> np.ndarray:
     if arr.ndim != 1:
         raise InputError(f"{where}: expected a 1-D vector, got shape {arr.shape}")
     _check_finite(arr, where)
+    _reject_bools(value, arr, where)
     return arr
 
 

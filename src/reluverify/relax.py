@@ -102,45 +102,12 @@ def _adaptive_alpha(bounds: NeuronBounds, k: int) -> np.ndarray:
     return np.where(bounds.upper[k] >= -bounds.lower[k], 1.0, 0.0)
 
 
-@dataclass
-class RelaxationParams:
-    """Lower-bound slope per neuron for each ReLU layer; entries live in [0, 1].
-
-    alpha[k] is either (n_k,), shared by every spec row, or (m, n_k), one row
-    of slopes per spec row. Only the entries at unstable neurons matter;
-    stable neurons are substituted exactly regardless of the stored slope.
-    The constructor checks the range; slopes derived from checked ones (rows,
-    copies, clipped gradient steps) go through _valid and are not scanned
-    again.
-    """
-
-    alpha: Dict[int, np.ndarray]
-
-    def __post_init__(self):
-        for k, arr in self.alpha.items():
-            if (arr < 0.0).any() or (arr > 1.0).any():
-                raise ValueError(f"alpha[{k}]: slopes must lie in [0, 1]")
-
-    @classmethod
-    def _valid(cls, alpha: Dict[int, np.ndarray]) -> "RelaxationParams":
-        """Wrap slopes known to lie in [0, 1] without scanning them."""
-        params = object.__new__(cls)
-        params.alpha = alpha
-        return params
-
-    @classmethod
-    def adaptive(cls, net: Network, bounds: NeuronBounds) -> "RelaxationParams":
-        """Default slopes: 1 where u >= |l|, else 0 (good zero-iteration baseline)."""
-        return cls._valid({k: _adaptive_alpha(bounds, k) for k in range(len(bounds.lower))
-                           if net.layers[k].activation == RELU})
-
-    def copy(self) -> "RelaxationParams":
-        return self._valid({k: v.copy() for k, v in self.alpha.items()})
-
-    def row(self, r) -> "RelaxationParams":
-        """The slopes of spec row r (or of the rows r indexes); shared slopes
-        are returned as they are."""
-        return self._valid({k: v[r] if v.ndim == 2 else v for k, v in self.alpha.items()})
+# Lower-line slopes per ReLU layer: layer k maps to an (n_k,) array shared by
+# every spec row or an (m, n_k) array, one row per spec row. Only the entries
+# at unstable neurons matter; a layer left out, or no slopes at all (None),
+# takes the adaptive slope. A slope outside [0, 1] would make the bound
+# unsound; the adaptive ones are 0 or 1 and optimize_alpha clips its steps.
+Slopes = Dict[int, np.ndarray]
 
 
 @dataclass
@@ -151,29 +118,25 @@ class BoundResult:
     recorded before that layer's relaxation was traversed; w is the same
     quantity at the input layer, and x_star the bound's box minimizer: the
     closed-form candidate counterexample, at which the bound takes the value
-    lower_bound. neuron_bounds is the snapshot the pass used. For one row, b
-    and lower_bound are floats; for a stack of m rows every field but
-    neuron_bounds gains a leading axis of length m.
+    lower_bound. For one row, b and lower_bound are floats; for a stack of m
+    rows every field gains a leading axis of length m.
     """
 
     w: np.ndarray
     b: float
     lower_bound: float
     A: Dict[int, np.ndarray]
-    neuron_bounds: NeuronBounds
     x_star: np.ndarray
 
     def row(self, r: int) -> "BoundResult":
         """Spec row r of a stacked result, as if it had been bounded alone."""
         return BoundResult(self.w[r], float(self.b[r]), float(self.lower_bound[r]),
-                           {k: v[r] for k, v in self.A.items()}, self.neuron_bounds,
-                           self.x_star[r])
+                           {k: v[r] for k, v in self.A.items()}, self.x_star[r])
 
     def take(self, rows: np.ndarray) -> "BoundResult":
         """The stacked result restricted to the given spec rows."""
         return BoundResult(self.w[rows], self.b[rows], self.lower_bound[rows],
-                           {k: v[rows] for k, v in self.A.items()}, self.neuron_bounds,
-                           self.x_star[rows])
+                           {k: v[rows] for k, v in self.A.items()}, self.x_star[rows])
 
     def put(self, rows: np.ndarray, other: "BoundResult") -> None:
         """Overwrite the given spec rows in place with the rows of other."""
@@ -198,16 +161,15 @@ def concretize(lam: np.ndarray, off, lo: np.ndarray, hi: np.ndarray):
 
 
 def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
-    """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable.
-    Slopes come from RelaxationParams or the adaptive rule, so lie in [0, 1]."""
+    """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable."""
     act, unst, _, _ = rel
     return np.where(unst, alpha, act)
 
 
-def _slope_for(params: Optional[RelaxationParams], bounds: NeuronBounds, k: int) -> np.ndarray:
-    """Layer k's lower-line slope under params, else the memoized adaptive one."""
-    if params is not None and k in params.alpha:
-        return _lower_slope(bounds.relaxation(k), params.alpha[k])
+def _slope_for(slopes: Optional[Slopes], bounds: NeuronBounds, k: int) -> np.ndarray:
+    """Layer k's lower-line slope under slopes, else the memoized adaptive one."""
+    if slopes is not None and k in slopes:
+        return _lower_slope(bounds.relaxation(k), slopes[k])
     return bounds.adaptive_slope(k)
 
 
@@ -233,7 +195,7 @@ def _backward_from_layer(
     lam: np.ndarray,
     off: np.ndarray,
     bounds: NeuronBounds,
-    params: Optional[RelaxationParams],
+    slopes: Optional[Slopes],
 ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
     """Linear lower bounds of c_mat @ z^(obj_layer) as functions of the input.
 
@@ -248,7 +210,7 @@ def _backward_from_layer(
         lyr = net.layers[k]
         if lyr.activation == RELU:
             A[k] = lam
-            slope = _slope_for(params, bounds, k)
+            slope = _slope_for(slopes, bounds, k)
             if slope.ndim == 2:
                 slope = slope[:, None, :]
             lam, delta = _relu_backward(lam, bounds.relaxation(k), slope)
@@ -258,11 +220,11 @@ def _backward_from_layer(
     return lam, off, A
 
 
-def compute_bounds(net: Network, C, domain, params: Optional[RelaxationParams] = None):
+def compute_bounds(net: Network, C, domain, slopes: Optional[Slopes] = None):
     """Sound linear lower bounds of margin rows over a sub-domain.
 
-    C is one row or an (m, p) stack of rows; params holds shared slopes or one
-    row of slopes per spec row. For every x in the sub-domain box whose
+    C is one row or an (m, p) stack of rows; slopes are shared or hold one
+    row per spec row. For every x in the sub-domain box whose
     pre-activations lie in its neuron bounds, w @ x + b <= c_row @ f(x) for
     each row.
     A stack gives each row exactly the result of bounding it alone. Raises
@@ -276,10 +238,10 @@ def compute_bounds(net: Network, C, domain, params: Optional[RelaxationParams] =
         raise ValueError("compute_bounds: the sub-domain is infeasible")
     c_mat, last = rows[:, None, :], net.layers[-1]
     lam, off, A = _backward_from_layer(net, net.n_layers - 1, c_mat @ last.weights,
-                                       c_mat @ last.bias, bounds, params)
+                                       c_mat @ last.bias, bounds, slopes)
     lam, off = lam[:, 0, :], off[:, 0]
     x_star, lb = concretize(lam, off, domain.box_lower, domain.box_upper)
-    res = BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, bounds, x_star)
+    res = BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, x_star)
     return res.row(0) if C.ndim == 1 else res
 
 
@@ -351,7 +313,7 @@ def _relaxed_forward(
     x_star: np.ndarray,
     bounds: NeuronBounds,
     A: Dict[int, np.ndarray],
-    params: Optional[RelaxationParams],
+    slopes: Optional[Slopes],
 ) -> Dict[int, np.ndarray]:
     """Pre-activation values at x_star under the relaxation lines the backward
     pass chose. These equal the sensitivities of the concretized bound to the
@@ -369,50 +331,41 @@ def _relaxed_forward(
         if layer.activation == RELU:
             pre[k] = z
             _, _, up_slope, up_icpt = bounds.relaxation(k)
-            lower = _slope_for(params, bounds, k) * z
+            lower = _slope_for(slopes, bounds, k) * z
             h = np.where(A[k] >= 0.0, lower, up_slope * z + up_icpt)
         else:
             h = z
     return pre
 
 
-def alpha_gradient(
-    net: Network, C, domain, params: RelaxationParams, bound: Optional[BoundResult] = None
-) -> Dict[int, np.ndarray]:
+def alpha_gradient(net: Network, domain, slopes: Optional[Slopes],
+                   bound: BoundResult) -> Dict[int, np.ndarray]:
     """Analytic derivative of each row's concretized lower bound w.r.t. its slopes.
 
-    For an unstable neuron whose backward coefficient is non-negative the bound
-    is locally linear in its slope with derivative A * z_tilde, where z_tilde is
-    the neuron's pre-activation under the relaxed forward evaluation at the
-    bound's box minimizer. All other neurons contribute zero. C and params are
-    shaped as for compute_bounds. bound, when given, is the result of
-    compute_bounds(net, C, domain, params); its A and x_star are reused
-    instead of bounding again.
+    bound is compute_bounds(net, C, domain, slopes) for one row or a stack of
+    rows; its A and x_star are all the derivative needs. For an unstable
+    neuron whose backward coefficient is non-negative the bound is locally
+    linear in its slope with derivative A * z_tilde, where z_tilde is the
+    neuron's pre-activation under the relaxed forward evaluation at the
+    bound's box minimizer. All other neurons contribute zero. Returns one
+    array per ReLU layer, shaped as that layer's A.
     """
-    res = bound if bound is not None else compute_bounds(net, C, domain, params)
-    pre = _relaxed_forward(net, res.x_star, res.neuron_bounds, res.A, params)
-    grads: Dict[int, np.ndarray] = {}
-    for k, alpha in params.alpha.items():
-        coeff = res.A.get(k)
-        if coeff is None:
-            grads[k] = np.zeros_like(alpha)
-            continue
-        unst = res.neuron_bounds.unstable_mask(k)
-        grads[k] = np.where(unst & (coeff >= 0.0), coeff * pre[k], 0.0)
-    return grads
+    bounds = domain.neuron_bounds
+    pre = _relaxed_forward(net, bound.x_star, bounds, bound.A, slopes)
+    return {k: np.where(bounds.unstable_mask(k) & (coeff >= 0.0), coeff * pre[k], 0.0)
+            for k, coeff in bound.A.items()}
 
 
 def optimize_alpha(
     net: Network, C, domain, iters: int, step: float, deadline: Optional[float] = None
-) -> Tuple[RelaxationParams, Optional[BoundResult]]:
+) -> Tuple[Slopes, Optional[BoundResult]]:
     """Maximize each row's concretized lower bound over its slopes by projected
     gradient ascent with backtracking.
 
     Returns the best iterate seen per row and the bound it gives, which equals
-    compute_bounds(net, C, domain, params) bit for bit; the bound is None when
-    there is nothing to optimize (no ReLU layer) and the adaptive slopes come
-    back unbounded. An infeasible domain raises ValueError, as in
-    compute_bounds.
+    compute_bounds(net, C, domain, slopes) bit for bit; the bound is None when
+    there is nothing to optimize (no ReLU layer) and no slopes come back. An
+    infeasible domain raises ValueError, as in compute_bounds.
 
     C is one row or an (m, p) stack of rows; a stack gets (m, n_k) slopes, one
     row per spec row. The rows are optimized together, one bound pass per
@@ -420,25 +373,28 @@ def optimize_alpha(
     stops on an all-zero gradient or when 8 halvings of its step find no
     improvement, and then leaves the stack. The gradient reuses the A and
     x_star of the bound that the current slopes produced. iters = 0 returns
-    the adaptive initialization. Once deadline (a time.perf_counter() value)
-    has passed, no further iteration starts; any slopes in [0, 1] are sound.
+    the adaptive initialization: 1 where u >= |l|, else 0. Once deadline (a
+    time.perf_counter() value) has passed, no further iteration starts. Every
+    slope stays in [0, 1], the adaptive ones by construction and each step by
+    clipping, so every iterate is sound.
     """
     C = np.asarray(C, dtype=np.float64)
     rows = np.atleast_2d(C)
-    params = RelaxationParams.adaptive(net, domain.neuron_bounds)
-    if not params.alpha:
-        return params, None
-    cur = RelaxationParams._valid({k: np.repeat(v[None, :], len(rows), axis=0)
-                                   for k, v in params.alpha.items()})
+    bounds = domain.neuron_bounds
+    cur = {k: np.repeat(_adaptive_alpha(bounds, k)[None, :], len(rows), axis=0)
+           for k in range(len(bounds.lower)) if net.layers[k].activation == RELU}
+    if not cur:
+        return cur, None
     best = compute_bounds(net, rows, domain, cur)
     active = np.arange(len(rows))
     for _ in range(iters):
         if deadline is not None and time.perf_counter() > deadline:
             break
         if len(active) == len(rows):
-            grads = alpha_gradient(net, rows, domain, cur, best)
+            grads = alpha_gradient(net, domain, cur, best)
         else:
-            grads = alpha_gradient(net, rows[active], domain, cur.row(active), best.take(active))
+            grads = alpha_gradient(net, domain, {k: v[active] for k, v in cur.items()},
+                                   best.take(active))
         moving = np.zeros(len(active), dtype=bool)
         for g in grads.values():
             moving |= (g != 0.0).any(axis=1)
@@ -451,15 +407,13 @@ def optimize_alpha(
             if not len(searching):
                 break
             r = active[searching]
-            cand = RelaxationParams._valid({
-                k: (cur.alpha[k][r] + trial[searching, None] * grads[k][searching]).clip(0.0, 1.0)
-                for k in cur.alpha
-            })
+            cand = {k: (v[r] + trial[searching, None] * grads[k][searching]).clip(0.0, 1.0)
+                    for k, v in cur.items()}
             res = compute_bounds(net, rows[r], domain, cand)
             better = res.lower_bound > best.lower_bound[r]
             if better.any():
-                for k in cur.alpha:
-                    cur.alpha[k][r[better]] = cand.alpha[k][better]
+                for k, v in cur.items():
+                    v[r[better]] = cand[k][better]
                 best.put(r[better], res.take(better))
                 improved[searching[better]] = True
             searching = searching[~better]
@@ -468,5 +422,5 @@ def optimize_alpha(
         if not len(active):
             break
     if C.ndim == 1:
-        return cur.row(0), best.row(0)
+        return {k: v[0] for k, v in cur.items()}, best.row(0)
     return cur, best

@@ -153,36 +153,38 @@ def naive_forward(net, x):
     return h
 
 
+def adaptive_slopes(net, domain):
+    """The adaptive slopes, computed afresh: 1 where u >= |l|, else 0, per ReLU layer."""
+    nb = domain.neuron_bounds
+    return {k: np.where(nb.upper[k] >= -nb.lower[k], 1.0, 0.0)
+            for k in range(len(nb.lower)) if net.layers[k].activation == model.RELU}
+
+
 def reference_optimize_alpha(net, c_row, domain, iters, step):
     """Slope optimization for one spec row, one bound pass per call: the
     per-row loop that the stacked relax.optimize_alpha must reproduce.
 
-    Returns (params, attempts): attempts holds, per gradient evaluation, the
+    Returns (slopes, attempts): attempts holds, per gradient evaluation, the
     number of line-search bound passes it led to (0 for an all-zero gradient).
     """
-    bounds = domain.neuron_bounds
-    params = relax.RelaxationParams.adaptive(net, bounds)
+    cur = adaptive_slopes(net, domain)
     attempts = []
-    if not bounds.is_feasible() or not params.alpha:
-        return params, attempts
-    best = params.copy()
-    best_lb = relax.compute_bounds(net, c_row, domain, params).lower_bound
-    cur = params
+    if not domain.neuron_bounds.is_feasible() or not cur:
+        return cur, attempts
+    best_lb = relax.compute_bounds(net, c_row, domain, cur).lower_bound
     for _ in range(iters):
-        grads = relax.alpha_gradient(net, c_row, domain, cur)
+        grads = relax.alpha_gradient(net, domain, cur,
+                                     relax.compute_bounds(net, c_row, domain, cur))
         if all(np.all(g == 0.0) for g in grads.values()):
             attempts.append(0)
             break
         trial = step
         improved = False
         for n_tries in range(1, 9):
-            cand = relax.RelaxationParams(
-                {k: np.clip(cur.alpha[k] + trial * grads[k], 0.0, 1.0) for k in cur.alpha}
-            )
+            cand = {k: np.clip(v + trial * grads[k], 0.0, 1.0) for k, v in cur.items()}
             lb = relax.compute_bounds(net, c_row, domain, cand).lower_bound
             if lb > best_lb:
                 best_lb = lb
-                best = cand.copy()
                 cur = cand
                 improved = True
                 break
@@ -190,4 +192,4 @@ def reference_optimize_alpha(net, c_row, domain, iters, step):
         attempts.append(n_tries)
         if not improved:
             break
-    return best, attempts
+    return cur, attempts

@@ -13,7 +13,8 @@ import numpy as np
 
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
-from helpers import identity_relu_net, make_domain, oracle_sized_task, random_net, random_task
+from helpers import (adaptive_slopes, identity_relu_net, make_domain, oracle_sized_task,
+                     random_net, random_task)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -35,12 +36,13 @@ def test_case_study_regression():
 
     net = identity_relu_net(2)
     z_star = np.array([8.0, 0.0])
-    bound = relax.BoundResult(np.array([1.0, 1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb,
+    bound = relax.BoundResult(np.array([1.0, 1.0]), 0.0, -1.0, {0: np.array([-1.0, -1.0])},
                               z_star)
+    domain = bab.SubDomain(z_star, z_star, nb)
     preacts = model.forward(net, z_star)[1]
 
-    def scores(kind):  # neither kind reads the domain (only center does)
-        return heuristics.score_branches(kind, net, np.array([1.0]), bound, None, preacts,
+    def scores(kind):
+        return heuristics.score_branches(kind, net, np.array([1.0]), bound, domain, preacts,
                                          None)[0]
 
     drg = scores(heuristics.DRG)
@@ -143,26 +145,24 @@ def test_alpha_gradient_check():
         hi = lo + rng.uniform(0.5, 1.2, 3)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=2)
-        params = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-        for k in params.alpha:
-            params.alpha[k] = rng.uniform(0.2, 0.8, size=params.alpha[k].shape)
-        grads = relax.alpha_gradient(net, c, d, params)
+        slopes = {k: rng.uniform(0.2, 0.8, size=v.shape)
+                  for k, v in adaptive_slopes(net, d).items()}
+        grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
         h = 1e-5
         for k in sorted(grads):
             for j in np.flatnonzero(d.neuron_bounds.unstable_mask(k)):
                 if checked >= 100:
                     break
-                p_hi = params.copy()
-                p_hi.alpha[k][j] = p_hi.alpha[k][j] + h
-                p_lo = params.copy()
-                p_lo.alpha[k][j] = p_lo.alpha[k][j] - h
+                p_hi = {i: v.copy() for i, v in slopes.items()}
+                p_hi[k][j] = p_hi[k][j] + h
+                p_lo = {i: v.copy() for i, v in slopes.items()}
+                p_lo[k][j] = p_lo[k][j] - h
                 fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound
                       - relax.compute_bounds(net, c, d, p_lo).lower_bound) / (2 * h)
                 an = grads[k][j]
                 worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-8))
                 checked += 1
-        init = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-        lb_init = relax.compute_bounds(net, c, d, init).lower_bound
+        lb_init = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).lower_bound
         lb_opt = relax.compute_bounds(
             net, c, d, relax.optimize_alpha(net, c, d, 20, 0.25)[0]
         ).lower_bound

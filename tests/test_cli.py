@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,28 @@ def _assert_input_error(capsys, rc, name):
     assert rc == 3 and out == ""
     assert err.startswith("error:") and name in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("path, field, value", [
+    ("model", "weights", [[1.0, True]]),
+    ("model", "bias", [False]),
+    ("spec", "input_lower", [-1.0, False]),
+    ("spec", "input_upper", [True, 1.0]),
+    ("spec", "C", [[True]]),
+])
+def test_verify_rejects_booleans_in_arrays(tmp_path, capsys, path, field, value):
+    # np.array reads true as 1.0 and false as 0.0, even beside numbers: each
+    # of these files would load as a valid task and verify.
+    net = model.make_network([(np.array([[1.0, -1.0]]), np.zeros(1), model.RELU),
+                              (np.ones((1, 1)), np.array([0.1]), model.LINEAR)])
+    files = {"model": tmp_path / "b.model.json", "spec": tmp_path / "b.spec.json"}
+    model.save_task(model.VerificationTask(net, -np.ones(2), np.ones(2), np.eye(1)),
+                    str(files["model"]), str(files["spec"]))
+    data = json.loads(files[path].read_text())
+    (data["layers"][0] if path == "model" else data)[field] = value
+    files[path].write_text(json.dumps(data))
+    rc = cli.main(["verify", "--model", str(files["model"]), "--spec", str(files["spec"])])
+    _assert_input_error(capsys, rc, f"{field}: boolean value at [")
 
 
 def test_verify_rejects_timeout_that_is_not_positive(tmp_path, capsys):
@@ -256,6 +279,29 @@ def test_bench_results_and_summary_share_the_run_clock(tmp_path):
     assert row["time_s"] == summary["time_mean_s"] == summary["time_median_s"]
 
 
+def test_bench_budget_errors_leave_no_report_directory(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _write_toy(suite, 0.1, "a")
+    out = tmp_path / "report"
+    for flag, value in (("--max-branches", "-1"), ("--timeout", "nan")):
+        rc = cli.main(["bench", "--suite", str(suite), "--heuristics", "drg",
+                       "--out", str(out), flag, value])
+        _assert_input_error(capsys, rc, flag[2:].replace("-", "_"))
+        assert not out.exists()
+
+
+def test_bench_out_that_is_a_file_exits_3_before_any_run(tmp_path, capsys, monkeypatch):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _write_toy(suite, 0.1, "a")
+    out = tmp_path / "report"
+    out.write_text("not a directory")
+    monkeypatch.setattr(cli.bab, "verify", lambda *a, **k: pytest.fail("a run started"))
+    rc = cli.main(["bench", "--suite", str(suite), "--heuristics", "drg", "--out", str(out)])
+    _assert_input_error(capsys, rc, "--out")
+
+
 def test_bench_empty_suite_exits_3(tmp_path, capsys):
     suite = tmp_path / "empty"
     suite.mkdir()
@@ -313,6 +359,21 @@ def test_gen_rejects_eps_and_weight_scale_that_are_not_finite_and_positive(tmp_p
         rc = cli.main(base + extra)
         _assert_input_error(capsys, rc, extra[-2])
     assert not out.exists()
+
+
+def test_gen_overflow_names_the_option_and_writes_nothing(tmp_path, capsys):
+    # Finite but huge: 1e300 weights overflow the anchor's forward pass, and
+    # with seed 1 the 1e308 box makes the second instance's bias shift
+    # overflow after the first instance is fine. A numpy warning fails the run.
+    out = tmp_path / "suite"
+    base = ["gen", "--seed", "1", "--layers", "1", "--widths", "4", "--count", "5",
+            "--out", str(out)]
+    for extra in (["--eps", "0.1", "--weight-scale", "1e300"], ["--eps", "1e308"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(base + extra)
+        _assert_input_error(capsys, rc, f"{extra[-2]} {float(extra[-1])!r}: ")
+        assert not out.exists()
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -24,11 +24,11 @@ def _scores(kind, A, l, u, z, alpha=None, out_weights=None):
     z = np.asarray(z, dtype=float)
     net = identity_relu_net(z.size, out_weights)
     nb = relax.NeuronBounds([np.asarray(l, dtype=float)], [np.asarray(u, dtype=float)])
-    bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, nb, z)
+    bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, z)
     domain = bab.SubDomain(z, z, nb)
-    params = None if alpha is None else relax.RelaxationParams({0: np.asarray(alpha, float)})
+    slopes = None if alpha is None else {0: np.asarray(alpha, float)}
     scores, clamps = heuristics.score_branches(kind, net, np.array([1.0]), bound, domain,
-                                               model.forward(net, z)[1], params)
+                                               model.forward(net, z)[1], slopes)
     assert sorted(scores) == [0]
     return scores[0], clamps
 
@@ -175,7 +175,7 @@ def test_center_scores_at_the_box_center():
     net = identity_relu_net(2)
     nb = relax.NeuronBounds([CASE_L.copy()], [CASE_U.copy()])
     far_corner = np.array([10.0, 2.0])
-    bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, nb, far_corner)
+    bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, far_corner)
     domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), nb)
     s, _ = heuristics.score_branches("center", net, np.array([1.0]), bound, domain,
                                      model.forward(net, far_corner)[1], None)

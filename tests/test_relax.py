@@ -8,7 +8,8 @@ from reluverify import bab, model, relax
 
 from reluverify.cli import generate_instance
 
-from helpers import make_domain, random_net, reference_optimize_alpha, scalar_relu_net
+from helpers import (adaptive_slopes, make_domain, random_net, reference_optimize_alpha,
+                     scalar_relu_net)
 
 
 def _relaxation(l, u):
@@ -47,13 +48,6 @@ def test_relu_relaxation_stable_neurons_are_exact():
     assert relax._lower_slope(nb.relaxation(0), np.array([0.3, 0.3])).tolist() == [1.0, 0.0]
 
 
-def test_relu_relaxation_rejects_bad_alpha():
-    with pytest.raises(ValueError):
-        relax.RelaxationParams({0: np.array([1.5])})
-    with pytest.raises(ValueError):
-        relax.RelaxationParams({0: np.array([-0.5])})
-
-
 def test_stability_tag_tie_rules():
     # l = 0 counts as active, u = 0 as inactive; only l < 0 < u is unstable
     assert _relaxation(0.0, 2.0)[:2] == (True, False)
@@ -84,8 +78,7 @@ def test_compute_bounds_single_neuron_lower_line():
     # m(x) = ReLU(x) on [-1, 1] with alpha = 0.5: bound is 0.5 x, minimum -0.5
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    params = relax.RelaxationParams({0: np.array([0.5])})
-    res = relax.compute_bounds(net, np.array([1.0]), d, params)
+    res = relax.compute_bounds(net, np.array([1.0]), d, {0: np.array([0.5])})
     assert res.w.tolist() == [0.5]
     assert res.b == 0.0
     assert res.lower_bound == -0.5
@@ -96,8 +89,7 @@ def test_compute_bounds_single_neuron_upper_line():
     # m(x) = -ReLU(x) + 1: negative coefficient takes the upper line 0.5x + 0.5
     net = scalar_relu_net(out_weight=-1.0, out_bias=1.0)
     d = make_domain(net, [-1.0], [1.0])
-    params = relax.RelaxationParams({0: np.array([0.5])})
-    res = relax.compute_bounds(net, np.array([1.0]), d, params)
+    res = relax.compute_bounds(net, np.array([1.0]), d, {0: np.array([0.5])})
     assert res.w.tolist() == [-0.5]
     assert res.b == 0.5
     assert res.lower_bound == 0.0
@@ -196,8 +188,7 @@ def test_intermediate_bounds_nest_between_interval_arithmetic_and_samples():
 def _sweep_alpha(net, c_row, domain, grid=2001):
     best_lb, best_alpha = -np.inf, None
     for a in np.linspace(0.0, 1.0, grid):
-        params = relax.RelaxationParams({0: np.array([a])})
-        lb = relax.compute_bounds(net, c_row, domain, params).lower_bound
+        lb = relax.compute_bounds(net, c_row, domain, {0: np.array([a])}).lower_bound
         if lb > best_lb:
             best_lb, best_alpha = lb, a
     return best_lb, best_alpha
@@ -209,10 +200,10 @@ def test_optimize_alpha_relu_identity():
     d = make_domain(net, [-1.0], [1.0])
     sweep_lb, sweep_alpha = _sweep_alpha(net, np.array([1.0]), d)
     assert sweep_alpha == 0.0 and sweep_lb == 0.0
-    params, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=30, step=0.25)
-    lb = relax.compute_bounds(net, np.array([1.0]), d, params).lower_bound
+    slopes, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=30, step=0.25)
+    lb = relax.compute_bounds(net, np.array([1.0]), d, slopes).lower_bound
     assert abs(lb - sweep_lb) < 1e-9
-    assert abs(params.alpha[0][0] - 0.0) < 1e-9
+    assert abs(slopes[0][0] - 0.0) < 1e-9
 
 
 def test_optimize_alpha_interior_optimum():
@@ -231,20 +222,19 @@ def test_optimize_alpha_interior_optimum():
     best = -np.inf
     for a1 in np.linspace(0, 1, 101):
         for a2 in np.linspace(0, 1, 101):
-            params = relax.RelaxationParams({0: np.array([a1, a2])})
-            best = max(best, relax.compute_bounds(net, np.array([1.0]), d, params).lower_bound)
+            slopes = {0: np.array([a1, a2])}
+            best = max(best, relax.compute_bounds(net, np.array([1.0]), d, slopes).lower_bound)
     assert best == 0.0
-    params, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=40, step=0.25)
-    lb = relax.compute_bounds(net, np.array([1.0]), d, params).lower_bound
+    slopes, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=40, step=0.25)
+    lb = relax.compute_bounds(net, np.array([1.0]), d, slopes).lower_bound
     assert abs(lb - best) < 1e-9
 
 
 def test_optimize_alpha_zero_iters_returns_adaptive_init():
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    params, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=0, step=0.25)
-    init = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-    assert np.array_equal(params.alpha[0], init.alpha[0])
+    slopes, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=0, step=0.25)
+    assert np.array_equal(slopes[0], adaptive_slopes(net, d)[0])
 
 
 def test_optimize_alpha_never_worse_than_init():
@@ -255,10 +245,9 @@ def test_optimize_alpha_never_worse_than_init():
         hi = lo + rng.uniform(0.5, 1.0, 3)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=2)
-        init = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-        lb0 = relax.compute_bounds(net, c, d, init).lower_bound
-        params, _ = relax.optimize_alpha(net, c, d, iters=20, step=0.25)
-        lb1 = relax.compute_bounds(net, c, d, params).lower_bound
+        lb0 = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).lower_bound
+        slopes, _ = relax.optimize_alpha(net, c, d, iters=20, step=0.25)
+        lb1 = relax.compute_bounds(net, c, d, slopes).lower_bound
         assert lb1 >= lb0
 
 
@@ -309,17 +298,16 @@ def test_alpha_gradient_matches_finite_differences():
         hi = lo + rng.uniform(0.5, 1.0, 3)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=2)
-        params = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-        for k in params.alpha:
-            params.alpha[k] = rng.uniform(0.2, 0.8, size=params.alpha[k].shape)
-        grads = relax.alpha_gradient(net, c, d, params)
+        slopes = {k: rng.uniform(0.2, 0.8, size=v.shape)
+                  for k, v in adaptive_slopes(net, d).items()}
+        grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
         h = 1e-5
         for k in sorted(grads):
             for j in np.flatnonzero(d.neuron_bounds.unstable_mask(k)):
-                p_hi = params.copy()
-                p_hi.alpha[k][j] += h
-                p_lo = params.copy()
-                p_lo.alpha[k][j] -= h
+                p_hi = {i: v.copy() for i, v in slopes.items()}
+                p_hi[k][j] += h
+                p_lo = {i: v.copy() for i, v in slopes.items()}
+                p_lo[k][j] -= h
                 fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound
                       - relax.compute_bounds(net, c, d, p_lo).lower_bound) / (2 * h)
                 rel = abs(grads[k][j] - fd) / max(abs(grads[k][j]), abs(fd), 1e-8)
@@ -392,15 +380,15 @@ def _assert_same_bound(stacked, single):
 def test_compute_bounds_stack_equals_single_rows_bitwise():
     rng = np.random.default_rng(32)
     for net, C, d in _stacked_cases():
-        shared = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-        per_row = relax.RelaxationParams(
-            {k: rng.uniform(0.0, 1.0, (len(C), v.size)) for k, v in shared.alpha.items()})
-        for params in (None, shared, per_row):
-            res = relax.compute_bounds(net, C, d, params)
+        shared = adaptive_slopes(net, d)
+        per_row = {k: rng.uniform(0.0, 1.0, (len(C), v.size)) for k, v in shared.items()}
+        for slopes in (None, shared, per_row):
+            res = relax.compute_bounds(net, C, d, slopes)
             assert res.lower_bound.shape == (len(C),)
             for r in range(len(C)):
-                row_params = None if params is None else params.row(r)
-                single = relax.compute_bounds(net, C[r], d, row_params)
+                row_slopes = None if slopes is None else {
+                    k: v[r] if v.ndim == 2 else v for k, v in slopes.items()}
+                single = relax.compute_bounds(net, C[r], d, row_slopes)
                 _assert_same_bound(res.row(r), single)
 
 
@@ -408,13 +396,13 @@ def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
     stop_points = set()
     for net, C, d in _stacked_cases():
         for iters in (0, 20):
-            params, _ = relax.optimize_alpha(net, C, d, iters, 0.25)
-            res = relax.compute_bounds(net, C, d, params)
+            slopes, _ = relax.optimize_alpha(net, C, d, iters, 0.25)
+            res = relax.compute_bounds(net, C, d, slopes)
             for r in range(len(C)):
                 ref, attempts = reference_optimize_alpha(net, C[r], d, iters, 0.25)
                 stop_points.add(len(attempts))
-                for k, v in ref.alpha.items():
-                    assert np.array_equal(params.alpha[k][r], v), (iters, r, k)
+                for k, v in ref.items():
+                    assert np.array_equal(slopes[k][r], v), (iters, r, k)
                 assert res.lower_bound[r] == relax.compute_bounds(net, C[r], d, ref).lower_bound
     # rows left the stack at different iterations (after 1, 9, 10, 11 and 17 here)
     assert len(stop_points - {0, 20}) >= 3
@@ -452,14 +440,12 @@ def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch
 
 def test_optimize_alpha_stops_at_the_deadline():
     net, C, d = next(_stacked_cases())
-    adaptive = relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-    params, _ = relax.optimize_alpha(net, C, d, 20, 0.25, deadline=0.0)
-    for k, v in adaptive.alpha.items():
-        assert np.array_equal(params.alpha[k], np.repeat(v[None, :], len(C), axis=0))
+    slopes, _ = relax.optimize_alpha(net, C, d, 20, 0.25, deadline=0.0)
+    for k, v in adaptive_slopes(net, d).items():
+        assert np.array_equal(slopes[k], np.repeat(v[None, :], len(C), axis=0))
 
 
 def _assert_same_stacked_bound(a, b):
-    assert a.neuron_bounds is b.neuron_bounds
     for field in ("w", "b", "lower_bound", "x_star"):
         assert np.array_equal(getattr(a, field), getattr(b, field)), field
     assert sorted(a.A) == sorted(b.A)
@@ -479,20 +465,20 @@ def test_optimize_alpha_bound_equals_compute_bounds_bitwise(monkeypatch):
             monkeypatch.setattr(relax, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
             monkeypatch.setattr(relax, "alpha_gradient",
                                 lambda *a, **k: gradients.append(1) or gradient(*a, **k))
-            params, bound = relax.optimize_alpha(net, C, d, iters, 0.25, deadline)
+            slopes, bound = relax.optimize_alpha(net, C, d, iters, 0.25, deadline)
             monkeypatch.undo()
             if deadline is not None:
                 assert len(gradients) == 3
-            _assert_same_stacked_bound(bound, relax.compute_bounds(net, C, d, params))
-        params, bound = relax.optimize_alpha(net, C[0], d, 20, 0.25)
-        _assert_same_bound(bound, relax.compute_bounds(net, C[0], d, params))
+            _assert_same_stacked_bound(bound, relax.compute_bounds(net, C, d, slopes))
+        slopes, bound = relax.optimize_alpha(net, C[0], d, 20, 0.25)
+        _assert_same_bound(bound, relax.compute_bounds(net, C[0], d, slopes))
 
 
 def test_optimize_alpha_without_relu_layers_returns_no_bound():
     net = model.make_network([(np.ones((1, 2)), np.zeros(1), model.LINEAR)])
     d = make_domain(net, [-1.0, -1.0], [1.0, 1.0])
-    params, bound = relax.optimize_alpha(net, np.array([[1.0]]), d, 20, 0.25)
-    assert params.alpha == {} and bound is None
+    slopes, bound = relax.optimize_alpha(net, np.array([[1.0]]), d, 20, 0.25)
+    assert slopes == {} and bound is None
     infeasible = make_domain(scalar_relu_net(), [0.5], [1.0], splits={(0, 0): -1})
     with pytest.raises(ValueError, match="infeasible"):
         relax.optimize_alpha(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
@@ -520,19 +506,3 @@ def test_propagated_feasibility_sees_a_nan_left_by_overflow():
     assert np.isnan(nb.lower[2]).any()
     assert nb._feasible is False
     assert not relax.NeuronBounds(nb.lower, nb.upper).is_feasible()
-
-
-def test_derived_slopes_are_not_validated_again(monkeypatch):
-    # Only slopes from outside are range-checked; rows, copies, the adaptive
-    # rule and the optimizer's clipped steps are valid by construction.
-    net, C, d = next(_stacked_cases())
-    checks = []
-    post_init = relax.RelaxationParams.__post_init__
-    monkeypatch.setattr(relax.RelaxationParams, "__post_init__",
-                        lambda self: checks.append(1) or post_init(self))
-    params, _ = relax.optimize_alpha(net, C, d, 20, 0.25)
-    params.row(1).copy()
-    relax.RelaxationParams.adaptive(net, d.neuron_bounds)
-    assert checks == []
-    relax.RelaxationParams({0: np.array([0.5])})
-    assert checks == [1]

@@ -79,8 +79,7 @@ def test_validate_spurious():
 def test_abstract_margin_equals_lower_bound():
     net = scalar_relu_net(out_bias=-0.2)
     d = make_domain(net, [-1.0], [1.0])
-    params = relax.RelaxationParams({0: np.array([0.5])})
-    res = relax.compute_bounds(net, np.array([1.0]), d, params)
+    res = relax.compute_bounds(net, np.array([1.0]), d, {0: np.array([0.5])})
     wit = witness.validate_witness(net, np.array([[1.0]]), res)
     assert wit.x_star is res.x_star
     assert abs(wit.abstract_margin - res.lower_bound) <= 1e-12
