@@ -7,6 +7,7 @@ Exit codes: 0 Safe, 1 Unsafe, 2 Unknown, 3 input error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import statistics
@@ -59,20 +60,26 @@ def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig,
     return result
 
 
+def _open_for_writing(path: str, flag: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise model.InputError(f"{flag} {path}: cannot write file ({exc.strerror})") from None
+
+
 def cmd_verify(args) -> int:
     task = model.load_task(args.model, args.spec, args.timeout, args.max_branches)
     config = _config_from_args(args, trace=bool(args.trace))
-    stats = bab.verify(task, args.heuristic, config)
-    result = _result_dict(stats, args.heuristic, config, task)
-    text = json.dumps(result, indent=2, sort_keys=True)
-    if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
-    if args.trace:
-        with open(args.trace, "w", encoding="utf-8") as fh:
-            for entry in stats.per_node_trace or []:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    heuristics.check_kind(args.heuristic)  # before a file is made for its run
+    # Opened before the search, so an unwritable path costs no search.
+    with contextlib.ExitStack() as files:
+        output = args.output and files.enter_context(_open_for_writing(args.output, "--output"))
+        trace = args.trace and files.enter_context(_open_for_writing(args.trace, "--trace"))
+        stats = bab.verify(task, args.heuristic, config)
+        result = _result_dict(stats, args.heuristic, config, task)
+        print(json.dumps(result, indent=2, sort_keys=True), file=output or sys.stdout)
+        for entry in stats.per_node_trace or []:
+            trace.write(json.dumps(entry, sort_keys=True) + "\n")
     return EXIT_BY_VERDICT[stats.verdict]
 
 
@@ -133,24 +140,19 @@ def cmd_gen(args) -> int:
     try:
         widths = [int(w) for w in str(args.widths).split(",") if w.strip()]
     except ValueError:
-        print(f"error: --widths: cannot parse {args.widths!r}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise model.InputError(f"--widths: cannot parse {args.widths!r}") from None
     if len(widths) == 1 and args.layers > 1:
         widths = widths * args.layers
     if args.layers < 1 or len(widths) != args.layers or any(w < 1 for w in widths):
-        print(
-            f"error: --layers {args.layers} and --widths {args.widths!r} do not describe a"
-            " valid hidden stack",
-            file=sys.stderr,
-        )
-        return EXIT_INPUT_ERROR
+        raise model.InputError(f"--layers {args.layers} and --widths {args.widths!r} do not"
+                               " describe a valid hidden stack")
     for flag, value in (("--eps", args.eps), ("--weight-scale", args.weight_scale)):
         if not 0.0 < value < float("inf"):  # NaN too
-            print(f"error: {flag} must be finite and > 0, got {value}", file=sys.stderr)
-            return EXIT_INPUT_ERROR
+            raise model.InputError(f"{flag} must be finite and > 0, got {value}")
+    if not 2.0 * args.eps < float("inf"):  # the box is anchor +- eps, anchor in [-1, 1]
+        raise model.InputError(f"--eps {args.eps!r}: the box width overflows float64")
     if args.count < 1 or args.inputs < 1 or args.outputs < 1:
-        print("error: --count/--inputs/--outputs must be positive", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise model.InputError("--count/--inputs/--outputs must be positive")
 
     def instances():
         rng = np.random.default_rng(args.seed)
@@ -195,112 +197,72 @@ def _write_csv(path: Path, header: List[str], rows: List[List]) -> None:
 
 def cmd_bench(args) -> int:
     kinds = [k.strip() for k in args.heuristics.split(",") if k.strip()]
-    for kind in kinds:
+    for i, kind in enumerate(kinds):
         heuristics.check_kind(kind)
+        if kind in kinds[:i]:
+            raise model.InputError(f"--heuristics: {kind!r} is repeated")
     if not kinds:
-        print("error: --heuristics: empty list", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise model.InputError("--heuristics: empty list")
     instances = discover_suite(args.suite)
     if not instances:
-        print(f"error: no (model, spec) pairs found in {args.suite}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise model.InputError(f"no (model, spec) pairs found in {args.suite}")
     baseline = args.baseline or (heuristics.BABSR if heuristics.BABSR in kinds else kinds[0])
     if baseline not in kinds:
-        print(f"error: --baseline {baseline!r} is not among the heuristics run", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise model.InputError(f"--baseline {baseline!r} is not among the heuristics run")
     out_dir = Path(args.out)
     if out_dir.exists() and not out_dir.is_dir():
-        print(f"error: --out {args.out}: exists and is not a directory", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise model.InputError(f"--out {args.out}: exists and is not a directory")
 
     config = _config_from_args(args)
-    records: Dict[Tuple[str, str], bab.RunStats] = {}
-    rows = []
+    runs: Dict[str, List[bab.RunStats]] = {kind: [] for kind in kinds}  # suite order
     for name, model_path, spec_path in instances:
         task = model.load_task(model_path, spec_path, args.timeout, args.max_branches)
         for kind in kinds:
-            stats = bab.verify(task, kind, config)
-            records[(name, kind)] = stats
-            rows.append(
-                [name, kind, stats.verdict, stats.branches_visited, stats.splits_made,
-                 _fmt(stats.wall_time_s)]
-            )
-    rows.sort(key=lambda r: (r[0], r[1]))
+            runs[kind].append(bab.verify(task, kind, config))
+    rows = sorted([name, kind, s.verdict, s.branches_visited, s.splits_made, _fmt(s.wall_time_s)]
+                  for kind, stats in runs.items()
+                  for (name, _, _), s in zip(instances, stats))
     # Made once every run is done, so a task or budget error leaves no empty
     # report directory (building every task first would hold the whole suite).
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_csv(out_dir / "results.csv",
                ["instance", "heuristic", "verdict", "branches", "splits", "time_s"], rows)
 
-    names = [name for name, _, _ in instances]
-    summary_rows = []
-    for kind in kinds:
-        branches = [records[(n, kind)].branches_visited for n in names]
-        times = [records[(n, kind)].wall_time_s for n in names]
-        unknown = sum(records[(n, kind)].verdict == bab.UNKNOWN for n in names)
-        if kind == baseline:
-            win_br = win_time = ""
-        else:
-            win_br = _fmt(
-                100.0
-                * sum(
-                    records[(n, kind)].branches_visited
-                    <= records[(n, baseline)].branches_visited
-                    for n in names
-                )
-                / len(names)
-            )
-            win_time = _fmt(
-                100.0
-                * sum(
-                    records[(n, kind)].wall_time_s <= records[(n, baseline)].wall_time_s
-                    for n in names
-                )
-                / len(names)
-            )
-        summary_rows.append(
-            [
-                kind,
-                _fmt(statistics.mean(branches)),
-                _fmt(statistics.median(branches)),
-                _fmt(statistics.mean(times)),
-                _fmt(statistics.median(times)),
-                _fmt(100.0 * unknown / len(names)),
-                win_br,
-                win_time,
-            ]
-        )
+    n = len(instances)
+    summary_rows, head_rows = [], []
+    for kind, stats in runs.items():
+        branches = [s.branches_visited for s in stats]
+        times = [s.wall_time_s for s in stats]
+        unknown = sum(s.verdict == bab.UNKNOWN for s in stats)
+        win_br = win_time = ""
+        if kind != baseline:
+            # One paired count per kind: wins, ties and losses on branches
+            # against the baseline's run on the same instance.
+            wins = ties = time_wins = 0
+            for s, b in zip(stats, runs[baseline]):
+                wins += s.branches_visited < b.branches_visited
+                ties += s.branches_visited == b.branches_visited
+                time_wins += s.wall_time_s <= b.wall_time_s
+            win_br = _fmt(100.0 * (wins + ties) / n)  # ties count as wins
+            win_time = _fmt(100.0 * time_wins / n)
+            head_rows.append([kind, baseline, wins, ties, n - wins - ties, win_br])
+        summary_rows.append([kind, _fmt(statistics.mean(branches)),
+                             _fmt(statistics.median(branches)), _fmt(statistics.mean(times)),
+                             _fmt(statistics.median(times)), _fmt(100.0 * unknown / n),
+                             win_br, win_time])
     _write_csv(
         out_dir / "summary.csv",
         ["heuristic", "branches_mean", "branches_median", "time_mean_s", "time_median_s",
          "pct_timeout", "win_rate_branches_pct", "win_rate_time_pct"],
         summary_rows,
     )
-
-    head_rows = []
-    for kind in kinds:
-        if kind == baseline:
-            continue
-        wins = ties = losses = 0
-        for n in names:
-            a = records[(n, kind)].branches_visited
-            b = records[(n, baseline)].branches_visited
-            if a < b:
-                wins += 1
-            elif a == b:
-                ties += 1
-            else:
-                losses += 1
-        dom = 100.0 * (wins + ties) / len(names)
-        head_rows.append([kind, baseline, wins, ties, losses, _fmt(dom)])
     _write_csv(
         out_dir / "head_to_head.csv",
         ["heuristic", "baseline", "wins", "ties", "losses", "dominance_pct"],
         head_rows,
     )
 
-    print(f"benchmarked {len(names)} instances x {len(kinds)} heuristics"
-          f" (baseline: {baseline})")
+    print(f"benchmarked {n} instances x {len(kinds)} heuristics (baseline: {baseline})")
     widths = [14, 14, 16, 12, 12, 12, 8, 9]
     header = ["heuristic", "branches_mean", "branches_median", "time_mean_s",
               "time_med_s", "pct_timeout", "win_br", "win_time"]
@@ -313,14 +275,9 @@ def cmd_bench(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.samples < 1:
-        print(f"error: --samples must be positive, got {args.samples}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+        raise model.InputError(f"--samples must be positive, got {args.samples}")
     task = model.load_task(args.model, args.spec)
-    try:
-        min_value, argmin = oracle.exact_min_margin(task)
-    except oracle.OracleBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
+    min_value, argmin = oracle.exact_min_margin(task)
     attack = oracle.grid_attack(task, args.samples, args.seed)
     result = {
         "min_value": min_value,
@@ -389,10 +346,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed", 0) < 0:  # gen and oracle seed numpy generators
-        print(f"error: --seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     try:
+        if getattr(args, "seed", 0) < 0:  # gen and oracle seed numpy generators
+            raise model.InputError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except model.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -243,6 +243,12 @@ class VerificationTask:
         if bad.size:
             k = int(bad[0])
             raise InputError(f"task.input_lower[{k}] = {lo[k]} exceeds input_upper[{k}] = {hi[k]}")
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(hi - lo))
+        if bad.size:
+            k = int(bad[0])
+            raise InputError(
+                f"task: box width input_upper[{k}] - input_lower[{k}] overflows float64")
         if C.shape[1] != self.network.output_dim:
             raise InputError(
                 f"task.spec_matrix: {C.shape[1]} columns do not match output_dim"

@@ -12,7 +12,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 import numpy as np
 
 from . import model
-from .model import LINEAR, Network, RELU, VerificationTask
+from .model import InputError, LINEAR, Network, RELU, VerificationTask
 
 MAX_ORACLE_INPUTS = 6
 MAX_ORACLE_UNSTABLE = 14
@@ -25,7 +25,7 @@ INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
-class OracleBudgetError(ValueError):
+class OracleBudgetError(InputError):
     """The instance exceeds the enumeration budget; pick a smaller one."""
 
 

@@ -104,6 +104,56 @@ def _assert_input_error(capsys, rc, name):
     assert len(err.strip().splitlines()) == 1
 
 
+_TOY = "--model {t}/suite/a.model.json --spec {t}/suite/a.spec.json"
+_GEN = "gen --seed 1 --layers 1 --widths 3 --count 2 --eps 0.1 --out {t}/g"
+_BENCH = "bench --suite {t}/suite --heuristics drg --out {t}/r"
+
+# Every input error the CLI itself raises; a later option overrides the base's.
+INPUT_ERRORS = {
+    "gen-widths": (_GEN + " --widths abc", "--widths: cannot parse 'abc'"),
+    "gen-shapes": (_GEN + " --layers 2 --widths 4,5,6", "--layers 2 and --widths '4,5,6'"),
+    "gen-eps": (_GEN + " --eps nan", "--eps must be finite"),
+    "gen-count": (_GEN + " --count 0", "--count"),
+    "gen-seed": (_GEN + " --seed -1", "--seed must be non-negative"),
+    "gen-eps-box-width": (_GEN + " --eps 1e308", "--eps 1e+308: the box width overflows"),
+    "bench-heuristics-empty": (_BENCH + " --heuristics ,", "--heuristics: empty list"),
+    "bench-heuristics-repeated": (_BENCH + " --heuristics drg,babsr,drg",
+                                  "--heuristics: 'drg' is repeated"),
+    "bench-suite-empty": (_BENCH + " --suite {t}/empty", "no (model, spec) pairs found in"),
+    "bench-baseline-not-run": (_BENCH + " --baseline babsr", "--baseline 'babsr' is not among"),
+    "bench-out-a-file": (_BENCH + " --out {t}/afile", "--out"),
+    "oracle-samples": ("oracle " + _TOY + " --samples 0", "--samples must be positive"),
+    "oracle-seed": ("oracle " + _TOY + " --seed -1", "--seed must be non-negative"),
+    "oracle-budget": ("oracle --model {t}/big.model.json --spec {t}/big.spec.json",
+                      "input dimension 7 exceeds oracle budget"),
+    "verify-box-width": ("verify --model {t}/suite/a.model.json --spec {t}/wide.spec.json",
+                         "box width input_upper[0] - input_lower[0] overflows float64"),
+    "verify-output-a-directory": ("verify " + _TOY + " --output {t}/empty", "--output"),
+    "verify-trace-missing-dir": ("verify " + _TOY + " --trace {t}/missing/t.jsonl", "--trace"),
+}
+
+
+@pytest.mark.parametrize("case", INPUT_ERRORS)
+def test_input_errors_exit_3_with_one_error_line(tmp_path, capsys, monkeypatch, case):
+    (tmp_path / "suite").mkdir()
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "afile").write_text("not a directory")
+    _write_toy(tmp_path / "suite", 0.1, "a")
+    big = model.make_network([(np.eye(7), np.zeros(7), model.LINEAR)])
+    model.save_task(model.VerificationTask(big, -np.ones(7), np.ones(7), np.eye(7)),
+                    str(tmp_path / "big.model.json"), str(tmp_path / "big.spec.json"))
+    # Each bound is finite, but the width between them is not.
+    model.save_spec([-1e308], [1e308], [[1.0]], str(tmp_path / "wide.spec.json"))
+    files = sorted(tmp_path.rglob("*"))
+    monkeypatch.setattr(cli.bab, "verify", lambda *a, **k: pytest.fail("a search started"))
+    argv, name = INPUT_ERRORS[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv.format(t=tmp_path).split())
+    _assert_input_error(capsys, rc, name)
+    assert sorted(tmp_path.rglob("*")) == files  # nothing written
+
+
 @pytest.mark.parametrize("path, field, value", [
     ("model", "weights", [[1.0, True]]),
     ("model", "bias", [False]),
@@ -193,15 +243,6 @@ def test_gen_single_width_is_replicated(tmp_path):
     assert [l.out_dim for l in net.layers] == [4, 4, 4, 2]
 
 
-def test_gen_rejects_bad_shapes(tmp_path, capsys):
-    rc = cli.main(["gen", "--seed", "1", "--layers", "2", "--widths", "4,5,6", "--count", "1",
-                   "--eps", "0.1", "--out", str(tmp_path / "x")])
-    assert rc == 3
-    rc = cli.main(["gen", "--seed", "1", "--layers", "1", "--widths", "abc", "--count", "1",
-                   "--eps", "0.1", "--out", str(tmp_path / "y")])
-    assert rc == 3
-
-
 def test_gen_small_instances_pass_oracle_budget(tmp_path):
     from reluverify import oracle
 
@@ -264,6 +305,35 @@ def test_bench_equal_branches_count_as_ties_and_wins(tmp_path):
     assert int(row["ties"]) == 1 and int(row["wins"]) == 0
 
 
+def test_bench_paired_counts_agree_where_a_kind_loses(tmp_path, capsys):
+    # Seed 1 gives a 3-case suite on which drg, width and center each lose a
+    # case to babsr, so wins, ties and losses are all exercised.
+    suite, out = tmp_path / "suite", tmp_path / "report"
+    assert cli.main(["gen", "--seed", "1", "--layers", "2", "--widths", "4", "--count", "3",
+                     "--eps", "0.3", "--out", str(suite)]) == 0
+    kinds = ["drg", "babsr", "width", "center", "grad"]
+    assert cli.main(["bench", "--suite", str(suite), "--heuristics", ",".join(kinds),
+                     "--max-branches", "200", "--out", str(out)]) == 0
+    capsys.readouterr()
+    with open(out / "results.csv") as fh:
+        branches = {(r["instance"], r["heuristic"]): int(r["branches"]) for r in csv.DictReader(fh)}
+    names = sorted({name for name, _ in branches})
+    with open(out / "summary.csv") as fh:
+        summary = {r["heuristic"]: r for r in csv.DictReader(fh)}
+    with open(out / "head_to_head.csv") as fh:
+        h2h = {r["heuristic"]: r for r in csv.DictReader(fh)}
+    assert set(h2h) == set(kinds) - {"babsr"}
+    assert summary["babsr"]["win_rate_branches_pct"] == ""
+    for kind, row in h2h.items():
+        assert row["baseline"] == "babsr"
+        assert row["dominance_pct"] == summary[kind]["win_rate_branches_pct"]
+        signs = [np.sign(branches[(n, kind)] - branches[(n, "babsr")]) for n in names]
+        assert [int(row[k]) for k in ("wins", "ties", "losses")] \
+            == [signs.count(-1), signs.count(0), signs.count(1)]
+        assert sum(int(row[k]) for k in ("wins", "ties", "losses")) == len(names) == 3
+    assert any(int(row["losses"]) for row in h2h.values())
+
+
 def test_bench_results_and_summary_share_the_run_clock(tmp_path):
     suite = tmp_path / "suite"
     suite.mkdir()
@@ -300,14 +370,6 @@ def test_bench_out_that_is_a_file_exits_3_before_any_run(tmp_path, capsys, monke
     monkeypatch.setattr(cli.bab, "verify", lambda *a, **k: pytest.fail("a run started"))
     rc = cli.main(["bench", "--suite", str(suite), "--heuristics", "drg", "--out", str(out)])
     _assert_input_error(capsys, rc, "--out")
-
-
-def test_bench_empty_suite_exits_3(tmp_path, capsys):
-    suite = tmp_path / "empty"
-    suite.mkdir()
-    rc = cli.main(["bench", "--suite", str(suite), "--heuristics", "drg",
-                   "--out", str(tmp_path / "r")])
-    assert rc == 3
 
 
 def test_bench_rejects_unknown_heuristic(tmp_path, capsys):
@@ -362,13 +424,15 @@ def test_gen_rejects_eps_and_weight_scale_that_are_not_finite_and_positive(tmp_p
 
 
 def test_gen_overflow_names_the_option_and_writes_nothing(tmp_path, capsys):
-    # Finite but huge: 1e300 weights overflow the anchor's forward pass, and
-    # with seed 1 the 1e308 box makes the second instance's bias shift
-    # overflow after the first instance is fine. A numpy warning fails the run.
+    # Finite but huge: 1e300 weights overflow the anchor's forward pass, a
+    # 1e308 box's width overflows, and with seed 1 the 8e307 box makes the
+    # second instance's bias shift overflow after the first instance is fine.
+    # A numpy warning fails the run.
     out = tmp_path / "suite"
     base = ["gen", "--seed", "1", "--layers", "1", "--widths", "4", "--count", "5",
             "--out", str(out)]
-    for extra in (["--eps", "0.1", "--weight-scale", "1e300"], ["--eps", "1e308"]):
+    for extra in (["--eps", "0.1", "--weight-scale", "1e300"], ["--eps", "1e308"],
+                  ["--eps", "8e307"]):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = cli.main(base + extra)
@@ -384,16 +448,6 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert out["unsafe"] is True
     assert abs(out["min_value"] + 0.5) < 1e-9
     assert out["attack"] is not None
-
-
-def test_oracle_subcommand_budget_refusal(tmp_path, capsys):
-    net = model.make_network([(np.eye(7), np.zeros(7), model.LINEAR)])
-    task = model.VerificationTask(net, -np.ones(7), np.ones(7), np.eye(7))
-    mp, sp = str(tmp_path / "big.model.json"), str(tmp_path / "big.spec.json")
-    model.save_task(task, mp, sp)
-    rc = cli.main(["oracle", "--model", mp, "--spec", sp])
-    assert rc == 3
-    assert "budget" in capsys.readouterr().err
 
 
 def test_oracle_subcommand_rejects_nonpositive_samples(tmp_path, capsys):
