@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -217,7 +218,7 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
     """Run the four phases on one sub-domain, node stats.branches_visited.
 
     Returns its trace entry, whose "action" is pruned-safe, unsafe, split,
-    bisect or stuck, and the children to queue. slopes are the root's
+    bisect, stuck or non-finite, and the children to queue. slopes are the root's
     optimized slopes, one row per spec row; results, when given, is the
     sub-domain's stacked bound under them (the root's, from its slope
     optimization) and is used instead of bounding again. The witness, split
@@ -243,6 +244,8 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
     entry["lower_bound"] = eff_lb
     entry["raw_lower_bound"] = raw_lb
     entry["row"] = worst_row
+    if not math.isfinite(raw_lb):
+        return dict(entry, action="non-finite"), ()
 
     # Phase 2: safety check.
     if eff_lb > 0.0:
@@ -253,6 +256,8 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
     bound = results.row(worst_row)
     wit = witness_mod.validate_witness(net, C, bound)
     entry["witness_margin"] = float(wit.concrete_margin.min())
+    if not math.isfinite(entry["witness_margin"]):
+        return dict(entry, action="non-finite"), ()
     if wit.kind == witness_mod.CONCRETE_VIOLATION:
         stats.witness = wit
         entry["action"] = "unsafe"
@@ -310,8 +315,8 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
-    timeout, branch budget, or an unrefinable leaf. Deterministic given
-    (task, heuristic, config).
+    timeout, branch budget, an unrefinable leaf, or a non-finite bound or
+    witness margin. Deterministic given (task, heuristic, config).
     """
     start_time = time.perf_counter()
     config = config or BabConfig()
@@ -330,6 +335,9 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
             stats.per_node_trace.append(entry)
         if entry["action"] == "unsafe":
             stats.verdict = UNSAFE
+            break
+        if entry["action"] == "non-finite":
+            stats.unknown_reason = "non-finite bound"
             break
         stuck |= entry["action"] == "stuck"
         for child in children:

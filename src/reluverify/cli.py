@@ -67,6 +67,21 @@ def _open_for_writing(path: str, flag: str):
         raise model.InputError(f"{flag} {path}: cannot write file ({exc.strerror})") from None
 
 
+def _out_dir(path: str, make: bool = False) -> Path:
+    """--out as a directory: refused when the path, or its nearest existing
+    ancestor, is not a directory (checked before any work), and made if make."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise model.InputError(f"--out {path}: {existing} is not a directory")
+    try:
+        if make:
+            out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise model.InputError(f"--out {path}: cannot make directory ({exc.strerror})") from None
+    return out
+
+
 def cmd_verify(args) -> int:
     task = model.load_task(args.model, args.spec, args.timeout, args.max_branches)
     config = _config_from_args(args, trace=bool(args.trace))
@@ -153,6 +168,7 @@ def cmd_gen(args) -> int:
         raise model.InputError(f"--eps {args.eps!r}: the box width overflows float64")
     if args.count < 1 or args.inputs < 1 or args.outputs < 1:
         raise model.InputError("--count/--inputs/--outputs must be positive")
+    out_dir = _out_dir(args.out)
 
     def instances():
         rng = np.random.default_rng(args.seed)
@@ -164,8 +180,7 @@ def cmd_gen(args) -> int:
     # is written, without holding the whole suite in memory.
     for _ in instances():
         pass
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(args.out, make=True)
     for i, (net, lo, hi, C) in enumerate(instances()):
         stem = out_dir / f"case_{i:03d}"
         model.save_model(net, str(stem) + ".model.json")
@@ -209,9 +224,7 @@ def cmd_bench(args) -> int:
     baseline = args.baseline or (heuristics.BABSR if heuristics.BABSR in kinds else kinds[0])
     if baseline not in kinds:
         raise model.InputError(f"--baseline {baseline!r} is not among the heuristics run")
-    out_dir = Path(args.out)
-    if out_dir.exists() and not out_dir.is_dir():
-        raise model.InputError(f"--out {args.out}: exists and is not a directory")
+    out_dir = _out_dir(args.out)
 
     config = _config_from_args(args)
     runs: Dict[str, List[bab.RunStats]] = {kind: [] for kind in kinds}  # suite order
@@ -224,7 +237,7 @@ def cmd_bench(args) -> int:
                   for (name, _, _), s in zip(instances, stats))
     # Made once every run is done, so a task or budget error leaves no empty
     # report directory (building every task first would hold the whole suite).
-    out_dir.mkdir(parents=True, exist_ok=True)
+    _out_dir(args.out, make=True)
     _write_csv(out_dir / "results.csv",
                ["instance", "heuristic", "verdict", "branches", "splits", "time_s"], rows)
 

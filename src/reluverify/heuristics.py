@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from . import model
-from .relax import BoundResult, Slopes, _slope_for
+from .relax import BoundResult, Slopes
 
 DRG = "drg"
 DRG_SYMMETRIC = "drg_symmetric"
@@ -54,14 +54,14 @@ def score_branches(
     bound: BoundResult,
     domain,
     preacts: List[np.ndarray],
-    slopes: Optional[Slopes],
+    slopes: Slopes,
 ) -> Tuple[Scores, int]:
     """Score every unstable neuron for a heuristic kind.
 
     bound is the row's bound over domain, whose neuron bounds it was taken
     under; preacts are the network's pre-activations at the witness (from
     model.forward), read by drg, drg_symmetric and grad; slopes are the row's
-    lower-line slopes (None: adaptive), read by drg_symmetric.
+    lower-line slopes, one per ReLU layer, read by drg_symmetric.
 
     Returns (scores, gap clamp events). A clamp event is a neuron scored on
     the upper side whose raw chord-minus-ReLU gap at the evaluation point is
@@ -77,7 +77,7 @@ def score_branches(
     scores: Scores = {}
     clamps = 0
     for k in sorted(bound.A):
-        _, unst, up_slope, up_icpt = nb.relaxation(k)
+        _, unst, up_slope, up_icpt = nb.relaxations[k]
         coef = coefs[k]
         if kind == WIDTH:
             score = nb.upper[k] - nb.lower[k]
@@ -91,8 +91,8 @@ def score_branches(
             upper_side = coef < 0.0
             clamps += int(np.count_nonzero(unst & upper_side & (raw_gap < 0.0)))
             if kind == DRG_SYMMETRIC:
-                # the lower line's slope is alpha wherever the score is kept
-                other = np.maximum(z, 0.0) - _slope_for(slopes, nb, k) * z
+                # the score is kept only at unstable neurons, whose lower slope is alpha
+                other = np.maximum(z, 0.0) - slopes[k] * z
             else:
                 other = 0.0
             score = np.abs(coef) * np.where(upper_side, np.maximum(raw_gap, 0.0), other)

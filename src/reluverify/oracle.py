@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -181,7 +181,6 @@ class PatternRegion:
     (strict sides closed to their boundary).
     """
 
-    pattern: Dict[Tuple[int, int], int]
     margin_w: np.ndarray
     margin_b: np.ndarray
     constraint_rows: np.ndarray
@@ -214,11 +213,10 @@ def enumerate_regions(
 
     n_layers = net.n_layers
 
-    def visit(k, M, cvec, pattern, rows, rhs):
+    def visit(k, M, cvec, rows, rhs):
         if k == n_layers - 1:
             layer = net.layers[k]
             yield PatternRegion(
-                pattern=dict(pattern),
                 margin_w=C @ (layer.weights @ M),
                 margin_b=C @ (layer.weights @ cvec + layer.bias),
                 constraint_rows=np.array(rows) if rows else np.zeros((0, n0)),
@@ -229,7 +227,7 @@ def enumerate_regions(
         zM = layer.weights @ M
         zc = layer.weights @ cvec + layer.bias
         if layer.activation == LINEAR:
-            yield from visit(k + 1, zM, zc, pattern, rows, rhs)
+            yield from visit(k + 1, zM, zc, rows, rhs)
             return
         act = lows[k] >= 0.0
         inact = (ups[k] <= 0.0) & ~act
@@ -238,9 +236,7 @@ def enumerate_regions(
             keep = act.copy()
             new_rows = list(rows)
             new_rhs = list(rhs)
-            new_pattern = dict(pattern)
             for j, s in zip(unstable, signs):
-                new_pattern[(k, int(j))] = int(s)
                 if s > 0:
                     keep[j] = True
                     new_rows.append(-zM[j])  # z_j >= 0
@@ -254,10 +250,9 @@ def enumerate_regions(
                 )
                 if status != OPTIMAL:
                     continue  # empty pattern region
-            yield from visit(k + 1, zM * keep[:, None], zc * keep, new_pattern,
-                             new_rows, new_rhs)
+            yield from visit(k + 1, zM * keep[:, None], zc * keep, new_rows, new_rhs)
 
-    yield from visit(0, np.eye(n0), np.zeros(n0), {}, [], [])
+    yield from visit(0, np.eye(n0), np.zeros(n0), [], [])
 
 
 def exact_min_margin(

@@ -41,6 +41,28 @@ INFEASIBILITY_TOL = 1e-9
 Relaxation = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
+def relaxation(l: np.ndarray, u: np.ndarray) -> Relaxation:
+    """Triangle relaxation of ReLUs with pre-activation intervals [l, u].
+
+    A neuron is active when l >= 0 (l = 0 counts as active), inactive when
+    u <= 0 otherwise, and unstable when l < 0 < u. The upper line is the
+    identity on active neurons, zero on inactive ones, and on unstable ones
+    the chord through (l, 0) and (u, u): slope u / (u - l), intercept
+    -u * l / (u - l). The lower line (alpha * z) depends on the slopes
+    being optimized and is left to the caller.
+    """
+    act = l >= 0.0
+    unst = (l < 0.0) & (u > 0.0)
+    denom = np.where(unst, u - l, 1.0)
+    return act, unst, np.where(unst, u / denom, act), np.where(unst, -u * l / denom, 0.0)
+
+
+def adaptive_alpha(l: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The adaptive lower slope: 1 where u >= -l, else 0. On l <= u it already
+    is the whole lower-line slope: 1 on active neurons, 0 on inactive ones."""
+    return np.where(u >= -l, 1.0, 0.0)
+
+
 @dataclass
 class NeuronBounds:
     """Pre-activation intervals for every hidden layer (layer k = 0 .. L-2).
@@ -49,63 +71,24 @@ class NeuronBounds:
     clamp of a neuron to one sign) is written here, and propagate_bounds
     keeps it by intersection. lower[k] > upper[k] marks the region empty, a
     legitimate outcome of a narrowing; propagate_bounds then stops at that
-    layer, so the lists can be shorter than the hidden layers. The intervals
-    must not be modified once a layer's relaxation, adaptive slope or the
-    feasibility has been read: each is computed once per instance.
+    layer, so the lists can be shorter than the hidden layers. It also records
+    each ReLU layer's relaxation and the feasibility; a queued child's bounds
+    hold intervals alone and only serve as its base.
     """
 
     lower: List[np.ndarray]
     upper: List[np.ndarray]
-    _relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False, compare=False)
-    _adaptive_slopes: Dict[int, np.ndarray] = field(default_factory=dict, repr=False, compare=False)
-    _feasible: Optional[bool] = field(default=None, repr=False, compare=False)
+    relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False)
+    feasible: bool = True
 
     def is_feasible(self) -> bool:
-        if self._feasible is None:
-            self._feasible = all(np.all(l <= u) for l, u in zip(self.lower, self.upper))
-        return self._feasible
-
-    def relaxation(self, k: int) -> Relaxation:
-        """Triangle relaxation of layer k's ReLUs, computed once per instance.
-
-        A neuron is active when l >= 0 (l = 0 counts as active), inactive when
-        u <= 0 otherwise, and unstable when l < 0 < u. The upper line is the
-        identity on active neurons, zero on inactive ones, and on unstable ones
-        the chord through (l, 0) and (u, u): slope u / (u - l), intercept
-        -u * l / (u - l). The lower line (alpha * z) depends on the slopes
-        being optimized and is left to the caller.
-        """
-        rel = self._relaxations.get(k)
-        if rel is None:
-            l, u = self.lower[k], self.upper[k]
-            act = l >= 0.0
-            unst = (l < 0.0) & (u > 0.0)
-            denom = np.where(unst, u - l, 1.0)
-            up_slope = np.where(unst, u / denom, act)
-            up_icpt = np.where(unst, -u * l / denom, 0.0)
-            rel = self._relaxations[k] = (act, unst, up_slope, up_icpt)
-        return rel
-
-    def adaptive_slope(self, k: int) -> np.ndarray:
-        """Layer k's lower-line slope under the adaptive alpha, computed once per instance."""
-        slope = self._adaptive_slopes.get(k)
-        if slope is None:
-            slope = self._adaptive_slopes[k] = _lower_slope(self.relaxation(k),
-                                                            _adaptive_alpha(self, k))
-        return slope
-
-    def unstable_mask(self, k: int) -> np.ndarray:
-        return self.relaxation(k)[1]
-
-
-def _adaptive_alpha(bounds: NeuronBounds, k: int) -> np.ndarray:
-    return np.where(bounds.upper[k] >= -bounds.lower[k], 1.0, 0.0)
+        return self.feasible
 
 
 # Lower-line slopes per ReLU layer: layer k maps to an (n_k,) array shared by
 # every spec row or an (m, n_k) array, one row per spec row. Only the entries
-# at unstable neurons matter; a layer left out, or no slopes at all (None),
-# takes the adaptive slope. A slope outside [0, 1] would make the bound
+# at unstable neurons matter, and every ReLU layer needs one; no slopes at all
+# (None) means the adaptive ones. A slope outside [0, 1] would make the bound
 # unsound; the adaptive ones are 0 or 1 and optimize_alpha clips its steps.
 Slopes = Dict[int, np.ndarray]
 
@@ -166,11 +149,11 @@ def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
     return np.where(unst, alpha, act)
 
 
-def _slope_for(slopes: Optional[Slopes], bounds: NeuronBounds, k: int) -> np.ndarray:
-    """Layer k's lower-line slope under slopes, else the memoized adaptive one."""
-    if slopes is not None and k in slopes:
-        return _lower_slope(bounds.relaxation(k), slopes[k])
-    return bounds.adaptive_slope(k)
+def _lower_slopes(bounds: NeuronBounds, slopes: Optional[Slopes]) -> Slopes:
+    """Each ReLU layer's lower-line slope under slopes, else the adaptive one."""
+    if slopes is None:
+        return {k: adaptive_alpha(bounds.lower[k], bounds.upper[k]) for k in bounds.relaxations}
+    return {k: _lower_slope(bounds.relaxations[k], s) for k, s in slopes.items()}
 
 
 def _relu_backward(
@@ -195,25 +178,25 @@ def _backward_from_layer(
     lam: np.ndarray,
     off: np.ndarray,
     bounds: NeuronBounds,
-    slopes: Optional[Slopes],
+    lower: Slopes,
 ) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
     """Linear lower bounds of c_mat @ z^(obj_layer) as functions of the input.
 
     lam and off are c_mat @ W and c_mat @ b of layer obj_layer. c_mat is
-    (r, p), rows sharing one set of slopes, or (m, 1, p), spec rows with
-    per-row slopes of shape (m, n_k). Returns (coeffs on x, offsets, A) where
-    A maps each traversed ReLU layer to the coefficients recorded before its
-    relaxation; all keep c_mat's leading axes.
+    (r, p), rows sharing one set of resolved lower slopes, or (m, 1, p), spec
+    rows with per-row ones of shape (m, n_k). Returns (coeffs on x, offsets, A)
+    where A maps each traversed ReLU layer to the coefficients recorded before
+    its relaxation; all keep c_mat's leading axes.
     """
     A: Dict[int, np.ndarray] = {}
     for k in range(obj_layer - 1, -1, -1):
         lyr = net.layers[k]
         if lyr.activation == RELU:
             A[k] = lam
-            slope = _slope_for(slopes, bounds, k)
+            slope = lower[k]
             if slope.ndim == 2:
                 slope = slope[:, None, :]
-            lam, delta = _relu_backward(lam, bounds.relaxation(k), slope)
+            lam, delta = _relu_backward(lam, bounds.relaxations[k], slope)
             off = off + delta
         off = off + lam @ lyr.bias
         lam = lam @ lyr.weights
@@ -238,7 +221,7 @@ def compute_bounds(net: Network, C, domain, slopes: Optional[Slopes] = None):
         raise ValueError("compute_bounds: the sub-domain is infeasible")
     c_mat, last = rows[:, None, :], net.layers[-1]
     lam, off, A = _backward_from_layer(net, net.n_layers - 1, c_mat @ last.weights,
-                                       c_mat @ last.bias, bounds, slopes)
+                                       c_mat @ last.bias, bounds, _lower_slopes(bounds, slopes))
     lam, off = lam[:, 0, :], off[:, 0]
     x_star, lb = concretize(lam, off, domain.box_lower, domain.box_upper)
     res = BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, x_star)
@@ -260,19 +243,19 @@ def propagate_bounds(
     looser than either). With a base (the bounds of an enclosing region),
     layers below start_layer are taken from it as they are and recomputed
     layers are intersected with it, so every narrowing written into the base
-    holds in the result.
+    holds in the result. Each ReLU layer's relaxation is built here, once,
+    right after the layer is bounded.
 
     Crossings (l > u) are rounding slivers and collapse to their midpoint,
     unless a base is given and one exceeds INFEASIBILITY_TOL: the region is
     then empty, and the result stops at that crossed layer. Without a base
-    the box alone is never empty, so every crossing collapses. The result
-    keeps its feasibility and the relaxations and adaptive slopes its own
-    passes computed.
+    the box alone is never empty, so every crossing collapses. A NaN left by
+    an overflow also makes the result infeasible.
     """
     if start_layer > 0 and base is None:
         raise ValueError("propagate_bounds: start_layer > 0 needs the parent's bounds as base")
     work = NeuronBounds([], [])
-    feasible = True
+    alphas: Slopes = {}
     post_lo = box_lower
     post_hi = box_upper
     for k in range(net.n_layers - 1):
@@ -281,7 +264,7 @@ def propagate_bounds(
             l, u = base.lower[k], base.upper[k]
         else:
             n_k = layer.out_dim
-            lam, off, _ = _backward_from_layer(net, k, *layer.stacked_pm, work, None)
+            lam, off, _ = _backward_from_layer(net, k, *layer.stacked_pm, work, alphas)
             _, vals = concretize(lam, off, box_lower, box_upper)
             Wp, Wn = layer.weight_parts
             l = np.maximum(vals[:n_k], Wp @ post_lo + Wn @ post_hi + layer.bias)
@@ -291,20 +274,21 @@ def propagate_bounds(
                 u = np.minimum(u, base.upper[k])
         if not np.all(l <= u):  # a crossing, or a NaN left by an overflow
             if base is not None and np.any(l - u > INFEASIBILITY_TOL):
-                return NeuronBounds(work.lower + [l], work.upper + [u], work._relaxations,
-                                    work._adaptive_slopes, False)
+                return NeuronBounds(work.lower + [l], work.upper + [u], work.relaxations, False)
             crossed = l > u
             mid = 0.5 * (l + u)
             l = np.where(crossed, mid, l)
             u = np.where(crossed, mid, u)
-            feasible = feasible and bool(np.all(l <= u))
+            work.feasible = work.feasible and bool(np.all(l <= u))
         work.lower.append(l)
         work.upper.append(u)
         if layer.activation == RELU:
+            work.relaxations[k] = relaxation(l, u)
+            if max(k + 1, start_layer) < net.n_layers - 1:  # read by a later layer's pass
+                alphas[k] = adaptive_alpha(l, u)
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    work._feasible = feasible
     return work
 
 
@@ -313,11 +297,11 @@ def _relaxed_forward(
     x_star: np.ndarray,
     bounds: NeuronBounds,
     A: Dict[int, np.ndarray],
-    slopes: Optional[Slopes],
+    lower: Slopes,
 ) -> Dict[int, np.ndarray]:
     """Pre-activation values at x_star under the relaxation lines the backward
-    pass chose. These equal the sensitivities of the concretized bound to the
-    pre-activation coefficients, which is what the alpha gradient needs.
+    pass chose (lower: its resolved lower slopes). These equal the bound's
+    sensitivities to the pre-activation coefficients, as the alpha gradient needs.
 
     x_star is one minimizer or an (m, n_in) stack, one per spec row, with A
     shaped to match; each W @ h runs on an (m, n, 1) stack, as one row at a
@@ -330,9 +314,8 @@ def _relaxed_forward(
         z = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if layer.activation == RELU:
             pre[k] = z
-            _, _, up_slope, up_icpt = bounds.relaxation(k)
-            lower = _slope_for(slopes, bounds, k) * z
-            h = np.where(A[k] >= 0.0, lower, up_slope * z + up_icpt)
+            _, _, up_slope, up_icpt = bounds.relaxations[k]
+            h = np.where(A[k] >= 0.0, lower[k] * z, up_slope * z + up_icpt)
         else:
             h = z
     return pre
@@ -351,8 +334,8 @@ def alpha_gradient(net: Network, domain, slopes: Optional[Slopes],
     array per ReLU layer, shaped as that layer's A.
     """
     bounds = domain.neuron_bounds
-    pre = _relaxed_forward(net, bound.x_star, bounds, bound.A, slopes)
-    return {k: np.where(bounds.unstable_mask(k) & (coeff >= 0.0), coeff * pre[k], 0.0)
+    pre = _relaxed_forward(net, bound.x_star, bounds, bound.A, _lower_slopes(bounds, slopes))
+    return {k: np.where(bounds.relaxations[k][1] & (coeff >= 0.0), coeff * pre[k], 0.0)
             for k, coeff in bound.A.items()}
 
 
@@ -381,7 +364,7 @@ def optimize_alpha(
     C = np.asarray(C, dtype=np.float64)
     rows = np.atleast_2d(C)
     bounds = domain.neuron_bounds
-    cur = {k: np.repeat(_adaptive_alpha(bounds, k)[None, :], len(rows), axis=0)
+    cur = {k: np.repeat(adaptive_alpha(bounds.lower[k], bounds.upper[k])[None, :], len(rows), 0)
            for k in range(len(bounds.lower)) if net.layers[k].activation == RELU}
     if not cur:
         return cur, None

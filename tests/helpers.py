@@ -41,6 +41,21 @@ def make_domain(net, lo, hi, splits=None):
     return d
 
 
+def hand_bounds(lower, upper):
+    """relax.NeuronBounds over hand-written intervals, one list entry per hidden
+    layer, each taken as a ReLU layer: with the relaxations and the
+    feasibility that relax.propagate_bounds would record for them."""
+    lower = [np.asarray(l, dtype=float) for l in lower]
+    upper = [np.asarray(u, dtype=float) for u in upper]
+    rels = {k: relax.relaxation(l, u) for k, (l, u) in enumerate(zip(lower, upper))}
+    return relax.NeuronBounds(lower, upper, rels, layer_scan(lower, upper))
+
+
+def layer_scan(lower, upper):
+    """Feasibility read from the intervals alone: no layer crosses or holds a NaN."""
+    return all(np.all(l <= u) for l, u in zip(lower, upper))
+
+
 def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
     """relax.propagate_bounds under the rule of a sub-domain that kept its
     splits as a (layer, neuron) -> sign dict: every split is clamped again at
@@ -49,6 +64,7 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
     crossed layer. Reference for the clamp-only bounds of bab.SubDomain."""
     n_hidden = net.n_layers - 1
     work = relax.NeuronBounds([None] * n_hidden, [None] * n_hidden)
+    alphas = {}
     infeasible_at = None
     post_lo, post_hi = lo, hi
     for k in range(n_hidden):
@@ -61,7 +77,7 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
             eye = np.eye(layer.out_dim)
             stack = np.vstack([eye, -eye])
             lam, off, _ = relax._backward_from_layer(net, k, stack @ layer.weights,
-                                                     stack @ layer.bias, work, None)
+                                                     stack @ layer.bias, work, alphas)
             _, vals = relax.concretize(lam, off, lo, hi)
             Wp, Wn = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
             l = np.maximum(vals[:layer.out_dim], Wp @ post_lo + Wn @ post_hi + layer.bias)
@@ -82,10 +98,13 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
                 l, u = np.where(crossed, mid, l), np.where(crossed, mid, u)
         work.lower[k], work.upper[k] = l, u
         if layer.activation == model.RELU:
+            work.relaxations[k] = relax.relaxation(l, u)
+            alphas[k] = np.where(u >= -l, 1.0, 0.0)
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    return relax.NeuronBounds(work.lower, work.upper)
+    return relax.NeuronBounds(work.lower, work.upper, work.relaxations,
+                              layer_scan(work.lower, work.upper))
 
 
 def random_net(rng, n_inputs, widths, n_outputs, scale=1.5):

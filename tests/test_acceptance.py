@@ -13,8 +13,8 @@ import numpy as np
 
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
-from helpers import (adaptive_slopes, identity_relu_net, make_domain, oracle_sized_task,
-                     random_net, random_task)
+from helpers import (adaptive_slopes, hand_bounds, identity_relu_net, make_domain,
+                     oracle_sized_task, random_net, random_task)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -29,8 +29,8 @@ def test_case_study_regression():
     ok = True
     # n_A spans [-2, 18], n_B spans [-4, 4]; both have coefficient -1 and the
     # witness sits at z*_A = 8, z*_B = 0 (the identity layer passes x through).
-    nb = relax.NeuronBounds([np.array([-2.0, -4.0])], [np.array([18.0, 4.0])])
-    _, _, slope, icpt = nb.relaxation(0)
+    nb = hand_bounds([[-2.0, -4.0]], [[18.0, 4.0]])
+    _, _, slope, icpt = nb.relaxations[0]
     ok &= abs(slope[0] - 0.9) <= 1e-12 and abs(icpt[0] - 1.8) <= 1e-12
     ok &= abs(slope[1] - 0.5) <= 1e-12 and abs(icpt[1] - 2.0) <= 1e-12
 
@@ -103,7 +103,7 @@ def test_relaxation_validity():
         l = -rng.uniform(1e-3, 10.0)
         u = rng.uniform(1e-3, 10.0)
         alpha = rng.uniform(0.0, 1.0)
-        rel = relax.NeuronBounds([np.array([l])], [np.array([u])]).relaxation(0)
+        rel = hand_bounds([[l]], [[u]]).relaxations[0]
         up_slope, up_icpt = rel[2][0], rel[3][0]
         lo_slope = relax._lower_slope(rel, np.array([alpha]))[0]
         z = np.linspace(l, u, 1000)
@@ -150,7 +150,7 @@ def test_alpha_gradient_check():
         grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
         h = 1e-5
         for k in sorted(grads):
-            for j in np.flatnonzero(d.neuron_bounds.unstable_mask(k)):
+            for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1]):
                 if checked >= 100:
                     break
                 p_hi = {i: v.copy() for i, v in slopes.items()}

@@ -6,8 +6,8 @@ import pytest
 
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
-from helpers import (make_domain, oracle_sized_task, random_task, reference_propagate_bounds,
-                     scalar_relu_net, scalar_task)
+from helpers import (layer_scan, make_domain, oracle_sized_task, random_task,
+                     reference_propagate_bounds, scalar_relu_net, scalar_task)
 
 
 def test_verify_safe_at_root_with_optimized_alpha():
@@ -59,7 +59,7 @@ def test_split_partition_covers_parent_exactly_once():
         task = random_task(rng, 2, (5,), 1, eps=0.8)
         net = task.network
         d = make_domain(net, task.input_lower, task.input_upper)
-        unstable = np.flatnonzero(d.neuron_bounds.unstable_mask(0))
+        unstable = np.flatnonzero(d.neuron_bounds.relaxations[0][1])
         if unstable.size == 0:
             continue
         j = int(unstable[0])
@@ -88,11 +88,11 @@ def test_nested_split_sets_partition_parent_region():
     net = task.network
     parent = make_domain(net, task.input_lower, task.input_upper)
     # first split, then split one child again on a later-layer neuron
-    j0 = int(np.flatnonzero(parent.neuron_bounds.unstable_mask(0))[0])
+    j0 = int(np.flatnonzero(parent.neuron_bounds.relaxations[0][1])[0])
     child, _ = bab.split_subdomain(net, parent, 0, j0)
-    unstable1 = np.flatnonzero(child.neuron_bounds.unstable_mask(1))
+    unstable1 = np.flatnonzero(child.neuron_bounds.relaxations[1][1])
     if unstable1.size == 0:
-        unstable1 = np.flatnonzero(child.neuron_bounds.unstable_mask(0))
+        unstable1 = np.flatnonzero(child.neuron_bounds.relaxations[0][1])
         layer = 0
     else:
         layer = 1
@@ -401,18 +401,17 @@ def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
         assert_same(d.neuron_bounds, ref)
         path = {}
         for _ in range(4):
-            d.neuron_bounds.relaxation(0)  # the parent's memo is not handed on
             calls = []
             monkeypatch.setattr(relax, "propagate_bounds",
                                 lambda *a, **k: calls.append(1) or propagate(*a, **k))
             halves = bab.input_bisect(net, d)
             unstable = [(k, int(j)) for k in (0, 1)
-                        for j in np.flatnonzero(d.neuron_bounds.unstable_mask(k))]
+                        for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1])]
             children = bab.split_subdomain(net, d, *unstable[0]) if unstable else ()
             monkeypatch.undo()
             assert calls == []
             for child in halves + children:
-                assert child.net is not None and child.bounds._relaxations == {}
+                assert child.net is not None and child.bounds.relaxations == {}
             for half in halves:
                 assert_same(half.neuron_bounds, reference_propagate_bounds(
                     net, half.box_lower, half.box_upper, path, ref, 0))
@@ -443,8 +442,8 @@ def _searches():
 
 
 def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
-    # propagate_bounds records whether it stopped at a crossed layer; that
-    # must be exactly what is_feasible() reads from the intervals alone.
+    # The feasibility propagate_bounds records, from a crossed layer or a
+    # NaN, must be exactly what a scan of the intervals alone reads.
     propagate, calls = relax.propagate_bounds, []
 
     def recording(net, lo, hi, base=None, start_layer=0):
@@ -458,9 +457,8 @@ def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
     high.neuron_bounds  # bounds the empty half
     kinds = {"split": 0, "bisect": 0, "empty": 0}
     for has_base, start_layer, nb in calls:
-        assert nb._feasible is not None
-        scan = relax.NeuronBounds(nb.lower, nb.upper).is_feasible()
-        assert nb._feasible == scan
+        scan = layer_scan(nb.lower, nb.upper)
+        assert nb.is_feasible() == nb.feasible == scan
         kinds["split"] += start_layer > 0
         kinds["bisect"] += has_base and start_layer == 0
         kinds["empty"] += not scan
@@ -468,23 +466,18 @@ def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
 
 
 def test_each_layer_relaxation_is_computed_once_per_bounds(monkeypatch):
-    # A bound pass hands its relaxations and adaptive slopes on with the
-    # bounds it returns, so no later reader of the same intervals builds them
-    # again. Keyed by the interval lists, so a fresh object over the same
-    # lists counts as the same bounds; the lists are kept alive for the keys.
-    built = {"relaxation": [], "adaptive_slope": []}
-    alive = []
-    for name, memo in (("relaxation", "_relaxations"), ("adaptive_slope", "_adaptive_slopes")):
-        def counting(self, k, method=getattr(relax.NeuronBounds, name), memo=memo, name=name):
-            if k not in getattr(self, memo):
-                alive.append(self.lower)
-                built[name].append((id(self.lower), k))
-            return method(self, k)
-        monkeypatch.setattr(relax.NeuronBounds, name, counting)
+    # Relaxations are built by propagate_bounds alone, one per ReLU layer it
+    # bounds, and each is handed on with the bounds it returns: the built
+    # ones are exactly the returned ones, so no reader builds one again.
+    build, propagate = relax.relaxation, relax.propagate_bounds
+    built, returned = [], []  # both keep their objects alive for the ids
+    monkeypatch.setattr(relax, "relaxation", lambda l, u: built.append(build(l, u)) or built[-1])
+    monkeypatch.setattr(relax, "propagate_bounds",
+                        lambda *a, **k: returned.append(propagate(*a, **k)) or returned[-1])
     _searches()
-    for name, keys in built.items():
-        assert len(keys) > 100, name
-        assert len(set(keys)) == len(keys), name
+    ids = [id(r) for r in built]
+    assert len(ids) > 100 and len(set(ids)) == len(ids)
+    assert sorted(ids) == sorted(id(r) for nb in returned for r in nb.relaxations.values())
 
 
 def _straddling_bisection():
@@ -606,3 +599,37 @@ def test_single_point_root_is_never_pruned_as_empty():
         assert stats.verdict == bab.UNSAFE, f"seed {seed}"
         assert [e["action"] for e in stats.per_node_trace] == ["unsafe"]
         assert np.array_equal(stats.witness.x_star, task.input_lower)
+
+
+def test_a_non_finite_bound_or_witness_margin_ends_the_run_unknown(monkeypatch):
+    # The --eps 8e307 box of `gen --seed 1 --layers 1 --widths 4 --count 1`
+    # is finite, but its root bound overflows to -inf; no verdict rests on it.
+    net, lo, hi, C = cli.generate_instance(np.random.default_rng(1), 2, [4], 2, 8e307, 1.0)
+    task = model.VerificationTask(net, lo, hi, C)
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
+    assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "non-finite bound")
+    (entry,) = stats.per_node_trace
+    assert entry["action"] == "non-finite" and entry["raw_lower_bound"] == -np.inf
+    # A witness margin of -inf would otherwise be a concrete violation.
+    validate = bab.witness_mod.validate_witness
+    monkeypatch.setattr(bab.witness_mod, "validate_witness", lambda *a: dataclasses.replace(
+        validate(*a), concrete_margin=np.array([-np.inf])))
+    stats = bab.verify(scalar_task(scalar_relu_net(out_bias=-0.5)), "drg")
+    assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "non-finite bound")
+
+
+def test_an_infinite_root_interval_with_a_finite_bound_still_decides():
+    # Layer 1's root upper bound overflows to inf, yet the bound and the
+    # witness margin are finite: x = (-1, -1) gives margin exactly 0, Unsafe.
+    net = model.make_network([(np.array([[1e300, 1e300]]), np.zeros(1), model.RELU),
+                              (np.array([[1e300]]), np.zeros(1), model.RELU),
+                              (np.array([[1.0]]), np.zeros(1), model.LINEAR)])
+    task = model.VerificationTask(net, -np.ones(2), np.ones(2), np.array([[1.0]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        stats = bab.verify(task, "drg")
+        root = relax.propagate_bounds(net, task.input_lower, task.input_upper)
+    assert root.upper[1][0] == np.inf
+    assert stats.verdict == bab.UNSAFE
+    assert stats.witness.x_star.tolist() == [-1.0, -1.0]
+    assert stats.witness.concrete_margin.tolist() == [0.0]

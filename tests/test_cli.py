@@ -122,6 +122,9 @@ INPUT_ERRORS = {
     "bench-suite-empty": (_BENCH + " --suite {t}/empty", "no (model, spec) pairs found in"),
     "bench-baseline-not-run": (_BENCH + " --baseline babsr", "--baseline 'babsr' is not among"),
     "bench-out-a-file": (_BENCH + " --out {t}/afile", "--out"),
+    "bench-out-under-a-file": (_BENCH + " --out {t}/afile/sub", "--out"),
+    "gen-out-a-file": (_GEN + " --out {t}/afile", "--out"),
+    "gen-out-under-a-file": (_GEN + " --out {t}/afile/sub", "--out"),
     "oracle-samples": ("oracle " + _TOY + " --samples 0", "--samples must be positive"),
     "oracle-seed": ("oracle " + _TOY + " --seed -1", "--seed must be non-negative"),
     "oracle-budget": ("oracle --model {t}/big.model.json --spec {t}/big.spec.json",
@@ -146,12 +149,24 @@ def test_input_errors_exit_3_with_one_error_line(tmp_path, capsys, monkeypatch, 
     model.save_spec([-1e308], [1e308], [[1.0]], str(tmp_path / "wide.spec.json"))
     files = sorted(tmp_path.rglob("*"))
     monkeypatch.setattr(cli.bab, "verify", lambda *a, **k: pytest.fail("a search started"))
+    monkeypatch.setattr(cli, "generate_instance", lambda *a: pytest.fail("gen started"))
     argv, name = INPUT_ERRORS[case]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = cli.main(argv.format(t=tmp_path).split())
     _assert_input_error(capsys, rc, name)
     assert sorted(tmp_path.rglob("*")) == files  # nothing written
+
+
+def test_out_directory_that_cannot_be_made_is_an_input_error(tmp_path, capsys, monkeypatch):
+    # mkdir's own OSError, past the up-front check, still names --out.
+    def refuse(self, *a, **k):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(cli.Path, "mkdir", refuse)
+    rc = cli.main(_GEN.format(t=tmp_path).split())
+    _assert_input_error(capsys, rc, "cannot make directory (Permission denied)")
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("path, field, value", [

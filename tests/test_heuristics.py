@@ -3,7 +3,7 @@ import pytest
 
 from reluverify import bab, heuristics, model, relax
 
-from helpers import identity_relu_net, make_domain, random_net
+from helpers import hand_bounds, identity_relu_net, make_domain, random_net
 
 # The two-neuron scenario used throughout: n_A spans [-2, 18] (width 20),
 # n_B spans [-4, 4] (width 8), both with sensitivity magnitude 1 on the
@@ -23,7 +23,7 @@ def _scores(kind, A, l, u, z, alpha=None, out_weights=None):
     """
     z = np.asarray(z, dtype=float)
     net = identity_relu_net(z.size, out_weights)
-    nb = relax.NeuronBounds([np.asarray(l, dtype=float)], [np.asarray(u, dtype=float)])
+    nb = hand_bounds([l], [u])
     bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, z)
     domain = bab.SubDomain(z, z, nb)
     slopes = None if alpha is None else {0: np.asarray(alpha, float)}
@@ -173,7 +173,7 @@ def test_grad_score_uses_concrete_gradient_sign():
 
 def test_center_scores_at_the_box_center():
     net = identity_relu_net(2)
-    nb = relax.NeuronBounds([CASE_L.copy()], [CASE_U.copy()])
+    nb = hand_bounds([CASE_L], [CASE_U])
     far_corner = np.array([10.0, 2.0])
     bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, far_corner)
     domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), nb)
@@ -230,7 +230,7 @@ def test_gap_clamp_counting():
 def test_scores_skip_stable_and_split_neurons():
     net = random_net(np.random.default_rng(46), 2, [4], 1)
     d = make_domain(net, [-1.0, -1.0], [1.0, 1.0])
-    unstable = np.flatnonzero(d.neuron_bounds.unstable_mask(0))
+    unstable = np.flatnonzero(d.neuron_bounds.relaxations[0][1])
     assert unstable.size >= 2
     j = int(unstable[0])
     d2 = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, j): +1})
@@ -239,4 +239,4 @@ def test_scores_skip_stable_and_split_neurons():
                                           model.forward(net, np.zeros(2))[1], None)
     candidates = set(np.flatnonzero(np.isfinite(scores[0])).tolist())
     assert j not in candidates
-    assert candidates == set(np.flatnonzero(d2.neuron_bounds.unstable_mask(0)).tolist())
+    assert candidates == set(np.flatnonzero(d2.neuron_bounds.relaxations[0][1]).tolist())

@@ -83,7 +83,7 @@ def test_exact_matches_relax_bound_on_fully_stable_net():
     task = model.VerificationTask(net, np.array([-0.5, -0.5]), np.array([0.5, 0.5]),
                                   np.array([[1.0]]))
     d = make_domain(net, task.input_lower, task.input_upper)
-    assert not d.neuron_bounds.unstable_mask(0).any()  # layer 0 is the only hidden layer
+    assert not d.neuron_bounds.relaxations[0][1].any()  # layer 0 is the only hidden layer
     res = relax.compute_bounds(net, np.array([1.0]), d)
     mv, _ = oracle.exact_min_margin(task)
     assert abs(res.lower_bound - mv) < 1e-9

@@ -8,14 +8,13 @@ from reluverify import bab, model, relax
 
 from reluverify.cli import generate_instance
 
-from helpers import (adaptive_slopes, make_domain, random_net, reference_optimize_alpha,
-                     scalar_relu_net)
+from helpers import (adaptive_slopes, hand_bounds, layer_scan, make_domain, random_net,
+                     reference_optimize_alpha, scalar_relu_net)
 
 
 def _relaxation(l, u):
     """Relaxation of one neuron with pre-activation bounds [l, u], as scalars."""
-    nb = relax.NeuronBounds([np.array([l])], [np.array([u])])
-    act, unst, slope, icpt = nb.relaxation(0)
+    act, unst, slope, icpt = hand_bounds([[l]], [[u]]).relaxations[0]
     return bool(act[0]), bool(unst[0]), float(slope[0]), float(icpt[0])
 
 
@@ -24,8 +23,8 @@ def test_relu_relaxation_wide_interval():
     assert unst
     assert abs(slope - 0.9) < 1e-12
     assert abs(icpt - 1.8) < 1e-12
-    nb = relax.NeuronBounds([np.array([-2.0])], [np.array([18.0])])
-    assert relax._lower_slope(nb.relaxation(0), np.array([0.5])).tolist() == [0.5]
+    rel = hand_bounds([[-2.0]], [[18.0]]).relaxations[0]
+    assert relax._lower_slope(rel, np.array([0.5])).tolist() == [0.5]
 
 
 def test_relu_relaxation_moderate_interval():
@@ -44,8 +43,8 @@ def test_relu_relaxation_stable_neurons_are_exact():
     # stable neurons are never unstable and get their exact line, not a chord
     assert _relaxation(0.5, 2.0) == (True, False, 1.0, 0.0)
     assert _relaxation(-2.0, -0.5) == (False, False, 0.0, 0.0)
-    nb = relax.NeuronBounds([np.array([0.5, -2.0])], [np.array([2.0, -0.5])])
-    assert relax._lower_slope(nb.relaxation(0), np.array([0.3, 0.3])).tolist() == [1.0, 0.0]
+    rel = hand_bounds([[0.5, -2.0]], [[2.0, -0.5]]).relaxations[0]
+    assert relax._lower_slope(rel, np.array([0.3, 0.3])).tolist() == [1.0, 0.0]
 
 
 def test_stability_tag_tie_rules():
@@ -56,22 +55,51 @@ def test_stability_tag_tie_rules():
     assert _relaxation(1.0, 2.0)[:2] == (True, False)
 
 
-def test_relaxation_is_computed_once_per_bounds_object():
+def test_relaxation_is_computed_once_per_bounds_object(monkeypatch):
+    # propagate_bounds builds each ReLU layer's relaxation once, from the
+    # layer's final intervals, and returns it with the bounds and their
+    # feasibility; reading it builds nothing.
     net = random_net(np.random.default_rng(29), 3, [6, 5], 2)
-    d = make_domain(net, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0])
-    nb = d.neuron_bounds
-    # propagation hands back layer 0's relaxation and adaptive slope, which
-    # its pass over layer 1 read, and its feasibility
-    assert set(nb._relaxations) == {0} and set(nb._adaptive_slopes) == {0}
-    assert nb._feasible is True
-    fresh = relax.NeuronBounds(nb.lower, nb.upper)
+    lo, hi = -np.ones(3), np.ones(3)
+    build, built = relax.relaxation, []
+    monkeypatch.setattr(relax, "relaxation", lambda l, u: built.append(build(l, u)) or built[-1])
+    nb = relax.propagate_bounds(net, lo, hi)
+    relax.compute_bounds(net, np.array([1.0, -1.0]), bab.SubDomain(lo, hi, nb))
+    assert [id(r) for r in built] == [id(nb.relaxations[k]) for k in (0, 1)]
+    assert nb.feasible is True and nb.is_feasible()
     for k in (0, 1):
-        for kept, new in zip(nb.relaxation(k), fresh.relaxation(k)):
+        for kept, new in zip(nb.relaxations[k], build(nb.lower[k], nb.upper[k])):
             assert kept.dtype == new.dtype and kept.tobytes() == new.tobytes()
-        slope = relax._lower_slope(fresh.relaxation(k), relax._adaptive_alpha(fresh, k))
-        assert nb.adaptive_slope(k).tobytes() == slope.tobytes()
-    assert nb.relaxation(1) is nb.relaxation(1)
-    assert nb.adaptive_slope(1) is nb.adaptive_slope(1)
+
+
+def test_propagation_builds_an_adaptive_alpha_only_where_a_later_pass_reads_it(monkeypatch):
+    # Layer k's alpha is read only by the backward passes of recomputed
+    # layers above k: never the last hidden layer's, and none when a split on
+    # the last hidden layer leaves no layer to recompute.
+    net = random_net(np.random.default_rng(31), 3, [6, 5, 4], 2)  # widths name the layers
+    lo, hi = -np.ones(3), np.ones(3)
+    alpha, widths = relax.adaptive_alpha, []
+    monkeypatch.setattr(relax, "adaptive_alpha", lambda l, u: widths.append(l.size) or alpha(l, u))
+    root = relax.propagate_bounds(net, lo, hi)
+    assert widths == [6, 5]
+    for start_layer, read in ((1, [6, 5]), (2, [6, 5]), (3, [])):
+        widths.clear()
+        relax.propagate_bounds(net, lo, hi, root, start_layer)
+        assert widths == read, start_layer
+
+
+def test_adaptive_alpha_is_the_whole_lower_slope():
+    # On l <= u the adaptive alpha already is 1 on active neurons and 0 on
+    # inactive ones, so resolving it through the relaxation changes no bit.
+    rng = np.random.default_rng(30)
+    l = rng.normal(size=200) * rng.choice([1e-3, 1.0, 1e3], 200)
+    u = l + rng.exponential(size=200) * rng.choice([0.0, 1e-3, 1.0, 1e3], 200)
+    ties = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 0.0], [-0.0, 0.0], [-1.0, 0.0],
+                     [-1.0, -0.0], [2.0, 2.0], [-2.0, -2.0], [-1.0, 1.0]])
+    for lo, up in ((l, u), (ties[:, 0], ties[:, 1])):
+        alpha = relax.adaptive_alpha(lo, up)
+        resolved = relax._lower_slope(relax.relaxation(lo, up), alpha)
+        assert alpha.dtype == resolved.dtype and alpha.tobytes() == resolved.tobytes()
 
 
 def test_compute_bounds_single_neuron_lower_line():
@@ -126,7 +154,7 @@ def test_compute_bounds_sampled_soundness_with_splits():
     net = random_net(rng, 2, [5, 4], 1, scale=2.0)
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     root = make_domain(net, lo, hi)
-    unstable = np.flatnonzero(root.neuron_bounds.unstable_mask(0))
+    unstable = np.flatnonzero(root.neuron_bounds.relaxations[0][1])
     assert unstable.size >= 1
     j = int(unstable[0])
     for sign in (+1, -1):
@@ -257,8 +285,7 @@ def test_triangle_validity_on_grid():
         l = -rng.uniform(0.01, 10.0)
         u = rng.uniform(0.01, 10.0)
         a = rng.uniform(0.0, 1.0)
-        nb = relax.NeuronBounds([np.array([l])], [np.array([u])])
-        rel = nb.relaxation(0)
+        rel = hand_bounds([[l]], [[u]]).relaxations[0]
         lower = relax._lower_slope(rel, np.array([a]))[0]
         slope, icpt = rel[2][0], rel[3][0]
         z = np.linspace(l, u, 1000)
@@ -279,7 +306,7 @@ def test_exactness_when_every_relu_is_stable():
         ])
         lo, hi = np.array([-0.5, -0.5]), np.array([0.5, 0.5])
         d = make_domain(net, lo, hi)
-        assert not d.neuron_bounds.unstable_mask(0).any()  # layer 0 is the only hidden layer
+        assert not d.neuron_bounds.relaxations[0][1].any()  # layer 0 is the only hidden layer
         c = np.array([1.0])
         res = relax.compute_bounds(net, c, d)
         # exact affine margin: m(x) = W1 (W0 x + b0') + b1 on this box
@@ -303,7 +330,7 @@ def test_alpha_gradient_matches_finite_differences():
         grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
         h = 1e-5
         for k in sorted(grads):
-            for j in np.flatnonzero(d.neuron_bounds.unstable_mask(k)):
+            for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1]):
                 p_hi = {i: v.copy() for i, v in slopes.items()}
                 p_hi[k][j] += h
                 p_lo = {i: v.copy() for i, v in slopes.items()}
@@ -484,17 +511,10 @@ def test_optimize_alpha_without_relu_layers_returns_no_bound():
         relax.optimize_alpha(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
 
 
-def test_is_feasible_reads_hand_built_bounds_once():
-    crossed = relax.NeuronBounds([np.array([0.0, 2.0])], [np.array([1.0, 1.0])])
-    assert not crossed.is_feasible() and crossed._feasible is False
-    fine = relax.NeuronBounds([np.array([0.0, 1.0])], [np.array([1.0, 1.0])])
-    assert fine.is_feasible() and fine._feasible is True
-
-
 def test_propagated_feasibility_sees_a_nan_left_by_overflow():
     # 1e300 weights overflow to inf, and 0 * inf in the interval pass leaves a
-    # NaN that no crossing check sees; the recorded feasibility must still be
-    # what the layer scan reads.
+    # NaN that no crossing check sees; the feasibility propagate_bounds
+    # records must still be what the layer scan reads.
     net = model.make_network([
         (np.array([[1e300]]), np.zeros(1), model.RELU),
         (np.array([[1e300]]), np.zeros(1), model.RELU),
@@ -504,5 +524,5 @@ def test_propagated_feasibility_sees_a_nan_left_by_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         nb = relax.propagate_bounds(net, np.array([-1.0]), np.array([1.0]))
     assert np.isnan(nb.lower[2]).any()
-    assert nb._feasible is False
-    assert not relax.NeuronBounds(nb.lower, nb.upper).is_feasible()
+    assert nb.feasible is False and not nb.is_feasible()
+    assert not layer_scan(nb.lower, nb.upper)

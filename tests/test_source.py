@@ -13,3 +13,23 @@ def test_no_assert_statements_in_src():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_no_private_names_across_src_modules():
+    # A module's _-prefixed names are its own: no sibling module imports one
+    # (from .relax import _x) or reads one off the module (relax._x).
+    paths = sorted(Path(reluverify.__file__).parent.glob("*.py"))
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+                   for a in node.names}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}:{node.lineno} {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            elif (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                  and isinstance(node.value, ast.Name) and node.value.id in modules):
+                found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
+    assert found == []
