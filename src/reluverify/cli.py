@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import csv
 import json
+import math
 import statistics
 import sys
 from pathlib import Path
@@ -60,6 +61,17 @@ def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig,
     return result
 
 
+def _json(obj, indent: Optional[int] = None) -> str:
+    """obj as strict (RFC 8259) JSON: each non-finite float is written as null."""
+    def finite(o):
+        if isinstance(o, float):
+            return o if math.isfinite(o) else None
+        if isinstance(o, dict):
+            return {k: finite(v) for k, v in o.items()}
+        return [finite(v) for v in o] if isinstance(o, (list, tuple)) else o
+    return json.dumps(finite(obj), indent=indent, sort_keys=True, allow_nan=False)
+
+
 def _open_for_writing(path: str, flag: str):
     try:
         return open(path, "w", encoding="utf-8")
@@ -86,15 +98,17 @@ def cmd_verify(args) -> int:
     task = model.load_task(args.model, args.spec, args.timeout, args.max_branches)
     config = _config_from_args(args, trace=bool(args.trace))
     heuristics.check_kind(args.heuristic)  # before a file is made for its run
+    if args.output and args.trace and Path(args.output).resolve() == Path(args.trace).resolve():
+        raise model.InputError(f"--output and --trace name the same file: {args.output}")
     # Opened before the search, so an unwritable path costs no search.
     with contextlib.ExitStack() as files:
         output = args.output and files.enter_context(_open_for_writing(args.output, "--output"))
         trace = args.trace and files.enter_context(_open_for_writing(args.trace, "--trace"))
         stats = bab.verify(task, args.heuristic, config)
         result = _result_dict(stats, args.heuristic, config, task)
-        print(json.dumps(result, indent=2, sort_keys=True), file=output or sys.stdout)
+        print(_json(result, indent=2), file=output or sys.stdout)
         for entry in stats.per_node_trace or []:
-            trace.write(json.dumps(entry, sort_keys=True) + "\n")
+            trace.write(_json(entry) + "\n")
     return EXIT_BY_VERDICT[stats.verdict]
 
 
@@ -298,7 +312,7 @@ def cmd_oracle(args) -> int:
         "unsafe": min_value <= 0.0,
         "attack": None if attack is None else {"x": attack[0].tolist(), "margin": attack[1]},
     }
-    print(json.dumps(result, indent=2, sort_keys=True))
+    print(_json(result, indent=2))
     return 0
 
 

@@ -87,9 +87,9 @@ class NeuronBounds:
 
 # Lower-line slopes per ReLU layer: layer k maps to an (n_k,) array shared by
 # every spec row or an (m, n_k) array, one row per spec row. Only the entries
-# at unstable neurons matter, and every ReLU layer needs one; no slopes at all
-# (None) means the adaptive ones. A slope outside [0, 1] would make the bound
-# unsound; the adaptive ones are 0 or 1 and optimize_alpha clips its steps.
+# at unstable neurons matter, and every ReLU layer needs one. A slope outside
+# [0, 1] would make the bound unsound; the adaptive ones are 0 or 1 and
+# optimize_alpha clips its steps.
 Slopes = Dict[int, np.ndarray]
 
 
@@ -101,8 +101,9 @@ class BoundResult:
     recorded before that layer's relaxation was traversed; w is the same
     quantity at the input layer, and x_star the bound's box minimizer: the
     closed-form candidate counterexample, at which the bound takes the value
-    lower_bound. For one row, b and lower_bound are floats; for a stack of m
-    rows every field gains a leading axis of length m.
+    lower_bound. compute_bounds returns a stack of m rows, every field with a
+    leading axis of length m; row(r) gives one row, with b and lower_bound
+    floats.
     """
 
     w: np.ndarray
@@ -116,19 +117,15 @@ class BoundResult:
         return BoundResult(self.w[r], float(self.b[r]), float(self.lower_bound[r]),
                            {k: v[r] for k, v in self.A.items()}, self.x_star[r])
 
-    def take(self, rows: np.ndarray) -> "BoundResult":
-        """The stacked result restricted to the given spec rows."""
-        return BoundResult(self.w[rows], self.b[rows], self.lower_bound[rows],
-                           {k: v[rows] for k, v in self.A.items()}, self.x_star[rows])
-
     def put(self, rows: np.ndarray, other: "BoundResult") -> None:
-        """Overwrite the given spec rows in place with the rows of other."""
-        self.w[rows] = other.w
-        self.b[rows] = other.b
-        self.lower_bound[rows] = other.lower_bound
-        self.x_star[rows] = other.x_star
+        """Overwrite in place the spec rows the boolean mask rows selects with
+        those of other, a stack of the same rows."""
+        self.w[rows] = other.w[rows]
+        self.b[rows] = other.b[rows]
+        self.lower_bound[rows] = other.lower_bound[rows]
+        self.x_star[rows] = other.x_star[rows]
         for k, v in self.A.items():
-            v[rows] = other.A[k]
+            v[rows] = other.A[k][rows]
 
 
 def concretize(lam: np.ndarray, off, lo: np.ndarray, hi: np.ndarray):
@@ -147,13 +144,6 @@ def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
     """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable."""
     act, unst, _, _ = rel
     return np.where(unst, alpha, act)
-
-
-def _lower_slopes(bounds: NeuronBounds, slopes: Optional[Slopes]) -> Slopes:
-    """Each ReLU layer's lower-line slope under slopes, else the adaptive one."""
-    if slopes is None:
-        return {k: adaptive_alpha(bounds.lower[k], bounds.upper[k]) for k in bounds.relaxations}
-    return {k: _lower_slope(bounds.relaxations[k], s) for k, s in slopes.items()}
 
 
 def _relu_backward(
@@ -203,29 +193,26 @@ def _backward_from_layer(
     return lam, off, A
 
 
-def compute_bounds(net: Network, C, domain, slopes: Optional[Slopes] = None):
+def compute_bounds(net: Network, C: np.ndarray, domain, slopes: Slopes) -> BoundResult:
     """Sound linear lower bounds of margin rows over a sub-domain.
 
-    C is one row or an (m, p) stack of rows; slopes are shared or hold one
-    row per spec row. For every x in the sub-domain box whose
-    pre-activations lie in its neuron bounds, w @ x + b <= c_row @ f(x) for
-    each row.
-    A stack gives each row exactly the result of bounding it alone. Raises
+    C is an (m, p) stack of spec rows; slopes are shared or hold one row per
+    spec row. For every x in the sub-domain box whose pre-activations lie in
+    its neuron bounds, w @ x + b <= c_row @ f(x) for each row. Each row gets
+    exactly the result of bounding it in a stack of its own. Raises
     ValueError when the domain's neuron bounds signal an empty region, which
     has no bound to give.
     """
-    C = np.asarray(C, dtype=np.float64)
-    rows = np.atleast_2d(C)
     bounds = domain.neuron_bounds
     if not bounds.is_feasible():
         raise ValueError("compute_bounds: the sub-domain is infeasible")
-    c_mat, last = rows[:, None, :], net.layers[-1]
+    lower = {k: _lower_slope(bounds.relaxations[k], s) for k, s in slopes.items()}
+    c_mat, last = C[:, None, :], net.layers[-1]
     lam, off, A = _backward_from_layer(net, net.n_layers - 1, c_mat @ last.weights,
-                                       c_mat @ last.bias, bounds, _lower_slopes(bounds, slopes))
+                                       c_mat @ last.bias, bounds, lower)
     lam, off = lam[:, 0, :], off[:, 0]
     x_star, lb = concretize(lam, off, domain.box_lower, domain.box_upper)
-    res = BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, x_star)
-    return res.row(0) if C.ndim == 1 else res
+    return BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, x_star)
 
 
 def propagate_bounds(
@@ -292,118 +279,87 @@ def propagate_bounds(
     return work
 
 
-def _relaxed_forward(
-    net: Network,
-    x_star: np.ndarray,
-    bounds: NeuronBounds,
-    A: Dict[int, np.ndarray],
-    lower: Slopes,
-) -> Dict[int, np.ndarray]:
-    """Pre-activation values at x_star under the relaxation lines the backward
-    pass chose (lower: its resolved lower slopes). These equal the bound's
-    sensitivities to the pre-activation coefficients, as the alpha gradient needs.
+def alpha_gradient(net: Network, domain, slopes: Slopes,
+                   bound: BoundResult) -> Dict[int, np.ndarray]:
+    """Analytic derivative of each row's concretized lower bound w.r.t. its slopes.
 
-    x_star is one minimizer or an (m, n_in) stack, one per spec row, with A
-    shaped to match; each W @ h runs on an (m, n, 1) stack, as one row at a
-    time would.
+    bound is compute_bounds(net, C, domain, slopes); its A and x_star are all
+    the derivative needs. For an unstable neuron whose backward coefficient is
+    non-negative the bound is locally linear in its slope with derivative
+    A * z_tilde, where z_tilde is the neuron's pre-activation at the bound's
+    box minimizer under the relaxation lines the backward pass chose. All
+    other neurons contribute zero. Returns one (m, n_k) array per ReLU layer.
+    Each W @ h of that relaxed forward pass runs on an (m, n, 1) stack, as one
+    row at a time would.
     """
-    h = x_star
-    pre: Dict[int, np.ndarray] = {}
+    bounds = domain.neuron_bounds
+    h, grads = bound.x_star, {}
     for k in range(net.n_layers - 1):
         layer = net.layers[k]
         z = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if layer.activation == RELU:
-            pre[k] = z
-            _, _, up_slope, up_icpt = bounds.relaxations[k]
-            h = np.where(A[k] >= 0.0, lower[k] * z, up_slope * z + up_icpt)
+            rel, coeff = bounds.relaxations[k], bound.A[k]
+            _, unst, up_slope, up_icpt = rel
+            grads[k] = np.where(unst & (coeff >= 0.0), coeff * z, 0.0)
+            h = np.where(coeff >= 0.0, _lower_slope(rel, slopes[k]) * z, up_slope * z + up_icpt)
         else:
             h = z
-    return pre
-
-
-def alpha_gradient(net: Network, domain, slopes: Optional[Slopes],
-                   bound: BoundResult) -> Dict[int, np.ndarray]:
-    """Analytic derivative of each row's concretized lower bound w.r.t. its slopes.
-
-    bound is compute_bounds(net, C, domain, slopes) for one row or a stack of
-    rows; its A and x_star are all the derivative needs. For an unstable
-    neuron whose backward coefficient is non-negative the bound is locally
-    linear in its slope with derivative A * z_tilde, where z_tilde is the
-    neuron's pre-activation under the relaxed forward evaluation at the
-    bound's box minimizer. All other neurons contribute zero. Returns one
-    array per ReLU layer, shaped as that layer's A.
-    """
-    bounds = domain.neuron_bounds
-    pre = _relaxed_forward(net, bound.x_star, bounds, bound.A, _lower_slopes(bounds, slopes))
-    return {k: np.where(bounds.relaxations[k][1] & (coeff >= 0.0), coeff * pre[k], 0.0)
-            for k, coeff in bound.A.items()}
+    return grads
 
 
 def optimize_alpha(
-    net: Network, C, domain, iters: int, step: float, deadline: Optional[float] = None
+    net: Network, C: np.ndarray, domain, iters: int, step: float,
+    deadline: Optional[float] = None,
 ) -> Tuple[Slopes, Optional[BoundResult]]:
-    """Maximize each row's concretized lower bound over its slopes by projected
-    gradient ascent with backtracking.
+    """Maximize each spec row's concretized lower bound over its slopes by
+    projected gradient ascent with backtracking.
 
-    Returns the best iterate seen per row and the bound it gives, which equals
-    compute_bounds(net, C, domain, slopes) bit for bit; the bound is None when
-    there is nothing to optimize (no ReLU layer) and no slopes come back. An
-    infeasible domain raises ValueError, as in compute_bounds.
+    C is an (m, p) stack of spec rows; the slopes come back as (m, n_k)
+    arrays, one row per spec row, with the best iterate seen per row, and the
+    bound they give, which equals compute_bounds(net, C, domain, slopes) bit
+    for bit. The bound is None when there is nothing to optimize (no ReLU
+    layer) and no slopes come back. An infeasible domain raises ValueError,
+    as in compute_bounds.
 
-    C is one row or an (m, p) stack of rows; a stack gets (m, n_k) slopes, one
-    row per spec row. The rows are optimized together, one bound pass per
-    line-search round, yet each follows exactly its own single-row path: a row
-    stops on an all-zero gradient or when 8 halvings of its step find no
-    improvement, and then leaves the stack. The gradient reuses the A and
-    x_star of the bound that the current slopes produced. iters = 0 returns
-    the adaptive initialization: 1 where u >= |l|, else 0. Once deadline (a
+    The rows are optimized together, one bound pass per line-search round,
+    yet each follows exactly its own single-row path: a row stops on an
+    all-zero gradient or when 8 halvings of its step find no improvement.
+    Stopped rows stay in the stack, held at their slopes, and boolean masks
+    discard their results. The gradient reuses the A and x_star of the bound
+    that the current slopes produced. iters = 0 returns the adaptive
+    initialization: 1 where u >= |l|, else 0. Once deadline (a
     time.perf_counter() value) has passed, no further iteration starts. Every
     slope stays in [0, 1], the adaptive ones by construction and each step by
     clipping, so every iterate is sound.
     """
-    C = np.asarray(C, dtype=np.float64)
-    rows = np.atleast_2d(C)
     bounds = domain.neuron_bounds
-    cur = {k: np.repeat(adaptive_alpha(bounds.lower[k], bounds.upper[k])[None, :], len(rows), 0)
+    cur = {k: np.repeat(adaptive_alpha(bounds.lower[k], bounds.upper[k])[None, :], len(C), 0)
            for k in range(len(bounds.lower)) if net.layers[k].activation == RELU}
     if not cur:
         return cur, None
-    best = compute_bounds(net, rows, domain, cur)
-    active = np.arange(len(rows))
+    best = compute_bounds(net, C, domain, cur)
+    active = np.ones(len(C), dtype=bool)
     for _ in range(iters):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        if len(active) == len(rows):
-            grads = alpha_gradient(net, domain, cur, best)
-        else:
-            grads = alpha_gradient(net, domain, {k: v[active] for k, v in cur.items()},
-                                   best.take(active))
-        moving = np.zeros(len(active), dtype=bool)
-        for g in grads.values():
-            moving |= (g != 0.0).any(axis=1)
-        active = active[moving]
-        grads = {k: g[moving] for k, g in grads.items()}
-        trial = np.full(len(active), step)
-        improved = np.zeros(len(active), dtype=bool)
-        searching = np.arange(len(active))  # positions in active still backtracking
+        grads = alpha_gradient(net, domain, cur, best)
+        searching = active & np.any([(g != 0.0).any(axis=1) for g in grads.values()], axis=0)
+        active = np.zeros(len(C), dtype=bool)  # the rows that improve go on
+        trial = np.full(len(C), step)
         for _ in range(8):
-            if not len(searching):
+            if not searching.any():
                 break
-            r = active[searching]
-            cand = {k: (v[r] + trial[searching, None] * grads[k][searching]).clip(0.0, 1.0)
+            moving = searching[:, None]
+            cand = {k: np.where(moving, (v + trial[:, None] * grads[k]).clip(0.0, 1.0), v)
                     for k, v in cur.items()}
-            res = compute_bounds(net, rows[r], domain, cand)
-            better = res.lower_bound > best.lower_bound[r]
-            if better.any():
-                for k, v in cur.items():
-                    v[r[better]] = cand[k][better]
-                best.put(r[better], res.take(better))
-                improved[searching[better]] = True
-            searching = searching[~better]
+            res = compute_bounds(net, C, domain, cand)
+            better = searching & (res.lower_bound > best.lower_bound)
+            for k, v in cur.items():
+                v[better] = cand[k][better]
+            best.put(better, res)
+            active |= better
+            searching &= ~better
             trial[searching] *= 0.5
-        active = active[improved]
-        if not len(active):
+        if not active.any():
             break
-    if C.ndim == 1:
-        return {k: v[0] for k, v in cur.items()}, best.row(0)
     return cur, best

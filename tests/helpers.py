@@ -186,22 +186,21 @@ def reference_optimize_alpha(net, c_row, domain, iters, step):
     Returns (slopes, attempts): attempts holds, per gradient evaluation, the
     number of line-search bound passes it led to (0 for an all-zero gradient).
     """
-    cur = adaptive_slopes(net, domain)
+    c, cur = c_row[None], adaptive_slopes(net, domain)
     attempts = []
     if not domain.neuron_bounds.is_feasible() or not cur:
         return cur, attempts
-    best_lb = relax.compute_bounds(net, c_row, domain, cur).lower_bound
+    best_lb = relax.compute_bounds(net, c, domain, cur).lower_bound[0]
     for _ in range(iters):
-        grads = relax.alpha_gradient(net, domain, cur,
-                                     relax.compute_bounds(net, c_row, domain, cur))
+        grads = relax.alpha_gradient(net, domain, cur, relax.compute_bounds(net, c, domain, cur))
         if all(np.all(g == 0.0) for g in grads.values()):
             attempts.append(0)
             break
         trial = step
         improved = False
         for n_tries in range(1, 9):
-            cand = {k: np.clip(v + trial * grads[k], 0.0, 1.0) for k, v in cur.items()}
-            lb = relax.compute_bounds(net, c_row, domain, cand).lower_bound
+            cand = {k: np.clip(v + trial * grads[k][0], 0.0, 1.0) for k, v in cur.items()}
+            lb = relax.compute_bounds(net, c, domain, cand).lower_bound[0]
             if lb > best_lb:
                 best_lb = lb
                 cur = cand

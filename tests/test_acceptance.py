@@ -144,7 +144,7 @@ def test_alpha_gradient_check():
         lo = rng.uniform(-1.0, 0.0, 3)
         hi = lo + rng.uniform(0.5, 1.2, 3)
         d = make_domain(net, lo, hi)
-        c = rng.normal(size=2)
+        c = rng.normal(size=(1, 2))
         slopes = {k: rng.uniform(0.2, 0.8, size=v.shape)
                   for k, v in adaptive_slopes(net, d).items()}
         grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
@@ -157,15 +157,15 @@ def test_alpha_gradient_check():
                 p_hi[k][j] = p_hi[k][j] + h
                 p_lo = {i: v.copy() for i, v in slopes.items()}
                 p_lo[k][j] = p_lo[k][j] - h
-                fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound
-                      - relax.compute_bounds(net, c, d, p_lo).lower_bound) / (2 * h)
-                an = grads[k][j]
+                fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound[0]
+                      - relax.compute_bounds(net, c, d, p_lo).lower_bound[0]) / (2 * h)
+                an = grads[k][0, j]
                 worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-8))
                 checked += 1
-        lb_init = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).lower_bound
+        lb_init = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).lower_bound[0]
         lb_opt = relax.compute_bounds(
             net, c, d, relax.optimize_alpha(net, c, d, 20, 0.25)[0]
-        ).lower_bound
+        ).lower_bound[0]
         never_worse &= lb_opt >= lb_init
     _report("alpha gradient check", worst <= 1e-4 and never_worse,
             f"worst rel err {worst:.2e}, {checked} points")

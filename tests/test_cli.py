@@ -133,6 +133,8 @@ INPUT_ERRORS = {
                          "box width input_upper[0] - input_lower[0] overflows float64"),
     "verify-output-a-directory": ("verify " + _TOY + " --output {t}/empty", "--output"),
     "verify-trace-missing-dir": ("verify " + _TOY + " --trace {t}/missing/t.jsonl", "--trace"),
+    "verify-output-is-trace": ("verify " + _TOY + " --output {t}/r.json --trace {t}/empty/../r.json",
+                               "--output and --trace name the same file"),
 }
 
 
@@ -231,6 +233,37 @@ def test_verify_output_and_trace_files(tmp_path, capsys):
     lines = [json.loads(line) for line in trace.read_text().splitlines()]
     assert lines and all("action" in e for e in lines)
     assert lines[0]["node"] == 0
+
+
+def _strict_json(text):
+    """json.loads that rejects the non-standard Infinity, -Infinity and NaN."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_writes_non_finite_numbers_as_null(tmp_path, capsys):
+    # Every trace's root has parent_lower_bound -inf, an infinite --timeout is
+    # echoed, and the 8e307 box's root bound overflows to -inf.
+    mp, sp = _write_toy(tmp_path, 0.1)
+    trace = tmp_path / "t.jsonl"
+    assert cli.main(["verify", "--model", mp, "--spec", sp, "--timeout", "inf",
+                     "--trace", str(trace)]) == 0
+    result = _strict_json(capsys.readouterr().out)
+    assert result["verdict"] == "Safe" and result["config_echo"]["timeout_seconds"] is None
+    (root,) = map(_strict_json, trace.read_text().splitlines())
+    assert root["parent_lower_bound"] is None and root["lower_bound"] > 0.0
+    suite = tmp_path / "g"
+    assert cli.main(["gen", "--seed", "1", "--layers", "1", "--widths", "4", "--count", "1",
+                     "--eps", "8e307", "--out", str(suite)]) == 0
+    capsys.readouterr()
+    (mp,), (sp,) = sorted(suite.glob("*.model.json")), sorted(suite.glob("*.spec.json"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["verify", "--model", str(mp), "--spec", str(sp), "--trace", str(trace)])
+    assert rc == 2 and _strict_json(capsys.readouterr().out)["unknown_reason"] == "non-finite bound"
+    (root,) = map(_strict_json, trace.read_text().splitlines())
+    assert root["action"] == "non-finite"
+    assert root["lower_bound"] is None and root["raw_lower_bound"] is None
 
 
 def test_gen_is_deterministic_and_counts(tmp_path):

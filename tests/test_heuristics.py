@@ -3,7 +3,7 @@ import pytest
 
 from reluverify import bab, heuristics, model, relax
 
-from helpers import hand_bounds, identity_relu_net, make_domain, random_net
+from helpers import adaptive_slopes, hand_bounds, identity_relu_net, make_domain, random_net
 
 # The two-neuron scenario used throughout: n_A spans [-2, 18] (width 20),
 # n_B spans [-4, 4] (width 8), both with sensitivity magnitude 1 on the
@@ -234,7 +234,7 @@ def test_scores_skip_stable_and_split_neurons():
     assert unstable.size >= 2
     j = int(unstable[0])
     d2 = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, j): +1})
-    res = relax.compute_bounds(net, np.array([1.0]), d2)
+    res = relax.compute_bounds(net, np.array([[1.0]]), d2, adaptive_slopes(net, d2)).row(0)
     scores, _ = heuristics.score_branches("drg", net, np.array([1.0]), res, d2,
                                           model.forward(net, np.zeros(2))[1], None)
     candidates = set(np.flatnonzero(np.isfinite(scores[0])).tolist())

@@ -64,7 +64,8 @@ def test_relaxation_is_computed_once_per_bounds_object(monkeypatch):
     build, built = relax.relaxation, []
     monkeypatch.setattr(relax, "relaxation", lambda l, u: built.append(build(l, u)) or built[-1])
     nb = relax.propagate_bounds(net, lo, hi)
-    relax.compute_bounds(net, np.array([1.0, -1.0]), bab.SubDomain(lo, hi, nb))
+    relax.compute_bounds(net, np.array([[1.0, -1.0]]), bab.SubDomain(lo, hi, nb),
+                         {k: relax.adaptive_alpha(nb.lower[k], nb.upper[k]) for k in (0, 1)})
     assert [id(r) for r in built] == [id(nb.relaxations[k]) for k in (0, 1)]
     assert nb.feasible is True and nb.is_feasible()
     for k in (0, 1):
@@ -106,7 +107,7 @@ def test_compute_bounds_single_neuron_lower_line():
     # m(x) = ReLU(x) on [-1, 1] with alpha = 0.5: bound is 0.5 x, minimum -0.5
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    res = relax.compute_bounds(net, np.array([1.0]), d, {0: np.array([0.5])})
+    res = relax.compute_bounds(net, np.array([[1.0]]), d, {0: np.array([0.5])}).row(0)
     assert res.w.tolist() == [0.5]
     assert res.b == 0.0
     assert res.lower_bound == -0.5
@@ -117,7 +118,7 @@ def test_compute_bounds_single_neuron_upper_line():
     # m(x) = -ReLU(x) + 1: negative coefficient takes the upper line 0.5x + 0.5
     net = scalar_relu_net(out_weight=-1.0, out_bias=1.0)
     d = make_domain(net, [-1.0], [1.0])
-    res = relax.compute_bounds(net, np.array([1.0]), d, {0: np.array([0.5])})
+    res = relax.compute_bounds(net, np.array([[1.0]]), d, {0: np.array([0.5])}).row(0)
     assert res.w.tolist() == [-0.5]
     assert res.b == 0.5
     assert res.lower_bound == 0.0
@@ -129,9 +130,9 @@ def test_compute_bounds_raises_on_infeasible_subdomain():
     d = make_domain(net, [0.5], [1.0], splits={(0, 0): -1})  # z = x >= 0.5 but clamped <= 0
     assert not d.neuron_bounds.is_feasible()
     with pytest.raises(ValueError, match="infeasible"):
-        relax.compute_bounds(net, np.array([1.0]), d)
+        relax.compute_bounds(net, np.array([[1.0]]), d, adaptive_slopes(net, d))
     with pytest.raises(ValueError, match="infeasible"):
-        relax.compute_bounds(net, np.array([[1.0], [2.0]]), d)
+        relax.compute_bounds(net, np.array([[1.0], [2.0]]), d, adaptive_slopes(net, d))
 
 
 def test_compute_bounds_sampled_soundness():
@@ -142,7 +143,7 @@ def test_compute_bounds_sampled_soundness():
         hi = lo + rng.uniform(0.5, 1.5, 3)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=2)
-        res = relax.compute_bounds(net, c, d)
+        res = relax.compute_bounds(net, c[None], d, adaptive_slopes(net, d)).row(0)
         xs = rng.uniform(lo, hi, size=(10_000, 3))
         margins = model.forward_batch(net, xs) @ c
         bound_vals = xs @ res.w + res.b
@@ -161,7 +162,7 @@ def test_compute_bounds_sampled_soundness_with_splits():
         d = make_domain(net, lo, hi, splits={(0, j): sign})
         if not d.neuron_bounds.is_feasible():
             continue
-        res = relax.compute_bounds(net, np.array([1.0]), d)
+        res = relax.compute_bounds(net, np.array([[1.0]]), d, adaptive_slopes(net, d)).row(0)
         xs = rng.uniform(lo, hi, size=(10_000, 2))
         z = xs @ net.layers[0].weights.T + net.layers[0].bias
         keep = z[:, j] >= 0.0 if sign > 0 else z[:, j] < 0.0
@@ -216,7 +217,7 @@ def test_intermediate_bounds_nest_between_interval_arithmetic_and_samples():
 def _sweep_alpha(net, c_row, domain, grid=2001):
     best_lb, best_alpha = -np.inf, None
     for a in np.linspace(0.0, 1.0, grid):
-        lb = relax.compute_bounds(net, c_row, domain, {0: np.array([a])}).lower_bound
+        lb = relax.compute_bounds(net, c_row[None], domain, {0: np.array([a])}).lower_bound[0]
         if lb > best_lb:
             best_lb, best_alpha = lb, a
     return best_lb, best_alpha
@@ -228,10 +229,10 @@ def test_optimize_alpha_relu_identity():
     d = make_domain(net, [-1.0], [1.0])
     sweep_lb, sweep_alpha = _sweep_alpha(net, np.array([1.0]), d)
     assert sweep_alpha == 0.0 and sweep_lb == 0.0
-    slopes, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=30, step=0.25)
-    lb = relax.compute_bounds(net, np.array([1.0]), d, slopes).lower_bound
+    slopes, _ = relax.optimize_alpha(net, np.array([[1.0]]), d, iters=30, step=0.25)
+    lb = relax.compute_bounds(net, np.array([[1.0]]), d, slopes).lower_bound[0]
     assert abs(lb - sweep_lb) < 1e-9
-    assert abs(slopes[0][0] - 0.0) < 1e-9
+    assert abs(slopes[0][0, 0] - 0.0) < 1e-9
 
 
 def test_optimize_alpha_interior_optimum():
@@ -251,18 +252,18 @@ def test_optimize_alpha_interior_optimum():
     for a1 in np.linspace(0, 1, 101):
         for a2 in np.linspace(0, 1, 101):
             slopes = {0: np.array([a1, a2])}
-            best = max(best, relax.compute_bounds(net, np.array([1.0]), d, slopes).lower_bound)
+            best = max(best, relax.compute_bounds(net, np.array([[1.0]]), d, slopes).lower_bound[0])
     assert best == 0.0
-    slopes, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=40, step=0.25)
-    lb = relax.compute_bounds(net, np.array([1.0]), d, slopes).lower_bound
+    slopes, _ = relax.optimize_alpha(net, np.array([[1.0]]), d, iters=40, step=0.25)
+    lb = relax.compute_bounds(net, np.array([[1.0]]), d, slopes).lower_bound[0]
     assert abs(lb - best) < 1e-9
 
 
 def test_optimize_alpha_zero_iters_returns_adaptive_init():
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    slopes, _ = relax.optimize_alpha(net, np.array([1.0]), d, iters=0, step=0.25)
-    assert np.array_equal(slopes[0], adaptive_slopes(net, d)[0])
+    slopes, _ = relax.optimize_alpha(net, np.array([[1.0]]), d, iters=0, step=0.25)
+    assert np.array_equal(slopes[0][0], adaptive_slopes(net, d)[0])
 
 
 def test_optimize_alpha_never_worse_than_init():
@@ -272,7 +273,7 @@ def test_optimize_alpha_never_worse_than_init():
         lo = rng.uniform(-1.0, 0.0, 3)
         hi = lo + rng.uniform(0.5, 1.0, 3)
         d = make_domain(net, lo, hi)
-        c = rng.normal(size=2)
+        c = rng.normal(size=(1, 2))
         lb0 = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).lower_bound
         slopes, _ = relax.optimize_alpha(net, c, d, iters=20, step=0.25)
         lb1 = relax.compute_bounds(net, c, d, slopes).lower_bound
@@ -307,8 +308,8 @@ def test_exactness_when_every_relu_is_stable():
         lo, hi = np.array([-0.5, -0.5]), np.array([0.5, 0.5])
         d = make_domain(net, lo, hi)
         assert not d.neuron_bounds.relaxations[0][1].any()  # layer 0 is the only hidden layer
-        c = np.array([1.0])
-        res = relax.compute_bounds(net, c, d)
+        c = np.array([[1.0]])
+        res = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).row(0)
         # exact affine margin: m(x) = W1 (W0 x + b0') + b1 on this box
         w_eff = (net.layers[1].weights @ net.layers[0].weights)[0]
         b_eff = float((net.layers[1].weights @ net.layers[0].bias + net.layers[1].bias)[0])
@@ -324,7 +325,7 @@ def test_alpha_gradient_matches_finite_differences():
         lo = rng.uniform(-1.0, 0.0, 3)
         hi = lo + rng.uniform(0.5, 1.0, 3)
         d = make_domain(net, lo, hi)
-        c = rng.normal(size=2)
+        c = rng.normal(size=(1, 2))
         slopes = {k: rng.uniform(0.2, 0.8, size=v.shape)
                   for k, v in adaptive_slopes(net, d).items()}
         grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
@@ -335,9 +336,9 @@ def test_alpha_gradient_matches_finite_differences():
                 p_hi[k][j] += h
                 p_lo = {i: v.copy() for i, v in slopes.items()}
                 p_lo[k][j] -= h
-                fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound
-                      - relax.compute_bounds(net, c, d, p_lo).lower_bound) / (2 * h)
-                rel = abs(grads[k][j] - fd) / max(abs(grads[k][j]), abs(fd), 1e-8)
+                fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound[0]
+                      - relax.compute_bounds(net, c, d, p_lo).lower_bound[0]) / (2 * h)
+                rel = abs(grads[k][0, j] - fd) / max(abs(grads[k][0, j]), abs(fd), 1e-8)
                 worst = max(worst, rel)
     assert worst < 1e-4
 
@@ -370,9 +371,9 @@ def test_bound_equals_witness_abstract_margin_bitwise():
         lo = rng.uniform(-1.0, 0.0, n0)
         hi = lo + rng.uniform(0.1, 1.0, n0)
         d = make_domain(net, lo, hi)
-        c = rng.normal(size=2)
-        res = relax.compute_bounds(net, c, d)
-        wit = witness.validate_witness(net, c[None, :], res)
+        c = rng.normal(size=(1, 2))
+        res = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).row(0)
+        wit = witness.validate_witness(net, c, res)
         assert wit.abstract_margin == res.lower_bound
 
 
@@ -395,6 +396,17 @@ def _stacked_cases(seed=31, count=4):
         yield net, C, make_domain(net, lo, hi)
 
 
+def _zero_gradient_case():
+    """A stack whose second row's first gradient is all zero: every unstable
+    coefficient of it is negative, so each neuron takes the upper chord and
+    no slope moves its bound. The first row's bound improves."""
+    net = model.make_network([
+        (np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.zeros(3), model.RELU),
+        (np.array([[1.0, 2.0, 0.5], [-1.0, -0.5, -2.0]]), np.zeros(2), model.LINEAR),
+    ])
+    return net, np.eye(2), make_domain(net, [-1.0, -1.0], [1.0, 1.0])
+
+
 def _assert_same_bound(stacked, single):
     assert np.array_equal(stacked.w, single.w)
     assert stacked.b == single.b and stacked.lower_bound == single.lower_bound
@@ -409,19 +421,18 @@ def test_compute_bounds_stack_equals_single_rows_bitwise():
     for net, C, d in _stacked_cases():
         shared = adaptive_slopes(net, d)
         per_row = {k: rng.uniform(0.0, 1.0, (len(C), v.size)) for k, v in shared.items()}
-        for slopes in (None, shared, per_row):
+        for slopes in (shared, per_row):
             res = relax.compute_bounds(net, C, d, slopes)
             assert res.lower_bound.shape == (len(C),)
             for r in range(len(C)):
-                row_slopes = None if slopes is None else {
-                    k: v[r] if v.ndim == 2 else v for k, v in slopes.items()}
-                single = relax.compute_bounds(net, C[r], d, row_slopes)
+                row_slopes = {k: v[r] if v.ndim == 2 else v for k, v in slopes.items()}
+                single = relax.compute_bounds(net, C[r:r + 1], d, row_slopes).row(0)
                 _assert_same_bound(res.row(r), single)
 
 
 def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
     stop_points = set()
-    for net, C, d in _stacked_cases():
+    for net, C, d in (*_stacked_cases(), _zero_gradient_case()):
         for iters in (0, 20):
             slopes, _ = relax.optimize_alpha(net, C, d, iters, 0.25)
             res = relax.compute_bounds(net, C, d, slopes)
@@ -430,14 +441,27 @@ def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
                 stop_points.add(len(attempts))
                 for k, v in ref.items():
                     assert np.array_equal(slopes[k][r], v), (iters, r, k)
-                assert res.lower_bound[r] == relax.compute_bounds(net, C[r], d, ref).lower_bound
-    # rows left the stack at different iterations (after 1, 9, 10, 11 and 17 here)
+                assert res.lower_bound[r] == relax.compute_bounds(net, C[r:r + 1], d,
+                                                                  ref).lower_bound[0]
+    # rows stopped at different iterations (after 1, 9, 10, 11 and 17 here)
     assert len(stop_points - {0, 20}) >= 3
+
+
+def test_zero_gradient_case_stops_one_row_at_once_beside_a_row_that_improves():
+    # The premise of _zero_gradient_case, which the stacked tests take as one
+    # more input: the second row stops on its first gradient, held at its
+    # adaptive slopes while the first row's steps go on in the same stack.
+    net, C, d = _zero_gradient_case()
+    init = relax.compute_bounds(net, C, d, adaptive_slopes(net, d))
+    assert d.neuron_bounds.relaxations[0][1].all() and (init.A[0][1] < 0.0).all()
+    assert reference_optimize_alpha(net, C[1], d, 20, 0.25)[1] == [0]
+    assert len(reference_optimize_alpha(net, C[0], d, 20, 0.25)[1]) > 1
+    assert relax.optimize_alpha(net, C, d, 20, 0.25)[1].lower_bound[0] > init.lower_bound[0]
 
 
 def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch):
     compute, gradient = relax.compute_bounds, relax.alpha_gradient
-    for net, C, d in _stacked_cases():
+    for net, C, d in (*_stacked_cases(), _zero_gradient_case()):
         logs = [reference_optimize_alpha(net, C[r], d, 20, 0.25)[1] for r in range(len(C))]
         iterations = max(len(log) for log in logs)
         rounds = sum(max(log[i] if i < len(log) else 0 for log in logs)
@@ -485,7 +509,7 @@ def test_optimize_alpha_bound_equals_compute_bounds_bitwise(monkeypatch):
     # them: after all iterations, with none, and when the deadline cuts the
     # run short (a clock ticking once per reading passes 3.5 in iteration 4).
     gradient = relax.alpha_gradient
-    for net, C, d in _stacked_cases():
+    for net, C, d in (*_stacked_cases(), _zero_gradient_case()):
         for iters, deadline in ((20, None), (0, None), (20, 3.5)):
             ticks = itertools.count(1)
             gradients = []
@@ -497,8 +521,8 @@ def test_optimize_alpha_bound_equals_compute_bounds_bitwise(monkeypatch):
             if deadline is not None:
                 assert len(gradients) == 3
             _assert_same_stacked_bound(bound, relax.compute_bounds(net, C, d, slopes))
-        slopes, bound = relax.optimize_alpha(net, C[0], d, 20, 0.25)
-        _assert_same_bound(bound, relax.compute_bounds(net, C[0], d, slopes))
+        slopes, bound = relax.optimize_alpha(net, C[:1], d, 20, 0.25)
+        _assert_same_stacked_bound(bound, relax.compute_bounds(net, C[:1], d, slopes))
 
 
 def test_optimize_alpha_without_relu_layers_returns_no_bound():

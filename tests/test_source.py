@@ -33,3 +33,19 @@ def test_no_private_names_across_src_modules():
                   and isinstance(node.value, ast.Name) and node.value.id in modules):
                 found.append(f"{path.name}:{node.lineno} {node.value.id}.{node.attr}")
     assert found == []
+
+
+def test_json_writers_in_src_reject_non_finite_numbers():
+    # Python's json writes bare Infinity and NaN, which strict JSON parsers
+    # reject: every json.dump/json.dumps call in src/ passes allow_nan=False.
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(reluverify.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr in ("dump", "dumps")
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "json"
+        and not any(kw.arg == "allow_nan" and isinstance(kw.value, ast.Constant)
+                    and kw.value.value is False for kw in node.keywords)
+    ]
+    assert found == []
