@@ -102,13 +102,19 @@ class RunStats:
 
 @dataclass
 class BabConfig:
-    """Search knobs; verification budgets live on the task itself."""
+    """A run's settings: its budgets, the root's slope optimization, its trace."""
 
+    timeout_seconds: float = 60.0
+    max_branches: int = 100_000
     alpha_iters: int = 20
     alpha_step: float = 0.25
     trace: bool = False
 
     def __post_init__(self):
+        if not self.timeout_seconds > 0:  # NaN too: it would never time out
+            raise InputError(f"config.timeout_seconds must be positive, got {self.timeout_seconds}")
+        if self.max_branches < 0:
+            raise InputError(f"config.max_branches must be non-negative, got {self.max_branches}")
         if self.alpha_iters < 0:
             raise InputError(f"config.alpha_iters must be non-negative, got {self.alpha_iters}")
         if not 0.0 < self.alpha_step < float("inf"):  # NaN too: no step can improve
@@ -184,7 +190,7 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
     """
     widths = d.box_upper - d.box_lower
     dim = int(np.argmax(widths))
-    mid = 0.5 * (d.box_lower[dim] + d.box_upper[dim])
+    mid = 0.5 * d.box_lower[dim] + 0.5 * d.box_upper[dim]  # lo + hi may overflow
     if not (d.box_lower[dim] < mid < d.box_upper[dim]):
         return None
     lower_hi = d.box_upper.copy()
@@ -321,7 +327,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     start_time = time.perf_counter()
     config = config or BabConfig()
     heuristics.check_kind(heuristic)
-    deadline = start_time + task.timeout_seconds
+    deadline = start_time + config.timeout_seconds
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
     root = make_root(task)
     slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, root,
@@ -352,7 +358,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
             else:
                 stats.verdict = SAFE
             break
-        if stats.branches_visited >= task.max_branches:
+        if stats.branches_visited >= config.max_branches:
             stats.unknown_reason = "branch budget exhausted"
             break
         stats.branches_visited += 1

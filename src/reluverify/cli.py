@@ -25,34 +25,26 @@ EXIT_INPUT_ERROR = 3
 
 
 def _config_from_args(args, trace: bool = False) -> bab.BabConfig:
-    return bab.BabConfig(
-        alpha_iters=args.alpha_iters,
-        alpha_step=args.alpha_step,
-        trace=trace,
-    )
+    return bab.BabConfig(timeout_seconds=args.timeout, max_branches=args.max_branches,
+                         alpha_iters=args.alpha_iters, alpha_step=args.alpha_step, trace=trace)
 
 
 def _add_verify_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--timeout", type=float, default=60.0, help="wall-clock budget in seconds")
-    p.add_argument("--max-branches", type=int, default=100_000, help="sub-domain budget")
-    p.add_argument("--alpha-iters", type=int, default=20, help="slope-optimization iterations")
-    p.add_argument("--alpha-step", type=float, default=0.25, help="initial ascent step size")
+    d = bab.BabConfig()
+    p.add_argument("--timeout", type=float, default=d.timeout_seconds, help="wall-clock budget (s)")
+    p.add_argument("--max-branches", type=int, default=d.max_branches, help="sub-domain budget")
+    p.add_argument("--alpha-iters", type=int, default=d.alpha_iters, help="slope ascent iterations")
+    p.add_argument("--alpha-step", type=float, default=d.alpha_step, help="initial ascent step")
 
 
-def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig,
-                 task: model.VerificationTask) -> dict:
+def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig) -> dict:
     result = {
         "verdict": stats.verdict,
         "branches": stats.branches_visited,
         "splits": stats.splits_made,
         "time_s": stats.wall_time_s,
         "heuristic": heuristic,
-        "config_echo": dict(
-            config.to_dict(),
-            timeout_seconds=task.timeout_seconds,
-            max_branches=task.max_branches,
-            heuristic=heuristic,
-        ),
+        "config_echo": dict(config.to_dict(), heuristic=heuristic),
     }
     if stats.witness is not None:
         result["witness"] = stats.witness.to_dict()
@@ -95,17 +87,24 @@ def _out_dir(path: str, make: bool = False) -> Path:
 
 
 def cmd_verify(args) -> int:
-    task = model.load_task(args.model, args.spec, args.timeout, args.max_branches)
+    # Before any file is opened: --output and --trace name two files, neither
+    # of them the --model or the --spec file.
+    seen = {Path(args.spec).resolve(): "--spec", Path(args.model).resolve(): "--model"}
+    for flag, path in (("--output", args.output), ("--trace", args.trace)):
+        if path:
+            key = Path(path).resolve()
+            if key in seen:
+                raise model.InputError(f"{seen[key]} and {flag} name the same file: {path}")
+            seen[key] = flag
+    task = model.load_task(args.model, args.spec)
     config = _config_from_args(args, trace=bool(args.trace))
     heuristics.check_kind(args.heuristic)  # before a file is made for its run
-    if args.output and args.trace and Path(args.output).resolve() == Path(args.trace).resolve():
-        raise model.InputError(f"--output and --trace name the same file: {args.output}")
     # Opened before the search, so an unwritable path costs no search.
     with contextlib.ExitStack() as files:
         output = args.output and files.enter_context(_open_for_writing(args.output, "--output"))
         trace = args.trace and files.enter_context(_open_for_writing(args.trace, "--trace"))
         stats = bab.verify(task, args.heuristic, config)
-        result = _result_dict(stats, args.heuristic, config, task)
+        result = _result_dict(stats, args.heuristic, config)
         print(_json(result, indent=2), file=output or sys.stdout)
         for entry in stats.per_node_trace or []:
             trace.write(_json(entry) + "\n")
@@ -243,13 +242,13 @@ def cmd_bench(args) -> int:
     config = _config_from_args(args)
     runs: Dict[str, List[bab.RunStats]] = {kind: [] for kind in kinds}  # suite order
     for name, model_path, spec_path in instances:
-        task = model.load_task(model_path, spec_path, args.timeout, args.max_branches)
+        task = model.load_task(model_path, spec_path)
         for kind in kinds:
             runs[kind].append(bab.verify(task, kind, config))
     rows = sorted([name, kind, s.verdict, s.branches_visited, s.splits_made, _fmt(s.wall_time_s)]
                   for kind, stats in runs.items()
                   for (name, _, _), s in zip(instances, stats))
-    # Made once every run is done, so a task or budget error leaves no empty
+    # Made once every run is done, so a task error leaves no empty
     # report directory (building every task first would hold the whole suite).
     _out_dir(args.out, make=True)
     _write_csv(out_dir / "results.csv",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -217,7 +216,7 @@ def margin_preact_gradients(net: Network, c_row,
 
 @dataclass(frozen=True)
 class VerificationTask:
-    """A network, a box input domain, an output specification, and search budgets.
+    """A network, a box input domain and an output specification (the spec file's C).
 
     The property holds iff every row of spec_matrix @ f(x) is strictly positive
     for all x in [input_lower, input_upper].
@@ -227,13 +226,11 @@ class VerificationTask:
     input_lower: np.ndarray
     input_upper: np.ndarray
     spec_matrix: np.ndarray
-    timeout_seconds: float = 60.0
-    max_branches: int = 100_000
 
     def __post_init__(self):
-        lo = _as_vector(self.input_lower, "task.input_lower")
-        hi = _as_vector(self.input_upper, "task.input_upper")
-        C = _as_matrix(self.spec_matrix, "task.spec_matrix")
+        lo = _as_vector(self.input_lower, "input_lower")
+        hi = _as_vector(self.input_upper, "input_upper")
+        C = _as_matrix(self.spec_matrix, "C")
         n0 = self.network.input_dim
         if lo.shape[0] != n0 or hi.shape[0] != n0:
             raise InputError(
@@ -254,10 +251,6 @@ class VerificationTask:
                 f"task.spec_matrix: {C.shape[1]} columns do not match output_dim"
                 f" {self.network.output_dim}"
             )
-        if not self.timeout_seconds > 0:  # NaN too: it would never time out
-            raise InputError(f"task.timeout_seconds must be positive, got {self.timeout_seconds}")
-        if self.max_branches < 0:
-            raise InputError("task.max_branches must be non-negative")
         object.__setattr__(self, "input_lower", _freeze(lo))
         object.__setattr__(self, "input_upper", _freeze(hi))
         object.__setattr__(self, "spec_matrix", _freeze(C))
@@ -303,34 +296,19 @@ def load_model(path: str) -> Network:
         raise InputError(f"{path}: {exc}") from None
 
 
-def load_spec(path: str) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: top-level value must be an object")
-    for key in ("input_lower", "input_upper", "C"):
-        if key not in data:
-            raise InputError(f"{path}: missing required key '{key}'")
-    lo = _as_vector(data["input_lower"], f"{path}: input_lower")
-    hi = _as_vector(data["input_upper"], f"{path}: input_upper")
-    C = _as_matrix(data["C"], f"{path}: C")
-    return lo, hi, C
-
-
-def load_task(
-    model_path: str,
-    spec_path: str,
-    timeout_seconds: float = 60.0,
-    max_branches: int = 100_000,
-) -> VerificationTask:
+def load_task(model_path: str, spec_path: str) -> VerificationTask:
     """Load and fully validate a verification task from a model file and a spec file."""
     net = load_model(model_path)
-    lo, hi, C = load_spec(spec_path)
+    data = _read_json(spec_path)
+    if not isinstance(data, dict):
+        raise InputError(f"{spec_path}: top-level value must be an object")
+    for key in ("input_lower", "input_upper", "C"):
+        if key not in data:
+            raise InputError(f"{spec_path}: missing required key '{key}'")
     try:
-        task = VerificationTask(net, lo, hi, C)
+        return VerificationTask(net, data["input_lower"], data["input_upper"], data["C"])
     except InputError as exc:
         raise InputError(f"{spec_path}: {exc}") from None
-    # The budgets are checked apart: an error in them is not the spec file's.
-    return dataclasses.replace(task, timeout_seconds=timeout_seconds, max_branches=max_branches)
 
 
 def _write_json(obj, path: str) -> None:

@@ -23,10 +23,10 @@ def identity_relu_net(n, out_weights=None):
     ])
 
 
-def scalar_task(net, lo=-1.0, hi=1.0, C=None, **kw):
+def scalar_task(net, lo=-1.0, hi=1.0, C=None):
     C = np.array([[1.0]]) if C is None else np.asarray(C)
     return model.VerificationTask(net, np.atleast_1d(lo).astype(float),
-                                  np.atleast_1d(hi).astype(float), C, **kw)
+                                  np.atleast_1d(hi).astype(float), C)
 
 
 def make_domain(net, lo, hi, splits=None):
@@ -119,12 +119,12 @@ def random_net(rng, n_inputs, widths, n_outputs, scale=1.5):
     return model.make_network(defs)
 
 
-def random_task(rng, n_inputs=3, widths=(5, 4), n_outputs=2, eps=0.5, scale=2.0, **kw):
+def random_task(rng, n_inputs=3, widths=(5, 4), n_outputs=2, eps=0.5, scale=2.0):
     net, lo, hi, C = generate_instance(rng, n_inputs, list(widths), n_outputs, eps, scale)
-    return model.VerificationTask(net, lo, hi, C, **kw)
+    return model.VerificationTask(net, lo, hi, C)
 
 
-def oracle_sized_task(rng, margin_gap=1e-3, **kw):
+def oracle_sized_task(rng, margin_gap=1e-3):
     """A random task within the exact oracle's enumeration budget.
 
     Instances whose true minimum margin lies within margin_gap of zero are
@@ -138,7 +138,7 @@ def oracle_sized_task(rng, margin_gap=1e-3, **kw):
     while True:
         n0 = int(rng.integers(2, 4))
         widths = [int(rng.integers(3, 6)) for _ in range(int(rng.integers(1, 3)))]
-        task = random_task(rng, n0, widths, 2, eps=float(rng.uniform(0.1, 0.5)), **kw)
+        task = random_task(rng, n0, widths, 2, eps=float(rng.uniform(0.1, 0.5)))
         lows, ups = oracle._interval_bounds(task.network, task.input_lower, task.input_upper)
         n_unstable = 0
         for k, layer in enumerate(task.network.layers[:-1]):

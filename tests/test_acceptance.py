@@ -62,9 +62,8 @@ def test_soundness_suite():
         n0 = int(rng.integers(2, 7))
         n_hidden = int(rng.integers(1, 4))  # 2-4 layers total
         widths = [int(rng.integers(4, 21)) for _ in range(n_hidden)]
-        task = random_task(rng, n0, widths, 2, eps=float(rng.uniform(0.05, 0.35)),
-                           scale=2.0, timeout_seconds=5.0, max_branches=300)
-        stats = bab.verify(task, "drg")
+        task = random_task(rng, n0, widths, 2, eps=float(rng.uniform(0.05, 0.35)), scale=2.0)
+        stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=5.0, max_branches=300))
         if stats.verdict == bab.SAFE:
             safe += 1
             if oracle.grid_attack(task, 100_000, seed=i) is not None:
@@ -84,9 +83,9 @@ def test_oracle_equivalence():
     matches = 0
     witnesses_ok = True
     for i in range(50):
-        task = oracle_sized_task(rng, timeout_seconds=60.0, max_branches=100_000)
+        task = oracle_sized_task(rng)
         min_value, _ = oracle.exact_min_margin(task)
-        stats = bab.verify(task, "drg")
+        stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=60.0, max_branches=100_000))
         expected = bab.UNSAFE if min_value <= 0 else bab.SAFE
         if stats.verdict == expected:
             matches += 1
@@ -177,9 +176,9 @@ def test_monotonicity_over_traces():
     for i in range(50):
         task = random_task(rng, int(rng.integers(2, 5)),
                            [int(rng.integers(4, 9)) for _ in range(int(rng.integers(1, 3)))],
-                           2, eps=float(rng.uniform(0.15, 0.5)), scale=2.0,
-                           timeout_seconds=10.0, max_branches=500)
-        stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
+                           2, eps=float(rng.uniform(0.15, 0.5)), scale=2.0)
+        config = bab.BabConfig(timeout_seconds=10.0, max_branches=500, trace=True)
+        stats = bab.verify(task, "drg", config)
         for entry in stats.per_node_trace or []:
             if "lower_bound" in entry and np.isfinite(entry["parent_lower_bound"]):
                 total += 1
@@ -221,12 +220,13 @@ def test_directional_dominance():
     collected = 0
     wins = 0
     while collected < 50:
-        task = oracle_sized_task(rng, timeout_seconds=60.0, max_branches=100_000)
+        task = oracle_sized_task(rng)
         min_value, _ = oracle.exact_min_margin(task)
         if min_value <= 0:
             continue
-        drg = bab.verify(task, "drg")
-        sym = bab.verify(task, "drg_symmetric")
+        config = bab.BabConfig(timeout_seconds=60.0, max_branches=100_000)
+        drg = bab.verify(task, "drg", config)
+        sym = bab.verify(task, "drg_symmetric", config)
         if drg.verdict != bab.SAFE or sym.verdict != bab.SAFE:
             continue
         collected += 1

@@ -128,9 +128,9 @@ def test_child_node_bounds_monotone_in_traces():
     rng = np.random.default_rng(52)
     checked = 0
     for trial in range(15):
-        task = random_task(rng, 3, (5, 4), 2, eps=float(rng.uniform(0.2, 0.6)),
-                           timeout_seconds=20.0, max_branches=3000)
-        stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
+        task = random_task(rng, 3, (5, 4), 2, eps=float(rng.uniform(0.2, 0.6)))
+        config = bab.BabConfig(timeout_seconds=20.0, max_branches=3000, trace=True)
+        stats = bab.verify(task, "drg", config)
         for entry in stats.per_node_trace or []:
             if "lower_bound" in entry and np.isfinite(entry["parent_lower_bound"]):
                 assert entry["lower_bound"] >= entry["parent_lower_bound"] - 1e-9
@@ -169,6 +169,16 @@ def test_input_bisect_zero_width_returns_none():
     assert bab.input_bisect(net, d) is None
 
 
+def test_input_bisect_splits_a_box_whose_endpoints_sum_past_float64():
+    # 1e308 + 1.7e308 overflows; the halves must still meet at a finite mid.
+    net = model.make_network([(np.eye(1), np.zeros(1), model.LINEAR)])
+    d = make_domain(net, [1e308], [1.7e308])
+    a, b = bab.input_bisect(net, d)
+    mid = a.box_upper[0]
+    assert b.box_lower[0] == mid and mid == 1.35e308
+    assert a.box_lower[0] == 1e308 and b.box_upper[0] == 1.7e308
+
+
 def test_worklist_pops_lowest_bound_first():
     net = scalar_relu_net()
     w = bab.Worklist()
@@ -200,9 +210,10 @@ def test_empty_worklist_step_returns_safe(monkeypatch):
 
 def test_determinism_identical_runs():
     rng = np.random.default_rng(54)
-    task = random_task(rng, 3, (6, 6), 3, eps=0.4, timeout_seconds=30.0, max_branches=5000)
-    a = bab.verify(task, "drg", bab.BabConfig(trace=True))
-    b = bab.verify(task, "drg", bab.BabConfig(trace=True))
+    task = random_task(rng, 3, (6, 6), 3, eps=0.4)
+    config = bab.BabConfig(timeout_seconds=30.0, max_branches=5000, trace=True)
+    a = bab.verify(task, "drg", config)
+    b = bab.verify(task, "drg", config)
     assert a.verdict == b.verdict
     assert a.branches_visited == b.branches_visited
     assert a.splits_made == b.splits_made
@@ -215,9 +226,9 @@ def test_determinism_identical_runs():
 def test_verdicts_match_exact_oracle():
     rng = np.random.default_rng(55)
     for trial in range(15):
-        task = oracle_sized_task(rng, timeout_seconds=30.0, max_branches=100_000)
+        task = oracle_sized_task(rng)
         mv, _ = oracle.exact_min_margin(task)
-        stats = bab.verify(task, "drg")
+        stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=30.0, max_branches=100_000))
         expected = bab.UNSAFE if mv <= 0 else bab.SAFE
         assert stats.verdict == expected, f"trial {trial}: oracle min {mv}, got {stats.verdict}"
         if stats.verdict == bab.UNSAFE:
@@ -232,16 +243,25 @@ def test_branch_budget_gives_unknown():
         (np.array([[1.0], [-1.0]]), np.zeros(2), model.RELU),
         (np.array([[1.0, 1.0]]), np.array([-0.2]), model.LINEAR),
     ])
-    task = scalar_task(net, max_branches=0)
-    stats = bab.verify(task, "drg")
+    stats = bab.verify(scalar_task(net), "drg", bab.BabConfig(max_branches=0))
     assert stats.verdict == bab.UNKNOWN
     assert stats.unknown_reason == "branch budget exhausted"
 
 
+def test_config_rejects_budgets_out_of_range():
+    # NaN fails every comparison, so a `<= 0` check would let it through and
+    # the budget would never run out.
+    for timeout in (0.0, -1.0, float("nan")):
+        with pytest.raises(model.InputError, match="timeout_seconds"):
+            bab.BabConfig(timeout_seconds=timeout)
+    with pytest.raises(model.InputError, match="max_branches"):
+        bab.BabConfig(max_branches=-1)
+
+
 def test_timeout_gives_unknown():
     rng = np.random.default_rng(56)
-    task = random_task(rng, 4, (8, 8), 2, eps=1.5, timeout_seconds=1e-9, max_branches=10**9)
-    stats = bab.verify(task, "drg")
+    task = random_task(rng, 4, (8, 8), 2, eps=1.5)
+    stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=1e-9, max_branches=10**9))
     if stats.verdict == bab.UNKNOWN:  # root may already decide; then nothing to check
         assert stats.unknown_reason == "timeout"
 
@@ -254,8 +274,7 @@ def test_all_zero_scores_fall_back_to_babsr_then_bisect():
             (np.array([[1.0], [-1.0]]), np.zeros(2), model.RELU),
             (np.array([[1.0, 1.0]]), np.array([c]), model.LINEAR),
         ])
-        task = scalar_task(net, max_branches=10_000)
-        stats = bab.verify(task, "drg")
+        stats = bab.verify(scalar_task(net), "drg", bab.BabConfig(max_branches=10_000))
         assert stats.verdict == expected
 
 
@@ -267,8 +286,8 @@ def test_bisect_after_both_kinds_score_zero_traces_the_heuristics_own_scores():
         (np.array([[1.0], [1.0], [-1.0]]), np.array([0.0, 0.1, 0.0]), model.RELU),
         (np.array([[1.0, 1e-14, 0.5]]), np.array([-0.2]), model.LINEAR),
     ])
-    task = scalar_task(net, max_branches=200)
-    traces = {kind: bab.verify(task, kind, bab.BabConfig(trace=True)).per_node_trace
+    config = bab.BabConfig(max_branches=200, trace=True)
+    traces = {kind: bab.verify(scalar_task(net), kind, config).per_node_trace
               for kind in ("drg", "babsr")}
     assert any(e.get("split_kind") == "babsr" for e in traces["drg"])
     bisects = {kind: [e for e in trace if e["action"] == "bisect"]
@@ -286,13 +305,13 @@ def test_unsafe_needs_no_branching_when_root_witness_hits():
 
 def test_every_heuristic_reaches_correct_verdicts():
     rng = np.random.default_rng(57)
-    task = oracle_sized_task(rng, timeout_seconds=30.0, max_branches=50_000)
+    task = oracle_sized_task(rng)
     mv, _ = oracle.exact_min_margin(task)
     expected = bab.UNSAFE if mv <= 0 else bab.SAFE
     from reluverify.heuristics import KINDS
 
     for kind in KINDS:
-        stats = bab.verify(task, kind)
+        stats = bab.verify(task, kind, bab.BabConfig(timeout_seconds=30.0, max_branches=50_000))
         assert stats.verdict == expected, f"{kind}: {stats.verdict} vs {expected}"
 
 
@@ -313,7 +332,7 @@ def test_timeout_stops_root_slope_optimization(monkeypatch):
     # timeout the root's slope optimization stops after its first stacked
     # bound pass, and the run ends on the timeout.
     rng = np.random.default_rng(64)
-    task = random_task(rng, 8, (64, 64), 6, eps=0.3, timeout_seconds=1e-6, max_branches=10**9)
+    task = random_task(rng, 8, (64, 64), 6, eps=0.3)
     compute, optimize = relax.compute_bounds, relax.optimize_alpha
     passes = {"in_optimize": 0}
     inside = []
@@ -331,7 +350,7 @@ def test_timeout_stops_root_slope_optimization(monkeypatch):
 
     monkeypatch.setattr(relax, "compute_bounds", counting_bounds)
     monkeypatch.setattr(relax, "optimize_alpha", tracking_optimize)
-    stats = bab.verify(task, "drg")
+    stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=1e-6, max_branches=10**9))
     assert stats.verdict == bab.UNKNOWN and stats.unknown_reason == "timeout"
     assert 1 <= passes["in_optimize"] <= 2
 
@@ -363,16 +382,15 @@ def test_split_child_without_its_clamp_raises(monkeypatch):
         (np.array([[1.0, 1.0]]), np.array([-0.2]), model.LINEAR),
     ])
     with pytest.raises(bab.InvariantError, match="unstable"):
-        bab.verify(scalar_task(net, max_branches=10), "drg")
+        bab.verify(scalar_task(net), "drg", bab.BabConfig(max_branches=10))
 
 
 def test_safe_verdicts_survive_grid_attack():
     rng = np.random.default_rng(60)
     attacked = 0
     for trial in range(10):
-        task = random_task(rng, 3, (5, 5), 2, eps=float(rng.uniform(0.1, 0.4)),
-                           timeout_seconds=20.0, max_branches=2000)
-        stats = bab.verify(task, "drg")
+        task = random_task(rng, 3, (5, 5), 2, eps=float(rng.uniform(0.1, 0.4)))
+        stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=20.0, max_branches=2000))
         if stats.verdict == bab.SAFE:
             assert oracle.grid_attack(task, 20_000, seed=trial) is None
             attacked += 1
@@ -435,10 +453,9 @@ def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
 def _searches():
     """Seeded budget-capped searches that split, bisect and meet empty children."""
     for seed in (86, 88):
-        task = random_task(np.random.default_rng(seed), 3, (6, 5), 2, eps=0.6,
-                           max_branches=150)
+        task = random_task(np.random.default_rng(seed), 3, (6, 5), 2, eps=0.6)
         for kind in ("drg", "babsr"):
-            bab.verify(task, kind)
+            bab.verify(task, kind, bab.BabConfig(max_branches=150))
 
 
 def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
@@ -505,7 +522,7 @@ def test_worklist_pop_skips_infeasible_children():
 def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
     # A zero branch budget with only an infeasible child queued ends Safe: the
     # budget counts as exhausted only while a feasible sub-domain waits.
-    task = scalar_task(scalar_relu_net(out_bias=0.1), max_branches=0)
+    task = scalar_task(scalar_relu_net(out_bias=0.1))
     _, _, high = _straddling_bisection()
     process = bab._process_node
 
@@ -514,7 +531,7 @@ def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
         return entry, ((high,) if entry["node"] == 0 else ())
 
     monkeypatch.setattr(bab, "_process_node", root_queues_only_high)
-    stats = bab.verify(task, "drg")
+    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=0))
     assert not high.neuron_bounds.is_feasible()
     assert stats.verdict == bab.SAFE
     assert stats.unknown_reason is None and stats.branches_visited == 0
@@ -543,10 +560,10 @@ def test_propagate_bounds_runs_once_per_popped_subdomain(monkeypatch, tmp_path):
     monkeypatch.setattr(bab.Worklist, "pop", counting_pop)
     capped = 0
     for _, model_path, spec_path in cli.discover_suite(str(tmp_path)):
-        task = model.load_task(model_path, spec_path, 600.0, 100)
+        task = model.load_task(model_path, spec_path)
         for kind in ("drg", "babsr"):
             counts.update(bounds=0, popped=0)
-            stats = bab.verify(task, kind)
+            stats = bab.verify(task, kind, bab.BabConfig(timeout_seconds=600.0, max_branches=100))
             assert counts["bounds"] == 1 + counts["popped"]
             if stats.unknown_reason == "branch budget exhausted":
                 capped += 1
@@ -564,10 +581,11 @@ def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
     calls = []
     monkeypatch.setattr(model, "forward", lambda *a: calls.append(1) or forward(*a))
     for _, model_path, spec_path in cli.discover_suite(str(tmp_path)):
-        task = model.load_task(model_path, spec_path, 600.0, 50)
+        task = model.load_task(model_path, spec_path)
+        config = bab.BabConfig(timeout_seconds=600.0, max_branches=50, trace=True)
         for kind in ("drg", "grad"):
             calls.clear()
-            stats = bab.verify(task, kind, bab.BabConfig(trace=True))
+            stats = bab.verify(task, kind, config)
             witnesses = sum("witness_margin" in e for e in stats.per_node_trace)
             assert stats.splits_made > 0
             assert len(calls) == witnesses

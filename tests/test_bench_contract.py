@@ -68,11 +68,26 @@ def test_tracer_targets_resolve():
 
 
 def test_direct_calls_resolve():
+    # Each cli./model. name the scripts use exists, and each call of one binds
+    # to the function's signature, so a changed signature cannot break them.
+    calls = 0
     for script in ("run.py", "setup_probe.py"):
         for node in ast.walk(_tree(script)):
             if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                     and node.value.id in ("cli", "model")):
                 _resolve(node.value.id, node.attr)
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and getattr(node.func.value, "id", None) in ("cli", "model")):
+                where = f"{script}:{node.lineno}"
+                assert not any(isinstance(a, ast.Starred) for a in node.args), where
+                assert all(kw.arg is not None for kw in node.keywords), where
+                signature = inspect.signature(_resolve(node.func.value.id, node.func.attr))
+                try:
+                    signature.bind(*node.args, **{kw.arg: kw.value for kw in node.keywords})
+                except TypeError as exc:
+                    raise AssertionError(f"{where}: {exc}") from None
+                calls += 1
+    assert calls >= 3  # cli.main, cli.discover_suite, model.load_task
 
 
 def test_verify_signature_and_the_run_fields_read():

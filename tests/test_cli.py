@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import reluverify
-from reluverify import cli, model
+from reluverify import bab, cli, model
 
 from helpers import scalar_relu_net, scalar_task
 
@@ -63,6 +64,7 @@ def test_verify_config_echo_keys(tmp_path, capsys):
     echo = json.loads(capsys.readouterr().out)["config_echo"]
     assert set(echo) == {"alpha_iters", "alpha_step", "trace", "timeout_seconds",
                          "max_branches", "heuristic"}
+    assert echo == dict(dataclasses.asdict(bab.BabConfig()), heuristic="drg")
 
 
 def test_verify_unknown_exit_code(tmp_path, capsys):
@@ -135,7 +137,21 @@ INPUT_ERRORS = {
     "verify-trace-missing-dir": ("verify " + _TOY + " --trace {t}/missing/t.jsonl", "--trace"),
     "verify-output-is-trace": ("verify " + _TOY + " --output {t}/r.json --trace {t}/empty/../r.json",
                                "--output and --trace name the same file"),
+    "verify-output-is-model": ("verify " + _TOY + " --output {t}/suite/a.model.json",
+                               "--model and --output name the same file"),
+    "verify-output-is-spec": ("verify " + _TOY + " --output {t}/empty/../suite/a.spec.json",
+                              "--spec and --output name the same file"),
+    "verify-trace-is-model": ("verify " + _TOY + " --trace {t}/suite/a.model.json",
+                              "--model and --trace name the same file"),
+    "verify-trace-is-spec": ("verify " + _TOY + " --output {t}/r.json"
+                             " --trace {t}/suite/a.spec.json",
+                             "--spec and --trace name the same file"),
 }
+
+
+def _files(root):
+    """Every path under root, with a file's bytes."""
+    return sorted((p, p.is_file() and p.read_bytes()) for p in root.rglob("*"))
 
 
 @pytest.mark.parametrize("case", INPUT_ERRORS)
@@ -149,7 +165,7 @@ def test_input_errors_exit_3_with_one_error_line(tmp_path, capsys, monkeypatch, 
                     str(tmp_path / "big.model.json"), str(tmp_path / "big.spec.json"))
     # Each bound is finite, but the width between them is not.
     model.save_spec([-1e308], [1e308], [[1.0]], str(tmp_path / "wide.spec.json"))
-    files = sorted(tmp_path.rglob("*"))
+    files = _files(tmp_path)
     monkeypatch.setattr(cli.bab, "verify", lambda *a, **k: pytest.fail("a search started"))
     monkeypatch.setattr(cli, "generate_instance", lambda *a: pytest.fail("gen started"))
     argv, name = INPUT_ERRORS[case]
@@ -157,7 +173,7 @@ def test_input_errors_exit_3_with_one_error_line(tmp_path, capsys, monkeypatch, 
         warnings.simplefilter("error")
         rc = cli.main(argv.format(t=tmp_path).split())
     _assert_input_error(capsys, rc, name)
-    assert sorted(tmp_path.rglob("*")) == files  # nothing written
+    assert _files(tmp_path) == files  # nothing written or overwritten
 
 
 def test_out_directory_that_cannot_be_made_is_an_input_error(tmp_path, capsys, monkeypatch):

@@ -135,10 +135,10 @@ def test_load_minimal_model(tmp_path):
 def test_load_task_and_roundtrip(tmp_path):
     mp = _minimal_model(tmp_path)
     sp = _write(tmp_path, "s.json", {"input_lower": [-1.0], "input_upper": [1.0], "C": [[1.0]]})
-    task = model.load_task(mp, sp, timeout_seconds=5.0, max_branches=10)
+    task = model.load_task(mp, sp)
     mp2, sp2 = str(tmp_path / "m2.json"), str(tmp_path / "s2.json")
     model.save_task(task, mp2, sp2)
-    again = model.load_task(mp2, sp2, timeout_seconds=5.0, max_branches=10)
+    again = model.load_task(mp2, sp2)
     assert again.network.n_layers == task.network.n_layers
     for a, b in zip(again.network.layers, task.network.layers):
         assert np.array_equal(a.weights, b.weights)
@@ -209,17 +209,13 @@ def test_load_model_rejects_boolean_input_dim(tmp_path):
         model.load_model(mp)
 
 
-def test_load_task_names_the_spec_for_its_errors_but_not_for_budgets(tmp_path):
+def test_load_task_names_the_spec_for_its_errors(tmp_path):
     mp = _minimal_model(tmp_path)
     sp = _write(tmp_path, "s.json", {"input_lower": [-1.0, 0.0], "input_upper": [1.0, 1.0],
                                      "C": [[1.0]]})
     with pytest.raises(model.InputError, match="input_dim") as exc:
         model.load_task(mp, sp)
     assert str(exc.value).startswith(f"{sp}: ")
-    sp = _write(tmp_path, "s2.json", {"input_lower": [-1.0], "input_upper": [1.0], "C": [[1.0]]})
-    with pytest.raises(model.InputError, match="timeout_seconds") as exc:
-        model.load_task(mp, sp, timeout_seconds=0.0)
-    assert not str(exc.value).startswith(sp)
 
 
 def test_load_model_rejects_relu_last_layer(tmp_path):
@@ -229,16 +225,6 @@ def test_load_model_rejects_relu_last_layer(tmp_path):
     })
     with pytest.raises(model.InputError, match="linear"):
         model.load_model(mp)
-
-
-def test_task_rejects_timeout_that_is_not_positive():
-    # NaN fails every comparison, so a `<= 0` check would let it through and
-    # the budget would never run out.
-    net = model.make_network([(np.eye(1), np.zeros(1), model.LINEAR)])
-    for timeout in (0.0, -1.0, float("nan")):
-        with pytest.raises(model.InputError, match="timeout_seconds"):
-            model.VerificationTask(net, np.zeros(1), np.ones(1), np.eye(1),
-                                   timeout_seconds=timeout)
 
 
 def test_spec_c_columns_must_match_output_dim(tmp_path):

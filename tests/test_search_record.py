@@ -32,14 +32,15 @@ MAX_BRANCHES = 300
 
 
 def collect() -> dict:
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
     runs = {}
     for i, gen_args in enumerate(SUITES):
         with tempfile.TemporaryDirectory() as tmp:
             assert cli.main(gen_args + ["--out", tmp]) == 0
             for name, model_path, spec_path in cli.discover_suite(tmp):
-                task = model.load_task(model_path, spec_path, 600.0, MAX_BRANCHES)
+                task = model.load_task(model_path, spec_path)
                 for kind in heuristics.KINDS:
-                    stats = bab.verify(task, kind, bab.BabConfig(trace=True))
+                    stats = bab.verify(task, kind, config)
                     runs[f"suite{i}/{name}/{kind}"] = {
                         "verdict": stats.verdict,
                         "branches_visited": stats.branches_visited,
