@@ -17,20 +17,35 @@ import heapq
 import math
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import heuristics, relax, witness as witness_mod
 from .model import InputError, Network, RELU, VerificationTask
-from .relax import NeuronBounds, Slopes
+from .relax import BoundResult, Domains, NeuronBounds, Slopes
 
 SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
 
+# A lookahead pass's largest stacked temporary holds one layer's
+# intermediate-bound coefficients, 2 n_out x n_in per sub-domain. This many
+# elements bound it, and with it how many sub-domains one pass takes on wide
+# layers; narrow ones stop at LOOKAHEAD_MAX.
+LOOKAHEAD_ELEMENTS = 65_536
+LOOKAHEAD_MAX = 32
+
+
 class InvariantError(RuntimeError):
     """A structural invariant of the search failed; the run cannot be trusted."""
+
+
+def lookahead(net: Network) -> int:
+    """How many queued sub-domains one worklist pass may bound together: 32
+    on 16-wide layers, 8 on 64-wide ones, never fewer than 1."""
+    widest = max(2 * layer.out_dim * layer.in_dim for layer in net.layers)
+    return max(1, min(LOOKAHEAD_MAX, LOOKAHEAD_ELEMENTS // widest))
 
 
 @dataclass
@@ -44,8 +59,10 @@ class SubDomain:
 
     A child made by a split or a bisection defers its bounds: while net is
     set, bounds holds the parent's intervals (without their relaxations, and
-    with the split's clamp) and neuron_bounds recomputes layers start_layer
-    and later on first read. Children that are never popped are never bounded.
+    with the split's clamp), and layers start_layer and later are recomputed
+    when it is bounded: by a worklist lookahead pass, which may also leave
+    its phase-1 bound in results for _process_node, or on first read of
+    neuron_bounds. Children that no pass reaches are never bounded.
     """
 
     box_lower: np.ndarray
@@ -56,13 +73,12 @@ class SubDomain:
     n_splits: int = 0
     net: Optional[Network] = None
     start_layer: int = 0
+    results: Optional[BoundResult] = None
 
     @property
     def neuron_bounds(self) -> NeuronBounds:
         if self.net is not None:
-            self.bounds = relax.propagate_bounds(self.net, self.box_lower, self.box_upper,
-                                                 self.bounds, self.start_layer)
-            self.net = None
+            bound_subdomains([self])
         return self.bounds
 
     @classmethod
@@ -84,6 +100,40 @@ class SubDomain:
         return cls(box_lower, box_upper, NeuronBounds(lower, upper), parent.depth + 1,
                    parent.parent_lower_bound, parent.n_splits + (clamp is not None),
                    net, start_layer)
+
+
+def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
+                     slopes: Optional[Slopes] = None) -> None:
+    """Bound deferred sub-domains of one network in one stacked pass.
+
+    Each gets its intervals, relaxations and feasibility. Given the spec
+    matrix C and the root's slopes, each feasible one also gets its phase-1
+    bound in results, from one stacked compute_bounds pass. Every number is
+    the one bounding the sub-domain alone gives.
+    """
+    net = ds[0].net
+    lo, hi = np.array([d.box_lower for d in ds]), np.array([d.box_upper for d in ds])
+    nb = relax.propagate_bounds(net, lo, hi, NeuronBounds.stack([d.bounds for d in ds]),
+                                np.array([d.start_layer for d in ds]))
+    for i, d in enumerate(ds):
+        own = nb[i]
+        # Copies, not views: descendants inherit the intervals, and a view
+        # would keep the whole stack alive as long as any of them is queued.
+        own.lower, own.upper = [a.copy() for a in own.lower], [a.copy() for a in own.upper]
+        d.bounds, d.net = own, None
+    feasible = np.flatnonzero(nb.feasible)
+    if C is None or not len(feasible):
+        return
+    if len(feasible) < len(ds):
+        lo, hi, nb = lo[feasible], hi[feasible], nb[feasible]
+    results = relax.compute_bounds(net, C, Domains(lo, hi, nb), slopes)
+    for j, i in enumerate(feasible):
+        ds[i].results = results[j]
+
+
+def _stack(d: SubDomain) -> Domains:
+    """A bounded sub-domain as a stack of one."""
+    return Domains(d.box_lower[None], d.box_upper[None], NeuronBounds.stack([d.neuron_bounds]))
 
 
 @dataclass
@@ -126,21 +176,40 @@ class BabConfig:
 
 class Worklist:
     """Priority queue popping the lowest parent_lower_bound first
-    (most-violated-first); insertion order breaks ties deterministically."""
+    (most-violated-first); insertion order breaks ties deterministically.
+    Given the spec matrix C and the root's slopes, its lookahead passes also
+    take phase-1 bounds."""
 
-    def __init__(self):
+    def __init__(self, C: Optional[np.ndarray] = None, slopes: Optional[Slopes] = None):
         self._heap: List[Tuple[float, int, SubDomain]] = []
         self._seq = 0
+        self._spec = (C, slopes)
 
     def push(self, d: SubDomain) -> None:
         heapq.heappush(self._heap, (d.parent_lower_bound, self._seq, d))
         self._seq += 1
 
-    def pop(self) -> Optional[SubDomain]:
-        """The next feasible sub-domain, or None. Popping bounds a sub-domain;
-        those whose bounds prove them empty are dropped on the way."""
-        while self._heap:
-            d = heapq.heappop(self._heap)[2]
+    def pop(self, limit: int = 1) -> Optional[SubDomain]:
+        """The next feasible sub-domain, bounded, or None. Those whose bounds
+        prove them empty are dropped on the way.
+
+        Lookahead: when the next entry is not bounded yet, up to limit entries
+        come off in pop order, the unbounded ones among them are bounded in
+        one stacked pass (bound_subdomains), and all go back under their own
+        keys. Bounds depend only on the sub-domain and the order only on the
+        keys, so every limit pops the same sub-domains with the same numbers.
+        A pass of one takes no phase-1 bound: _process_node takes it if the
+        sub-domain is processed, which a budget's last pop never is.
+        """
+        heap = self._heap
+        while heap:
+            if heap[0][2].net is not None:
+                top = [heapq.heappop(heap) for _ in range(min(limit, len(heap)))]
+                bound_subdomains([e[2] for e in top if e[2].net is not None],
+                                 *(self._spec if limit > 1 else ()))
+                for entry in top:
+                    heapq.heappush(heap, entry)
+            d = heapq.heappop(heap)[2]
             if d.neuron_bounds.is_feasible():
                 return d
         return None
@@ -149,9 +218,10 @@ class Worklist:
         return len(self._heap)
 
 
-def make_root(task: VerificationTask) -> SubDomain:
-    lo, hi = task.input_lower, task.input_upper  # float64, as the task stores them
-    return SubDomain(lo, hi, relax.propagate_bounds(task.network, lo, hi))
+def make_root(task: VerificationTask) -> Domains:
+    """The task's box, bounded, as a stack of one."""
+    lo, hi = task.input_lower[None], task.input_upper[None]  # float64, as the task stores them
+    return Domains(lo, hi, relax.propagate_bounds(task.network, lo, hi))
 
 
 def split_subdomain(
@@ -218,17 +288,15 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
 
 
 def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
-                  stats: RunStats, d: SubDomain,
-                  results: Optional[relax.BoundResult] = None
-                  ) -> Tuple[dict, Tuple[SubDomain, ...]]:
+                  stats: RunStats, d: SubDomain) -> Tuple[dict, Tuple[SubDomain, ...]]:
     """Run the four phases on one sub-domain, node stats.branches_visited.
 
     Returns its trace entry, whose "action" is pruned-safe, unsafe, split,
-    bisect, stuck or non-finite, and the children to queue. slopes are the root's
-    optimized slopes, one row per spec row; results, when given, is the
-    sub-domain's stacked bound under them (the root's, from its slope
-    optimization) and is used instead of bounding again. The witness, split
-    and clamp counts go into stats.
+    bisect, stuck or non-finite, and the children to queue. slopes are the
+    root's optimized slopes, one row per spec row. d.results, when set, is the
+    sub-domain's stacked bound under them (from a lookahead pass, or the
+    root's slope optimization); it is used instead of bounding again, and
+    dropped. The witness, split and clamp counts go into stats.
     """
     net = task.network
     C = task.spec_matrix
@@ -239,9 +307,11 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
         "n_splits": d.n_splits,
     }
 
-    # Phase 1: bound every spec row over this sub-domain, in one stacked pass.
+    # Phase 1: bound every spec row over this sub-domain, in one stacked pass,
+    # unless a lookahead pass or the root's slope optimization already did.
+    results, d.results = d.results, None
     if results is None:
-        results = relax.compute_bounds(net, C, d, slopes)
+        results = relax.compute_bounds(net, C, _stack(d), slopes)[0]
     worst_row = int(np.argmin(results.lower_bound))  # the first row on ties
     raw_lb = float(results.lower_bound[worst_row])
     # The parent's bound remains valid on this shrunken region; inheriting it
@@ -259,7 +329,7 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
         return entry, ()
 
     # Phase 3: counterexample validation at the bound's own minimizer.
-    bound = results.row(worst_row)
+    bound = results[worst_row]
     wit = witness_mod.validate_witness(net, C, bound)
     entry["witness_margin"] = float(wit.concrete_margin.min())
     if not math.isfinite(entry["witness_margin"]):
@@ -312,12 +382,14 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
 
     The root's slopes are optimized first and the root is processed; then,
     until a verdict or a budget, the sub-domain with the lowest bound is
-    popped and processed. The root does not count toward branches_visited:
-    instances decided there report zero branches. The clock starts here, so
-    the root's bounds and slope optimization count toward the time budget.
-    Budgets are checked between nodes, never mid-bound: the timeout before
-    popping, the branch budget after, so it counts as exhausted only while a
-    feasible sub-domain waits.
+    popped and processed. Each pop may bound the next lookahead(net) queued
+    sub-domains together, but never more than the branch budget can still
+    process, plus the one pop that finds it exhausted. The root does not
+    count toward branches_visited: instances decided there report zero
+    branches. The clock starts here, so the root's bounds and slope
+    optimization count toward the time budget. Budgets are checked between
+    nodes, never mid-bound: the timeout before popping, the branch budget
+    after, so it counts as exhausted only while a feasible sub-domain waits.
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
@@ -329,14 +401,18 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     heuristics.check_kind(heuristic)
     deadline = start_time + config.timeout_seconds
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
-    root = make_root(task)
-    slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, root,
+    stack = make_root(task)
+    root = SubDomain(task.input_lower, task.input_upper, stack.neuron_bounds[0])
+    slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, stack,
                                            config.alpha_iters, config.alpha_step, deadline)
-    worklist = Worklist()
+    slopes = {k: v[0] for k, v in slopes.items()}
+    root.results = None if results is None else results[0]
+    batch = lookahead(task.network)
+    worklist = Worklist(task.spec_matrix, slopes)
     stuck = False
     d = root
     while True:
-        entry, children = _process_node(task, heuristic, slopes, stats, d, results)
+        entry, children = _process_node(task, heuristic, slopes, stats, d)
         if stats.per_node_trace is not None:
             stats.per_node_trace.append(entry)
         if entry["action"] == "unsafe":
@@ -351,7 +427,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
         if time.perf_counter() > deadline:
             stats.unknown_reason = "timeout"
             break
-        d, results = worklist.pop(), None
+        d = worklist.pop(min(batch, config.max_branches - stats.branches_visited + 1))
         if d is None:
             if stuck:
                 stats.unknown_reason = "unrefinable leaf"

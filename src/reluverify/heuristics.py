@@ -73,7 +73,8 @@ def score_branches(
     if kind == GRAD:
         coefs = model.margin_preact_gradients(net, c_row, preacts)
     if kind == CENTER:
-        _, preacts = model.forward(net, 0.5 * (domain.box_lower + domain.box_upper))
+        # lo + hi may overflow; this equals 0.5 * (lo + hi) whenever that sum is finite and normal
+        _, preacts = model.forward(net, 0.5 * domain.box_lower + 0.5 * domain.box_upper)
     scores: Scores = {}
     clamps = 0
     for k in sorted(bound.A):

@@ -13,19 +13,23 @@ branching heuristics.
 A region is a box plus the pre-activation intervals of every hidden layer
 (NeuronBounds), nothing else: how a search narrowed them is not known here.
 
-The spec rows of a sub-domain are bounded together: their coefficients ride a
-leading axis as (m, 1, n) stacks, and the relaxed forward pass evaluates
-W @ h on (m, n, 1) stacks. Each product is then the same matrix-vector call a
-single row makes, so every row's bound, coefficients and minimizer agree bit
-for bit with bounding that row alone. A flat (m, n) @ (n, p) product would
-not: the matrix-matrix kernel sums in another order.
+Regions are bounded in stacks: boxes, intervals and relaxations carry a
+leading domain axis of length D, and a single region is a stack of one. The
+spec rows of a sub-domain are bounded together as well, their coefficients
+riding a further axis as (D, m, 1, n) stacks, and the relaxed forward pass
+evaluates W @ h on (..., n, 1) stacks. Each product is then the very call one
+domain (and one row) makes alone: a matrix-vector product per row, and for
+the 2n rows of an intermediate bound a matrix-matrix product per domain. So
+every domain's and every row's bound, coefficients and minimizer agree bit
+for bit with bounding it alone. A flat (D * m, n) @ (n, p) product would not:
+the matrix-matrix kernel sums in another order.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,67 +69,107 @@ def adaptive_alpha(l: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 @dataclass
 class NeuronBounds:
-    """Pre-activation intervals for every hidden layer (layer k = 0 .. L-2).
+    """Pre-activation intervals for every hidden layer (layer k = 0 .. L-2)
+    of one region, or of a stack of D regions: then every array has a
+    leading domain axis and feasible holds one flag per domain.
 
     They are the whole abstraction of a region: a narrowing (a branch's
     clamp of a neuron to one sign) is written here, and propagate_bounds
     keeps it by intersection. lower[k] > upper[k] marks the region empty, a
-    legitimate outcome of a narrowing; propagate_bounds then stops at that
-    layer, so the lists can be shorter than the hidden layers. It also records
-    each ReLU layer's relaxation and the feasibility; a queued child's bounds
-    hold intervals alone and only serve as its base.
+    legitimate outcome of a narrowing; propagate_bounds then bounds no later
+    layer of it, which keeps its base's intervals. It also records each ReLU
+    layer's relaxation and the feasibility; a queued child's bounds hold
+    intervals alone and only serve as its base.
     """
 
     lower: List[np.ndarray]
     upper: List[np.ndarray]
     relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False)
-    feasible: bool = True
+    feasible: Union[bool, np.ndarray] = True
 
     def is_feasible(self) -> bool:
         return self.feasible
 
+    def __getitem__(self, i) -> "NeuronBounds":
+        """Domain i of a stack, as views of its arrays; for an index array,
+        the stack of those domains."""
+        feasible = self.feasible[i]
+        return NeuronBounds([l[i] for l in self.lower], [u[i] for u in self.upper],
+                            {k: tuple(a[i] for a in rel) for k, rel in self.relaxations.items()},
+                            feasible if np.ndim(feasible) else bool(feasible))
+
+    @classmethod
+    def stack(cls, bounds: Sequence["NeuronBounds"]) -> "NeuronBounds":
+        """The stack of single-region bounds, in order. Relaxations are
+        stacked for the layers the first one has them for."""
+        return cls([np.array(layer) for layer in zip(*(b.lower for b in bounds))],
+                   [np.array(layer) for layer in zip(*(b.upper for b in bounds))],
+                   {k: tuple(np.array(part) for part in zip(*(b.relaxations[k] for b in bounds)))
+                    for k in bounds[0].relaxations},
+                   np.array([b.feasible for b in bounds]))
+
+
+@dataclass
+class Domains:
+    """A stack of D sub-domains: boxes of shape (D, n0) and their stacked
+    NeuronBounds, whose relaxations the bound passes read. row_relaxations
+    holds each ReLU layer's relaxation as (D, 1, n_k) views, which broadcast
+    against (D, m, n_k) spec-row stacks; taken once, they serve every pass of
+    a slope optimization."""
+
+    box_lower: np.ndarray
+    box_upper: np.ndarray
+    neuron_bounds: NeuronBounds
+    row_relaxations: Dict[int, Relaxation] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.row_relaxations = {k: tuple(a[:, None, :] for a in rel)
+                                for k, rel in self.neuron_bounds.relaxations.items()}
+
 
 # Lower-line slopes per ReLU layer: layer k maps to an (n_k,) array shared by
-# every spec row or an (m, n_k) array, one row per spec row. Only the entries
-# at unstable neurons matter, and every ReLU layer needs one. A slope outside
-# [0, 1] would make the bound unsound; the adaptive ones are 0 or 1 and
-# optimize_alpha clips its steps.
+# every spec row, an (m, n_k) array, one row per spec row, or a (D, m, n_k)
+# one, one row per domain and spec row. Only the entries at unstable neurons
+# matter, and every ReLU layer needs one. A slope outside [0, 1] would make
+# the bound unsound; the adaptive ones are 0 or 1 and optimize_alpha clips
+# its steps.
 Slopes = Dict[int, np.ndarray]
 
 
 @dataclass
 class BoundResult:
-    """A sound linear lower bound w @ x + b of margin rows over a sub-domain.
+    """Sound linear lower bounds w @ x + b of margin rows over sub-domains.
 
     A[k] holds the backward coefficients on layer k's post-activations,
     recorded before that layer's relaxation was traversed; w is the same
     quantity at the input layer, and x_star the bound's box minimizer: the
     closed-form candidate counterexample, at which the bound takes the value
-    lower_bound. compute_bounds returns a stack of m rows, every field with a
-    leading axis of length m; row(r) gives one row, with b and lower_bound
-    floats.
+    lower_bound. compute_bounds returns D domains by m spec rows, every field
+    with leading axes (D, m). Indexing takes the leading axis: result[i] is
+    domain i's stack of rows, and result[i][r] its row r, with b and
+    lower_bound scalars, each as if bounded alone.
     """
 
     w: np.ndarray
-    b: float
-    lower_bound: float
+    b: np.ndarray
+    lower_bound: np.ndarray
     A: Dict[int, np.ndarray]
     x_star: np.ndarray
 
-    def row(self, r: int) -> "BoundResult":
-        """Spec row r of a stacked result, as if it had been bounded alone."""
-        return BoundResult(self.w[r], float(self.b[r]), float(self.lower_bound[r]),
-                           {k: v[r] for k, v in self.A.items()}, self.x_star[r])
+    def __getitem__(self, i) -> "BoundResult":
+        return BoundResult(self.w[i], self.b[i], self.lower_bound[i],
+                           {k: v[i] for k, v in self.A.items()}, self.x_star[i])
 
     def put(self, rows: np.ndarray, other: "BoundResult") -> None:
-        """Overwrite in place the spec rows the boolean mask rows selects with
-        those of other, a stack of the same rows."""
-        self.w[rows] = other.w[rows]
-        self.b[rows] = other.b[rows]
-        self.lower_bound[rows] = other.lower_bound[rows]
-        self.x_star[rows] = other.x_star[rows]
+        """Overwrite in place the entries the boolean mask rows selects on the
+        leading axes with those of other, a result of the same shape."""
+        vectors = rows[..., None]
+        np.copyto(self.w, other.w, where=vectors)
+        np.copyto(self.b, other.b, where=rows)
+        np.copyto(self.lower_bound, other.lower_bound, where=rows)
+        np.copyto(self.x_star, other.x_star, where=vectors)
         for k, v in self.A.items():
-            v[rows] = other.A[k][rows]
+            np.copyto(v, other.A[k], where=vectors)
 
 
 def concretize(lam: np.ndarray, off, lo: np.ndarray, hi: np.ndarray):
@@ -146,20 +190,29 @@ def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
     return np.where(unst, alpha, act)
 
 
-def _relu_backward(
-    lam: np.ndarray, rel: Relaxation, lower_slope: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+# What a backward pass substitutes at one ReLU layer: the lower-line slope,
+# the upper-line slope and the upper-line intercept, each shaped to broadcast
+# against the coefficients that reach the layer.
+Step = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _relu_backward(lam: np.ndarray, step: Step) -> Tuple[np.ndarray, np.ndarray]:
     """Push backward coefficients through one ReLU layer's relaxation.
 
-    lam has shape (..., n) and the lower-line slope broadcasts against it;
-    returns the new coefficients on the pre-activations and the per-row
-    offset contribution from upper-line intercepts.
+    lam has shape (..., n); returns the new coefficients on the
+    pre-activations and the per-row offset contribution from upper-line
+    intercepts.
     """
-    _, _, up_slope, up_icpt = rel
+    lower_slope, up_slope, up_icpt = step
     pos = lam >= 0.0  # ties at exactly 0 take the lower relaxation
+    # In place where the arithmetic allows, so a stack holds fewer
+    # temporaries of lam's size at once; every value is unchanged.
+    icpt_terms = lam * up_icpt
+    np.copyto(icpt_terms, 0.0, where=pos)
+    off_delta = icpt_terms.sum(axis=-1)
+    del icpt_terms
     slope = np.where(pos, lower_slope, up_slope)
-    off_delta = np.where(pos, 0.0, lam * up_icpt).sum(axis=-1)
-    return lam * slope, off_delta
+    return np.multiply(slope, lam, out=slope), off_delta
 
 
 def _backward_from_layer(
@@ -167,52 +220,55 @@ def _backward_from_layer(
     obj_layer: int,
     lam: np.ndarray,
     off: np.ndarray,
-    bounds: NeuronBounds,
-    lower: Slopes,
-) -> Tuple[np.ndarray, np.ndarray, Dict[int, np.ndarray]]:
+    steps: Dict[int, Step],
+    A: Optional[Dict[int, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Linear lower bounds of c_mat @ z^(obj_layer) as functions of the input.
 
-    lam and off are c_mat @ W and c_mat @ b of layer obj_layer. c_mat is
-    (r, p), rows sharing one set of resolved lower slopes, or (m, 1, p), spec
-    rows with per-row ones of shape (m, n_k). Returns (coeffs on x, offsets, A)
-    where A maps each traversed ReLU layer to the coefficients recorded before
-    its relaxation; all keep c_mat's leading axes.
+    lam and off are c_mat @ W and c_mat @ b of layer obj_layer, for rows
+    c_mat with any leading axes; steps holds every ReLU layer below
+    obj_layer. Returns (coeffs on x, offsets). Given A, each traversed ReLU
+    layer's coefficients, recorded before its relaxation, are put there.
     """
-    A: Dict[int, np.ndarray] = {}
     for k in range(obj_layer - 1, -1, -1):
         lyr = net.layers[k]
         if lyr.activation == RELU:
-            A[k] = lam
-            slope = lower[k]
-            if slope.ndim == 2:
-                slope = slope[:, None, :]
-            lam, delta = _relu_backward(lam, bounds.relaxations[k], slope)
+            if A is not None:
+                A[k] = lam
+            lam, delta = _relu_backward(lam, steps[k])
             off = off + delta
         off = off + lam @ lyr.bias
         lam = lam @ lyr.weights
-    return lam, off, A
+    return lam, off
 
 
-def compute_bounds(net: Network, C: np.ndarray, domain, slopes: Slopes) -> BoundResult:
-    """Sound linear lower bounds of margin rows over a sub-domain.
+def compute_bounds(net: Network, C: np.ndarray, domains: Domains, slopes: Slopes) -> BoundResult:
+    """Sound linear lower bounds of margin rows over a stack of sub-domains.
 
-    C is an (m, p) stack of spec rows; slopes are shared or hold one row per
-    spec row. For every x in the sub-domain box whose pre-activations lie in
-    its neuron bounds, w @ x + b <= c_row @ f(x) for each row. Each row gets
-    exactly the result of bounding it in a stack of its own. Raises
-    ValueError when the domain's neuron bounds signal an empty region, which
-    has no bound to give.
+    C is an (m, p) stack of spec rows, each bounded over each of the D
+    domains; slopes are shared or hold one row per spec row (and domain). For
+    every x in domain i's box whose pre-activations lie in its neuron bounds,
+    w[i, r] @ x + b[i, r] <= C[r] @ f(x). Each domain and row gets exactly the
+    result of bounding it in a stack of its own. Raises ValueError when a
+    domain's neuron bounds signal an empty region, which has no bound to give.
     """
-    bounds = domain.neuron_bounds
-    if not bounds.is_feasible():
-        raise ValueError("compute_bounds: the sub-domain is infeasible")
-    lower = {k: _lower_slope(bounds.relaxations[k], s) for k, s in slopes.items()}
+    bounds = domains.neuron_bounds
+    if not bounds.feasible.all():
+        raise ValueError("compute_bounds: a sub-domain is infeasible")
+    steps = {}
+    for k, s in slopes.items():
+        rel = domains.row_relaxations[k]
+        steps[k] = (_lower_slope(rel, s)[..., None, :], rel[2][..., None, :], rel[3][..., None, :])
     c_mat, last = C[:, None, :], net.layers[-1]
-    lam, off, A = _backward_from_layer(net, net.n_layers - 1, c_mat @ last.weights,
-                                       c_mat @ last.bias, bounds, lower)
-    lam, off = lam[:, 0, :], off[:, 0]
-    x_star, lb = concretize(lam, off, domain.box_lower, domain.box_upper)
-    return BoundResult(lam, off, lb, {k: v[:, 0, :] for k, v in A.items()}, x_star)
+    n_domains = len(domains.box_lower)
+    lam = (c_mat @ last.weights)[None].repeat(n_domains, axis=0)
+    off = (c_mat @ last.bias)[None].repeat(n_domains, axis=0)
+    A: Dict[int, np.ndarray] = {}
+    lam, off = _backward_from_layer(net, net.n_layers - 1, lam, off, steps, A)
+    lam, off = lam[..., 0, :], off[..., 0]
+    x_star, lb = concretize(lam, off, domains.box_lower[:, None, :],
+                            domains.box_upper[:, None, :])
+    return BoundResult(lam, off, lb, {k: v[..., 0, :] for k, v in A.items()}, x_star)
 
 
 def propagate_bounds(
@@ -220,85 +276,107 @@ def propagate_bounds(
     box_lower: np.ndarray,
     box_upper: np.ndarray,
     base: Optional[NeuronBounds] = None,
-    start_layer: int = 0,
+    start_layer=0,
 ) -> NeuronBounds:
-    """Pre-activation bounds for every hidden layer, earlier layers first.
+    """Pre-activation bounds for every hidden layer of a stack of D
+    sub-domains, earlier layers first; the boxes are (D, n0).
 
     Each layer is bounded by a backward pass with adaptive slopes using the
     layers already bounded, intersected with a plain interval-arithmetic pass
     (both enclose the true range, so the intersection does too and is never
-    looser than either). With a base (the bounds of an enclosing region),
-    layers below start_layer are taken from it as they are and recomputed
-    layers are intersected with it, so every narrowing written into the base
-    holds in the result. Each ReLU layer's relaxation is built here, once,
-    right after the layer is bounded.
+    looser than either). With a base (the stacked bounds of enclosing
+    regions), a domain's layers below its start_layer (one int for all, or
+    one per domain) are taken from it as they are, and its recomputed layers
+    are intersected with it, so every narrowing written into the base holds
+    in the result. Only the domains that recompute a layer take part in its
+    passes. Each ReLU layer's relaxation is built here, once, right after the
+    layer is bounded.
 
     Crossings (l > u) are rounding slivers and collapse to their midpoint,
-    unless a base is given and one exceeds INFEASIBILITY_TOL: the region is
-    then empty, and the result stops at that crossed layer. Without a base
-    the box alone is never empty, so every crossing collapses. A NaN left by
-    an overflow also makes the result infeasible.
+    unless a base is given and one exceeds INFEASIBILITY_TOL: that domain is
+    then empty, and its later layers keep the base's intervals unbounded.
+    Without a base the box alone is never empty, so every crossing
+    collapses. A NaN left by an overflow also makes a domain infeasible.
     """
-    if start_layer > 0 and base is None:
+    n_domains, n_hidden = len(box_lower), net.n_layers - 1
+    start = np.asarray(start_layer)
+    first, last = int(start.min()), int(start.max())
+    if base is None and last > 0:
         raise ValueError("propagate_bounds: start_layer > 0 needs the parent's bounds as base")
-    work = NeuronBounds([], [])
-    alphas: Slopes = {}
-    post_lo = box_lower
-    post_hi = box_upper
-    for k in range(net.n_layers - 1):
+    out = NeuronBounds([], [], {}, np.ones(n_domains, dtype=bool))
+    live = np.ones(n_domains, dtype=bool)  # not found empty
+    steps: Dict[int, Step] = {}  # adaptive-slope steps, (D, 1, n_k) each
+    post_lo, post_hi = box_lower, box_upper
+    for k in range(n_hidden):
         layer = net.layers[k]
-        if k < start_layer:
+        every = k >= last and live.all()  # every domain recomputes this layer
+        rows = slice(None) if every else np.flatnonzero(live & (start <= k))
+        if not every and not len(rows):
             l, u = base.lower[k], base.upper[k]
         else:
             n_k = layer.out_dim
-            lam, off, _ = _backward_from_layer(net, k, *layer.stacked_pm, work, alphas)
-            _, vals = concretize(lam, off, box_lower, box_upper)
+            lam, off = _backward_from_layer(
+                net, k, *layer.stacked_pm,
+                steps if every else {j: tuple(a[rows] for a in st) for j, st in steps.items()})
+            _, vals = concretize(lam, off, box_lower[rows, None, :], box_upper[rows, None, :])
             Wp, Wn = layer.weight_parts
-            l = np.maximum(vals[:n_k], Wp @ post_lo + Wn @ post_hi + layer.bias)
-            u = np.minimum(-vals[n_k:], Wp @ post_hi + Wn @ post_lo + layer.bias)
+            lo, hi = post_lo[rows, :, None], post_hi[rows, :, None]
+            l = np.maximum(vals[:, :n_k], (Wp @ lo)[..., 0] + (Wn @ hi)[..., 0] + layer.bias)
+            u = np.minimum(-vals[:, n_k:], (Wp @ hi)[..., 0] + (Wn @ lo)[..., 0] + layer.bias)
             if base is not None:
-                l = np.maximum(l, base.lower[k])
-                u = np.minimum(u, base.upper[k])
-        if not np.all(l <= u):  # a crossing, or a NaN left by an overflow
-            if base is not None and np.any(l - u > INFEASIBILITY_TOL):
-                return NeuronBounds(work.lower + [l], work.upper + [u], work.relaxations, False)
-            crossed = l > u
-            mid = 0.5 * (l + u)
-            l = np.where(crossed, mid, l)
-            u = np.where(crossed, mid, u)
-            work.feasible = work.feasible and bool(np.all(l <= u))
-        work.lower.append(l)
-        work.upper.append(u)
+                l = np.maximum(l, base.lower[k][rows])
+                u = np.minimum(u, base.upper[k][rows])
+                if not every:
+                    l, u = _scatter(base.lower[k], rows, l), _scatter(base.upper[k], rows, u)
+        ordered = l <= u
+        if not ordered.all():  # a crossing, or a NaN left by an overflow
+            l, u = l.copy(), u.copy()
+            for i in np.flatnonzero(~ordered.all(axis=1)):
+                if base is not None and np.any(l[i] - u[i] > INFEASIBILITY_TOL):
+                    out.feasible[i] = live[i] = False
+                    continue
+                crossed = l[i] > u[i]
+                mid = 0.5 * (l[i] + u[i])
+                l[i], u[i] = np.where(crossed, mid, l[i]), np.where(crossed, mid, u[i])
+                out.feasible[i] &= bool(np.all(l[i] <= u[i]))
+        out.lower.append(l)
+        out.upper.append(u)
         if layer.activation == RELU:
-            work.relaxations[k] = relaxation(l, u)
-            if max(k + 1, start_layer) < net.n_layers - 1:  # read by a later layer's pass
-                alphas[k] = adaptive_alpha(l, u)
+            out.relaxations[k] = rel = relaxation(l, u)
+            if max(k + 1, first) < n_hidden:  # read by a later layer's pass
+                steps[k] = (adaptive_alpha(l, u)[:, None, :], rel[2][:, None, :], rel[3][:, None, :])
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    return work
+    return out
 
 
-def alpha_gradient(net: Network, domain, slopes: Slopes,
+def _scatter(into: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A copy of into with the given rows replaced by values."""
+    out = into.copy()
+    out[rows] = values
+    return out
+
+
+def alpha_gradient(net: Network, domains: Domains, slopes: Slopes,
                    bound: BoundResult) -> Dict[int, np.ndarray]:
     """Analytic derivative of each row's concretized lower bound w.r.t. its slopes.
 
-    bound is compute_bounds(net, C, domain, slopes); its A and x_star are all
+    bound is compute_bounds(net, C, domains, slopes); its A and x_star are all
     the derivative needs. For an unstable neuron whose backward coefficient is
     non-negative the bound is locally linear in its slope with derivative
     A * z_tilde, where z_tilde is the neuron's pre-activation at the bound's
     box minimizer under the relaxation lines the backward pass chose. All
-    other neurons contribute zero. Returns one (m, n_k) array per ReLU layer.
-    Each W @ h of that relaxed forward pass runs on an (m, n, 1) stack, as one
-    row at a time would.
+    other neurons contribute zero. Returns one (D, m, n_k) array per ReLU
+    layer. Each W @ h of that relaxed forward pass runs on a (D, m, n, 1)
+    stack, as one domain and row at a time would.
     """
-    bounds = domain.neuron_bounds
     h, grads = bound.x_star, {}
     for k in range(net.n_layers - 1):
         layer = net.layers[k]
         z = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if layer.activation == RELU:
-            rel, coeff = bounds.relaxations[k], bound.A[k]
+            rel, coeff = domains.row_relaxations[k], bound.A[k]
             _, unst, up_slope, up_icpt = rel
             grads[k] = np.where(unst & (coeff >= 0.0), coeff * z, 0.0)
             h = np.where(coeff >= 0.0, _lower_slope(rel, slopes[k]) * z, up_slope * z + up_icpt)
@@ -308,18 +386,18 @@ def alpha_gradient(net: Network, domain, slopes: Slopes,
 
 
 def optimize_alpha(
-    net: Network, C: np.ndarray, domain, iters: int, step: float,
+    net: Network, C: np.ndarray, domains: Domains, iters: int, step: float,
     deadline: Optional[float] = None,
 ) -> Tuple[Slopes, Optional[BoundResult]]:
-    """Maximize each spec row's concretized lower bound over its slopes by
-    projected gradient ascent with backtracking.
+    """Maximize each spec row's concretized lower bound over its slopes, on
+    each domain of a stack, by projected gradient ascent with backtracking.
 
-    C is an (m, p) stack of spec rows; the slopes come back as (m, n_k)
-    arrays, one row per spec row, with the best iterate seen per row, and the
-    bound they give, which equals compute_bounds(net, C, domain, slopes) bit
-    for bit. The bound is None when there is nothing to optimize (no ReLU
-    layer) and no slopes come back. An infeasible domain raises ValueError,
-    as in compute_bounds.
+    C is an (m, p) stack of spec rows; the slopes come back as (D, m, n_k)
+    arrays, one row per domain and spec row, with the best iterate seen per
+    row, and the bound they give, which equals compute_bounds(net, C,
+    domains, slopes) bit for bit. The bound is None when there is nothing to
+    optimize (no ReLU layer) and no slopes come back. An infeasible domain
+    raises ValueError, as in compute_bounds.
 
     The rows are optimized together, one bound pass per line-search round,
     yet each follows exactly its own single-row path: a row stops on an
@@ -332,34 +410,34 @@ def optimize_alpha(
     slope stays in [0, 1], the adaptive ones by construction and each step by
     clipping, so every iterate is sound.
     """
-    bounds = domain.neuron_bounds
-    cur = {k: np.repeat(adaptive_alpha(bounds.lower[k], bounds.upper[k])[None, :], len(C), 0)
+    bounds = domains.neuron_bounds
+    cur = {k: np.repeat(adaptive_alpha(bounds.lower[k], bounds.upper[k])[:, None, :], len(C), 1)
            for k in range(len(bounds.lower)) if net.layers[k].activation == RELU}
     if not cur:
         return cur, None
-    best = compute_bounds(net, C, domain, cur)
-    active = np.ones(len(C), dtype=bool)
+    best = compute_bounds(net, C, domains, cur)
+    active = np.ones(best.lower_bound.shape, dtype=bool)
     for _ in range(iters):
         if deadline is not None and time.perf_counter() > deadline:
             break
-        grads = alpha_gradient(net, domain, cur, best)
-        searching = active & np.any([(g != 0.0).any(axis=1) for g in grads.values()], axis=0)
-        active = np.zeros(len(C), dtype=bool)  # the rows that improve go on
-        trial = np.full(len(C), step)
+        grads = alpha_gradient(net, domains, cur, best)
+        searching = active & np.any([(g != 0.0).any(axis=-1) for g in grads.values()], axis=0)
+        active = np.zeros_like(active)  # the rows that improve go on
+        trial = np.full(active.shape, step)
         for _ in range(8):
             if not searching.any():
                 break
-            moving = searching[:, None]
-            cand = {k: np.where(moving, (v + trial[:, None] * grads[k]).clip(0.0, 1.0), v)
+            moving = searching[..., None]
+            cand = {k: np.where(moving, (v + trial[..., None] * grads[k]).clip(0.0, 1.0), v)
                     for k, v in cur.items()}
-            res = compute_bounds(net, C, domain, cand)
+            res = compute_bounds(net, C, domains, cand)
             better = searching & (res.lower_bound > best.lower_bound)
             for k, v in cur.items():
-                v[better] = cand[k][better]
+                np.copyto(v, cand[k], where=better[..., None])
             best.put(better, res)
             active |= better
             searching &= ~better
-            trial[searching] *= 0.5
+            np.multiply(trial, 0.5, out=trial, where=searching)
         if not active.any():
             break
     return cur, best

@@ -29,12 +29,44 @@ def scalar_task(net, lo=-1.0, hi=1.0, C=None):
                                   np.atleast_1d(hi).astype(float), C)
 
 
+def propagate_of(net, lo, hi, base=None, start_layer=0):
+    """relax.propagate_bounds over one box (and base), as a stack of one."""
+    stacked_base = None if base is None else relax.NeuronBounds.stack([base])
+    return relax.propagate_bounds(net, np.asarray(lo)[None], np.asarray(hi)[None],
+                                  stacked_base, start_layer)[0]
+
+
+def stack_of(*domains):
+    """Bounded sub-domains as one relax.Domains stack, in order."""
+    return relax.Domains(np.array([d.box_lower for d in domains]),
+                         np.array([d.box_upper for d in domains]),
+                         relax.NeuronBounds.stack([d.neuron_bounds for d in domains]))
+
+
+def bounds_of(net, C, domain, slopes):
+    """relax.compute_bounds over one sub-domain: the stack of its spec rows."""
+    return relax.compute_bounds(net, C, stack_of(domain), slopes)[0]
+
+
+def gradient_of(net, C, domain, slopes):
+    """relax.alpha_gradient of the spec rows C over one sub-domain at slopes."""
+    stack = stack_of(domain)
+    grads = relax.alpha_gradient(net, stack, slopes, relax.compute_bounds(net, C, stack, slopes))
+    return {k: g[0] for k, g in grads.items()}
+
+
+def optimize_of(net, C, domain, iters, step, deadline=None):
+    """relax.optimize_alpha over one sub-domain: (m, n_k) slopes and its stack of rows."""
+    slopes, bound = relax.optimize_alpha(net, C, stack_of(domain), iters, step, deadline)
+    return {k: v[0] for k, v in slopes.items()}, None if bound is None else bound[0]
+
+
 def make_domain(net, lo, hi, splits=None):
     """A SubDomain over the given box with propagated bounds; splits maps
     (layer, neuron) to a sign, each clamped in turn through SubDomain.child."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    d = bab.SubDomain(lo, hi, relax.propagate_bounds(net, lo, hi))
+    d = bab.SubDomain(lo, hi, propagate_of(net, lo, hi))
     for (layer, neuron), sign in (splits or {}).items():
         d = bab.SubDomain.child(net, d, lo, hi, layer + 1, (layer, neuron, sign))
     d.neuron_bounds  # bound now, not on first read
@@ -76,8 +108,9 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
         else:
             eye = np.eye(layer.out_dim)
             stack = np.vstack([eye, -eye])
-            lam, off, _ = relax._backward_from_layer(net, k, stack @ layer.weights,
-                                                     stack @ layer.bias, work, alphas)
+            steps = {j: (alpha, *work.relaxations[j][2:]) for j, alpha in alphas.items()}
+            lam, off = relax._backward_from_layer(net, k, stack @ layer.weights,
+                                                  stack @ layer.bias, steps)
             _, vals = relax.concretize(lam, off, lo, hi)
             Wp, Wn = np.maximum(layer.weights, 0.0), np.minimum(layer.weights, 0.0)
             l = np.maximum(vals[:layer.out_dim], Wp @ post_lo + Wn @ post_hi + layer.bias)
@@ -190,9 +223,9 @@ def reference_optimize_alpha(net, c_row, domain, iters, step):
     attempts = []
     if not domain.neuron_bounds.is_feasible() or not cur:
         return cur, attempts
-    best_lb = relax.compute_bounds(net, c, domain, cur).lower_bound[0]
+    best_lb = bounds_of(net, c, domain, cur).lower_bound[0]
     for _ in range(iters):
-        grads = relax.alpha_gradient(net, domain, cur, relax.compute_bounds(net, c, domain, cur))
+        grads = gradient_of(net, c, domain, cur)
         if all(np.all(g == 0.0) for g in grads.values()):
             attempts.append(0)
             break
@@ -200,7 +233,7 @@ def reference_optimize_alpha(net, c_row, domain, iters, step):
         improved = False
         for n_tries in range(1, 9):
             cand = {k: np.clip(v + trial * grads[k][0], 0.0, 1.0) for k, v in cur.items()}
-            lb = relax.compute_bounds(net, c, domain, cand).lower_bound[0]
+            lb = bounds_of(net, c, domain, cand).lower_bound[0]
             if lb > best_lb:
                 best_lb = lb
                 cur = cand

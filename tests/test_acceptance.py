@@ -13,8 +13,8 @@ import numpy as np
 
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
-from helpers import (adaptive_slopes, hand_bounds, identity_relu_net, make_domain,
-                     oracle_sized_task, random_net, random_task)
+from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, identity_relu_net,
+                     make_domain, optimize_of, oracle_sized_task, random_net, random_task)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -146,7 +146,7 @@ def test_alpha_gradient_check():
         c = rng.normal(size=(1, 2))
         slopes = {k: rng.uniform(0.2, 0.8, size=v.shape)
                   for k, v in adaptive_slopes(net, d).items()}
-        grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
+        grads = gradient_of(net, c, d, slopes)
         h = 1e-5
         for k in sorted(grads):
             for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1]):
@@ -156,14 +156,14 @@ def test_alpha_gradient_check():
                 p_hi[k][j] = p_hi[k][j] + h
                 p_lo = {i: v.copy() for i, v in slopes.items()}
                 p_lo[k][j] = p_lo[k][j] - h
-                fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound[0]
-                      - relax.compute_bounds(net, c, d, p_lo).lower_bound[0]) / (2 * h)
+                fd = (bounds_of(net, c, d, p_hi).lower_bound[0]
+                      - bounds_of(net, c, d, p_lo).lower_bound[0]) / (2 * h)
                 an = grads[k][0, j]
                 worst = max(worst, abs(an - fd) / max(abs(an), abs(fd), 1e-8))
                 checked += 1
-        lb_init = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).lower_bound[0]
-        lb_opt = relax.compute_bounds(
-            net, c, d, relax.optimize_alpha(net, c, d, 20, 0.25)[0]
+        lb_init = bounds_of(net, c, d, adaptive_slopes(net, d)).lower_bound[0]
+        lb_opt = bounds_of(
+            net, c, d, optimize_of(net, c, d, 20, 0.25)[0]
         ).lower_bound[0]
         never_worse &= lb_opt >= lb_init
     _report("alpha gradient check", worst <= 1e-4 and never_worse,

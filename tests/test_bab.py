@@ -6,8 +6,8 @@ import pytest
 
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
-from helpers import (layer_scan, make_domain, oracle_sized_task, random_task,
-                     reference_propagate_bounds, scalar_relu_net, scalar_task)
+from helpers import (layer_scan, make_domain, oracle_sized_task, propagate_of, random_task,
+                     reference_propagate_bounds, scalar_relu_net, scalar_task, stack_of)
 
 
 def test_verify_safe_at_root_with_optimized_alpha():
@@ -198,8 +198,8 @@ def test_empty_worklist_step_returns_safe(monkeypatch):
     # worklist empty and the run ends Safe.
     pop, popped = bab.Worklist.pop, []
 
-    def recording_pop(self):
-        popped.append((len(self), pop(self)))
+    def recording_pop(self, limit):
+        popped.append((len(self), pop(self, limit)))
         return popped[-1][1]
 
     monkeypatch.setattr(bab.Worklist, "pop", recording_pop)
@@ -459,13 +459,14 @@ def _searches():
 
 
 def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
-    # The feasibility propagate_bounds records, from a crossed layer or a
-    # NaN, must be exactly what a scan of the intervals alone reads.
+    # The feasibility propagate_bounds records for each domain of a stack,
+    # from a crossed layer or a NaN, must be exactly what a scan of that
+    # domain's intervals alone reads.
     propagate, calls = relax.propagate_bounds, []
 
     def recording(net, lo, hi, base=None, start_layer=0):
         nb = propagate(net, lo, hi, base, start_layer)
-        calls.append((base is not None, start_layer, nb))
+        calls.append((base is not None, np.broadcast_to(start_layer, len(lo)), nb))
         return nb
 
     monkeypatch.setattr(relax, "propagate_bounds", recording)
@@ -473,19 +474,22 @@ def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
     _, _, high = _straddling_bisection()
     high.neuron_bounds  # bounds the empty half
     kinds = {"split": 0, "bisect": 0, "empty": 0}
-    for has_base, start_layer, nb in calls:
-        scan = layer_scan(nb.lower, nb.upper)
-        assert nb.is_feasible() == nb.feasible == scan
-        kinds["split"] += start_layer > 0
-        kinds["bisect"] += has_base and start_layer == 0
-        kinds["empty"] += not scan
+    for has_base, start_layers, stacked in calls:
+        for i, start_layer in enumerate(start_layers):
+            nb = stacked[i]
+            scan = layer_scan(nb.lower, nb.upper)
+            assert nb.is_feasible() == nb.feasible == stacked.feasible[i] == scan
+            kinds["split"] += start_layer > 0
+            kinds["bisect"] += has_base and start_layer == 0
+            kinds["empty"] += not scan
     assert kinds["split"] > 100 and kinds["bisect"] > 100 and kinds["empty"] > 20
 
 
 def test_each_layer_relaxation_is_computed_once_per_bounds(monkeypatch):
-    # Relaxations are built by propagate_bounds alone, one per ReLU layer it
-    # bounds, and each is handed on with the bounds it returns: the built
-    # ones are exactly the returned ones, so no reader builds one again.
+    # Relaxations are built by propagate_bounds alone, one per ReLU layer of
+    # each stack it bounds, and each is handed on with the bounds it returns:
+    # the built ones are exactly the returned ones, so no reader builds one
+    # again.
     build, propagate = relax.relaxation, relax.propagate_bounds
     built, returned = [], []  # both keep their objects alive for the ids
     monkeypatch.setattr(relax, "relaxation", lambda l, u: built.append(build(l, u)) or built[-1])
@@ -537,39 +541,174 @@ def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
     assert stats.unknown_reason is None and stats.branches_visited == 0
 
 
-def test_propagate_bounds_runs_once_per_popped_subdomain(monkeypatch, tmp_path):
-    # Children are bounded when popped, never when queued: one pass for the
-    # root and one per sub-domain taken off the worklist, including the
-    # infeasible ones dropped there and the one popped when the budget ran out.
-    assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "4",
-                     "--eps", "0.25", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
-    propagate, pop = relax.propagate_bounds, bab.Worklist.pop
+def _counting_bounds(monkeypatch):
+    """Count the sub-domains propagate_bounds bounds and the entries
+    Worklist.pop takes off; keep every worklist and every batch handed to
+    bab.bound_subdomains (alive, so their ids stay unique)."""
+    propagate, pop, bound = relax.propagate_bounds, bab.Worklist.pop, bab.bound_subdomains
     counts = {"bounds": 0, "popped": 0}
+    worklists, batches = [], []
 
-    def counting_propagate(*args, **kwargs):
-        counts["bounds"] += 1
-        return propagate(*args, **kwargs)
+    def counting_propagate(net, lo, *args, **kwargs):
+        counts["bounds"] += len(lo)
+        return propagate(net, lo, *args, **kwargs)
 
-    def counting_pop(self):
+    def counting_pop(self, limit):
+        worklists.append(self)
         before = len(self)
-        d = pop(self)
+        d = pop(self, limit)
         counts["popped"] += before - len(self)
         return d
 
+    def recording_bound(ds, *spec):
+        batches.append((list(ds), spec))
+        return bound(ds, *spec)
+
     monkeypatch.setattr(relax, "propagate_bounds", counting_propagate)
     monkeypatch.setattr(bab.Worklist, "pop", counting_pop)
-    capped = 0
-    for _, model_path, spec_path in cli.discover_suite(str(tmp_path)):
-        task = model.load_task(model_path, spec_path)
+    monkeypatch.setattr(bab, "bound_subdomains", recording_bound)
+    return counts, worklists, batches
+
+
+def _gen_tasks(tmp_path, *gen_args):
+    assert cli.main(["gen", *gen_args, "--out", str(tmp_path)]) == 0
+    return [model.load_task(m, s) for _, m, s in cli.discover_suite(str(tmp_path))]
+
+
+def test_propagate_bounds_bounds_each_subdomain_at_most_once(monkeypatch, tmp_path):
+    # Children are bounded by the worklist, never when queued, and each at
+    # most once: one domain for the root, one per sub-domain taken off the
+    # worklist (the infeasible ones dropped there and the one popped when the
+    # budget ran out included), and the ones a lookahead pass bounded but no
+    # pop reached, which a run that ends Safe cannot leave.
+    tasks = _gen_tasks(tmp_path, "--seed", "7", "--layers", "2", "--widths", "16", "--count",
+                       "4", "--eps", "0.25", "--inputs", "4", "--outputs", "3")
+    counts, worklists, batches = _counting_bounds(monkeypatch)
+    capped = never_popped = 0
+    for task in tasks:
         for kind in ("drg", "babsr"):
             counts.update(bounds=0, popped=0)
+            worklists.clear()
+            batches.clear()
             stats = bab.verify(task, kind, bab.BabConfig(timeout_seconds=600.0, max_branches=100))
-            assert counts["bounds"] == 1 + counts["popped"]
+            bounded = [d for ds, _ in batches for d in ds]
+            assert len({id(d) for d in bounded}) == len(bounded)
+            left = sum(d.net is None for _, _, d in worklists[-1]._heap) if worklists else 0
+            assert counts["bounds"] == 1 + counts["popped"] + left == 1 + len(bounded)
+            if stats.verdict == bab.SAFE:
+                assert left == 0
+            never_popped += left
             if stats.unknown_reason == "branch budget exhausted":
                 capped += 1
                 # each split queued two children; far fewer were ever bounded
-                assert counts["popped"] < 1.5 * stats.splits_made
-    assert capped >= 3
+                assert len(bounded) < 1.5 * stats.splits_made
+    assert capped >= 3 and never_popped > 0
+
+
+def test_a_zero_branch_budget_bounds_the_root_and_the_popped_child_alone(monkeypatch, tmp_path):
+    # With no branch to spend, the pop that finds the budget exhausted bounds
+    # only what it takes off the worklist, one entry at a time, and takes no
+    # phase-1 bound: exactly one child when the first is feasible. On the
+    # wide-triage suite (`gen --seed 13`, drg) that is 100 roots and 35
+    # children, no more than before lookahead.
+    tasks = _gen_tasks(tmp_path, "--seed", "13", "--layers", "3", "--widths", "64", "--count",
+                       "100", "--eps", "0.05", "--inputs", "8", "--outputs", "5")
+    counts, _, batches = _counting_bounds(monkeypatch)
+    total = 0
+    for task in tasks:
+        counts.update(bounds=0, popped=0)
+        stats = bab.verify(task, "drg", bab.BabConfig(max_branches=0))
+        assert counts["bounds"] == 1 + counts["popped"]
+        if stats.unknown_reason == "branch budget exhausted":
+            assert counts["popped"] >= 1
+        total += counts["bounds"]
+    assert all(len(ds) == 1 and spec == () for ds, spec in batches)
+    assert total == 135
+
+
+def _mixed_batch():
+    """Deferred sub-domains of one net with hidden layers of 6, 5 and 4:
+    split children at layers 0, 1 and 2 (start_layer 1, 2 and 3), bisection
+    halves, a split grandchild and an empty bisection half, with the spec."""
+    net, _, _, C = cli.generate_instance(np.random.default_rng(91), 3, [6, 5, 4], 3, 0.5, 2.0)
+    first = net.layers[0]
+    weights, bias = first.weights.copy(), first.bias.copy()
+    weights[0], bias[0] = [1.0, 0.0, 0.0], 0.0  # neuron (0, 0) is z = x_0
+    net = model.make_network([(weights, bias, model.RELU)] + [
+        (layer.weights, layer.bias, layer.activation) for layer in net.layers[1:]])
+    lo, hi = np.array([-1.0, -0.5, -0.5]), np.array([3.0, 0.5, 0.5])
+    root = make_domain(net, lo, hi)
+    batch = []
+    for k in range(3):
+        j = int(np.flatnonzero(root.neuron_bounds.relaxations[k][1])[0])
+        batch += bab.split_subdomain(net, root, k, j)
+    batch += bab.input_bisect(net, root)
+    # z = x_0 <= 0, so the half x_0 in [1, 3] is empty
+    clamped = make_domain(net, lo, hi, splits={(0, 0): -1})
+    batch += bab.input_bisect(net, clamped)
+    j = int(np.flatnonzero(clamped.neuron_bounds.relaxations[1][1])[0])
+    batch += bab.split_subdomain(net, clamped, 1, j)
+    return net, C, root, batch
+
+
+def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise():
+    net, C, root, batch = _mixed_batch()
+    slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
+    slopes = {k: v[0] for k, v in slopes.items()}
+    alone = [dataclasses.replace(d) for d in batch]
+    bab.bound_subdomains(batch, C, slopes)
+    for d in alone:
+        bab.bound_subdomains([d], C, slopes)
+    assert sorted({d.start_layer for d in alone}) == [0, 1, 2, 3]
+    assert 0 < sum(not d.neuron_bounds.is_feasible() for d in alone) < len(alone)
+    for d, ref in zip(batch, alone):
+        got, want = d.neuron_bounds, ref.neuron_bounds
+        assert d.net is None and got.is_feasible() == want.is_feasible()
+        for a, b in zip(got.lower + got.upper, want.lower + want.upper, strict=True):
+            assert np.array_equal(a, b, equal_nan=True)
+        assert sorted(got.relaxations) == sorted(want.relaxations)
+        for k, rel in want.relaxations.items():
+            assert all(np.array_equal(a, b) for a, b in zip(got.relaxations[k], rel, strict=True))
+        if not want.is_feasible():
+            assert d.results is None and ref.results is None
+            continue
+        for name in ("w", "b", "lower_bound", "x_star"):
+            assert np.array_equal(getattr(d.results, name), getattr(ref.results, name)), name
+        assert sorted(d.results.A) == sorted(ref.results.A)
+        for k, v in ref.results.A.items():
+            assert np.array_equal(d.results.A[k], v)
+
+
+def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
+    # The search record's suites and every heuristic, run with each pop
+    # bounding one sub-domain and with the default lookahead: verdicts,
+    # counts, witnesses and traces, floats included, are the same bytes.
+    from test_search_record import MAX_BRANCHES, SUITES
+
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
+    tasks = [task for i, gen_args in enumerate(SUITES)
+             for task in _gen_tasks(tmp_path / str(i), *gen_args[1:])]
+    batched = []
+    bound = bab.bound_subdomains
+    monkeypatch.setattr(bab, "bound_subdomains",
+                        lambda ds, *spec: batched.append(len(ds)) or bound(ds, *spec))
+
+    def runs():
+        out = []
+        for task in tasks:
+            for kind in heuristics.KINDS:
+                s = bab.verify(task, kind, config)
+                witness = None if s.witness is None else s.witness.x_star.tobytes()
+                out.append((s.verdict, s.unknown_reason, s.branches_visited, s.splits_made,
+                            s.gap_clamp_events, witness, repr(s.per_node_trace)))
+        return out
+
+    default = runs()
+    assert max(batched) > 8
+    batched.clear()
+    monkeypatch.setattr(bab, "lookahead", lambda net: 1)
+    assert runs() == default
+    assert max(batched) == 1
 
 
 def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
@@ -646,7 +785,7 @@ def test_an_infinite_root_interval_with_a_finite_bound_still_decides():
     task = model.VerificationTask(net, -np.ones(2), np.ones(2), np.array([[1.0]]))
     with np.errstate(over="ignore", invalid="ignore"):
         stats = bab.verify(task, "drg")
-        root = relax.propagate_bounds(net, task.input_lower, task.input_upper)
+        root = propagate_of(net, task.input_lower, task.input_upper)
     assert root.upper[1][0] == np.inf
     assert stats.verdict == bab.UNSAFE
     assert stats.witness.x_star.tolist() == [-1.0, -1.0]

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from reluverify import bab, heuristics, model, relax
+from reluverify import bab, cli, heuristics, model, relax
 
-from helpers import adaptive_slopes, hand_bounds, identity_relu_net, make_domain, random_net
+from helpers import (adaptive_slopes, bounds_of, hand_bounds, identity_relu_net, make_domain,
+                     random_net)
 
 # The two-neuron scenario used throughout: n_A spans [-2, 18] (width 20),
 # n_B spans [-4, 4] (width 8), both with sensitivity magnitude 1 on the
@@ -234,9 +235,30 @@ def test_scores_skip_stable_and_split_neurons():
     assert unstable.size >= 2
     j = int(unstable[0])
     d2 = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, j): +1})
-    res = relax.compute_bounds(net, np.array([[1.0]]), d2, adaptive_slopes(net, d2)).row(0)
+    res = bounds_of(net, np.array([[1.0]]), d2, adaptive_slopes(net, d2))[0]
     scores, _ = heuristics.score_branches("drg", net, np.array([1.0]), res, d2,
                                           model.forward(net, np.zeros(2))[1], None)
     candidates = set(np.flatnonzero(np.isfinite(scores[0])).tolist())
     assert j not in candidates
     assert candidates == set(np.flatnonzero(d2.neuron_bounds.relaxations[0][1]).tolist())
+
+
+def test_center_scores_a_box_whose_endpoints_sum_past_float64(tmp_path):
+    # narrow-deep seed 7's case_003 moved onto a box near 1.2e308: the first
+    # layer's weights / 1e306, the inputs x * 1e306 + 1.2e308, and the bias
+    # takes the shift back. lo + hi overflows there; the box center must not.
+    assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "12",
+                     "--eps", "0.25", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
+    task = model.load_task(str(tmp_path / "case_003.model.json"), str(tmp_path / "case_003.spec.json"))
+    first, shift = task.network.layers[0], 1.2e308
+    weights = first.weights / 1e306
+    net = model.make_network(
+        [(weights, first.bias - weights @ np.full(first.in_dim, shift), model.RELU)]
+        + [(layer.weights, layer.bias, layer.activation) for layer in task.network.layers[1:]])
+    moved = model.VerificationTask(net, task.input_lower * 1e306 + shift,
+                                   task.input_upper * 1e306 + shift, task.spec_matrix)
+    with np.errstate(over="ignore"):
+        assert np.isinf(moved.input_lower + moved.input_upper).any()
+    for kind in ("drg", "center"):
+        stats = bab.verify(moved, kind, bab.BabConfig(max_branches=200))
+        assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "branch budget exhausted")

@@ -4,8 +4,8 @@ from scipy.optimize import linprog
 
 from reluverify import bab, model, oracle, relax
 
-from helpers import (adaptive_slopes, make_domain, oracle_sized_task, random_net, scalar_relu_net,
-                     scalar_task)
+from helpers import (adaptive_slopes, bounds_of, make_domain, oracle_sized_task, random_net,
+                     scalar_relu_net, scalar_task)
 
 
 def test_exact_min_toy_unsafe():
@@ -85,7 +85,7 @@ def test_exact_matches_relax_bound_on_fully_stable_net():
                                   np.array([[1.0]]))
     d = make_domain(net, task.input_lower, task.input_upper)
     assert not d.neuron_bounds.relaxations[0][1].any()  # layer 0 is the only hidden layer
-    res = relax.compute_bounds(net, task.spec_matrix, d, adaptive_slopes(net, d))
+    res = bounds_of(net, task.spec_matrix, d, adaptive_slopes(net, d))
     mv, _ = oracle.exact_min_margin(task)
     assert abs(res.lower_bound[0] - mv) < 1e-9
 

@@ -8,8 +8,9 @@ from reluverify import bab, model, relax
 
 from reluverify.cli import generate_instance
 
-from helpers import (adaptive_slopes, hand_bounds, layer_scan, make_domain, random_net,
-                     reference_optimize_alpha, scalar_relu_net)
+from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, layer_scan,
+                     make_domain, optimize_of, propagate_of, random_net, reference_optimize_alpha,
+                     scalar_relu_net, stack_of)
 
 
 def _relaxation(l, u):
@@ -58,15 +59,19 @@ def test_stability_tag_tie_rules():
 def test_relaxation_is_computed_once_per_bounds_object(monkeypatch):
     # propagate_bounds builds each ReLU layer's relaxation once, from the
     # layer's final intervals, and returns it with the bounds and their
-    # feasibility; reading it builds nothing.
+    # feasibility; a domain of the stack reads views of it, and reading it
+    # builds nothing.
     net = random_net(np.random.default_rng(29), 3, [6, 5], 2)
     lo, hi = -np.ones(3), np.ones(3)
     build, built = relax.relaxation, []
     monkeypatch.setattr(relax, "relaxation", lambda l, u: built.append(build(l, u)) or built[-1])
-    nb = relax.propagate_bounds(net, lo, hi)
-    relax.compute_bounds(net, np.array([[1.0, -1.0]]), bab.SubDomain(lo, hi, nb),
-                         {k: relax.adaptive_alpha(nb.lower[k], nb.upper[k]) for k in (0, 1)})
-    assert [id(r) for r in built] == [id(nb.relaxations[k]) for k in (0, 1)]
+    stacked = relax.propagate_bounds(net, lo[None], hi[None])
+    nb = stacked[0]
+    bounds_of(net, np.array([[1.0, -1.0]]), bab.SubDomain(lo, hi, nb),
+              {k: relax.adaptive_alpha(nb.lower[k], nb.upper[k]) for k in (0, 1)})
+    assert [id(r) for r in built] == [id(stacked.relaxations[k]) for k in (0, 1)]
+    for k in (0, 1):
+        assert all(view.base is part for view, part in zip(nb.relaxations[k], built[k]))
     assert nb.feasible is True and nb.is_feasible()
     for k in (0, 1):
         for kept, new in zip(nb.relaxations[k], build(nb.lower[k], nb.upper[k])):
@@ -81,11 +86,11 @@ def test_propagation_builds_an_adaptive_alpha_only_where_a_later_pass_reads_it(m
     lo, hi = -np.ones(3), np.ones(3)
     alpha, widths = relax.adaptive_alpha, []
     monkeypatch.setattr(relax, "adaptive_alpha", lambda l, u: widths.append(l.size) or alpha(l, u))
-    root = relax.propagate_bounds(net, lo, hi)
+    root = propagate_of(net, lo, hi)
     assert widths == [6, 5]
     for start_layer, read in ((1, [6, 5]), (2, [6, 5]), (3, [])):
         widths.clear()
-        relax.propagate_bounds(net, lo, hi, root, start_layer)
+        propagate_of(net, lo, hi, root, start_layer)
         assert widths == read, start_layer
 
 
@@ -107,7 +112,7 @@ def test_compute_bounds_single_neuron_lower_line():
     # m(x) = ReLU(x) on [-1, 1] with alpha = 0.5: bound is 0.5 x, minimum -0.5
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    res = relax.compute_bounds(net, np.array([[1.0]]), d, {0: np.array([0.5])}).row(0)
+    res = bounds_of(net, np.array([[1.0]]), d, {0: np.array([0.5])})[0]
     assert res.w.tolist() == [0.5]
     assert res.b == 0.0
     assert res.lower_bound == -0.5
@@ -118,7 +123,7 @@ def test_compute_bounds_single_neuron_upper_line():
     # m(x) = -ReLU(x) + 1: negative coefficient takes the upper line 0.5x + 0.5
     net = scalar_relu_net(out_weight=-1.0, out_bias=1.0)
     d = make_domain(net, [-1.0], [1.0])
-    res = relax.compute_bounds(net, np.array([[1.0]]), d, {0: np.array([0.5])}).row(0)
+    res = bounds_of(net, np.array([[1.0]]), d, {0: np.array([0.5])})[0]
     assert res.w.tolist() == [-0.5]
     assert res.b == 0.5
     assert res.lower_bound == 0.0
@@ -130,9 +135,9 @@ def test_compute_bounds_raises_on_infeasible_subdomain():
     d = make_domain(net, [0.5], [1.0], splits={(0, 0): -1})  # z = x >= 0.5 but clamped <= 0
     assert not d.neuron_bounds.is_feasible()
     with pytest.raises(ValueError, match="infeasible"):
-        relax.compute_bounds(net, np.array([[1.0]]), d, adaptive_slopes(net, d))
+        bounds_of(net, np.array([[1.0]]), d, adaptive_slopes(net, d))
     with pytest.raises(ValueError, match="infeasible"):
-        relax.compute_bounds(net, np.array([[1.0], [2.0]]), d, adaptive_slopes(net, d))
+        bounds_of(net, np.array([[1.0], [2.0]]), d, adaptive_slopes(net, d))
 
 
 def test_compute_bounds_sampled_soundness():
@@ -143,7 +148,7 @@ def test_compute_bounds_sampled_soundness():
         hi = lo + rng.uniform(0.5, 1.5, 3)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=2)
-        res = relax.compute_bounds(net, c[None], d, adaptive_slopes(net, d)).row(0)
+        res = bounds_of(net, c[None], d, adaptive_slopes(net, d))[0]
         xs = rng.uniform(lo, hi, size=(10_000, 3))
         margins = model.forward_batch(net, xs) @ c
         bound_vals = xs @ res.w + res.b
@@ -162,7 +167,7 @@ def test_compute_bounds_sampled_soundness_with_splits():
         d = make_domain(net, lo, hi, splits={(0, j): sign})
         if not d.neuron_bounds.is_feasible():
             continue
-        res = relax.compute_bounds(net, np.array([[1.0]]), d, adaptive_slopes(net, d)).row(0)
+        res = bounds_of(net, np.array([[1.0]]), d, adaptive_slopes(net, d))[0]
         xs = rng.uniform(lo, hi, size=(10_000, 2))
         z = xs @ net.layers[0].weights.T + net.layers[0].bias
         keep = z[:, j] >= 0.0 if sign > 0 else z[:, j] < 0.0
@@ -217,7 +222,7 @@ def test_intermediate_bounds_nest_between_interval_arithmetic_and_samples():
 def _sweep_alpha(net, c_row, domain, grid=2001):
     best_lb, best_alpha = -np.inf, None
     for a in np.linspace(0.0, 1.0, grid):
-        lb = relax.compute_bounds(net, c_row[None], domain, {0: np.array([a])}).lower_bound[0]
+        lb = bounds_of(net, c_row[None], domain, {0: np.array([a])}).lower_bound[0]
         if lb > best_lb:
             best_lb, best_alpha = lb, a
     return best_lb, best_alpha
@@ -229,8 +234,8 @@ def test_optimize_alpha_relu_identity():
     d = make_domain(net, [-1.0], [1.0])
     sweep_lb, sweep_alpha = _sweep_alpha(net, np.array([1.0]), d)
     assert sweep_alpha == 0.0 and sweep_lb == 0.0
-    slopes, _ = relax.optimize_alpha(net, np.array([[1.0]]), d, iters=30, step=0.25)
-    lb = relax.compute_bounds(net, np.array([[1.0]]), d, slopes).lower_bound[0]
+    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=30, step=0.25)
+    lb = bounds_of(net, np.array([[1.0]]), d, slopes).lower_bound[0]
     assert abs(lb - sweep_lb) < 1e-9
     assert abs(slopes[0][0, 0] - 0.0) < 1e-9
 
@@ -252,17 +257,17 @@ def test_optimize_alpha_interior_optimum():
     for a1 in np.linspace(0, 1, 101):
         for a2 in np.linspace(0, 1, 101):
             slopes = {0: np.array([a1, a2])}
-            best = max(best, relax.compute_bounds(net, np.array([[1.0]]), d, slopes).lower_bound[0])
+            best = max(best, bounds_of(net, np.array([[1.0]]), d, slopes).lower_bound[0])
     assert best == 0.0
-    slopes, _ = relax.optimize_alpha(net, np.array([[1.0]]), d, iters=40, step=0.25)
-    lb = relax.compute_bounds(net, np.array([[1.0]]), d, slopes).lower_bound[0]
+    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=40, step=0.25)
+    lb = bounds_of(net, np.array([[1.0]]), d, slopes).lower_bound[0]
     assert abs(lb - best) < 1e-9
 
 
 def test_optimize_alpha_zero_iters_returns_adaptive_init():
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    slopes, _ = relax.optimize_alpha(net, np.array([[1.0]]), d, iters=0, step=0.25)
+    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=0, step=0.25)
     assert np.array_equal(slopes[0][0], adaptive_slopes(net, d)[0])
 
 
@@ -274,9 +279,9 @@ def test_optimize_alpha_never_worse_than_init():
         hi = lo + rng.uniform(0.5, 1.0, 3)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=(1, 2))
-        lb0 = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).lower_bound
-        slopes, _ = relax.optimize_alpha(net, c, d, iters=20, step=0.25)
-        lb1 = relax.compute_bounds(net, c, d, slopes).lower_bound
+        lb0 = bounds_of(net, c, d, adaptive_slopes(net, d)).lower_bound
+        slopes, _ = optimize_of(net, c, d, iters=20, step=0.25)
+        lb1 = bounds_of(net, c, d, slopes).lower_bound
         assert lb1 >= lb0
 
 
@@ -309,7 +314,7 @@ def test_exactness_when_every_relu_is_stable():
         d = make_domain(net, lo, hi)
         assert not d.neuron_bounds.relaxations[0][1].any()  # layer 0 is the only hidden layer
         c = np.array([[1.0]])
-        res = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).row(0)
+        res = bounds_of(net, c, d, adaptive_slopes(net, d))[0]
         # exact affine margin: m(x) = W1 (W0 x + b0') + b1 on this box
         w_eff = (net.layers[1].weights @ net.layers[0].weights)[0]
         b_eff = float((net.layers[1].weights @ net.layers[0].bias + net.layers[1].bias)[0])
@@ -328,7 +333,7 @@ def test_alpha_gradient_matches_finite_differences():
         c = rng.normal(size=(1, 2))
         slopes = {k: rng.uniform(0.2, 0.8, size=v.shape)
                   for k, v in adaptive_slopes(net, d).items()}
-        grads = relax.alpha_gradient(net, d, slopes, relax.compute_bounds(net, c, d, slopes))
+        grads = gradient_of(net, c, d, slopes)
         h = 1e-5
         for k in sorted(grads):
             for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1]):
@@ -336,8 +341,8 @@ def test_alpha_gradient_matches_finite_differences():
                 p_hi[k][j] += h
                 p_lo = {i: v.copy() for i, v in slopes.items()}
                 p_lo[k][j] -= h
-                fd = (relax.compute_bounds(net, c, d, p_hi).lower_bound[0]
-                      - relax.compute_bounds(net, c, d, p_lo).lower_bound[0]) / (2 * h)
+                fd = (bounds_of(net, c, d, p_hi).lower_bound[0]
+                      - bounds_of(net, c, d, p_lo).lower_bound[0]) / (2 * h)
                 rel = abs(grads[k][0, j] - fd) / max(abs(grads[k][0, j]), abs(fd), 1e-8)
                 worst = max(worst, rel)
     assert worst < 1e-4
@@ -372,7 +377,7 @@ def test_bound_equals_witness_abstract_margin_bitwise():
         hi = lo + rng.uniform(0.1, 1.0, n0)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=(1, 2))
-        res = relax.compute_bounds(net, c, d, adaptive_slopes(net, d)).row(0)
+        res = bounds_of(net, c, d, adaptive_slopes(net, d))[0]
         wit = witness.validate_witness(net, c, res)
         assert wit.abstract_margin == res.lower_bound
 
@@ -381,9 +386,9 @@ def test_propagate_bounds_from_later_layer_needs_base():
     net = random_net(np.random.default_rng(31), 2, [4, 3], 1)
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     with pytest.raises(ValueError, match="base"):
-        relax.propagate_bounds(net, lo, hi, start_layer=1)
-    base = relax.propagate_bounds(net, lo, hi)
-    again = relax.propagate_bounds(net, lo, hi, base=base, start_layer=1)
+        propagate_of(net, lo, hi, start_layer=1)
+    base = propagate_of(net, lo, hi)
+    again = propagate_of(net, lo, hi, base=base, start_layer=1)
     assert again.lower[0].tolist() == base.lower[0].tolist()
 
 
@@ -422,27 +427,26 @@ def test_compute_bounds_stack_equals_single_rows_bitwise():
         shared = adaptive_slopes(net, d)
         per_row = {k: rng.uniform(0.0, 1.0, (len(C), v.size)) for k, v in shared.items()}
         for slopes in (shared, per_row):
-            res = relax.compute_bounds(net, C, d, slopes)
+            res = bounds_of(net, C, d, slopes)
             assert res.lower_bound.shape == (len(C),)
             for r in range(len(C)):
                 row_slopes = {k: v[r] if v.ndim == 2 else v for k, v in slopes.items()}
-                single = relax.compute_bounds(net, C[r:r + 1], d, row_slopes).row(0)
-                _assert_same_bound(res.row(r), single)
+                single = bounds_of(net, C[r:r + 1], d, row_slopes)[0]
+                _assert_same_bound(res[r], single)
 
 
 def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
     stop_points = set()
     for net, C, d in (*_stacked_cases(), _zero_gradient_case()):
         for iters in (0, 20):
-            slopes, _ = relax.optimize_alpha(net, C, d, iters, 0.25)
-            res = relax.compute_bounds(net, C, d, slopes)
+            slopes, _ = optimize_of(net, C, d, iters, 0.25)
+            res = bounds_of(net, C, d, slopes)
             for r in range(len(C)):
                 ref, attempts = reference_optimize_alpha(net, C[r], d, iters, 0.25)
                 stop_points.add(len(attempts))
                 for k, v in ref.items():
                     assert np.array_equal(slopes[k][r], v), (iters, r, k)
-                assert res.lower_bound[r] == relax.compute_bounds(net, C[r:r + 1], d,
-                                                                  ref).lower_bound[0]
+                assert res.lower_bound[r] == bounds_of(net, C[r:r + 1], d, ref).lower_bound[0]
     # rows stopped at different iterations (after 1, 9, 10, 11 and 17 here)
     assert len(stop_points - {0, 20}) >= 3
 
@@ -452,11 +456,11 @@ def test_zero_gradient_case_stops_one_row_at_once_beside_a_row_that_improves():
     # more input: the second row stops on its first gradient, held at its
     # adaptive slopes while the first row's steps go on in the same stack.
     net, C, d = _zero_gradient_case()
-    init = relax.compute_bounds(net, C, d, adaptive_slopes(net, d))
+    init = bounds_of(net, C, d, adaptive_slopes(net, d))
     assert d.neuron_bounds.relaxations[0][1].all() and (init.A[0][1] < 0.0).all()
     assert reference_optimize_alpha(net, C[1], d, 20, 0.25)[1] == [0]
     assert len(reference_optimize_alpha(net, C[0], d, 20, 0.25)[1]) > 1
-    assert relax.optimize_alpha(net, C, d, 20, 0.25)[1].lower_bound[0] > init.lower_bound[0]
+    assert optimize_of(net, C, d, 20, 0.25)[1].lower_bound[0] > init.lower_bound[0]
 
 
 def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch):
@@ -484,14 +488,14 @@ def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch
 
         monkeypatch.setattr(relax, "compute_bounds", counting_bounds)
         monkeypatch.setattr(relax, "alpha_gradient", counting_gradient)
-        relax.optimize_alpha(net, C, d, 20, 0.25)
+        optimize_of(net, C, d, 20, 0.25)
         monkeypatch.undo()
         assert calls == {"bounds": 1 + rounds, "gradients": iterations, "bounds_in_gradient": 0}
 
 
 def test_optimize_alpha_stops_at_the_deadline():
     net, C, d = next(_stacked_cases())
-    slopes, _ = relax.optimize_alpha(net, C, d, 20, 0.25, deadline=0.0)
+    slopes, _ = optimize_of(net, C, d, 20, 0.25, deadline=0.0)
     for k, v in adaptive_slopes(net, d).items():
         assert np.array_equal(slopes[k], np.repeat(v[None, :], len(C), axis=0))
 
@@ -516,23 +520,23 @@ def test_optimize_alpha_bound_equals_compute_bounds_bitwise(monkeypatch):
             monkeypatch.setattr(relax, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
             monkeypatch.setattr(relax, "alpha_gradient",
                                 lambda *a, **k: gradients.append(1) or gradient(*a, **k))
-            slopes, bound = relax.optimize_alpha(net, C, d, iters, 0.25, deadline)
+            slopes, bound = optimize_of(net, C, d, iters, 0.25, deadline)
             monkeypatch.undo()
             if deadline is not None:
                 assert len(gradients) == 3
-            _assert_same_stacked_bound(bound, relax.compute_bounds(net, C, d, slopes))
-        slopes, bound = relax.optimize_alpha(net, C[:1], d, 20, 0.25)
-        _assert_same_stacked_bound(bound, relax.compute_bounds(net, C[:1], d, slopes))
+            _assert_same_stacked_bound(bound, bounds_of(net, C, d, slopes))
+        slopes, bound = optimize_of(net, C[:1], d, 20, 0.25)
+        _assert_same_stacked_bound(bound, bounds_of(net, C[:1], d, slopes))
 
 
 def test_optimize_alpha_without_relu_layers_returns_no_bound():
     net = model.make_network([(np.ones((1, 2)), np.zeros(1), model.LINEAR)])
     d = make_domain(net, [-1.0, -1.0], [1.0, 1.0])
-    slopes, bound = relax.optimize_alpha(net, np.array([[1.0]]), d, 20, 0.25)
+    slopes, bound = optimize_of(net, np.array([[1.0]]), d, 20, 0.25)
     assert slopes == {} and bound is None
     infeasible = make_domain(scalar_relu_net(), [0.5], [1.0], splits={(0, 0): -1})
     with pytest.raises(ValueError, match="infeasible"):
-        relax.optimize_alpha(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
+        optimize_of(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
 
 
 def test_propagated_feasibility_sees_a_nan_left_by_overflow():
@@ -546,7 +550,7 @@ def test_propagated_feasibility_sees_a_nan_left_by_overflow():
         (np.array([[1.0]]), np.zeros(1), model.LINEAR),
     ])
     with np.errstate(over="ignore", invalid="ignore"):
-        nb = relax.propagate_bounds(net, np.array([-1.0]), np.array([1.0]))
+        nb = propagate_of(net, np.array([-1.0]), np.array([1.0]))
     assert np.isnan(nb.lower[2]).any()
     assert nb.feasible is False and not nb.is_feasible()
     assert not layer_scan(nb.lower, nb.upper)

@@ -4,7 +4,7 @@ import numpy as np
 
 from reluverify import model, relax, witness
 
-from helpers import adaptive_slopes, make_domain, scalar_relu_net
+from helpers import adaptive_slopes, bounds_of, make_domain, scalar_relu_net
 
 
 def _minimizer(w, lo, hi, b=0.0):
@@ -22,7 +22,7 @@ def _validate_at(net, C, x):
     """Validate the witness of a bound over the single point x, whose box
     minimizer can only be x itself."""
     d = make_domain(net, x, x)
-    bound = relax.compute_bounds(net, C[:1], d, adaptive_slopes(net, d)).row(0)
+    bound = bounds_of(net, C[:1], d, adaptive_slopes(net, d))[0]
     assert np.array_equal(bound.x_star, x)
     return witness.validate_witness(net, C, bound)
 
@@ -79,7 +79,7 @@ def test_validate_spurious():
 def test_abstract_margin_equals_lower_bound():
     net = scalar_relu_net(out_bias=-0.2)
     d = make_domain(net, [-1.0], [1.0])
-    res = relax.compute_bounds(net, np.array([[1.0]]), d, {0: np.array([0.5])}).row(0)
+    res = bounds_of(net, np.array([[1.0]]), d, {0: np.array([0.5])})[0]
     wit = witness.validate_witness(net, np.array([[1.0]]), res)
     assert wit.x_star is res.x_star
     assert abs(wit.abstract_margin - res.lower_bound) <= 1e-12
