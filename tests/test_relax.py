@@ -10,7 +10,7 @@ from reluverify.cli import generate_instance
 
 from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, layer_scan,
                      make_domain, optimize_of, propagate_of, random_net, reference_optimize_alpha,
-                     scalar_relu_net, stack_of)
+                     scalar_relu_net)
 
 
 def _relaxation(l, u):
