@@ -127,7 +127,7 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
             if infeasible_at is None and np.any(l - u > relax.INFEASIBILITY_TOL):
                 infeasible_at = k
             else:
-                mid = 0.5 * (l + u)
+                mid = 0.5 * l + 0.5 * u
                 l, u = np.where(crossed, mid, l), np.where(crossed, mid, u)
         work.lower[k], work.upper[k] = l, u
         if layer.activation == model.RELU:
@@ -138,6 +138,33 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
             post_lo, post_hi = l, u
     return relax.NeuronBounds(work.lower, work.upper, work.relaxations,
                               layer_scan(work.lower, work.upper))
+
+
+def reference_relu_backward(lam, step):
+    """relax._relu_backward written with np.where and a masked copyto: the
+    lower line where lam >= 0, the upper one elsewhere (NaN included). The
+    bit-mask kernel must return the same bits."""
+    lower_slope, up_slope, up_icpt = step
+    pos = lam >= 0.0
+    icpt_terms = lam * up_icpt
+    np.copyto(icpt_terms, 0.0, where=pos)
+    slope = np.where(pos, lower_slope, up_slope)
+    return slope * lam, icpt_terms.sum(axis=-1)
+
+
+def near_limit_task(out_bias):
+    """A valid one-neuron task whose root pre-activation (about 1.52e308) lies
+    near the float64 limit: the exact margin is about 1.52e8 + out_bias, so
+    out_bias = -1e8 is Safe and -1e9 Unsafe. The box is a single point."""
+    net = model.make_network([
+        (np.array([[-0.9319543455033154, 0.6225637668840749, 0.9580888220323263,
+                    0.6996952200960282]]), np.array([1.413353993546865e+308]), model.RELU),
+        (np.array([[1e-300]]), np.array([0.0]), model.RELU),
+        (np.array([[1.0]]), np.array([out_bias]), model.LINEAR),
+    ])
+    x = np.array([1.1401291778552035e+306, -8.662284254351965e+306, 2.474344557366494e+307,
+                  -9.54813526679418e+306])
+    return model.VerificationTask(net, x, x.copy(), np.array([[1.0]]))
 
 
 def random_net(rng, n_inputs, widths, n_outputs, scale=1.5):

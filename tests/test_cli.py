@@ -14,7 +14,7 @@ import pytest
 import reluverify
 from reluverify import bab, cli, model
 
-from helpers import scalar_relu_net, scalar_task
+from helpers import near_limit_task, scalar_relu_net, scalar_task
 
 
 def _write_toy(tmp_path, bias, name="toy"):
@@ -553,3 +553,22 @@ def test_module_entry_point_runs_without_runtime_warning():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: reluverify" in proc.stdout
+
+
+@pytest.mark.parametrize("out_bias,verdict,code", [(-1e8, "Safe", 0), (-1e9, "Unsafe", 1)])
+def test_verify_near_the_float64_limit_without_warning(tmp_path, out_bias, verdict, code):
+    # The root pre-activation is about 1.52e308: the midpoint of a rounding
+    # crossing and the intercepts of stable neurons must not overflow, or the
+    # root turns infeasible and verify dies with a traceback (exit 1).
+    mp, sp = str(tmp_path / "near.model.json"), str(tmp_path / "near.spec.json")
+    model.save_task(near_limit_task(out_bias), mp, sp)
+    src = str(Path(reluverify.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "reluverify.cli", "verify",
+         "--model", mp, "--spec", sp],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.stderr == ""
+    assert proc.returncode == code
+    assert json.loads(proc.stdout)["verdict"] == verdict

@@ -9,8 +9,8 @@ from reluverify import bab, model, relax
 from reluverify.cli import generate_instance
 
 from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, layer_scan,
-                     make_domain, optimize_of, propagate_of, random_net, reference_optimize_alpha,
-                     scalar_relu_net)
+                     make_domain, near_limit_task, optimize_of, propagate_of, random_net,
+                     reference_optimize_alpha, reference_relu_backward, scalar_relu_net)
 
 
 def _relaxation(l, u):
@@ -554,3 +554,74 @@ def test_propagated_feasibility_sees_a_nan_left_by_overflow():
     assert np.isnan(nb.lower[2]).any()
     assert nb.feasible is False and not nb.is_feasible()
     assert not layer_scan(nb.lower, nb.upper)
+
+
+def test_relaxation_evaluates_no_intercept_it_drops():
+    # Active and inactive neurons near the float64 limit: -u * l would
+    # overflow (a RuntimeWarning, an error in this suite) on values the
+    # relaxation drops. Unstable intercepts keep the chord formula's bits.
+    l = np.array([1e308, -1.7e308, -2.0, -1e-300, -3.0])
+    u = np.array([1.7e308, -1e308, 18.0, 1e-300, 0.5])
+    act, unst, _, icpt = relax.relaxation(l, u)
+    assert act.tolist() == [True, False, False, False, False]
+    assert unst.tolist() == [False, False, True, True, True]
+    chord = -u[unst] * l[unst] / (u[unst] - l[unst])
+    assert icpt[unst].tobytes() == chord.tobytes()
+    assert icpt[~unst].tobytes() == np.zeros(2).tobytes()  # +0.0, as before
+
+
+def test_root_interval_near_the_float64_limit_is_finite_and_holds_the_point():
+    # The box is one point whose pre-activation is about 1.52e308: the
+    # interval and backward bounds cross by rounding, and the collapse to
+    # their midpoint must not overflow the sum l + u to inf.
+    task = near_limit_task(-1e8)
+    nb = propagate_of(task.network, task.input_lower, task.input_upper)
+    layer = task.network.layers[0]
+    z = layer.weights @ task.input_lower + layer.bias
+    assert nb.is_feasible()
+    assert np.all(np.isfinite(nb.lower[0])) and np.all(np.isfinite(nb.upper[0]))
+    assert np.all(nb.lower[0] <= z) and np.all(z <= nb.upper[0])
+
+
+def _backward_case(rng, lam_shape, step_shape):
+    """lam of lam_shape holding signed zeros and a few NaNs, and a step of
+    step_shape built by relax.relaxation from intervals that include
+    infinite ends and chords that overflow (|l|, |u| about 1e200)."""
+    lam = rng.normal(size=lam_shape)
+    flat = lam.reshape(-1)
+    picks = rng.choice(flat.size, size=(3, flat.size // 8), replace=False)
+    flat[picks[0]], flat[picks[1]], flat[picks[2][:2]] = 0.0, -0.0, np.nan
+    l = rng.normal(size=step_shape)
+    u = l + np.abs(rng.normal(size=step_shape))
+    special = rng.integers(0, 4, size=step_shape)
+    l = np.where(special == 1, -np.inf, np.where(special == 2, -1e200, l))
+    u = np.where(special == 1, 1.0, np.where(special >= 2, 1.3e200, u))
+    u = np.where(special == 3, np.inf, u)
+    with np.errstate(all="ignore"):
+        rel = relax.relaxation(l, u)
+    alpha = rng.uniform(size=lam_shape[:-1] + step_shape[-1:]) if len(lam_shape) == 4 else \
+        rng.uniform(size=step_shape)
+    lower = relax._lower_slope(rel, alpha)
+    return lam, (lower, rel[2], rel[3])
+
+
+@pytest.mark.parametrize("n_domains", [1, 5])
+@pytest.mark.parametrize("shape", ["shared", "stacked", "spec_rows"])
+def test_relu_backward_matches_the_where_reference_bitwise(shape, n_domains):
+    # The three ways a pass reaches a ReLU layer: propagate_bounds starts from
+    # one (2n, n) stack shared by every domain and goes on with (D, 2n, n)
+    # ones; compute_bounds carries (D, m, 1, n) spec rows. Signed zeros take
+    # the lower line (ties at 0), and inf or NaN steps move through as bits.
+    rng = np.random.default_rng(n_domains)
+    n, m = 7, 3
+    lam_shape, step_shape = {"shared": ((2 * n, n), (n_domains, 1, n)),
+                             "stacked": ((n_domains, 2 * n, n), (n_domains, 1, n)),
+                             "spec_rows": ((n_domains, m, 1, n), (n_domains, 1, 1, n))}[shape]
+    for _ in range(5):
+        lam, step = _backward_case(rng, lam_shape, step_shape)
+        with np.errstate(all="ignore"):
+            got = relax._relu_backward(lam, step)
+            want = reference_relu_backward(lam, step)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
