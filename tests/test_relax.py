@@ -599,8 +599,8 @@ def _backward_case(rng, lam_shape, step_shape):
     u = np.where(special == 3, np.inf, u)
     with np.errstate(all="ignore"):
         rel = relax.relaxation(l, u)
-    alpha = rng.uniform(size=lam_shape[:-1] + step_shape[-1:]) if len(lam_shape) == 4 else \
-        rng.uniform(size=step_shape)
+    # Spec rows carry a slope row each; an intermediate-bound pass shares its domain's.
+    alpha = rng.uniform(size=lam_shape if len(lam_shape) == 4 else step_shape)
     lower = relax._lower_slope(rel, alpha)
     return lam, (lower, rel[2], rel[3])
 
