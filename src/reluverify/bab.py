@@ -1,13 +1,15 @@
 """Worklist-driven branch-and-bound over ReLU sub-domains.
 
-Each popped sub-domain goes through four phases: bound the margin with the
+A processed sub-domain is decided in four phases: bound the margin with the
 convex relaxation, prune if the bound clears zero, otherwise evaluate the
 bound's box minimizer on the concrete network (a violation ends the search as
 Unsafe), and finally split on the neuron the heuristic blames for the spurious
-witness. A split lives only in its clamp: each child's pre-activation interval
-of the split neuron starts (+1) or ends (-1) at zero, and every later bound
-pass intersects with it. Input bisection restores completeness when no neuron
-split is available.
+witness. A worklist lookahead pass takes every number of these phases for a
+stack of sub-domains at once (the root is a stack of one); the decisions
+stay sequential, in pop order. A split lives only in its clamp: each child's
+pre-activation interval of the split neuron starts (+1) or ends (-1) at
+zero, and every later bound pass intersects with it. Input bisection restores
+completeness when no neuron split is available.
 """
 
 from __future__ import annotations
@@ -61,7 +63,7 @@ class SubDomain:
     set, bounds holds the parent's intervals (without their relaxations, and
     with the split's clamp), and layers start_layer and later are recomputed
     when it is bounded: by a worklist lookahead pass, which may also leave
-    its phase-1 bound in results for _process_node, or on first read of
+    its Branching in branching for _process_node, or on first read of
     neuron_bounds. Children that no pass reaches are never bounded.
     """
 
@@ -73,7 +75,7 @@ class SubDomain:
     n_splits: int = 0
     net: Optional[Network] = None
     start_layer: int = 0
-    results: Optional[BoundResult] = None
+    branching: Optional["Branching"] = None
 
     @property
     def neuron_bounds(self) -> NeuronBounds:
@@ -103,13 +105,13 @@ class SubDomain:
 
 
 def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
-                     slopes: Optional[Slopes] = None) -> None:
+                     slopes: Optional[Slopes] = None, heuristic: Optional[str] = None) -> None:
     """Bound deferred sub-domains of one network in one stacked pass.
 
     Each gets its intervals, relaxations and feasibility. Given the spec
-    matrix C and the root's slopes, each feasible one also gets its phase-1
-    bound in results, from one stacked compute_bounds pass. Every number is
-    the one bounding the sub-domain alone gives.
+    matrix C, the root's slopes and the heuristic, each feasible one also
+    gets its Branching, from one stacked compute_bounds pass and branchings.
+    Every number is the one bounding the sub-domain alone gives.
     """
     net = ds[0].net
     lo, hi = np.array([d.box_lower for d in ds]), np.array([d.box_upper for d in ds])
@@ -126,14 +128,71 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
         return
     if len(feasible) < len(ds):
         lo, hi, nb = lo[feasible], hi[feasible], nb[feasible]
-    results = relax.compute_bounds(net, C, Domains(lo, hi, nb), slopes)
-    for j, i in enumerate(feasible):
-        ds[i].results = results[j]
+    domains = Domains(lo, hi, nb)
+    branchings(net, C, slopes, heuristic, [ds[i] for i in feasible], domains,
+               relax.compute_bounds(net, C, domains, slopes))
 
 
-def _stack(d: SubDomain) -> Domains:
-    """A bounded sub-domain as a stack of one."""
-    return Domains(d.box_lower[None], d.box_upper[None], NeuronBounds.stack([d.neuron_bounds]))
+@dataclass
+class Branching:
+    """What deciding a sub-domain reads: the worst spec row (the first on ties)
+    and its bound; the witness, unless that bound is non-finite or prunes; if the
+    witness is spurious, the gap clamps, the pick and the kind that made it (no
+    pick: bisect), and the scores the trace reads."""
+
+    row: int
+    raw_lower_bound: float
+    witness: Optional[witness_mod.Witness] = None
+    clamps: int = 0
+    pick: Optional[Tuple[int, int]] = None
+    kind: Optional[str] = None
+    scores: Optional[heuristics.Scores] = None
+
+
+def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
+               ds: Sequence[SubDomain], domains: Domains, results: BoundResult) -> None:
+    """Give each sub-domain of ds its Branching. domains stacks them, bounded;
+    results are their bounds of every spec row under slopes, the root's. The
+    witnesses take one stacked concrete pass, the spurious ones one stacked
+    scoring and pick, and those the heuristic picks nothing in one for babsr.
+    Each number is the one a stack of one gives."""
+    worst = np.argmin(results.lower_bound, axis=-1)  # the first row on ties
+    raw = results.lower_bound[np.arange(len(ds)), worst]
+    for d, row, lb in zip(ds, worst.tolist(), raw.tolist()):
+        d.branching = Branching(row, lb)
+    # The domains _process_node neither ends as non-finite nor prunes.
+    parents = np.array([d.parent_lower_bound for d in ds])
+    idx = np.flatnonzero(np.isfinite(raw) & (np.maximum(raw, parents) <= 0.0))
+    if not len(idx):
+        return
+    rows = worst[idx]
+    bound = results[idx, rows]
+    wit = witness_mod.validate_witness(net, C, bound)
+    for j, i in enumerate(idx.tolist()):
+        ds[i].branching.witness = wit[j]
+    margins = wit.concrete_margin.min(axis=-1)
+    todo = np.flatnonzero(np.isfinite(margins) & (margins > 0.0))  # spurious: phase 4
+    c_rows, preacts, row_slopes = C[rows], wit.preacts, {k: v[rows] for k, v in slopes.items()}
+    for kind in dict.fromkeys((heuristic, heuristics.BABSR)):
+        if not len(todo):
+            break
+        if len(todo) < len(idx):
+            idx, c_rows, bound = idx[todo], c_rows[todo], bound[todo]
+            preacts = [z[todo] for z in preacts]
+            row_slopes = {k: v[todo] for k, v in row_slopes.items()}
+        sub = domains if len(idx) == len(ds) else Domains(
+            domains.box_lower[idx], domains.box_upper[idx], domains.neuron_bounds[idx])
+        scores, clamps = heuristics.score_branches(kind, net, c_rows, bound, sub, preacts,
+                                                   row_slopes)
+        picks = heuristics.select_branch(scores)
+        for j, i in enumerate(idx.tolist()):
+            b, pick = ds[i].branching, picks.get(j)
+            b.clamps += int(clamps[j])  # babsr never clamps: the count is the heuristic's
+            if pick is not None or b.scores is None:  # a bisection traces the heuristic's
+                b.scores = {k: s[j] for k, s in scores.items()}
+            if pick is not None:
+                b.pick, b.kind = pick, kind
+        todo = np.array([j for j in range(len(idx)) if j not in picks], dtype=np.intp)
 
 
 @dataclass
@@ -177,13 +236,14 @@ class BabConfig:
 class Worklist:
     """Priority queue popping the lowest parent_lower_bound first
     (most-violated-first); insertion order breaks ties deterministically.
-    Given the spec matrix C and the root's slopes, its lookahead passes also
-    take phase-1 bounds."""
+    Given the spec matrix C, the root's slopes and the heuristic, its
+    lookahead passes also take each sub-domain's Branching."""
 
-    def __init__(self, C: Optional[np.ndarray] = None, slopes: Optional[Slopes] = None):
+    def __init__(self, C: Optional[np.ndarray] = None, slopes: Optional[Slopes] = None,
+                 heuristic: Optional[str] = None):
         self._heap: List[Tuple[float, int, SubDomain]] = []
         self._seq = 0
-        self._spec = (C, slopes)
+        self._spec = (C, slopes, heuristic)
 
     def push(self, d: SubDomain) -> None:
         heapq.heappush(self._heap, (d.parent_lower_bound, self._seq, d))
@@ -195,11 +255,12 @@ class Worklist:
 
         Lookahead: when the next entry is not bounded yet, up to limit entries
         come off in pop order, the unbounded ones among them are bounded in
-        one stacked pass (bound_subdomains), and all go back under their own
-        keys. Bounds depend only on the sub-domain and the order only on the
-        keys, so every limit pops the same sub-domains with the same numbers.
-        A pass of one takes no phase-1 bound: _process_node takes it if the
-        sub-domain is processed, which a budget's last pop never is.
+        one stacked pass (bound_subdomains, with their Branchings), and all go
+        back under their own keys. Both depend only on the sub-domain and the
+        order only on the keys, so every limit pops the same sub-domains with
+        the same numbers. A pass of one takes no Branching: _process_node
+        takes it if the sub-domain is processed, which a budget's last pop
+        never is.
         """
         heap = self._heap
         while heap:
@@ -289,17 +350,19 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
 
 def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
                   stats: RunStats, d: SubDomain) -> Tuple[dict, Tuple[SubDomain, ...]]:
-    """Run the four phases on one sub-domain, node stats.branches_visited.
+    """Decide one sub-domain, node stats.branches_visited, from its Branching.
 
     Returns its trace entry, whose "action" is pruned-safe, unsafe, split,
     bisect, stuck or non-finite, and the children to queue. slopes are the
-    root's optimized slopes, one row per spec row. d.results, when set, is the
-    sub-domain's stacked bound under them (from a lookahead pass, or the
-    root's slope optimization); it is used instead of bounding again, and
-    dropped. The witness, split and clamp counts go into stats.
+    root's optimized slopes, one row per spec row. d.branching (from a
+    lookahead pass or the root's slope optimization, else taken here) is used
+    and dropped. The witness, split and clamp counts go into stats.
     """
-    net = task.network
-    C = task.spec_matrix
+    net, C = task.network, task.spec_matrix
+    if d.branching is None:  # as a stack of one
+        one = Domains(d.box_lower[None], d.box_upper[None], NeuronBounds.stack([d.neuron_bounds]))
+        branchings(net, C, slopes, heuristic, [d], one, relax.compute_bounds(net, C, one, slopes))
+    b, d.branching = d.branching, None
     entry = {
         "node": stats.branches_visited,
         "depth": d.depth,
@@ -307,19 +370,14 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
         "n_splits": d.n_splits,
     }
 
-    # Phase 1: bound every spec row over this sub-domain, in one stacked pass,
-    # unless a lookahead pass or the root's slope optimization already did.
-    results, d.results = d.results, None
-    if results is None:
-        results = relax.compute_bounds(net, C, _stack(d), slopes)[0]
-    worst_row = int(np.argmin(results.lower_bound))  # the first row on ties
-    raw_lb = float(results.lower_bound[worst_row])
+    # Phase 1: the worst spec row's bound.
+    raw_lb = b.raw_lower_bound
     # The parent's bound remains valid on this shrunken region; inheriting it
     # keeps node bounds monotone even when the clamped relaxation drifts.
     eff_lb = max(raw_lb, d.parent_lower_bound)
     entry["lower_bound"] = eff_lb
     entry["raw_lower_bound"] = raw_lb
-    entry["row"] = worst_row
+    entry["row"] = b.row
     if not math.isfinite(raw_lb):
         return dict(entry, action="non-finite"), ()
 
@@ -329,8 +387,7 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
         return entry, ()
 
     # Phase 3: counterexample validation at the bound's own minimizer.
-    bound = results[worst_row]
-    wit = witness_mod.validate_witness(net, C, bound)
+    wit = b.witness
     entry["witness_margin"] = float(wit.concrete_margin.min())
     if not math.isfinite(entry["witness_margin"]):
         return dict(entry, action="non-finite"), ()
@@ -341,22 +398,11 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
 
     # Phase 4: refinement guided by the spurious witness. When every score of
     # the heuristic vanishes, babsr picks; when babsr's vanish too, bisect.
-    row_slopes = {k: v[worst_row] for k, v in slopes.items()}
-    primary = None
-    for kind in dict.fromkeys((heuristic, heuristics.BABSR)):
-        scores, clamps = heuristics.score_branches(
-            kind, net, C[worst_row], bound, d, wit.preacts, row_slopes
-        )
-        stats.gap_clamp_events += clamps  # babsr never clamps: the count is the heuristic's
-        if primary is None:
-            primary = scores
-        pick = heuristics.select_branch(scores)
-        if pick is not None:
-            children = split_subdomain(net, d, *pick)
-            entry.update(action="split", split=list(pick), split_kind=kind)
-            break
+    stats.gap_clamp_events += b.clamps
+    if b.pick is not None:
+        children = split_subdomain(net, d, *b.pick)
+        entry.update(action="split", split=list(b.pick), split_kind=b.kind)
     else:
-        scores = primary  # a bisection traces the heuristic's own scores
         children = input_bisect(net, d)
         if children is None:
             entry["action"] = "stuck"
@@ -365,12 +411,12 @@ def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
 
     stats.splits_made += 1
     if stats.per_node_trace is not None:  # only the trace reads them
-        score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
+        score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in b.scores.values())
         if score_n:
-            entry["score_max"] = float(max(s.max() for s in scores.values()))
+            entry["score_max"] = float(max(s.max() for s in b.scores.values()))
             entry["score_n"] = score_n
     for child in children:
-        _check_termination_measure(d, child, pick)
+        _check_termination_measure(d, child, b.pick)
         child.parent_lower_bound = eff_lb
     entry["children"] = len(children)
     return entry, children
@@ -406,9 +452,10 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, stack,
                                            config.alpha_iters, config.alpha_step, deadline)
     slopes = {k: v[0] for k, v in slopes.items()}
-    root.results = None if results is None else results[0]
+    if results is not None:
+        branchings(task.network, task.spec_matrix, slopes, heuristic, [root], stack, results)
     batch = lookahead(task.network)
-    worklist = Worklist(task.spec_matrix, slopes)
+    worklist = Worklist(task.spec_matrix, slopes, heuristic)
     stuck = False
     d = root
     while True:

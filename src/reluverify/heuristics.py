@@ -16,7 +16,7 @@ or the interval width (width).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -36,8 +36,8 @@ KINDS = (DRG, DRG_SYMMETRIC, BABSR, CENTER, INTERCEPT, GRAD, WIDTH)
 # since numerical noise should not masquerade as guidance.
 ZERO_SCORE_TOL = 1e-12
 
-# Per ReLU layer, one score per neuron; -inf marks a neuron that cannot be
-# split (stable, or already split and therefore clamped stable).
+# Per ReLU layer, (D, n_k) scores, one per domain and neuron; -inf marks a
+# neuron that cannot be split (stable, or already split and clamped stable).
 Scores = Dict[int, np.ndarray]
 
 
@@ -50,33 +50,35 @@ def check_kind(kind: str) -> None:
 def score_branches(
     kind: str,
     net: model.Network,
-    c_row: np.ndarray,
+    c_rows: np.ndarray,
     bound: BoundResult,
-    domain,
+    domains,
     preacts: List[np.ndarray],
     slopes: Slopes,
-) -> Tuple[Scores, int]:
-    """Score every unstable neuron for a heuristic kind.
+) -> Tuple[Scores, np.ndarray]:
+    """Score every unstable neuron of each domain of a stack for a heuristic kind.
 
-    bound is the row's bound over domain, whose neuron bounds it was taken
-    under; preacts are the network's pre-activations at the witness (from
-    model.forward), read by drg, drg_symmetric and grad; slopes are the row's
-    lower-line slopes, one per ReLU layer, read by drg_symmetric.
+    bound holds each domain's bound of its spec row, c_rows[i], over the
+    relax.Domains stack domains (leading axis D), under its neuron bounds;
+    preacts are the network's pre-activations at the witnesses (from
+    model.forward), read by drg, drg_symmetric and grad; slopes are the rows'
+    lower-line slopes, (D, n_k) per ReLU layer, read by drg_symmetric. Each
+    domain's numbers are the ones it gets alone.
 
-    Returns (scores, gap clamp events). A clamp event is a neuron scored on
-    the upper side whose raw chord-minus-ReLU gap at the evaluation point is
-    negative, i.e. the point lies outside [l, u]; the witness can, because it
-    ignores split constraints. Such gaps are clamped to zero.
+    Returns (scores, gap clamp events per domain). A clamp event is a neuron
+    scored on the upper side whose raw chord-minus-ReLU gap at the evaluation
+    point is negative, i.e. the point lies outside [l, u]; the witness can,
+    because it ignores split constraints. Such gaps are clamped to zero.
     """
-    nb = domain.neuron_bounds
+    nb = domains.neuron_bounds
     coefs = bound.A
     if kind == GRAD:
-        coefs = model.margin_preact_gradients(net, c_row, preacts)
+        coefs = model.margin_preact_gradients(net, c_rows, preacts)
     if kind == CENTER:
         # lo + hi may overflow; this equals 0.5 * (lo + hi) whenever that sum is finite and normal
-        _, preacts = model.forward(net, 0.5 * domain.box_lower + 0.5 * domain.box_upper)
+        _, preacts = model.forward(net, 0.5 * domains.box_lower + 0.5 * domains.box_upper)
     scores: Scores = {}
-    clamps = 0
+    clamps = np.zeros(len(domains.box_lower), dtype=np.int64)
     for k in sorted(bound.A):
         _, unst, up_slope, up_icpt = nb.relaxations[k]
         coef = coefs[k]
@@ -90,7 +92,7 @@ def score_branches(
             z = preacts[k]
             raw_gap = up_slope * z + up_icpt - np.maximum(z, 0.0)
             upper_side = coef < 0.0
-            clamps += int(np.count_nonzero(unst & upper_side & (raw_gap < 0.0)))
+            clamps += np.count_nonzero(unst & upper_side & (raw_gap < 0.0), axis=-1)
             if kind == DRG_SYMMETRIC:
                 # the score is kept only at unstable neurons, whose lower slope is alpha
                 other = np.maximum(z, 0.0) - slopes[k] * z
@@ -101,15 +103,18 @@ def score_branches(
     return scores, clamps
 
 
-def select_branch(scores: Scores) -> Optional[Tuple[int, int]]:
-    """Argmax by score; ties break toward the lower layer, then lower neuron.
+def select_branch(scores: Scores) -> Dict[int, Tuple[int, int]]:
+    """Each domain's (layer, neuron) pick, keyed by its index in the stack.
 
-    Returns None unless some neuron scores above ZERO_SCORE_TOL (stable and
-    split neurons score -inf).
+    The argmax within each layer, then a strict > across layers in order, so
+    ties break toward the lower layer, then neuron, and a NaN leaves the other
+    layers' picks standing. Only scores above ZERO_SCORE_TOL are picked.
     """
-    best, pick = ZERO_SCORE_TOL, None
+    best, picks = ZERO_SCORE_TOL, {}
     for k in sorted(scores):
-        j = int(np.argmax(scores[k]))
-        if scores[k][j] > best:
-            best, pick = scores[k][j], (k, j)
-    return pick
+        j, top = scores[k].argmax(axis=-1), scores[k].max(axis=-1)  # top is the score at j
+        better = top > best
+        best = np.where(better, top, best)
+        picks.update((i, (k, n)) for i, n in zip(np.flatnonzero(better).tolist(),
+                                                 j[better].tolist()))
+    return picks

@@ -157,19 +157,20 @@ def make_network(layer_defs: Sequence[Tuple]) -> Network:
 
 
 def forward(net: Network, x) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Evaluate the network at a single point.
+    """Evaluate the network at a point, or at a stack of points (..., input_dim).
 
-    Returns (logits, preacts) where preacts[k] is the pre-activation vector of
-    layer k (the final entry equals the logits since the last layer is linear).
+    Returns (logits, preacts), preacts[k] the pre-activations of layer k (the
+    last equals the logits). Each W @ h runs on (..., n, 1) stacks, the product
+    one point makes alone, so each point of a stack gets its own bits.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (net.input_dim,):
-        raise InputError(f"forward: input shape {x.shape} does not match ({net.input_dim},)")
+    if x.shape[-1:] != (net.input_dim,):
+        raise InputError(f"forward: input shape {x.shape} does not match (..., {net.input_dim})")
     _check_finite(x, "forward: input")
     preacts = []
     h = x
     for layer in net.layers:
-        z = layer.weights @ h + layer.bias
+        z = (layer.weights @ h[..., None])[..., 0] + layer.bias
         preacts.append(z)
         h = np.maximum(z, 0.0) if layer.activation == RELU else z
     return h, preacts
@@ -197,8 +198,9 @@ def margin_preact_gradients(net: Network, c_row,
                             preacts: Sequence[np.ndarray]) -> List[np.ndarray]:
     """Gradient of the scalar margin c_row @ f(x) w.r.t. each pre-activation vector.
 
-    preacts are the pre-activations at x, as forward returns them.
-    Backpropagation through the concrete network, with ReLU subgradient 0 at z = 0.
+    preacts are the pre-activations at x (or a stack), as forward returns them.
+    Backpropagation through the concrete network, with ReLU subgradient 0 at
+    z = 0; W.T @ g runs on (..., n, 1) stacks and the transposed view of W.
     """
     c_row = np.asarray(c_row, dtype=np.float64)
     n = net.n_layers
@@ -210,7 +212,7 @@ def margin_preact_gradients(net: Network, c_row,
             g = g * (preacts[k] > 0.0)
         grads[k] = g
         if k > 0:
-            g = layer.weights.T @ g
+            g = (layer.weights.T @ g[..., None])[..., 0]
     return grads  # type: ignore[return-value]
 
 

@@ -4,7 +4,7 @@ or a spurious counterexample."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple, Union
 
 import numpy as np
 
@@ -23,14 +23,18 @@ class Witness:
     so it may lie outside the sub-domain's exact region; the classification and
     the branching scores still use it as the bound's minimizer. preacts holds
     the network's pre-activations at x_star, from the pass that gave the
-    concrete margin.
+    concrete margin. A stack has a leading domain axis and a kind per domain.
     """
 
     x_star: np.ndarray
-    abstract_margin: float
+    abstract_margin: Union[float, np.ndarray]
     concrete_margin: np.ndarray
-    kind: str
+    kind: Union[str, Tuple[str, ...]]
     preacts: List[np.ndarray] = field(repr=False, compare=False)
+
+    def __getitem__(self, i: int) -> "Witness":
+        return Witness(self.x_star[i], float(self.abstract_margin[i]), self.concrete_margin[i],
+                       self.kind[i], [z[i] for z in self.preacts])
 
     def to_dict(self) -> dict:
         return {
@@ -42,13 +46,15 @@ class Witness:
 
 
 def validate_witness(net: model.Network, C, bound: BoundResult) -> Witness:
-    """Run the network once at the bound's minimizer and classify it.
+    """Run the network once at each domain's minimizer and classify it.
 
-    The abstract margin is the bound itself, its value at x_star. A
-    concrete_violation terminates the whole verification with Unsafe; a
-    spurious witness feeds the branching heuristic.
+    bound holds one spec row of each of D domains, whose witnesses come back
+    stacked. The abstract margin is the bound itself, its value at x_star. A
+    concrete_violation ends the verification as Unsafe; a spurious witness
+    feeds the branching heuristic.
     """
     logits, preacts = model.forward(net, bound.x_star)
-    concrete = np.asarray(C, dtype=np.float64) @ logits
-    kind = CONCRETE_VIOLATION if float(concrete.min()) <= 0.0 else SPURIOUS
-    return Witness(bound.x_star, float(bound.lower_bound), concrete, kind, preacts)
+    concrete = (np.asarray(C, dtype=np.float64) @ logits[..., None])[..., 0]
+    kind = tuple(CONCRETE_VIOLATION if m <= 0.0 else SPURIOUS
+                 for m in concrete.min(axis=-1).tolist())
+    return Witness(bound.x_star, bound.lower_bound, concrete, kind, preacts)

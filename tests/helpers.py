@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from reluverify import bab, model, relax
+from reluverify import bab, heuristics, model, relax, witness
 from reluverify.cli import generate_instance
 
 
@@ -59,6 +59,32 @@ def optimize_of(net, C, domain, iters, step, deadline=None):
     """relax.optimize_alpha over one sub-domain: (m, n_k) slopes and its stack of rows."""
     slopes, bound = relax.optimize_alpha(net, C, stack_of(domain), iters, step, deadline)
     return {k: v[0] for k, v in slopes.items()}, None if bound is None else bound[0]
+
+
+def row_stack(bound):
+    """One spec row's relax.BoundResult as a stack of one domain."""
+    w, b, lower_bound, x_star = (np.asarray(f)[None] for f in
+                                 (bound.w, bound.b, bound.lower_bound, bound.x_star))
+    return relax.BoundResult(w, b, lower_bound, {k: v[None] for k, v in bound.A.items()}, x_star)
+
+
+def witness_of(net, C, bound):
+    """witness.validate_witness of one spec row's bound, as a stack of one."""
+    return witness.validate_witness(net, C, row_stack(bound))[0]
+
+
+def scores_of(kind, net, c_row, bound, domain, preacts, slopes):
+    """heuristics.score_branches for one sub-domain and one row's bound, as a
+    stack of one: (layer -> (n_k,) scores, gap clamp events)."""
+    slopes = None if slopes is None else {k: np.asarray(v)[None] for k, v in slopes.items()}
+    scores, clamps = heuristics.score_branches(kind, net, np.asarray(c_row)[None], row_stack(bound),
+                                               stack_of(domain), [z[None] for z in preacts], slopes)
+    return {k: s[0] for k, s in scores.items()}, int(clamps[0])
+
+
+def select_of(scores):
+    """heuristics.select_branch for one domain's scores, as a stack of one."""
+    return heuristics.select_branch({k: np.asarray(s)[None] for k, s in scores.items()}).get(0)
 
 
 def make_domain(net, lo, hi, splits=None):

@@ -14,7 +14,8 @@ import numpy as np
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
 from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, identity_relu_net,
-                     make_domain, optimize_of, oracle_sized_task, random_net, random_task)
+                     make_domain, optimize_of, oracle_sized_task, random_net, random_task,
+                     scores_of, select_of)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -42,13 +43,12 @@ def test_case_study_regression():
     preacts = model.forward(net, z_star)[1]
 
     def scores(kind):
-        return heuristics.score_branches(kind, net, np.array([1.0]), bound, domain, preacts,
-                                         None)[0]
+        return scores_of(kind, net, np.array([1.0]), bound, domain, preacts, None)[0]
 
     drg = scores(heuristics.DRG)
     ok &= abs(drg[0][0] - 1.0) <= 1e-12 and abs(drg[0][1] - 2.0) <= 1e-12
-    ok &= heuristics.select_branch(drg) == (0, 1)
-    ok &= heuristics.select_branch(scores(heuristics.WIDTH)) == (0, 0)
+    ok &= select_of(drg) == (0, 1)
+    ok &= select_of(scores(heuristics.WIDTH)) == (0, 0)
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     _report("case-study regression", bool(ok), f"{elapsed:.3f}s")

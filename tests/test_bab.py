@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import time
 
 import numpy as np
@@ -626,16 +627,20 @@ def test_a_zero_branch_budget_bounds_the_root_and_the_popped_child_alone(monkeyp
     assert total == 135
 
 
-def _mixed_batch():
+def _mixed_batch(margin_shift=0.0):
     """Deferred sub-domains of one net with hidden layers of 6, 5 and 4:
     split children at layers 0, 1 and 2 (start_layer 1, 2 and 3), bisection
-    halves, a split grandchild and an empty bisection half, with the spec."""
+    halves, a split grandchild and an empty bisection half, with the spec.
+    margin_shift is added to every margin (to the first output's bias)."""
     net, _, _, C = cli.generate_instance(np.random.default_rng(91), 3, [6, 5, 4], 3, 0.5, 2.0)
-    first = net.layers[0]
+    first, last = net.layers[0], net.layers[-1]
     weights, bias = first.weights.copy(), first.bias.copy()
     weights[0], bias[0] = [1.0, 0.0, 0.0], 0.0  # neuron (0, 0) is z = x_0
+    out_bias = last.bias.copy()
+    out_bias[0] += margin_shift
     net = model.make_network([(weights, bias, model.RELU)] + [
-        (layer.weights, layer.bias, layer.activation) for layer in net.layers[1:]])
+        (layer.weights, layer.bias, layer.activation) for layer in net.layers[1:-1]]
+        + [(last.weights, out_bias, model.LINEAR)])
     lo, hi = np.array([-1.0, -0.5, -0.5]), np.array([3.0, 0.5, 0.5])
     root = make_domain(net, lo, hi)
     batch = []
@@ -651,14 +656,19 @@ def _mixed_batch():
     return net, C, root, batch
 
 
-def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise():
+def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypatch):
     net, C, root, batch = _mixed_batch()
     slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
     slopes = {k: v[0] for k, v in slopes.items()}
     alone = [dataclasses.replace(d) for d in batch]
-    bab.bound_subdomains(batch, C, slopes)
+    compute, phase1 = relax.compute_bounds, []  # the phase-1 bounds each pass takes
+    monkeypatch.setattr(relax, "compute_bounds",
+                        lambda *a: phase1.append(compute(*a)) or phase1[-1])
+    bab.bound_subdomains(batch, C, slopes, "drg")
+    stacked = phase1.pop()
     for d in alone:
-        bab.bound_subdomains([d], C, slopes)
+        bab.bound_subdomains([d], C, slopes, "drg")
+    results = iter(zip(stacked, phase1, strict=True))  # one per feasible sub-domain
     assert sorted({d.start_layer for d in alone}) == [0, 1, 2, 3]
     assert 0 < sum(not d.neuron_bounds.is_feasible() for d in alone) < len(alone)
     for d, ref in zip(batch, alone):
@@ -670,13 +680,82 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise():
         for k, rel in want.relaxations.items():
             assert all(np.array_equal(a, b) for a, b in zip(got.relaxations[k], rel, strict=True))
         if not want.is_feasible():
-            assert d.results is None and ref.results is None
+            assert d.branching is None and ref.branching is None
             continue
+        got, (want,) = next(results)
         for name in ("w", "b", "lower_bound", "x_star"):
-            assert np.array_equal(getattr(d.results, name), getattr(ref.results, name)), name
-        assert sorted(d.results.A) == sorted(ref.results.A)
-        for k, v in ref.results.A.items():
-            assert np.array_equal(d.results.A[k], v)
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert sorted(got.A) == sorted(want.A)
+        for k, v in want.A.items():
+            assert np.array_equal(got.A[k], v)
+        _assert_same_branching(d.branching, ref.branching)
+
+
+def _assert_same_branching(got, want):
+    fields = ("row", "clamps", "pick", "kind")
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert np.array_equal(got.raw_lower_bound, want.raw_lower_bound, equal_nan=True)
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        for name in ("x_star", "abstract_margin", "concrete_margin", "kind"):
+            assert np.array_equal(getattr(got.witness, name), getattr(want.witness, name)), name
+        for a, b in zip(got.witness.preacts, want.witness.preacts, strict=True):
+            assert np.array_equal(a, b)
+    assert (got.scores is None) == (want.scores is None)
+    if want.scores is not None:
+        assert sorted(got.scores) == sorted(want.scores)
+        for k, v in want.scores.items():
+            assert np.array_equal(got.scores[k], v)
+
+
+def _fallback_net():
+    """m(x) = ReLU(x) + 1e-14 ReLU(x + 0.1) + 0.5 ReLU(-x) - 0.2 on [-1, 1]:
+    every coefficient is positive, so drg's scores vanish and babsr picks,
+    and once babsr has split neurons 0 and 2, neuron 1's scores (about
+    5e-15) are within ZERO_SCORE_TOL and the search bisects."""
+    return model.make_network([
+        (np.array([[1.0], [1.0], [-1.0]]), np.array([0.0, 0.1, 0.0]), model.RELU),
+        (np.array([[1.0, 1e-14, 0.5]]), np.array([-0.2]), model.LINEAR),
+    ])
+
+
+def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatch):
+    # For every kind: _mixed_batch with its margins raised by 9 (most
+    # witnesses spurious, two bounds above zero) plus a sub-domain pruned by
+    # its parent's bound, then every lookahead pass of a search whose
+    # heuristic scores vanish (babsr picks, then it bisects). Each
+    # sub-domain's Branching in the stack equals its Branching alone.
+    net, C, root, batch = _mixed_batch(margin_shift=9.0)
+    slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
+    slopes = {k: v[0] for k, v in slopes.items()}
+    bound, passes = bab.bound_subdomains, []
+
+    def recording(ds, *spec):
+        alone = [dataclasses.replace(d) for d in ds]
+        bound(ds, *spec)
+        passes.append((alone, [d.branching for d in ds], spec))
+
+    monkeypatch.setattr(bab, "bound_subdomains", recording)
+    seen = {"pruned": 0, "split": 0, "fallback": 0, "bisect": 0}
+    for kind in heuristics.KINDS:
+        passes.clear()
+        by_parent = dataclasses.replace(batch[0], parent_lower_bound=1.0)
+        bab.bound_subdomains([dataclasses.replace(d) for d in batch] + [by_parent], C, slopes, kind)
+        bab.verify(scalar_task(_fallback_net()), kind, bab.BabConfig(max_branches=60))
+        assert max(len(taken) for _, taken, spec in passes if spec) > 1
+        for alone, taken, spec in passes:
+            for ref, b in zip(alone, taken, strict=True):
+                bound([ref], *spec)
+                if b is None:  # infeasible, or a pass without the spec
+                    assert ref.branching is None
+                    continue
+                _assert_same_branching(b, ref.branching)
+                seen["pruned"] += b.witness is None
+                seen["split"] += b.kind == kind
+                seen["fallback"] += b.kind == heuristics.BABSR != kind
+                seen["bisect"] += b.scores is not None and b.pick is None
+        assert by_parent.branching.witness is None and by_parent.branching.raw_lower_bound < 0
+    assert min(seen.values()) > 0, seen
 
 
 def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
@@ -712,22 +791,40 @@ def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
 
 
 def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
-    # The witness's forward pass gives both its concrete margin and the
-    # pre-activations drg and grad score with; nothing evaluates x* again.
+    # The witnesses of a stack run the concrete network in one stacked pass,
+    # which gives both their concrete margins and the pre-activations drg
+    # and grad score with; nothing evaluates x* again. Its rows are the
+    # witnessed nodes plus the sub-domains a lookahead pass witnessed that
+    # were never processed, and no pruned sub-domain gets one.
     assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "2",
                      "--eps", "0.25", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
-    forward = model.forward
-    calls = []
-    monkeypatch.setattr(model, "forward", lambda *a: calls.append(1) or forward(*a))
+    forward, take, bound = model.forward, bab.branchings, bab.bound_subdomains
+    rows, taken, bounded, never_processed = [], [], [], 0
+    monkeypatch.setattr(model, "forward", lambda net, x: rows.append(len(x)) or forward(net, x))
+
+    def recording(net, C, slopes, heuristic, ds, *rest):
+        take(net, C, slopes, heuristic, ds, *rest)
+        taken.extend((d.branching, d.parent_lower_bound) for d in ds)
+
+    monkeypatch.setattr(bab, "branchings", recording)
+    monkeypatch.setattr(bab, "bound_subdomains",
+                        lambda ds, *spec: bounded.extend(ds) or bound(ds, *spec))
     for _, model_path, spec_path in cli.discover_suite(str(tmp_path)):
         task = model.load_task(model_path, spec_path)
         config = bab.BabConfig(timeout_seconds=600.0, max_branches=50, trace=True)
         for kind in ("drg", "grad"):
-            calls.clear()
+            rows.clear(), taken.clear(), bounded.clear()
             stats = bab.verify(task, kind, config)
             witnesses = sum("witness_margin" in e for e in stats.per_node_trace)
+            left = sum(d.branching is not None and d.branching.witness is not None for d in bounded)
             assert stats.splits_made > 0
-            assert len(calls) == witnesses
+            assert sum(rows) == witnesses + left
+            never_processed += left
+            assert sum(b.witness is not None for b, _ in taken) == sum(rows)
+            for b, parent in taken:
+                raw = b.raw_lower_bound
+                assert (b.witness is not None) == (math.isfinite(raw) and max(raw, parent) <= 0)
+    assert never_processed > 0
 
 
 def _single_point_task(seed):
@@ -770,8 +867,12 @@ def test_a_non_finite_bound_or_witness_margin_ends_the_run_unknown(monkeypatch):
     assert entry["action"] == "non-finite" and entry["raw_lower_bound"] == -np.inf
     # A witness margin of -inf would otherwise be a concrete violation.
     validate = bab.witness_mod.validate_witness
-    monkeypatch.setattr(bab.witness_mod, "validate_witness", lambda *a: dataclasses.replace(
-        validate(*a), concrete_margin=np.array([-np.inf])))
+
+    def infinite_margins(*args):
+        wit = validate(*args)
+        return dataclasses.replace(wit, concrete_margin=np.full_like(wit.concrete_margin, -np.inf))
+
+    monkeypatch.setattr(bab.witness_mod, "validate_witness", infinite_margins)
     stats = bab.verify(scalar_task(scalar_relu_net(out_bias=-0.5)), "drg")
     assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "non-finite bound")
 

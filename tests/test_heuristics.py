@@ -4,7 +4,7 @@ import pytest
 from reluverify import bab, cli, heuristics, model, relax
 
 from helpers import (adaptive_slopes, bounds_of, hand_bounds, identity_relu_net, make_domain,
-                     random_net)
+                     random_net, scores_of, select_of)
 
 # The two-neuron scenario used throughout: n_A spans [-2, 18] (width 20),
 # n_B spans [-4, 4] (width 8), both with sensitivity magnitude 1 on the
@@ -28,8 +28,8 @@ def _scores(kind, A, l, u, z, alpha=None, out_weights=None):
     bound = relax.BoundResult(np.ones(z.size), 0.0, -1.0, {0: np.asarray(A, dtype=float)}, z)
     domain = bab.SubDomain(z, z, nb)
     slopes = None if alpha is None else {0: np.asarray(alpha, float)}
-    scores, clamps = heuristics.score_branches(kind, net, np.array([1.0]), bound, domain,
-                                               model.forward(net, z)[1], slopes)
+    scores, clamps = scores_of(kind, net, np.array([1.0]), bound, domain,
+                               model.forward(net, z)[1], slopes)
     assert sorted(scores) == [0]
     return scores[0], clamps
 
@@ -60,7 +60,7 @@ def test_directional_gap_rejects_stable():
     # stable neurons are never candidates, whatever their coefficient
     s, _ = _scores("drg", [-1.0, -1.0], [1.0, -2.0], [2.0, -0.5], [0.5, -1.0])
     assert s.tolist() == [-np.inf, -np.inf]
-    assert heuristics.select_branch({0: s}) is None
+    assert select_of({0: s}) is None
 
 
 def test_directional_gap_clamps_outside_interval():
@@ -74,13 +74,13 @@ def test_drg_score_prefers_narrow_neuron_with_larger_gap():
     s, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
     assert abs(s[0] - 1.0) < 1e-12
     assert abs(s[1] - 2.0) < 1e-12
-    assert heuristics.select_branch({0: s}) == (0, 1)
+    assert select_of({0: s}) == (0, 1)
 
 
 def test_drg_score_all_zero_when_coefficients_nonnegative():
     s, _ = _scores("drg", [1.0, 0.5], CASE_L, CASE_U, CASE_Z)
     assert s.tolist() == [0.0, 0.0]
-    assert heuristics.select_branch({0: s}) is None
+    assert select_of({0: s}) is None
 
 
 def test_drg_score_matches_independent_formula():
@@ -145,9 +145,9 @@ def test_width_score_reproduces_the_trap():
     widths, _ = _scores("width", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
     assert widths.tolist() == [20.0, 8.0]
     # width prefers the wide neuron, the gap heuristic the narrow one
-    assert heuristics.select_branch({0: widths}) == (0, 0)
+    assert select_of({0: widths}) == (0, 0)
     drg, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
-    assert heuristics.select_branch({0: drg}) == (0, 1)
+    assert select_of({0: drg}) == (0, 1)
 
 
 def test_babsr_score_matches_independent_formula():
@@ -178,38 +178,51 @@ def test_center_scores_at_the_box_center():
     far_corner = np.array([10.0, 2.0])
     bound = relax.BoundResult(np.ones(2), 0.0, -1.0, {0: np.array([-1.0, -1.0])}, far_corner)
     domain = bab.SubDomain(np.array([6.0, -2.0]), np.array([10.0, 2.0]), nb)
-    s, _ = heuristics.score_branches("center", net, np.array([1.0]), bound, domain,
-                                     model.forward(net, far_corner)[1], None)
+    s, _ = scores_of("center", net, np.array([1.0]), bound, domain,
+                     model.forward(net, far_corner)[1], None)
     drg_at_center, _ = _scores("drg", [-1.0, -1.0], CASE_L, CASE_U, CASE_Z)
     assert s[0].tolist() == drg_at_center.tolist()
 
 
 def test_select_branch_argmax_and_ties():
-    assert heuristics.select_branch({1: np.array([1.0, 2.0])}) == (1, 1)
+    assert select_of({1: np.array([1.0, 2.0])}) == (1, 1)
     out = -np.inf  # not splittable
     layer1 = np.array([out, out, 1.0, out, 1.0])
     layer2 = np.array([out, out, out, 1.0])
-    assert heuristics.select_branch({1: layer1, 2: layer2}) == (1, 2)
-    assert heuristics.select_branch({2: layer2, 1: layer1}) == (1, 2)
+    assert select_of({1: layer1, 2: layer2}) == (1, 2)
+    assert select_of({2: layer2, 1: layer1}) == (1, 2)
 
 
 def test_select_branch_invariant_to_positive_rescaling():
     rng = np.random.default_rng(45)
     scores = {0: rng.uniform(0, 5, 10)}
-    base = heuristics.select_branch(scores)
+    base = select_of(scores)
     for c in (0.5, 2.0, 17.0):
-        assert heuristics.select_branch({0: c * scores[0]}) == base
+        assert select_of({0: c * scores[0]}) == base
 
 
 def test_select_branch_empty_signals_none():
-    assert heuristics.select_branch({}) is None
-    assert heuristics.select_branch({0: np.array([-np.inf, -np.inf])}) is None
+    assert select_of({}) is None
+    assert select_of({0: np.array([-np.inf, -np.inf])}) is None
 
 
 def test_select_branch_ignores_scores_within_tolerance():
     tol = heuristics.ZERO_SCORE_TOL
-    assert heuristics.select_branch({0: np.array([tol, 0.0]), 1: np.array([-np.inf])}) is None
-    assert heuristics.select_branch({0: np.array([tol, 0.0]), 1: np.array([2 * tol])}) == (1, 0)
+    assert select_of({0: np.array([tol, 0.0]), 1: np.array([-np.inf])}) is None
+    assert select_of({0: np.array([tol, 0.0]), 1: np.array([2 * tol])}) == (1, 0)
+
+
+def test_select_branch_picks_each_domain_of_a_stack_by_its_own_scores():
+    tol, out = heuristics.ZERO_SCORE_TOL, -np.inf
+    layer0 = np.array([[1.0, 3.0, 3.0],  # a tie within a layer: the lower neuron
+                       [2.0, 1.0, out],  # a tie across layers: the lower layer
+                       [tol, 0.0, out],  # nothing above the tolerance: no pick
+                       [np.nan, 5.0, 1.0]])  # a NaN in layer 0: layer 1's pick stands
+    layer1 = np.array([[0.5, 1.0], [0.0, 2.0], [tol, out], [0.5, 2.0]])
+    picks = heuristics.select_branch({1: layer1, 0: layer0})
+    assert picks == {0: (0, 1), 1: (0, 0), 3: (1, 1)}
+    for i in range(4):
+        assert select_of({0: layer0[i], 1: layer1[i]}) == picks.get(i)
 
 
 def test_unknown_kind_is_an_input_error():
@@ -236,8 +249,8 @@ def test_scores_skip_stable_and_split_neurons():
     j = int(unstable[0])
     d2 = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, j): +1})
     res = bounds_of(net, np.array([[1.0]]), d2, adaptive_slopes(net, d2))[0]
-    scores, _ = heuristics.score_branches("drg", net, np.array([1.0]), res, d2,
-                                          model.forward(net, np.zeros(2))[1], None)
+    scores, _ = scores_of("drg", net, np.array([1.0]), res, d2,
+                          model.forward(net, np.zeros(2))[1], None)
     candidates = set(np.flatnonzero(np.isfinite(scores[0])).tolist())
     assert j not in candidates
     assert candidates == set(np.flatnonzero(d2.neuron_bounds.relaxations[0][1]).tolist())

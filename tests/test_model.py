@@ -233,3 +233,47 @@ def test_spec_c_columns_must_match_output_dim(tmp_path):
                 {"input_lower": [-1.0], "input_upper": [1.0], "C": [[1.0, 2.0]]})
     with pytest.raises(model.InputError, match="output_dim"):
         model.load_task(mp, sp)
+
+
+def _forward_alone(net, x):
+    """One point's forward pass as single matrix-vector products W @ h."""
+    h, preacts = x, []
+    for layer in net.layers:
+        z = layer.weights @ h + layer.bias
+        preacts.append(z)
+        h = np.maximum(z, 0.0) if layer.activation == model.RELU else z
+    return h, preacts
+
+
+def _gradients_alone(net, c_row, preacts):
+    """One point's margin gradients as single products W.T @ g."""
+    g, grads = c_row.copy(), [None] * net.n_layers
+    for k in range(net.n_layers - 1, -1, -1):
+        if net.layers[k].activation == model.RELU:
+            g = g * (preacts[k] > 0.0)
+        grads[k] = g
+        if k > 0:
+            g = net.layers[k].weights.T @ g
+    return grads
+
+
+@pytest.mark.parametrize("n_in, widths, n_out", [(4, [16, 16], 3), (8, [64, 64, 64], 5)])
+def test_a_stack_of_points_gets_each_points_forward_and_gradients_bitwise(n_in, widths, n_out):
+    # The layer shapes of the benchmark's suites: every point of a stack and a
+    # point alone get the bits of the single matrix-vector products.
+    rng = np.random.default_rng(92)
+    net = random_net(rng, n_in, widths, n_out)
+    xs = rng.uniform(-1.0, 1.0, (32, n_in))
+    c_rows = rng.normal(size=(32, n_out))
+    logits, preacts = model.forward(net, xs)
+    grads = model.margin_preact_gradients(net, c_rows, preacts)
+    for i, x in enumerate(xs):
+        want, want_preacts = _forward_alone(net, x)
+        want_grads = _gradients_alone(net, c_rows[i], want_preacts)
+        one, one_preacts = model.forward(net, x)
+        assert np.array_equal(logits[i], want) and np.array_equal(one, want)
+        for k, z in enumerate(want_preacts):
+            assert np.array_equal(preacts[k][i], z) and np.array_equal(one_preacts[k], z)
+        one_grads = model.margin_preact_gradients(net, c_rows[i], one_preacts)
+        for k, g in enumerate(want_grads):
+            assert np.array_equal(grads[k][i], g) and np.array_equal(one_grads[k], g)

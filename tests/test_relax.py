@@ -10,7 +10,8 @@ from reluverify.cli import generate_instance
 
 from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, layer_scan,
                      make_domain, near_limit_task, optimize_of, propagate_of, random_net,
-                     reference_optimize_alpha, reference_relu_backward, scalar_relu_net)
+                     reference_optimize_alpha, reference_relu_backward, scalar_relu_net,
+                     witness_of)
 
 
 def _relaxation(l, u):
@@ -367,8 +368,6 @@ def test_concretize_matches_witness_dot_bitwise():
 
 
 def test_bound_equals_witness_abstract_margin_bitwise():
-    from reluverify import witness
-
     rng = np.random.default_rng(30)
     for trial in range(20):
         n0 = int(rng.integers(1, 13))
@@ -378,7 +377,7 @@ def test_bound_equals_witness_abstract_margin_bitwise():
         d = make_domain(net, lo, hi)
         c = rng.normal(size=(1, 2))
         res = bounds_of(net, c, d, adaptive_slopes(net, d))[0]
-        wit = witness.validate_witness(net, c, res)
+        wit = witness_of(net, c, res)
         assert wit.abstract_margin == res.lower_bound
 
 

@@ -4,7 +4,7 @@ import numpy as np
 
 from reluverify import model, relax, witness
 
-from helpers import adaptive_slopes, bounds_of, make_domain, scalar_relu_net
+from helpers import adaptive_slopes, bounds_of, make_domain, scalar_relu_net, witness_of
 
 
 def _minimizer(w, lo, hi, b=0.0):
@@ -24,7 +24,7 @@ def _validate_at(net, C, x):
     d = make_domain(net, x, x)
     bound = bounds_of(net, C[:1], d, adaptive_slopes(net, d))[0]
     assert np.array_equal(bound.x_star, x)
-    return witness.validate_witness(net, C, bound)
+    return witness_of(net, C, bound)
 
 
 def test_sign_rule():
@@ -80,8 +80,8 @@ def test_abstract_margin_equals_lower_bound():
     net = scalar_relu_net(out_bias=-0.2)
     d = make_domain(net, [-1.0], [1.0])
     res = bounds_of(net, np.array([[1.0]]), d, {0: np.array([0.5])})[0]
-    wit = witness.validate_witness(net, np.array([[1.0]]), res)
-    assert wit.x_star is res.x_star
+    wit = witness_of(net, np.array([[1.0]]), res)
+    assert np.shares_memory(wit.x_star, res.x_star)  # the bound's own minimizer, not a copy
     assert abs(wit.abstract_margin - res.lower_bound) <= 1e-12
     # the safety check failed, so the witness violates in the abstract domain
     assert res.lower_bound < 0
