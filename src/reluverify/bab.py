@@ -1,12 +1,13 @@
 """Worklist-driven branch-and-bound over ReLU sub-domains.
 
-A processed sub-domain is decided in four phases: bound the margin with the
-convex relaxation, prune if the bound clears zero, otherwise evaluate the
-bound's box minimizer on the concrete network (a violation ends the search as
-Unsafe), and finally split on the neuron the heuristic blames for the spurious
-witness. A worklist lookahead pass takes every number of these phases for a
-stack of sub-domains at once (the root is a stack of one); the decisions
-stay sequential, in pop order. A split lives only in its clamp: each child's
+A sub-domain is decided in four phases: bound the margin with the convex
+relaxation, prune if the bound clears zero, otherwise evaluate the bound's
+box minimizer on the concrete network (a violation ends the search as
+Unsafe), and finally split on the neuron the heuristic blames for the
+spurious witness. branchings decides them for a stack of sub-domains at once
+(a worklist lookahead pass; the root is a stack of one) and records each
+decision as a Branching's action; _process_node applies the decisions one
+at a time, in pop order. A split lives only in its clamp: each child's
 pre-activation interval of the split neuron starts (+1) or ends (-1) at
 zero, and every later bound pass intersects with it. Input bisection restores
 completeness when no neuron split is available.
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import math
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -135,13 +135,15 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
 
 @dataclass
 class Branching:
-    """What deciding a sub-domain reads: the worst spec row (the first on ties)
-    and its bound; the witness, unless that bound is non-finite or prunes; if the
-    witness is spurious, the gap clamps, the pick and the kind that made it (no
-    pick: bisect), and the scores the trace reads."""
+    """A sub-domain's decision and what it reads: the worst spec row (the first
+    on ties) and its bound; the action (non-finite, pruned-safe, unsafe, split
+    or bisect); the witness, unless that bound is non-finite or prunes; if the
+    witness is spurious, the gap clamps, the pick and the kind that made it,
+    and the scores the trace reads."""
 
     row: int
     raw_lower_bound: float
+    action: str
     witness: Optional[witness_mod.Witness] = None
     clamps: int = 0
     pick: Optional[Tuple[int, int]] = None
@@ -151,28 +153,43 @@ class Branching:
 
 def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
                ds: Sequence[SubDomain], domains: Domains, results: BoundResult) -> None:
-    """Give each sub-domain of ds its Branching. domains stacks them, bounded;
-    results are their bounds of every spec row under slopes, the root's. The
-    witnesses take one stacked concrete pass, the spurious ones one stacked
-    scoring and pick, and those the heuristic picks nothing in one for babsr.
+    """Decide each sub-domain of ds: give it its Branching, action included.
+    domains stacks them, bounded; results are their bounds of every spec row
+    under slopes, the root's. The search's phase rules are written here
+    only, on the stacked arrays, in this order:
+
+    - a non-finite bound: non-finite;
+    - the bound, or the parent's (valid on the shrunken region), > 0:
+      pruned-safe;
+    - otherwise the witnesses take one stacked concrete pass. A non-finite
+      witness margin: non-finite; one <= 0: unsafe;
+    - the spurious rest take one stacked scoring and pick, and those the
+      heuristic picks nothing in one for babsr: split, or bisect without a
+      pick.
+
     Each number is the one a stack of one gives."""
     worst = np.argmin(results.lower_bound, axis=-1)  # the first row on ties
     raw = results.lower_bound[np.arange(len(ds)), worst]
-    for d, row, lb in zip(ds, worst.tolist(), raw.tolist()):
-        d.branching = Branching(row, lb)
-    # The domains _process_node neither ends as non-finite nor prunes.
     parents = np.array([d.parent_lower_bound for d in ds])
-    idx = np.flatnonzero(np.isfinite(raw) & (np.maximum(raw, parents) <= 0.0))
+    pruned = np.maximum(raw, parents) > 0.0
+    # "bisect" stands until a later phase decides otherwise.
+    action = np.where(np.isfinite(raw), np.where(pruned, "pruned-safe", "bisect"), "non-finite")
+    for d, row, lb, act in zip(ds, worst.tolist(), raw.tolist(), action.tolist()):
+        d.branching = Branching(row, lb, act)
+    idx = np.flatnonzero(action == "bisect")
     if not len(idx):
         return
     rows = worst[idx]
     bound = results[idx, rows]
-    wit = witness_mod.validate_witness(net, C, bound)
-    for j, i in enumerate(idx.tolist()):
-        ds[i].branching.witness = wit[j]
+    wit, preacts = witness_mod.validate_witness(net, C, bound)
     margins = wit.concrete_margin.min(axis=-1)
-    todo = np.flatnonzero(np.isfinite(margins) & (margins > 0.0))  # spurious: phase 4
-    c_rows, preacts, row_slopes = C[rows], wit.preacts, {k: v[rows] for k, v in slopes.items()}
+    action = np.where(np.isfinite(margins), np.where(margins <= 0.0, "unsafe", "bisect"),
+                      "non-finite")
+    for j, (i, act) in enumerate(zip(idx.tolist(), action.tolist())):
+        b = ds[i].branching
+        b.witness, b.action = wit[j], act
+    todo = np.flatnonzero(action == "bisect")  # spurious
+    c_rows, row_slopes = C[rows], {k: v[rows] for k, v in slopes.items()}
     for kind in dict.fromkeys((heuristic, heuristics.BABSR)):
         if not len(todo):
             break
@@ -191,7 +208,7 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
             if pick is not None or b.scores is None:  # a bisection traces the heuristic's
                 b.scores = {k: s[j] for k, s in scores.items()}
             if pick is not None:
-                b.pick, b.kind = pick, kind
+                b.pick, b.kind, b.action = pick, kind, "split"
         todo = np.array([j for j in range(len(idx)) if j not in picks], dtype=np.intp)
 
 
@@ -350,64 +367,49 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
 
 def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
                   stats: RunStats, d: SubDomain) -> Tuple[dict, Tuple[SubDomain, ...]]:
-    """Decide one sub-domain, node stats.branches_visited, from its Branching.
+    """Apply one sub-domain's Branching, node stats.branches_visited.
 
-    Returns its trace entry, whose "action" is pruned-safe, unsafe, split,
-    bisect, stuck or non-finite, and the children to queue. slopes are the
-    root's optimized slopes, one row per spec row. d.branching (from a
-    lookahead pass or the root's slope optimization, else taken here) is used
-    and dropped. The witness, split and clamp counts go into stats.
+    Returns its trace entry, whose "action" is the Branching's, or stuck
+    when a box to bisect cannot be halved, and the children to queue. slopes
+    are the root's optimized slopes, one row per spec row. d.branching (from
+    a lookahead pass or the root's slope optimization, else taken here as a
+    stack of one) is used and dropped. The Unsafe witness, split and clamp
+    counts go into stats.
     """
     net, C = task.network, task.spec_matrix
-    if d.branching is None:  # as a stack of one
+    if d.branching is None:
         one = Domains(d.box_lower[None], d.box_upper[None], NeuronBounds.stack([d.neuron_bounds]))
         branchings(net, C, slopes, heuristic, [d], one, relax.compute_bounds(net, C, one, slopes))
     b, d.branching = d.branching, None
+    # The parent's bound remains valid on this shrunken region; inheriting it
+    # keeps node bounds monotone even when the clamped relaxation drifts.
+    eff_lb = max(b.raw_lower_bound, d.parent_lower_bound)
     entry = {
         "node": stats.branches_visited,
         "depth": d.depth,
         "parent_lower_bound": d.parent_lower_bound,
         "n_splits": d.n_splits,
+        "lower_bound": eff_lb,
+        "raw_lower_bound": b.raw_lower_bound,
+        "row": b.row,
     }
-
-    # Phase 1: the worst spec row's bound.
-    raw_lb = b.raw_lower_bound
-    # The parent's bound remains valid on this shrunken region; inheriting it
-    # keeps node bounds monotone even when the clamped relaxation drifts.
-    eff_lb = max(raw_lb, d.parent_lower_bound)
-    entry["lower_bound"] = eff_lb
-    entry["raw_lower_bound"] = raw_lb
-    entry["row"] = b.row
-    if not math.isfinite(raw_lb):
-        return dict(entry, action="non-finite"), ()
-
-    # Phase 2: safety check.
-    if eff_lb > 0.0:
-        entry["action"] = "pruned-safe"
+    if b.witness is not None:
+        entry["witness_margin"] = float(b.witness.concrete_margin.min())
+    entry["action"] = b.action
+    if b.action == "unsafe":
+        stats.witness = b.witness
+    if b.action not in ("split", "bisect"):
         return entry, ()
 
-    # Phase 3: counterexample validation at the bound's own minimizer.
-    wit = b.witness
-    entry["witness_margin"] = float(wit.concrete_margin.min())
-    if not math.isfinite(entry["witness_margin"]):
-        return dict(entry, action="non-finite"), ()
-    if wit.kind == witness_mod.CONCRETE_VIOLATION:
-        stats.witness = wit
-        entry["action"] = "unsafe"
-        return entry, ()
-
-    # Phase 4: refinement guided by the spurious witness. When every score of
-    # the heuristic vanishes, babsr picks; when babsr's vanish too, bisect.
     stats.gap_clamp_events += b.clamps
-    if b.pick is not None:
+    if b.action == "split":
         children = split_subdomain(net, d, *b.pick)
-        entry.update(action="split", split=list(b.pick), split_kind=b.kind)
+        entry.update(split=list(b.pick), split_kind=b.kind)
     else:
         children = input_bisect(net, d)
         if children is None:
             entry["action"] = "stuck"
             return entry, ()
-        entry["action"] = "bisect"
 
     stats.splits_made += 1
     if stats.per_node_trace is not None:  # only the trace reads them
@@ -452,8 +454,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, stack,
                                            config.alpha_iters, config.alpha_step, deadline)
     slopes = {k: v[0] for k, v in slopes.items()}
-    if results is not None:
-        branchings(task.network, task.spec_matrix, slopes, heuristic, [root], stack, results)
+    branchings(task.network, task.spec_matrix, slopes, heuristic, [root], stack, results)
     batch = lookahead(task.network)
     worklist = Worklist(task.spec_matrix, slopes, heuristic)
     stuck = False

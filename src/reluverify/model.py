@@ -176,17 +176,6 @@ def forward(net: Network, x) -> Tuple[np.ndarray, List[np.ndarray]]:
     return h, preacts
 
 
-def forward_batch(net: Network, xs: np.ndarray) -> np.ndarray:
-    """Evaluate the network on a (n_points, input_dim) batch; returns logits rows."""
-    h = np.asarray(xs, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != net.input_dim:
-        raise InputError(f"forward_batch: batch shape {h.shape} does not match input_dim")
-    for layer in net.layers:
-        z = h @ layer.weights.T + layer.bias
-        h = np.maximum(z, 0.0) if layer.activation == RELU else z
-    return h
-
-
 def margin(net: Network, C, x) -> np.ndarray:
     """Margin C @ f(x); the property holds iff every entry is strictly positive."""
     C = np.asarray(C, dtype=np.float64)

@@ -297,7 +297,7 @@ def scan_margin(task: VerificationTask, samples: int, seed: int = 0) -> Tuple[np
     points = rng.uniform(lo, hi, size=(samples, task.network.input_dim))
     if task.network.input_dim <= 16:
         points = np.vstack([points, _corners(lo, hi)])
-    logits = model.forward_batch(task.network, points)
+    logits, _ = model.forward(task.network, points)
     margins = (logits @ task.spec_matrix.T).min(axis=1)
     worst = int(np.argmin(margins))
     return points[worst], float(margins[worst])

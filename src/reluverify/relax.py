@@ -409,16 +409,16 @@ def alpha_gradient(net: Network, domains: Domains, slopes: Slopes,
 def optimize_alpha(
     net: Network, C: np.ndarray, domains: Domains, iters: int, step: float,
     deadline: Optional[float] = None,
-) -> Tuple[Slopes, Optional[BoundResult]]:
+) -> Tuple[Slopes, BoundResult]:
     """Maximize each spec row's concretized lower bound over its slopes, on
     each domain of a stack, by projected gradient ascent with backtracking.
 
     C is an (m, p) stack of spec rows; the slopes come back as (D, m, n_k)
     arrays, one row per domain and spec row, with the best iterate seen per
     row, and the bound they give, which equals compute_bounds(net, C,
-    domains, slopes) bit for bit. The bound is None when there is nothing to
-    optimize (no ReLU layer) and no slopes come back. An infeasible domain
-    raises ValueError, as in compute_bounds.
+    domains, slopes) bit for bit; with no ReLU layer there are no slopes, and
+    the bound is that of the network alone. An infeasible domain raises
+    ValueError, as in compute_bounds.
 
     The rows are optimized together, one bound pass per line-search round,
     yet each follows exactly its own single-row path: a row stops on an
@@ -434,8 +434,6 @@ def optimize_alpha(
     bounds = domains.neuron_bounds
     cur = {k: np.repeat(adaptive_alpha(bounds.lower[k], bounds.upper[k])[:, None, :], len(C), 1)
            for k in range(len(bounds.lower)) if net.layers[k].activation == RELU}
-    if not cur:
-        return cur, None
     best = compute_bounds(net, C, domains, cur)
     active = np.ones(best.lower_bound.shape, dtype=bool)
     for _ in range(iters):

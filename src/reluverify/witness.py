@@ -1,9 +1,8 @@
-"""Classification of a bound's closed-form minimizer as a concrete violation
-or a spurious counterexample."""
+"""The bounds' closed-form minimizers, run through the concrete network."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple, Union
 
 import numpy as np
@@ -20,21 +19,22 @@ class Witness:
     """Minimizer of a symbolic lower bound over the box, with its concrete margin.
 
     x_star always sits on box corners. It is not clipped by split constraints,
-    so it may lie outside the sub-domain's exact region; the classification and
-    the branching scores still use it as the bound's minimizer. preacts holds
-    the network's pre-activations at x_star, from the pass that gave the
-    concrete margin. A stack has a leading domain axis and a kind per domain.
+    so it may lie outside the sub-domain's exact region; the branching scores
+    still use it as the bound's minimizer. A stack has a leading domain axis.
     """
 
     x_star: np.ndarray
     abstract_margin: Union[float, np.ndarray]
     concrete_margin: np.ndarray
-    kind: Union[str, Tuple[str, ...]]
-    preacts: List[np.ndarray] = field(repr=False, compare=False)
+
+    @property
+    def kind(self) -> str:
+        """A single witness's class: a concrete violation when some margin is
+        <= 0, else spurious."""
+        return CONCRETE_VIOLATION if self.concrete_margin.min() <= 0.0 else SPURIOUS
 
     def __getitem__(self, i: int) -> "Witness":
-        return Witness(self.x_star[i], float(self.abstract_margin[i]), self.concrete_margin[i],
-                       self.kind[i], [z[i] for z in self.preacts])
+        return Witness(self.x_star[i], float(self.abstract_margin[i]), self.concrete_margin[i])
 
     def to_dict(self) -> dict:
         return {
@@ -45,16 +45,13 @@ class Witness:
         }
 
 
-def validate_witness(net: model.Network, C, bound: BoundResult) -> Witness:
-    """Run the network once at each domain's minimizer and classify it.
+def validate_witness(net: model.Network, C, bound: BoundResult) -> Tuple[Witness, List[np.ndarray]]:
+    """Run the network once at each domain's minimizer.
 
     bound holds one spec row of each of D domains, whose witnesses come back
-    stacked. The abstract margin is the bound itself, its value at x_star. A
-    concrete_violation ends the verification as Unsafe; a spurious witness
-    feeds the branching heuristic.
+    stacked, with the network's pre-activations at them (for the branching
+    scores). The abstract margin is the bound itself, its value at x_star.
     """
     logits, preacts = model.forward(net, bound.x_star)
     concrete = (np.asarray(C, dtype=np.float64) @ logits[..., None])[..., 0]
-    kind = tuple(CONCRETE_VIOLATION if m <= 0.0 else SPURIOUS
-                 for m in concrete.min(axis=-1).tolist())
-    return Witness(bound.x_star, bound.lower_bound, concrete, kind, preacts)
+    return Witness(bound.x_star, bound.lower_bound, concrete), preacts

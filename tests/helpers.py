@@ -58,7 +58,7 @@ def gradient_of(net, C, domain, slopes):
 def optimize_of(net, C, domain, iters, step, deadline=None):
     """relax.optimize_alpha over one sub-domain: (m, n_k) slopes and its stack of rows."""
     slopes, bound = relax.optimize_alpha(net, C, stack_of(domain), iters, step, deadline)
-    return {k: v[0] for k, v in slopes.items()}, None if bound is None else bound[0]
+    return {k: v[0] for k, v in slopes.items()}, bound[0]
 
 
 def row_stack(bound):
@@ -70,7 +70,8 @@ def row_stack(bound):
 
 def witness_of(net, C, bound):
     """witness.validate_witness of one spec row's bound, as a stack of one."""
-    return witness.validate_witness(net, C, row_stack(bound))[0]
+    wit, _ = witness.validate_witness(net, C, row_stack(bound))
+    return wit[0]
 
 
 def scores_of(kind, net, c_row, bound, domain, preacts, slopes):

@@ -692,15 +692,13 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
 
 
 def _assert_same_branching(got, want):
-    fields = ("row", "clamps", "pick", "kind")
+    fields = ("row", "action", "clamps", "pick", "kind")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     assert np.array_equal(got.raw_lower_bound, want.raw_lower_bound, equal_nan=True)
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
         for name in ("x_star", "abstract_margin", "concrete_margin", "kind"):
             assert np.array_equal(getattr(got.witness, name), getattr(want.witness, name)), name
-        for a, b in zip(got.witness.preacts, want.witness.preacts, strict=True):
-            assert np.array_equal(a, b)
     assert (got.scores is None) == (want.scores is None)
     if want.scores is not None:
         assert sorted(got.scores) == sorted(want.scores)
@@ -750,11 +748,12 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
                     assert ref.branching is None
                     continue
                 _assert_same_branching(b, ref.branching)
-                seen["pruned"] += b.witness is None
-                seen["split"] += b.kind == kind
-                seen["fallback"] += b.kind == heuristics.BABSR != kind
-                seen["bisect"] += b.scores is not None and b.pick is None
-        assert by_parent.branching.witness is None and by_parent.branching.raw_lower_bound < 0
+                seen["pruned"] += b.action == "pruned-safe"
+                seen["split"] += b.action == "split" and b.kind == kind
+                seen["fallback"] += b.action == "split" and b.kind == heuristics.BABSR != kind
+                seen["bisect"] += b.action == "bisect"
+        assert by_parent.branching.action == "pruned-safe"
+        assert by_parent.branching.raw_lower_bound < 0
     assert min(seen.values()) > 0, seen
 
 
@@ -788,6 +787,39 @@ def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
     monkeypatch.setattr(bab, "lookahead", lambda net: 1)
     assert runs() == default
     assert max(batched) == 1
+
+
+def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path):
+    # The search record's suites and every heuristic: each processed node's
+    # trace action is the one branchings decided for it. The one exception
+    # is stuck, a bisection whose box cannot be halved.
+    from test_search_record import MAX_BRANCHES, SUITES
+
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES)
+    take, process, pairs, seen = bab.branchings, bab._process_node, [], set()
+
+    def recording(net, C, slopes, heuristic, ds, *rest):
+        take(net, C, slopes, heuristic, ds, *rest)
+        for d in ds:
+            d.decided = d.branching
+
+    def processing(task, heuristic, slopes, stats, d):
+        entry, children = process(task, heuristic, slopes, stats, d)
+        pairs.append((d.decided.action, entry["action"]))
+        return entry, children
+
+    monkeypatch.setattr(bab, "branchings", recording)
+    monkeypatch.setattr(bab, "_process_node", processing)
+    for i, gen_args in enumerate(SUITES):
+        for task in _gen_tasks(tmp_path / str(i), *gen_args[1:]):
+            for kind in heuristics.KINDS:
+                pairs.clear()
+                stats = bab.verify(task, kind, config)
+                assert len(pairs) == stats.branches_visited + 1
+                for decided, traced in pairs:
+                    assert traced == decided or (decided, traced) == ("bisect", "stuck")
+                seen.update(decided for decided, _ in pairs)
+    assert seen == {"pruned-safe", "unsafe", "split", "bisect"}
 
 
 def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
@@ -869,8 +901,9 @@ def test_a_non_finite_bound_or_witness_margin_ends_the_run_unknown(monkeypatch):
     validate = bab.witness_mod.validate_witness
 
     def infinite_margins(*args):
-        wit = validate(*args)
-        return dataclasses.replace(wit, concrete_margin=np.full_like(wit.concrete_margin, -np.inf))
+        wit, preacts = validate(*args)
+        return dataclasses.replace(
+            wit, concrete_margin=np.full_like(wit.concrete_margin, -np.inf)), preacts
 
     monkeypatch.setattr(bab.witness_mod, "validate_witness", infinite_margins)
     stats = bab.verify(scalar_task(scalar_relu_net(out_bias=-0.5)), "drg")

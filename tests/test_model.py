@@ -76,15 +76,6 @@ def test_preacts_satisfy_relu_relation():
             h = np.maximum(z, 0.0) if layer.activation == model.RELU else z
 
 
-def test_forward_batch_matches_forward():
-    rng = np.random.default_rng(8)
-    net = random_net(rng, 3, [5], 2)
-    xs = rng.uniform(-1, 1, (10, 3))
-    batch = model.forward_batch(net, xs)
-    for i in range(10):
-        assert np.allclose(batch[i], model.forward(net, xs[i])[0], rtol=0, atol=1e-12)
-
-
 def test_forward_dimension_mismatch():
     net = scalar_relu_net()
     with pytest.raises(model.InputError):

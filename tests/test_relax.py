@@ -151,7 +151,7 @@ def test_compute_bounds_sampled_soundness():
         c = rng.normal(size=2)
         res = bounds_of(net, c[None], d, adaptive_slopes(net, d))[0]
         xs = rng.uniform(lo, hi, size=(10_000, 3))
-        margins = model.forward_batch(net, xs) @ c
+        margins = model.forward(net, xs)[0] @ c
         bound_vals = xs @ res.w + res.b
         assert np.max(bound_vals - margins) <= 1e-9
 
@@ -173,7 +173,7 @@ def test_compute_bounds_sampled_soundness_with_splits():
         z = xs @ net.layers[0].weights.T + net.layers[0].bias
         keep = z[:, j] >= 0.0 if sign > 0 else z[:, j] < 0.0
         xs = xs[keep]
-        margins = model.forward_batch(net, xs) @ np.array([1.0])
+        margins = model.forward(net, xs)[0] @ np.array([1.0])
         assert np.max(xs @ res.w + res.b - margins) <= 1e-9
 
 
@@ -528,11 +528,13 @@ def test_optimize_alpha_bound_equals_compute_bounds_bitwise(monkeypatch):
         _assert_same_stacked_bound(bound, bounds_of(net, C[:1], d, slopes))
 
 
-def test_optimize_alpha_without_relu_layers_returns_no_bound():
+def test_optimize_alpha_without_relu_layers_returns_the_networks_bound():
     net = model.make_network([(np.ones((1, 2)), np.zeros(1), model.LINEAR)])
     d = make_domain(net, [-1.0, -1.0], [1.0, 1.0])
     slopes, bound = optimize_of(net, np.array([[1.0]]), d, 20, 0.25)
-    assert slopes == {} and bound is None
+    assert slopes == {}
+    _assert_same_stacked_bound(bound, bounds_of(net, np.array([[1.0]]), d, {}))
+    assert bound.lower_bound.tolist() == [-2.0]
     infeasible = make_domain(scalar_relu_net(), [0.5], [1.0], splits={(0, 0): -1})
     with pytest.raises(ValueError, match="infeasible"):
         optimize_of(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
