@@ -5,12 +5,12 @@ relaxation, prune if the bound clears zero, otherwise evaluate the bound's
 box minimizer on the concrete network (a violation ends the search as
 Unsafe), and finally split on the neuron the heuristic blames for the
 spurious witness. branchings decides them for a stack of sub-domains at once
-(a worklist lookahead pass; the root is a stack of one) and records each
-decision as a Branching's action; _process_node applies the decisions one
-at a time, in pop order. A split lives only in its clamp: each child's
-pre-activation interval of the split neuron starts (+1) or ends (-1) at
-zero, and every later bound pass intersects with it. Input bisection restores
-completeness when no neuron split is available.
+(a worklist pass, or the root alone) and records each decision as a
+Branching's action; _process_node applies the decisions one at a time, in
+pop order. A split lives only in its clamp: each child's pre-activation
+interval of the split neuron starts (+1) or ends (-1) at zero, and every
+later bound pass intersects with it. Input bisection restores completeness
+when no neuron split is available.
 """
 
 from __future__ import annotations
@@ -62,9 +62,9 @@ class SubDomain:
     A child made by a split or a bisection defers its bounds: while net is
     set, bounds holds the parent's intervals (without their relaxations, and
     with the split's clamp), and layers start_layer and later are recomputed
-    when it is bounded: by a worklist lookahead pass, which may also leave
-    its Branching in branching for _process_node, or on first read of
-    neuron_bounds. Children that no pass reaches are never bounded.
+    when a worklist pass bounds it, which also leaves its Branching in
+    branching for _process_node. Children that no pass reaches are never
+    bounded.
     """
 
     box_lower: np.ndarray
@@ -79,9 +79,14 @@ class SubDomain:
 
     @property
     def neuron_bounds(self) -> NeuronBounds:
-        if self.net is not None:
-            bound_subdomains([self])
-        return self.bounds
+        """The bounds. A deferred sub-domain's are those of a copy bounded
+        alone: reading them leaves it deferred, so no reader outside the
+        search changes which pass bounds it."""
+        if self.net is None:
+            return self.bounds
+        copy = dataclasses.replace(self)
+        bound_subdomains([copy])
+        return copy.bounds
 
     @classmethod
     def child(cls, net: Network, parent: "SubDomain", box_lower: np.ndarray,
@@ -109,9 +114,10 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     """Bound deferred sub-domains of one network in one stacked pass.
 
     Each gets its intervals, relaxations and feasibility. Given the spec
-    matrix C, the root's slopes and the heuristic, each feasible one also
-    gets its Branching, from one stacked compute_bounds pass and branchings.
-    Every number is the one bounding the sub-domain alone gives.
+    matrix C, the root's slopes and the heuristic, as every worklist pass
+    gives them, each feasible one also gets its Branching, from one stacked
+    compute_bounds pass and branchings. Every number is the one bounding
+    the sub-domain alone gives.
     """
     net = ds[0].net
     lo, hi = np.array([d.box_lower for d in ds]), np.array([d.box_upper for d in ds])
@@ -253,8 +259,8 @@ class BabConfig:
 class Worklist:
     """Priority queue popping the lowest parent_lower_bound first
     (most-violated-first); insertion order breaks ties deterministically.
-    Given the spec matrix C, the root's slopes and the heuristic, its
-    lookahead passes also take each sub-domain's Branching."""
+    Given the spec matrix C, the root's slopes and the heuristic, each pass
+    also takes the Branching of every sub-domain it bounds."""
 
     def __init__(self, C: Optional[np.ndarray] = None, slopes: Optional[Slopes] = None,
                  heuristic: Optional[str] = None):
@@ -275,20 +281,17 @@ class Worklist:
         one stacked pass (bound_subdomains, with their Branchings), and all go
         back under their own keys. Both depend only on the sub-domain and the
         order only on the keys, so every limit pops the same sub-domains with
-        the same numbers. A pass of one takes no Branching: _process_node
-        takes it if the sub-domain is processed, which a budget's last pop
-        never is.
+        the same numbers.
         """
         heap = self._heap
         while heap:
             if heap[0][2].net is not None:
                 top = [heapq.heappop(heap) for _ in range(min(limit, len(heap)))]
-                bound_subdomains([e[2] for e in top if e[2].net is not None],
-                                 *(self._spec if limit > 1 else ()))
+                bound_subdomains([e[2] for e in top if e[2].net is not None], *self._spec)
                 for entry in top:
                     heapq.heappush(heap, entry)
             d = heapq.heappop(heap)[2]
-            if d.neuron_bounds.is_feasible():
+            if d.bounds.is_feasible():
                 return d
         return None
 
@@ -312,8 +315,8 @@ def split_subdomain(
 
     The +1 child takes z >= 0 (the boundary belongs to it), the -1 child
     z < 0. Earlier-layer bounds are reused with the new clamp applied; later
-    layers are recomputed and intersected with the parent's when a child's
-    bounds are first read. Children whose bounds cross are infeasible; the
+    layers are recomputed and intersected with the parent's when a child is
+    bounded. Children whose bounds cross are infeasible; the
     worklist drops them when popped. A neuron split before is clamped at
     zero, so it is not unstable and cannot be split again.
     """
@@ -334,7 +337,7 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
     Restores completeness when no unstable neuron is splittable. Returns
     None when the box has zero width in every dimension, which makes the leaf
     undecidable (Unknown). The halves' bounds are recomputed from the first
-    layer when first read.
+    layer when they are bounded.
     """
     widths = d.box_upper - d.box_lower
     dim = int(np.argmax(widths))
@@ -365,21 +368,16 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
             raise InvariantError("input bisection did not shrink the box widths")
 
 
-def _process_node(task: VerificationTask, heuristic: str, slopes: Slopes,
-                  stats: RunStats, d: SubDomain) -> Tuple[dict, Tuple[SubDomain, ...]]:
+def _process_node(net: Network, stats: RunStats,
+                  d: SubDomain) -> Tuple[dict, Tuple[SubDomain, ...]]:
     """Apply one sub-domain's Branching, node stats.branches_visited.
 
     Returns its trace entry, whose "action" is the Branching's, or stuck
-    when a box to bisect cannot be halved, and the children to queue. slopes
-    are the root's optimized slopes, one row per spec row. d.branching (from
-    a lookahead pass or the root's slope optimization, else taken here as a
-    stack of one) is used and dropped. The Unsafe witness, split and clamp
+    when a box to bisect cannot be halved, and the children to queue.
+    d.branching, which the worklist pass that bounded d took (verify takes
+    the root's), is used and dropped. The Unsafe witness, split and clamp
     counts go into stats.
     """
-    net, C = task.network, task.spec_matrix
-    if d.branching is None:
-        one = Domains(d.box_lower[None], d.box_upper[None], NeuronBounds.stack([d.neuron_bounds]))
-        branchings(net, C, slopes, heuristic, [d], one, relax.compute_bounds(net, C, one, slopes))
     b, d.branching = d.branching, None
     # The parent's bound remains valid on this shrunken region; inheriting it
     # keeps node bounds monotone even when the clamped relaxation drifts.
@@ -460,7 +458,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     stuck = False
     d = root
     while True:
-        entry, children = _process_node(task, heuristic, slopes, stats, d)
+        entry, children = _process_node(task.network, stats, d)
         if stats.per_node_trace is not None:
             stats.per_node_trace.append(entry)
         if entry["action"] == "unsafe":

@@ -402,6 +402,8 @@ def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
     # Splitting and bisecting bound nothing; a child's bounds, once read, are
     # exactly what the eager rule gives: propagate at split time and clamp
     # every split on the path again at its layer (reference_propagate_bounds).
+    # A read leaves the child deferred, so the one descended into is bounded
+    # first.
     def assert_same(lazy, eager):
         assert lazy.is_feasible() == eager.is_feasible()
         if lazy.is_feasible():
@@ -447,6 +449,7 @@ def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
             if not feasible:
                 break
             d, path, ref = feasible[0]
+            bab.bound_subdomains([d])
         long_chains += len(path) >= 3
     assert long_chains >= 4
 
@@ -606,24 +609,28 @@ def test_propagate_bounds_bounds_each_subdomain_at_most_once(monkeypatch, tmp_pa
     assert capped >= 3 and never_popped > 0
 
 
-def test_a_zero_branch_budget_bounds_the_root_and_the_popped_child_alone(monkeypatch, tmp_path):
+def test_a_zero_branch_budget_bounds_the_root_and_each_popped_child_alone_with_the_spec(
+        monkeypatch, tmp_path):
     # With no branch to spend, the pop that finds the budget exhausted bounds
-    # only what it takes off the worklist, one entry at a time, and takes no
-    # phase-1 bound: exactly one child when the first is feasible. On the
-    # wide-triage suite (`gen --seed 13`, drg) that is 100 roots and 35
-    # children, no more than before lookahead.
+    # only what it takes off the worklist, one entry at a time, and takes its
+    # Branching like every pass: exactly one child when the first is
+    # feasible. On the wide-triage suite (`gen --seed 13`, drg) that is 100
+    # roots and 35 children, no more than before lookahead.
     tasks = _gen_tasks(tmp_path, "--seed", "13", "--layers", "3", "--widths", "64", "--count",
                        "100", "--eps", "0.05", "--inputs", "8", "--outputs", "5")
     counts, _, batches = _counting_bounds(monkeypatch)
     total = 0
     for task in tasks:
         counts.update(bounds=0, popped=0)
+        batches.clear()
         stats = bab.verify(task, "drg", bab.BabConfig(max_branches=0))
         assert counts["bounds"] == 1 + counts["popped"]
         if stats.unknown_reason == "branch budget exhausted":
             assert counts["popped"] >= 1
+        for (d,), spec in batches:
+            assert spec[0] is task.spec_matrix
+            assert (d.branching is not None) == d.bounds.is_feasible()
         total += counts["bounds"]
-    assert all(len(ds) == 1 and spec == () for ds, spec in batches)
     assert total == 135
 
 
@@ -740,11 +747,11 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
         by_parent = dataclasses.replace(batch[0], parent_lower_bound=1.0)
         bab.bound_subdomains([dataclasses.replace(d) for d in batch] + [by_parent], C, slopes, kind)
         bab.verify(scalar_task(_fallback_net()), kind, bab.BabConfig(max_branches=60))
-        assert max(len(taken) for _, taken, spec in passes if spec) > 1
+        assert max(len(taken) for _, taken, _ in passes) > 1
         for alone, taken, spec in passes:
             for ref, b in zip(alone, taken, strict=True):
                 bound([ref], *spec)
-                if b is None:  # infeasible, or a pass without the spec
+                if b is None:  # infeasible
                     assert ref.branching is None
                     continue
                 _assert_same_branching(b, ref.branching)
@@ -789,6 +796,55 @@ def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
     assert max(batched) == 1
 
 
+def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch, tmp_path):
+    # An observer that reads neuron_bounds of every split child, as
+    # verifbench's traced pass does, bounds a copy: the child stays deferred
+    # with the same bounds object. On the search record's suites every drg
+    # and babsr run keeps the batches its worklist passes bound, its
+    # compute_bounds calls and its trace bytes.
+    from test_search_record import MAX_BRANCHES, SUITES
+
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
+    tasks = [task for i, gen_args in enumerate(SUITES)
+             for task in _gen_tasks(tmp_path / str(i), *gen_args[1:])]
+    bound, compute, split = bab.bound_subdomains, relax.compute_bounds, bab.split_subdomain
+    passes, computed, reading, reads = [], [], [], []
+
+    def recording_bound(ds, *spec):
+        if not reading:  # the observer's reads are not the search's passes
+            passes.append(len(ds))
+        bound(ds, *spec)
+
+    def observed_split(*args):
+        children = split(*args)
+        reading.append(True)
+        for child in children:
+            before = child.bounds
+            child.neuron_bounds.is_feasible()
+            assert child.net is not None and child.bounds is before
+        reading.clear()
+        reads.append(len(children))
+        return children
+
+    monkeypatch.setattr(bab, "bound_subdomains", recording_bound)
+    monkeypatch.setattr(relax, "compute_bounds", lambda *a: computed.append(1) or compute(*a))
+
+    def runs():
+        out = []
+        for task in tasks:
+            for kind in ("drg", "babsr"):
+                passes.clear(), computed.clear()
+                s = bab.verify(task, kind, config)
+                out.append((s.verdict, s.branches_visited, list(passes), len(computed),
+                            repr(s.per_node_trace)))
+        return out
+
+    plain = runs()
+    monkeypatch.setattr(bab, "split_subdomain", observed_split)
+    assert runs() == plain
+    assert sum(reads) > 1000 and max(n for _, _, batches, _, _ in plain for n in batches) > 8
+
+
 def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path):
     # The search record's suites and every heuristic: each processed node's
     # trace action is the one branchings decided for it. The one exception
@@ -803,8 +859,8 @@ def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path)
         for d in ds:
             d.decided = d.branching
 
-    def processing(task, heuristic, slopes, stats, d):
-        entry, children = process(task, heuristic, slopes, stats, d)
+    def processing(net, stats, d):
+        entry, children = process(net, stats, d)
         pairs.append((d.decided.action, entry["action"]))
         return entry, children
 

@@ -10,10 +10,11 @@ variables for the whole test process.
 import ast
 import importlib
 import inspect
+import typing
 from dataclasses import fields
 from pathlib import Path
 
-from reluverify import bab
+from reluverify import bab, relax
 
 BENCH = Path(__file__).resolve().parents[1] / "verifbench"
 # Deleted on purpose: the witness is the bound's own minimizer, so nothing
@@ -98,3 +99,44 @@ def test_verify_signature_and_the_run_fields_read():
             if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "result"}
     assert "verdict" in read
     assert read <= {f.name for f in fields(bab.RunStats)}
+
+
+def _attribute_chains(expr, root):
+    """The longest attribute chains read off the name root in expr, as tuples."""
+    chains = set()
+    for node in ast.walk(expr):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.insert(0, node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id == root:
+            chains.add(tuple(chain))
+    return {c for c in chains if not any(len(o) > len(c) and o[:len(c)] == c for o in chains)}
+
+
+def test_the_attributes_the_split_observer_reads_resolve():
+    # trace_pass's observer of bab.split_subdomain reads attributes of each
+    # child it returns; every --trace 1 pass fails if one of them is renamed.
+    # Each is looked up on the type the one before it returns.
+    trace_pass = next(node for node in _tree("run.py").body
+                      if isinstance(node, ast.FunctionDef) and node.name == "trace_pass")
+    tracer = next(node for node in ast.walk(trace_pass)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Tracer")
+    observers = next(kw.value for kw in tracer.keywords if kw.arg == "observers")
+    name = dict(zip((ast.literal_eval(k) for k in observers.keys),
+                    (v.id for v in observers.values)))["bab.split_subdomain"]
+    on_split = next(node for node in ast.walk(trace_pass)
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+    result = on_split.args.args[1].arg  # called as observer(args, result)
+    chains = set()
+    for node in ast.walk(on_split):
+        if isinstance(node, (ast.GeneratorExp, ast.ListComp)):
+            for gen in node.generators:
+                if getattr(gen.iter, "id", None) == result:
+                    chains |= _attribute_chains(node.elt, gen.target.id)
+    assert chains == {("neuron_bounds", "is_feasible")}
+    owners = [bab.SubDomain]
+    for attr in ("neuron_bounds", "is_feasible"):
+        member = inspect.getattr_static(owners[-1], attr)  # AttributeError if renamed
+        owners.append(typing.get_type_hints(getattr(member, "fget", member))["return"])
+    assert owners == [bab.SubDomain, relax.NeuronBounds, bool]
