@@ -7,10 +7,13 @@ Unsafe), and finally split on the neuron the heuristic blames for the
 spurious witness. branchings decides them for a stack of sub-domains at once
 (a worklist pass, or the root alone) and records each decision as a
 Branching's action; _process_node applies the decisions one at a time, in
-pop order. A split lives only in its clamp: each child's pre-activation
-interval of the split neuron starts (+1) or ends (-1) at zero, and every
-later bound pass intersects with it. Input bisection restores completeness
-when no neuron split is available.
+pop order. A split lives only in its clamp: a child keeps its parent's
+intervals and the clamp (layer, neuron, sign), and the pass that bounds it
+writes the clamp into the child's row of the stacked base, so the split
+neuron's interval starts (+1) or ends (-1) at zero and every later bound
+pass intersects with it. A pass hands each sub-domain its intervals alone;
+relaxations live only on the stacks a pass bounds. Input bisection restores
+completeness when no neuron split is available.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +55,7 @@ def lookahead(net: Network) -> int:
 
 @dataclass
 class SubDomain:
-    """A box plus pre-activation bounds, which carry every split as a clamp.
+    """A box plus pre-activation intervals, which carry every split as a clamp.
 
     n_splits counts the neuron splits on the path from the root, depth the
     splits plus input bisections. parent_lower_bound is the bound of the node
@@ -60,11 +63,12 @@ class SubDomain:
     shrank) and doubles as the worklist priority.
 
     A child made by a split or a bisection defers its bounds: while net is
-    set, bounds holds the parent's intervals (without their relaxations, and
-    with the split's clamp), and layers start_layer and later are recomputed
-    when a worklist pass bounds it, which also leaves its Branching in
-    branching for _process_node. Children that no pass reaches are never
-    bounded.
+    set, bounds is its parent's intervals object, shared and never written,
+    clamp the split's (layer, neuron, sign) or None, and layers start_layer
+    and later are recomputed when a worklist pass bounds it, which also
+    leaves its Branching in branching for _process_node. Once bounded,
+    bounds holds its own intervals and clamp is None. Children that no pass
+    reaches are never bounded.
     """
 
     box_lower: np.ndarray
@@ -75,13 +79,14 @@ class SubDomain:
     n_splits: int = 0
     net: Optional[Network] = None
     start_layer: int = 0
+    clamp: Optional[Tuple[int, int, int]] = None
     branching: Optional["Branching"] = None
 
     @property
     def neuron_bounds(self) -> NeuronBounds:
-        """The bounds. A deferred sub-domain's are those of a copy bounded
-        alone: reading them leaves it deferred, so no reader outside the
-        search changes which pass bounds it."""
+        """The intervals. A deferred sub-domain's are those of a copy, clamp
+        included, bounded alone: reading them leaves it deferred, so no reader
+        outside the search changes which pass bounds it."""
         if self.net is None:
             return self.bounds
         copy = dataclasses.replace(self)
@@ -92,28 +97,23 @@ class SubDomain:
     def child(cls, net: Network, parent: "SubDomain", box_lower: np.ndarray,
               box_upper: np.ndarray, start_layer: int,
               clamp: Optional[Tuple[int, int, int]] = None) -> "SubDomain":
-        """A sub-domain of parent over the given box. clamp = (layer, neuron,
-        sign) narrows that neuron to z >= 0 (+1) or z <= 0 (-1) in the child's
-        own copy of the layer; ancestors' clamps hold by intersection."""
-        base = parent.neuron_bounds
-        lower, upper = list(base.lower), list(base.upper)
-        if clamp is not None:
-            layer, neuron, sign = clamp
-            lower[layer], upper[layer] = lower[layer].copy(), upper[layer].copy()
-            if sign > 0:
-                lower[layer][neuron] = max(lower[layer][neuron], 0.0)
-            else:
-                upper[layer][neuron] = min(upper[layer][neuron], 0.0)
-        return cls(box_lower, box_upper, NeuronBounds(lower, upper), parent.depth + 1,
+        """A sub-domain of parent over the given box, deferred. It copies
+        nothing: it keeps the parent's intervals object and clamp = (layer,
+        neuron, sign), which narrows that neuron to z >= 0 (+1) or z <= 0 (-1)
+        when a pass bounds it; ancestors' clamps hold by intersection."""
+        return cls(box_lower, box_upper, parent.neuron_bounds, parent.depth + 1,
                    parent.parent_lower_bound, parent.n_splits + (clamp is not None),
-                   net, start_layer)
+                   net, start_layer, clamp)
 
 
 def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
                      slopes: Optional[Slopes] = None, heuristic: Optional[str] = None) -> None:
     """Bound deferred sub-domains of one network in one stacked pass.
 
-    Each gets its intervals, relaxations and feasibility. Given the spec
+    Their intervals are stacked into a fresh base, and each clamp is written
+    into its own sub-domain's row of it, the only place a clamp is applied.
+    Each sub-domain then gets copies of its own interval rows and its
+    feasibility; the relaxations stay on the pass's stack. Given the spec
     matrix C, the root's slopes and the heuristic, as every worklist pass
     gives them, each feasible one also gets its Branching, from one stacked
     compute_bounds pass and branchings. Every number is the one bounding
@@ -121,14 +121,17 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     """
     net = ds[0].net
     lo, hi = np.array([d.box_lower for d in ds]), np.array([d.box_upper for d in ds])
-    nb = relax.propagate_bounds(net, lo, hi, NeuronBounds.stack([d.bounds for d in ds]),
-                                np.array([d.start_layer for d in ds]))
+    base = NeuronBounds.stack([d.bounds for d in ds])
     for i, d in enumerate(ds):
-        own = nb[i]
-        # Copies, not views: descendants inherit the intervals, and a view
-        # would keep the whole stack alive as long as any of them is queued.
-        own.lower, own.upper = [a.copy() for a in own.lower], [a.copy() for a in own.upper]
-        d.bounds, d.net = own, None
+        if d.clamp is not None:
+            layer, neuron, sign = d.clamp
+            if sign > 0:
+                base.lower[layer][i, neuron] = max(base.lower[layer][i, neuron], 0.0)
+            else:
+                base.upper[layer][i, neuron] = min(base.upper[layer][i, neuron], 0.0)
+    nb = relax.propagate_bounds(net, lo, hi, base, np.array([d.start_layer for d in ds]))
+    for i, d in enumerate(ds):
+        d.bounds, d.net, d.clamp = nb.intervals(i), None, None
     feasible = np.flatnonzero(nb.feasible)
     if C is None or not len(feasible):
         return
@@ -143,18 +146,37 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
 class Branching:
     """A sub-domain's decision and what it reads: the worst spec row (the first
     on ties) and its bound; the action (non-finite, pruned-safe, unsafe, split
-    or bisect); the witness, unless that bound is non-finite or prunes; if the
-    witness is spurious, the gap clamps, the pick and the kind that made it,
-    and the scores the trace reads."""
+    or bisect); the witness and its margin, unless that bound is non-finite
+    or prunes; if the witness is spurious, the gap clamps, the pick and the
+    kind that made it, and the scores the trace reads.
+
+    The witness and the scores stay in the stacks of the pass that took
+    them, each kept with this sub-domain's index there; the witness and
+    scores properties index them only when read."""
 
     row: int
     raw_lower_bound: float
     action: str
-    witness: Optional[witness_mod.Witness] = None
+    witness_margin: Optional[float] = None
     clamps: int = 0
     pick: Optional[Tuple[int, int]] = None
     kind: Optional[str] = None
-    scores: Optional[heuristics.Scores] = None
+    stacked_witness: Optional[Tuple[witness_mod.Witness, int]] = field(default=None, repr=False)
+    stacked_scores: Optional[Tuple[heuristics.Scores, int]] = field(default=None, repr=False)
+
+    @property
+    def witness(self) -> Optional[witness_mod.Witness]:
+        if self.stacked_witness is None:
+            return None
+        wit, i = self.stacked_witness
+        return wit[i]
+
+    @property
+    def scores(self) -> Optional[heuristics.Scores]:
+        if self.stacked_scores is None:
+            return None
+        scores, i = self.stacked_scores
+        return {k: s[i] for k, s in scores.items()}
 
 
 def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
@@ -191,9 +213,9 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     margins = wit.concrete_margin.min(axis=-1)
     action = np.where(np.isfinite(margins), np.where(margins <= 0.0, "unsafe", "bisect"),
                       "non-finite")
-    for j, (i, act) in enumerate(zip(idx.tolist(), action.tolist())):
+    for j, (i, act, margin) in enumerate(zip(idx.tolist(), action.tolist(), margins.tolist())):
         b = ds[i].branching
-        b.witness, b.action = wit[j], act
+        b.stacked_witness, b.witness_margin, b.action = (wit, j), margin, act
     todo = np.flatnonzero(action == "bisect")  # spurious
     c_rows, row_slopes = C[rows], {k: v[rows] for k, v in slopes.items()}
     for kind in dict.fromkeys((heuristic, heuristics.BABSR)):
@@ -211,8 +233,8 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
         for j, i in enumerate(idx.tolist()):
             b, pick = ds[i].branching, picks.get(j)
             b.clamps += int(clamps[j])  # babsr never clamps: the count is the heuristic's
-            if pick is not None or b.scores is None:  # a bisection traces the heuristic's
-                b.scores = {k: s[j] for k, s in scores.items()}
+            if pick is not None or b.stacked_scores is None:  # a bisection traces the heuristic's
+                b.stacked_scores = (scores, j)
             if pick is not None:
                 b.pick, b.kind, b.action = pick, kind, "split"
         todo = np.array([j for j in range(len(idx)) if j not in picks], dtype=np.intp)
@@ -314,17 +336,18 @@ def split_subdomain(
     """Split a sub-domain on one unstable neuron.
 
     The +1 child takes z >= 0 (the boundary belongs to it), the -1 child
-    z < 0. Earlier-layer bounds are reused with the new clamp applied; later
-    layers are recomputed and intersected with the parent's when a child is
-    bounded. Children whose bounds cross are infeasible; the
-    worklist drops them when popped. A neuron split before is clamped at
-    zero, so it is not unstable and cannot be split again.
+    z < 0. Each keeps d's intervals and its clamp; when a child is bounded,
+    earlier-layer intervals are reused with the clamp applied and later
+    layers are recomputed and intersected with the parent's. Children whose
+    bounds cross are infeasible; the worklist drops them when popped. A
+    neuron split before is clamped at zero, so it is not unstable and cannot
+    be split again.
     """
     key = (layer, neuron)
     if net.layers[layer].activation != RELU:
         raise ValueError(f"split_subdomain: layer {layer} is not a ReLU layer")
-    l = d.neuron_bounds.lower[layer][neuron]
-    u = d.neuron_bounds.upper[layer][neuron]
+    nb = d.neuron_bounds
+    l, u = nb.lower[layer][neuron], nb.upper[layer][neuron]
     if not (l < 0.0 < u):
         raise ValueError(f"split_subdomain: neuron {key} with bounds [{l}, {u}] is not unstable")
     return (SubDomain.child(net, d, d.box_lower, d.box_upper, layer + 1, (layer, neuron, +1)),
@@ -354,12 +377,16 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
 
 def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> None:
     # Structural termination argument: a neuron split (layer, neuron) leaves
-    # it stable in the child's own, not yet propagated, bounds, which only
-    # shrink via intersection, so it removes an unstable neuron for good; a
-    # bisection (split None) strictly reduces the descending-sorted width tuple.
+    # it stable in the child's not yet propagated bounds, its intervals under
+    # its clamp, which only shrink via intersection, so it removes an unstable
+    # neuron for good; a bisection (split None) strictly reduces the
+    # descending-sorted width tuple.
     if split is not None:
         layer, neuron = split
-        if child.bounds.lower[layer][neuron] < 0.0 < child.bounds.upper[layer][neuron]:
+        l, u = child.bounds.lower[layer][neuron], child.bounds.upper[layer][neuron]
+        if child.clamp is not None and child.clamp[:2] == (layer, neuron):
+            l, u = (max(l, 0.0), u) if child.clamp[2] > 0 else (l, min(u, 0.0))
+        if l < 0.0 < u:
             raise InvariantError(f"neuron split {split} left the neuron unstable in a child")
     else:
         pw = tuple(sorted(parent.box_upper - parent.box_lower, reverse=True))
@@ -391,8 +418,8 @@ def _process_node(net: Network, stats: RunStats,
         "raw_lower_bound": b.raw_lower_bound,
         "row": b.row,
     }
-    if b.witness is not None:
-        entry["witness_margin"] = float(b.witness.concrete_margin.min())
+    if b.witness_margin is not None:
+        entry["witness_margin"] = b.witness_margin
     entry["action"] = b.action
     if b.action == "unsafe":
         stats.witness = b.witness
@@ -411,9 +438,10 @@ def _process_node(net: Network, stats: RunStats,
 
     stats.splits_made += 1
     if stats.per_node_trace is not None:  # only the trace reads them
-        score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in b.scores.values())
+        scores = b.scores
+        score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
         if score_n:
-            entry["score_max"] = float(max(s.max() for s in b.scores.values()))
+            entry["score_max"] = float(max(s.max() for s in scores.values()))
             entry["score_n"] = score_n
     for child in children:
         _check_termination_measure(d, child, b.pick)
@@ -448,7 +476,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     deadline = start_time + config.timeout_seconds
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
     stack = make_root(task)
-    root = SubDomain(task.input_lower, task.input_upper, stack.neuron_bounds[0])
+    root = SubDomain(task.input_lower, task.input_upper, stack.neuron_bounds.intervals(0))
     slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, stack,
                                            config.alpha_iters, config.alpha_step, deadline)
     slopes = {k: v[0] for k, v in slopes.items()}

@@ -81,9 +81,10 @@ class NeuronBounds:
     clamp of a neuron to one sign) is written here, and propagate_bounds
     keeps it by intersection. lower[k] > upper[k] marks the region empty, a
     legitimate outcome of a narrowing; propagate_bounds then bounds no later
-    layer of it, which keeps its base's intervals. It also records each ReLU
-    layer's relaxation and the feasibility; a queued child's bounds hold
-    intervals alone and only serve as its base.
+    layer of it, which keeps its base's intervals. The stacks propagate_bounds
+    returns also record each ReLU layer's relaxation and the feasibility;
+    relaxations live only on stacks, and a single region's bounds hold
+    intervals and feasibility alone.
     """
 
     lower: List[np.ndarray]
@@ -102,15 +103,20 @@ class NeuronBounds:
                             {k: tuple(a[i] for a in rel) for k, rel in self.relaxations.items()},
                             feasible if np.ndim(feasible) else bool(feasible))
 
+    def intervals(self, i: int) -> "NeuronBounds":
+        """Domain i of a stack alone: copies of its interval rows, which own
+        their data and keep no stack alive, and its feasibility as a bool."""
+        return NeuronBounds([l[i].copy() for l in self.lower], [u[i].copy() for u in self.upper],
+                            {}, bool(self.feasible[i]))
+
     @classmethod
     def stack(cls, bounds: Sequence["NeuronBounds"]) -> "NeuronBounds":
-        """The stack of single-region bounds, in order. Relaxations are
-        stacked for the layers the first one has them for."""
+        """The stack of single-region bounds, in order: fresh interval arrays
+        and the feasibility flags. Relaxations are not stacked; a stack's
+        come from propagate_bounds."""
         return cls([np.array(layer) for layer in zip(*(b.lower for b in bounds))],
                    [np.array(layer) for layer in zip(*(b.upper for b in bounds))],
-                   {k: tuple(np.array(part) for part in zip(*(b.relaxations[k] for b in bounds)))
-                    for k in bounds[0].relaxations},
-                   np.array([b.feasible for b in bounds]))
+                   {}, np.array([b.feasible for b in bounds]))
 
 
 @dataclass

@@ -37,10 +37,19 @@ def propagate_of(net, lo, hi, base=None, start_layer=0):
 
 
 def stack_of(*domains):
-    """Bounded sub-domains as one relax.Domains stack, in order."""
+    """Bounded sub-domains as one relax.Domains stack, in order, with every
+    layer's relaxation built by relax.relaxation, as relax.propagate_bounds
+    builds a stack's."""
+    nb = relax.NeuronBounds.stack([d.neuron_bounds for d in domains])
+    nb.relaxations = {k: relax.relaxation(l, u) for k, (l, u) in enumerate(zip(nb.lower, nb.upper))}
     return relax.Domains(np.array([d.box_lower for d in domains]),
-                         np.array([d.box_upper for d in domains]),
-                         relax.NeuronBounds.stack([d.neuron_bounds for d in domains]))
+                         np.array([d.box_upper for d in domains]), nb)
+
+
+def unstable(nb, k):
+    """The neurons of layer k whose interval in nb straddles zero: the
+    unstable mask relax.relaxation takes, read from the intervals alone."""
+    return np.flatnonzero((nb.lower[k] < 0.0) & (nb.upper[k] > 0.0))
 
 
 def bounds_of(net, C, domain, slopes):

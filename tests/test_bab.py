@@ -8,7 +8,8 @@ import pytest
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
 from helpers import (layer_scan, make_domain, oracle_sized_task, propagate_of, random_task,
-                     reference_propagate_bounds, scalar_relu_net, scalar_task, stack_of)
+                     reference_propagate_bounds, scalar_relu_net, scalar_task, stack_of,
+                     unstable)
 
 
 def test_verify_safe_at_root_with_optimized_alpha():
@@ -40,9 +41,10 @@ def test_split_subdomain_clamps_children():
     d = make_domain(net, [-1.0], [1.0])
     assert d.neuron_bounds.lower[0].tolist() == [-2.0]
     pos, neg = bab.split_subdomain(net, d, 0, 0)
-    # the clamp is written into each child's own copy of the layer at split time
-    assert pos.bounds.lower[0].tolist() == [0.0] and pos.bounds.upper[0].tolist() == [2.0]
-    assert neg.bounds.lower[0].tolist() == [-2.0] and neg.bounds.upper[0].tolist() == [0.0]
+    # a child copies nothing at split time: it keeps the parent's intervals
+    # and carries the clamp, which its bounds apply
+    assert pos.bounds is d.bounds and neg.bounds is d.bounds
+    assert pos.clamp == (0, 0, +1) and neg.clamp == (0, 0, -1)
     assert d.neuron_bounds.lower[0].tolist() == [-2.0] and d.neuron_bounds.upper[0].tolist() == [2.0]
     assert pos.neuron_bounds.lower[0].tolist() == [0.0]
     assert pos.neuron_bounds.upper[0].tolist() == [2.0]
@@ -89,11 +91,11 @@ def test_nested_split_sets_partition_parent_region():
     net = task.network
     parent = make_domain(net, task.input_lower, task.input_upper)
     # first split, then split one child again on a later-layer neuron
-    j0 = int(np.flatnonzero(parent.neuron_bounds.relaxations[0][1])[0])
+    j0 = int(unstable(parent.neuron_bounds, 0)[0])
     child, _ = bab.split_subdomain(net, parent, 0, j0)
-    unstable1 = np.flatnonzero(child.neuron_bounds.relaxations[1][1])
+    unstable1 = unstable(child.neuron_bounds, 1)
     if unstable1.size == 0:
-        unstable1 = np.flatnonzero(child.neuron_bounds.relaxations[0][1])
+        unstable1 = unstable(child.neuron_bounds, 0)
         layer = 0
     else:
         layer = 1
@@ -402,8 +404,8 @@ def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
     # Splitting and bisecting bound nothing; a child's bounds, once read, are
     # exactly what the eager rule gives: propagate at split time and clamp
     # every split on the path again at its layer (reference_propagate_bounds).
-    # A read leaves the child deferred, so the one descended into is bounded
-    # first.
+    # A read leaves the child deferred, with its parent's bounds and its
+    # clamp, so the one descended into is bounded first.
     def assert_same(lazy, eager):
         assert lazy.is_feasible() == eager.is_feasible()
         if lazy.is_feasible():
@@ -426,24 +428,27 @@ def test_deferred_child_bounds_equal_eager_propagation_bitwise(monkeypatch):
             monkeypatch.setattr(relax, "propagate_bounds",
                                 lambda *a, **k: calls.append(1) or propagate(*a, **k))
             halves = bab.input_bisect(net, d)
-            unstable = [(k, int(j)) for k in (0, 1)
-                        for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1])]
-            children = bab.split_subdomain(net, d, *unstable[0]) if unstable else ()
+            splittable = [(k, int(j)) for k in (0, 1) for j in unstable(d.neuron_bounds, k)]
+            children = bab.split_subdomain(net, d, *splittable[0]) if splittable else ()
             monkeypatch.undo()
             assert calls == []
-            for child in halves + children:
-                assert child.net is not None and child.bounds.relaxations == {}
+            for child in halves:
+                assert child.net is not None and child.bounds is d.bounds and child.clamp is None
+            for child, sign in zip(children, (+1, -1)):
+                assert child.net is not None and child.bounds is d.bounds
+                assert child.clamp == (*splittable[0], sign)
             for half in halves:
                 assert_same(half.neuron_bounds, reference_propagate_bounds(
                     net, half.box_lower, half.box_upper, path, ref, 0))
-            if not unstable:
+            if not splittable:
                 break
-            layer = unstable[0][0]
+            layer = splittable[0][0]
             feasible = []
             for child, sign in zip(children, (+1, -1)):
-                splits = {**path, unstable[0]: sign}
+                splits = {**path, splittable[0]: sign}
                 eager = reference_propagate_bounds(net, lo, hi, splits, ref, layer + 1)
                 assert_same(child.neuron_bounds, eager)
+                assert child.net is not None and child.clamp == (*splittable[0], sign)
                 if eager.is_feasible():
                     feasible.append((child, splits, eager))
             if not feasible:
@@ -652,13 +657,13 @@ def _mixed_batch(margin_shift=0.0):
     root = make_domain(net, lo, hi)
     batch = []
     for k in range(3):
-        j = int(np.flatnonzero(root.neuron_bounds.relaxations[k][1])[0])
+        j = int(unstable(root.neuron_bounds, k)[0])
         batch += bab.split_subdomain(net, root, k, j)
     batch += bab.input_bisect(net, root)
     # z = x_0 <= 0, so the half x_0 in [1, 3] is empty
     clamped = make_domain(net, lo, hi, splits={(0, 0): -1})
     batch += bab.input_bisect(net, clamped)
-    j = int(np.flatnonzero(clamped.neuron_bounds.relaxations[1][1])[0])
+    j = int(unstable(clamped.neuron_bounds, 1)[0])
     batch += bab.split_subdomain(net, clamped, 1, j)
     return net, C, root, batch
 
@@ -669,23 +674,29 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
     slopes = {k: v[0] for k, v in slopes.items()}
     alone = [dataclasses.replace(d) for d in batch]
     compute, phase1 = relax.compute_bounds, []  # the phase-1 bounds each pass takes
+    propagate, propagated = relax.propagate_bounds, []  # the stacks each pass bounds
     monkeypatch.setattr(relax, "compute_bounds",
                         lambda *a: phase1.append(compute(*a)) or phase1[-1])
+    monkeypatch.setattr(relax, "propagate_bounds",
+                        lambda *a: propagated.append(propagate(*a)) or propagated[-1])
     bab.bound_subdomains(batch, C, slopes, "drg")
-    stacked = phase1.pop()
+    stacked, stacked_nb = phase1.pop(), propagated.pop()
     for d in alone:
         bab.bound_subdomains([d], C, slopes, "drg")
     results = iter(zip(stacked, phase1, strict=True))  # one per feasible sub-domain
     assert sorted({d.start_layer for d in alone}) == [0, 1, 2, 3]
     assert 0 < sum(not d.neuron_bounds.is_feasible() for d in alone) < len(alone)
-    for d, ref in zip(batch, alone):
+    for i, (d, ref, own) in enumerate(zip(batch, alone, propagated, strict=True)):
         got, want = d.neuron_bounds, ref.neuron_bounds
         assert d.net is None and got.is_feasible() == want.is_feasible()
         for a, b in zip(got.lower + got.upper, want.lower + want.upper, strict=True):
             assert np.array_equal(a, b, equal_nan=True)
-        assert sorted(got.relaxations) == sorted(want.relaxations)
-        for k, rel in want.relaxations.items():
-            assert all(np.array_equal(a, b) for a, b in zip(got.relaxations[k], rel, strict=True))
+        # relaxations live on the stacks only: row i of the pass's is its own
+        assert got.relaxations == {} == want.relaxations
+        assert sorted(stacked_nb.relaxations) == sorted(own.relaxations)
+        for k, rel in own.relaxations.items():
+            assert all(np.array_equal(a[i], b[0])
+                       for a, b in zip(stacked_nb.relaxations[k], rel, strict=True))
         if not want.is_feasible():
             assert d.branching is None and ref.branching is None
             continue
@@ -696,6 +707,50 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
         for k, v in want.A.items():
             assert np.array_equal(got.A[k], v)
         _assert_same_branching(d.branching, ref.branching)
+
+
+def test_a_pass_leaves_no_subdomain_a_view_of_its_stacks(monkeypatch):
+    # Each sub-domain a pass bounds, and the root verify bounds, gets copies
+    # of its own interval rows, which own their data, its feasibility as a
+    # bool and no relaxation: nothing a queued sub-domain keeps holds the
+    # pass's stacks alive.
+    net, C, root, batch = _mixed_batch(margin_shift=9.0)
+    slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
+    slopes = {k: v[0] for k, v in slopes.items()}
+    bab.bound_subdomains(batch, C, slopes, "drg")
+    assert 0 < sum(d.branching is not None for d in batch) < len(batch)
+    process, processed = bab._process_node, []
+    monkeypatch.setattr(bab, "_process_node",
+                        lambda net, stats, d: processed.append(d) or process(net, stats, d))
+    bab.verify(model.VerificationTask(net, root.box_lower, root.box_upper, C), "drg",
+               bab.BabConfig(max_branches=20))
+    assert len(processed) > 1
+    for d in batch + processed:
+        assert all(a.base is None for a in d.bounds.lower + d.bounds.upper)
+        assert d.bounds.relaxations == {} and type(d.bounds.feasible) is bool
+        assert d.net is None and d.clamp is None
+
+
+def test_a_split_copies_no_interval_and_never_writes_a_shared_one():
+    # A split child keeps its parent's intervals object and its clamp.
+    # Bounding the children, together or one at a time, writes each clamp
+    # into the pass's own stack only: the parent's arrays keep their bits,
+    # and each child's split neuron starts (+1) or ends (-1) at zero.
+    net, _, parent, _ = _mixed_batch()
+    arrays = parent.bounds.lower + parent.bounds.upper
+    before = [a.tobytes() for a in arrays]
+    for k in range(3):
+        j = int(unstable(parent.bounds, k)[0])
+        alone = bab.split_subdomain(net, parent, k, j)
+        together = [dataclasses.replace(c) for c in alone]
+        assert all(c.bounds is parent.bounds for c in (*alone, *together))
+        bab.bound_subdomains(together)
+        for c in alone:
+            bab.bound_subdomains([c])
+        assert [a.tobytes() for a in arrays] == before
+        for pos, neg in (alone, together):
+            assert pos.bounds.lower[k][j] == 0.0 < pos.bounds.upper[k][j]
+            assert neg.bounds.lower[k][j] < 0.0 == neg.bounds.upper[k][j]
 
 
 def _assert_same_branching(got, want):
@@ -799,9 +854,9 @@ def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
 def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch, tmp_path):
     # An observer that reads neuron_bounds of every split child, as
     # verifbench's traced pass does, bounds a copy: the child stays deferred
-    # with the same bounds object. On the search record's suites every drg
-    # and babsr run keeps the batches its worklist passes bound, its
-    # compute_bounds calls and its trace bytes.
+    # with the same bounds object and its clamp. On the search record's
+    # suites every drg and babsr run keeps the batches its worklist passes
+    # bound, its compute_bounds calls and its trace bytes.
     from test_search_record import MAX_BRANCHES, SUITES
 
     config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
@@ -819,9 +874,10 @@ def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch,
         children = split(*args)
         reading.append(True)
         for child in children:
-            before = child.bounds
+            before, clamp = child.bounds, child.clamp
             child.neuron_bounds.is_feasible()
             assert child.net is not None and child.bounds is before
+            assert clamp is not None and child.clamp == clamp
         reading.clear()
         reads.append(len(children))
         return children

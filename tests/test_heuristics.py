@@ -4,7 +4,7 @@ import pytest
 from reluverify import bab, cli, heuristics, model, relax
 
 from helpers import (adaptive_slopes, bounds_of, hand_bounds, identity_relu_net, make_domain,
-                     random_net, scores_of, select_of)
+                     random_net, scores_of, select_of, unstable)
 
 # The two-neuron scenario used throughout: n_A spans [-2, 18] (width 20),
 # n_B spans [-4, 4] (width 8), both with sensitivity magnitude 1 on the
@@ -244,16 +244,16 @@ def test_gap_clamp_counting():
 def test_scores_skip_stable_and_split_neurons():
     net = random_net(np.random.default_rng(46), 2, [4], 1)
     d = make_domain(net, [-1.0, -1.0], [1.0, 1.0])
-    unstable = np.flatnonzero(d.neuron_bounds.relaxations[0][1])
-    assert unstable.size >= 2
-    j = int(unstable[0])
+    splittable = unstable(d.neuron_bounds, 0)
+    assert splittable.size >= 2
+    j = int(splittable[0])
     d2 = make_domain(net, [-1.0, -1.0], [1.0, 1.0], splits={(0, j): +1})
     res = bounds_of(net, np.array([[1.0]]), d2, adaptive_slopes(net, d2))[0]
     scores, _ = scores_of("drg", net, np.array([1.0]), res, d2,
                           model.forward(net, np.zeros(2))[1], None)
     candidates = set(np.flatnonzero(np.isfinite(scores[0])).tolist())
     assert j not in candidates
-    assert candidates == set(np.flatnonzero(d2.neuron_bounds.relaxations[0][1]).tolist())
+    assert candidates == set(unstable(d2.neuron_bounds, 0).tolist())
 
 
 def test_center_scores_a_box_whose_endpoints_sum_past_float64(tmp_path):

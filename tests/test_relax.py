@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reluverify import bab, model, relax
+from reluverify import model, relax
 
 from reluverify.cli import generate_instance
 
@@ -60,16 +60,16 @@ def test_stability_tag_tie_rules():
 def test_relaxation_is_computed_once_per_bounds_object(monkeypatch):
     # propagate_bounds builds each ReLU layer's relaxation once, from the
     # layer's final intervals, and returns it with the bounds and their
-    # feasibility; a domain of the stack reads views of it, and reading it
-    # builds nothing.
+    # feasibility; a domain of the stack reads views of it, and bounding the
+    # stack, as a pass's Domains, builds nothing.
     net = random_net(np.random.default_rng(29), 3, [6, 5], 2)
     lo, hi = -np.ones(3), np.ones(3)
     build, built = relax.relaxation, []
     monkeypatch.setattr(relax, "relaxation", lambda l, u: built.append(build(l, u)) or built[-1])
     stacked = relax.propagate_bounds(net, lo[None], hi[None])
     nb = stacked[0]
-    bounds_of(net, np.array([[1.0, -1.0]]), bab.SubDomain(lo, hi, nb),
-              {k: relax.adaptive_alpha(nb.lower[k], nb.upper[k]) for k in (0, 1)})
+    relax.compute_bounds(net, np.array([[1.0, -1.0]]), relax.Domains(lo[None], hi[None], stacked),
+                         {k: relax.adaptive_alpha(nb.lower[k], nb.upper[k]) for k in (0, 1)})
     assert [id(r) for r in built] == [id(stacked.relaxations[k]) for k in (0, 1)]
     for k in (0, 1):
         assert all(view.base is part for view, part in zip(nb.relaxations[k], built[k]))
