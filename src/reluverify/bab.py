@@ -12,14 +12,16 @@ intervals and the clamp (layer, neuron, sign), and the pass that bounds it
 writes the clamp into the child's row of the stacked base, so the split
 neuron's interval starts (+1) or ends (-1) at zero and every later bound
 pass intersects with it. A pass hands each sub-domain its intervals alone;
-relaxations live only on the stacks a pass bounds. Input bisection restores
-completeness when no neuron split is available.
+relaxations live only on the relax.Domains stack that propagate_bounds
+returns, which the pass indexes for the sub-stacks it bounds and scores.
+Input bisection restores completeness when no neuron split is available.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
@@ -113,11 +115,12 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     Their intervals are stacked into a fresh base, and each clamp is written
     into its own sub-domain's row of it, the only place a clamp is applied.
     Each sub-domain then gets copies of its own interval rows and its
-    feasibility; the relaxations stay on the pass's stack. Given the spec
-    matrix C, the root's slopes and the heuristic, as every worklist pass
-    gives them, each feasible one also gets its Branching, from one stacked
-    compute_bounds pass and branchings. Every number is the one bounding
-    the sub-domain alone gives.
+    feasibility; the relaxations stay on the Domains stack propagate_bounds
+    returns. Given the spec matrix C, the root's slopes and the heuristic,
+    as every worklist pass gives them, each feasible one also gets its
+    Branching, from one compute_bounds pass over that stack's feasible rows
+    and branchings. Every number is the one bounding the sub-domain alone
+    gives.
     """
     net = ds[0].net
     lo, hi = np.array([d.box_lower for d in ds]), np.array([d.box_upper for d in ds])
@@ -129,15 +132,15 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
                 base.lower[layer][i, neuron] = max(base.lower[layer][i, neuron], 0.0)
             else:
                 base.upper[layer][i, neuron] = min(base.upper[layer][i, neuron], 0.0)
-    nb = relax.propagate_bounds(net, lo, hi, base, np.array([d.start_layer for d in ds]))
+    domains = relax.propagate_bounds(net, lo, hi, base, np.array([d.start_layer for d in ds]))
+    nb = domains.neuron_bounds
     for i, d in enumerate(ds):
         d.bounds, d.net, d.clamp = nb.intervals(i), None, None
     feasible = np.flatnonzero(nb.feasible)
     if C is None or not len(feasible):
         return
     if len(feasible) < len(ds):
-        lo, hi, nb = lo[feasible], hi[feasible], nb[feasible]
-    domains = Domains(lo, hi, nb)
+        domains = domains[feasible]
     branchings(net, C, slopes, heuristic, [ds[i] for i in feasible], domains,
                relax.compute_bounds(net, C, domains, slopes))
 
@@ -225,8 +228,7 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
             idx, c_rows, bound = idx[todo], c_rows[todo], bound[todo]
             preacts = [z[todo] for z in preacts]
             row_slopes = {k: v[todo] for k, v in row_slopes.items()}
-        sub = domains if len(idx) == len(ds) else Domains(
-            domains.box_lower[idx], domains.box_upper[idx], domains.neuron_bounds[idx])
+        sub = domains if len(idx) == len(ds) else domains[idx]
         scores, clamps = heuristics.score_branches(kind, net, c_rows, bound, sub, preacts,
                                                    row_slopes)
         picks = heuristics.select_branch(scores)
@@ -265,6 +267,12 @@ class BabConfig:
     trace: bool = False
 
     def __post_init__(self):
+        for name, kind in (("timeout_seconds", numbers.Real), ("max_branches", numbers.Integral),
+                           ("alpha_iters", numbers.Integral), ("alpha_step", numbers.Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is numbers.Integral else "a real number"
+                raise InputError(f"config.{name} must be {what}, got {value!r}")
         if not self.timeout_seconds > 0:  # NaN too: it would never time out
             raise InputError(f"config.timeout_seconds must be positive, got {self.timeout_seconds}")
         if self.max_branches < 0:
@@ -319,12 +327,6 @@ class Worklist:
 
     def __len__(self) -> int:
         return len(self._heap)
-
-
-def make_root(task: VerificationTask) -> Domains:
-    """The task's box, bounded, as a stack of one."""
-    lo, hi = task.input_lower[None], task.input_upper[None]  # float64, as the task stores them
-    return Domains(lo, hi, relax.propagate_bounds(task.network, lo, hi))
 
 
 def split_subdomain(
@@ -475,7 +477,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     heuristics.check_kind(heuristic)
     deadline = start_time + config.timeout_seconds
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
-    stack = make_root(task)
+    stack = relax.propagate_bounds(task.network, task.input_lower[None], task.input_upper[None])
     root = SubDomain(task.input_lower, task.input_upper, stack.neuron_bounds.intervals(0))
     slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, stack,
                                            config.alpha_iters, config.alpha_step, deadline)

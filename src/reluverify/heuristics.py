@@ -59,7 +59,7 @@ def score_branches(
     """Score every unstable neuron of each domain of a stack for a heuristic kind.
 
     bound holds each domain's bound of its spec row, c_rows[i], over the
-    relax.Domains stack domains (leading axis D), under its neuron bounds;
+    relax.Domains stack domains (leading axis D), under its relaxations;
     preacts are the network's pre-activations at the witnesses (from
     model.forward), read by drg, drg_symmetric and grad; slopes are the rows'
     lower-line slopes, (D, n_k) per ReLU layer, read by drg_symmetric. Each
@@ -80,7 +80,7 @@ def score_branches(
     scores: Scores = {}
     clamps = np.zeros(len(domains.box_lower), dtype=np.int64)
     for k in sorted(bound.A):
-        _, unst, up_slope, up_icpt = nb.relaxations[k]
+        _, unst, up_slope, up_icpt = domains.relaxations[k]
         coef = coefs[k]
         if kind == WIDTH:
             score = nb.upper[k] - nb.lower[k]

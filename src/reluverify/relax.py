@@ -13,22 +13,25 @@ branching heuristics.
 A region is a box plus the pre-activation intervals of every hidden layer
 (NeuronBounds), nothing else: how a search narrowed them is not known here.
 
-Regions are bounded in stacks: boxes, intervals and relaxations carry a
-leading domain axis of length D, and a single region is a stack of one. The
-spec rows of a sub-domain are bounded together as well, their coefficients
-riding a further axis as (D, m, 1, n) stacks, and the relaxed forward pass
-evaluates W @ h on (..., n, 1) stacks. Each product is then the very call one
-domain (and one row) makes alone: a matrix-vector product per row, and for
-the 2n rows of an intermediate bound a matrix-matrix product per domain. So
-every domain's and every row's bound, coefficients and minimizer agree bit
-for bit with bounding it alone. A flat (D * m, n) @ (n, p) product would not:
-the matrix-matrix kernel sums in another order.
+Regions are bounded in stacks, the Domains that propagate_bounds returns and
+the one holder of relaxations: boxes, intervals and relaxations carry a
+leading domain axis of length D, a single region is a stack of one, and
+indexing a stack takes a sub-stack. The spec rows of a sub-domain are
+bounded together as well, their coefficients riding a further axis as
+(D, m, 1, n) stacks, and the relaxed forward pass evaluates W @ h on
+(..., n, 1) stacks. Each product is then the very call one domain (and one
+row) makes alone: a matrix-vector product per row, and for the 2n rows of an
+intermediate bound a matrix-matrix product per domain. So every domain's and
+every row's bound, coefficients and minimizer agree bit for bit with
+bounding it alone. A flat (D * m, n) @ (n, p) product would not: the
+matrix-matrix kernel sums in another order.
 """
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -81,60 +84,57 @@ class NeuronBounds:
     clamp of a neuron to one sign) is written here, and propagate_bounds
     keeps it by intersection. lower[k] > upper[k] marks the region empty, a
     legitimate outcome of a narrowing; propagate_bounds then bounds no later
-    layer of it, which keeps its base's intervals. The stacks propagate_bounds
-    returns also record each ReLU layer's relaxation and the feasibility;
-    relaxations live only on stacks, and a single region's bounds hold
-    intervals and feasibility alone.
+    layer of it, which keeps its base's intervals. Intervals and feasibility
+    are all they hold: relaxations live on the Domains stacks only.
     """
 
     lower: List[np.ndarray]
     upper: List[np.ndarray]
-    relaxations: Dict[int, Relaxation] = field(default_factory=dict, repr=False)
     feasible: Union[bool, np.ndarray] = True
 
     def is_feasible(self) -> bool:
         return self.feasible
 
-    def __getitem__(self, i) -> "NeuronBounds":
-        """Domain i of a stack, as views of its arrays; for an index array,
-        the stack of those domains."""
-        feasible = self.feasible[i]
-        return NeuronBounds([l[i] for l in self.lower], [u[i] for u in self.upper],
-                            {k: tuple(a[i] for a in rel) for k, rel in self.relaxations.items()},
-                            feasible if np.ndim(feasible) else bool(feasible))
-
     def intervals(self, i: int) -> "NeuronBounds":
         """Domain i of a stack alone: copies of its interval rows, which own
         their data and keep no stack alive, and its feasibility as a bool."""
         return NeuronBounds([l[i].copy() for l in self.lower], [u[i].copy() for u in self.upper],
-                            {}, bool(self.feasible[i]))
+                            bool(self.feasible[i]))
 
     @classmethod
     def stack(cls, bounds: Sequence["NeuronBounds"]) -> "NeuronBounds":
         """The stack of single-region bounds, in order: fresh interval arrays
-        and the feasibility flags. Relaxations are not stacked; a stack's
-        come from propagate_bounds."""
+        and the feasibility flags."""
         return cls([np.array(layer) for layer in zip(*(b.lower for b in bounds))],
                    [np.array(layer) for layer in zip(*(b.upper for b in bounds))],
-                   {}, np.array([b.feasible for b in bounds]))
+                   np.array([b.feasible for b in bounds]))
 
 
 @dataclass
 class Domains:
-    """A stack of D sub-domains: boxes of shape (D, n0) and their stacked
-    NeuronBounds, whose relaxations the bound passes read. row_relaxations
-    holds each ReLU layer's relaxation as (D, 1, n_k) views, which broadcast
-    against (D, m, n_k) spec-row stacks; taken once, they serve every pass of
-    a slope optimization."""
+    """A bounded stack of D sub-domains, as propagate_bounds returns it:
+    boxes of shape (D, n0), their stacked NeuronBounds and each ReLU layer's
+    relaxation, (D, n_k) arrays, which the bound passes and the scores read.
+    row_relaxations holds the same as (D, 1, n_k) views, which broadcast
+    against (D, m, n_k) spec-row stacks; taken on first read, they serve
+    every pass of a slope optimization."""
 
     box_lower: np.ndarray
     box_upper: np.ndarray
     neuron_bounds: NeuronBounds
-    row_relaxations: Dict[int, Relaxation] = field(init=False, repr=False)
+    relaxations: Dict[int, Relaxation]
 
-    def __post_init__(self):
-        self.row_relaxations = {k: tuple(a[:, None, :] for a in rel)
-                                for k, rel in self.neuron_bounds.relaxations.items()}
+    def __getitem__(self, idx: np.ndarray) -> "Domains":
+        """The stack of the domains an index array names, in its order."""
+        nb = self.neuron_bounds
+        return Domains(self.box_lower[idx], self.box_upper[idx],
+                       NeuronBounds([l[idx] for l in nb.lower], [u[idx] for u in nb.upper],
+                                    nb.feasible[idx]),
+                       {k: tuple(a[idx] for a in rel) for k, rel in self.relaxations.items()})
+
+    @functools.cached_property
+    def row_relaxations(self) -> Dict[int, Relaxation]:
+        return {k: tuple(a[:, None, :] for a in rel) for k, rel in self.relaxations.items()}
 
 
 # Lower-line slopes per ReLU layer: layer k maps to an (n_k,) array shared by
@@ -304,9 +304,11 @@ def propagate_bounds(
     box_upper: np.ndarray,
     base: Optional[NeuronBounds] = None,
     start_layer=0,
-) -> NeuronBounds:
+) -> Domains:
     """Pre-activation bounds for every hidden layer of a stack of D
-    sub-domains, earlier layers first; the boxes are (D, n0).
+    sub-domains, earlier layers first; the boxes are (D, n0). Returns the
+    bounded stack: the boxes, the intervals and feasibility, and each ReLU
+    layer's relaxation.
 
     Each layer is bounded by a backward pass with adaptive slopes using the
     layers already bounded, intersected with a plain interval-arithmetic pass
@@ -330,7 +332,8 @@ def propagate_bounds(
     first, last = int(start.min()), int(start.max())
     if base is None and last > 0:
         raise ValueError("propagate_bounds: start_layer > 0 needs the parent's bounds as base")
-    out = NeuronBounds([], [], {}, np.ones(n_domains, dtype=bool))
+    out = NeuronBounds([], [], np.ones(n_domains, dtype=bool))
+    relaxations: Dict[int, Relaxation] = {}
     live = np.ones(n_domains, dtype=bool)  # not found empty
     steps: Dict[int, Step] = {}  # adaptive-slope steps, (D, 1, n_k) each
     post_lo, post_hi = box_lower, box_upper
@@ -369,13 +372,13 @@ def propagate_bounds(
         out.lower.append(l)
         out.upper.append(u)
         if layer.activation == RELU:
-            out.relaxations[k] = rel = relaxation(l, u)
+            relaxations[k] = rel = relaxation(l, u)
             if max(k + 1, first) < n_hidden:  # read by a later layer's pass
                 steps[k] = (adaptive_alpha(l, u)[:, None, :], rel[2][:, None, :], rel[3][:, None, :])
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    return out
+    return Domains(box_lower, box_upper, out, relaxations)
 
 
 def _scatter(into: np.ndarray, rows: np.ndarray, values: np.ndarray) -> np.ndarray:

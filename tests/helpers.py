@@ -30,10 +30,11 @@ def scalar_task(net, lo=-1.0, hi=1.0, C=None):
 
 
 def propagate_of(net, lo, hi, base=None, start_layer=0):
-    """relax.propagate_bounds over one box (and base), as a stack of one."""
+    """relax.propagate_bounds over one box (and base), as a stack of one:
+    the region's intervals and feasibility, as the search hands them on."""
     stacked_base = None if base is None else relax.NeuronBounds.stack([base])
     return relax.propagate_bounds(net, np.asarray(lo)[None], np.asarray(hi)[None],
-                                  stacked_base, start_layer)[0]
+                                  stacked_base, start_layer).neuron_bounds.intervals(0)
 
 
 def stack_of(*domains):
@@ -41,9 +42,9 @@ def stack_of(*domains):
     layer's relaxation built by relax.relaxation, as relax.propagate_bounds
     builds a stack's."""
     nb = relax.NeuronBounds.stack([d.neuron_bounds for d in domains])
-    nb.relaxations = {k: relax.relaxation(l, u) for k, (l, u) in enumerate(zip(nb.lower, nb.upper))}
     return relax.Domains(np.array([d.box_lower for d in domains]),
-                         np.array([d.box_upper for d in domains]), nb)
+                         np.array([d.box_upper for d in domains]), nb,
+                         {k: relax.relaxation(l, u) for k, (l, u) in enumerate(zip(nb.lower, nb.upper))})
 
 
 def unstable(nb, k):
@@ -112,12 +113,11 @@ def make_domain(net, lo, hi, splits=None):
 
 def hand_bounds(lower, upper):
     """relax.NeuronBounds over hand-written intervals, one list entry per hidden
-    layer, each taken as a ReLU layer: with the relaxations and the
-    feasibility that relax.propagate_bounds would record for them."""
+    layer: with the feasibility that relax.propagate_bounds would record for
+    them."""
     lower = [np.asarray(l, dtype=float) for l in lower]
     upper = [np.asarray(u, dtype=float) for u in upper]
-    rels = {k: relax.relaxation(l, u) for k, (l, u) in enumerate(zip(lower, upper))}
-    return relax.NeuronBounds(lower, upper, rels, layer_scan(lower, upper))
+    return relax.NeuronBounds(lower, upper, layer_scan(lower, upper))
 
 
 def layer_scan(lower, upper):
@@ -133,7 +133,7 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
     crossed layer. Reference for the clamp-only bounds of bab.SubDomain."""
     n_hidden = net.n_layers - 1
     work = relax.NeuronBounds([None] * n_hidden, [None] * n_hidden)
-    alphas = {}
+    relaxations, alphas = {}, {}
     infeasible_at = None
     post_lo, post_hi = lo, hi
     for k in range(n_hidden):
@@ -145,7 +145,7 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
         else:
             eye = np.eye(layer.out_dim)
             stack = np.vstack([eye, -eye])
-            steps = {j: (alpha, *work.relaxations[j][2:]) for j, alpha in alphas.items()}
+            steps = {j: (alpha, *relaxations[j][2:]) for j, alpha in alphas.items()}
             lam, off = relax._backward_from_layer(net, k, stack @ layer.weights,
                                                   stack @ layer.bias, steps)
             _, vals = relax.concretize(lam, off, lo, hi)
@@ -168,13 +168,12 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
                 l, u = np.where(crossed, mid, l), np.where(crossed, mid, u)
         work.lower[k], work.upper[k] = l, u
         if layer.activation == model.RELU:
-            work.relaxations[k] = relax.relaxation(l, u)
+            relaxations[k] = relax.relaxation(l, u)
             alphas[k] = np.where(u >= -l, 1.0, 0.0)
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    return relax.NeuronBounds(work.lower, work.upper, work.relaxations,
-                              layer_scan(work.lower, work.upper))
+    return relax.NeuronBounds(work.lower, work.upper, layer_scan(work.lower, work.upper))
 
 
 def reference_relu_backward(lam, step):

@@ -15,7 +15,7 @@ from reluverify import bab, cli, heuristics, model, oracle, relax
 
 from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, identity_relu_net,
                      make_domain, optimize_of, oracle_sized_task, random_net, random_task,
-                     scores_of, select_of)
+                     scores_of, select_of, unstable)
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -31,7 +31,7 @@ def test_case_study_regression():
     # n_A spans [-2, 18], n_B spans [-4, 4]; both have coefficient -1 and the
     # witness sits at z*_A = 8, z*_B = 0 (the identity layer passes x through).
     nb = hand_bounds([[-2.0, -4.0]], [[18.0, 4.0]])
-    _, _, slope, icpt = nb.relaxations[0]
+    _, _, slope, icpt = relax.relaxation(nb.lower[0], nb.upper[0])
     ok &= abs(slope[0] - 0.9) <= 1e-12 and abs(icpt[0] - 1.8) <= 1e-12
     ok &= abs(slope[1] - 0.5) <= 1e-12 and abs(icpt[1] - 2.0) <= 1e-12
 
@@ -102,7 +102,7 @@ def test_relaxation_validity():
         l = -rng.uniform(1e-3, 10.0)
         u = rng.uniform(1e-3, 10.0)
         alpha = rng.uniform(0.0, 1.0)
-        rel = hand_bounds([[l]], [[u]]).relaxations[0]
+        rel = relax.relaxation(np.array([l]), np.array([u]))
         up_slope, up_icpt = rel[2][0], rel[3][0]
         lo_slope = relax._lower_slope(rel, np.array([alpha]))[0]
         z = np.linspace(l, u, 1000)
@@ -149,7 +149,7 @@ def test_alpha_gradient_check():
         grads = gradient_of(net, c, d, slopes)
         h = 1e-5
         for k in sorted(grads):
-            for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1]):
+            for j in unstable(d.neuron_bounds, k):
                 if checked >= 100:
                     break
                 p_hi = {i: v.copy() for i, v in slopes.items()}

@@ -62,10 +62,10 @@ def test_split_partition_covers_parent_exactly_once():
         task = random_task(rng, 2, (5,), 1, eps=0.8)
         net = task.network
         d = make_domain(net, task.input_lower, task.input_upper)
-        unstable = np.flatnonzero(d.neuron_bounds.relaxations[0][1])
-        if unstable.size == 0:
+        layer0 = unstable(d.neuron_bounds, 0)
+        if layer0.size == 0:
             continue
-        j = int(unstable[0])
+        j = int(layer0[0])
         pos, neg = bab.split_subdomain(net, d, 0, j)
         xs = rng.uniform(task.input_lower, task.input_upper, size=(1000, 2))
         z = xs @ net.layers[0].weights.T + net.layers[0].bias
@@ -259,6 +259,18 @@ def test_config_rejects_budgets_out_of_range():
             bab.BabConfig(timeout_seconds=timeout)
     with pytest.raises(model.InputError, match="max_branches"):
         bab.BabConfig(max_branches=-1)
+    # A non-integral budget would pass a range check and crash the run later
+    # with a raw TypeError (range() in Worklist.pop, optimize_alpha's loop).
+    for name in ("max_branches", "alpha_iters"):
+        for value in (2.5, np.float64(3.0), True, "5", None):
+            with pytest.raises(model.InputError, match=name):
+                bab.BabConfig(**{name: value})
+        assert getattr(bab.BabConfig(**{name: np.int64(3)}), name) == 3
+    for name in ("timeout_seconds", "alpha_step"):
+        for value in ("5", None, True):
+            with pytest.raises(model.InputError, match=name):
+                bab.BabConfig(**{name: value})
+        assert getattr(bab.BabConfig(**{name: 2}), name) == 2
 
 
 def test_timeout_gives_unknown():
@@ -474,9 +486,9 @@ def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
     propagate, calls = relax.propagate_bounds, []
 
     def recording(net, lo, hi, base=None, start_layer=0):
-        nb = propagate(net, lo, hi, base, start_layer)
-        calls.append((base is not None, np.broadcast_to(start_layer, len(lo)), nb))
-        return nb
+        stack = propagate(net, lo, hi, base, start_layer)
+        calls.append((base is not None, np.broadcast_to(start_layer, len(lo)), stack.neuron_bounds))
+        return stack
 
     monkeypatch.setattr(relax, "propagate_bounds", recording)
     _searches()
@@ -485,7 +497,7 @@ def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
     kinds = {"split": 0, "bisect": 0, "empty": 0}
     for has_base, start_layers, stacked in calls:
         for i, start_layer in enumerate(start_layers):
-            nb = stacked[i]
+            nb = stacked.intervals(i)
             scan = layer_scan(nb.lower, nb.upper)
             assert nb.is_feasible() == nb.feasible == stacked.feasible[i] == scan
             kinds["split"] += start_layer > 0
@@ -680,7 +692,7 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
     monkeypatch.setattr(relax, "propagate_bounds",
                         lambda *a: propagated.append(propagate(*a)) or propagated[-1])
     bab.bound_subdomains(batch, C, slopes, "drg")
-    stacked, stacked_nb = phase1.pop(), propagated.pop()
+    stacked, pass_stack = phase1.pop(), propagated.pop()
     for d in alone:
         bab.bound_subdomains([d], C, slopes, "drg")
     results = iter(zip(stacked, phase1, strict=True))  # one per feasible sub-domain
@@ -692,11 +704,11 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
         for a, b in zip(got.lower + got.upper, want.lower + want.upper, strict=True):
             assert np.array_equal(a, b, equal_nan=True)
         # relaxations live on the stacks only: row i of the pass's is its own
-        assert got.relaxations == {} == want.relaxations
-        assert sorted(stacked_nb.relaxations) == sorted(own.relaxations)
+        assert not hasattr(got, "relaxations") and not hasattr(want, "relaxations")
+        assert sorted(pass_stack.relaxations) == sorted(own.relaxations)
         for k, rel in own.relaxations.items():
             assert all(np.array_equal(a[i], b[0])
-                       for a, b in zip(stacked_nb.relaxations[k], rel, strict=True))
+                       for a, b in zip(pass_stack.relaxations[k], rel, strict=True))
         if not want.is_feasible():
             assert d.branching is None and ref.branching is None
             continue
@@ -727,7 +739,7 @@ def test_a_pass_leaves_no_subdomain_a_view_of_its_stacks(monkeypatch):
     assert len(processed) > 1
     for d in batch + processed:
         assert all(a.base is None for a in d.bounds.lower + d.bounds.upper)
-        assert d.bounds.relaxations == {} and type(d.bounds.feasible) is bool
+        assert not hasattr(d.bounds, "relaxations") and type(d.bounds.feasible) is bool
         assert d.net is None and d.clamp is None
 
 
@@ -992,7 +1004,8 @@ def test_single_point_root_is_never_pruned_as_empty():
     for seed in range(20):
         task = _single_point_task(seed)
         assert model.margin(task.network, task.spec_matrix, task.input_lower)[0] < -0.5
-        assert bab.make_root(task).neuron_bounds.is_feasible()
+        root = relax.propagate_bounds(task.network, task.input_lower[None], task.input_upper[None])
+        assert root.neuron_bounds.feasible.tolist() == [True]
         stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
         assert stats.verdict == bab.UNSAFE, f"seed {seed}"
         assert [e["action"] for e in stats.per_node_trace] == ["unsafe"]

@@ -5,7 +5,7 @@ from scipy.optimize import linprog
 from reluverify import bab, model, oracle, relax
 
 from helpers import (adaptive_slopes, bounds_of, make_domain, oracle_sized_task, random_net,
-                     scalar_relu_net, scalar_task)
+                     scalar_relu_net, scalar_task, unstable)
 
 
 def test_exact_min_toy_unsafe():
@@ -84,7 +84,7 @@ def test_exact_matches_relax_bound_on_fully_stable_net():
     task = model.VerificationTask(net, np.array([-0.5, -0.5]), np.array([0.5, 0.5]),
                                   np.array([[1.0]]))
     d = make_domain(net, task.input_lower, task.input_upper)
-    assert not d.neuron_bounds.relaxations[0][1].any()  # layer 0 is the only hidden layer
+    assert not unstable(d.neuron_bounds, 0).size  # layer 0 is the only hidden layer
     res = bounds_of(net, task.spec_matrix, d, adaptive_slopes(net, d))
     mv, _ = oracle.exact_min_margin(task)
     assert abs(res.lower_bound[0] - mv) < 1e-9

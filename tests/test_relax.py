@@ -4,19 +4,19 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reluverify import model, relax
+from reluverify import heuristics, model, relax
 
 from reluverify.cli import generate_instance
 
-from helpers import (adaptive_slopes, bounds_of, gradient_of, hand_bounds, layer_scan,
-                     make_domain, near_limit_task, optimize_of, propagate_of, random_net,
+from helpers import (adaptive_slopes, bounds_of, gradient_of, layer_scan, make_domain,
+                     near_limit_task, optimize_of, propagate_of, random_net,
                      reference_optimize_alpha, reference_relu_backward, scalar_relu_net,
-                     witness_of)
+                     unstable, witness_of)
 
 
 def _relaxation(l, u):
     """Relaxation of one neuron with pre-activation bounds [l, u], as scalars."""
-    act, unst, slope, icpt = hand_bounds([[l]], [[u]]).relaxations[0]
+    act, unst, slope, icpt = relax.relaxation(np.array([l]), np.array([u]))
     return bool(act[0]), bool(unst[0]), float(slope[0]), float(icpt[0])
 
 
@@ -25,7 +25,7 @@ def test_relu_relaxation_wide_interval():
     assert unst
     assert abs(slope - 0.9) < 1e-12
     assert abs(icpt - 1.8) < 1e-12
-    rel = hand_bounds([[-2.0]], [[18.0]]).relaxations[0]
+    rel = relax.relaxation(np.array([-2.0]), np.array([18.0]))
     assert relax._lower_slope(rel, np.array([0.5])).tolist() == [0.5]
 
 
@@ -45,7 +45,7 @@ def test_relu_relaxation_stable_neurons_are_exact():
     # stable neurons are never unstable and get their exact line, not a chord
     assert _relaxation(0.5, 2.0) == (True, False, 1.0, 0.0)
     assert _relaxation(-2.0, -0.5) == (False, False, 0.0, 0.0)
-    rel = hand_bounds([[0.5, -2.0]], [[2.0, -0.5]]).relaxations[0]
+    rel = relax.relaxation(np.array([0.5, -2.0]), np.array([2.0, -0.5]))
     assert relax._lower_slope(rel, np.array([0.3, 0.3])).tolist() == [1.0, 0.0]
 
 
@@ -60,23 +60,81 @@ def test_stability_tag_tie_rules():
 def test_relaxation_is_computed_once_per_bounds_object(monkeypatch):
     # propagate_bounds builds each ReLU layer's relaxation once, from the
     # layer's final intervals, and returns it with the bounds and their
-    # feasibility; a domain of the stack reads views of it, and bounding the
-    # stack, as a pass's Domains, builds nothing.
+    # feasibility as one Domains stack; its row relaxations are views of it,
+    # and bounding the stack builds nothing.
     net = random_net(np.random.default_rng(29), 3, [6, 5], 2)
     lo, hi = -np.ones(3), np.ones(3)
     build, built = relax.relaxation, []
     monkeypatch.setattr(relax, "relaxation", lambda l, u: built.append(build(l, u)) or built[-1])
     stacked = relax.propagate_bounds(net, lo[None], hi[None])
-    nb = stacked[0]
-    relax.compute_bounds(net, np.array([[1.0, -1.0]]), relax.Domains(lo[None], hi[None], stacked),
+    nb = stacked.neuron_bounds
+    relax.compute_bounds(net, np.array([[1.0, -1.0]]), stacked,
                          {k: relax.adaptive_alpha(nb.lower[k], nb.upper[k]) for k in (0, 1)})
     assert [id(r) for r in built] == [id(stacked.relaxations[k]) for k in (0, 1)]
     for k in (0, 1):
-        assert all(view.base is part for view, part in zip(nb.relaxations[k], built[k]))
-    assert nb.feasible is True and nb.is_feasible()
+        assert all(view.base is part for view, part in zip(stacked.row_relaxations[k], built[k]))
+    assert nb.feasible.tolist() == [True] and nb.intervals(0).is_feasible() is True
     for k in (0, 1):
-        for kept, new in zip(nb.relaxations[k], build(nb.lower[k], nb.upper[k])):
+        for kept, new in zip(stacked.relaxations[k], build(nb.lower[k], nb.upper[k])):
             assert kept.dtype == new.dtype and kept.tobytes() == new.tobytes()
+
+
+def _bounded_stack():
+    """A stack of four boxes bounded over a base with mixed start layers; the
+    base empties the last one at layer 0."""
+    net = random_net(np.random.default_rng(33), 3, [6, 5, 4], 2)
+    rng = np.random.default_rng(34)
+    lo = rng.uniform(-1.0, 0.0, (4, 3))
+    hi = lo + rng.uniform(0.2, 1.5, (4, 3))
+    base = relax.propagate_bounds(net, lo, hi).neuron_bounds
+    base.lower[0][3, 0] = base.upper[0][3, 0] + 1.0
+    return net, relax.propagate_bounds(net, lo, hi, base, np.array([1, 2, 0, 0]))
+
+
+def test_indexing_a_stack_takes_those_rows_bitwise():
+    # A sub-stack is the Domains an index array takes: in its order, the
+    # very rows of the boxes, the intervals, the feasibility and every
+    # relaxation array.
+    _, stack = _bounded_stack()
+    nb = stack.neuron_bounds
+    assert nb.feasible.tolist() == [True, True, True, False]
+    idx = np.array([3, 0, 2])
+    sub = stack[idx]
+    assert sub.box_lower.tobytes() == stack.box_lower[idx].tobytes()
+    assert sub.box_upper.tobytes() == stack.box_upper[idx].tobytes()
+    assert sub.neuron_bounds.feasible.tolist() == [False, True, True]
+    assert sorted(sub.relaxations) == sorted(stack.relaxations) == [0, 1, 2]
+    for j, i in enumerate(idx):
+        for got, want in zip(sub.neuron_bounds.lower + sub.neuron_bounds.upper,
+                             nb.lower + nb.upper, strict=True):
+            assert got[j].tobytes() == want[i].tobytes()
+        for k, rel in stack.relaxations.items():
+            for got, want in zip(sub.relaxations[k], rel, strict=True):
+                assert got[j].dtype == want[i].dtype and got[j].tobytes() == want[i].tobytes()
+
+
+def test_row_relaxations_are_built_on_first_read_and_only_once():
+    # Scoring reads a stack's (D, n_k) relaxations only, so a stack handed to
+    # score_branches alone builds no (D, 1, n_k) row views; a bound pass
+    # builds them on first read, and every later pass reads the same ones.
+    net, stack = _bounded_stack()
+    feasible = np.flatnonzero(stack.neuron_bounds.feasible)
+    C = np.array([[1.0, -1.0]])
+    bounded, scored = stack[feasible], stack[feasible]
+    slopes = {k: np.full(l.shape[-1], 0.5) for k, l in enumerate(stack.neuron_bounds.lower)}
+    assert "row_relaxations" not in vars(bounded)
+    res = relax.compute_bounds(net, C, bounded, slopes)
+    rows = vars(bounded)["row_relaxations"]
+    for k, rel in bounded.relaxations.items():
+        assert all(view.base is part for view, part in zip(rows[k], rel, strict=True))
+    relax.optimize_alpha(net, C, bounded, 3, 0.25)
+    assert vars(bounded)["row_relaxations"] is rows
+    bound = res[np.arange(len(feasible)), np.zeros(len(feasible), dtype=np.intp)]
+    _, preacts = model.forward(net, bound.x_star)
+    scores, _ = heuristics.score_branches(heuristics.DRG, net, C[[0] * len(feasible)], bound,
+                                          scored, preacts, None)
+    assert sorted(scores) == [0, 1, 2]
+    assert "row_relaxations" not in vars(scored)
 
 
 def test_propagation_builds_an_adaptive_alpha_only_where_a_later_pass_reads_it(monkeypatch):
@@ -161,9 +219,9 @@ def test_compute_bounds_sampled_soundness_with_splits():
     net = random_net(rng, 2, [5, 4], 1, scale=2.0)
     lo, hi = np.array([-1.0, -1.0]), np.array([1.0, 1.0])
     root = make_domain(net, lo, hi)
-    unstable = np.flatnonzero(root.neuron_bounds.relaxations[0][1])
-    assert unstable.size >= 1
-    j = int(unstable[0])
+    layer0 = unstable(root.neuron_bounds, 0)
+    assert layer0.size >= 1
+    j = int(layer0[0])
     for sign in (+1, -1):
         d = make_domain(net, lo, hi, splits={(0, j): sign})
         if not d.neuron_bounds.is_feasible():
@@ -292,7 +350,7 @@ def test_triangle_validity_on_grid():
         l = -rng.uniform(0.01, 10.0)
         u = rng.uniform(0.01, 10.0)
         a = rng.uniform(0.0, 1.0)
-        rel = hand_bounds([[l]], [[u]]).relaxations[0]
+        rel = relax.relaxation(np.array([l]), np.array([u]))
         lower = relax._lower_slope(rel, np.array([a]))[0]
         slope, icpt = rel[2][0], rel[3][0]
         z = np.linspace(l, u, 1000)
@@ -313,7 +371,7 @@ def test_exactness_when_every_relu_is_stable():
         ])
         lo, hi = np.array([-0.5, -0.5]), np.array([0.5, 0.5])
         d = make_domain(net, lo, hi)
-        assert not d.neuron_bounds.relaxations[0][1].any()  # layer 0 is the only hidden layer
+        assert not unstable(d.neuron_bounds, 0).size  # layer 0 is the only hidden layer
         c = np.array([[1.0]])
         res = bounds_of(net, c, d, adaptive_slopes(net, d))[0]
         # exact affine margin: m(x) = W1 (W0 x + b0') + b1 on this box
@@ -337,7 +395,7 @@ def test_alpha_gradient_matches_finite_differences():
         grads = gradient_of(net, c, d, slopes)
         h = 1e-5
         for k in sorted(grads):
-            for j in np.flatnonzero(d.neuron_bounds.relaxations[k][1]):
+            for j in unstable(d.neuron_bounds, k):
                 p_hi = {i: v.copy() for i, v in slopes.items()}
                 p_hi[k][j] += h
                 p_lo = {i: v.copy() for i, v in slopes.items()}
@@ -456,7 +514,8 @@ def test_zero_gradient_case_stops_one_row_at_once_beside_a_row_that_improves():
     # adaptive slopes while the first row's steps go on in the same stack.
     net, C, d = _zero_gradient_case()
     init = bounds_of(net, C, d, adaptive_slopes(net, d))
-    assert d.neuron_bounds.relaxations[0][1].all() and (init.A[0][1] < 0.0).all()
+    assert unstable(d.neuron_bounds, 0).size == d.neuron_bounds.lower[0].size
+    assert (init.A[0][1] < 0.0).all()
     assert reference_optimize_alpha(net, C[1], d, 20, 0.25)[1] == [0]
     assert len(reference_optimize_alpha(net, C[0], d, 20, 0.25)[1]) > 1
     assert optimize_of(net, C, d, 20, 0.25)[1].lower_bound[0] > init.lower_bound[0]

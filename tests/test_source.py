@@ -49,3 +49,25 @@ def test_json_writers_in_src_reject_non_finite_numbers():
                     and kw.value.value is False for kw in node.keywords)
     ]
     assert found == []
+
+
+def test_relaxations_live_only_on_stacks_built_in_relax():
+    # A bounded stack (relax.Domains) is the one holder of relaxations, and
+    # only relax builds one: every other module takes a sub-stack by indexing
+    # the one propagate_bounds returns. NeuronBounds holds intervals and
+    # feasibility, nothing else.
+    src = Path(reluverify.__file__).parent
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py")) if path.name != "relax.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and (isinstance(node.func, ast.Name) and node.func.id == "Domains"
+             or isinstance(node.func, ast.Attribute) and node.func.attr == "Domains")
+    ]
+    assert found == []
+    relax_tree = ast.parse((src / "relax.py").read_text(encoding="utf-8"))
+    nb = next(node for node in relax_tree.body
+              if isinstance(node, ast.ClassDef) and node.name == "NeuronBounds")
+    assert [node.target.id for node in nb.body if isinstance(node, ast.AnnAssign)] == [
+        "lower", "upper", "feasible"]
