@@ -6,15 +6,16 @@ box minimizer on the concrete network (a violation ends the search as
 Unsafe), and finally split on the neuron the heuristic blames for the
 spurious witness. branchings decides them for a stack of sub-domains at once
 (a worklist pass, or the root alone) and records each decision as a
-Branching's action; _process_node applies the decisions one at a time, in
-pop order. A split lives only in its clamp: a child keeps its parent's
-intervals and the clamp (layer, neuron, sign), and the pass that bounds it
-writes the clamp into the child's row of the stacked base, so the split
-neuron's interval starts (+1) or ends (-1) at zero and every later bound
-pass intersects with it. A pass hands each sub-domain its intervals alone;
-relaxations live only on the relax.Domains stack that propagate_bounds
-returns, which the pass indexes for the sub-stacks it bounds and scores.
-Input bisection restores completeness when no neuron split is available.
+Branching; verify applies them one at a time, in pop order, and
+_trace_entry reports each one when the run is traced. A split lives only in
+its clamp: a child keeps its parent's intervals and the clamp (layer,
+neuron, sign), and the pass that bounds it writes the clamp into the child's
+row of the stacked base, so the split neuron's interval starts (+1) or ends
+(-1) at zero and every later bound pass intersects with it. A pass hands
+each sub-domain its intervals alone; relaxations live only on the
+relax.Domains stack that propagate_bounds returns, which the pass indexes
+for the sub-stacks it bounds and scores. Input bisection restores
+completeness when no neuron split is available.
 """
 
 from __future__ import annotations
@@ -66,9 +67,9 @@ class SubDomain:
 
     A child made by a split or a bisection defers its bounds: while net is
     set, bounds is its parent's intervals object, shared and never written,
-    clamp the split's (layer, neuron, sign) or None, and layers start_layer
-    and later are recomputed when a worklist pass bounds it, which also
-    leaves its Branching in branching for _process_node. Once bounded,
+    and clamp the split's (layer, neuron, sign) or None. A worklist pass that
+    bounds it recomputes the layers after the clamp's (all of them without
+    one) and leaves its Branching in branching for verify. Once bounded,
     bounds holds its own intervals and clamp is None. Children that no pass
     reaches are never bounded.
     """
@@ -80,7 +81,6 @@ class SubDomain:
     parent_lower_bound: float = float("-inf")
     n_splits: int = 0
     net: Optional[Network] = None
-    start_layer: int = 0
     clamp: Optional[Tuple[int, int, int]] = None
     branching: Optional["Branching"] = None
 
@@ -96,8 +96,7 @@ class SubDomain:
         return copy.bounds
 
     @classmethod
-    def child(cls, net: Network, parent: "SubDomain", box_lower: np.ndarray,
-              box_upper: np.ndarray, start_layer: int,
+    def child(cls, net: Network, parent: "SubDomain", box_lower: np.ndarray, box_upper: np.ndarray,
               clamp: Optional[Tuple[int, int, int]] = None) -> "SubDomain":
         """A sub-domain of parent over the given box, deferred. It copies
         nothing: it keeps the parent's intervals object and clamp = (layer,
@@ -105,7 +104,7 @@ class SubDomain:
         when a pass bounds it; ancestors' clamps hold by intersection."""
         return cls(box_lower, box_upper, parent.neuron_bounds, parent.depth + 1,
                    parent.parent_lower_bound, parent.n_splits + (clamp is not None),
-                   net, start_layer, clamp)
+                   net, clamp)
 
 
 def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
@@ -113,7 +112,8 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     """Bound deferred sub-domains of one network in one stacked pass.
 
     Their intervals are stacked into a fresh base, and each clamp is written
-    into its own sub-domain's row of it, the only place a clamp is applied.
+    into its own sub-domain's row of it, the only place a clamp is applied;
+    the layers after the clamp's are recomputed (all of them without one).
     Each sub-domain then gets copies of its own interval rows and its
     feasibility; the relaxations stay on the Domains stack propagate_bounds
     returns. Given the spec matrix C, the root's slopes and the heuristic,
@@ -132,7 +132,8 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
                 base.lower[layer][i, neuron] = max(base.lower[layer][i, neuron], 0.0)
             else:
                 base.upper[layer][i, neuron] = min(base.upper[layer][i, neuron], 0.0)
-    domains = relax.propagate_bounds(net, lo, hi, base, np.array([d.start_layer for d in ds]))
+    start = np.array([0 if d.clamp is None else d.clamp[0] + 1 for d in ds])
+    domains = relax.propagate_bounds(net, lo, hi, base, start)
     nb = domains.neuron_bounds
     for i, d in enumerate(ds):
         d.bounds, d.net, d.clamp = nb.intervals(i), None, None
@@ -273,6 +274,8 @@ class BabConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is numbers.Integral else "a real number"
                 raise InputError(f"config.{name} must be {what}, got {value!r}")
+        if not isinstance(self.trace, bool):  # "no" would be truthy and turn tracing on
+            raise InputError(f"config.trace must be a bool, got {self.trace!r}")
         if not self.timeout_seconds > 0:  # NaN too: it would never time out
             raise InputError(f"config.timeout_seconds must be positive, got {self.timeout_seconds}")
         if self.max_branches < 0:
@@ -352,8 +355,8 @@ def split_subdomain(
     l, u = nb.lower[layer][neuron], nb.upper[layer][neuron]
     if not (l < 0.0 < u):
         raise ValueError(f"split_subdomain: neuron {key} with bounds [{l}, {u}] is not unstable")
-    return (SubDomain.child(net, d, d.box_lower, d.box_upper, layer + 1, (layer, neuron, +1)),
-            SubDomain.child(net, d, d.box_lower, d.box_upper, layer + 1, (layer, neuron, -1)))
+    return (SubDomain.child(net, d, d.box_lower, d.box_upper, (layer, neuron, +1)),
+            SubDomain.child(net, d, d.box_lower, d.box_upper, (layer, neuron, -1)))
 
 
 def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDomain]]:
@@ -373,8 +376,8 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
     lower_hi[dim] = mid
     upper_lo = d.box_lower.copy()
     upper_lo[dim] = mid
-    return (SubDomain.child(net, d, d.box_lower.copy(), lower_hi, 0),
-            SubDomain.child(net, d, upper_lo, d.box_upper.copy(), 0))
+    return (SubDomain.child(net, d, d.box_lower.copy(), lower_hi),
+            SubDomain.child(net, d, upper_lo, d.box_upper.copy()))
 
 
 def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> None:
@@ -397,75 +400,48 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
             raise InvariantError("input bisection did not shrink the box widths")
 
 
-def _process_node(net: Network, stats: RunStats,
-                  d: SubDomain) -> Tuple[dict, Tuple[SubDomain, ...]]:
-    """Apply one sub-domain's Branching, node stats.branches_visited.
-
-    Returns its trace entry, whose "action" is the Branching's, or stuck
-    when a box to bisect cannot be halved, and the children to queue.
-    d.branching, which the worklist pass that bounded d took (verify takes
-    the root's), is used and dropped. The Unsafe witness, split and clamp
-    counts go into stats.
-    """
-    b, d.branching = d.branching, None
-    # The parent's bound remains valid on this shrunken region; inheriting it
-    # keeps node bounds monotone even when the clamped relaxation drifts.
-    eff_lb = max(b.raw_lower_bound, d.parent_lower_bound)
-    entry = {
-        "node": stats.branches_visited,
-        "depth": d.depth,
-        "parent_lower_bound": d.parent_lower_bound,
-        "n_splits": d.n_splits,
-        "lower_bound": eff_lb,
-        "raw_lower_bound": b.raw_lower_bound,
-        "row": b.row,
-    }
+def _trace_entry(node: int, d: SubDomain, b: Branching, eff_lb: float,
+                 children: Optional[Tuple[SubDomain, ...]]) -> dict:
+    """Node d's trace line: node is its number, b its Branching, eff_lb its
+    effective bound and children what applying b made (None for a bisection
+    whose box cannot be halved, traced as stuck)."""
+    entry = {"node": node, "depth": d.depth, "parent_lower_bound": d.parent_lower_bound,
+             "n_splits": d.n_splits, "lower_bound": eff_lb, "raw_lower_bound": b.raw_lower_bound,
+             "row": b.row}
     if b.witness_margin is not None:
         entry["witness_margin"] = b.witness_margin
-    entry["action"] = b.action
-    if b.action == "unsafe":
-        stats.witness = b.witness
-    if b.action not in ("split", "bisect"):
-        return entry, ()
-
-    stats.gap_clamp_events += b.clamps
+    entry["action"] = "stuck" if children is None else b.action
+    if not children:
+        return entry
     if b.action == "split":
-        children = split_subdomain(net, d, *b.pick)
         entry.update(split=list(b.pick), split_kind=b.kind)
-    else:
-        children = input_bisect(net, d)
-        if children is None:
-            entry["action"] = "stuck"
-            return entry, ()
-
-    stats.splits_made += 1
-    if stats.per_node_trace is not None:  # only the trace reads them
-        scores = b.scores
-        score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
-        if score_n:
-            entry["score_max"] = float(max(s.max() for s in scores.values()))
-            entry["score_n"] = score_n
-    for child in children:
-        _check_termination_measure(d, child, b.pick)
-        child.parent_lower_bound = eff_lb
+    scores = b.scores
+    score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
+    if score_n:
+        entry["score_max"] = float(max(s.max() for s in scores.values()))
+        entry["score_n"] = score_n
     entry["children"] = len(children)
-    return entry, children
+    return entry
 
 
 def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
            config: Optional[BabConfig] = None) -> RunStats:
     """Run the search on a task: bound, check the counterexample, refine, repeat.
 
-    The root's slopes are optimized first and the root is processed; then,
-    until a verdict or a budget, the sub-domain with the lowest bound is
-    popped and processed. Each pop may bound the next lookahead(net) queued
-    sub-domains together, but never more than the branch budget can still
-    process, plus the one pop that finds it exhausted. The root does not
-    count toward branches_visited: instances decided there report zero
-    branches. The clock starts here, so the root's bounds and slope
-    optimization count toward the time budget. Budgets are checked between
-    nodes, never mid-bound: the timeout before popping, the branch budget
-    after, so it counts as exhausted only while a feasible sub-domain waits.
+    The root's slopes are optimized first and the root's Branching is
+    applied; then, until a verdict or a budget, the sub-domain with the
+    lowest bound is popped and its Branching applied: a split or bisection
+    queues two children (a stuck bisection, whose box cannot be halved,
+    none) and counts its gap clamps and the split; unsafe and non-finite end
+    the run. Only a traced run builds trace lines (_trace_entry). Each pop
+    may bound the next lookahead(net) queued sub-domains together, but never
+    more than the branch budget can still process, plus the one pop that
+    finds it exhausted. The root does not count toward branches_visited:
+    instances decided there report zero branches. The clock starts here, so
+    the root's bounds and slope optimization count toward the time budget.
+    Budgets are checked between nodes, never mid-bound: the timeout before
+    popping, the branch budget after, so it counts as exhausted only while a
+    feasible sub-domain waits.
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
@@ -488,18 +464,30 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     stuck = False
     d = root
     while True:
-        entry, children = _process_node(task.network, stats, d)
+        # d.branching, which the worklist pass that bounded d took (the root's
+        # above), is applied here and dropped.
+        b, d.branching = d.branching, None
+        # The parent's bound remains valid on this shrunken region; inheriting it
+        # keeps node bounds monotone even when the clamped relaxation drifts.
+        eff_lb = max(b.raw_lower_bound, d.parent_lower_bound)
+        children = (split_subdomain(task.network, d, *b.pick) if b.action == "split" else
+                    input_bisect(task.network, d) if b.action == "bisect" else ())
+        stats.gap_clamp_events += b.clamps  # only a spurious witness is scored
         if stats.per_node_trace is not None:
-            stats.per_node_trace.append(entry)
-        if entry["action"] == "unsafe":
-            stats.verdict = UNSAFE
+            stats.per_node_trace.append(_trace_entry(stats.branches_visited, d, b, eff_lb, children))
+        if b.action == "unsafe":
+            stats.verdict, stats.witness = UNSAFE, b.witness
             break
-        if entry["action"] == "non-finite":
+        if b.action == "non-finite":
             stats.unknown_reason = "non-finite bound"
             break
-        stuck |= entry["action"] == "stuck"
-        for child in children:
-            worklist.push(child)
+        stuck |= children is None
+        if children:
+            stats.splits_made += 1
+            for child in children:
+                _check_termination_measure(d, child, b.pick)
+                child.parent_lower_bound = eff_lb
+                worklist.push(child)
         if time.perf_counter() > deadline:
             stats.unknown_reason = "timeout"
             break

@@ -2,10 +2,10 @@
 
 The main heuristic masks the relaxation gap to neurons whose backward
 coefficient is negative: there the bound leans on the static upper chord,
-which only a split can tighten, while non-negative coefficients lean on the
-adjustable lower slope that the optimizer already handles. The remaining kinds
-are the comparison variants (symmetric gap, gradient/center/intercept
-ablations, the one-shot intercept-magnitude baseline, and raw interval width).
+which only a split can tighten. Non-negative ones lean on the lower slope,
+optimized at the root only (every other node bounds with the root's slopes).
+The rest are the comparison variants (symmetric gap, gradient/center/
+intercept ablations, the one-shot intercept-magnitude baseline, raw width).
 
 Every kind is one masked array formula per layer, |coef| * gap: the
 coefficient is the backward coefficient A (the concrete margin gradient for

@@ -105,7 +105,7 @@ def make_domain(net, lo, hi, splits=None):
     hi = np.asarray(hi, dtype=float)
     d = bab.SubDomain(lo, hi, propagate_of(net, lo, hi))
     for (layer, neuron), sign in (splits or {}).items():
-        d = bab.SubDomain.child(net, d, lo, hi, layer + 1, (layer, neuron, sign))
+        d = bab.SubDomain.child(net, d, lo, hi, (layer, neuron, sign))
     if d.net is not None:
         bab.bound_subdomains([d])  # a read would bound a copy and leave d deferred
     return d

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import time
@@ -271,6 +272,10 @@ def test_config_rejects_budgets_out_of_range():
             with pytest.raises(model.InputError, match=name):
                 bab.BabConfig(**{name: value})
         assert getattr(bab.BabConfig(**{name: 2}), name) == 2
+    # A truthy non-bool such as "no" would turn tracing on and be echoed.
+    for value in ("no", 1, None):
+        with pytest.raises(model.InputError, match="trace"):
+            bab.BabConfig(trace=value)
 
 
 def test_timeout_gives_unknown():
@@ -390,8 +395,7 @@ def test_split_child_without_its_clamp_raises(monkeypatch):
     # lose it would leave the neuron unstable and could repeat forever.
     child = bab.SubDomain.child.__func__
     monkeypatch.setattr(bab.SubDomain, "child", classmethod(
-        lambda cls, net, parent, lo, hi, start_layer, clamp=None:
-            child(cls, net, parent, lo, hi, start_layer)))
+        lambda cls, net, parent, lo, hi, clamp=None: child(cls, net, parent, lo, hi)))
     net = model.make_network([
         (np.array([[1.0], [-1.0]]), np.zeros(2), model.RELU),
         (np.array([[1.0, 1.0]]), np.array([-0.2]), model.LINEAR),
@@ -547,17 +551,19 @@ def test_worklist_pop_skips_infeasible_children():
 def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
     # A zero branch budget with only an infeasible child queued ends Safe: the
     # budget counts as exhausted only while a feasible sub-domain waits.
+    # Without slope optimization the root splits; high replaces its children.
     task = scalar_task(scalar_relu_net(out_bias=0.1))
     _, _, high = _straddling_bisection()
-    process = bab._process_node
+    push, pushed = bab.Worklist.push, []
 
-    def root_queues_only_high(*args, **kwargs):
-        entry, _ = process(*args, **kwargs)
-        return entry, ((high,) if entry["node"] == 0 else ())
+    def root_queues_only_high(self, d):
+        if not pushed:
+            push(self, high)
+        pushed.append(d)
 
-    monkeypatch.setattr(bab, "_process_node", root_queues_only_high)
-    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=0))
-    assert not high.neuron_bounds.is_feasible()
+    monkeypatch.setattr(bab.Worklist, "push", root_queues_only_high)
+    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=0, alpha_iters=0))
+    assert len(pushed) == 2 and not high.neuron_bounds.is_feasible()
     assert stats.verdict == bab.SAFE
     assert stats.unknown_reason is None and stats.branches_visited == 0
 
@@ -685,6 +691,8 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
     slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
     slopes = {k: v[0] for k, v in slopes.items()}
     alone = [dataclasses.replace(d) for d in batch]
+    # each is recomputed from the layer after its clamp's, from the first without one
+    assert sorted({0 if d.clamp is None else d.clamp[0] + 1 for d in batch}) == [0, 1, 2, 3]
     compute, phase1 = relax.compute_bounds, []  # the phase-1 bounds each pass takes
     propagate, propagated = relax.propagate_bounds, []  # the stacks each pass bounds
     monkeypatch.setattr(relax, "compute_bounds",
@@ -696,7 +704,6 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
     for d in alone:
         bab.bound_subdomains([d], C, slopes, "drg")
     results = iter(zip(stacked, phase1, strict=True))  # one per feasible sub-domain
-    assert sorted({d.start_layer for d in alone}) == [0, 1, 2, 3]
     assert 0 < sum(not d.neuron_bounds.is_feasible() for d in alone) < len(alone)
     for i, (d, ref, own) in enumerate(zip(batch, alone, propagated, strict=True)):
         got, want = d.neuron_bounds, ref.neuron_bounds
@@ -731,9 +738,7 @@ def test_a_pass_leaves_no_subdomain_a_view_of_its_stacks(monkeypatch):
     slopes = {k: v[0] for k, v in slopes.items()}
     bab.bound_subdomains(batch, C, slopes, "drg")
     assert 0 < sum(d.branching is not None for d in batch) < len(batch)
-    process, processed = bab._process_node, []
-    monkeypatch.setattr(bab, "_process_node",
-                        lambda net, stats, d: processed.append(d) or process(net, stats, d))
+    processed = _recording_processed(monkeypatch)
     bab.verify(model.VerificationTask(net, root.box_lower, root.box_upper, C), "drg",
                bab.BabConfig(max_branches=20))
     assert len(processed) > 1
@@ -913,37 +918,104 @@ def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch,
     assert sum(reads) > 1000 and max(n for _, _, batches, _, _ in plain for n in batches) > 8
 
 
+def _recording_processed(monkeypatch):
+    """A list that gets, in order, each sub-domain verify takes: the root (the
+    one depth-0 sub-domain branchings decides) and each one Worklist.pop
+    returns. The last popped is not processed when the branch budget is
+    found exhausted."""
+    take, pop, taken = bab.branchings, bab.Worklist.pop, []
+
+    def taking(net, C, slopes, heuristic, ds, *rest):
+        take(net, C, slopes, heuristic, ds, *rest)
+        taken.extend(d for d in ds if d.depth == 0)
+
+    def popping(self, limit=1):
+        d = pop(self, limit)
+        if d is not None:
+            taken.append(d)
+        return d
+
+    monkeypatch.setattr(bab, "branchings", taking)
+    monkeypatch.setattr(bab.Worklist, "pop", popping)
+    return taken
+
+
 def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path):
     # The search record's suites and every heuristic: each processed node's
     # trace action is the one branchings decided for it. The one exception
     # is stuck, a bisection whose box cannot be halved.
     from test_search_record import MAX_BRANCHES, SUITES
 
-    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES)
-    take, process, pairs, seen = bab.branchings, bab._process_node, [], set()
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
+    take, seen = bab.branchings, set()
 
     def recording(net, C, slopes, heuristic, ds, *rest):
         take(net, C, slopes, heuristic, ds, *rest)
         for d in ds:
             d.decided = d.branching
 
-    def processing(net, stats, d):
-        entry, children = process(net, stats, d)
-        pairs.append((d.decided.action, entry["action"]))
-        return entry, children
-
     monkeypatch.setattr(bab, "branchings", recording)
-    monkeypatch.setattr(bab, "_process_node", processing)
+    processed = _recording_processed(monkeypatch)
     for i, gen_args in enumerate(SUITES):
         for task in _gen_tasks(tmp_path / str(i), *gen_args[1:]):
             for kind in heuristics.KINDS:
-                pairs.clear()
+                processed.clear()
                 stats = bab.verify(task, kind, config)
-                assert len(pairs) == stats.branches_visited + 1
-                for decided, traced in pairs:
+                trace = stats.per_node_trace
+                exhausted = stats.unknown_reason == "branch budget exhausted"
+                assert len(processed) == len(trace) + exhausted == stats.branches_visited + 1 + exhausted
+                for d, entry in zip(processed, trace):
+                    decided, traced = d.decided.action, entry["action"]
                     assert traced == decided or (decided, traced) == ("bisect", "stuck")
-                seen.update(decided for decided, _ in pairs)
+                    seen.add(decided)
     assert seen == {"pruned-safe", "unsafe", "split", "bisect"}
+
+
+def _record_suite_runs(tmp_path, trace):
+    """Every heuristic's search on the search record's second suite, which
+    both splits and bisects, with or without a trace."""
+    from test_search_record import MAX_BRANCHES, SUITES
+
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=trace)
+    tasks = _gen_tasks(tmp_path / str(trace), *SUITES[1][1:])
+    return [bab.verify(task, kind, config) for task in tasks for kind in heuristics.KINDS]
+
+
+def test_tracing_changes_nothing_but_the_trace(monkeypatch, tmp_path):
+    # An untraced run builds no trace line, and it decides exactly what the
+    # traced run of the same search decides.
+    def outcome(s):
+        wit = s.witness and (s.witness.x_star.tobytes(), s.witness.concrete_margin.tobytes())
+        return (s.verdict, s.branches_visited, s.splits_made, s.gap_clamp_events,
+                s.unknown_reason, wit)
+
+    traced = _record_suite_runs(tmp_path, True)
+
+    def no_trace_line(*args):
+        raise AssertionError("an untraced run built a trace line")
+
+    monkeypatch.setattr(bab, "_trace_entry", no_trace_line)
+    plain = _record_suite_runs(tmp_path, False)
+    assert all(s.per_node_trace is None for s in plain)
+    assert [outcome(s) for s in plain] == [outcome(s) for s in traced]
+    assert {s.verdict for s in traced} == {bab.SAFE, bab.UNSAFE}
+    assert sum(s.splits_made for s in traced) > 0
+
+
+def test_the_search_refines_through_the_module_hooks(monkeypatch, tmp_path):
+    # verifbench times bab.split_subdomain and counts bab.input_bisect by
+    # wrapping the module globals: every split and bisection goes through
+    # them, one call per split line and one per bisect or stuck line.
+    calls = {"split_subdomain": 0, "input_bisect": 0}
+    for name in calls:
+        def counting(*args, _name=name, _real=getattr(bab, name)):
+            calls[_name] += 1
+            return _real(*args)
+        monkeypatch.setattr(bab, name, counting)
+    actions = collections.Counter(e["action"] for s in _record_suite_runs(tmp_path, True)
+                                  for e in s.per_node_trace)
+    assert calls["split_subdomain"] == actions["split"] > 0
+    assert calls["input_bisect"] == actions["bisect"] + actions["stuck"] > 0
 
 
 def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
