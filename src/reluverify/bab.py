@@ -4,7 +4,8 @@ A sub-domain is decided in four phases: bound the margin with the convex
 relaxation, prune if the bound clears zero, otherwise evaluate the bound's
 box minimizer on the concrete network (a violation ends the search as
 Unsafe), and finally split on the neuron the heuristic blames for the
-spurious witness. branchings decides them for a stack of sub-domains at once
+spurious witness, or bisect the widest input dimension when the heuristic
+scores no neuron. branchings decides them for a stack of sub-domains at once
 (a worklist pass, or the root alone) and records each decision as a
 Branching; verify applies them one at a time, in pop order, and
 _trace_entry reports each one when the run is traced. A split lives only in
@@ -14,8 +15,7 @@ row of the stacked base, so the split neuron's interval starts (+1) or ends
 (-1) at zero and every later bound pass intersects with it. A pass hands
 each sub-domain its intervals alone; relaxations live only on the
 relax.Domains stack that propagate_bounds returns, which the pass indexes
-for the sub-stacks it bounds and scores. Input bisection restores
-completeness when no neuron split is available.
+for the sub-stacks it bounds and scores.
 """
 
 from __future__ import annotations
@@ -151,8 +151,9 @@ class Branching:
     """A sub-domain's decision and what it reads: the worst spec row (the first
     on ties) and its bound; the action (non-finite, pruned-safe, unsafe, split
     or bisect); the witness and its margin, unless that bound is non-finite
-    or prunes; if the witness is spurious, the gap clamps, the pick and the
-    kind that made it, and the scores the trace reads.
+    or prunes; if the witness is spurious, the gap clamps, the heuristic's
+    pick (None when its scores all vanish: the sub-domain bisects) and the
+    scores the trace reads.
 
     The witness and the scores stay in the stacks of the pass that took
     them, each kept with this sub-domain's index there; the witness and
@@ -164,7 +165,6 @@ class Branching:
     witness_margin: Optional[float] = None
     clamps: int = 0
     pick: Optional[Tuple[int, int]] = None
-    kind: Optional[str] = None
     stacked_witness: Optional[Tuple[witness_mod.Witness, int]] = field(default=None, repr=False)
     stacked_scores: Optional[Tuple[heuristics.Scores, int]] = field(default=None, repr=False)
 
@@ -195,9 +195,9 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
       pruned-safe;
     - otherwise the witnesses take one stacked concrete pass. A non-finite
       witness margin: non-finite; one <= 0: unsafe;
-    - the spurious rest take one stacked scoring and pick, and those the
-      heuristic picks nothing in one for babsr: split, or bisect without a
-      pick.
+    - the spurious rest take one stacked scoring and pick with the
+      heuristic: split on the pick, or bisect where every score vanishes
+      (at most ZERO_SCORE_TOL, or no unstable neuron).
 
     Each number is the one a stack of one gives."""
     worst = np.argmin(results.lower_bound, axis=-1)  # the first row on ties
@@ -221,26 +221,20 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
         b = ds[i].branching
         b.stacked_witness, b.witness_margin, b.action = (wit, j), margin, act
     todo = np.flatnonzero(action == "bisect")  # spurious
-    c_rows, row_slopes = C[rows], {k: v[rows] for k, v in slopes.items()}
-    for kind in dict.fromkeys((heuristic, heuristics.BABSR)):
-        if not len(todo):
-            break
-        if len(todo) < len(idx):
-            idx, c_rows, bound = idx[todo], c_rows[todo], bound[todo]
-            preacts = [z[todo] for z in preacts]
-            row_slopes = {k: v[todo] for k, v in row_slopes.items()}
-        sub = domains if len(idx) == len(ds) else domains[idx]
-        scores, clamps = heuristics.score_branches(kind, net, c_rows, bound, sub, preacts,
-                                                   row_slopes)
-        picks = heuristics.select_branch(scores)
-        for j, i in enumerate(idx.tolist()):
-            b, pick = ds[i].branching, picks.get(j)
-            b.clamps += int(clamps[j])  # babsr never clamps: the count is the heuristic's
-            if pick is not None or b.stacked_scores is None:  # a bisection traces the heuristic's
-                b.stacked_scores = (scores, j)
-            if pick is not None:
-                b.pick, b.kind, b.action = pick, kind, "split"
-        todo = np.array([j for j in range(len(idx)) if j not in picks], dtype=np.intp)
+    if not len(todo):
+        return
+    if len(todo) < len(idx):
+        idx, rows, bound = idx[todo], rows[todo], bound[todo]
+        preacts = [z[todo] for z in preacts]
+    sub = domains if len(idx) == len(ds) else domains[idx]
+    scores, clamps = heuristics.score_branches(heuristic, net, C[rows], bound, sub, preacts,
+                                               {k: v[rows] for k, v in slopes.items()})
+    picks = heuristics.select_branch(scores)
+    for j, i in enumerate(idx.tolist()):
+        b = ds[i].branching
+        b.clamps, b.stacked_scores = int(clamps[j]), (scores, j)
+        if j in picks:
+            b.pick, b.action = picks[j], "split"
 
 
 @dataclass
@@ -362,10 +356,11 @@ def split_subdomain(
 def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDomain]]:
     """Bisect the widest input dimension at its midpoint (lowest index on ties).
 
-    Restores completeness when no unstable neuron is splittable. Returns
-    None when the box has zero width in every dimension, which makes the leaf
-    undecidable (Unknown). The halves' bounds are recomputed from the first
-    layer when they are bounded.
+    Taken where the heuristic scores no neuron, which keeps the search
+    complete when no unstable neuron is left. Returns None when the box has
+    zero width in every dimension, which makes the leaf undecidable
+    (Unknown). The halves' bounds are recomputed from the first layer when
+    they are bounded.
     """
     widths = d.box_upper - d.box_lower
     dim = int(np.argmax(widths))
@@ -414,7 +409,7 @@ def _trace_entry(node: int, d: SubDomain, b: Branching, eff_lb: float,
     if not children:
         return entry
     if b.action == "split":
-        entry.update(split=list(b.pick), split_kind=b.kind)
+        entry["split"] = list(b.pick)
     scores = b.scores
     score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
     if score_n:

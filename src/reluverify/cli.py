@@ -1,7 +1,7 @@
 """Command-line entry points: verify one instance, benchmark heuristics over a
 suite, generate seeded instances, and query the exact oracle.
 
-Exit codes: 0 Safe, 1 Unsafe, 2 Unknown, 3 input error.
+Exit codes: 0 Safe, 1 Unsafe, 2 Unknown, 3 input error, 4 internal error.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import json
 import math
 import statistics
 import sys
+import traceback
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -22,6 +23,7 @@ from . import bab, heuristics, model, oracle
 
 EXIT_BY_VERDICT = {bab.SAFE: 0, bab.UNSAFE: 1, bab.UNKNOWN: 2}
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _config_from_args(args, trace: bool = False) -> bab.BabConfig:
@@ -42,6 +44,7 @@ def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig) -> 
         "verdict": stats.verdict,
         "branches": stats.branches_visited,
         "splits": stats.splits_made,
+        "gap_clamp_events": stats.gap_clamp_events,
         "time_s": stats.wall_time_s,
         "heuristic": heuristic,
         "config_echo": dict(config.to_dict(), heuristic=heuristic),
@@ -379,6 +382,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except model.InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    except Exception as exc:  # a bug or a resource limit: exiting 1 would read as Unsafe
+        traceback.print_exc()
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -286,33 +286,38 @@ def test_timeout_gives_unknown():
         assert stats.unknown_reason == "timeout"
 
 
-def test_all_zero_scores_fall_back_to_babsr_then_bisect():
-    # m(x) = |x| + c has positive coefficients on both neurons, so the gap
-    # scores vanish and the search must still make progress.
+def test_all_zero_scores_bisect_until_decided():
+    # m(x) = |x| + c has positive coefficients on both neurons, so drg's gap
+    # scores vanish: every node bisects, and the search still decides.
+    bisections = 0
     for c, expected in ((-0.2, bab.UNSAFE), (0.05, bab.SAFE)):
         net = model.make_network([
             (np.array([[1.0], [-1.0]]), np.zeros(2), model.RELU),
             (np.array([[1.0, 1.0]]), np.array([c]), model.LINEAR),
         ])
-        stats = bab.verify(scalar_task(net), "drg", bab.BabConfig(max_branches=10_000))
+        stats = bab.verify(scalar_task(net), "drg",
+                           bab.BabConfig(max_branches=10_000, trace=True))
         assert stats.verdict == expected
+        assert all("split" not in e for e in stats.per_node_trace)
+        bisections += stats.splits_made
+    assert bisections > 0
 
 
 def test_bisect_after_both_kinds_score_zero_traces_the_heuristics_own_scores():
-    # Neuron 1 is unstable but weighs 1e-14 in the margin: drg scores it 0 and
-    # babsr about 5e-15, both within ZERO_SCORE_TOL, so once babsr has split
-    # the other neurons the search bisects. The trace keeps drg's scores.
-    net = model.make_network([
-        (np.array([[1.0], [1.0], [-1.0]]), np.array([0.0, 0.1, 0.0]), model.RELU),
-        (np.array([[1.0, 1e-14, 0.5]]), np.array([-0.2]), model.LINEAR),
-    ])
+    # Every coefficient is positive, so drg scores every neuron 0 and each of
+    # its nodes bisects. babsr splits neurons 0 and 2, after which neuron 1,
+    # which weighs 1e-14 in the margin, scores about 5e-15, within
+    # ZERO_SCORE_TOL, and its nodes bisect too. Each bisection line carries
+    # the scores of the run's own heuristic.
     config = bab.BabConfig(max_branches=200, trace=True)
-    traces = {kind: bab.verify(scalar_task(net), kind, config).per_node_trace
+    traces = {kind: bab.verify(scalar_task(_all_positive_net()), kind, config).per_node_trace
               for kind in ("drg", "babsr")}
-    assert any(e.get("split_kind") == "babsr" for e in traces["drg"])
+    assert all("split" not in e for e in traces["drg"])
+    assert any("split" in e for e in traces["babsr"])
     bisects = {kind: [e for e in trace if e["action"] == "bisect"]
                for kind, trace in traces.items()}
-    assert bisects["drg"] and all(e["score_max"] == 0.0 for e in bisects["drg"])
+    assert bisects["drg"] and all(e["score_max"] == 0.0 and e["score_n"] > 0
+                                  for e in bisects["drg"])
     assert bisects["babsr"]
     assert all(0.0 < e["score_max"] <= heuristics.ZERO_SCORE_TOL for e in bisects["babsr"])
 
@@ -392,7 +397,9 @@ def test_termination_measure_violations_raise():
 
 def test_split_child_without_its_clamp_raises(monkeypatch):
     # The termination measure reads the clamp itself: a split whose children
-    # lose it would leave the neuron unstable and could repeat forever.
+    # lose it would leave the neuron unstable and could repeat forever. babsr
+    # splits here; drg's scores vanish (both coefficients are positive), so
+    # drg would only bisect.
     child = bab.SubDomain.child.__func__
     monkeypatch.setattr(bab.SubDomain, "child", classmethod(
         lambda cls, net, parent, lo, hi, clamp=None: child(cls, net, parent, lo, hi)))
@@ -401,7 +408,7 @@ def test_split_child_without_its_clamp_raises(monkeypatch):
         (np.array([[1.0, 1.0]]), np.array([-0.2]), model.LINEAR),
     ])
     with pytest.raises(bab.InvariantError, match="unstable"):
-        bab.verify(scalar_task(net), "drg", bab.BabConfig(max_branches=10))
+        bab.verify(scalar_task(net), "babsr", bab.BabConfig(max_branches=10))
 
 
 def test_safe_verdicts_survive_grid_attack():
@@ -771,7 +778,7 @@ def test_a_split_copies_no_interval_and_never_writes_a_shared_one():
 
 
 def _assert_same_branching(got, want):
-    fields = ("row", "action", "clamps", "pick", "kind")
+    fields = ("row", "action", "clamps", "pick")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     assert np.array_equal(got.raw_lower_bound, want.raw_lower_bound, equal_nan=True)
     assert (got.witness is None) == (want.witness is None)
@@ -785,11 +792,11 @@ def _assert_same_branching(got, want):
             assert np.array_equal(got.scores[k], v)
 
 
-def _fallback_net():
+def _all_positive_net():
     """m(x) = ReLU(x) + 1e-14 ReLU(x + 0.1) + 0.5 ReLU(-x) - 0.2 on [-1, 1]:
-    every coefficient is positive, so drg's scores vanish and babsr picks,
+    every coefficient is positive, so drg's scores vanish and it bisects,
     and once babsr has split neurons 0 and 2, neuron 1's scores (about
-    5e-15) are within ZERO_SCORE_TOL and the search bisects."""
+    5e-15) are within ZERO_SCORE_TOL and babsr bisects too."""
     return model.make_network([
         (np.array([[1.0], [1.0], [-1.0]]), np.array([0.0, 0.1, 0.0]), model.RELU),
         (np.array([[1.0, 1e-14, 0.5]]), np.array([-0.2]), model.LINEAR),
@@ -799,8 +806,8 @@ def _fallback_net():
 def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatch):
     # For every kind: _mixed_batch with its margins raised by 9 (most
     # witnesses spurious, two bounds above zero) plus a sub-domain pruned by
-    # its parent's bound, then every lookahead pass of a search whose
-    # heuristic scores vanish (babsr picks, then it bisects). Each
+    # its parent's bound, then every lookahead pass of a search on
+    # _all_positive_net, whose drg scores vanish (it bisects). Each
     # sub-domain's Branching in the stack equals its Branching alone.
     net, C, root, batch = _mixed_batch(margin_shift=9.0)
     slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
@@ -813,12 +820,12 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
         passes.append((alone, [d.branching for d in ds], spec))
 
     monkeypatch.setattr(bab, "bound_subdomains", recording)
-    seen = {"pruned": 0, "split": 0, "fallback": 0, "bisect": 0}
+    seen = {"pruned": 0, "split": 0, "bisect": 0}
     for kind in heuristics.KINDS:
         passes.clear()
         by_parent = dataclasses.replace(batch[0], parent_lower_bound=1.0)
         bab.bound_subdomains([dataclasses.replace(d) for d in batch] + [by_parent], C, slopes, kind)
-        bab.verify(scalar_task(_fallback_net()), kind, bab.BabConfig(max_branches=60))
+        bab.verify(scalar_task(_all_positive_net()), kind, bab.BabConfig(max_branches=60))
         assert max(len(taken) for _, taken, _ in passes) > 1
         for alone, taken, spec in passes:
             for ref, b in zip(alone, taken, strict=True):
@@ -828,8 +835,7 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
                     continue
                 _assert_same_branching(b, ref.branching)
                 seen["pruned"] += b.action == "pruned-safe"
-                seen["split"] += b.action == "split" and b.kind == kind
-                seen["fallback"] += b.action == "split" and b.kind == heuristics.BABSR != kind
+                seen["split"] += b.action == "split"
                 seen["bisect"] += b.action == "bisect"
         assert by_parent.branching.action == "pruned-safe"
         assert by_parent.branching.raw_lower_bound < 0
@@ -872,11 +878,12 @@ def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch,
     # An observer that reads neuron_bounds of every split child, as
     # verifbench's traced pass does, bounds a copy: the child stays deferred
     # with the same bounds object and its clamp. On the search record's
-    # suites every drg and babsr run keeps the batches its worklist passes
-    # bound, its compute_bounds calls and its trace bytes.
+    # suites, at twice the record's branch budget, every drg and babsr run
+    # keeps the batches its worklist passes bound, its compute_bounds calls
+    # and its trace bytes.
     from test_search_record import MAX_BRANCHES, SUITES
 
-    config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=2 * MAX_BRANCHES, trace=True)
     tasks = [task for i, gen_args in enumerate(SUITES)
              for task in _gen_tasks(tmp_path / str(i), *gen_args[1:])]
     bound, compute, split = bab.bound_subdomains, relax.compute_bounds, bab.split_subdomain
@@ -940,10 +947,16 @@ def _recording_processed(monkeypatch):
     return taken
 
 
+# Every key a trace line may have (README, "verify").
+TRACE_KEYS = {"node", "depth", "parent_lower_bound", "n_splits", "lower_bound", "raw_lower_bound",
+              "row", "witness_margin", "action", "split", "score_max", "score_n", "children"}
+
+
 def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path):
     # The search record's suites and every heuristic: each processed node's
     # trace action is the one branchings decided for it. The one exception
-    # is stuck, a bisection whose box cannot be halved.
+    # is stuck, a bisection whose box cannot be halved. Each line has only
+    # the documented keys, and split exactly on a split.
     from test_search_record import MAX_BRANCHES, SUITES
 
     config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
@@ -967,6 +980,7 @@ def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path)
                 for d, entry in zip(processed, trace):
                     decided, traced = d.decided.action, entry["action"]
                     assert traced == decided or (decided, traced) == ("bisect", "stuck")
+                    assert set(entry) <= TRACE_KEYS and ("split" in entry) == (traced == "split")
                     seen.add(decided)
     assert seen == {"pruned-safe", "unsafe", "split", "bisect"}
 
@@ -1025,7 +1039,7 @@ def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
     # witnessed nodes plus the sub-domains a lookahead pass witnessed that
     # were never processed, and no pruned sub-domain gets one.
     assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "2",
-                     "--eps", "0.25", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
+                     "--eps", "0.3", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
     forward, take, bound = model.forward, bab.branchings, bab.bound_subdomains
     rows, taken, bounded, never_processed = [], [], [], 0
     monkeypatch.setattr(model, "forward", lambda net, x: rows.append(len(x)) or forward(net, x))

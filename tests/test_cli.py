@@ -14,7 +14,7 @@ import pytest
 import reluverify
 from reluverify import bab, cli, model
 
-from helpers import near_limit_task, scalar_relu_net, scalar_task
+from helpers import near_limit_task, random_task, scalar_relu_net, scalar_task
 
 
 def _write_toy(tmp_path, bias, name="toy"):
@@ -473,6 +473,38 @@ def test_usage_errors_exit_3_and_help_exits_0(tmp_path, capsys):
             cli.main(argv)
         assert exc.value.code == 0
         assert "usage: reluverify" in capsys.readouterr().out
+
+
+def test_an_internal_error_exits_4_never_the_unsafe_code(tmp_path, capsys, monkeypatch):
+    # An exception escaping cli.main would exit 1, which reads as Unsafe.
+    mp, sp = _write_toy(tmp_path, 0.1)
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    _write_toy(suite, 0.1, "a")
+
+    def failing(*args, **kwargs):
+        raise bab.InvariantError("input bisection did not shrink the box widths")
+
+    monkeypatch.setattr(bab, "verify", failing)
+    for argv in (["verify", "--model", mp, "--spec", sp],
+                 ["bench", "--suite", str(suite), "--heuristics", "drg", "--out",
+                  str(tmp_path / "r")]):
+        assert cli.main(argv) == cli.EXIT_INTERNAL_ERROR == 4, argv
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "Traceback" in err
+        assert err.splitlines()[-1] == ("internal error: InvariantError: input bisection"
+                                        " did not shrink the box widths")
+
+
+def test_verify_json_reports_the_runs_gap_clamp_events(tmp_path, capsys):
+    task = random_task(np.random.default_rng(5), 3, (6, 5), 2, eps=0.6)
+    mp, sp = str(tmp_path / "c.model.json"), str(tmp_path / "c.spec.json")
+    model.save_task(task, mp, sp)
+    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=100))
+    assert stats.gap_clamp_events > 0
+    assert cli.main(["verify", "--model", mp, "--spec", sp, "--max-branches", "100"]) == 0
+    assert json.loads(capsys.readouterr().out)["gap_clamp_events"] == stats.gap_clamp_events
 
 
 def test_gen_rejects_eps_and_weight_scale_that_are_not_finite_and_positive(tmp_path, capsys):

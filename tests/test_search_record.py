@@ -2,8 +2,8 @@
 the recorded one exactly.
 
 The record holds, per (instance, heuristic) run, the verdict, the branch,
-split and gap-clamp counts, and the (action, split, split_kind) sequence of
-the per-node trace. Nothing in it is a float, so refactors of the bounding or
+split and gap-clamp counts, and the (action, split) sequence of the
+per-node trace. Nothing in it is a float, so refactors of the bounding or
 scoring arithmetic that are meant to keep the search unchanged are checked
 without tolerances. The suites have 8 inputs, enough for numpy's unrolled
 pairwise summation to take part in concretization.
@@ -46,8 +46,7 @@ def collect() -> dict:
                         "branches_visited": stats.branches_visited,
                         "splits_made": stats.splits_made,
                         "gap_clamp_events": stats.gap_clamp_events,
-                        "trace": [[e["action"], e.get("split"), e.get("split_kind")]
-                                  for e in stats.per_node_trace],
+                        "trace": [[e["action"], e.get("split")] for e in stats.per_node_trace],
                     }
     return {"suites": [list(a) for a in SUITES], "max_branches": MAX_BRANCHES, "runs": runs}
 
