@@ -56,7 +56,7 @@ def lookahead(net: Network) -> int:
     return max(1, min(LOOKAHEAD_MAX, LOOKAHEAD_ELEMENTS // widest))
 
 
-@dataclass
+@dataclass(slots=True)
 class SubDomain:
     """A box plus pre-activation intervals, which carry every split as a clamp.
 
@@ -70,8 +70,8 @@ class SubDomain:
     and clamp the split's (layer, neuron, sign) or None. A worklist pass that
     bounds it recomputes the layers after the clamp's (all of them without
     one) and leaves its Branching in branching for verify. Once bounded,
-    bounds holds its own intervals and clamp is None. Children that no pass
-    reaches are never bounded.
+    bounds holds its own intervals, one (2, N) array, and clamp is None.
+    Children that no pass reaches are never bounded.
     """
 
     box_lower: np.ndarray
@@ -114,13 +114,13 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     Their intervals are stacked into a fresh base, and each clamp is written
     into its own sub-domain's row of it, the only place a clamp is applied;
     the layers after the clamp's are recomputed (all of them without one).
-    Each sub-domain then gets copies of its own interval rows and its
-    feasibility; the relaxations stay on the Domains stack propagate_bounds
-    returns. Given the spec matrix C, the root's slopes and the heuristic,
-    as every worklist pass gives them, each feasible one also gets its
-    Branching, from one compute_bounds pass over that stack's feasible rows
-    and branchings. Every number is the one bounding the sub-domain alone
-    gives.
+    Each sub-domain then gets a copy of its own row of the stacked interval
+    array and its feasibility; the relaxations stay on the Domains stack
+    propagate_bounds returns. Given the spec matrix C, the root's slopes and
+    the heuristic, as every worklist pass gives them, each feasible one also
+    gets its Branching, from one compute_bounds pass over that stack's
+    feasible rows and branchings. Every number is the one bounding the
+    sub-domain alone gives.
     """
     net = ds[0].net
     lo, hi = np.array([d.box_lower for d in ds]), np.array([d.box_upper for d in ds])
@@ -128,10 +128,11 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     for i, d in enumerate(ds):
         if d.clamp is not None:
             layer, neuron, sign = d.clamp
+            at = base.offsets[layer] + neuron
             if sign > 0:
-                base.lower[layer][i, neuron] = max(base.lower[layer][i, neuron], 0.0)
+                base.data[i, 0, at] = max(base.data[i, 0, at], 0.0)
             else:
-                base.upper[layer][i, neuron] = min(base.upper[layer][i, neuron], 0.0)
+                base.data[i, 1, at] = min(base.data[i, 1, at], 0.0)
     start = np.array([0 if d.clamp is None else d.clamp[0] + 1 for d in ds])
     domains = relax.propagate_bounds(net, lo, hi, base, start)
     nb = domains.neuron_bounds
@@ -343,10 +344,12 @@ def split_subdomain(
     be split again.
     """
     key = (layer, neuron)
-    if net.layers[layer].activation != RELU:
+    if not 0 <= layer < net.n_layers - 1 or net.layers[layer].activation != RELU:
         raise ValueError(f"split_subdomain: layer {layer} is not a ReLU layer")
+    if not 0 <= neuron < net.layers[layer].out_dim:
+        raise ValueError(f"split_subdomain: layer {layer} has no neuron {neuron}")
     nb = d.neuron_bounds
-    l, u = nb.lower[layer][neuron], nb.upper[layer][neuron]
+    l, u = nb.data[:, nb.offsets[layer] + neuron].tolist()
     if not (l < 0.0 < u):
         raise ValueError(f"split_subdomain: neuron {key} with bounds [{l}, {u}] is not unstable")
     return (SubDomain.child(net, d, d.box_lower, d.box_upper, (layer, neuron, +1)),
@@ -360,7 +363,8 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
     complete when no unstable neuron is left. Returns None when the box has
     zero width in every dimension, which makes the leaf undecidable
     (Unknown). The halves' bounds are recomputed from the first layer when
-    they are bounded.
+    they are bounded. Each half shares with d the box array it does not
+    change, as it shares d's intervals: nothing writes either.
     """
     widths = d.box_upper - d.box_lower
     dim = int(np.argmax(widths))
@@ -371,8 +375,8 @@ def input_bisect(net: Network, d: SubDomain) -> Optional[Tuple[SubDomain, SubDom
     lower_hi[dim] = mid
     upper_lo = d.box_lower.copy()
     upper_lo[dim] = mid
-    return (SubDomain.child(net, d, d.box_lower.copy(), lower_hi),
-            SubDomain.child(net, d, upper_lo, d.box_upper.copy()))
+    return (SubDomain.child(net, d, d.box_lower, lower_hi),
+            SubDomain.child(net, d, upper_lo, d.box_upper))
 
 
 def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> None:
@@ -383,7 +387,7 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
     # descending-sorted width tuple.
     if split is not None:
         layer, neuron = split
-        l, u = child.bounds.lower[layer][neuron], child.bounds.upper[layer][neuron]
+        l, u = child.bounds.data[:, child.bounds.offsets[layer] + neuron].tolist()
         if child.clamp is not None and child.clamp[:2] == (layer, neuron):
             l, u = (max(l, 0.0), u) if child.clamp[2] > 0 else (l, min(u, 0.0))
         if l < 0.0 < u:

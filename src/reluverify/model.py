@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -148,6 +149,13 @@ class Network:
     @property
     def n_layers(self) -> int:
         return len(self.layers)
+
+    @cached_property
+    def hidden_offsets(self) -> Tuple[int, ...]:
+        """Where each hidden layer's neurons start when the hidden layers lie
+        side by side in order, as relax.NeuronBounds lays them out, and last
+        the total count: layer k spans hidden_offsets[k]:hidden_offsets[k + 1]."""
+        return tuple(itertools.accumulate((layer.out_dim for layer in self.layers[:-1]), initial=0))
 
 
 def make_network(layer_defs: Sequence[Tuple]) -> Network:

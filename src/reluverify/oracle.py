@@ -17,6 +17,10 @@ from .model import InputError, LINEAR, Network, RELU, VerificationTask
 MAX_ORACLE_INPUTS = 6
 MAX_ORACLE_UNSTABLE = 14
 
+# Sample rows scan_margin draws and evaluates at once: its arrays stay this
+# size whatever the sample count.
+SCAN_CHUNK = 8192
+
 _LP_TOL = 1e-9
 _LP_MAX_PIVOTS = 20_000
 
@@ -289,18 +293,31 @@ def _corners(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 def scan_margin(task: VerificationTask, samples: int, seed: int = 0) -> Tuple[np.ndarray, float]:
     """Worst concrete margin over `samples` uniform points plus all box corners
-    (corners only when the input dimension allows). Returns (point, margin)."""
+    (corners only when the input dimension allows). Returns (point, margin),
+    the first worst point in draw order, corners last.
+
+    The samples are drawn and evaluated SCAN_CHUNK rows at a time, so memory
+    does not grow with samples; the chunks take the generator's stream in the
+    order one draw of every row does, so every count finds the point and
+    margin a one-array scan finds."""
     if samples < 1:
         raise ValueError("scan_margin: samples must be >= 1")
     rng = np.random.default_rng(seed)
-    lo, hi = task.input_lower, task.input_upper
-    points = rng.uniform(lo, hi, size=(samples, task.network.input_dim))
-    if task.network.input_dim <= 16:
-        points = np.vstack([points, _corners(lo, hi)])
-    logits, _ = model.forward(task.network, points)
-    margins = (logits @ task.spec_matrix.T).min(axis=1)
-    worst = int(np.argmin(margins))
-    return points[worst], float(margins[worst])
+    lo, hi, n = task.input_lower, task.input_upper, task.network.input_dim
+    blocks = (rng.uniform(lo, hi, size=(min(SCAN_CHUNK, samples - i), n))
+              for i in range(0, samples, SCAN_CHUNK))
+    if n <= 16:
+        blocks = itertools.chain(blocks, [_corners(lo, hi)])
+    worst = None
+    for points in blocks:
+        logits, _ = model.forward(task.network, points)
+        margins = (logits @ task.spec_matrix.T).min(axis=1)
+        i = int(np.argmin(margins))
+        # argmin over the pair keeps argmin's rule across chunks: the first
+        # minimum, or the first NaN.
+        if worst is None or np.argmin([worst[1], margins[i]]) == 1:
+            worst = (points[i], float(margins[i]))
+    return worst
 
 
 def grid_attack(

@@ -1,5 +1,7 @@
 """Shared builders for the test suite."""
 
+import itertools
+
 import numpy as np
 
 from reluverify import bab, heuristics, model, relax, witness
@@ -117,7 +119,38 @@ def hand_bounds(lower, upper):
     them."""
     lower = [np.asarray(l, dtype=float) for l in lower]
     upper = [np.asarray(u, dtype=float) for u in upper]
-    return relax.NeuronBounds(lower, upper, layer_scan(lower, upper))
+    return bounds_from_layers(lower, upper, layer_scan(lower, upper))
+
+
+def bounds_from_layers(lower, upper, feasible):
+    """relax.NeuronBounds laid out from one interval array per hidden layer
+    and side: the layers side by side in one (2, N) array, lower bounds in
+    row 0."""
+    offsets = tuple(itertools.accumulate(map(len, lower), initial=0))
+    data = np.empty((2, offsets[-1]))
+    for side, layers in zip(data, (lower, upper)):
+        for k, values in enumerate(layers):
+            side[offsets[k]:offsets[k + 1]] = values
+    return relax.NeuronBounds(data, offsets, feasible)
+
+
+def layout_nets():
+    """(net, its hidden_offsets) for the flat interval layout's index
+    arithmetic, each over 3 inputs with 2 outputs: no hidden layer (N = 0),
+    one 1-wide layer, widths (3, 16, 1), and a 4-wide linear hidden layer
+    between ReLU ones."""
+    rng = np.random.default_rng(93)
+    relu, linear = model.RELU, model.LINEAR
+    nets = []
+    for hidden, offsets in (([], (0,)), ([(1, relu)], (0, 1)),
+                            ([(3, relu), (16, relu), (1, relu)], (0, 3, 19, 20)),
+                            ([(3, relu), (4, linear), (5, relu)], (0, 3, 7, 12))):
+        defs, prev = [], 3
+        for width, activation in hidden + [(2, linear)]:
+            defs.append((rng.normal(size=(width, prev)), rng.normal(size=width), activation))
+            prev = width
+        nets.append((model.make_network(defs), offsets))
+    return nets
 
 
 def layer_scan(lower, upper):
@@ -132,7 +165,7 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
     found empty keeps the base's intervals (zeros without one) past the
     crossed layer. Reference for the clamp-only bounds of bab.SubDomain."""
     n_hidden = net.n_layers - 1
-    work = relax.NeuronBounds([None] * n_hidden, [None] * n_hidden)
+    work_lower, work_upper = [None] * n_hidden, [None] * n_hidden
     relaxations, alphas = {}, {}
     infeasible_at = None
     post_lo, post_hi = lo, hi
@@ -166,14 +199,14 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
             else:
                 mid = 0.5 * l + 0.5 * u
                 l, u = np.where(crossed, mid, l), np.where(crossed, mid, u)
-        work.lower[k], work.upper[k] = l, u
+        work_lower[k], work_upper[k] = l, u
         if layer.activation == model.RELU:
             relaxations[k] = relax.relaxation(l, u)
             alphas[k] = np.where(u >= -l, 1.0, 0.0)
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    return relax.NeuronBounds(work.lower, work.upper, layer_scan(work.lower, work.upper))
+    return bounds_from_layers(work_lower, work_upper, layer_scan(work_lower, work_upper))
 
 
 def reference_relu_backward(lam, step):

@@ -8,9 +8,9 @@ import pytest
 
 from reluverify import bab, cli, heuristics, model, oracle, relax
 
-from helpers import (layer_scan, make_domain, oracle_sized_task, propagate_of, random_task,
-                     reference_propagate_bounds, scalar_relu_net, scalar_task, stack_of,
-                     unstable)
+from helpers import (layer_scan, layout_nets, make_domain, oracle_sized_task, propagate_of,
+                     random_task, reference_propagate_bounds, scalar_relu_net, scalar_task,
+                     stack_of, unstable)
 
 
 def test_verify_safe_at_root_with_optimized_alpha():
@@ -750,7 +750,7 @@ def test_a_pass_leaves_no_subdomain_a_view_of_its_stacks(monkeypatch):
                bab.BabConfig(max_branches=20))
     assert len(processed) > 1
     for d in batch + processed:
-        assert all(a.base is None for a in d.bounds.lower + d.bounds.upper)
+        assert d.bounds.data.base is None
         assert not hasattr(d.bounds, "relaxations") and type(d.bounds.feasible) is bool
         assert d.net is None and d.clamp is None
 
@@ -775,6 +775,69 @@ def test_a_split_copies_no_interval_and_never_writes_a_shared_one():
         for pos, neg in (alone, together):
             assert pos.bounds.lower[k][j] == 0.0 < pos.bounds.upper[k][j]
             assert neg.bounds.lower[k][j] < 0.0 == neg.bounds.upper[k][j]
+
+
+def test_a_clamp_through_the_flat_index_lands_on_its_layer_and_neuron():
+    # A write at column offsets[layer] + neuron is the write through the
+    # layer's view. A pass writes each split child's clamp there: its layers
+    # up to the split's keep the parent's intervals but for that one entry,
+    # zero. The stability checks read the same entry.
+    clamped = 0
+    for net, offsets in layout_nets():
+        root = make_domain(net, -np.ones(3), np.ones(3))
+        for k in range(len(offsets) - 1):
+            if net.layers[k].activation != model.RELU:
+                with pytest.raises(ValueError, match="not a ReLU layer"):
+                    bab.split_subdomain(net, root, k, 0)
+                continue
+            with pytest.raises(ValueError, match="no neuron"):
+                bab.split_subdomain(net, root, k, net.layers[k].out_dim)
+            for j in range(net.layers[k].out_dim):
+                via_view = relax.NeuronBounds(root.bounds.data.copy(), offsets)
+                via_flat = relax.NeuronBounds(root.bounds.data.copy(), offsets)
+                via_view.lower[k][j], via_view.upper[k][j] = 7.0, 8.0
+                via_flat.data[:, offsets[k] + j] = 7.0, 8.0
+                assert np.array_equal(via_view.data, via_flat.data)
+                if j not in unstable(root.bounds, k):
+                    with pytest.raises(ValueError, match="not unstable"):
+                        bab.split_subdomain(net, root, k, j)
+                    continue
+                children = bab.split_subdomain(net, root, k, j)
+                bab.bound_subdomains(children)
+                for child, side in zip(children, (0, 1)):
+                    bab._check_termination_measure(root, child, (k, j))
+                    want = root.bounds.data[:, :offsets[k + 1]].copy()
+                    want[side, offsets[k] + j] = 0.0
+                    assert np.array_equal(child.bounds.data[:, :offsets[k + 1]], want)
+                clamped += 1
+    assert clamped >= 5
+
+
+def test_a_subdomain_holds_one_owned_interval_array_and_its_children_share_memory():
+    # A bounded sub-domain's intervals are one array that owns its data. Both
+    # children of a split share their parent's NeuronBounds object; each
+    # bisection half shares it too, and with it the one box array the half
+    # does not change. The root's boxes are the task's read-only arrays.
+    net, C, root, batch = _mixed_batch()
+    bab.bound_subdomains(batch)
+    for d in [root] + batch:
+        nb = d.bounds
+        assert not hasattr(d, "__dict__") and not hasattr(nb, "__dict__")  # slots
+        assert [name for name in type(nb).__slots__
+                if isinstance(getattr(nb, name), np.ndarray)] == ["data"]
+        assert nb.data.base is None and nb.data.shape == (2, 15)
+    k, j = 0, int(unstable(root.bounds, 0)[0])
+    pos, neg = bab.split_subdomain(net, root, k, j)
+    assert pos.bounds is root.bounds and neg.bounds is root.bounds
+    low, high = bab.input_bisect(net, root)
+    assert low.bounds is root.bounds and high.bounds is root.bounds
+    assert low.box_lower is root.box_lower and high.box_upper is root.box_upper
+    assert not np.shares_memory(low.box_upper, root.box_upper)
+    assert not np.shares_memory(high.box_lower, root.box_lower)
+    assert np.array_equal(low.box_upper[1:], root.box_upper[1:])
+    assert low.box_upper[0] < root.box_upper[0]
+    task = model.VerificationTask(net, root.box_lower, root.box_upper, C)
+    assert not task.input_lower.flags.writeable and not task.input_upper.flags.writeable
 
 
 def _assert_same_branching(got, want):
@@ -960,12 +1023,12 @@ def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path)
     from test_search_record import MAX_BRANCHES, SUITES
 
     config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
-    take, seen = bab.branchings, set()
+    take, seen, decided = bab.branchings, set(), {}
 
     def recording(net, C, slopes, heuristic, ds, *rest):
         take(net, C, slopes, heuristic, ds, *rest)
-        for d in ds:
-            d.decided = d.branching
+        for d in ds:  # keyed by id, each kept alive so no id is reused
+            decided[id(d)] = (d, d.branching)
 
     monkeypatch.setattr(bab, "branchings", recording)
     processed = _recording_processed(monkeypatch)
@@ -973,15 +1036,16 @@ def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path)
         for task in _gen_tasks(tmp_path / str(i), *gen_args[1:]):
             for kind in heuristics.KINDS:
                 processed.clear()
+                decided.clear()
                 stats = bab.verify(task, kind, config)
                 trace = stats.per_node_trace
                 exhausted = stats.unknown_reason == "branch budget exhausted"
                 assert len(processed) == len(trace) + exhausted == stats.branches_visited + 1 + exhausted
                 for d, entry in zip(processed, trace):
-                    decided, traced = d.decided.action, entry["action"]
-                    assert traced == decided or (decided, traced) == ("bisect", "stuck")
+                    action, traced = decided[id(d)][1].action, entry["action"]
+                    assert traced == action or (action, traced) == ("bisect", "stuck")
                     assert set(entry) <= TRACE_KEYS and ("split" in entry) == (traced == "split")
-                    seen.add(decided)
+                    seen.add(action)
     assert seen == {"pruned-safe", "unsafe", "split", "bisect"}
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
@@ -5,7 +7,7 @@ from scipy.optimize import linprog
 from reluverify import bab, model, oracle, relax
 
 from helpers import (adaptive_slopes, bounds_of, make_domain, oracle_sized_task, random_net,
-                     scalar_relu_net, scalar_task, unstable)
+                     random_task, scalar_relu_net, scalar_task, unstable)
 
 
 def test_exact_min_toy_unsafe():
@@ -132,6 +134,35 @@ def test_pattern_regions_are_affine_pieces():
             covered += 1
             break
     assert covered == len(xs)  # the closed regions cover the box
+
+
+def _one_array_scan(task, samples, seed):
+    """scan_margin drawing and evaluating every sample in one array."""
+    lo, hi = task.input_lower, task.input_upper
+    points = np.random.default_rng(seed).uniform(lo, hi, size=(samples, task.network.input_dim))
+    if task.network.input_dim <= 16:
+        points = np.vstack([points, np.array(list(itertools.product(*zip(lo, hi))))])
+    logits, _ = model.forward(task.network, points)
+    margins = (logits @ task.spec_matrix.T).min(axis=1)
+    worst = int(np.argmin(margins))
+    return points[worst], float(margins[worst])
+
+
+def test_scan_margin_in_chunks_equals_the_one_array_scan(monkeypatch):
+    # Chunks of 7 rows cut every count below at several places, and the last
+    # chunk is short; with 20 inputs no corner is scanned. A constant net ties
+    # every point: the first sample is the worst.
+    flat = model.make_network([(np.zeros((1, 3)), np.array([0.5]), model.LINEAR)])
+    tasks = [random_task(np.random.default_rng(s), n, (6, 5), 3) for s, n in ((71, 4), (72, 20))]
+    tasks.append(model.VerificationTask(flat, -np.ones(3), np.ones(3), np.array([[1.0]])))
+    monkeypatch.setattr(oracle, "SCAN_CHUNK", 7)
+    for task in tasks:
+        for samples, seed in ((1, 0), (7, 1), (50, 2), (301, 3)):
+            x, m = oracle.scan_margin(task, samples, seed)
+            want_x, want_m = _one_array_scan(task, samples, seed)
+            assert np.array_equal(x, want_x) and m == want_m
+    x, m = oracle.scan_margin(tasks[-1], 50, 4)
+    assert np.array_equal(x, np.random.default_rng(4).uniform(-1.0, 1.0, 3)) and m == 0.5
 
 
 def test_scan_margin_rejects_zero_samples():

@@ -8,10 +8,10 @@ from reluverify import heuristics, model, relax
 
 from reluverify.cli import generate_instance
 
-from helpers import (adaptive_slopes, bounds_of, gradient_of, layer_scan, make_domain,
-                     near_limit_task, optimize_of, propagate_of, random_net,
-                     reference_optimize_alpha, reference_relu_backward, scalar_relu_net,
-                     unstable, witness_of)
+from helpers import (adaptive_slopes, bounds_of, gradient_of, layer_scan, layout_nets,
+                     make_domain, near_limit_task, optimize_of, propagate_of, random_net,
+                     reference_optimize_alpha, reference_propagate_bounds,
+                     reference_relu_backward, scalar_relu_net, unstable, witness_of)
 
 
 def _relaxation(l, u):
@@ -685,3 +685,32 @@ def test_relu_backward_matches_the_where_reference_bitwise(shape, n_domains):
         for g, w in zip(got, want):
             assert g.shape == w.shape and g.dtype == w.dtype
             assert g.tobytes() == w.tobytes()
+
+
+def test_flat_intervals_hold_each_layer_at_its_offsets():
+    # One (D, 2, N) array holds a stack's intervals, lower bounds in row 0,
+    # the hidden layers side by side: each layer's columns are the intervals
+    # bounding that domain alone gives, and a domain taken out of the stack,
+    # by intervals or by indexing, is its row of that one array.
+    rng = np.random.default_rng(94)
+    for net, offsets in layout_nets():
+        assert net.hidden_offsets == offsets
+        lo = rng.uniform(-1.5, -0.5, (3, 3))
+        hi = lo + rng.uniform(0.5, 2.0, (3, 3))
+        stack = relax.propagate_bounds(net, lo, hi)
+        nb = stack.neuron_bounds
+        assert nb.data.shape == (3, 2, offsets[-1]) and nb.data.dtype == np.float64
+        assert nb.offsets == offsets and len(nb.lower) == len(nb.upper) == len(offsets) - 1
+        for i in range(3):
+            ref = reference_propagate_bounds(net, lo[i], hi[i], {})
+            for k, (a, b) in enumerate(zip(offsets, offsets[1:])):
+                assert np.array_equal(nb.data[i, 0, a:b], ref.lower[k])
+                assert np.array_equal(nb.data[i, 1, a:b], ref.upper[k])
+                assert np.shares_memory(nb.lower[k], nb.data)
+                assert np.shares_memory(nb.upper[k], nb.data)
+            one = nb.intervals(i)
+            assert one.data.shape == (2, offsets[-1]) and np.array_equal(one.data, nb.data[i])
+        sub = stack[np.array([2, 0])].neuron_bounds
+        assert np.array_equal(sub.data, nb.data[[2, 0]]) and sub.offsets == offsets
+        again = relax.NeuronBounds.stack([nb.intervals(2), nb.intervals(0)])
+        assert np.array_equal(again.data, sub.data) and again.feasible.tolist() == [True, True]

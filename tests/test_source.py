@@ -54,8 +54,8 @@ def test_json_writers_in_src_reject_non_finite_numbers():
 def test_relaxations_live_only_on_stacks_built_in_relax():
     # A bounded stack (relax.Domains) is the one holder of relaxations, and
     # only relax builds one: every other module takes a sub-stack by indexing
-    # the one propagate_bounds returns. NeuronBounds holds intervals and
-    # feasibility, nothing else.
+    # the one propagate_bounds returns. NeuronBounds holds intervals (one
+    # array, with its layer offsets) and feasibility, nothing else.
     src = Path(reluverify.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
@@ -70,4 +70,4 @@ def test_relaxations_live_only_on_stacks_built_in_relax():
     nb = next(node for node in relax_tree.body
               if isinstance(node, ast.ClassDef) and node.name == "NeuronBounds")
     assert [node.target.id for node in nb.body if isinstance(node, ast.AnnAssign)] == [
-        "lower", "upper", "feasible"]
+        "data", "offsets", "feasible"]
