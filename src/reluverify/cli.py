@@ -248,6 +248,7 @@ def cmd_bench(args) -> int:
         task = model.load_task(model_path, spec_path)
         for kind in kinds:
             runs[kind].append(bab.verify(task, kind, config))
+        del task  # not held, with its layers' bound constants, while the next one loads
     rows = sorted([name, kind, s.verdict, s.branches_visited, s.splits_made, _fmt(s.wall_time_s)]
                   for kind, stats in runs.items()
                   for (name, _, _), s in zip(instances, stats))
@@ -305,6 +306,9 @@ def cmd_bench(args) -> int:
 def cmd_oracle(args) -> int:
     if args.samples < 1:
         raise model.InputError(f"--samples must be positive, got {args.samples}")
+    if args.samples > oracle.MAX_ORACLE_SAMPLES:
+        raise model.InputError(
+            f"--samples {args.samples} exceeds the oracle's cap {oracle.MAX_ORACLE_SAMPLES}")
     task = model.load_task(args.model, args.spec)
     min_value, argmin = oracle.exact_min_margin(task)
     attack = oracle.grid_attack(task, args.samples, args.seed)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import List, Optional, Sequence, Tuple
@@ -41,34 +42,26 @@ def _reject_bools(value, arr: np.ndarray, where: str) -> None:
             raise InputError(f"{where}: boolean value at [{pos}]")
 
 
-def _as_matrix(value, where: str) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: not a numeric matrix ({exc})") from None
-    if arr.ndim != 2 or arr.size == 0:
-        raise InputError(f"{where}: expected a non-empty 2-D matrix, got shape {arr.shape}")
-    _check_finite(arr, where)
-    _reject_bools(value, arr, where)
-    return arr
-
-
-def _as_vector(value, where: str) -> np.ndarray:
-    try:
-        arr = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{where}: not a numeric vector ({exc})") from None
-    if arr.ndim != 1:
-        raise InputError(f"{where}: expected a 1-D vector, got shape {arr.shape}")
-    _check_finite(arr, where)
-    _reject_bools(value, arr, where)
-    return arr
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.float64)
-    out.setflags(write=False)
-    return out
+    """arr, a fresh array, marked read-only in place."""
+    arr.setflags(write=False)
+    return arr
+
+
+def _as_array(value, ndim: int, where: str) -> np.ndarray:
+    """value as a fresh read-only float64 array of ndim dimensions (a matrix
+    non-empty), every entry a finite number, none of them a boolean."""
+    kind = "matrix" if ndim == 2 else "vector"
+    try:
+        arr = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"{where}: not a numeric {kind} ({exc})") from None
+    if arr.ndim != ndim or (ndim == 2 and arr.size == 0):
+        expected = "a non-empty 2-D matrix" if ndim == 2 else "a 1-D vector"
+        raise InputError(f"{where}: expected {expected}, got shape {arr.shape}")
+    _check_finite(arr, where)
+    _reject_bools(value, arr, where)
+    return _freeze(arr)
 
 
 @dataclass(frozen=True)
@@ -80,16 +73,16 @@ class Layer:
     activation: str
 
     def __post_init__(self):
-        w = _as_matrix(self.weights, "layer.weights")
-        b = _as_vector(self.bias, "layer.bias")
+        w = _as_array(self.weights, 2, "layer.weights")
+        b = _as_array(self.bias, 1, "layer.bias")
         if b.shape[0] != w.shape[0]:
             raise InputError(
                 f"layer.bias: length {b.shape[0]} does not match {w.shape[0]} output rows"
             )
         if self.activation not in ACTIVATIONS:
             raise InputError(f"layer.activation: unknown activation {self.activation!r}")
-        object.__setattr__(self, "weights", _freeze(w))
-        object.__setattr__(self, "bias", _freeze(b))
+        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "bias", b)
 
     @property
     def out_dim(self) -> int:
@@ -130,8 +123,11 @@ class Network:
         object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise InputError("network: needs at least one layer")
-        if self.input_dim <= 0:
-            raise InputError(f"network: input_dim must be positive, got {self.input_dim}")
+        for name in ("input_dim", "output_dim"):  # numpy integers too; bool is an int
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n <= 0:
+                raise InputError(f"network: {name}: expected a positive integer, got {n!r}")
+            object.__setattr__(self, name, int(n))
         prev = self.input_dim
         for i, layer in enumerate(self.layers):
             if layer.in_dim != prev:
@@ -227,9 +223,9 @@ class VerificationTask:
     spec_matrix: np.ndarray
 
     def __post_init__(self):
-        lo = _as_vector(self.input_lower, "input_lower")
-        hi = _as_vector(self.input_upper, "input_upper")
-        C = _as_matrix(self.spec_matrix, "C")
+        lo = _as_array(self.input_lower, 1, "input_lower")
+        hi = _as_array(self.input_upper, 1, "input_upper")
+        C = _as_array(self.spec_matrix, 2, "C")
         n0 = self.network.input_dim
         if lo.shape[0] != n0 or hi.shape[0] != n0:
             raise InputError(
@@ -250,15 +246,26 @@ class VerificationTask:
                 f"task.spec_matrix: {C.shape[1]} columns do not match output_dim"
                 f" {self.network.output_dim}"
             )
-        object.__setattr__(self, "input_lower", _freeze(lo))
-        object.__setattr__(self, "input_upper", _freeze(hi))
-        object.__setattr__(self, "spec_matrix", _freeze(C))
+        object.__setattr__(self, "input_lower", lo)
+        object.__setattr__(self, "input_upper", hi)
+        object.__setattr__(self, "spec_matrix", C)
 
 
-def _read_json(path: str):
+def _require(obj, keys: Sequence[str], where: str) -> dict:
+    """obj, when it is a JSON object holding every one of keys."""
+    if not isinstance(obj, dict):
+        raise InputError(f"{where}: expected an object")
+    for key in keys:
+        if key not in obj:
+            raise InputError(f"{where}: missing required key '{key}'")
+    return obj
+
+
+def _read_json(path: str, keys: Sequence[str]) -> dict:
+    """The JSON object in the file at path, holding every one of keys."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return _require(json.load(fh), keys, path)
     except OSError as exc:
         raise InputError(f"{path}: cannot read file ({exc})") from None
     except json.JSONDecodeError as exc:
@@ -266,31 +273,20 @@ def _read_json(path: str):
 
 
 def load_model(path: str) -> Network:
-    data = _read_json(path)
-    if not isinstance(data, dict):
-        raise InputError(f"{path}: top-level value must be an object")
-    if "input_dim" not in data or "layers" not in data:
-        raise InputError(f"{path}: missing required key 'input_dim' or 'layers'")
-    input_dim = data["input_dim"]
-    if not isinstance(input_dim, int) or isinstance(input_dim, bool) or input_dim <= 0:
-        raise InputError(f"{path}: input_dim: expected a positive integer, got {input_dim!r}")
+    data = _read_json(path, ("input_dim", "layers"))
     raw_layers = data["layers"]
     if not isinstance(raw_layers, list) or not raw_layers:
         raise InputError(f"{path}: layers: expected a non-empty list")
     layers = []
     for i, entry in enumerate(raw_layers):
         where = f"{path}: layers[{i}]"
-        if not isinstance(entry, dict):
-            raise InputError(f"{where}: expected an object")
-        for key in ("weights", "bias", "activation"):
-            if key not in entry:
-                raise InputError(f"{where}: missing key '{key}'")
+        entry = _require(entry, ("weights", "bias", "activation"), where)
         try:
             layers.append(Layer(entry["weights"], entry["bias"], entry["activation"]))
         except InputError as exc:
             raise InputError(f"{where}: {exc}") from None
     try:
-        return Network(tuple(layers), input_dim, layers[-1].out_dim)
+        return Network(tuple(layers), data["input_dim"], layers[-1].out_dim)
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
 
@@ -298,12 +294,7 @@ def load_model(path: str) -> Network:
 def load_task(model_path: str, spec_path: str) -> VerificationTask:
     """Load and fully validate a verification task from a model file and a spec file."""
     net = load_model(model_path)
-    data = _read_json(spec_path)
-    if not isinstance(data, dict):
-        raise InputError(f"{spec_path}: top-level value must be an object")
-    for key in ("input_lower", "input_upper", "C"):
-        if key not in data:
-            raise InputError(f"{spec_path}: missing required key '{key}'")
+    data = _read_json(spec_path, ("input_lower", "input_upper", "C"))
     try:
         return VerificationTask(net, data["input_lower"], data["input_upper"], data["C"])
     except InputError as exc:

@@ -16,6 +16,10 @@ from .model import InputError, LINEAR, Network, RELU, VerificationTask
 
 MAX_ORACLE_INPUTS = 6
 MAX_ORACLE_UNSTABLE = 14
+# The most samples `reluverify oracle --samples` takes. scan_margin evaluates
+# 1.5 to 2.3 million a second on a 4-input network with two 16-wide hidden
+# layers (2 CPUs, numpy 2.4), so the cap is about a minute of scanning.
+MAX_ORACLE_SAMPLES = 10**8
 
 # Sample rows scan_margin draws and evaluates at once: its arrays stay this
 # size whatever the sample count.

@@ -6,13 +6,14 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import reluverify
-from reluverify import bab, cli, model
+from reluverify import bab, cli, model, oracle
 
 from helpers import near_limit_task, random_task, scalar_relu_net, scalar_task
 
@@ -209,6 +210,57 @@ def test_verify_rejects_booleans_in_arrays(tmp_path, capsys, path, field, value)
     _assert_input_error(capsys, rc, f"{field}: boolean value at [")
 
 
+_GONE = object()
+
+# (file, key path into its valid JSON, the value put there or _GONE to remove
+# the key, what the error says after the file's path); an empty key path
+# replaces the whole document.
+MALFORMED_FILES = {
+    "model-input_dim": ("model", ["input_dim"], _GONE, "missing required key 'input_dim'"),
+    "model-layers": ("model", ["layers"], _GONE, "missing required key 'layers'"),
+    "layer-weights": ("model", ["layers", 0, "weights"], _GONE,
+                      "layers[0]: missing required key 'weights'"),
+    "layer-bias": ("model", ["layers", 0, "bias"], _GONE,
+                   "layers[0]: missing required key 'bias'"),
+    "layer-activation": ("model", ["layers", 0, "activation"], _GONE,
+                         "layers[0]: missing required key 'activation'"),
+    "spec-input_lower": ("spec", ["input_lower"], _GONE, "missing required key 'input_lower'"),
+    "spec-input_upper": ("spec", ["input_upper"], _GONE, "missing required key 'input_upper'"),
+    "spec-C": ("spec", ["C"], _GONE, "missing required key 'C'"),
+    "model-not-an-object": ("model", [], [1.0], "expected an object"),
+    "spec-not-an-object": ("spec", [], "C", "expected an object"),
+    "layer-not-an-object": ("model", ["layers", 0], [[1.0]], "layers[0]: expected an object"),
+    "input_dim-true": ("model", ["input_dim"], True,
+                       "network: input_dim: expected a positive integer, got True"),
+    "input_dim-float": ("model", ["input_dim"], 1.0,
+                        "network: input_dim: expected a positive integer, got 1.0"),
+    "input_dim-zero": ("model", ["input_dim"], 0,
+                       "network: input_dim: expected a positive integer, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_malformed_task_files_exit_3_naming_the_file_and_the_key(tmp_path, capsys,
+                                                                 monkeypatch, case):
+    which, keys, value, message = MALFORMED_FILES[case]
+    mp, sp = _write_toy(tmp_path, 0.1)
+    path = {"model": mp, "spec": sp}[which]
+    doc = json.loads(Path(path).read_text())
+    parent = doc
+    for key in keys[:-1]:
+        parent = parent[key]
+    if not keys:
+        doc = value
+    elif value is _GONE:
+        del parent[keys[-1]]
+    else:
+        parent[keys[-1]] = value
+    Path(path).write_text(json.dumps(doc))
+    monkeypatch.setattr(cli.bab, "verify", lambda *a, **k: pytest.fail("a search started"))
+    rc = cli.main(["verify", "--model", mp, "--spec", sp])
+    _assert_input_error(capsys, rc, f"error: {path}: {message}")
+
+
 def test_verify_rejects_timeout_that_is_not_positive(tmp_path, capsys):
     mp, sp = _write_toy(tmp_path, 0.1)
     for timeout in ("nan", "0", "-1"):
@@ -352,6 +404,26 @@ def test_bench_rows_and_summary(tmp_path, capsys):
     row = h2h[0]
     assert row["heuristic"] == "drg" and row["baseline"] == "babsr"
     assert int(row["wins"]) + int(row["ties"]) + int(row["losses"]) == len(by_inst)
+
+
+def test_bench_releases_each_task_before_loading_the_next(tmp_path, monkeypatch):
+    suite = tmp_path / "suite"
+    suite.mkdir()
+    for i, bias in enumerate((0.1, -0.5, 0.2)):
+        _write_toy(suite, bias, f"case_{i}")
+    loaded = []
+    load_task = model.load_task
+
+    def tracked(model_path, spec_path):
+        assert all(ref() is None for ref in loaded), "the previous task is still held"
+        task = load_task(model_path, spec_path)
+        loaded.append(weakref.ref(task))
+        return task
+
+    monkeypatch.setattr(cli.model, "load_task", tracked)
+    rc = cli.main(["bench", "--suite", str(suite), "--heuristics", "drg,babsr",
+                   "--out", str(tmp_path / "report")])
+    assert rc == 0 and len(loaded) == 3
 
 
 def test_bench_equal_branches_count_as_ties_and_wins(tmp_path):
@@ -554,6 +626,17 @@ def test_oracle_subcommand_rejects_nonpositive_samples(tmp_path, capsys):
         assert rc == 3
         assert err.startswith("error:") and "--samples" in err
         assert len(err.strip().splitlines()) == 1
+
+
+def test_oracle_subcommand_refuses_samples_past_the_cap_before_loading(tmp_path, capsys,
+                                                                       monkeypatch):
+    mp, sp = _write_toy(tmp_path, -0.5)
+    for name in ("exact_min_margin", "scan_margin", "grid_attack"):
+        monkeypatch.setattr(cli.oracle, name, lambda *a, **k: pytest.fail("a scan started"))
+    monkeypatch.setattr(cli.model, "load_task", lambda *a: pytest.fail("the task loaded"))
+    samples = str(oracle.MAX_ORACLE_SAMPLES + 1)
+    rc = cli.main(["oracle", "--model", mp, "--spec", sp, "--samples", samples])
+    _assert_input_error(capsys, rc, f"--samples {samples} exceeds the oracle's cap")
 
 
 def test_oracle_subcommand_rejects_negative_seed(tmp_path, capsys):

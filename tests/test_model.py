@@ -200,6 +200,48 @@ def test_load_model_rejects_boolean_input_dim(tmp_path):
         model.load_model(mp)
 
 
+@pytest.mark.parametrize("value", [True, 1.0, 0, -1, np.True_, "1"])
+@pytest.mark.parametrize("dim", ["input_dim", "output_dim"])
+def test_network_refuses_a_dimension_the_loader_refuses(dim, value):
+    layers = (model.Layer(np.ones((1, 1)), np.zeros(1), model.LINEAR),)
+    with pytest.raises(model.InputError, match=f"{dim}: expected a positive integer"):
+        model.Network(layers, **{"input_dim": 1, "output_dim": 1, dim: value})
+
+
+def test_network_takes_a_numpy_integer_input_dim_as_an_int(tmp_path):
+    layers = (model.Layer(np.ones((1, 2)), np.zeros(1), model.LINEAR),)
+    net = model.Network(layers, np.int64(2), np.uint8(1))
+    assert type(net.input_dim) is int and type(net.output_dim) is int
+    model.save_model(net, str(tmp_path / "m.json"))  # json writes no numpy integer
+    assert model.load_model(str(tmp_path / "m.json")).input_dim == 2
+
+
+def _task_arrays(task):
+    for layer in task.network.layers:
+        yield from (layer.weights, layer.bias, *layer.stacked_pm, *layer.weight_parts)
+    yield from (task.input_lower, task.input_upper, task.spec_matrix)
+
+
+def test_loaded_arrays_are_read_only_and_own_their_data(tmp_path):
+    sp = _write(tmp_path, "s.json", {"input_lower": [-1.0], "input_upper": [1.0], "C": [[1.0]]})
+    for arr in _task_arrays(model.load_task(_minimal_model(tmp_path), sp)):
+        assert not arr.flags.writeable and arr.base is None
+
+
+def test_task_arrays_are_copies_of_the_callers_arrays():
+    w, b = np.array([[1.0, -2.0]]), np.array([0.5])
+    lo, hi, C = np.array([-1.0, 0.0]), np.array([1.0, 2.0]), np.array([[1.0]])
+    net = model.make_network([(w, b, model.LINEAR)])
+    task = model.VerificationTask(net, lo, hi, C)
+    for arr in (w, b, lo, hi, C):
+        arr[...] = 7.0
+    assert net.layers[0].weights.tolist() == [[1.0, -2.0]] and net.layers[0].bias.tolist() == [0.5]
+    assert task.input_lower.tolist() == [-1.0, 0.0] and task.input_upper.tolist() == [1.0, 2.0]
+    assert task.spec_matrix.tolist() == [[1.0]]
+    for arr in _task_arrays(task):
+        assert not arr.flags.writeable and arr.base is None
+
+
 def test_load_task_names_the_spec_for_its_errors(tmp_path):
     mp = _minimal_model(tmp_path)
     sp = _write(tmp_path, "s.json", {"input_lower": [-1.0, 0.0], "input_upper": [1.0, 1.0],
