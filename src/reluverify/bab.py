@@ -7,15 +7,16 @@ Unsafe), and finally split on the neuron the heuristic blames for the
 spurious witness, or bisect the widest input dimension when the heuristic
 scores no neuron. branchings decides them for a stack of sub-domains at once
 (a worklist pass, or the root alone) and records each decision as a
-Branching; verify applies them one at a time, in pop order, and
-_trace_entry reports each one when the run is traced. A split lives only in
-its clamp: a child keeps its parent's intervals and the clamp (layer,
-neuron, sign), and the pass that bounds it writes the clamp into the child's
-row of the stacked base, so the split neuron's interval starts (+1) or ends
-(-1) at zero and every later bound pass intersects with it. A pass hands
-each sub-domain its intervals alone; relaxations live only on the
-relax.Domains stack that propagate_bounds returns, which the pass indexes
-for the sub-stacks it bounds and scores.
+Branching of plain values: the effective bound, the sub-domain's own score
+rows, and its witness when it is unsafe. verify applies them one at a time,
+in pop order, and _trace_entry reports each one when the run is traced. A
+split lives only in its clamp: a child keeps its parent's intervals and the
+clamp (layer, neuron, sign), and the pass that bounds it writes the clamp
+into the child's row of the stacked base, so the split neuron's interval
+starts (+1) or ends (-1) at zero and every later bound pass intersects with
+it. A pass hands each sub-domain its intervals alone; relaxations live only
+on the relax.Domains stack that propagate_bounds returns, which the pass
+indexes for the sub-stacks it bounds and scores.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import dataclasses
 import heapq
 import numbers
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -149,39 +150,24 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
 
 @dataclass
 class Branching:
-    """A sub-domain's decision and what it reads: the worst spec row (the first
-    on ties) and its bound; the action (non-finite, pruned-safe, unsafe, split
-    or bisect); the witness and its margin, unless that bound is non-finite
-    or prunes; if the witness is spurious, the gap clamps, the heuristic's
-    pick (None when its scores all vanish: the sub-domain bisects) and the
-    scores the trace reads.
-
-    The witness and the scores stay in the stacks of the pass that took
-    them, each kept with this sub-domain's index there; the witness and
-    scores properties index them only when read."""
+    """A sub-domain's decision and what it reads, all plain values: the worst
+    spec row (the first on ties), its bound and the effective lower_bound
+    (the larger of it and the parent's); the action (non-finite,
+    pruned-safe, unsafe, split or bisect); the witness margin, unless the
+    bound is non-finite or prunes, and the witness itself only when unsafe;
+    if the witness is spurious, the gap clamps, the heuristic's pick (None
+    when its scores all vanish: the sub-domain bisects) and its own score
+    rows, per layer, which the trace reads."""
 
     row: int
     raw_lower_bound: float
+    lower_bound: float
     action: str
     witness_margin: Optional[float] = None
+    witness: Optional[witness_mod.Witness] = None
     clamps: int = 0
     pick: Optional[Tuple[int, int]] = None
-    stacked_witness: Optional[Tuple[witness_mod.Witness, int]] = field(default=None, repr=False)
-    stacked_scores: Optional[Tuple[heuristics.Scores, int]] = field(default=None, repr=False)
-
-    @property
-    def witness(self) -> Optional[witness_mod.Witness]:
-        if self.stacked_witness is None:
-            return None
-        wit, i = self.stacked_witness
-        return wit[i]
-
-    @property
-    def scores(self) -> Optional[heuristics.Scores]:
-        if self.stacked_scores is None:
-            return None
-        scores, i = self.stacked_scores
-        return {k: s[i] for k, s in scores.items()}
+    scores: Optional[heuristics.Scores] = None
 
 
 def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
@@ -192,23 +178,31 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     only, on the stacked arrays, in this order:
 
     - a non-finite bound: non-finite;
-    - the bound, or the parent's (valid on the shrunken region), > 0:
-      pruned-safe;
+    - lower_bound, the larger of the bound and the parent's (valid on the
+      shrunken region), > 0: pruned-safe;
     - otherwise the witnesses take one stacked concrete pass. A non-finite
-      witness margin: non-finite; one <= 0: unsafe;
+      witness margin: non-finite; one <= 0: unsafe, and the Branching keeps
+      its own witness;
     - the spurious rest take one stacked scoring and pick with the
       heuristic: split on the pick, or bisect where every score vanishes
-      (at most ZERO_SCORE_TOL, or no unstable neuron).
+      (at most ZERO_SCORE_TOL, or no unstable neuron). Each keeps its own
+      rows of the scores.
 
-    Each number is the one a stack of one gives."""
+    Each number is the one a stack of one gives; no Branching keeps an
+    index into the stacks."""
     worst = np.argmin(results.lower_bound, axis=-1)  # the first row on ties
     raw = results.lower_bound[np.arange(len(ds)), worst]
     parents = np.array([d.parent_lower_bound for d in ds])
-    pruned = np.maximum(raw, parents) > 0.0
+    # The parent's bound remains valid on this shrunken region; inheriting it
+    # keeps node bounds monotone even when the clamped relaxation drifts. It
+    # is max(raw, parent) as Python takes it: raw on a tie (its sign of zero
+    # too) and a NaN raw stays NaN.
+    lower = np.where(parents > raw, parents, raw)
     # "bisect" stands until a later phase decides otherwise.
-    action = np.where(np.isfinite(raw), np.where(pruned, "pruned-safe", "bisect"), "non-finite")
-    for d, row, lb, act in zip(ds, worst.tolist(), raw.tolist(), action.tolist()):
-        d.branching = Branching(row, lb, act)
+    action = np.where(np.isfinite(raw), np.where(lower > 0.0, "pruned-safe", "bisect"),
+                      "non-finite")
+    for d, *fields in zip(ds, worst.tolist(), raw.tolist(), lower.tolist(), action.tolist()):
+        d.branching = Branching(*fields)
     idx = np.flatnonzero(action == "bisect")
     if not len(idx):
         return
@@ -220,7 +214,9 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
                       "non-finite")
     for j, (i, act, margin) in enumerate(zip(idx.tolist(), action.tolist(), margins.tolist())):
         b = ds[i].branching
-        b.stacked_witness, b.witness_margin, b.action = (wit, j), margin, act
+        b.witness_margin, b.action = margin, act
+        if act == "unsafe":  # the only witness a run reports
+            b.witness = wit[j]
     todo = np.flatnonzero(action == "bisect")  # spurious
     if not len(todo):
         return
@@ -233,7 +229,7 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     picks = heuristics.select_branch(scores)
     for j, i in enumerate(idx.tolist()):
         b = ds[i].branching
-        b.clamps, b.stacked_scores = int(clamps[j]), (scores, j)
+        b.clamps, b.scores = int(clamps[j]), {k: s[j] for k, s in scores.items()}
         if j in picks:
             b.pick, b.action = picks[j], "split"
 
@@ -254,7 +250,8 @@ class RunStats:
 
 @dataclass
 class BabConfig:
-    """A run's settings: its budgets, the root's slope optimization, its trace."""
+    """A run's settings: its budgets, the root's slope optimization, its trace.
+    Each budget is kept as a plain int or float."""
 
     timeout_seconds: float = 60.0
     max_branches: int = 100_000
@@ -269,6 +266,10 @@ class BabConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is numbers.Integral else "a real number"
                 raise InputError(f"config.{name} must be {what}, got {value!r}")
+            try:  # kept as a plain int or float (numpy, Fraction): the result JSON echoes it
+                setattr(self, name, int(value) if kind is numbers.Integral else float(value))
+            except OverflowError:
+                raise InputError(f"config.{name} is beyond float range, got {value!r}") from None
         if not isinstance(self.trace, bool):  # "no" would be truthy and turn tracing on
             raise InputError(f"config.trace must be a bool, got {self.trace!r}")
         if not self.timeout_seconds > 0:  # NaN too: it would never time out
@@ -399,14 +400,14 @@ def _check_termination_measure(parent: SubDomain, child: SubDomain, split) -> No
             raise InvariantError("input bisection did not shrink the box widths")
 
 
-def _trace_entry(node: int, d: SubDomain, b: Branching, eff_lb: float,
+def _trace_entry(node: int, d: SubDomain, b: Branching,
                  children: Optional[Tuple[SubDomain, ...]]) -> dict:
-    """Node d's trace line: node is its number, b its Branching, eff_lb its
-    effective bound and children what applying b made (None for a bisection
-    whose box cannot be halved, traced as stuck)."""
+    """Node d's trace line: node is its number, b its Branching and children
+    what applying b made (None for a bisection whose box cannot be halved,
+    traced as stuck)."""
     entry = {"node": node, "depth": d.depth, "parent_lower_bound": d.parent_lower_bound,
-             "n_splits": d.n_splits, "lower_bound": eff_lb, "raw_lower_bound": b.raw_lower_bound,
-             "row": b.row}
+             "n_splits": d.n_splits, "lower_bound": b.lower_bound,
+             "raw_lower_bound": b.raw_lower_bound, "row": b.row}
     if b.witness_margin is not None:
         entry["witness_margin"] = b.witness_margin
     entry["action"] = "stuck" if children is None else b.action
@@ -414,10 +415,9 @@ def _trace_entry(node: int, d: SubDomain, b: Branching, eff_lb: float,
         return entry
     if b.action == "split":
         entry["split"] = list(b.pick)
-    scores = b.scores
-    score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in scores.values())
+    score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in b.scores.values())
     if score_n:
-        entry["score_max"] = float(max(s.max() for s in scores.values()))
+        entry["score_max"] = float(max(s.max() for s in b.scores.values()))
         entry["score_n"] = score_n
     entry["children"] = len(children)
     return entry
@@ -430,12 +430,14 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     The root's slopes are optimized first and the root's Branching is
     applied; then, until a verdict or a budget, the sub-domain with the
     lowest bound is popped and its Branching applied: a split or bisection
-    queues two children (a stuck bisection, whose box cannot be halved,
-    none) and counts its gap clamps and the split; unsafe and non-finite end
-    the run. Only a traced run builds trace lines (_trace_entry). Each pop
-    may bound the next lookahead(net) queued sub-domains together, but never
-    more than the branch budget can still process, plus the one pop that
-    finds it exhausted. The root does not count toward branches_visited:
+    queues two children, each with the Branching's lower_bound as its
+    parent's bound (a stuck bisection, whose box cannot be halved, queues
+    none), and counts its gap clamps and the split; unsafe ends the run with
+    the Branching's witness, non-finite ends it Unknown. Only a traced run
+    builds trace lines (_trace_entry). Each pop may bound the next
+    lookahead(net) queued sub-domains together, but never more than the
+    branch budget can still process, plus the one pop that finds it
+    exhausted. The root does not count toward branches_visited:
     instances decided there report zero branches. The clock starts here, so
     the root's bounds and slope optimization count toward the time budget.
     Budgets are checked between nodes, never mid-bound: the timeout before
@@ -466,14 +468,11 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
         # d.branching, which the worklist pass that bounded d took (the root's
         # above), is applied here and dropped.
         b, d.branching = d.branching, None
-        # The parent's bound remains valid on this shrunken region; inheriting it
-        # keeps node bounds monotone even when the clamped relaxation drifts.
-        eff_lb = max(b.raw_lower_bound, d.parent_lower_bound)
         children = (split_subdomain(task.network, d, *b.pick) if b.action == "split" else
                     input_bisect(task.network, d) if b.action == "bisect" else ())
         stats.gap_clamp_events += b.clamps  # only a spurious witness is scored
         if stats.per_node_trace is not None:
-            stats.per_node_trace.append(_trace_entry(stats.branches_visited, d, b, eff_lb, children))
+            stats.per_node_trace.append(_trace_entry(stats.branches_visited, d, b, children))
         if b.action == "unsafe":
             stats.verdict, stats.witness = UNSAFE, b.witness
             break
@@ -485,7 +484,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
             stats.splits_made += 1
             for child in children:
                 _check_termination_measure(d, child, b.pick)
-                child.parent_lower_bound = eff_lb
+                child.parent_lower_bound = b.lower_bound
                 worklist.push(child)
         if time.perf_counter() > deadline:
             stats.unknown_reason = "timeout"

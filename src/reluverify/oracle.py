@@ -277,10 +277,9 @@ def exact_min_margin(
     best_val = float("inf")
     best_x: Optional[np.ndarray] = None
     for region in enumerate_regions(task, feasibility_filter):
-        A = region.constraint_rows if region.constraint_rows.size else None
-        b = region.constraint_rhs if region.constraint_rows.size else None
         for r in range(C.shape[0]):
-            status, x, val = lp_minimize(region.margin_w[r], A, b, lo, hi)
+            status, x, val = lp_minimize(region.margin_w[r], region.constraint_rows,
+                                         region.constraint_rhs, lo, hi)
             if status == OPTIMAL:
                 total = val + region.margin_b[r]
                 if total < best_val:

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
+import json
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -268,7 +270,7 @@ def test_config_rejects_budgets_out_of_range():
                 bab.BabConfig(**{name: value})
         assert getattr(bab.BabConfig(**{name: np.int64(3)}), name) == 3
     for name in ("timeout_seconds", "alpha_step"):
-        for value in ("5", None, True):
+        for value in ("5", None, True, 10**400, Fraction(10**400)):
             with pytest.raises(model.InputError, match=name):
                 bab.BabConfig(**{name: value})
         assert getattr(bab.BabConfig(**{name: 2}), name) == 2
@@ -276,6 +278,25 @@ def test_config_rejects_budgets_out_of_range():
     for value in ("no", 1, None):
         with pytest.raises(model.InputError, match="trace"):
             bab.BabConfig(trace=value)
+
+
+def test_config_keeps_each_budget_as_a_plain_number():
+    # Numpy and Fraction budgets pass the checks and are kept as the int or
+    # float they equal: the config echo then serializes, and the run is the
+    # one plain numbers give.
+    odd = bab.BabConfig(timeout_seconds=Fraction(600), max_branches=np.int64(40),
+                        alpha_iters=np.int32(2), alpha_step=np.float64(0.25), trace=True)
+    plain = bab.BabConfig(timeout_seconds=600.0, max_branches=40, alpha_iters=2, alpha_step=0.25,
+                          trace=True)
+    assert [(k, type(v)) for k, v in odd.to_dict().items()] == \
+        [(k, type(v)) for k, v in plain.to_dict().items()]
+    assert json.dumps(odd.to_dict(), allow_nan=False) == json.dumps(plain.to_dict())
+    assert bab.BabConfig(alpha_step=Fraction(1, 4)).alpha_step == 0.25
+    task = random_task(np.random.default_rng(53), 3, (6, 6), 3, eps=0.8)  # Safe in 21 branches
+    a, b = bab.verify(task, "drg", odd), bab.verify(task, "drg", plain)
+    assert a.branches_visited == b.branches_visited > 0
+    for name in ("verdict", "splits_made", "gap_clamp_events", "unknown_reason", "per_node_trace"):
+        assert getattr(a, name) == getattr(b, name), name
 
 
 def test_timeout_gives_unknown():
@@ -843,7 +864,10 @@ def test_a_subdomain_holds_one_owned_interval_array_and_its_children_share_memor
 def _assert_same_branching(got, want):
     fields = ("row", "action", "clamps", "pick")
     assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
-    assert np.array_equal(got.raw_lower_bound, want.raw_lower_bound, equal_nan=True)
+    for name in ("raw_lower_bound", "lower_bound", "witness_margin"):
+        value, want_value = getattr(got, name), getattr(want, name)
+        assert (value is None) == (want_value is None), name
+        assert want_value is None or np.array_equal(value, want_value, equal_nan=True), name
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
         for name in ("x_star", "abstract_margin", "concrete_margin", "kind"):
@@ -867,14 +891,19 @@ def _all_positive_net():
 
 
 def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatch):
-    # For every kind: _mixed_batch with its margins raised by 9 (most
-    # witnesses spurious, two bounds above zero) plus a sub-domain pruned by
-    # its parent's bound, then every lookahead pass of a search on
-    # _all_positive_net, whose drg scores vanish (it bisects). Each
-    # sub-domain's Branching in the stack equals its Branching alone.
-    net, C, root, batch = _mixed_batch(margin_shift=9.0)
-    slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
-    slopes = {k: v[0] for k, v in slopes.items()}
+    # For every kind: _mixed_batch as it is (some witnesses unsafe), then
+    # with its margins raised by 9 (most witnesses spurious, two bounds above
+    # zero) plus a sub-domain pruned by its parent's bound, then every
+    # lookahead pass of a search on _all_positive_net, whose drg scores
+    # vanish (it bisects). Each sub-domain's Branching in the stack equals
+    # its Branching alone; its lower_bound is the larger of its bound and its
+    # parent's, and only an unsafe one keeps its witness.
+    def spec_of(margin_shift):
+        net, C, root, batch = _mixed_batch(margin_shift)
+        slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
+        return batch, C, {k: v[0] for k, v in slopes.items()}
+
+    (plain, plain_C, plain_slopes), (batch, C, slopes) = spec_of(0.0), spec_of(9.0)
     bound, passes = bab.bound_subdomains, []
 
     def recording(ds, *spec):
@@ -883,9 +912,10 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
         passes.append((alone, [d.branching for d in ds], spec))
 
     monkeypatch.setattr(bab, "bound_subdomains", recording)
-    seen = {"pruned": 0, "split": 0, "bisect": 0}
+    seen = {"pruned": 0, "unsafe": 0, "split": 0, "bisect": 0}
     for kind in heuristics.KINDS:
         passes.clear()
+        bab.bound_subdomains([dataclasses.replace(d) for d in plain], plain_C, plain_slopes, kind)
         by_parent = dataclasses.replace(batch[0], parent_lower_bound=1.0)
         bab.bound_subdomains([dataclasses.replace(d) for d in batch] + [by_parent], C, slopes, kind)
         bab.verify(scalar_task(_all_positive_net()), kind, bab.BabConfig(max_branches=60))
@@ -897,7 +927,11 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
                     assert ref.branching is None
                     continue
                 _assert_same_branching(b, ref.branching)
+                assert np.array_equal(b.lower_bound, max(b.raw_lower_bound, ref.parent_lower_bound),
+                                      equal_nan=True)
+                assert (b.witness is not None) == (b.action == "unsafe")
                 seen["pruned"] += b.action == "pruned-safe"
+                seen["unsafe"] += b.action == "unsafe"
                 seen["split"] += b.action == "split"
                 seen["bisect"] += b.action == "bisect"
         assert by_parent.branching.action == "pruned-safe"
@@ -1122,14 +1156,15 @@ def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
             rows.clear(), taken.clear(), bounded.clear()
             stats = bab.verify(task, kind, config)
             witnesses = sum("witness_margin" in e for e in stats.per_node_trace)
-            left = sum(d.branching is not None and d.branching.witness is not None for d in bounded)
+            left = sum(d.branching is not None and d.branching.witness_margin is not None
+                       for d in bounded)
             assert stats.splits_made > 0
             assert sum(rows) == witnesses + left
             never_processed += left
-            assert sum(b.witness is not None for b, _ in taken) == sum(rows)
+            assert sum(b.witness_margin is not None for b, _ in taken) == sum(rows)
             for b, parent in taken:
                 raw = b.raw_lower_bound
-                assert (b.witness is not None) == (math.isfinite(raw) and max(raw, parent) <= 0)
+                assert (b.witness_margin is not None) == (math.isfinite(raw) and max(raw, parent) <= 0)
     assert never_processed > 0
 
 
