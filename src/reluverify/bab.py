@@ -7,21 +7,22 @@ Unsafe), and finally split on the neuron the heuristic blames for the
 spurious witness, or bisect the widest input dimension when the heuristic
 scores no neuron. branchings decides them for a stack of sub-domains at once
 (a worklist pass, or the root alone) and records each decision as a
-Branching of plain values: the effective bound, the sub-domain's own score
-rows, and its witness when it is unsafe. verify applies them one at a time,
-in pop order, and _trace_entry reports each one when the run is traced. A
-split lives only in its clamp: a child keeps its parent's intervals and the
-clamp (layer, neuron, sign), and the pass that bounds it writes the clamp
-into the child's row of the stacked base, so the split neuron's interval
-starts (+1) or ends (-1) at zero and every later bound pass intersects with
-it. A pass hands each sub-domain its intervals alone; relaxations live only
-on the relax.Domains stack that propagate_bounds returns, which the pass
-indexes for the sub-stacks it bounds and scores.
+Branching of plain values: the effective bound, its scores' maximum and
+finite count, and its witness when it is unsafe. verify applies them one at
+a time, in pop order, and _trace_entry reports each one when the run is
+traced. A split lives only in its clamp: a child keeps its parent's
+intervals and the clamp (layer, neuron, sign), and the pass that bounds it
+writes the clamp into the child's row of the stacked base, so the split
+neuron's interval starts (+1) or ends (-1) at zero and every later bound
+pass intersects with it. A pass hands each sub-domain its intervals alone;
+relaxations live only on the relax.Domains stack that propagate_bounds
+returns, which the pass indexes for the sub-stacks it bounds and scores.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import heapq
 import numbers
 import time
@@ -38,23 +39,24 @@ SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
 
-# A lookahead pass's largest stacked temporary holds one layer's
-# intermediate-bound coefficients, 2 n_out x n_in per sub-domain. This many
-# elements bound it, and with it how many sub-domains one pass takes on wide
-# layers; narrow ones stop at LOOKAHEAD_MAX.
+# Per sub-domain, a lookahead pass's largest stacked array holds a backward
+# pass's coefficients (2 n_k rows of a hidden layer's bound, or m spec rows,
+# over the widest input they reach) or 2 N intervals. This many elements (512
+# KB of float64) bound it: 128 sub-domains on 16-wide layers, 8 on 64-wide.
 LOOKAHEAD_ELEMENTS = 65_536
-LOOKAHEAD_MAX = 32
 
 
 class InvariantError(RuntimeError):
     """A structural invariant of the search failed; the run cannot be trusted."""
 
 
-def lookahead(net: Network) -> int:
-    """How many queued sub-domains one worklist pass may bound together: 32
-    on 16-wide layers, 8 on 64-wide ones, never fewer than 1."""
-    widest = max(2 * layer.out_dim * layer.in_dim for layer in net.layers)
-    return max(1, min(LOOKAHEAD_MAX, LOOKAHEAD_ELEMENTS // widest))
+def lookahead(net: Network, rows: int) -> int:
+    """How many queued sub-domains one worklist pass may bound together with
+    a spec of rows rows: LOOKAHEAD_ELEMENTS over the widest array, at least 1."""
+    reach = np.maximum.accumulate([layer.in_dim for layer in net.layers]).tolist()
+    widest = max([2 * layer.out_dim * r for layer, r in zip(net.layers[:-1], reach)]
+                 + [rows * reach[-1], 2 * net.hidden_offsets[-1]])
+    return max(1, LOOKAHEAD_ELEMENTS // widest)
 
 
 @dataclass(slots=True)
@@ -129,11 +131,8 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     for i, d in enumerate(ds):
         if d.clamp is not None:
             layer, neuron, sign = d.clamp
-            at = base.offsets[layer] + neuron
-            if sign > 0:
-                base.data[i, 0, at] = max(base.data[i, 0, at], 0.0)
-            else:
-                base.data[i, 1, at] = min(base.data[i, 1, at], 0.0)
+            side, at = int(sign < 0), base.offsets[layer] + neuron
+            base.data[i, side, at] = (max if sign > 0 else min)(base.data[i, side, at], 0.0)
     start = np.array([0 if d.clamp is None else d.clamp[0] + 1 for d in ds])
     domains = relax.propagate_bounds(net, lo, hi, base, start)
     nb = domains.neuron_bounds
@@ -156,8 +155,8 @@ class Branching:
     pruned-safe, unsafe, split or bisect); the witness margin, unless the
     bound is non-finite or prunes, and the witness itself only when unsafe;
     if the witness is spurious, the gap clamps, the heuristic's pick (None
-    when its scores all vanish: the sub-domain bisects) and its own score
-    rows, per layer, which the trace reads."""
+    when its scores all vanish: the sub-domain bisects), and for the trace
+    the largest of its scores and how many are finite."""
 
     row: int
     raw_lower_bound: float
@@ -167,7 +166,8 @@ class Branching:
     witness: Optional[witness_mod.Witness] = None
     clamps: int = 0
     pick: Optional[Tuple[int, int]] = None
-    scores: Optional[heuristics.Scores] = None
+    score_max: Optional[float] = None
+    score_n: int = 0
 
 
 def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
@@ -185,8 +185,8 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
       its own witness;
     - the spurious rest take one stacked scoring and pick with the
       heuristic: split on the pick, or bisect where every score vanishes
-      (at most ZERO_SCORE_TOL, or no unstable neuron). Each keeps its own
-      rows of the scores.
+      (at most ZERO_SCORE_TOL, or no unstable neuron). Each keeps two
+      numbers of its scores, their maximum and finite count.
 
     Each number is the one a stack of one gives; no Branching keeps an
     index into the stacks."""
@@ -227,9 +227,14 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     scores, clamps = heuristics.score_branches(heuristic, net, C[rows], bound, sub, preacts,
                                                {k: v[rows] for k, v in slopes.items()})
     picks = heuristics.select_branch(scores)
+    # For the trace: the layers' maxima in order as Python's max takes them (a
+    # larger one replaces, so a NaN stays only if first), and the finite count.
+    maxima = [s.max(axis=-1) for s in scores.values()] or [np.full(len(idx), np.nan)]
+    score_max = functools.reduce(lambda top, m: np.where(m > top, m, top), maxima)
+    score_n = sum((np.isfinite(s).sum(axis=-1) for s in scores.values()), np.zeros(len(idx), int))
     for j, i in enumerate(idx.tolist()):
         b = ds[i].branching
-        b.clamps, b.scores = int(clamps[j]), {k: s[j] for k, s in scores.items()}
+        b.clamps, b.score_max, b.score_n = int(clamps[j]), float(score_max[j]), int(score_n[j])
         if j in picks:
             b.pick, b.action = picks[j], "split"
 
@@ -415,10 +420,8 @@ def _trace_entry(node: int, d: SubDomain, b: Branching,
         return entry
     if b.action == "split":
         entry["split"] = list(b.pick)
-    score_n = sum(int(np.count_nonzero(np.isfinite(s))) for s in b.scores.values())
-    if score_n:
-        entry["score_max"] = float(max(s.max() for s in b.scores.values()))
-        entry["score_n"] = score_n
+    if b.score_n:
+        entry["score_max"], entry["score_n"] = b.score_max, b.score_n
     entry["children"] = len(children)
     return entry
 
@@ -435,9 +438,9 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     none), and counts its gap clamps and the split; unsafe ends the run with
     the Branching's witness, non-finite ends it Unknown. Only a traced run
     builds trace lines (_trace_entry). Each pop may bound the next
-    lookahead(net) queued sub-domains together, but never more than the
-    branch budget can still process, plus the one pop that finds it
-    exhausted. The root does not count toward branches_visited:
+    lookahead(net, m) queued sub-domains together (m spec rows), but never
+    more than the branch budget can still process, plus the one pop that
+    finds it exhausted. The root does not count toward branches_visited:
     instances decided there report zero branches. The clock starts here, so
     the root's bounds and slope optimization count toward the time budget.
     Budgets are checked between nodes, never mid-bound: the timeout before
@@ -460,7 +463,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
                                            config.alpha_iters, config.alpha_step, deadline)
     slopes = {k: v[0] for k, v in slopes.items()}
     branchings(task.network, task.spec_matrix, slopes, heuristic, [root], stack, results)
-    batch = lookahead(task.network)
+    batch = lookahead(task.network, len(task.spec_matrix))
     worklist = Worklist(task.spec_matrix, slopes, heuristic)
     stuck = False
     d = root

@@ -11,7 +11,6 @@ import contextlib
 import csv
 import json
 import math
-import statistics
 import sys
 import traceback
 from pathlib import Path
@@ -276,10 +275,8 @@ def cmd_bench(args) -> int:
             win_br = _fmt(100.0 * (wins + ties) / n)  # ties count as wins
             win_time = _fmt(100.0 * time_wins / n)
             head_rows.append([kind, baseline, wins, ties, n - wins - ties, win_br])
-        summary_rows.append([kind, _fmt(statistics.mean(branches)),
-                             _fmt(statistics.median(branches)), _fmt(statistics.mean(times)),
-                             _fmt(statistics.median(times)), _fmt(100.0 * unknown / n),
-                             win_br, win_time])
+        centres = [_fmt(f(v)) for v in (branches, times) for f in (np.mean, np.median)]
+        summary_rows.append([kind, *centres, _fmt(100.0 * unknown / n), win_br, win_time])
     _write_csv(
         out_dir / "summary.csv",
         ["heuristic", "branches_mean", "branches_median", "time_mean_s", "time_median_s",

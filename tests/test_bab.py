@@ -872,11 +872,10 @@ def _assert_same_branching(got, want):
     if want.witness is not None:
         for name in ("x_star", "abstract_margin", "concrete_margin", "kind"):
             assert np.array_equal(getattr(got.witness, name), getattr(want.witness, name)), name
-    assert (got.scores is None) == (want.scores is None)
-    if want.scores is not None:
-        assert sorted(got.scores) == sorted(want.scores)
-        for k, v in want.scores.items():
-            assert np.array_equal(got.scores[k], v)
+    assert got.score_n == want.score_n and type(got.score_n) is int
+    assert (got.score_max is None) == (want.score_max is None)
+    if want.score_max is not None:
+        assert np.float64(got.score_max).tobytes() == np.float64(want.score_max).tobytes()
 
 
 def _all_positive_net():
@@ -939,6 +938,49 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
     assert min(seen.values()) > 0, seen
 
 
+def test_a_branching_keeps_the_score_max_and_count_its_rows_give_the_trace(monkeypatch):
+    # A scored Branching keeps two numbers of its score rows: score_n, the
+    # finite scores, and score_max, Python's max over the layers' row maxima
+    # in layer order, as the trace took them from the rows. A NaN in a later
+    # layer is passed over, one in the first layer stays, and a tie of
+    # signed zeros keeps the earlier layer's.
+    net, C, root, batch = _mixed_batch(margin_shift=9.0)
+    slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
+    slopes = {k: v[0] for k, v in slopes.items()}
+    score, planted = heuristics.score_branches, []
+
+    def planting(*args):
+        scores, clamps = score(*args)
+        scores = {k: s.copy() for k, s in scores.items()}
+        first, *_, last = sorted(scores)
+        for j in range(len(clamps)):
+            if j % 4 == 0:
+                scores[last][j, 0] = np.nan
+            elif j % 4 == 1:
+                scores[first][j, 0] = np.nan
+            elif j % 4 == 2:
+                for s in scores.values():
+                    s[j] = -np.inf
+                scores[first][j, 0], scores[last][j, 0] = -0.0, 0.0
+        planted.append(scores)
+        return scores, clamps
+
+    monkeypatch.setattr(heuristics, "score_branches", planting)
+    bab.bound_subdomains(batch, C, slopes, "drg")
+    (scores,) = planted
+    scored = [d.branching for d in batch
+              if d.branching is not None and d.branching.action in ("split", "bisect")]
+    assert len(scored) == len(scores[0]) >= 3
+    for j, b in enumerate(scored):
+        want_n = sum(int(np.count_nonzero(np.isfinite(s[j]))) for s in scores.values())
+        want_max = float(max(s[j].max() for s in scores.values()))
+        assert b.score_n == want_n and type(b.score_n) is int
+        assert type(b.score_max) is float
+        assert np.float64(b.score_max).tobytes() == np.float64(want_max).tobytes()
+    assert not math.isnan(scored[0].score_max) and math.isnan(scored[1].score_max)
+    assert str(scored[2].score_max) == "-0.0" and scored[2].score_n == 2
+
+
 def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
     # The search record's suites and every heuristic, run with each pop
     # bounding one sub-domain and with the default lookahead: verdicts,
@@ -964,11 +1006,72 @@ def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
         return out
 
     default = runs()
-    assert max(batched) > 8
+    assert max(batched) > 32  # more than the fixed cap the window once had
     batched.clear()
-    monkeypatch.setattr(bab, "lookahead", lambda net: 1)
+    monkeypatch.setattr(bab, "lookahead", lambda net, rows: 1)
     assert runs() == default
     assert max(batched) == 1
+
+
+def test_lookahead_keeps_every_stacked_array_of_a_pass_within_the_budget(monkeypatch):
+    # A pass of lookahead(net, m) sub-domains, spec included, stacks no array
+    # larger than LOOKAHEAD_ELEMENTS, and the window is the budget over the
+    # widest array it measures per sub-domain, never less than 1: 128 on
+    # 16-wide layers, 8 on 64-wide ones, fewer where an intermediate bound
+    # reaches back past a narrow layer, a spec has many rows or the intervals
+    # are long, and 1 on a layer larger than the budget.
+    sizes = []
+    backward, concretize = relax._relu_backward, relax.concretize
+    compute, propagate = relax.compute_bounds, relax.propagate_bounds
+
+    def recording_backward(lam, step):
+        out = backward(lam, step)
+        sizes.extend((lam.size, out[0].size))
+        return out
+
+    def recording_concretize(lam, *args):
+        out = concretize(lam, *args)
+        sizes.extend((lam.size, out[0].size))
+        return out
+
+    def recording_compute(*args):
+        out = compute(*args)
+        sizes.extend([out.w.size, out.x_star.size] + [a.size for a in out.A.values()])
+        return out
+
+    def recording_propagate(*args):
+        out = propagate(*args)
+        sizes.append(out.neuron_bounds.data.size)
+        return out
+
+    monkeypatch.setattr(relax, "_relu_backward", recording_backward)
+    monkeypatch.setattr(relax, "concretize", recording_concretize)
+    monkeypatch.setattr(relax, "compute_bounds", recording_compute)
+    monkeypatch.setattr(relax, "propagate_bounds", recording_propagate)
+    rng = np.random.default_rng(5)
+    cases = [  # inputs, hidden widths, outputs, spec rows, window
+        (4, [16, 16], 3, None, 128),  # narrow-deep
+        (8, [64, 64, 64], 5, None, 8),  # wide-deep
+        (300, [300], 2, None, 1),  # 2 * 300 * 300 elements for one sub-domain
+        (64, [4, 64], 3, None, 8),  # layer 1's bound reaches the 64 inputs
+        (4, [16, 16], 3, 600, 6),  # 600 spec rows on 16-wide layers
+        (1, [2] * 60, 2, None, 273),  # 2 N = 240 intervals
+    ]
+    for n_in, widths, n_out, m, window in cases:
+        net, lo, hi, C = cli.generate_instance(rng, n_in, widths, n_out, 0.5, 1.0)
+        if m is not None:
+            C = rng.normal(size=(m, n_out))
+        assert bab.lookahead(net, len(C)) == window
+        root = make_domain(net, lo, hi)
+        slopes = {k: relax.adaptive_alpha(l, u) for k, (l, u) in
+                  enumerate(zip(root.bounds.lower, root.bounds.upper))}
+        sizes.clear()
+        bab.bound_subdomains([bab.SubDomain.child(net, root, lo, hi) for _ in range(window)],
+                             C, slopes, "drg")
+        widest = max(sizes) // window  # each largest array stacks the window's sub-domains
+        assert max(sizes) == window * widest
+        assert window == max(1, bab.LOOKAHEAD_ELEMENTS // widest)
+        assert window * widest <= bab.LOOKAHEAD_ELEMENTS or window == 1
 
 
 def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch, tmp_path):
