@@ -39,10 +39,9 @@ SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
 
-# Per sub-domain, a lookahead pass's largest stacked array holds a backward
-# pass's coefficients (2 n_k rows of a hidden layer's bound, or m spec rows,
-# over the widest input they reach) or 2 N intervals. This many elements (512
-# KB of float64) bound it: 128 sub-domains on 16-wide layers, 8 on 64-wide.
+# A lookahead pass takes as many sub-domains (at least one) as keep each stacked
+# array within this many elements, 512 KB: per sub-domain, a backward pass's 2 n_k
+# or m spec rows over the widest input they reach, or the 2 N intervals.
 LOOKAHEAD_ELEMENTS = 65_536
 
 
@@ -51,8 +50,7 @@ class InvariantError(RuntimeError):
 
 
 def lookahead(net: Network, rows: int) -> int:
-    """How many queued sub-domains one worklist pass may bound together with
-    a spec of rows rows: LOOKAHEAD_ELEMENTS over the widest array, at least 1."""
+    """How many queued sub-domains one pass may bound under a spec of rows rows."""
     reach = np.maximum.accumulate([layer.in_dim for layer in net.layers]).tolist()
     widest = max([2 * layer.out_dim * r for layer, r in zip(net.layers[:-1], reach)]
                  + [rows * reach[-1], 2 * net.hidden_offsets[-1]])
@@ -131,8 +129,11 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     for i, d in enumerate(ds):
         if d.clamp is not None:
             layer, neuron, sign = d.clamp
-            side, at = int(sign < 0), base.offsets[layer] + neuron
-            base.data[i, side, at] = (max if sign > 0 else min)(base.data[i, side, at], 0.0)
+            at = base.offsets[layer] + neuron
+            if sign > 0:
+                base.data[i, 0, at] = max(base.data[i, 0, at], 0.0)
+            else:
+                base.data[i, 1, at] = min(base.data[i, 1, at], 0.0)
     start = np.array([0 if d.clamp is None else d.clamp[0] + 1 for d in ds])
     domains = relax.propagate_bounds(net, lo, hi, base, start)
     nb = domains.neuron_bounds
@@ -227,8 +228,7 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     scores, clamps = heuristics.score_branches(heuristic, net, C[rows], bound, sub, preacts,
                                                {k: v[rows] for k, v in slopes.items()})
     picks = heuristics.select_branch(scores)
-    # For the trace: the layers' maxima in order as Python's max takes them (a
-    # larger one replaces, so a NaN stays only if first), and the finite count.
+    # The trace's two numbers; the maxima combine as Python's max: a NaN only if first.
     maxima = [s.max(axis=-1) for s in scores.values()] or [np.full(len(idx), np.nan)]
     score_max = functools.reduce(lambda top, m: np.where(m > top, m, top), maxima)
     score_n = sum((np.isfinite(s).sum(axis=-1) for s in scores.values()), np.zeros(len(idx), int))

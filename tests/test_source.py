@@ -1,4 +1,7 @@
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import reluverify
@@ -71,3 +74,14 @@ def test_relaxations_live_only_on_stacks_built_in_relax():
               if isinstance(node, ast.ClassDef) and node.name == "NeuronBounds")
     assert [node.target.id for node in nb.body if isinstance(node, ast.AnnAssign)] == [
         "data", "offsets", "feasible"]
+
+
+def test_importing_the_package_leaves_statistics_unloaded():
+    # Every process imports reluverify.cli, the benchmark's set-up probe
+    # included; statistics (with fractions and decimal) would cost each one
+    # about 0.45 MB and 2.5 ms for the bench summary's two means and medians.
+    src = str(Path(reluverify.__file__).parent.parent)
+    probe = "import sys, reluverify.cli; print('statistics' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"
