@@ -186,8 +186,8 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
       its own witness;
     - the spurious rest take one stacked scoring and pick with the
       heuristic: split on the pick, or bisect where every score vanishes
-      (at most ZERO_SCORE_TOL, or no unstable neuron). Each keeps two
-      numbers of its scores, their maximum and finite count.
+      (at most ZERO_SCORE_TOL, or no unstable neuron). Each keeps its scores'
+      finite count and maximum, the layers' maxima taken as Python's max does.
 
     Each number is the one a stack of one gives; no Branching keeps an
     index into the stacks."""
@@ -228,7 +228,6 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     scores, clamps = heuristics.score_branches(heuristic, net, C[rows], bound, sub, preacts,
                                                {k: v[rows] for k, v in slopes.items()})
     picks = heuristics.select_branch(scores)
-    # The trace's two numbers; the maxima combine as Python's max: a NaN only if first.
     maxima = [s.max(axis=-1) for s in scores.values()] or [np.full(len(idx), np.nan)]
     score_max = functools.reduce(lambda top, m: np.where(m > top, m, top), maxima)
     score_n = sum((np.isfinite(s).sum(axis=-1) for s in scores.values()), np.zeros(len(idx), int))

@@ -275,7 +275,8 @@ def cmd_bench(args) -> int:
             win_br = _fmt(100.0 * (wins + ties) / n)  # ties count as wins
             win_time = _fmt(100.0 * time_wins / n)
             head_rows.append([kind, baseline, wins, ties, n - wins - ties, win_br])
-        centres = [_fmt(f(v)) for v in (branches, times) for f in (np.mean, np.median)]
+        centres = [_fmt(x) for s in (sorted(branches), sorted(times))  # np.median of floats
+                   for x in (sum(s) / n, (s[(n - 1) // 2] + s[n // 2]) / 2)]  # loads numpy.ma
         summary_rows.append([kind, *centres, _fmt(100.0 * unknown / n), win_br, win_time])
     _write_csv(
         out_dir / "summary.csv",

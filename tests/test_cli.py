@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
+import statistics
 import subprocess
 import sys
 import warnings
@@ -468,6 +470,32 @@ def test_bench_paired_counts_agree_where_a_kind_loses(tmp_path, capsys):
             == [signs.count(-1), signs.count(0), signs.count(1)]
         assert sum(int(row[k]) for k in ("wins", "ties", "losses")) == len(names) == 3
     assert any(int(row["losses"]) for row in h2h.values())
+
+
+def test_bench_summary_means_and_medians_are_the_ones_statistics_takes(tmp_path):
+    # Over odd and even suites, the summary's branch mean and median and its
+    # time median are statistics.mean and statistics.median of results.csv's
+    # columns, to the last digit; the time mean agrees to rounding. bench
+    # takes them without importing statistics or calling np.median.
+    for count in (5, 4):
+        suite, out = tmp_path / f"suite{count}", tmp_path / f"report{count}"
+        assert cli.main(["gen", "--seed", "3", "--count", str(count), "--layers", "2",
+                         "--widths", "6", "--eps", "0.3", "--out", str(suite)]) == 0
+        assert cli.main(["bench", "--suite", str(suite), "--heuristics", "drg,babsr",
+                         "--max-branches", "40", "--out", str(out)]) == 0
+        with open(out / "results.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        with open(out / "summary.csv") as fh:
+            summary = {r["heuristic"]: r for r in csv.DictReader(fh)}
+        for kind in ("drg", "babsr"):
+            branches = [int(r["branches"]) for r in rows if r["heuristic"] == kind]
+            times = [float(r["time_s"]) for r in rows if r["heuristic"] == kind]
+            got = summary[kind]
+            assert got["branches_mean"] == repr(float(statistics.mean(branches)))
+            assert got["branches_median"] == repr(float(statistics.median(branches)))
+            assert got["time_median_s"] == repr(float(statistics.median(times)))
+            assert math.isclose(float(got["time_mean_s"]), statistics.mean(times), rel_tol=1e-12)
+        assert len(set(branches)) > 1
 
 
 def test_bench_results_and_summary_share_the_run_clock(tmp_path):

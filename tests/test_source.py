@@ -76,12 +76,23 @@ def test_relaxations_live_only_on_stacks_built_in_relax():
         "data", "offsets", "feasible"]
 
 
-def test_importing_the_package_leaves_statistics_unloaded():
+
+def test_a_bench_pass_loads_neither_statistics_nor_numpy_ma(tmp_path):
     # Every process imports reluverify.cli, the benchmark's set-up probe
-    # included; statistics (with fractions and decimal) would cost each one
-    # about 0.45 MB and 2.5 ms for the bench summary's two means and medians.
+    # included, and bench writes two means and two medians: statistics (with
+    # fractions and decimal) would cost each process about 0.45 MB and 2.5 ms
+    # to import, and np.median of floats loads numpy.ma, about 2 MB.
     src = str(Path(reluverify.__file__).parent.parent)
-    probe = "import sys, reluverify.cli; print('statistics' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+    suite, out = str(tmp_path / "suite"), str(tmp_path / "report")
+    probe = "\n".join([
+        "import contextlib, io, sys",
+        "from reluverify import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        f"    cli.main(['gen', '--seed', '1', '--layers', '1', '--widths', '4', '--count', '3',"
+        f" '--eps', '0.3', '--out', {suite!r}])",
+        f"    cli.main(['bench', '--suite', {suite!r}, '--heuristics', 'drg', '--out', {out!r}])",
+        "print([m for m in ('statistics', 'numpy.ma') if m in sys.modules])"])
+    got = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert got.stdout.strip() == "[]"
+    assert (tmp_path / "report" / "summary.csv").is_file()
