@@ -136,3 +136,5 @@ def test_main_writes_every_run_and_fails_on_a_run_that_does_not_count(monkeypatc
     with pytest.raises(SystemExit):
         ab.main(["--base", "HEAD", "--pairs", "0", "--out", str(out)])
     assert ab.main(["--base", "HEAD", "--workloads", "no-such", "--out", str(out)]) == 2
+    monkeypatch.undo()
+    assert ab.main(["--base", "no-such-revision", "--out", str(out)]) == 2

@@ -30,6 +30,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
@@ -202,7 +203,8 @@ def table(workloads: Dict[str, dict]) -> str:
                 f"{w} {name}: base {b['median']:.6g} [{b['q1']:.6g}, {b['q3']:.6g}]"
                 f" -> head {h['median']:.6g} [{h['q1']:.6g}, {h['q3']:.6g}]{ratio};"
                 f" {m['better']} is better; head won {won['head']}, base {won['base']},"
-                f" ties {won['ties']} of {m['pairs_counted']}; sign test p = {m['sign_test_p']:.4g};"
+                f" ties {won['ties']} of {m['pairs_counted']};"
+                f" sign test p = {m['sign_test_p']:.4g};"
                 f" gap {'exceeds' if m['gap_exceeds_base_iqr'] else 'within'} the base IQR")
     return "\n".join(lines)
 
@@ -235,7 +237,15 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 2
     revs = {"base": args.base, "head": args.head}
-    shas = {side: None if rev is None else resolve(rev) for side, rev in revs.items()}
+    try:
+        shas = {side: None if rev is None else resolve(rev) for side, rev in revs.items()}
+    except subprocess.CalledProcessError as exc:
+        print(f"error: not a git revision: {exc.cmd[-1].removesuffix('^{commit}')}",
+              file=sys.stderr)
+        return 2
+    # On SIGTERM as on Ctrl-C: subprocess.run kills the running benchmark and
+    # the finally below removes both trees.
+    previous = signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     work = Path(tempfile.mkdtemp(prefix="ab-"))
     try:
         trees = {side: work / side for side in SIDES}
@@ -244,6 +254,7 @@ def main(argv=None) -> int:
         runs = run_pairs(trees, workloads, args.pairs, args.seconds, args.seed)
     finally:
         shutil.rmtree(work, ignore_errors=True)
+        signal.signal(signal.SIGTERM, previous)
     command = "python3 verifbench/run.py --workload W --seconds %g" % args.seconds
     if args.seed is not None:
         command += f" --seed {args.seed}"
