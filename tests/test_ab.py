@@ -71,10 +71,9 @@ def test_a_pair_with_a_run_that_does_not_count_is_left_out():
     assert ab.compare([None], [1.0], "lower") == {"better": "lower", "pairs_counted": 0}
 
 
-def test_percentile_interpolates_between_closest_ranks():
-    assert ab.percentile([4.0, 1.0, 3.0, 2.0], 50) == 2.5
-    assert ab.percentile([1.0, 2.0, 3.0, 4.0, 5.0], 25) == 2.0
-    assert ab.percentile([7.0], 75) == 7.0
+def test_quartiles_interpolate_between_closest_ranks():
+    assert ab.summary([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+    assert ab.summary([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
 
 
 def _synthetic_run_one(fail):

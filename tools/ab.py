@@ -26,6 +26,7 @@ medians differ by more than the base's interquartile range.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import os
@@ -41,19 +42,15 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """q-th percentile (0..100), interpolating linearly between closest ranks
-    (verifbench's rule)."""
-    xs = sorted(values)
-    pos = (len(xs) - 1) * q / 100.0
-    lo = math.floor(pos)
-    hi = min(lo + 1, len(xs) - 1)
-    return xs[lo] + (xs[hi] - xs[lo]) * (pos - lo)
+# verifbench's own aggregation (no numpy), so quartiles follow its percentile rule.
+_spec = importlib.util.spec_from_file_location("verifbench_stats", ROOT / "verifbench" / "stats.py")
+stats = sys.modules["verifbench_stats"] = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(stats)
 
 
 def summary(values: Sequence[float]) -> dict:
-    return {"median": percentile(values, 50), "q1": percentile(values, 25),
-            "q3": percentile(values, 75)}
+    return {"median": stats.percentile(values, 50), "q1": stats.percentile(values, 25),
+            "q3": stats.percentile(values, 75)}
 
 
 def sign_test(wins: int, losses: int) -> float:
