@@ -33,8 +33,9 @@ def test_sign_test_is_the_exact_two_sided_binomial_tail():
 def test_a_run_counts_only_with_a_correct_last_line_and_no_failure():
     good = {"correct": True, "attempted": 24, "failed": 0,
             "metrics": {"nodes_per_s": {"value": 1.0, "unit": "1/s"}}}
-    result, error = ab.read_result("workload x\nmetric ...\n" + json.dumps(good) + "\n")
-    assert error is None and result == good
+    printed = "metric nodes_per_s = 2 1/s\nmetric nodes_per_s_raw = 1.5e+04 1/s\nmetric ...\n"
+    metrics, error = ab.read_result("workload x\n" + printed + json.dumps(good) + "\n")
+    assert error is None and metrics == {"nodes_per_s": 1.0, "nodes_per_s_raw": 15000.0}
     for stdout, why in (
             ("", "no output"),
             ("pass 1\nTraceback (most recent call last):", "not JSON"),
@@ -43,8 +44,8 @@ def test_a_run_counts_only_with_a_correct_last_line_and_no_failure():
             (json.dumps(dict(good, failed=1)), "not correct"),
             (json.dumps({"metrics": {}}), "not correct"),
             (json.dumps(good) + "\nFAILED: late line", "not JSON")):
-        result, error = ab.read_result(stdout)
-        assert result is None and why in error
+        metrics, error = ab.read_result(stdout)
+        assert metrics is None and why in error
 
 
 def test_pairs_are_won_in_the_metrics_better_direction_and_ties_count_for_neither():
@@ -88,7 +89,7 @@ def _synthetic_run_one(fail):
                     "metrics": None}
         rate = (1100.0 if side == "head" else 1000.0) + pair
         return {"correct": True, "error": None,
-                "metrics": {"setup_s": 0.1, "nodes_per_s": rate,
+                "metrics": {"setup_s": 0.1, "nodes_per_s": rate, "nodes_per_s_raw": 2 * rate,
                             "peak_rss_mb": 40.0 + (side == "head")}}
     return run_one, calls
 
@@ -113,6 +114,11 @@ def test_sides_alternate_first_and_workloads_take_turns(monkeypatch, capsys, tmp
     assert speed["base"]["runs"][2] is None and speed["head"]["runs"][2] == 1102.0
     rss = rep["narrow-deep"]["metrics"]["peak_rss_mb"]
     assert rss["pairs_won"] == {"head": 0, "base": 4, "ties": 0}
+    # an uncalibrated twin is compared where the runs print one
+    assert sorted(rep["wide-deep"]["metrics"]) == ["nodes_per_s", "nodes_per_s_raw",
+                                                  "peak_rss_mb"]
+    raw = rep["wide-deep"]["metrics"]["nodes_per_s_raw"]
+    assert raw["better"] == "higher" and raw["head"]["runs"][2] == 2204.0
 
 
 def test_main_writes_every_run_and_fails_on_a_run_that_does_not_count(monkeypatch, tmp_path):

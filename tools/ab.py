@@ -20,7 +20,10 @@ A run counts only if the JSON on its last line has "correct": true and
 BENCHMARK.json and each workload the report gives both sides' medians and
 quartiles, the pairs each side won in the metric's better direction (ties
 count for neither), the exact two-sided sign-test p-value, and whether the
-medians differ by more than the base's interquartile range.
+medians differ by more than the base's interquartile range. Where run.py
+also prints a metric's uncalibrated twin (nodes_per_s_raw, setup_s_raw), the
+same comparison is made for it: the gated metrics are rescaled by a
+calibration kernel, and the two can disagree.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -66,7 +70,10 @@ def first_in_pair(i: int) -> str:
 
 
 def read_result(stdout: str) -> Tuple[Optional[dict], Optional[str]]:
-    """The result on a run's last line, or None and why the run does not count."""
+    """A run's metrics by name, or None and why the run does not count. The
+    JSON on the last line gives the end-to-end metrics; the `metric NAME =
+    VALUE UNIT` lines before it add the rest run.py prints, such as the
+    uncalibrated nodes_per_s_raw (to its 6 significant digits)."""
     lines = stdout.strip().splitlines()
     if not lines:
         return None, "no output"
@@ -79,7 +86,9 @@ def read_result(stdout: str) -> Tuple[Optional[dict], Optional[str]]:
     if result.get("correct") is not True or result.get("failed") != 0:
         return None, ("not correct: correct=%r, failed=%r"
                       % (result.get("correct"), result.get("failed")))
-    return result, None
+    printed = re.findall(r"^metric (\S+) = (\S+) ", stdout, re.MULTILINE)
+    return ({k: float(v) for k, v in printed}
+            | {k: v["value"] for k, v in result["metrics"].items()}), None
 
 
 def compare(base: Sequence[Optional[float]], head: Sequence[Optional[float]],
@@ -112,13 +121,17 @@ def compare(base: Sequence[Optional[float]], head: Sequence[Optional[float]],
 
 def report(runs: List[dict], metrics: Sequence[dict], workloads: Sequence[str],
            pairs: int) -> Dict[str, dict]:
-    """Per workload: the pairs' bookkeeping and compare() for each metric.
-    runs are the records run_pairs makes: pair, workload, side, metrics
-    (None for a run that does not count) and error."""
+    """Per workload: the pairs' bookkeeping and compare() for each metric,
+    and for its uncalibrated twin NAME_raw where the runs print one. runs
+    are the records run_pairs makes: pair, workload, side, metrics (None for
+    a run that does not count) and error."""
     out = {}
     for w in workloads:
         at = {(r["pair"], r["side"]): r["metrics"] for r in runs if r["workload"] == w}
         got = {side: [at.get((i, side)) for i in range(pairs)] for side in SIDES}
+        printed = {name for v in got["base"] + got["head"] if v for name in v}
+        names = [(m["name"], m["better"]) for m in metrics]
+        names += [(n + "_raw", better) for n, better in names if n + "_raw" in printed]
 
         def values(side, name):
             return [None if v is None else v.get(name) for v in got[side]]
@@ -127,9 +140,8 @@ def report(runs: List[dict], metrics: Sequence[dict], workloads: Sequence[str],
             "pairs": pairs,
             "first_in_pair": [first_in_pair(i) for i in range(pairs)],
             "counted": {side: sum(v is not None for v in got[side]) for side in SIDES},
-            "metrics": {m["name"]: compare(values("base", m["name"]), values("head", m["name"]),
-                                           m["better"])
-                        for m in metrics},
+            "metrics": {n: compare(values("base", n), values("head", n), better)
+                        for n, better in names},
         }
     return out
 
@@ -160,12 +172,10 @@ def run_one(tree: Path, workload: str, seconds: float, seed: Optional[int]) -> d
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env.pop("PYTHONPATH", None)  # each side imports only its own src/
     proc = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
-    result, error = read_result(proc.stdout)
+    metrics, error = read_result(proc.stdout)
     if error is not None and proc.returncode != 0:
         error += f" (exit {proc.returncode}: {proc.stderr.strip()[-300:]})"
-    return {"correct": error is None, "error": error,
-            "metrics": None if result is None else
-            {k: v["value"] for k, v in result["metrics"].items()}}
+    return {"correct": error is None, "error": error, "metrics": metrics}
 
 
 def run_pairs(trees: Dict[str, Path], workloads: Sequence[str], pairs: int, seconds: float,
