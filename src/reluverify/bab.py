@@ -6,11 +6,13 @@ box minimizer on the concrete network (a violation ends the search as
 Unsafe), and finally split on the neuron the heuristic blames for the
 spurious witness, or bisect the widest input dimension when the heuristic
 scores no neuron. branchings decides them for a stack of sub-domains at once
-(a worklist pass, or the root alone) and records each decision as a
+(a step's pass, or the root alone) and records each decision as a
 Branching of plain values: the effective bound, its scores' maximum and
-finite count, and its witness when it is unsafe. verify applies them one at
-a time, in pop order, and _trace_entry reports each one when the run is
-traced. A split lives only in its clamp: a child keeps its parent's
+finite count, and its witness when it is unsafe. verify works in steps: each
+takes the best queued sub-domains off the worklist, bounds and decides them
+in one pass, and applies their Branchings one at a time, in pop order;
+_trace_entry reports each one when the run is traced. A split lives only in
+its clamp: a child keeps its parent's
 intervals and the clamp (layer, neuron, sign), and the pass that bounds it
 writes the clamp into the child's row of the stacked base, so the split
 neuron's interval starts (+1) or ends (-1) at zero and every later bound
@@ -39,7 +41,7 @@ SAFE = "Safe"
 UNSAFE = "Unsafe"
 UNKNOWN = "Unknown"
 
-# A lookahead pass takes as many sub-domains (at least one) as keep each stacked
+# A step's pass takes as many sub-domains (at least one) as keep each stacked
 # array within this many elements, 512 KB: per sub-domain, a backward pass's 2 n_k
 # or m spec rows over the widest input they reach, or the 2 N intervals.
 LOOKAHEAD_ELEMENTS = 65_536
@@ -50,7 +52,7 @@ class InvariantError(RuntimeError):
 
 
 def lookahead(net: Network, rows: int) -> int:
-    """How many queued sub-domains one pass may bound under a spec of rows rows."""
+    """How many queued sub-domains one step may bound under a spec of rows rows."""
     reach = np.maximum.accumulate([layer.in_dim for layer in net.layers]).tolist()
     widest = max([2 * layer.out_dim * r for layer, r in zip(net.layers[:-1], reach)]
                  + [rows * reach[-1], 2 * net.hidden_offsets[-1]])
@@ -68,11 +70,11 @@ class SubDomain:
 
     A child made by a split or a bisection defers its bounds: while net is
     set, bounds is its parent's intervals object, shared and never written,
-    and clamp the split's (layer, neuron, sign) or None. A worklist pass that
-    bounds it recomputes the layers after the clamp's (all of them without
-    one) and leaves its Branching in branching for verify. Once bounded,
-    bounds holds its own intervals, one (2, N) array, and clamp is None.
-    Children that no pass reaches are never bounded.
+    and clamp the split's (layer, neuron, sign) or None. The step that takes
+    it off the worklist bounds it: its pass recomputes the layers after the
+    clamp's (all of them without one) and leaves its Branching in branching
+    for verify. Once bounded, bounds holds its own intervals, one (2, N)
+    array, and clamp is None. Children that no step takes are never bounded.
     """
 
     box_lower: np.ndarray
@@ -118,7 +120,7 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     Each sub-domain then gets a copy of its own row of the stacked interval
     array and its feasibility; the relaxations stay on the Domains stack
     propagate_bounds returns. Given the spec matrix C, the root's slopes and
-    the heuristic, as every worklist pass gives them, each feasible one also
+    the heuristic, as every step of the search gives them, each feasible one also
     gets its Branching, from one compute_bounds pass over that stack's
     feasible rows and branchings. Every number is the one bounding the
     sub-domain alone gives.
@@ -240,7 +242,9 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
 
 @dataclass
 class RunStats:
-    """Outcome of one verification run."""
+    """Outcome of one verification run. passes counts the steps' stacked
+    bounding passes (the root's is not one), bounded the sub-domains they
+    bound and empty those dropped as empty."""
 
     verdict: str
     branches_visited: int = 0
@@ -250,6 +254,9 @@ class RunStats:
     per_node_trace: Optional[List[dict]] = None
     gap_clamp_events: int = 0
     unknown_reason: Optional[str] = None
+    passes: int = 0
+    bounded: int = 0
+    empty: int = 0
 
 
 @dataclass
@@ -290,43 +297,21 @@ class BabConfig:
 
 
 class Worklist:
-    """Priority queue popping the lowest parent_lower_bound first
-    (most-violated-first); insertion order breaks ties deterministically.
-    Given the spec matrix C, the root's slopes and the heuristic, each pass
-    also takes the Branching of every sub-domain it bounds."""
+    """Priority queue of sub-domains waiting for their step, popping the
+    lowest parent_lower_bound first (most-violated-first); insertion order
+    breaks ties deterministically."""
 
-    def __init__(self, C: Optional[np.ndarray] = None, slopes: Optional[Slopes] = None,
-                 heuristic: Optional[str] = None):
+    def __init__(self):
         self._heap: List[Tuple[float, int, SubDomain]] = []
         self._seq = 0
-        self._spec = (C, slopes, heuristic)
 
     def push(self, d: SubDomain) -> None:
         heapq.heappush(self._heap, (d.parent_lower_bound, self._seq, d))
         self._seq += 1
 
-    def pop(self, limit: int = 1) -> Optional[SubDomain]:
-        """The next feasible sub-domain, bounded, or None. Those whose bounds
-        prove them empty are dropped on the way.
-
-        Lookahead: when the next entry is not bounded yet, up to limit entries
-        come off in pop order, the unbounded ones among them are bounded in
-        one stacked pass (bound_subdomains, with their Branchings), and all go
-        back under their own keys. Both depend only on the sub-domain and the
-        order only on the keys, so every limit pops the same sub-domains with
-        the same numbers.
-        """
-        heap = self._heap
-        while heap:
-            if heap[0][2].net is not None:
-                top = [heapq.heappop(heap) for _ in range(min(limit, len(heap)))]
-                bound_subdomains([e[2] for e in top if e[2].net is not None], *self._spec)
-                for entry in top:
-                    heapq.heappush(heap, entry)
-            d = heapq.heappop(heap)[2]
-            if d.bounds.is_feasible():
-                return d
-        return None
+    def pop(self, limit: int = 1) -> List[SubDomain]:
+        """The best limit entries (all, if fewer wait), in pop order."""
+        return [heapq.heappop(self._heap)[2] for _ in range(min(limit, len(self._heap)))]
 
     def __len__(self) -> int:
         return len(self._heap)
@@ -344,7 +329,7 @@ def split_subdomain(
     z < 0. Each keeps d's intervals and its clamp; when a child is bounded,
     earlier-layer intervals are reused with the clamp applied and later
     layers are recomputed and intersected with the parent's. Children whose
-    bounds cross are infeasible; the worklist drops them when popped. A
+    bounds cross are infeasible; the step that bounds them drops them. A
     neuron split before is clamped at zero, so it is not unstable and cannot
     be split again.
     """
@@ -430,21 +415,24 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     """Run the search on a task: bound, check the counterexample, refine, repeat.
 
     The root's slopes are optimized first and the root's Branching is
-    applied; then, until a verdict or a budget, the sub-domain with the
-    lowest bound is popped and its Branching applied: a split or bisection
-    queues two children, each with the Branching's lower_bound as its
-    parent's bound (a stuck bisection, whose box cannot be halved, queues
-    none), and counts its gap clamps and the split; unsafe ends the run with
-    the Branching's witness, non-finite ends it Unknown. Only a traced run
-    builds trace lines (_trace_entry). Each pop may bound the next
-    lookahead(net, m) queued sub-domains together (m spec rows), but never
-    more than the branch budget can still process, plus the one pop that
-    finds it exhausted. The root does not count toward branches_visited:
-    instances decided there report zero branches. The clock starts here, so
-    the root's bounds and slope optimization count toward the time budget.
-    Budgets are checked between nodes, never mid-bound: the timeout before
-    popping, the branch budget after, so it counts as exhausted only while a
-    feasible sub-domain waits.
+    applied; then, until a verdict or a budget, the search takes steps. A
+    step pops the best B = min(lookahead(net, m), max_branches -
+    branches_visited + 1) queued sub-domains (m spec rows), bounds and
+    decides them in one stacked pass (bound_subdomains), drops the empty
+    ones and applies the rest's Branchings in pop order: a split or
+    bisection makes two children, each with the Branching's lower_bound as
+    its parent's bound (a stuck bisection, whose box cannot be halved,
+    makes none), and counts its gap clamps and the split; unsafe ends the
+    run with the Branching's witness, non-finite ends it Unknown. A step's
+    children wait for the next step. At B = 1 each step is
+    one node; a Safe run's tree is the same at any B, since a node's
+    Branching depends only on its region and its parent's bound. Only a
+    traced run builds trace lines (_trace_entry). The root does not count
+    toward branches_visited: instances decided there report zero branches.
+    The clock starts here, so the root's bounds and slope optimization count
+    toward the time budget. Budgets are checked between nodes, never
+    mid-bound: the timeout after each node, the branch budget before it, so
+    it counts as exhausted only while a feasible sub-domain waits.
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
@@ -456,51 +444,60 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     heuristics.check_kind(heuristic)
     deadline = start_time + config.timeout_seconds
     stats = RunStats(verdict=UNKNOWN, per_node_trace=[] if config.trace else None)
-    stack = relax.propagate_bounds(task.network, task.input_lower[None], task.input_upper[None])
+    net, C = task.network, task.spec_matrix
+    stack = relax.propagate_bounds(net, task.input_lower[None], task.input_upper[None])
     root = SubDomain(task.input_lower, task.input_upper, stack.neuron_bounds.intervals(0))
-    slopes, results = relax.optimize_alpha(task.network, task.spec_matrix, stack,
-                                           config.alpha_iters, config.alpha_step, deadline)
+    slopes, results = relax.optimize_alpha(net, C, stack, config.alpha_iters, config.alpha_step,
+                                           deadline)
     slopes = {k: v[0] for k, v in slopes.items()}
-    branchings(task.network, task.spec_matrix, slopes, heuristic, [root], stack, results)
-    batch = lookahead(task.network, len(task.spec_matrix))
-    worklist = Worklist(task.spec_matrix, slopes, heuristic)
-    stuck = False
-    d = root
+    branchings(net, C, slopes, heuristic, [root], stack, results)
+    batch = lookahead(net, len(C))
+    worklist = Worklist()
+    step, stuck = [root], False
     while True:
-        # d.branching, which the worklist pass that bounded d took (the root's
-        # above), is applied here and dropped.
-        b, d.branching = d.branching, None
-        children = (split_subdomain(task.network, d, *b.pick) if b.action == "split" else
-                    input_bisect(task.network, d) if b.action == "bisect" else ())
-        stats.gap_clamp_events += b.clamps  # only a spurious witness is scored
-        if stats.per_node_trace is not None:
-            stats.per_node_trace.append(_trace_entry(stats.branches_visited, d, b, children))
-        if b.action == "unsafe":
-            stats.verdict, stats.witness = UNSAFE, b.witness
+        for d in step:
+            if d is not root:
+                if stats.branches_visited >= config.max_branches:
+                    stats.unknown_reason = "branch budget exhausted"
+                    break
+                stats.branches_visited += 1
+            # d.branching, which the pass that bounded d took (the root's
+            # above), is applied here and dropped.
+            b, d.branching = d.branching, None
+            children = (split_subdomain(net, d, *b.pick) if b.action == "split" else
+                        input_bisect(net, d) if b.action == "bisect" else ())
+            stats.gap_clamp_events += b.clamps  # only a spurious witness is scored
+            if stats.per_node_trace is not None:
+                stats.per_node_trace.append(_trace_entry(stats.branches_visited, d, b, children))
+            if b.action == "unsafe":
+                stats.verdict, stats.witness = UNSAFE, b.witness
+                break
+            if b.action == "non-finite":
+                stats.unknown_reason = "non-finite bound"
+                break
+            stuck |= children is None
+            if children:
+                stats.splits_made += 1
+                for child in children:
+                    _check_termination_measure(d, child, b.pick)
+                    child.parent_lower_bound = b.lower_bound
+                    worklist.push(child)
+            if time.perf_counter() > deadline:
+                stats.unknown_reason = "timeout"
+                break
+        if stats.verdict != UNKNOWN or stats.unknown_reason is not None:
             break
-        if b.action == "non-finite":
-            stats.unknown_reason = "non-finite bound"
-            break
-        stuck |= children is None
-        if children:
-            stats.splits_made += 1
-            for child in children:
-                _check_termination_measure(d, child, b.pick)
-                child.parent_lower_bound = b.lower_bound
-                worklist.push(child)
-        if time.perf_counter() > deadline:
-            stats.unknown_reason = "timeout"
-            break
-        d = worklist.pop(min(batch, config.max_branches - stats.branches_visited + 1))
-        if d is None:
+        if not worklist:
             if stuck:
                 stats.unknown_reason = "unrefinable leaf"
             else:
                 stats.verdict = SAFE
             break
-        if stats.branches_visited >= config.max_branches:
-            stats.unknown_reason = "branch budget exhausted"
-            break
-        stats.branches_visited += 1
+        taken = worklist.pop(min(batch, config.max_branches - stats.branches_visited + 1))
+        bound_subdomains(taken, C, slopes, heuristic)
+        step = [d for d in taken if d.bounds.is_feasible()]
+        stats.passes += 1
+        stats.bounded += len(taken)
+        stats.empty += len(taken) - len(step)
     stats.wall_time_s = time.perf_counter() - start_time
     return stats

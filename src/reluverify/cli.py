@@ -44,6 +44,9 @@ def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig) -> 
         "branches": stats.branches_visited,
         "splits": stats.splits_made,
         "gap_clamp_events": stats.gap_clamp_events,
+        "passes": stats.passes,
+        "bounded": stats.bounded,
+        "empty": stats.empty,
         "time_s": stats.wall_time_s,
         "heuristic": heuristic,
         "config_echo": dict(config.to_dict(), heuristic=heuristic),
