@@ -194,14 +194,17 @@ def test_worklist_pops_lowest_bound_first():
     d3.parent_lower_bound = -3.0
     w.push(d1)
     w.push(d3)
-    assert w.pop().parent_lower_bound == -3.0
-    assert w.pop().parent_lower_bound == -1.0
-    assert w.pop() is None
+    assert [d.parent_lower_bound for d in w.pop()] == [-3.0]
+    assert [d.parent_lower_bound for d in w.pop()] == [-1.0]
+    assert w.pop() == []
+    w.push(d1)
+    w.push(d3)
+    assert w.pop(5) == [d3, d1] and len(w) == 0
 
 
 def test_empty_worklist_step_returns_safe(monkeypatch):
-    # The root is pruned and queues nothing, so the first pop finds the
-    # worklist empty and the run ends Safe.
+    # The root is pruned and queues nothing, so the worklist is empty after
+    # the root's step: the run ends Safe without popping or another pass.
     pop, popped = bab.Worklist.pop, []
 
     def recording_pop(self, limit):
@@ -210,8 +213,9 @@ def test_empty_worklist_step_returns_safe(monkeypatch):
 
     monkeypatch.setattr(bab.Worklist, "pop", recording_pop)
     stats = bab.verify(scalar_task(scalar_relu_net(out_bias=0.1)), "drg")
-    assert popped == [(0, None)]
+    assert popped == []
     assert stats.verdict == bab.SAFE and stats.unknown_reason is None
+    assert (stats.passes, stats.bounded, stats.empty) == (0, 0, 0)
 
 
 def test_determinism_identical_runs():
@@ -507,7 +511,7 @@ def _searches():
     """Seeded budget-capped searches that split, bisect and meet empty children."""
     for seed in (86, 88):
         task = random_task(np.random.default_rng(seed), 3, (6, 5), 2, eps=0.6)
-        for kind in ("drg", "babsr"):
+        for kind in ("drg", "babsr", "drg_symmetric"):
             bab.verify(task, kind, bab.BabConfig(max_branches=150))
 
 
@@ -554,26 +558,47 @@ def test_each_layer_relaxation_is_computed_once_per_bounds(monkeypatch):
     assert sorted(ids) == sorted(id(r) for nb in returned for r in nb.relaxations.values())
 
 
-def _straddling_bisection():
+def _straddling_bisection(out_bias=0.0):
     """Bisection children of z = x on [-1, 3] split z < 0: the lower half
     [-1, 1] is feasible, the upper half [1, 3] (z >= 1 but z <= 0) is not."""
-    net = scalar_relu_net()
+    net = scalar_relu_net(out_bias=out_bias)
     parent = make_domain(net, [-1.0], [3.0], splits={(0, 0): -1})
     low, high = bab.input_bisect(net, parent)
     return net, low, high
 
 
-def test_worklist_pop_skips_infeasible_children():
+def test_worklist_pop_skips_infeasible_children(monkeypatch):
+    # A step pops the best entries, high first, and bounds them in one pass;
+    # the empty one is counted and skipped, never processed as a branch.
+    # Without slope optimization the root splits; high and low replace its
+    # children.
     _, low, high = _straddling_bisection()
     low.parent_lower_bound, high.parent_lower_bound = -1.0, -2.0  # high comes first
     w = bab.Worklist()
     w.push(low)
     w.push(high)
-    assert w.pop() is low
-    assert not high.neuron_bounds.is_feasible() and len(w) == 0
-    _, low, high = _straddling_bisection()
-    w.push(high)
-    assert w.pop() is None and len(w) == 0
+    assert w.pop(2) == [high, low] and len(w) == 0
+    _, low, high = _straddling_bisection(out_bias=0.1)  # the task's net
+    low.parent_lower_bound, high.parent_lower_bound = -1.0, -2.0
+    push, pushed, taken = bab.Worklist.push, [], []
+
+    def root_queues_low_and_high(self, d):
+        if not pushed:
+            push(self, low)
+            push(self, high)
+        pushed.append(d)
+
+    monkeypatch.setattr(bab.Worklist, "push", root_queues_low_and_high)
+    bound = bab.bound_subdomains
+    monkeypatch.setattr(bab, "bound_subdomains",
+                        lambda ds, *spec: taken.append(ds) or bound(ds, *spec))
+    task = scalar_task(scalar_relu_net(out_bias=0.1))
+    stats = bab.verify(task, "drg", bab.BabConfig(alpha_iters=0, trace=True))
+    assert len(pushed) == 2 and taken == [[high, low]]
+    assert not high.bounds.is_feasible() and high.branching is None
+    assert (stats.passes, stats.bounded, stats.empty, stats.branches_visited) == (1, 2, 1, 1)
+    assert stats.verdict == bab.SAFE
+    assert [e["parent_lower_bound"] for e in stats.per_node_trace[1:]] == [-1.0]
 
 
 def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
@@ -631,15 +656,16 @@ def _gen_tasks(tmp_path, *gen_args):
 
 
 def test_propagate_bounds_bounds_each_subdomain_at_most_once(monkeypatch, tmp_path):
-    # Children are bounded by the worklist, never when queued, and each at
-    # most once: one domain for the root, one per sub-domain taken off the
-    # worklist (the infeasible ones dropped there and the one popped when the
-    # budget ran out included), and the ones a lookahead pass bounded but no
-    # pop reached, which a run that ends Safe cannot leave.
+    # Children are bounded by the step that pops them, never when queued,
+    # and each at most once: one domain for the root and one per sub-domain
+    # a step takes off the worklist, the empty ones and those a step took
+    # but the run ended before (the budget's last one included) among them;
+    # a run that ends Safe leaves none of those, and no entry left on the
+    # worklist is bounded.
     tasks = _gen_tasks(tmp_path, "--seed", "7", "--layers", "2", "--widths", "16", "--count",
                        "4", "--eps", "0.25", "--inputs", "4", "--outputs", "3")
     counts, worklists, batches = _counting_bounds(monkeypatch)
-    capped = never_popped = 0
+    capped = never_processed = 0
     for task in tasks:
         for kind in ("drg", "babsr"):
             counts.update(bounds=0, popped=0)
@@ -648,16 +674,19 @@ def test_propagate_bounds_bounds_each_subdomain_at_most_once(monkeypatch, tmp_pa
             stats = bab.verify(task, kind, bab.BabConfig(timeout_seconds=600.0, max_branches=100))
             bounded = [d for ds, _ in batches for d in ds]
             assert len({id(d) for d in bounded}) == len(bounded)
-            left = sum(d.net is None for _, _, d in worklists[-1]._heap) if worklists else 0
-            assert counts["bounds"] == 1 + counts["popped"] + left == 1 + len(bounded)
+            assert not any(d.net is None for w in worklists for _, _, d in w._heap)
+            assert counts["bounds"] == 1 + counts["popped"] == 1 + len(bounded) == 1 + stats.bounded
+            assert len(batches) == stats.passes
+            left = stats.bounded - stats.branches_visited - stats.empty
+            assert left == sum(d.branching is not None for d in bounded)
             if stats.verdict == bab.SAFE:
                 assert left == 0
-            never_popped += left
+            never_processed += left
             if stats.unknown_reason == "branch budget exhausted":
                 capped += 1
                 # each split queued two children; far fewer were ever bounded
                 assert len(bounded) < 1.5 * stats.splits_made
-    assert capped >= 3 and never_popped > 0
+    assert capped >= 3 and never_processed > 0
 
 
 def test_a_zero_branch_budget_bounds_the_root_and_each_popped_child_alone_with_the_spec(
@@ -981,36 +1010,156 @@ def test_a_branching_keeps_the_score_max_and_count_its_rows_give_the_trace(monke
     assert str(scored[2].score_max) == "-0.0" and scored[2].score_n == 2
 
 
-def test_lookahead_leaves_every_search_unchanged(monkeypatch, tmp_path):
-    # The search record's suites and every heuristic, run with each pop
-    # bounding one sub-domain and with the default lookahead: verdicts,
-    # counts, witnesses and traces, floats included, are the same bytes.
-    from test_search_record import MAX_BRANCHES, SUITES
+def _record_tasks(tmp_path):
+    """The search record's suites, as (name, task) pairs."""
+    from test_search_record import SUITES
+
+    return [(f"suite{i}/case_{k:03d}", task) for i, gen_args in enumerate(SUITES)
+            for k, task in enumerate(_gen_tasks(tmp_path / str(i), *gen_args[1:]))]
+
+
+def _one_per_step(monkeypatch):
+    monkeypatch.setattr(bab, "lookahead", lambda net, rows: 1)
+
+
+def test_every_safe_tree_is_the_same_at_any_step_width(monkeypatch, tmp_path):
+    # The search record's suites and every heuristic, run with steps of one
+    # sub-domain and of the default width: a node's Branching depends only
+    # on its region and its parent's bound, so each Safe run's trace lines,
+    # node numbers aside, are the same multiset, floats included, with the
+    # same counts. Other runs may reach other nodes.
+    from test_search_record import MAX_BRANCHES
 
     config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
-    tasks = [task for i, gen_args in enumerate(SUITES)
-             for task in _gen_tasks(tmp_path / str(i), *gen_args[1:])]
+    tasks = _record_tasks(tmp_path)
     batched = []
     bound = bab.bound_subdomains
     monkeypatch.setattr(bab, "bound_subdomains",
                         lambda ds, *spec: batched.append(len(ds)) or bound(ds, *spec))
 
     def runs():
-        out = []
-        for task in tasks:
+        out = {}
+        for name, task in tasks:
             for kind in heuristics.KINDS:
                 s = bab.verify(task, kind, config)
-                witness = None if s.witness is None else s.witness.x_star.tobytes()
-                out.append((s.verdict, s.unknown_reason, s.branches_visited, s.splits_made,
-                            s.gap_clamp_events, witness, repr(s.per_node_trace)))
+                lines = collections.Counter(
+                    repr(sorted((k, v) for k, v in e.items() if k != "node"))
+                    for e in s.per_node_trace)
+                out[name, kind] = (s.verdict, s.branches_visited, s.splits_made,
+                                   s.gap_clamp_events, s.bounded - s.empty, lines)
         return out
 
     default = runs()
-    assert max(batched) > 32  # more than the fixed cap the window once had
+    assert max(batched) > 32  # the suites' steps fill more than a dive's few nodes
     batched.clear()
-    monkeypatch.setattr(bab, "lookahead", lambda net, rows: 1)
-    assert runs() == default
+    _one_per_step(monkeypatch)
+    one = runs()
     assert max(batched) == 1
+    safe = [key for key, run in one.items() if run[0] == bab.SAFE]
+    assert len(safe) == 58
+    for key in safe:
+        assert default[key] == one[key], key
+    assert any(default[key] != one[key] for key in one)
+
+
+@pytest.fixture(scope="module")
+def budget_runs(tmp_path_factory):
+    """Every heuristic's run on the search record's suites at branch budgets
+    0, 1, 2, 7, 64 and 300, with steps of one (width 1) and of the default
+    width (None): {(budget, width): {(name, kind): (B, RunStats)}}."""
+    tasks = _record_tasks(tmp_path_factory.mktemp("record"))
+    runs, lookahead = {}, bab.lookahead
+    with pytest.MonkeyPatch.context() as mp:
+        for width in (1, None):
+            mp.setattr(bab, "lookahead", lookahead if width is None else lambda net, rows: width)
+            for budget in (0, 1, 2, 7, 64, 300):
+                config = bab.BabConfig(timeout_seconds=600.0, max_branches=budget)
+                runs[budget, width] = {
+                    (name, kind): (bab.lookahead(task.network, len(task.spec_matrix)),
+                                   bab.verify(task, kind, config))
+                    for name, task in tasks for kind in heuristics.KINDS}
+    return runs
+
+
+def test_step_counters_account_for_every_bounded_subdomain(budget_runs):
+    # Each sub-domain a step bounds is empty, a branch, or one the run ended
+    # before: a Safe run processes every one it bounds; any other leaves at
+    # most a step's width, B, unprocessed.
+    kinds = collections.Counter()
+    for (budget, width), runs in budget_runs.items():
+        for b, s in runs.values():
+            waiting = s.bounded - s.branches_visited - s.empty
+            assert 0 <= s.empty <= s.bounded and s.passes <= s.bounded
+            if s.verdict == bab.SAFE:
+                assert waiting == 0
+            else:
+                assert waiting <= b
+            kinds[s.verdict, waiting > 0, width] += 1
+    # Both widths leave sub-domains unprocessed; steps of one leave one at most.
+    assert kinds[bab.UNSAFE, True, None] and kinds[bab.UNKNOWN, True, 1]
+    assert max(s.bounded - s.branches_visited - s.empty
+               for b, s in budget_runs[300, None].values()) > 1
+
+
+def test_branch_budgets_hold_at_every_step_width(budget_runs):
+    # At every budget and width: no run spends more branches than its
+    # budget; one ends "branch budget exhausted" only with the budget spent
+    # and a feasible sub-domain waiting; a run Safe with steps of one is
+    # Safe at the default width with the same branch count, and no run flips
+    # between Safe and Unsafe.
+    exhausted = collections.Counter()
+    for (budget, width), runs in budget_runs.items():
+        for b, s in runs.values():
+            assert s.branches_visited <= budget
+            if s.unknown_reason == "branch budget exhausted":
+                assert s.branches_visited == budget
+                assert s.bounded - s.branches_visited - s.empty >= 1
+                exhausted[budget, width] += 1
+            else:
+                assert s.unknown_reason is None or s.verdict == bab.UNKNOWN
+        if width is None:
+            continue
+        for key, (_, one) in runs.items():
+            _, wide = budget_runs[budget, None][key]
+            assert {one.verdict, wide.verdict} != {bab.SAFE, bab.UNSAFE}, (budget, key)
+            if one.verdict == bab.SAFE:
+                assert (wide.verdict, wide.branches_visited) == (bab.SAFE, one.branches_visited)
+    assert all(exhausted[budget, width] for budget, width in budget_runs)
+
+
+def test_a_deadline_in_the_middle_of_a_step_ends_the_run_before_its_next_node(monkeypatch,
+                                                                             tmp_path):
+    # A deadline that passes after the first node of a step of three or
+    # more ends the run "timeout" there: the step's next node keeps its
+    # Branching unapplied, and the trace is the untimed run's up to that node.
+    (task,) = [t for name, t in _record_tasks(tmp_path) if name == "suite0/case_004"]
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=300, trace=True)
+    bound, steps = bab.bound_subdomains, []
+    monkeypatch.setattr(bab, "bound_subdomains",
+                        lambda ds, *spec: steps.append(list(ds)) or bound(ds, *spec))
+    full = bab.verify(task, "drg", config)
+    feasible = [[d for d in ds if d.bounds.is_feasible()] for ds in steps]
+    at = next(i for i, ds in enumerate(feasible) if len(ds) >= 3)
+    node = 1 + sum(len(ds) for ds in feasible[:at])  # the first node of that step
+    assert node < full.branches_visited
+
+    class Clock:  # real time until node has been applied, then far past any deadline
+        calls = 0
+
+        @classmethod
+        def perf_counter(cls):
+            cls.calls += 1  # one call at the start, then one after each node
+            return time.perf_counter() + (1e9 if cls.calls >= node + 2 else 0.0)
+
+    steps.clear()
+    monkeypatch.setattr(bab, "time", Clock)
+    stats = bab.verify(task, "drg", config)
+    assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "timeout")
+    assert stats.branches_visited == node
+    assert stats.per_node_trace == full.per_node_trace[:node + 1]
+    first, second = [d for d in steps[at] if d.bounds.is_feasible()][:2]
+    assert first.branching is None and second.branching is not None
+    assert stats.bounded - stats.branches_visited - stats.empty >= 1
 
 
 def test_lookahead_keeps_every_stacked_array_of_a_pass_within_the_budget(monkeypatch):
@@ -1128,8 +1277,10 @@ def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch,
 def _recording_processed(monkeypatch):
     """A list that gets, in order, each sub-domain verify takes: the root (the
     one depth-0 sub-domain branchings decides) and each one Worklist.pop
-    returns. The last popped is not processed when the branch budget is
-    found exhausted."""
+    returns. Each step's pass bounds all it pops, so after the run the
+    feasible ones among them are the nodes in the order they were processed,
+    up to the run's end; those after the last traced node are the ones its
+    step took but the run ended before."""
     take, pop, taken = bab.branchings, bab.Worklist.pop, []
 
     def taking(net, C, slopes, heuristic, ds, *rest):
@@ -1137,10 +1288,9 @@ def _recording_processed(monkeypatch):
         taken.extend(d for d in ds if d.depth == 0)
 
     def popping(self, limit=1):
-        d = pop(self, limit)
-        if d is not None:
-            taken.append(d)
-        return d
+        ds = pop(self, limit)
+        taken.extend(ds)
+        return ds
 
     monkeypatch.setattr(bab, "branchings", taking)
     monkeypatch.setattr(bab.Worklist, "pop", popping)
@@ -1176,9 +1326,14 @@ def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path)
                 decided.clear()
                 stats = bab.verify(task, kind, config)
                 trace = stats.per_node_trace
+                nodes = [d for d in processed if d.bounds.is_feasible()]
                 exhausted = stats.unknown_reason == "branch budget exhausted"
-                assert len(processed) == len(trace) + exhausted == stats.branches_visited + 1 + exhausted
-                for d, entry in zip(processed, trace):
+                assert len(trace) == stats.branches_visited + 1
+                assert len(processed) == stats.bounded + 1
+                waiting = len(nodes) - len(trace)
+                assert waiting == stats.bounded - stats.branches_visited - stats.empty
+                assert waiting >= exhausted and (waiting == 0 or stats.verdict != bab.SAFE)
+                for d, entry in zip(nodes, trace):
                     action, traced = decided[id(d)][1].action, entry["action"]
                     assert traced == action or (action, traced) == ("bisect", "stuck")
                     assert set(entry) <= TRACE_KEYS and ("split" in entry) == (traced == "split")

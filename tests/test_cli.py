@@ -607,6 +607,21 @@ def test_verify_json_reports_the_runs_gap_clamp_events(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["gap_clamp_events"] == stats.gap_clamp_events
 
 
+def test_verify_json_reports_the_runs_step_counters(tmp_path, capsys):
+    # passes, bounded and empty, as RunStats counts them: this Safe run's
+    # steps bound each of its branches once and meet empty sub-domains.
+    task = random_task(np.random.default_rng(86), 3, (6, 5), 2, eps=0.6)
+    mp, sp = str(tmp_path / "c.model.json"), str(tmp_path / "c.spec.json")
+    model.save_task(task, mp, sp)
+    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=150))
+    assert stats.verdict == bab.SAFE and stats.passes > 1 and stats.empty > 0
+    assert cli.main(["verify", "--model", mp, "--spec", sp, "--max-branches", "150"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    assert [result[k] for k in ("passes", "bounded", "empty")] == \
+        [stats.passes, stats.bounded, stats.empty]
+    assert result["bounded"] == result["branches"] + result["empty"]
+
+
 def test_gen_rejects_eps_and_weight_scale_that_are_not_finite_and_positive(tmp_path, capsys):
     out = tmp_path / "suite"
     base = ["gen", "--seed", "1", "--layers", "1", "--widths", "3", "--count", "2",
