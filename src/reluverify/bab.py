@@ -12,13 +12,13 @@ finite count, and its witness when it is unsafe. verify works in steps: each
 takes the best queued sub-domains off the worklist, bounds and decides them
 in one pass, and applies their Branchings one at a time, in pop order;
 _trace_entry reports each one when the run is traced. A split lives only in
-its clamp: a child keeps its parent's
-intervals and the clamp (layer, neuron, sign), and the pass that bounds it
-writes the clamp into the child's row of the stacked base, so the split
-neuron's interval starts (+1) or ends (-1) at zero and every later bound
-pass intersects with it. A pass hands each sub-domain its intervals alone;
-relaxations live only on the relax.Domains stack that propagate_bounds
-returns, which the pass indexes for the sub-stacks it bounds and scores.
+its clamp: a child keeps its parent's intervals and the clamp (layer,
+neuron, sign), and the pass that bounds it writes the clamp into the
+child's row of the stacked base, so the split neuron's interval starts (+1)
+or ends (-1) at zero and every later bound pass intersects with it. A pass
+hands each sub-domain its intervals alone; relaxations live only on the
+relax.Domains stack that propagate_bounds returns, which the pass indexes
+for the sub-stacks it bounds and scores.
 """
 
 from __future__ import annotations
@@ -120,8 +120,8 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
     Each sub-domain then gets a copy of its own row of the stacked interval
     array and its feasibility; the relaxations stay on the Domains stack
     propagate_bounds returns. Given the spec matrix C, the root's slopes and
-    the heuristic, as every step of the search gives them, each feasible one also
-    gets its Branching, from one compute_bounds pass over that stack's
+    the heuristic, as every step of the search gives them, each feasible one
+    also gets its Branching, from one compute_bounds pass over that stack's
     feasible rows and branchings. Every number is the one bounding the
     sub-domain alone gives.
     """
@@ -424,10 +424,10 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     its parent's bound (a stuck bisection, whose box cannot be halved,
     makes none), and counts its gap clamps and the split; unsafe ends the
     run with the Branching's witness, non-finite ends it Unknown. A step's
-    children wait for the next step. At B = 1 each step is
-    one node; a Safe run's tree is the same at any B, since a node's
-    Branching depends only on its region and its parent's bound. Only a
-    traced run builds trace lines (_trace_entry). The root does not count
+    children wait for the next step. At B = 1 each step is one node; a Safe
+    run's tree is the same at any B, since a node's Branching depends only
+    on its region and its parent's bound. Only a traced run builds trace
+    lines (_trace_entry). The root does not count
     toward branches_visited: instances decided there report zero branches.
     The clock starts here, so the root's bounds and slope optimization count
     toward the time budget. Budgets are checked between nodes, never

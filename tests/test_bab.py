@@ -1018,10 +1018,6 @@ def _record_tasks(tmp_path):
             for k, task in enumerate(_gen_tasks(tmp_path / str(i), *gen_args[1:]))]
 
 
-def _one_per_step(monkeypatch):
-    monkeypatch.setattr(bab, "lookahead", lambda net, rows: 1)
-
-
 def test_every_safe_tree_is_the_same_at_any_step_width(monkeypatch, tmp_path):
     # The search record's suites and every heuristic, run with steps of one
     # sub-domain and of the default width: a node's Branching depends only
@@ -1052,7 +1048,7 @@ def test_every_safe_tree_is_the_same_at_any_step_width(monkeypatch, tmp_path):
     default = runs()
     assert max(batched) > 32  # the suites' steps fill more than a dive's few nodes
     batched.clear()
-    _one_per_step(monkeypatch)
+    monkeypatch.setattr(bab, "lookahead", lambda net, rows: 1)
     one = runs()
     assert max(batched) == 1
     safe = [key for key, run in one.items() if run[0] == bab.SAFE]
