@@ -691,10 +691,10 @@ def test_propagate_bounds_bounds_each_subdomain_at_most_once(monkeypatch, tmp_pa
 
 def test_a_zero_branch_budget_bounds_the_root_and_each_popped_child_alone_with_the_spec(
         monkeypatch, tmp_path):
-    # With no branch to spend, the pop that finds the budget exhausted bounds
-    # only what it takes off the worklist, one entry at a time, and takes its
-    # Branching like every pass: exactly one child when the first is
-    # feasible. On the wide-triage suite (`gen --seed 13`, drg) that is 100
+    # With no branch to spend, each step is one entry wide: the step that
+    # finds the budget exhausted bounds only what it takes off the worklist,
+    # one entry at a time, and takes its Branching like every pass: exactly
+    # one child when the first is feasible. On the wide-triage suite (`gen --seed 13`, drg) that is 100
     # roots and 35 children, no more than before lookahead.
     tasks = _gen_tasks(tmp_path, "--seed", "13", "--layers", "3", "--widths", "64", "--count",
                        "100", "--eps", "0.05", "--inputs", "8", "--outputs", "5")
@@ -922,7 +922,7 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
     # For every kind: _mixed_batch as it is (some witnesses unsafe), then
     # with its margins raised by 9 (most witnesses spurious, two bounds above
     # zero) plus a sub-domain pruned by its parent's bound, then every
-    # lookahead pass of a search on _all_positive_net, whose drg scores
+    # step's pass of a search on _all_positive_net, whose drg scores
     # vanish (it bisects). Each sub-domain's Branching in the stack equals
     # its Branching alone; its lower_bound is the larger of its bound and its
     # parent's, and only an unsafe one keeps its witness.
@@ -1224,7 +1224,7 @@ def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch,
     # verifbench's traced pass does, bounds a copy: the child stays deferred
     # with the same bounds object and its clamp. On the search record's
     # suites, at twice the record's branch budget, every drg and babsr run
-    # keeps the batches its worklist passes bound, its compute_bounds calls
+    # keeps the batches its steps bound, its compute_bounds calls
     # and its trace bytes.
     from test_search_record import MAX_BRANCHES, SUITES
 
@@ -1388,8 +1388,8 @@ def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
     # The witnesses of a stack run the concrete network in one stacked pass,
     # which gives both their concrete margins and the pre-activations drg
     # and grad score with; nothing evaluates x* again. Its rows are the
-    # witnessed nodes plus the sub-domains a lookahead pass witnessed that
-    # were never processed, and no pruned sub-domain gets one.
+    # witnessed nodes plus the sub-domains a step witnessed that were never
+    # processed, and no pruned sub-domain gets one.
     assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "2",
                      "--eps", "0.3", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
     forward, take, bound = model.forward, bab.branchings, bab.bound_subdomains
