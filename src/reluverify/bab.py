@@ -5,20 +5,20 @@ relaxation, prune if the bound clears zero, otherwise evaluate the bound's
 box minimizer on the concrete network (a violation ends the search as
 Unsafe), and finally split on the neuron the heuristic blames for the
 spurious witness, or bisect the widest input dimension when the heuristic
-scores no neuron. branchings decides them for a stack of sub-domains at once
-(a step's pass, or the root alone) and records each decision as a
-Branching of plain values: the effective bound, its scores' maximum and
-finite count, and its witness when it is unsafe. verify works in steps: each
-takes the best queued sub-domains off the worklist, bounds and decides them
-in one pass, and applies their Branchings one at a time, in pop order;
-_trace_entry reports each one when the run is traced. A split lives only in
-its clamp: a child keeps its parent's intervals and the clamp (layer,
-neuron, sign), and the pass that bounds it writes the clamp into the
-child's row of the stacked base, so the split neuron's interval starts (+1)
-or ends (-1) at zero and every later bound pass intersects with it. A pass
-hands each sub-domain its intervals alone; relaxations live only on the
-relax.Domains stack that propagate_bounds returns, which the pass indexes
-for the sub-stacks it bounds and scores.
+scores no neuron. branchings decides a bounded stack (a step's feasible
+sub-domains, or the root) and returns each decision as a Branching of plain
+values: the effective bound, its scores' maximum and finite count, and its
+witness when it is unsafe. verify works in steps: each takes the best queued
+sub-domains off the worklist, bounds their intervals in one pass, decides
+the feasible ones it can still apply and applies their Branchings one at a
+time, in pop order; _trace_entry reports each one when the run is traced. A
+split lives only in its clamp: a child keeps its parent's intervals and the
+clamp (layer, neuron, sign), and the pass that bounds it writes the clamp
+into the child's row of the stacked base, so the split neuron's interval
+starts (+1) or ends (-1) at zero and every later bound pass intersects with
+it. A pass hands each sub-domain its intervals alone; relaxations live only
+on the relax.Domains stack that propagate_bounds returns, which is indexed
+for the sub-stacks that are decided and scored.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ class SubDomain:
     set, bounds is its parent's intervals object, shared and never written,
     and clamp the split's (layer, neuron, sign) or None. The step that takes
     it off the worklist bounds it: its pass recomputes the layers after the
-    clamp's (all of them without one) and leaves its Branching in branching
-    for verify. Once bounded, bounds holds its own intervals, one (2, N)
-    array, and clamp is None. Children that no step takes are never bounded.
+    clamp's (all of them without one). Once bounded, bounds holds its own
+    intervals, one (2, N) array, and clamp is None. Children that no step
+    takes are never bounded.
     """
 
     box_lower: np.ndarray
@@ -85,7 +85,6 @@ class SubDomain:
     n_splits: int = 0
     net: Optional[Network] = None
     clamp: Optional[Tuple[int, int, int]] = None
-    branching: Optional["Branching"] = None
 
     @property
     def neuron_bounds(self) -> NeuronBounds:
@@ -110,20 +109,16 @@ class SubDomain:
                    net, clamp)
 
 
-def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
-                     slopes: Optional[Slopes] = None, heuristic: Optional[str] = None) -> None:
-    """Bound deferred sub-domains of one network in one stacked pass.
+def bound_subdomains(ds: Sequence[SubDomain]) -> Domains:
+    """Bound deferred sub-domains of one network in one stacked pass and
+    return the stack propagate_bounds bounds, in the order of ds.
 
     Their intervals are stacked into a fresh base, and each clamp is written
     into its own sub-domain's row of it, the only place a clamp is applied;
     the layers after the clamp's are recomputed (all of them without one).
     Each sub-domain then gets a copy of its own row of the stacked interval
-    array and its feasibility; the relaxations stay on the Domains stack
-    propagate_bounds returns. Given the spec matrix C, the root's slopes and
-    the heuristic, as every step of the search gives them, each feasible one
-    also gets its Branching, from one compute_bounds pass over that stack's
-    feasible rows and branchings. Every number is the one bounding the
-    sub-domain alone gives.
+    array and its feasibility; the relaxations stay on the returned stack.
+    Every number is the one bounding the sub-domain alone gives.
     """
     net = ds[0].net
     lo, hi = np.array([d.box_lower for d in ds]), np.array([d.box_upper for d in ds])
@@ -138,16 +133,9 @@ def bound_subdomains(ds: Sequence[SubDomain], C: Optional[np.ndarray] = None,
                 base.data[i, 1, at] = min(base.data[i, 1, at], 0.0)
     start = np.array([0 if d.clamp is None else d.clamp[0] + 1 for d in ds])
     domains = relax.propagate_bounds(net, lo, hi, base, start)
-    nb = domains.neuron_bounds
     for i, d in enumerate(ds):
-        d.bounds, d.net, d.clamp = nb.intervals(i), None, None
-    feasible = np.flatnonzero(nb.feasible)
-    if C is None or not len(feasible):
-        return
-    if len(feasible) < len(ds):
-        domains = domains[feasible]
-    branchings(net, C, slopes, heuristic, [ds[i] for i in feasible], domains,
-               relax.compute_bounds(net, C, domains, slopes))
+        d.bounds, d.net, d.clamp = domains.neuron_bounds.intervals(i), None, None
+    return domains
 
 
 @dataclass
@@ -174,10 +162,12 @@ class Branching:
 
 
 def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
-               ds: Sequence[SubDomain], domains: Domains, results: BoundResult) -> None:
-    """Decide each sub-domain of ds: give it its Branching, action included.
-    domains stacks them, bounded; results are their bounds of every spec row
-    under slopes, the root's. The search's phase rules are written here
+               parents: Sequence[float], domains: Domains,
+               results: BoundResult) -> List[Branching]:
+    """Decide each sub-domain of a bounded stack and return its Branching,
+    action included, in the stack's order. parents are their parents'
+    bounds, domains stacks them and results are their bounds of every spec
+    row under slopes, the root's. The search's phase rules are written here
     only, on the stacked arrays, in this order:
 
     - a non-finite bound: non-finite;
@@ -194,8 +184,8 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     Each number is the one a stack of one gives; no Branching keeps an
     index into the stacks."""
     worst = np.argmin(results.lower_bound, axis=-1)  # the first row on ties
-    raw = results.lower_bound[np.arange(len(ds)), worst]
-    parents = np.array([d.parent_lower_bound for d in ds])
+    raw = results.lower_bound[np.arange(len(worst)), worst]
+    parents = np.array(parents, dtype=float)
     # The parent's bound remains valid on this shrunken region; inheriting it
     # keeps node bounds monotone even when the clamped relaxation drifts. It
     # is max(raw, parent) as Python takes it: raw on a tie (its sign of zero
@@ -204,11 +194,10 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     # "bisect" stands until a later phase decides otherwise.
     action = np.where(np.isfinite(raw), np.where(lower > 0.0, "pruned-safe", "bisect"),
                       "non-finite")
-    for d, *fields in zip(ds, worst.tolist(), raw.tolist(), lower.tolist(), action.tolist()):
-        d.branching = Branching(*fields)
+    out = list(map(Branching, worst.tolist(), raw.tolist(), lower.tolist(), action.tolist()))
     idx = np.flatnonzero(action == "bisect")
     if not len(idx):
-        return
+        return out
     rows = worst[idx]
     bound = results[idx, rows]
     wit, preacts = witness_mod.validate_witness(net, C, bound)
@@ -216,17 +205,17 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     action = np.where(np.isfinite(margins), np.where(margins <= 0.0, "unsafe", "bisect"),
                       "non-finite")
     for j, (i, act, margin) in enumerate(zip(idx.tolist(), action.tolist(), margins.tolist())):
-        b = ds[i].branching
+        b = out[i]
         b.witness_margin, b.action = margin, act
         if act == "unsafe":  # the only witness a run reports
             b.witness = wit[j]
     todo = np.flatnonzero(action == "bisect")  # spurious
     if not len(todo):
-        return
+        return out
     if len(todo) < len(idx):
         idx, rows, bound = idx[todo], rows[todo], bound[todo]
         preacts = [z[todo] for z in preacts]
-    sub = domains if len(idx) == len(ds) else domains[idx]
+    sub = domains if len(idx) == len(parents) else domains[idx]
     scores, clamps = heuristics.score_branches(heuristic, net, C[rows], bound, sub, preacts,
                                                {k: v[rows] for k, v in slopes.items()})
     picks = heuristics.select_branch(scores)
@@ -234,10 +223,11 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     score_max = functools.reduce(lambda top, m: np.where(m > top, m, top), maxima)
     score_n = sum((np.isfinite(s).sum(axis=-1) for s in scores.values()), np.zeros(len(idx), int))
     for j, i in enumerate(idx.tolist()):
-        b = ds[i].branching
+        b = out[i]
         b.clamps, b.score_max, b.score_n = int(clamps[j]), float(score_max[j]), int(score_n[j])
         if j in picks:
             b.pick, b.action = picks[j], "split"
+    return out
 
 
 @dataclass
@@ -417,22 +407,24 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     The root's slopes are optimized first and the root's Branching is
     applied; then, until a verdict or a budget, the search takes steps. A
     step pops the best B = min(lookahead(net, m), max_branches -
-    branches_visited + 1) queued sub-domains (m spec rows), bounds and
-    decides them in one stacked pass (bound_subdomains), drops the empty
-    ones and applies the rest's Branchings in pop order: a split or
-    bisection makes two children, each with the Branching's lower_bound as
-    its parent's bound (a stuck bisection, whose box cannot be halved,
-    makes none), and counts its gap clamps and the split; unsafe ends the
-    run with the Branching's witness, non-finite ends it Unknown. A step's
-    children wait for the next step. At B = 1 each step is one node; a Safe
-    run's tree is the same at any B, since a node's Branching depends only
-    on its region and its parent's bound. Only a traced run builds trace
-    lines (_trace_entry). The root does not count
-    toward branches_visited: instances decided there report zero branches.
-    The clock starts here, so the root's bounds and slope optimization count
-    toward the time budget. Budgets are checked between nodes, never
-    mid-bound: the timeout after each node, the branch budget before it, so
-    it counts as exhausted only while a feasible sub-domain waits.
+    branches_visited + 1) queued sub-domains (m spec rows) and bounds their
+    intervals in one stacked pass (bound_subdomains). It drops the empty
+    ones, decides the first max_branches - branches_visited of the rest with
+    compute_bounds and branchings (the root with its optimized bounds), and
+    applies their Branchings in pop order: a split or bisection makes two
+    children, each with the Branching's lower_bound as its parent's bound (a
+    stuck bisection, whose box cannot be halved, makes none), and counts its
+    gap clamps and the split; unsafe ends the run with the Branching's
+    witness, non-finite ends it Unknown. A step's children wait for the next
+    step. At B = 1 each step is one node; a Safe run's tree is the same at
+    any B, since a node's Branching depends only on its region and its
+    parent's bound. Only a traced run builds trace lines (_trace_entry). The
+    root does not count toward branches_visited: instances decided there
+    report zero branches. The clock starts here, so the root's bounds and
+    slope optimization count toward the time budget. Budgets are checked
+    between nodes, never mid-bound: the timeout after each node, the branch
+    budget after a step, which counts it as exhausted only when a feasible
+    sub-domain it popped is left undecided.
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
@@ -450,20 +442,15 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     slopes, results = relax.optimize_alpha(net, C, stack, config.alpha_iters, config.alpha_step,
                                            deadline)
     slopes = {k: v[0] for k, v in slopes.items()}
-    branchings(net, C, slopes, heuristic, [root], stack, results)
+    step = zip([root], branchings(net, C, slopes, heuristic, [root.parent_lower_bound], stack,
+                                  results))
     batch = lookahead(net, len(C))
     worklist = Worklist()
-    step, stuck = [root], False
+    stuck = exhausted = False
     while True:
-        for d in step:
+        for d, b in step:
             if d is not root:
-                if stats.branches_visited >= config.max_branches:
-                    stats.unknown_reason = "branch budget exhausted"
-                    break
                 stats.branches_visited += 1
-            # d.branching, which the pass that bounded d took (the root's
-            # above), is applied here and dropped.
-            b, d.branching = d.branching, None
             children = (split_subdomain(net, d, *b.pick) if b.action == "split" else
                         input_bisect(net, d) if b.action == "bisect" else ())
             stats.gap_clamp_events += b.clamps  # only a spurious witness is scored
@@ -487,17 +474,29 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
                 break
         if stats.verdict != UNKNOWN or stats.unknown_reason is not None:
             break
+        if exhausted:
+            stats.unknown_reason = "branch budget exhausted"
+            break
         if not worklist:
             if stuck:
                 stats.unknown_reason = "unrefinable leaf"
             else:
                 stats.verdict = SAFE
             break
-        taken = worklist.pop(min(batch, config.max_branches - stats.branches_visited + 1))
-        bound_subdomains(taken, C, slopes, heuristic)
-        step = [d for d in taken if d.bounds.is_feasible()]
+        left = config.max_branches - stats.branches_visited
+        taken = worklist.pop(min(batch, left + 1))
+        stack = bound_subdomains(taken)
+        feasible = np.flatnonzero(stack.neuron_bounds.feasible)
         stats.passes += 1
         stats.bounded += len(taken)
-        stats.empty += len(taken) - len(step)
+        stats.empty += len(taken) - len(feasible)
+        # A feasible entry past the first left only shows that one waits.
+        exhausted, feasible = len(feasible) > left, feasible[:left]
+        step, ds = (), [taken[i] for i in feasible]
+        if ds:
+            stack = stack[feasible] if len(ds) < len(taken) else stack
+            step = zip(ds, branchings(net, C, slopes, heuristic, [d.parent_lower_bound for d in ds],
+                                      stack, relax.compute_bounds(net, C, stack, slopes)))
+        del stack  # not kept alive through the next step's pass
     stats.wall_time_s = time.perf_counter() - start_time
     return stats

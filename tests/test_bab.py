@@ -589,25 +589,31 @@ def test_worklist_pop_skips_infeasible_children(monkeypatch):
         pushed.append(d)
 
     monkeypatch.setattr(bab.Worklist, "push", root_queues_low_and_high)
-    bound = bab.bound_subdomains
-    monkeypatch.setattr(bab, "bound_subdomains",
-                        lambda ds, *spec: taken.append(ds) or bound(ds, *spec))
+    bound, take, decided = bab.bound_subdomains, bab.branchings, []
+    monkeypatch.setattr(bab, "bound_subdomains", lambda ds: taken.append(ds) or bound(ds))
+    monkeypatch.setattr(bab, "branchings",
+                        lambda *args: decided.append(list(args[4])) or take(*args))
     task = scalar_task(scalar_relu_net(out_bias=0.1))
     stats = bab.verify(task, "drg", bab.BabConfig(alpha_iters=0, trace=True))
     assert len(pushed) == 2 and taken == [[high, low]]
-    assert not high.bounds.is_feasible() and high.branching is None
+    # decided by parent bound: the root, then low alone
+    assert not high.bounds.is_feasible() and decided == [[-np.inf], [-1.0]]
     assert (stats.passes, stats.bounded, stats.empty, stats.branches_visited) == (1, 2, 1, 1)
     assert stats.verdict == bab.SAFE
     assert [e["parent_lower_bound"] for e in stats.per_node_trace[1:]] == [-1.0]
 
 
-def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
-    # A zero branch budget with only an infeasible child queued ends Safe: the
-    # budget counts as exhausted only while a feasible sub-domain waits.
-    # Without slope optimization the root splits; high replaces its children.
+@pytest.mark.parametrize("max_branches", [0, 5])
+def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch, max_branches):
+    # A branch budget, zero or not, with only an infeasible child queued
+    # ends Safe: the budget counts as exhausted only while a feasible
+    # sub-domain waits. The step whose only entry is empty bounds it alone
+    # and decides nothing: no spec bound follows the root's. Without slope
+    # optimization the root splits; high replaces its children.
     task = scalar_task(scalar_relu_net(out_bias=0.1))
     _, _, high = _straddling_bisection()
     push, pushed = bab.Worklist.push, []
+    compute, bound, calls = relax.compute_bounds, bab.bound_subdomains, []
 
     def root_queues_only_high(self, d):
         if not pushed:
@@ -615,18 +621,23 @@ def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch):
         pushed.append(d)
 
     monkeypatch.setattr(bab.Worklist, "push", root_queues_only_high)
-    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=0, alpha_iters=0))
+    monkeypatch.setattr(relax, "compute_bounds", lambda *a: calls.append("spec") or compute(*a))
+    monkeypatch.setattr(bab, "bound_subdomains", lambda ds: calls.append(len(ds)) or bound(ds))
+    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=max_branches, alpha_iters=0))
     assert len(pushed) == 2 and not high.neuron_bounds.is_feasible()
     assert stats.verdict == bab.SAFE
     assert stats.unknown_reason is None and stats.branches_visited == 0
+    assert "spec" in calls and calls[calls.index("spec") + 1:] == [1]
 
 
 def _counting_bounds(monkeypatch):
-    """Count the sub-domains propagate_bounds bounds and the entries
-    Worklist.pop takes off; keep every worklist and every batch handed to
-    bab.bound_subdomains (alive, so their ids stay unique)."""
+    """Count the sub-domains propagate_bounds bounds, the entries
+    Worklist.pop takes off and the Branchings bab.branchings returns; keep
+    every worklist and every batch handed to bab.bound_subdomains (alive, so
+    their ids stay unique)."""
     propagate, pop, bound = relax.propagate_bounds, bab.Worklist.pop, bab.bound_subdomains
-    counts = {"bounds": 0, "popped": 0}
+    take = bab.branchings
+    counts = {"bounds": 0, "popped": 0, "decided": 0}
     worklists, batches = [], []
 
     def counting_propagate(net, lo, *args, **kwargs):
@@ -640,13 +651,19 @@ def _counting_bounds(monkeypatch):
         counts["popped"] += before - len(self)
         return d
 
-    def recording_bound(ds, *spec):
-        batches.append((list(ds), spec))
-        return bound(ds, *spec)
+    def recording_bound(ds):
+        batches.append(list(ds))
+        return bound(ds)
+
+    def counting_take(*args):
+        out = take(*args)
+        counts["decided"] += len(out)
+        return out
 
     monkeypatch.setattr(relax, "propagate_bounds", counting_propagate)
     monkeypatch.setattr(bab.Worklist, "pop", counting_pop)
     monkeypatch.setattr(bab, "bound_subdomains", recording_bound)
+    monkeypatch.setattr(bab, "branchings", counting_take)
     return counts, worklists, batches
 
 
@@ -659,57 +676,58 @@ def test_propagate_bounds_bounds_each_subdomain_at_most_once(monkeypatch, tmp_pa
     # Children are bounded by the step that pops them, never when queued,
     # and each at most once: one domain for the root and one per sub-domain
     # a step takes off the worklist, the empty ones and those a step took
-    # but the run ended before (the budget's last one included) among them;
-    # a run that ends Safe leaves none of those, and no entry left on the
-    # worklist is bounded.
+    # but the run ended before among them: those decided but not applied,
+    # and the budget's last one, bounded but not decided. A run that ends
+    # Safe leaves none of those, and no entry left on the worklist is
+    # bounded.
     tasks = _gen_tasks(tmp_path, "--seed", "7", "--layers", "2", "--widths", "16", "--count",
                        "4", "--eps", "0.25", "--inputs", "4", "--outputs", "3")
     counts, worklists, batches = _counting_bounds(monkeypatch)
     capped = never_processed = 0
     for task in tasks:
         for kind in ("drg", "babsr"):
-            counts.update(bounds=0, popped=0)
+            counts.update(bounds=0, popped=0, decided=0)
             worklists.clear()
             batches.clear()
             stats = bab.verify(task, kind, bab.BabConfig(timeout_seconds=600.0, max_branches=100))
-            bounded = [d for ds, _ in batches for d in ds]
+            bounded = [d for ds in batches for d in ds]
             assert len({id(d) for d in bounded}) == len(bounded)
             assert not any(d.net is None for w in worklists for _, _, d in w._heap)
             assert counts["bounds"] == 1 + counts["popped"] == 1 + len(bounded) == 1 + stats.bounded
             assert len(batches) == stats.passes
             left = stats.bounded - stats.branches_visited - stats.empty
-            assert left == sum(d.branching is not None for d in bounded)
+            exhausted = stats.unknown_reason == "branch budget exhausted"
+            assert left == counts["decided"] - 1 - stats.branches_visited + exhausted
             if stats.verdict == bab.SAFE:
                 assert left == 0
             never_processed += left
-            if stats.unknown_reason == "branch budget exhausted":
+            if exhausted:
                 capped += 1
                 # each split queued two children; far fewer were ever bounded
                 assert len(bounded) < 1.5 * stats.splits_made
     assert capped >= 3 and never_processed > 0
 
 
-def test_a_zero_branch_budget_bounds_the_root_and_each_popped_child_alone_with_the_spec(
+def test_a_zero_branch_budget_bounds_the_root_and_each_popped_child_alone_and_decides_none(
         monkeypatch, tmp_path):
     # With no branch to spend, each step is one entry wide: the step that
     # finds the budget exhausted bounds only what it takes off the worklist,
-    # one entry at a time, and takes its Branching like every pass: exactly
-    # one child when the first is feasible. On the wide-triage suite (`gen --seed 13`, drg) that is 100
-    # roots and 35 children, no more than before lookahead.
+    # one entry at a time, exactly one child when the first is feasible, and
+    # decides none of them: only the root gets a Branching. On the
+    # wide-triage suite (`gen --seed 13`, drg) that is 100 roots and 35
+    # children bounded.
     tasks = _gen_tasks(tmp_path, "--seed", "13", "--layers", "3", "--widths", "64", "--count",
                        "100", "--eps", "0.05", "--inputs", "8", "--outputs", "5")
     counts, _, batches = _counting_bounds(monkeypatch)
     total = 0
     for task in tasks:
-        counts.update(bounds=0, popped=0)
+        counts.update(bounds=0, popped=0, decided=0)
         batches.clear()
         stats = bab.verify(task, "drg", bab.BabConfig(max_branches=0))
         assert counts["bounds"] == 1 + counts["popped"]
         if stats.unknown_reason == "branch budget exhausted":
             assert counts["popped"] >= 1
-        for (d,), spec in batches:
-            assert spec[0] is task.spec_matrix
-            assert (d.branching is not None) == d.bounds.is_feasible()
+        assert all(len(ds) == 1 for ds in batches) and counts["decided"] == 1
         total += counts["bounds"]
     assert total == 135
 
@@ -743,6 +761,23 @@ def _mixed_batch(margin_shift=0.0):
     return net, C, root, batch
 
 
+def _decide(net, ds, C, slopes, heuristic="drg"):
+    """Bound ds in one pass and decide its feasible ones in one more, as a
+    step of verify does without a budget: each sub-domain's Branching, None
+    where it is empty."""
+    stack = bab.bound_subdomains(ds)
+    feasible = np.flatnonzero(stack.neuron_bounds.feasible)
+    decided = [None] * len(ds)
+    if len(feasible):
+        stack = stack[feasible]
+        taken = bab.branchings(net, C, slopes, heuristic,
+                               [ds[i].parent_lower_bound for i in feasible], stack,
+                               relax.compute_bounds(net, C, stack, slopes))
+        for i, b in zip(feasible.tolist(), taken, strict=True):
+            decided[i] = b
+    return decided
+
+
 def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypatch):
     net, C, root, batch = _mixed_batch()
     slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
@@ -756,13 +791,13 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
                         lambda *a: phase1.append(compute(*a)) or phase1[-1])
     monkeypatch.setattr(relax, "propagate_bounds",
                         lambda *a: propagated.append(propagate(*a)) or propagated[-1])
-    bab.bound_subdomains(batch, C, slopes, "drg")
+    decided = _decide(net, batch, C, slopes)
     stacked, pass_stack = phase1.pop(), propagated.pop()
-    for d in alone:
-        bab.bound_subdomains([d], C, slopes, "drg")
+    decided_alone = [_decide(net, [d], C, slopes)[0] for d in alone]
     results = iter(zip(stacked, phase1, strict=True))  # one per feasible sub-domain
     assert 0 < sum(not d.neuron_bounds.is_feasible() for d in alone) < len(alone)
-    for i, (d, ref, own) in enumerate(zip(batch, alone, propagated, strict=True)):
+    for i, (d, ref, own, branching, want_branching) in enumerate(
+            zip(batch, alone, propagated, decided, decided_alone, strict=True)):
         got, want = d.neuron_bounds, ref.neuron_bounds
         assert d.net is None and got.is_feasible() == want.is_feasible()
         for a, b in zip(got.lower + got.upper, want.lower + want.upper, strict=True):
@@ -774,7 +809,7 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
             assert all(np.array_equal(a[i], b[0])
                        for a, b in zip(pass_stack.relaxations[k], rel, strict=True))
         if not want.is_feasible():
-            assert d.branching is None and ref.branching is None
+            assert branching is None and want_branching is None
             continue
         got, (want,) = next(results)
         for name in ("w", "b", "lower_bound", "x_star"):
@@ -782,7 +817,7 @@ def test_a_stacked_pass_gives_each_subdomain_its_numbers_alone_bitwise(monkeypat
         assert sorted(got.A) == sorted(want.A)
         for k, v in want.A.items():
             assert np.array_equal(got.A[k], v)
-        _assert_same_branching(d.branching, ref.branching)
+        _assert_same_branching(branching, want_branching)
 
 
 def test_a_pass_leaves_no_subdomain_a_view_of_its_stacks(monkeypatch):
@@ -793,8 +828,7 @@ def test_a_pass_leaves_no_subdomain_a_view_of_its_stacks(monkeypatch):
     net, C, root, batch = _mixed_batch(margin_shift=9.0)
     slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
     slopes = {k: v[0] for k, v in slopes.items()}
-    bab.bound_subdomains(batch, C, slopes, "drg")
-    assert 0 < sum(d.branching is not None for d in batch) < len(batch)
+    assert 0 < sum(b is not None for b in _decide(net, batch, C, slopes)) < len(batch)
     processed = _recording_processed(monkeypatch)
     bab.verify(model.VerificationTask(net, root.box_lower, root.box_upper, C), "drg",
                bab.BabConfig(max_branches=20))
@@ -918,43 +952,62 @@ def _all_positive_net():
     ])
 
 
-def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatch):
+def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise():
     # For every kind: _mixed_batch as it is (some witnesses unsafe), then
     # with its margins raised by 9 (most witnesses spurious, two bounds above
     # zero) plus a sub-domain pruned by its parent's bound, then every
     # step's pass of a search on _all_positive_net, whose drg scores
     # vanish (it bisects). Each sub-domain's Branching in the stack equals
     # its Branching alone; its lower_bound is the larger of its bound and its
-    # parent's, and only an unsafe one keeps its witness.
+    # parent's, and only an unsafe one keeps its witness. A step decides all
+    # its feasible sub-domains but, at the budget, its last one.
     def spec_of(margin_shift):
         net, C, root, batch = _mixed_batch(margin_shift)
         slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5, 0.25)
-        return batch, C, {k: v[0] for k, v in slopes.items()}
+        return net, batch, C, {k: v[0] for k, v in slopes.items()}
 
-    (plain, plain_C, plain_slopes), (batch, C, slopes) = spec_of(0.0), spec_of(9.0)
-    bound, passes = bab.bound_subdomains, []
+    (plain_net, plain, plain_C, plain_slopes), (net, batch, C, slopes) = spec_of(0.0), spec_of(9.0)
+    bound, take, pending, passes = bab.bound_subdomains, bab.branchings, [], []
 
-    def recording(ds, *spec):
+    def recording_bound(ds):
         alone = [dataclasses.replace(d) for d in ds]
-        bound(ds, *spec)
-        passes.append((alone, [d.branching for d in ds], spec))
+        stack = bound(ds)
+        pending[:] = [(ref, d.bounds.is_feasible()) for ref, d in zip(alone, ds)]
+        return stack
 
-    monkeypatch.setattr(bab, "bound_subdomains", recording)
+    def recording_take(*args):
+        taken = take(*args)
+        if pending:  # a step's decisions; the root's follow no pass
+            passes.append((pending[:], taken, args[:4]))  # net, C, slopes, heuristic
+            pending.clear()
+        return taken
+
     seen = {"pruned": 0, "unsafe": 0, "split": 0, "bisect": 0}
     for kind in heuristics.KINDS:
         passes.clear()
-        bab.bound_subdomains([dataclasses.replace(d) for d in plain], plain_C, plain_slopes, kind)
-        by_parent = dataclasses.replace(batch[0], parent_lower_bound=1.0)
-        bab.bound_subdomains([dataclasses.replace(d) for d in batch] + [by_parent], C, slopes, kind)
-        bab.verify(scalar_task(_all_positive_net()), kind, bab.BabConfig(max_branches=60))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bab, "bound_subdomains", recording_bound)
+            mp.setattr(bab, "branchings", recording_take)
+            _decide(plain_net, [dataclasses.replace(d) for d in plain], plain_C, plain_slopes, kind)
+            by_parent = dataclasses.replace(batch[0], parent_lower_bound=1.0)
+            *_, parent_pruned = _decide(net, [dataclasses.replace(d) for d in batch] + [by_parent],
+                                        C, slopes, kind)
+            bab.verify(scalar_task(_all_positive_net()), kind, bab.BabConfig(max_branches=60))
+            pending.clear()  # a budget's last pass decides nothing
         assert max(len(taken) for _, taken, _ in passes) > 1
         for alone, taken, spec in passes:
-            for ref, b in zip(alone, taken, strict=True):
-                bound([ref], *spec)
-                if b is None:  # infeasible
-                    assert ref.branching is None
+            feasible = [ref for ref, ok in alone if ok]
+            assert len(feasible) - 1 <= len(taken) <= len(feasible)
+            decided = iter(taken)
+            for ref, ok in alone:
+                (want,) = _decide(spec[0], [ref], *spec[1:])
+                if not ok:  # infeasible
+                    assert want is None
                     continue
-                _assert_same_branching(b, ref.branching)
+                b = next(decided, None)
+                if b is None:  # the budget's last one
+                    continue
+                _assert_same_branching(b, want)
                 assert np.array_equal(b.lower_bound, max(b.raw_lower_bound, ref.parent_lower_bound),
                                       equal_nan=True)
                 assert (b.witness is not None) == (b.action == "unsafe")
@@ -962,8 +1015,8 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise(monkeypatc
                 seen["unsafe"] += b.action == "unsafe"
                 seen["split"] += b.action == "split"
                 seen["bisect"] += b.action == "bisect"
-        assert by_parent.branching.action == "pruned-safe"
-        assert by_parent.branching.raw_lower_bound < 0
+        assert parent_pruned.action == "pruned-safe"
+        assert parent_pruned.raw_lower_bound < 0
     assert min(seen.values()) > 0, seen
 
 
@@ -995,10 +1048,9 @@ def test_a_branching_keeps_the_score_max_and_count_its_rows_give_the_trace(monke
         return scores, clamps
 
     monkeypatch.setattr(heuristics, "score_branches", planting)
-    bab.bound_subdomains(batch, C, slopes, "drg")
+    decided = _decide(net, batch, C, slopes)
     (scores,) = planted
-    scored = [d.branching for d in batch
-              if d.branching is not None and d.branching.action in ("split", "bisect")]
+    scored = [b for b in decided if b is not None and b.action in ("split", "bisect")]
     assert len(scored) == len(scores[0]) >= 3
     for j, b in enumerate(scored):
         want_n = sum(int(np.count_nonzero(np.isfinite(s[j]))) for s in scores.values())
@@ -1030,8 +1082,7 @@ def test_every_safe_tree_is_the_same_at_any_step_width(monkeypatch, tmp_path):
     tasks = _record_tasks(tmp_path)
     batched = []
     bound = bab.bound_subdomains
-    monkeypatch.setattr(bab, "bound_subdomains",
-                        lambda ds, *spec: batched.append(len(ds)) or bound(ds, *spec))
+    monkeypatch.setattr(bab, "bound_subdomains", lambda ds: batched.append(len(ds)) or bound(ds))
 
     def runs():
         out = {}
@@ -1100,7 +1151,8 @@ def test_step_counters_account_for_every_bounded_subdomain(budget_runs):
 def test_branch_budgets_hold_at_every_step_width(budget_runs):
     # At every budget and width: no run spends more branches than its
     # budget; one ends "branch budget exhausted" only with the budget spent
-    # and a feasible sub-domain waiting; a run Safe with steps of one is
+    # and exactly one feasible sub-domain waiting, the one its last step
+    # bounded beyond the budget; a run Safe with steps of one is
     # Safe at the default width with the same branch count, and no run flips
     # between Safe and Unsafe.
     exhausted = collections.Counter()
@@ -1109,7 +1161,7 @@ def test_branch_budgets_hold_at_every_step_width(budget_runs):
             assert s.branches_visited <= budget
             if s.unknown_reason == "branch budget exhausted":
                 assert s.branches_visited == budget
-                assert s.bounded - s.branches_visited - s.empty >= 1
+                assert s.bounded - s.branches_visited - s.empty == 1
                 exhausted[budget, width] += 1
             else:
                 assert s.unknown_reason is None or s.verdict == bab.UNKNOWN
@@ -1130,9 +1182,10 @@ def test_a_deadline_in_the_middle_of_a_step_ends_the_run_before_its_next_node(mo
     # Branching unapplied, and the trace is the untimed run's up to that node.
     (task,) = [t for name, t in _record_tasks(tmp_path) if name == "suite0/case_004"]
     config = bab.BabConfig(timeout_seconds=600.0, max_branches=300, trace=True)
-    bound, steps = bab.bound_subdomains, []
-    monkeypatch.setattr(bab, "bound_subdomains",
-                        lambda ds, *spec: steps.append(list(ds)) or bound(ds, *spec))
+    bound, take, steps, decided = bab.bound_subdomains, bab.branchings, [], []
+    monkeypatch.setattr(bab, "bound_subdomains", lambda ds: steps.append(list(ds)) or bound(ds))
+    monkeypatch.setattr(bab, "branchings",
+                        lambda *args: decided.append(take(*args)) or decided[-1])
     full = bab.verify(task, "drg", config)
     feasible = [[d for d in ds if d.bounds.is_feasible()] for ds in steps]
     at = next(i for i, ds in enumerate(feasible) if len(ds) >= 3)
@@ -1147,14 +1200,15 @@ def test_a_deadline_in_the_middle_of_a_step_ends_the_run_before_its_next_node(mo
             cls.calls += 1  # one call at the start, then one after each node
             return time.perf_counter() + (1e9 if cls.calls >= node + 2 else 0.0)
 
-    steps.clear()
+    steps.clear(), decided.clear()
     monkeypatch.setattr(bab, "time", Clock)
     stats = bab.verify(task, "drg", config)
     assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "timeout")
     assert stats.branches_visited == node
     assert stats.per_node_trace == full.per_node_trace[:node + 1]
-    first, second = [d for d in steps[at] if d.bounds.is_feasible()][:2]
-    assert first.branching is None and second.branching is not None
+    # that step decided all its feasible sub-domains and applied only the first
+    assert len(decided[-1]) == len(feasible[at])
+    assert stats.per_node_trace[-1]["raw_lower_bound"] == decided[-1][0].raw_lower_bound
     assert stats.bounded - stats.branches_visited - stats.empty >= 1
 
 
@@ -1211,8 +1265,7 @@ def test_lookahead_keeps_every_stacked_array_of_a_pass_within_the_budget(monkeyp
         slopes = {k: relax.adaptive_alpha(l, u) for k, (l, u) in
                   enumerate(zip(root.bounds.lower, root.bounds.upper))}
         sizes.clear()
-        bab.bound_subdomains([bab.SubDomain.child(net, root, lo, hi) for _ in range(window)],
-                             C, slopes, "drg")
+        _decide(net, [bab.SubDomain.child(net, root, lo, hi) for _ in range(window)], C, slopes)
         widest = max(sizes) // window  # each largest array stacks the window's sub-domains
         assert max(sizes) == window * widest
         assert window == max(1, bab.LOOKAHEAD_ELEMENTS // widest)
@@ -1234,10 +1287,10 @@ def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch,
     bound, compute, split = bab.bound_subdomains, relax.compute_bounds, bab.split_subdomain
     passes, computed, reading, reads = [], [], [], []
 
-    def recording_bound(ds, *spec):
+    def recording_bound(ds):
         if not reading:  # the observer's reads are not the search's passes
             passes.append(len(ds))
-        bound(ds, *spec)
+        return bound(ds)
 
     def observed_split(*args):
         children = split(*args)
@@ -1271,24 +1324,25 @@ def test_reading_a_queued_childs_bounds_leaves_the_search_unchanged(monkeypatch,
 
 
 def _recording_processed(monkeypatch):
-    """A list that gets, in order, each sub-domain verify takes: the root (the
-    one depth-0 sub-domain branchings decides) and each one Worklist.pop
-    returns. Each step's pass bounds all it pops, so after the run the
-    feasible ones among them are the nodes in the order they were processed,
-    up to the run's end; those after the last traced node are the ones its
-    step took but the run ended before."""
-    take, pop, taken = bab.branchings, bab.Worklist.pop, []
-
-    def taking(net, C, slopes, heuristic, ds, *rest):
-        take(net, C, slopes, heuristic, ds, *rest)
-        taken.extend(d for d in ds if d.depth == 0)
+    """A list that gets, in order, each sub-domain verify takes: the root
+    when it splits or bisects (the one depth-0 sub-domain refined) and each
+    one Worklist.pop returns. Each step's pass bounds all it pops, so after
+    the run the feasible ones among them are the nodes in the order they
+    were processed, up to the run's end; those after the last traced node
+    are the ones its step took but the run ended before."""
+    pop, taken = bab.Worklist.pop, []
+    for name in ("split_subdomain", "input_bisect"):
+        def refining(net, d, *args, _refine=getattr(bab, name)):
+            if d.depth == 0:
+                taken.append(d)
+            return _refine(net, d, *args)
+        monkeypatch.setattr(bab, name, refining)
 
     def popping(self, limit=1):
         ds = pop(self, limit)
         taken.extend(ds)
         return ds
 
-    monkeypatch.setattr(bab, "branchings", taking)
     monkeypatch.setattr(bab.Worklist, "pop", popping)
     return taken
 
@@ -1302,16 +1356,17 @@ def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path)
     # The search record's suites and every heuristic: each processed node's
     # trace action is the one branchings decided for it. The one exception
     # is stuck, a bisection whose box cannot be halved. Each line has only
-    # the documented keys, and split exactly on a split.
+    # the documented keys, and split exactly on a split. Every feasible
+    # sub-domain a step took is decided, but a budget's last one.
     from test_search_record import MAX_BRANCHES, SUITES
 
     config = bab.BabConfig(timeout_seconds=600.0, max_branches=MAX_BRANCHES, trace=True)
-    take, seen, decided = bab.branchings, set(), {}
+    take, seen, decided = bab.branchings, set(), []
 
-    def recording(net, C, slopes, heuristic, ds, *rest):
-        take(net, C, slopes, heuristic, ds, *rest)
-        for d in ds:  # keyed by id, each kept alive so no id is reused
-            decided[id(d)] = (d, d.branching)
+    def recording(*args):
+        taken = take(*args)
+        decided.extend(taken)  # in the order verify applies them
+        return taken
 
     monkeypatch.setattr(bab, "branchings", recording)
     processed = _recording_processed(monkeypatch)
@@ -1322,15 +1377,17 @@ def test_each_node_takes_the_action_its_branching_decided(monkeypatch, tmp_path)
                 decided.clear()
                 stats = bab.verify(task, kind, config)
                 trace = stats.per_node_trace
-                nodes = [d for d in processed if d.bounds.is_feasible()]
+                popped = [d for d in processed if d.depth]
+                nodes = 1 + sum(d.bounds.is_feasible() for d in popped)  # the root's first
                 exhausted = stats.unknown_reason == "branch budget exhausted"
                 assert len(trace) == stats.branches_visited + 1
-                assert len(processed) == stats.bounded + 1
-                waiting = len(nodes) - len(trace)
+                assert len(popped) == stats.bounded
+                waiting = nodes - len(trace)
                 assert waiting == stats.bounded - stats.branches_visited - stats.empty
                 assert waiting >= exhausted and (waiting == 0 or stats.verdict != bab.SAFE)
-                for d, entry in zip(nodes, trace):
-                    action, traced = decided[id(d)][1].action, entry["action"]
+                assert len(decided) == nodes - exhausted
+                for b, entry in zip(decided, trace):
+                    action, traced = b.action, entry["action"]
                     assert traced == action or (action, traced) == ("bisect", "stuck")
                     assert set(entry) <= TRACE_KEYS and ("split" in entry) == (traced == "split")
                     seen.add(action)
@@ -1389,29 +1446,31 @@ def test_concrete_network_runs_once_per_witness(monkeypatch, tmp_path):
     # which gives both their concrete margins and the pre-activations drg
     # and grad score with; nothing evaluates x* again. Its rows are the
     # witnessed nodes plus the sub-domains a step witnessed that were never
-    # processed, and no pruned sub-domain gets one.
-    assert cli.main(["gen", "--seed", "7", "--layers", "2", "--widths", "16", "--count", "2",
-                     "--eps", "0.3", "--inputs", "4", "--outputs", "3", "--out", str(tmp_path)]) == 0
-    forward, take, bound = model.forward, bab.branchings, bab.bound_subdomains
-    rows, taken, bounded, never_processed = [], [], [], 0
+    # processed, and no pruned sub-domain gets one. A step witnesses only
+    # what the budget can apply, so only a run that ends in the middle of a
+    # step leaves witnessed ones: the record's suite0/case_001 with grad,
+    # Unsafe at its first branch.
+    tasks = _gen_tasks(tmp_path, "--seed", "7", "--layers", "2", "--widths", "16", "--count", "2",
+                       "--eps", "0.3", "--inputs", "4", "--outputs", "3")
+    tasks += [t for name, t in _record_tasks(tmp_path / "record") if name == "suite0/case_001"]
+    forward, take = model.forward, bab.branchings
+    rows, taken, never_processed = [], [], 0
     monkeypatch.setattr(model, "forward", lambda net, x: rows.append(len(x)) or forward(net, x))
 
-    def recording(net, C, slopes, heuristic, ds, *rest):
-        take(net, C, slopes, heuristic, ds, *rest)
-        taken.extend((d.branching, d.parent_lower_bound) for d in ds)
+    def recording(net, C, slopes, heuristic, parents, *rest):
+        decided = take(net, C, slopes, heuristic, parents, *rest)
+        taken.extend(zip(decided, parents))  # in the order verify applies them
+        return decided
 
     monkeypatch.setattr(bab, "branchings", recording)
-    monkeypatch.setattr(bab, "bound_subdomains",
-                        lambda ds, *spec: bounded.extend(ds) or bound(ds, *spec))
-    for _, model_path, spec_path in cli.discover_suite(str(tmp_path)):
-        task = model.load_task(model_path, spec_path)
-        config = bab.BabConfig(timeout_seconds=600.0, max_branches=50, trace=True)
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=50, trace=True)
+    for task in tasks:
         for kind in ("drg", "grad"):
-            rows.clear(), taken.clear(), bounded.clear()
+            rows.clear(), taken.clear()
             stats = bab.verify(task, kind, config)
             witnesses = sum("witness_margin" in e for e in stats.per_node_trace)
-            left = sum(d.branching is not None and d.branching.witness_margin is not None
-                       for d in bounded)
+            unapplied = taken[len(stats.per_node_trace):]
+            left = sum(b.witness_margin is not None for b, _ in unapplied)
             assert stats.splits_made > 0
             assert sum(rows) == witnesses + left
             never_processed += left
