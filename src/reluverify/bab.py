@@ -422,9 +422,10 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     root does not count toward branches_visited: instances decided there
     report zero branches. The clock starts here, so the root's bounds and
     slope optimization count toward the time budget. Budgets are checked
-    between nodes, never mid-bound: the timeout after each node, the branch
-    budget after a step, which counts it as exhausted only when a feasible
-    sub-domain it popped is left undecided.
+    between nodes, never mid-bound: the timeout between a step's nodes and
+    before each pop, so a run left with nothing queued ends on its verdict
+    however late; the branch budget after a step, which counts it as
+    exhausted only when a feasible sub-domain it popped is left undecided.
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
@@ -448,7 +449,10 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     worklist = Worklist()
     stuck = exhausted = False
     while True:
-        for d, b in step:
+        for j, (d, b) in enumerate(step):
+            if j and time.perf_counter() > deadline:
+                stats.unknown_reason = "timeout"
+                break
             if d is not root:
                 stats.branches_visited += 1
             children = (split_subdomain(net, d, *b.pick) if b.action == "split" else
@@ -469,9 +473,6 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
                     _check_termination_measure(d, child, b.pick)
                     child.parent_lower_bound = b.lower_bound
                     worklist.push(child)
-            if time.perf_counter() > deadline:
-                stats.unknown_reason = "timeout"
-                break
         if stats.verdict != UNKNOWN or stats.unknown_reason is not None:
             break
         if exhausted:
@@ -482,6 +483,9 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
                 stats.unknown_reason = "unrefinable leaf"
             else:
                 stats.verdict = SAFE
+            break
+        if time.perf_counter() > deadline:
+            stats.unknown_reason = "timeout"
             break
         left = config.max_branches - stats.branches_visited
         taken = worklist.pop(min(batch, left + 1))

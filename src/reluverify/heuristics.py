@@ -80,7 +80,7 @@ def score_branches(
     scores: Scores = {}
     clamps = np.zeros(len(domains.box_lower), dtype=np.int64)
     for k in sorted(bound.A):
-        _, unst, up_slope, up_icpt = domains.relaxations[k]
+        unst, up_slope, up_icpt = (a[:, 0] for a in domains.relaxations[k])
         coef = coefs[k]
         if kind == WIDTH:
             score = nb.upper[k] - nb.lower[k]

@@ -26,20 +26,20 @@ ones, against 1.2 kB and 4.0 kB as one array per layer and side.
 Regions are bounded in stacks, the Domains that propagate_bounds returns and
 the one holder of relaxations: boxes, intervals and relaxations carry a
 leading domain axis of length D, a single region is a stack of one, and
-indexing a stack takes a sub-stack. The spec rows of a sub-domain are
-bounded together as well, their coefficients riding a further axis as
-(D, m, 1, n) stacks, and the relaxed forward pass evaluates W @ h on
-(..., n, 1) stacks. Each product is then the very call one domain (and one
-row) makes alone: a matrix-vector product per row, and for the 2n rows of an
-intermediate bound a matrix-matrix product per domain. So every domain's and
-every row's bound, coefficients and minimizer agree bit for bit with
-bounding it alone. A flat (D * m, n) @ (n, p) product would not: the
+indexing a stack takes a sub-stack. A ReLU layer's relaxation is its
+unstable mask and upper line, held once as (D, 1, n_k) arrays. The spec rows
+of a sub-domain are bounded together as well, their coefficients riding a
+further axis as (D, m, 1, n) stacks, and the relaxed forward pass evaluates
+W @ h on (..., n, 1) stacks. Each product is then the very call one domain
+(and one row) makes alone: a matrix-vector product per row, and for the 2n
+rows of an intermediate bound a matrix-matrix product per domain. So every
+domain's and every row's bound, coefficients and minimizer agree bit for bit
+with bounding it alone. A flat (D * m, n) @ (n, p) product would not: the
 matrix-matrix kernel sums in another order.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
@@ -54,8 +54,8 @@ from .model import Network, RELU
 INFEASIBILITY_TOL = 1e-9
 
 
-# Per layer: (active mask, unstable mask, upper slope, upper intercept).
-Relaxation = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# Per layer: (unstable mask, upper slope, upper intercept).
+Relaxation = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def relaxation(l: np.ndarray, u: np.ndarray) -> Relaxation:
@@ -65,17 +65,16 @@ def relaxation(l: np.ndarray, u: np.ndarray) -> Relaxation:
     u <= 0 otherwise, and unstable when l < 0 < u. The upper line is the
     identity on active neurons, zero on inactive ones, and on unstable ones
     the chord through (l, 0) and (u, u): slope u / (u - l), intercept
-    -u * l / (u - l). The lower line (alpha * z) depends on the slopes
-    being optimized and is left to the caller.
+    -u * l / (u - l). The lower line is left to _lower_slope: the slopes
+    being optimized (alpha * z) on unstable neurons, the upper line elsewhere.
     """
-    act = l >= 0.0
     unst = (l < 0.0) & (u > 0.0)
     denom = np.where(unst, u - l, 1.0)
     # The intercept is evaluated at unstable neurons only: -u * l of an
     # active neuron near the float64 limit would overflow, only to be dropped.
     icpt = np.zeros_like(denom)
     np.multiply(np.negative(u), l, out=icpt, where=unst)
-    return act, unst, np.where(unst, u / denom, act), np.divide(icpt, denom, out=icpt, where=unst)
+    return unst, np.where(unst, u / denom, l >= 0.0), np.divide(icpt, denom, out=icpt, where=unst)
 
 
 def adaptive_alpha(l: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -138,10 +137,8 @@ class NeuronBounds:
 class Domains:
     """A bounded stack of D sub-domains, as propagate_bounds returns it:
     boxes of shape (D, n0), their stacked NeuronBounds and each ReLU layer's
-    relaxation, (D, n_k) arrays, which the bound passes and the scores read.
-    row_relaxations holds the same as (D, 1, n_k) views, which broadcast
-    against (D, m, n_k) spec-row stacks; taken on first read, they serve
-    every pass of a slope optimization."""
+    relaxation, (D, 1, n_k) arrays, which broadcast against the (D, m, n_k)
+    spec-row stacks of the bound passes; the scores read their [:, 0] views."""
 
     box_lower: np.ndarray
     box_upper: np.ndarray
@@ -154,10 +151,6 @@ class Domains:
         return Domains(self.box_lower[idx], self.box_upper[idx],
                        NeuronBounds(nb.data[idx], nb.offsets, nb.feasible[idx]),
                        {k: tuple(a[idx] for a in rel) for k, rel in self.relaxations.items()})
-
-    @functools.cached_property
-    def row_relaxations(self) -> Dict[int, Relaxation]:
-        return {k: tuple(a[:, None, :] for a in rel) for k, rel in self.relaxations.items()}
 
 
 # Lower-line slopes per ReLU layer: layer k maps to an (n_k,) array shared by
@@ -218,10 +211,10 @@ def concretize(lam: np.ndarray, off, lo: np.ndarray, hi: np.ndarray):
 
 
 def _lower_slope(rel: Relaxation, alpha: np.ndarray) -> np.ndarray:
-    """Lower-line slope per neuron: 1 active, 0 inactive, alpha unstable.
-    Always float64, whatever alpha's dtype: _relu_backward reads its bits."""
-    act, unst, _, _ = rel
-    return np.where(unst, alpha, act).astype(np.float64, copy=False)
+    """Lower-line slope per neuron: alpha unstable, else the upper one (1 active,
+    0 inactive). Always float64, whatever alpha's dtype: _relu_backward reads its bits."""
+    unst, up_slope, _ = rel
+    return np.where(unst, alpha, up_slope).astype(np.float64, copy=False)
 
 
 # What a backward pass substitutes at one ReLU layer: the lower-line slope,
@@ -307,8 +300,8 @@ def compute_bounds(net: Network, C: np.ndarray, domains: Domains, slopes: Slopes
         raise ValueError("compute_bounds: a sub-domain is infeasible")
     steps = {}
     for k, s in slopes.items():
-        rel = domains.row_relaxations[k]
-        steps[k] = (_lower_slope(rel, s)[..., None, :], rel[2][..., None, :], rel[3][..., None, :])
+        rel = domains.relaxations[k]
+        steps[k] = (_lower_slope(rel, s)[..., None, :], rel[1][..., None, :], rel[2][..., None, :])
     c_mat, last = C[:, None, :], net.layers[-1]
     n_domains = len(domains.box_lower)
     lam = (c_mat @ last.weights)[None].repeat(n_domains, axis=0)
@@ -395,9 +388,9 @@ def propagate_bounds(
                 l[i], u[i] = np.where(crossed, mid, l[i]), np.where(crossed, mid, u[i])
                 out.feasible[i] &= bool(np.all(l[i] <= u[i]))
         if layer.activation == RELU:
-            relaxations[k] = rel = relaxation(l, u)
+            relaxations[k] = rel = relaxation(l[:, None, :], u[:, None, :])
             if max(k + 1, first) < n_hidden:  # read by a later layer's pass
-                steps[k] = (adaptive_alpha(l, u)[:, None, :], rel[2][:, None, :], rel[3][:, None, :])
+                steps[k] = (adaptive_alpha(l, u)[:, None, :], rel[1], rel[2])
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
@@ -422,8 +415,8 @@ def alpha_gradient(net: Network, domains: Domains, slopes: Slopes,
         layer = net.layers[k]
         z = (layer.weights @ h[..., None])[..., 0] + layer.bias
         if layer.activation == RELU:
-            rel, coeff = domains.row_relaxations[k], bound.A[k]
-            _, unst, up_slope, up_icpt = rel
+            rel, coeff = domains.relaxations[k], bound.A[k]
+            unst, up_slope, up_icpt = rel
             grads[k] = np.where(unst & (coeff >= 0.0), coeff * z, 0.0)
             h = np.where(coeff >= 0.0, _lower_slope(rel, slopes[k]) * z, up_slope * z + up_icpt)
         else:

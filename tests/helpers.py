@@ -41,12 +41,13 @@ def propagate_of(net, lo, hi, base=None, start_layer=0):
 
 def stack_of(*domains):
     """Bounded sub-domains as one relax.Domains stack, in order, with every
-    layer's relaxation built by relax.relaxation, as relax.propagate_bounds
-    builds a stack's."""
+    layer's relaxation built by relax.relaxation in the (D, 1, n_k) layout,
+    as relax.propagate_bounds builds a stack's."""
     nb = relax.NeuronBounds.stack([d.neuron_bounds for d in domains])
     return relax.Domains(np.array([d.box_lower for d in domains]),
                          np.array([d.box_upper for d in domains]), nb,
-                         {k: relax.relaxation(l, u) for k, (l, u) in enumerate(zip(nb.lower, nb.upper))})
+                         {k: relax.relaxation(l[:, None, :], u[:, None, :])
+                          for k, (l, u) in enumerate(zip(nb.lower, nb.upper))})
 
 
 def unstable(nb, k):
@@ -178,7 +179,7 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
         else:
             eye = np.eye(layer.out_dim)
             stack = np.vstack([eye, -eye])
-            steps = {j: (alpha, *relaxations[j][2:]) for j, alpha in alphas.items()}
+            steps = {j: (alpha, *relaxations[j][1:]) for j, alpha in alphas.items()}
             lam, off = relax._backward_from_layer(net, k, stack @ layer.weights,
                                                   stack @ layer.bias, steps)
             _, vals = relax.concretize(lam, off, lo, hi)

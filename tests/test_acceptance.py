@@ -31,7 +31,7 @@ def test_case_study_regression():
     # n_A spans [-2, 18], n_B spans [-4, 4]; both have coefficient -1 and the
     # witness sits at z*_A = 8, z*_B = 0 (the identity layer passes x through).
     nb = hand_bounds([[-2.0, -4.0]], [[18.0, 4.0]])
-    _, _, slope, icpt = relax.relaxation(nb.lower[0], nb.upper[0])
+    _, slope, icpt = relax.relaxation(nb.lower[0], nb.upper[0])
     ok &= abs(slope[0] - 0.9) <= 1e-12 and abs(icpt[0] - 1.8) <= 1e-12
     ok &= abs(slope[1] - 0.5) <= 1e-12 and abs(icpt[1] - 2.0) <= 1e-12
 
@@ -103,7 +103,7 @@ def test_relaxation_validity():
         u = rng.uniform(1e-3, 10.0)
         alpha = rng.uniform(0.0, 1.0)
         rel = relax.relaxation(np.array([l]), np.array([u]))
-        up_slope, up_icpt = rel[2][0], rel[3][0]
+        up_slope, up_icpt = rel[1][0], rel[2][0]
         lo_slope = relax._lower_slope(rel, np.array([alpha]))[0]
         z = np.linspace(l, u, 1000)
         relu = np.maximum(z, 0.0)

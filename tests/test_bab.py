@@ -311,6 +311,41 @@ def test_timeout_gives_unknown():
         assert stats.unknown_reason == "timeout"
 
 
+def test_a_root_that_prunes_is_safe_past_any_deadline():
+    # The deadline is checked between nodes and before a step's pop, never
+    # after the last node: a root that prunes leaves nothing to do, so the run
+    # is Safe however early it times out.
+    task = scalar_task(scalar_relu_net(out_bias=1.5))
+    stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=1e-9, alpha_iters=0))
+    assert (stats.verdict, stats.unknown_reason, stats.branches_visited) == (bab.SAFE, None, 0)
+
+
+def test_a_deadline_passing_at_the_last_node_leaves_the_verdict_standing(monkeypatch):
+    # A deadline that passes while the last node is applied ends nothing: no
+    # node is left, so the run ends Safe with the untimed run's tree.
+    task = random_task(np.random.default_rng(2), 3, (6,), 1, eps=0.5)
+    config = bab.BabConfig(timeout_seconds=600.0, max_branches=200, trace=True)
+    full = bab.verify(task, "drg", config)
+    assert full.verdict == bab.SAFE and full.branches_visited > 2
+    entry, late = bab._trace_entry, []
+
+    def last_entry(node, *args):
+        late.append(node == full.branches_visited)
+        return entry(node, *args)
+
+    class Clock:  # real time until the last node's trace line, then far past any deadline
+        @staticmethod
+        def perf_counter():
+            return time.perf_counter() + (1e9 if any(late) else 0.0)
+
+    monkeypatch.setattr(bab, "_trace_entry", last_entry)
+    monkeypatch.setattr(bab, "time", Clock)
+    stats = bab.verify(task, "drg", config)
+    assert late[-1] and not any(late[:-1])
+    assert (stats.verdict, stats.unknown_reason) == (bab.SAFE, None)
+    assert stats.per_node_trace == full.per_node_trace
+
+
 def test_all_zero_scores_bisect_until_decided():
     # m(x) = |x| + c has positive coefficients on both neurons, so drg's gap
     # scores vanish: every node bisects, and the search still decides.
@@ -1197,7 +1232,7 @@ def test_a_deadline_in_the_middle_of_a_step_ends_the_run_before_its_next_node(mo
 
         @classmethod
         def perf_counter(cls):
-            cls.calls += 1  # one call at the start, then one after each node
+            cls.calls += 1  # one call at the start, then one before each node past the root
             return time.perf_counter() + (1e9 if cls.calls >= node + 2 else 0.0)
 
     steps.clear(), decided.clear()

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reluverify import heuristics, model, relax
+from reluverify import model, relax
 
 from reluverify.cli import generate_instance
 
@@ -16,12 +16,12 @@ from helpers import (adaptive_slopes, bounds_of, gradient_of, layer_scan, layout
 
 def _relaxation(l, u):
     """Relaxation of one neuron with pre-activation bounds [l, u], as scalars."""
-    act, unst, slope, icpt = relax.relaxation(np.array([l]), np.array([u]))
-    return bool(act[0]), bool(unst[0]), float(slope[0]), float(icpt[0])
+    unst, slope, icpt = relax.relaxation(np.array([l]), np.array([u]))
+    return bool(unst[0]), float(slope[0]), float(icpt[0])
 
 
 def test_relu_relaxation_wide_interval():
-    _, unst, slope, icpt = _relaxation(-2.0, 18.0)
+    unst, slope, icpt = _relaxation(-2.0, 18.0)
     assert unst
     assert abs(slope - 0.9) < 1e-12
     assert abs(icpt - 1.8) < 1e-12
@@ -30,38 +30,39 @@ def test_relu_relaxation_wide_interval():
 
 
 def test_relu_relaxation_moderate_interval():
-    _, _, slope, icpt = _relaxation(-4.0, 4.0)
+    _, slope, icpt = _relaxation(-4.0, 4.0)
     assert abs(slope - 0.5) < 1e-12
     assert abs(icpt - 2.0) < 1e-12
 
 
 def test_relu_relaxation_symmetric_interval():
-    _, _, slope, icpt = _relaxation(-1.0, 1.0)
+    _, slope, icpt = _relaxation(-1.0, 1.0)
     assert abs(slope - 0.5) < 1e-12
     assert abs(icpt - 0.5) < 1e-12
 
 
 def test_relu_relaxation_stable_neurons_are_exact():
     # stable neurons are never unstable and get their exact line, not a chord
-    assert _relaxation(0.5, 2.0) == (True, False, 1.0, 0.0)
-    assert _relaxation(-2.0, -0.5) == (False, False, 0.0, 0.0)
+    assert _relaxation(0.5, 2.0) == (False, 1.0, 0.0)
+    assert _relaxation(-2.0, -0.5) == (False, 0.0, 0.0)
     rel = relax.relaxation(np.array([0.5, -2.0]), np.array([2.0, -0.5]))
     assert relax._lower_slope(rel, np.array([0.3, 0.3])).tolist() == [1.0, 0.0]
 
 
 def test_stability_tag_tie_rules():
-    # l = 0 counts as active, u = 0 as inactive; only l < 0 < u is unstable
-    assert _relaxation(0.0, 2.0)[:2] == (True, False)
-    assert _relaxation(-2.0, 0.0)[:2] == (False, False)
-    assert _relaxation(-1.0, 1.0)[:2] == (False, True)
-    assert _relaxation(1.0, 2.0)[:2] == (True, False)
+    # l = 0 counts as active (upper slope 1), u = 0 as inactive (slope 0);
+    # only l < 0 < u is unstable
+    assert _relaxation(0.0, 2.0)[:2] == (False, 1.0)
+    assert _relaxation(-2.0, 0.0)[:2] == (False, 0.0)
+    assert _relaxation(-1.0, 1.0)[:2] == (True, 0.5)
+    assert _relaxation(1.0, 2.0)[:2] == (False, 1.0)
 
 
 def test_relaxation_is_computed_once_per_bounds_object(monkeypatch):
     # propagate_bounds builds each ReLU layer's relaxation once, from the
-    # layer's final intervals, and returns it with the bounds and their
-    # feasibility as one Domains stack; its row relaxations are views of it,
-    # and bounding the stack builds nothing.
+    # layer's final intervals in the (D, 1, n_k) layout, and returns it with
+    # the bounds and their feasibility as one Domains stack; bounding the
+    # stack builds nothing.
     net = random_net(np.random.default_rng(29), 3, [6, 5], 2)
     lo, hi = -np.ones(3), np.ones(3)
     build, built = relax.relaxation, []
@@ -71,12 +72,12 @@ def test_relaxation_is_computed_once_per_bounds_object(monkeypatch):
     relax.compute_bounds(net, np.array([[1.0, -1.0]]), stacked,
                          {k: relax.adaptive_alpha(nb.lower[k], nb.upper[k]) for k in (0, 1)})
     assert [id(r) for r in built] == [id(stacked.relaxations[k]) for k in (0, 1)]
-    for k in (0, 1):
-        assert all(view.base is part for view, part in zip(stacked.row_relaxations[k], built[k]))
     assert nb.feasible.tolist() == [True] and nb.intervals(0).is_feasible() is True
-    for k in (0, 1):
-        for kept, new in zip(stacked.relaxations[k], build(nb.lower[k], nb.upper[k])):
-            assert kept.dtype == new.dtype and kept.tobytes() == new.tobytes()
+    for k, n_k in ((0, 6), (1, 5)):
+        new = build(nb.lower[k][:, None, :], nb.upper[k][:, None, :])
+        for kept, want in zip(stacked.relaxations[k], new, strict=True):
+            assert kept.shape == (1, 1, n_k)
+            assert kept.dtype == want.dtype and kept.tobytes() == want.tobytes()
 
 
 def _bounded_stack():
@@ -113,30 +114,6 @@ def test_indexing_a_stack_takes_those_rows_bitwise():
                 assert got[j].dtype == want[i].dtype and got[j].tobytes() == want[i].tobytes()
 
 
-def test_row_relaxations_are_built_on_first_read_and_only_once():
-    # Scoring reads a stack's (D, n_k) relaxations only, so a stack handed to
-    # score_branches alone builds no (D, 1, n_k) row views; a bound pass
-    # builds them on first read, and every later pass reads the same ones.
-    net, stack = _bounded_stack()
-    feasible = np.flatnonzero(stack.neuron_bounds.feasible)
-    C = np.array([[1.0, -1.0]])
-    bounded, scored = stack[feasible], stack[feasible]
-    slopes = {k: np.full(l.shape[-1], 0.5) for k, l in enumerate(stack.neuron_bounds.lower)}
-    assert "row_relaxations" not in vars(bounded)
-    res = relax.compute_bounds(net, C, bounded, slopes)
-    rows = vars(bounded)["row_relaxations"]
-    for k, rel in bounded.relaxations.items():
-        assert all(view.base is part for view, part in zip(rows[k], rel, strict=True))
-    relax.optimize_alpha(net, C, bounded, 3, 0.25)
-    assert vars(bounded)["row_relaxations"] is rows
-    bound = res[np.arange(len(feasible)), np.zeros(len(feasible), dtype=np.intp)]
-    _, preacts = model.forward(net, bound.x_star)
-    scores, _ = heuristics.score_branches(heuristics.DRG, net, C[[0] * len(feasible)], bound,
-                                          scored, preacts, None)
-    assert sorted(scores) == [0, 1, 2]
-    assert "row_relaxations" not in vars(scored)
-
-
 def test_propagation_builds_an_adaptive_alpha_only_where_a_later_pass_reads_it(monkeypatch):
     # Layer k's alpha is read only by the backward passes of recomputed
     # layers above k: never the last hidden layer's, and none when a split on
@@ -165,6 +142,24 @@ def test_adaptive_alpha_is_the_whole_lower_slope():
         alpha = relax.adaptive_alpha(lo, up)
         resolved = relax._lower_slope(relax.relaxation(lo, up), alpha)
         assert alpha.dtype == resolved.dtype and alpha.tobytes() == resolved.tobytes()
+
+
+def test_a_stable_neurons_lower_slope_is_its_upper_slope():
+    # Off the unstable neurons the lower line takes the upper slope: exactly
+    # 1.0 where l >= 0 and 0.0 elsewhere, as float64 whatever alpha's dtype,
+    # on signed zeros, points (l == u), crossed intervals and NaN ends, in
+    # either layout.
+    rng = np.random.default_rng(96)
+    ends = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e-300, np.nan])
+    l, u = (np.concatenate([a.ravel(), rng.normal(size=100)]) for a in np.meshgrid(ends, ends))
+    unst = (l < 0.0) & (u > 0.0)
+    assert unst.any() and (~unst).any() and (l > u).any() and (l == u).any()
+    for dtype in (np.float64, np.float32):
+        alpha = rng.uniform(size=(3, l.size)).astype(dtype)
+        want = np.where(unst, alpha, l >= 0.0).astype(np.float64)
+        for got in (relax._lower_slope(relax.relaxation(l, u), alpha),
+                    relax._lower_slope(relax.relaxation(l[None, None], u[None, None]), alpha)[0]):
+            assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
 
 
 def test_compute_bounds_single_neuron_lower_line():
@@ -352,7 +347,7 @@ def test_triangle_validity_on_grid():
         a = rng.uniform(0.0, 1.0)
         rel = relax.relaxation(np.array([l]), np.array([u]))
         lower = relax._lower_slope(rel, np.array([a]))[0]
-        slope, icpt = rel[2][0], rel[3][0]
+        slope, icpt = rel[1][0], rel[2][0]
         z = np.linspace(l, u, 1000)
         relu = np.maximum(z, 0.0)
         assert np.all(lower * z <= relu + 1e-12)
@@ -622,9 +617,9 @@ def test_relaxation_evaluates_no_intercept_it_drops():
     # relaxation drops. Unstable intercepts keep the chord formula's bits.
     l = np.array([1e308, -1.7e308, -2.0, -1e-300, -3.0])
     u = np.array([1.7e308, -1e308, 18.0, 1e-300, 0.5])
-    act, unst, _, icpt = relax.relaxation(l, u)
-    assert act.tolist() == [True, False, False, False, False]
+    unst, slope, icpt = relax.relaxation(l, u)
     assert unst.tolist() == [False, False, True, True, True]
+    assert slope[~unst].tolist() == [1.0, 0.0]
     chord = -u[unst] * l[unst] / (u[unst] - l[unst])
     assert icpt[unst].tobytes() == chord.tobytes()
     assert icpt[~unst].tobytes() == np.zeros(2).tobytes()  # +0.0, as before
@@ -662,7 +657,7 @@ def _backward_case(rng, lam_shape, step_shape):
     # Spec rows carry a slope row each; an intermediate-bound pass shares its domain's.
     alpha = rng.uniform(size=lam_shape if len(lam_shape) == 4 else step_shape)
     lower = relax._lower_slope(rel, alpha)
-    return lam, (lower, rel[2], rel[3])
+    return lam, (lower, rel[1], rel[2])
 
 
 @pytest.mark.parametrize("n_domains", [1, 5])
