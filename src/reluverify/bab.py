@@ -170,7 +170,8 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     row under slopes, the root's. The search's phase rules are written here
     only, on the stacked arrays, in this order:
 
-    - a non-finite bound: non-finite;
+    - a non-finite bound, or intervals that hold a NaN (the raw bound is
+      then NaN): non-finite;
     - lower_bound, the larger of the bound and the parent's (valid on the
       shrunken region), > 0: pruned-safe;
     - otherwise the witnesses take one stacked concrete pass. A non-finite
@@ -185,6 +186,8 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     index into the stacks."""
     worst = np.argmin(results.lower_bound, axis=-1)  # the first row on ties
     raw = results.lower_bound[np.arange(len(worst)), worst]
+    # A NaN interval (an overflow) reads as a stable neuron: no bound over it holds.
+    raw[np.isnan(domains.neuron_bounds.data).any(axis=(1, 2))] = np.nan
     parents = np.array(parents, dtype=float)
     # The parent's bound remains valid on this shrunken region; inheriting it
     # keeps node bounds monotone even when the clamped relaxation drifts. It
@@ -429,8 +432,9 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
 
     Safe only if every sub-domain was pruned by a positive lower bound or
     infeasibility; Unsafe only with a validated concrete witness; Unknown on
-    timeout, branch budget, an unrefinable leaf, or a non-finite bound or
-    witness margin. Deterministic given (task, heuristic, config).
+    timeout, branch budget, an unrefinable leaf, or a non-finite bound (a
+    NaN interval's included) or witness margin. Deterministic given (task,
+    heuristic, config).
     """
     start_time = time.perf_counter()
     config = config or BabConfig()

@@ -12,6 +12,8 @@ branching heuristics.
 
 A region is a box plus the pre-activation intervals of every hidden layer
 (NeuronBounds), nothing else: how a search narrowed them is not known here.
+It is empty only when a narrowing makes a lower bound exceed its upper one
+by more than INFEASIBILITY_TOL; a NaN left by an overflow never makes it so.
 The intervals are one float64 array of shape (2, N), lower bounds in row 0
 and upper ones in row 1, the N hidden neurons side by side in layer order
 (Network.hidden_offsets); a stack of D regions is one (D, 2, N) array, so
@@ -98,9 +100,10 @@ class NeuronBounds:
     clamp of a neuron to one sign) is written here, and propagate_bounds
     keeps it by intersection. A lower bound above its upper one marks the
     region empty, a legitimate outcome of a narrowing; propagate_bounds then
-    bounds no later layer of it, which keeps its base's intervals. Intervals
-    and feasibility are all they hold: relaxations live on the Domains
-    stacks only.
+    bounds no later layer of it, which keeps its base's intervals. It is
+    infeasible iff some l > u; a NaN left by an overflow does not make it so.
+    Intervals and feasibility are all they hold: relaxations live on the
+    Domains stacks only.
     """
 
     data: np.ndarray
@@ -342,7 +345,8 @@ def propagate_bounds(
     unless a base is given and one exceeds INFEASIBILITY_TOL: that domain is
     then empty, and its later layers keep the base's intervals unbounded.
     Without a base the box alone is never empty, so every crossing
-    collapses. A NaN left by an overflow also makes a domain infeasible.
+    collapses. A NaN left by an overflow crosses nothing: its domain stays
+    feasible, and the search ends on it (bab.branchings).
     """
     n_domains, n_hidden = len(box_lower), net.n_layers - 1
     start = np.asarray(start_layer)
@@ -352,16 +356,15 @@ def propagate_bounds(
     offsets = net.hidden_offsets
     # A domain's layers that no pass recomputes keep the base's intervals.
     data = np.empty((n_domains, 2, offsets[-1])) if base is None else base.data.copy()
-    out = NeuronBounds(data, offsets, np.ones(n_domains, dtype=bool))
+    feasible = np.ones(n_domains, dtype=bool)  # not found empty
     relaxations: Dict[int, Relaxation] = {}
-    live = np.ones(n_domains, dtype=bool)  # not found empty
     steps: Dict[int, Step] = {}  # adaptive-slope steps, (D, 1, n_k) each
     post_lo, post_hi = box_lower, box_upper
     for k in range(n_hidden):
         layer = net.layers[k]
         cols = slice(offsets[k], offsets[k + 1])
-        every = k >= last and live.all()  # every domain recomputes this layer
-        rows = slice(None) if every else np.flatnonzero(live & (start <= k))
+        every = k >= last and feasible.all()  # every domain recomputes this layer
+        rows = slice(None) if every else np.flatnonzero(feasible & (start <= k))
         if every or len(rows):
             n_k = layer.out_dim
             lam, off = _backward_from_layer(
@@ -377,16 +380,14 @@ def propagate_bounds(
                 u = np.minimum(u, base.data[rows, 1, cols])
             data[rows, 0, cols], data[rows, 1, cols] = l, u
         l, u = data[:, 0, cols], data[:, 1, cols]
-        ordered = l <= u
-        if not ordered.all():  # a crossing, or a NaN left by an overflow
-            for i in np.flatnonzero(~ordered.all(axis=1)):
-                if base is not None and np.any(l[i] - u[i] > INFEASIBILITY_TOL):
-                    out.feasible[i] = live[i] = False
-                    continue
-                crossed = l[i] > u[i]
-                mid = 0.5 * l[i] + 0.5 * u[i]  # no overflow near the float64 limit
-                l[i], u[i] = np.where(crossed, mid, l[i]), np.where(crossed, mid, u[i])
-                out.feasible[i] &= bool(np.all(l[i] <= u[i]))
+        crossed = (l > u) & feasible[:, None]  # a NaN never crosses
+        if crossed.any():
+            if base is not None:
+                gap = l[crossed] - u[crossed]
+                feasible[np.nonzero(crossed)[0][gap > INFEASIBILITY_TOL]] = False
+                crossed &= feasible[:, None]
+            # The rest are slivers; halves, not l + u, stay finite near the float64 limit.
+            l[crossed] = u[crossed] = 0.5 * l[crossed] + 0.5 * u[crossed]
         if layer.activation == RELU:
             relaxations[k] = rel = relaxation(l[:, None, :], u[:, None, :])
             if max(k + 1, first) < n_hidden:  # read by a later layer's pass
@@ -394,7 +395,7 @@ def propagate_bounds(
             post_lo, post_hi = np.maximum(l, 0.0), np.maximum(u, 0.0)
         else:
             post_lo, post_hi = l, u
-    return Domains(box_lower, box_upper, out, relaxations)
+    return Domains(box_lower, box_upper, NeuronBounds(data, offsets, feasible), relaxations)
 
 
 def alpha_gradient(net: Network, domains: Domains, slopes: Slopes,

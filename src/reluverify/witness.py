@@ -10,9 +10,6 @@ import numpy as np
 from . import model
 from .relax import BoundResult
 
-CONCRETE_VIOLATION = "concrete_violation"
-SPURIOUS = "spurious"
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -21,17 +18,13 @@ class Witness:
     x_star always sits on box corners. It is not clipped by split constraints,
     so it may lie outside the sub-domain's exact region; the branching scores
     still use it as the bound's minimizer. A stack has a leading domain axis.
+    Whether it violates is decided by bab.branchings alone; the only witness a
+    run reports is a concrete violation, the kind to_dict writes.
     """
 
     x_star: np.ndarray
     abstract_margin: Union[float, np.ndarray]
     concrete_margin: np.ndarray
-
-    @property
-    def kind(self) -> str:
-        """A single witness's class: a concrete violation when some margin is
-        <= 0, else spurious."""
-        return CONCRETE_VIOLATION if self.concrete_margin.min() <= 0.0 else SPURIOUS
 
     def __getitem__(self, i: int) -> "Witness":
         return Witness(self.x_star[i], float(self.abstract_margin[i]), self.concrete_margin[i])
@@ -41,7 +34,7 @@ class Witness:
             "x_star": self.x_star.tolist(),
             "abstract_margin": self.abstract_margin,
             "concrete_margin": self.concrete_margin.tolist(),
-            "kind": self.kind,
+            "kind": "concrete_violation",
         }
 
 

