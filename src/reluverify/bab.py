@@ -175,8 +175,8 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
     - lower_bound, the larger of the bound and the parent's (valid on the
       shrunken region), > 0: pruned-safe;
     - otherwise the witnesses take one stacked concrete pass. A non-finite
-      witness margin: non-finite; one <= 0: unsafe, and the Branching keeps
-      its own witness;
+      witness margin: non-finite; one <= 0: unsafe, and the Branching holds
+      the Witness the run then reports, the only one made;
     - the spurious rest take one stacked scoring and pick with the
       heuristic: split on the pick, or bisect where every score vanishes
       (at most ZERO_SCORE_TOL, or no unstable neuron). Each keeps its scores'
@@ -203,15 +203,15 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
         return out
     rows = worst[idx]
     bound = results[idx, rows]
-    wit, preacts = witness_mod.validate_witness(net, C, bound)
-    margins = wit.concrete_margin.min(axis=-1)
+    concrete, preacts = witness_mod.validate_witness(net, C, bound)
+    margins = concrete.min(axis=-1)
     action = np.where(np.isfinite(margins), np.where(margins <= 0.0, "unsafe", "bisect"),
                       "non-finite")
     for j, (i, act, margin) in enumerate(zip(idx.tolist(), action.tolist(), margins.tolist())):
         b = out[i]
         b.witness_margin, b.action = margin, act
-        if act == "unsafe":  # the only witness a run reports
-            b.witness = wit[j]
+        if act == "unsafe":  # the one witness a run reports; its bound is the raw one
+            b.witness = witness_mod.Witness(bound.x_star[j], b.raw_lower_bound, concrete[j])
     todo = np.flatnonzero(action == "bisect")  # spurious
     if not len(todo):
         return out
@@ -260,12 +260,11 @@ class BabConfig:
     timeout_seconds: float = 60.0
     max_branches: int = 100_000
     alpha_iters: int = 20
-    alpha_step: float = 0.25
     trace: bool = False
 
     def __post_init__(self):
         for name, kind in (("timeout_seconds", numbers.Real), ("max_branches", numbers.Integral),
-                           ("alpha_iters", numbers.Integral), ("alpha_step", numbers.Real)):
+                           ("alpha_iters", numbers.Integral)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is numbers.Integral else "a real number"
@@ -282,8 +281,6 @@ class BabConfig:
             raise InputError(f"config.max_branches must be non-negative, got {self.max_branches}")
         if self.alpha_iters < 0:
             raise InputError(f"config.alpha_iters must be non-negative, got {self.alpha_iters}")
-        if not 0.0 < self.alpha_step < float("inf"):  # NaN too: no step can improve
-            raise InputError(f"config.alpha_step must be finite and > 0, got {self.alpha_step}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -444,8 +441,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     net, C = task.network, task.spec_matrix
     stack = relax.propagate_bounds(net, task.input_lower[None], task.input_upper[None])
     root = SubDomain(task.input_lower, task.input_upper, stack.neuron_bounds.intervals(0))
-    slopes, results = relax.optimize_alpha(net, C, stack, config.alpha_iters, config.alpha_step,
-                                           deadline)
+    slopes, results = relax.optimize_alpha(net, C, stack, config.alpha_iters, deadline)
     slopes = {k: v[0] for k, v in slopes.items()}
     step = zip([root], branchings(net, C, slopes, heuristic, [root.parent_lower_bound], stack,
                                   results))

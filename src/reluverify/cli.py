@@ -27,7 +27,7 @@ EXIT_INTERNAL_ERROR = 4
 
 def _config_from_args(args, trace: bool = False) -> bab.BabConfig:
     return bab.BabConfig(timeout_seconds=args.timeout, max_branches=args.max_branches,
-                         alpha_iters=args.alpha_iters, alpha_step=args.alpha_step, trace=trace)
+                         alpha_iters=args.alpha_iters, trace=trace)
 
 
 def _add_verify_options(p: argparse.ArgumentParser) -> None:
@@ -35,7 +35,6 @@ def _add_verify_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--timeout", type=float, default=d.timeout_seconds, help="wall-clock budget (s)")
     p.add_argument("--max-branches", type=int, default=d.max_branches, help="sub-domain budget")
     p.add_argument("--alpha-iters", type=int, default=d.alpha_iters, help="slope ascent iterations")
-    p.add_argument("--alpha-step", type=float, default=d.alpha_step, help="initial ascent step")
 
 
 def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig) -> dict:

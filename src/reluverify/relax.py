@@ -55,6 +55,10 @@ from .model import Network, RELU
 # to a point so that pruning never relies on rounding noise.
 INFEASIBILITY_TOL = 1e-9
 
+# The first step of each slope-ascent iteration along the gradient; the line
+# search halves it up to 8 times before a row stops (optimize_alpha).
+ALPHA_STEP = 0.25
+
 
 # Per layer: (unstable mask, upper slope, upper intercept).
 Relaxation = Tuple[np.ndarray, np.ndarray, np.ndarray]
@@ -426,8 +430,7 @@ def alpha_gradient(net: Network, domains: Domains, slopes: Slopes,
 
 
 def optimize_alpha(
-    net: Network, C: np.ndarray, domains: Domains, iters: int, step: float,
-    deadline: Optional[float] = None,
+    net: Network, C: np.ndarray, domains: Domains, iters: int, deadline: Optional[float] = None,
 ) -> Tuple[Slopes, BoundResult]:
     """Maximize each spec row's concretized lower bound over its slopes, on
     each domain of a stack, by projected gradient ascent with backtracking.
@@ -441,14 +444,14 @@ def optimize_alpha(
 
     The rows are optimized together, one bound pass per line-search round,
     yet each follows exactly its own single-row path: a row stops on an
-    all-zero gradient or when 8 halvings of its step find no improvement.
-    Stopped rows stay in the stack, held at their slopes, and boolean masks
-    discard their results. The gradient reuses the A and x_star of the bound
-    that the current slopes produced. iters = 0 returns the adaptive
-    initialization: 1 where u >= |l|, else 0. Once deadline (a
-    time.perf_counter() value) has passed, no further iteration starts. Every
-    slope stays in [0, 1], the adaptive ones by construction and each step by
-    clipping, so every iterate is sound.
+    all-zero gradient or when 8 halvings of its step, ALPHA_STEP at first,
+    find no improvement. Stopped rows stay in the stack, held at their
+    slopes, and boolean masks discard their results. The gradient reuses
+    the A and x_star of the bound that the current slopes produced. iters =
+    0 returns the adaptive initialization: 1 where u >= |l|, else 0. Once
+    deadline (a time.perf_counter() value) has passed, no further iteration
+    starts. Every slope stays in [0, 1], the adaptive ones by construction
+    and each step by clipping, so every iterate is sound.
     """
     bounds = domains.neuron_bounds
     cur = {k: np.repeat(adaptive_alpha(l, u)[:, None, :], len(C), 1)
@@ -462,7 +465,7 @@ def optimize_alpha(
         grads = alpha_gradient(net, domains, cur, best)
         searching = active & np.any([(g != 0.0).any(axis=-1) for g in grads.values()], axis=0)
         active = np.zeros_like(active)  # the rows that improve go on
-        trial = np.full(active.shape, step)
+        trial = np.full(active.shape, ALPHA_STEP)
         for _ in range(8):
             if not searching.any():
                 break

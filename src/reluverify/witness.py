@@ -1,9 +1,9 @@
-"""The bounds' closed-form minimizers, run through the concrete network."""
+"""The one counterexample a run reports, and the concrete pass that finds it."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple, Union
+from typing import List, Tuple
 
 import numpy as np
 
@@ -13,21 +13,18 @@ from .relax import BoundResult
 
 @dataclass(frozen=True)
 class Witness:
-    """Minimizer of a symbolic lower bound over the box, with its concrete margin.
+    """The one counterexample a run reports: the minimizer of a spec row's
+    symbolic lower bound over the box, the bound there, and every spec row's
+    concrete margin at it, one of them at most 0.
 
     x_star always sits on box corners. It is not clipped by split constraints,
-    so it may lie outside the sub-domain's exact region; the branching scores
-    still use it as the bound's minimizer. A stack has a leading domain axis.
-    Whether it violates is decided by bab.branchings alone; the only witness a
-    run reports is a concrete violation, the kind to_dict writes.
+    so it may lie outside the sub-domain's exact region. bab.branchings alone
+    decides that a witness violates, and makes the Witness of it.
     """
 
     x_star: np.ndarray
-    abstract_margin: Union[float, np.ndarray]
+    abstract_margin: float
     concrete_margin: np.ndarray
-
-    def __getitem__(self, i: int) -> "Witness":
-        return Witness(self.x_star[i], float(self.abstract_margin[i]), self.concrete_margin[i])
 
     def to_dict(self) -> dict:
         return {
@@ -38,13 +35,13 @@ class Witness:
         }
 
 
-def validate_witness(net: model.Network, C, bound: BoundResult) -> Tuple[Witness, List[np.ndarray]]:
+def validate_witness(net: model.Network, C,
+                     bound: BoundResult) -> Tuple[np.ndarray, List[np.ndarray]]:
     """Run the network once at each domain's minimizer.
 
-    bound holds one spec row of each of D domains, whose witnesses come back
-    stacked, with the network's pre-activations at them (for the branching
-    scores). The abstract margin is the bound itself, its value at x_star.
+    bound holds one spec row of each of D domains. Returns the (D, m)
+    concrete margins of every spec row at the minimizers, and the network's
+    pre-activations there (for the branching scores).
     """
     logits, preacts = model.forward(net, bound.x_star)
-    concrete = (np.asarray(C, dtype=np.float64) @ logits[..., None])[..., 0]
-    return Witness(bound.x_star, bound.lower_bound, concrete), preacts
+    return (np.asarray(C, dtype=np.float64) @ logits[..., None])[..., 0], preacts

@@ -68,9 +68,9 @@ def gradient_of(net, C, domain, slopes):
     return {k: g[0] for k, g in grads.items()}
 
 
-def optimize_of(net, C, domain, iters, step, deadline=None):
+def optimize_of(net, C, domain, iters, deadline=None):
     """relax.optimize_alpha over one sub-domain: (m, n_k) slopes and its stack of rows."""
-    slopes, bound = relax.optimize_alpha(net, C, stack_of(domain), iters, step, deadline)
+    slopes, bound = relax.optimize_alpha(net, C, stack_of(domain), iters, deadline)
     return {k: v[0] for k, v in slopes.items()}, bound[0]
 
 
@@ -82,9 +82,11 @@ def row_stack(bound):
 
 
 def witness_of(net, C, bound):
-    """witness.validate_witness of one spec row's bound, as a stack of one."""
-    wit, _ = witness.validate_witness(net, C, row_stack(bound))
-    return wit[0]
+    """The Witness bab.branchings makes of one spec row's bound: its minimizer,
+    the bound, and the concrete margins witness.validate_witness gives there."""
+    stack = row_stack(bound)
+    concrete, _ = witness.validate_witness(net, C, stack)
+    return witness.Witness(stack.x_star[0], float(stack.lower_bound[0]), concrete[0])
 
 
 def scores_of(kind, net, c_row, bound, domain, preacts, slopes):

@@ -163,7 +163,7 @@ def test_alpha_gradient_check():
                 checked += 1
         lb_init = bounds_of(net, c, d, adaptive_slopes(net, d)).lower_bound[0]
         lb_opt = bounds_of(
-            net, c, d, optimize_of(net, c, d, 20, 0.25)[0]
+            net, c, d, optimize_of(net, c, d, 20)[0]
         ).lower_bound[0]
         never_worse &= lb_opt >= lb_init
     _report("alpha gradient check", worst <= 1e-4 and never_worse,

@@ -288,7 +288,7 @@ def test_optimize_alpha_relu_identity():
     d = make_domain(net, [-1.0], [1.0])
     sweep_lb, sweep_alpha = _sweep_alpha(net, np.array([1.0]), d)
     assert sweep_alpha == 0.0 and sweep_lb == 0.0
-    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=30, step=0.25)
+    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=30)
     lb = bounds_of(net, np.array([[1.0]]), d, slopes).lower_bound[0]
     assert abs(lb - sweep_lb) < 1e-9
     assert abs(slopes[0][0, 0] - 0.0) < 1e-9
@@ -313,7 +313,7 @@ def test_optimize_alpha_interior_optimum():
             slopes = {0: np.array([a1, a2])}
             best = max(best, bounds_of(net, np.array([[1.0]]), d, slopes).lower_bound[0])
     assert best == 0.0
-    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=40, step=0.25)
+    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=40)
     lb = bounds_of(net, np.array([[1.0]]), d, slopes).lower_bound[0]
     assert abs(lb - best) < 1e-9
 
@@ -321,7 +321,7 @@ def test_optimize_alpha_interior_optimum():
 def test_optimize_alpha_zero_iters_returns_adaptive_init():
     net = scalar_relu_net()
     d = make_domain(net, [-1.0], [1.0])
-    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=0, step=0.25)
+    slopes, _ = optimize_of(net, np.array([[1.0]]), d, iters=0)
     assert np.array_equal(slopes[0][0], adaptive_slopes(net, d)[0])
 
 
@@ -334,7 +334,7 @@ def test_optimize_alpha_never_worse_than_init():
         d = make_domain(net, lo, hi)
         c = rng.normal(size=(1, 2))
         lb0 = bounds_of(net, c, d, adaptive_slopes(net, d)).lower_bound
-        slopes, _ = optimize_of(net, c, d, iters=20, step=0.25)
+        slopes, _ = optimize_of(net, c, d, iters=20)
         lb1 = bounds_of(net, c, d, slopes).lower_bound
         assert lb1 >= lb0
 
@@ -491,10 +491,10 @@ def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
     stop_points = set()
     for net, C, d in (*_stacked_cases(), _zero_gradient_case()):
         for iters in (0, 20):
-            slopes, _ = optimize_of(net, C, d, iters, 0.25)
+            slopes, _ = optimize_of(net, C, d, iters)
             res = bounds_of(net, C, d, slopes)
             for r in range(len(C)):
-                ref, attempts = reference_optimize_alpha(net, C[r], d, iters, 0.25)
+                ref, attempts = reference_optimize_alpha(net, C[r], d, iters, relax.ALPHA_STEP)
                 stop_points.add(len(attempts))
                 for k, v in ref.items():
                     assert np.array_equal(slopes[k][r], v), (iters, r, k)
@@ -511,15 +511,16 @@ def test_zero_gradient_case_stops_one_row_at_once_beside_a_row_that_improves():
     init = bounds_of(net, C, d, adaptive_slopes(net, d))
     assert unstable(d.neuron_bounds, 0).size == d.neuron_bounds.lower[0].size
     assert (init.A[0][1] < 0.0).all()
-    assert reference_optimize_alpha(net, C[1], d, 20, 0.25)[1] == [0]
-    assert len(reference_optimize_alpha(net, C[0], d, 20, 0.25)[1]) > 1
-    assert optimize_of(net, C, d, 20, 0.25)[1].lower_bound[0] > init.lower_bound[0]
+    assert reference_optimize_alpha(net, C[1], d, 20, relax.ALPHA_STEP)[1] == [0]
+    assert len(reference_optimize_alpha(net, C[0], d, 20, relax.ALPHA_STEP)[1]) > 1
+    assert optimize_of(net, C, d, 20)[1].lower_bound[0] > init.lower_bound[0]
 
 
 def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch):
     compute, gradient = relax.compute_bounds, relax.alpha_gradient
     for net, C, d in (*_stacked_cases(), _zero_gradient_case()):
-        logs = [reference_optimize_alpha(net, C[r], d, 20, 0.25)[1] for r in range(len(C))]
+        logs = [reference_optimize_alpha(net, C[r], d, 20, relax.ALPHA_STEP)[1]
+                for r in range(len(C))]
         iterations = max(len(log) for log in logs)
         rounds = sum(max(log[i] if i < len(log) else 0 for log in logs)
                      for i in range(iterations))
@@ -541,14 +542,14 @@ def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch
 
         monkeypatch.setattr(relax, "compute_bounds", counting_bounds)
         monkeypatch.setattr(relax, "alpha_gradient", counting_gradient)
-        optimize_of(net, C, d, 20, 0.25)
+        optimize_of(net, C, d, 20)
         monkeypatch.undo()
         assert calls == {"bounds": 1 + rounds, "gradients": iterations, "bounds_in_gradient": 0}
 
 
 def test_optimize_alpha_stops_at_the_deadline():
     net, C, d = next(_stacked_cases())
-    slopes, _ = optimize_of(net, C, d, 20, 0.25, deadline=0.0)
+    slopes, _ = optimize_of(net, C, d, 20, deadline=0.0)
     for k, v in adaptive_slopes(net, d).items():
         assert np.array_equal(slopes[k], np.repeat(v[None, :], len(C), axis=0))
 
@@ -573,25 +574,25 @@ def test_optimize_alpha_bound_equals_compute_bounds_bitwise(monkeypatch):
             monkeypatch.setattr(relax, "time", SimpleNamespace(perf_counter=lambda: next(ticks)))
             monkeypatch.setattr(relax, "alpha_gradient",
                                 lambda *a, **k: gradients.append(1) or gradient(*a, **k))
-            slopes, bound = optimize_of(net, C, d, iters, 0.25, deadline)
+            slopes, bound = optimize_of(net, C, d, iters, deadline)
             monkeypatch.undo()
             if deadline is not None:
                 assert len(gradients) == 3
             _assert_same_stacked_bound(bound, bounds_of(net, C, d, slopes))
-        slopes, bound = optimize_of(net, C[:1], d, 20, 0.25)
+        slopes, bound = optimize_of(net, C[:1], d, 20)
         _assert_same_stacked_bound(bound, bounds_of(net, C[:1], d, slopes))
 
 
 def test_optimize_alpha_without_relu_layers_returns_the_networks_bound():
     net = model.make_network([(np.ones((1, 2)), np.zeros(1), model.LINEAR)])
     d = make_domain(net, [-1.0, -1.0], [1.0, 1.0])
-    slopes, bound = optimize_of(net, np.array([[1.0]]), d, 20, 0.25)
+    slopes, bound = optimize_of(net, np.array([[1.0]]), d, 20)
     assert slopes == {}
     _assert_same_stacked_bound(bound, bounds_of(net, np.array([[1.0]]), d, {}))
     assert bound.lower_bound.tolist() == [-2.0]
     infeasible = make_domain(scalar_relu_net(), [0.5], [1.0], splits={(0, 0): -1})
     with pytest.raises(ValueError, match="infeasible"):
-        optimize_of(scalar_relu_net(), np.array([[1.0]]), infeasible, 20, 0.25)
+        optimize_of(scalar_relu_net(), np.array([[1.0]]), infeasible, 20)
 
 
 def test_a_nan_left_by_overflow_is_feasible_and_ends_the_search_unknown():

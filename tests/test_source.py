@@ -76,6 +76,23 @@ def test_relaxations_live_only_on_stacks_built_in_relax():
         "data", "offsets", "feasible"]
 
 
+def test_only_branchings_makes_a_witness():
+    # A run reports one counterexample, made where bab.branchings decides
+    # that a node is unsafe; validate_witness returns plain arrays.
+    src = Path(reluverify.__file__).parent
+    makes = lambda tree: [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                          and "Witness" in (getattr(node.func, "id", None),
+                                            getattr(node.func, "attr", None))]
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(src.glob("*.py"))}
+    assert [name for name, tree in trees.items() for _ in makes(tree)] == ["bab.py"]
+    branchings = next(node for node in trees["bab.py"].body
+                      if isinstance(node, ast.FunctionDef) and node.name == "branchings")
+    assert len(makes(branchings)) == 1
+    wit = next(node for node in trees["witness.py"].body
+               if isinstance(node, ast.ClassDef) and node.name == "Witness")
+    assert [node.name for node in wit.body if isinstance(node, ast.FunctionDef)] == ["to_dict"]
+
 
 def test_a_bench_pass_loads_neither_statistics_nor_numpy_ma(tmp_path):
     # Every process imports reluverify.cli, the benchmark's set-up probe
