@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 
-from reluverify import bab, heuristics, model, relax, witness
+from reluverify import bab, heuristics, model, relax
 from reluverify.cli import generate_instance
 
 
@@ -81,12 +81,14 @@ def row_stack(bound):
     return relax.BoundResult(w, b, lower_bound, {k: v[None] for k, v in bound.A.items()}, x_star)
 
 
-def witness_of(net, C, bound):
-    """The Witness bab.branchings makes of one spec row's bound: its minimizer,
-    the bound, and the concrete margins witness.validate_witness gives there."""
-    stack = row_stack(bound)
-    concrete, _ = witness.validate_witness(net, C, stack)
-    return witness.Witness(stack.x_star[0], float(stack.lower_bound[0]), concrete[0])
+def branching_of(net, C, domain, slopes, parent=-np.inf):
+    """bab.branchings of one bounded sub-domain under per-row slopes (each
+    layer's (n_k,) or (m, n_k) array), its parent's bound parent: its
+    Branching, with the Witness a run reports when it is unsafe."""
+    stack = stack_of(domain)
+    rows = {k: np.broadcast_to(v, (len(C), np.shape(v)[-1])) for k, v in slopes.items()}
+    return bab.branchings(net, C, rows, heuristics.DRG, [parent], stack,
+                          relax.compute_bounds(net, C, stack, slopes))[0]
 
 
 def scores_of(kind, net, c_row, bound, domain, preacts, slopes):
@@ -312,12 +314,13 @@ def adaptive_slopes(net, domain):
             for k in range(len(nb.lower)) if net.layers[k].activation == model.RELU}
 
 
-def reference_optimize_alpha(net, c_row, domain, iters, step):
+def reference_optimize_alpha(net, c_row, domain, iters):
     """Slope optimization for one spec row, one bound pass per call: the
     per-row loop that the stacked relax.optimize_alpha must reproduce.
 
-    Returns (slopes, attempts): attempts holds, per gradient evaluation, the
-    number of line-search bound passes it led to (0 for an all-zero gradient).
+    Each ascent step starts at relax.ALPHA_STEP. Returns (slopes, attempts):
+    attempts holds, per gradient evaluation, the number of line-search bound
+    passes it led to (0 for an all-zero gradient).
     """
     c, cur = c_row[None], adaptive_slopes(net, domain)
     attempts = []
@@ -329,7 +332,7 @@ def reference_optimize_alpha(net, c_row, domain, iters, step):
         if all(np.all(g == 0.0) for g in grads.values()):
             attempts.append(0)
             break
-        trial = step
+        trial = relax.ALPHA_STEP
         improved = False
         for n_tries in range(1, 9):
             cand = {k: np.clip(v + trial * grads[k][0], 0.0, 1.0) for k, v in cur.items()}

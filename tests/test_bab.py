@@ -34,6 +34,12 @@ def test_verify_unsafe_at_root_with_corner_witness():
     # re-evaluating the witness through the model gives the same verdict
     m = model.margin(task.network, task.spec_matrix, stats.witness.x_star)
     assert m.min() <= 0
+    # the reported witness is the root's optimized bound and its minimizer
+    root = make_domain(task.network, task.input_lower, task.input_upper)
+    _, bound = relax.optimize_alpha(task.network, task.spec_matrix, stack_of(root),
+                                    bab.BabConfig().alpha_iters)
+    assert stats.witness.abstract_margin == bound.lower_bound[0, 0]
+    assert np.array_equal(stats.witness.x_star, bound.x_star[0, 0])
 
 
 def test_split_subdomain_clamps_children():
@@ -1050,6 +1056,37 @@ def test_a_stacked_pass_takes_each_subdomains_branching_alone_bitwise():
         assert parent_pruned.action == "pruned-safe"
         assert parent_pruned.raw_lower_bound < 0
     assert min(seen.values()) > 0, seen
+
+
+def test_an_unsafe_branching_reports_its_own_rows_witness_bitwise():
+    # In a stack that mixes a sub-domain pruned by its parent's bound, split
+    # ones and unsafe ones with either worst row, and parents' bounds above
+    # half the raw ones, each unsafe Branching's Witness is its own worst
+    # row's minimizer, that row's raw bound (not the parent-raised
+    # lower_bound) and the concrete margins there, read off the stack's
+    # bounds independently of branchings.
+    net, C, root, batch = _mixed_batch(margin_shift=2.0)
+    slopes, _ = relax.optimize_alpha(net, C, stack_of(root), 5)
+    slopes = {k: v[0] for k, v in slopes.items()}
+    stack = bab.bound_subdomains(batch)
+    stack = stack[np.flatnonzero(stack.neuron_bounds.feasible)]
+    results = relax.compute_bounds(net, C, stack, slopes)
+    raw = results.lower_bound.min(axis=-1)
+    parents = [1.0] + [-np.inf if i % 2 else 0.5 * r for i, r in enumerate(raw[1:])]
+    taken = bab.branchings(net, C, slopes, "drg", parents, stack, results)
+    assert taken[0].action == "pruned-safe"
+    unsafe = [(i, b) for i, b in enumerate(taken) if b.action == "unsafe"]
+    assert {b.row for _, b in unsafe} == {0, 1} and any(b.action == "split" for b in taken)
+    assert any(b.lower_bound > b.raw_lower_bound for _, b in unsafe)
+    for i, b in unsafe:
+        row = int(np.argmin(results.lower_bound[i]))
+        x_star = results.x_star[i, row]
+        assert b.row == row and type(b.witness.abstract_margin) is float
+        assert b.witness.abstract_margin == results.lower_bound[i, row] == raw[i]
+        assert np.array_equal(b.witness.x_star, x_star)
+        assert np.array_equal(b.witness.concrete_margin, model.margin(net, C, x_star))
+        assert b.witness.concrete_margin.min() <= 0.0
+    assert all(b.witness is None for b in taken if b.action != "unsafe")
 
 
 def test_a_branching_keeps_the_score_max_and_count_its_rows_give_the_trace(monkeypatch):

@@ -8,10 +8,10 @@ from reluverify import bab, model, relax
 
 from reluverify.cli import generate_instance
 
-from helpers import (adaptive_slopes, bounds_of, gradient_of, layer_scan, layout_nets,
-                     make_domain, near_limit_task, optimize_of, propagate_of, random_net,
+from helpers import (adaptive_slopes, bounds_of, branching_of, gradient_of, layer_scan,
+                     layout_nets, make_domain, near_limit_task, optimize_of, propagate_of, random_net,
                      reference_optimize_alpha, reference_propagate_bounds,
-                     reference_relu_backward, scalar_relu_net, unstable, witness_of)
+                     reference_relu_backward, scalar_relu_net, unstable)
 
 
 def _relaxation(l, u):
@@ -421,7 +421,7 @@ def test_concretize_matches_witness_dot_bitwise():
 
 
 def test_bound_equals_witness_abstract_margin_bitwise():
-    rng = np.random.default_rng(30)
+    rng, unsafe = np.random.default_rng(30), 0
     for trial in range(20):
         n0 = int(rng.integers(1, 13))
         net = random_net(rng, n0, [6, 5], 2, scale=2.0)
@@ -429,9 +429,15 @@ def test_bound_equals_witness_abstract_margin_bitwise():
         hi = lo + rng.uniform(0.1, 1.0, n0)
         d = make_domain(net, lo, hi)
         c = rng.normal(size=(1, 2))
-        res = bounds_of(net, c, d, adaptive_slopes(net, d))[0]
-        wit = witness_of(net, c, res)
-        assert wit.abstract_margin == res.lower_bound
+        for rows in (c, -c):
+            res = bounds_of(net, rows, d, adaptive_slopes(net, d))[0]
+            b = branching_of(net, rows, d, adaptive_slopes(net, d))
+            assert b.raw_lower_bound == res.lower_bound
+            if b.action == "unsafe":
+                unsafe += 1
+                assert b.witness.abstract_margin == res.lower_bound
+                assert np.array_equal(b.witness.x_star, res.x_star)
+    assert unsafe >= 10
 
 
 def test_propagate_bounds_from_later_layer_needs_base():
@@ -494,7 +500,7 @@ def test_stacked_optimize_alpha_matches_per_row_reference_bitwise():
             slopes, _ = optimize_of(net, C, d, iters)
             res = bounds_of(net, C, d, slopes)
             for r in range(len(C)):
-                ref, attempts = reference_optimize_alpha(net, C[r], d, iters, relax.ALPHA_STEP)
+                ref, attempts = reference_optimize_alpha(net, C[r], d, iters)
                 stop_points.add(len(attempts))
                 for k, v in ref.items():
                     assert np.array_equal(slopes[k][r], v), (iters, r, k)
@@ -511,16 +517,15 @@ def test_zero_gradient_case_stops_one_row_at_once_beside_a_row_that_improves():
     init = bounds_of(net, C, d, adaptive_slopes(net, d))
     assert unstable(d.neuron_bounds, 0).size == d.neuron_bounds.lower[0].size
     assert (init.A[0][1] < 0.0).all()
-    assert reference_optimize_alpha(net, C[1], d, 20, relax.ALPHA_STEP)[1] == [0]
-    assert len(reference_optimize_alpha(net, C[0], d, 20, relax.ALPHA_STEP)[1]) > 1
+    assert reference_optimize_alpha(net, C[1], d, 20)[1] == [0]
+    assert len(reference_optimize_alpha(net, C[0], d, 20)[1]) > 1
     assert optimize_of(net, C, d, 20)[1].lower_bound[0] > init.lower_bound[0]
 
 
 def test_optimize_alpha_bound_passes_are_one_plus_line_search_rounds(monkeypatch):
     compute, gradient = relax.compute_bounds, relax.alpha_gradient
     for net, C, d in (*_stacked_cases(), _zero_gradient_case()):
-        logs = [reference_optimize_alpha(net, C[r], d, 20, relax.ALPHA_STEP)[1]
-                for r in range(len(C))]
+        logs = [reference_optimize_alpha(net, C[r], d, 20)[1] for r in range(len(C))]
         iterations = max(len(log) for log in logs)
         rounds = sum(max(log[i] if i < len(log) else 0 for log in logs)
                      for i in range(iterations))

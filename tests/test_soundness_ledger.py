@@ -15,7 +15,18 @@ its witness's exact margin. The test fails when an instance the ledger does
 not list is wrong, or a listed one is no longer wrong as listed, so a change
 that mends a verdict updates the ledger and shows which ones it mended.
 soundness_ledger.json covers nets 0-399; soundness_ledger_slow.json covers
-nets 0-3,999 and runs under `pytest -m slow`.
+nets 0-3,999 and runs under `pytest -m slow`. The probe draws the same first
+400 nets for both, so the fast ledger is the slow one's entries with net <
+400: a test holds the two files to that, and a change that mends verdicts
+rewrites both.
+
+Which verdicts go wrong depends on how numpy's BLAS rounds the verifier's
+float64 products. Both ledgers were written with numpy 2.4.6 on its bundled
+OpenBLAS 0.3.31 (DYNAMIC_ARCH), which picks the SkylakeX kernel on an
+AVX-512 x86-64 CPU; its Cooperlake kernel gives the same entries over nets
+0-399. Its Haswell kernel (AVX2 CPUs) and Prescott kernel give other wrong
+sets over nets 0-399 (221 and 247 wrong verdicts, not 216);
+OPENBLAS_CORETYPE selects the kernel.
 
 Regenerate both (only when a change is meant to alter verdicts) with
 `PYTHONPATH=src python tests/test_soundness_ledger.py`.
@@ -87,6 +98,12 @@ def test_wrong_verdicts_are_exactly_the_ledgers(count):
     unlisted = [e for e in got if e not in ledger["wrong"]]
     mended = [e for e in ledger["wrong"] if e not in got]
     assert (unlisted, mended) == ([], [])
+
+
+def test_the_fast_ledger_is_the_slow_ledgers_first_nets():
+    fast, slow = (json.loads(path.read_text(encoding="utf-8")) for path in LEDGERS.values())
+    assert fast["wrong"] == [e for e in slow["wrong"] if e["net"] < fast["nets"]]
+    assert (fast["nudges"], fast["max_branches"]) == (slow["nudges"], slow["max_branches"])
 
 
 def write(count: int, path: Path) -> None:
