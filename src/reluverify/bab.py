@@ -66,7 +66,9 @@ class SubDomain:
     n_splits counts the neuron splits on the path from the root, depth the
     splits plus input bisections. parent_lower_bound is the bound of the node
     that created this one (it stays valid here because the region only
-    shrank) and doubles as the worklist priority.
+    shrank) and doubles as the worklist priority. SubDomain.child starts it
+    at the parent's own parent_lower_bound; verify raises it to the parent's
+    lower_bound when it queues the child.
 
     A child made by a split or a bisection defers its bounds: while net is
     set, bounds is its parent's intervals object, shared and never written,
@@ -203,7 +205,7 @@ def branchings(net: Network, C: np.ndarray, slopes: Slopes, heuristic: str,
         return out
     rows = worst[idx]
     bound = results[idx, rows]
-    concrete, preacts = witness_mod.validate_witness(net, C, bound)
+    concrete, preacts = witness_mod.validate_witness(net, C, bound.x_star)
     margins = concrete.min(axis=-1)
     action = np.where(np.isfinite(margins), np.where(margins <= 0.0, "unsafe", "bisect"),
                       "non-finite")

@@ -8,7 +8,6 @@ from typing import List, Tuple
 import numpy as np
 
 from . import model
-from .relax import BoundResult
 
 
 @dataclass(frozen=True)
@@ -36,12 +35,11 @@ class Witness:
 
 
 def validate_witness(net: model.Network, C,
-                     bound: BoundResult) -> Tuple[np.ndarray, List[np.ndarray]]:
-    """Run the network once at each domain's minimizer.
+                     x_star: np.ndarray) -> Tuple[np.ndarray, List[np.ndarray]]:
+    """Run the network once at each of D domains' minimizers, x_star (D, n).
 
-    bound holds one spec row of each of D domains. Returns the (D, m)
-    concrete margins of every spec row at the minimizers, and the network's
-    pre-activations there (for the branching scores).
+    Returns the (D, m) concrete margins of every spec row at the minimizers,
+    and the network's pre-activations there (for the branching scores).
     """
-    logits, preacts = model.forward(net, bound.x_star)
+    logits, preacts = model.forward(net, x_star)
     return (np.asarray(C, dtype=np.float64) @ logits[..., None])[..., 0], preacts

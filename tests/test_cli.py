@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -748,3 +749,37 @@ def test_verify_an_overflowed_root_ends_unknown_non_finite(tmp_path, capsys):
     assert (rc, err) == (2, "")
     result = json.loads(out)
     assert (result["verdict"], result["unknown_reason"]) == ("Unknown", "non-finite bound")
+
+
+def test_a_point_box_whose_bound_misses_its_positive_margin_ends_an_unrefinable_leaf(
+        tmp_path, capsys):
+    # The first net and point U(-1, 1)^3 that default_rng(0) draws, the hidden
+    # layer linear, the box the one point x and the output bias float(-m), m
+    # the exact margin at x without it: the exact margin is 3.4e-17 > 0. The
+    # root's bound reads -1.11e-16 and its witness margin +1.11e-16, so the
+    # witness is spurious, and a bisection of a box of zero width makes no
+    # children. Unknown is then no wrong verdict, and a bound more
+    # conservative than this one still reads <= 0 here.
+    W1 = [[0.1257302210933933, -0.1321048632913019, 0.6404226504432821],
+          [0.10490011715303971, -0.535669373161111, 0.36159505490948474],
+          [1.3040000451301372, 0.9470809631292422, -0.7037352358069926],
+          [-1.2654214710460525, -0.6232744625373522, 0.0413259793472436]]
+    b1 = [-2.3250307746388343, -0.21879166393254573, -1.2459109472530652, -0.7322673547034516]
+    W2 = [[-0.5442589828573099, -0.31630015636915454, 0.4116305363741328, 1.0425133694426776]]
+    x, b2 = [-0.9433606577090741, -0.7514334470008721, 0.34124882938726064], -0.6642058066492413
+    dot = lambda w, v, b: sum((Fraction(wi) * Fraction(vi) for wi, vi in zip(w, v)), Fraction(b))
+    assert dot(W2[0], [dot(row, x, b) for row, b in zip(W1, b1)], b2) > 0
+    net = model.make_network([(np.array(W1), np.array(b1), model.LINEAR),
+                              (np.array(W2), np.array([b2]), model.LINEAR)])
+    mp, sp = str(tmp_path / "leaf.model.json"), str(tmp_path / "leaf.spec.json")
+    point = np.array(x)
+    model.save_task(model.VerificationTask(net, point, point, np.array([[1.0]])), mp, sp)
+    trace = tmp_path / "leaf.trace.jsonl"
+    rc = cli.main(["verify", "--model", mp, "--spec", sp, "--trace", str(trace)])
+    result = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert (result["verdict"], result["unknown_reason"], result["branches"]) == (
+        "Unknown", "unrefinable leaf", 0)
+    (root,) = map(json.loads, trace.read_text().splitlines())
+    assert root["action"] == "stuck"
+    assert root["raw_lower_bound"] <= 0.0 < root["witness_margin"]

@@ -7,6 +7,12 @@ by 10**U(100, 160), and a linear output. The box is [-1, 1]^2 and C =
 with a ValueError or dropped NaN children as empty, ending it Safe. drg at
 MAX_BRANCHES must raise nothing, and no Safe verdict may be refuted by
 oracle.scan_margin.
+
+scan_margin judges the float64 network as model.forward evaluates it. That
+evaluation can overflow where exact arithmetic does not: a pre-activation
+of about +1e364 over the float64 weights reads -inf, and a margin exactly >
+0 then reads <= 0. So a refutation here speaks for the evaluated network,
+not the exact one.
 """
 
 import collections

@@ -14,25 +14,26 @@ net, nudge, verdict and exact minimum (a fraction string), and for Unsafe
 its witness's exact margin. The test fails when an instance the ledger does
 not list is wrong, or a listed one is no longer wrong as listed, so a change
 that mends a verdict updates the ledger and shows which ones it mended.
-soundness_ledger.json covers nets 0-399; soundness_ledger_slow.json covers
-nets 0-3,999 and runs under `pytest -m slow`. The probe draws the same first
-400 nets for both, so the fast ledger is the slow one's entries with net <
-400: a test holds the two files to that, and a change that mends verdicts
-rewrites both.
+soundness_ledger.json covers nets 0-3,999. The tier-1 case checks nets
+0-399 against its entries with net < 400; the case over all of them runs
+under `pytest -m slow`. Every listed Unsafe witness has an exact margin > 0,
+so re-checking the reported witness exactly leaves no wrong Unsafe.
 
 Which verdicts go wrong depends on how numpy's BLAS rounds the verifier's
-float64 products. Both ledgers were written with numpy 2.4.6 on its bundled
-OpenBLAS 0.3.31 (DYNAMIC_ARCH), which picks the SkylakeX kernel on an
-AVX-512 x86-64 CPU; its Cooperlake kernel gives the same entries over nets
-0-399. Its Haswell kernel (AVX2 CPUs) and Prescott kernel give other wrong
-sets over nets 0-399 (221 and 247 wrong verdicts, not 216);
-OPENBLAS_CORETYPE selects the kernel.
+float64 products. The ledger was written with numpy 2.4.6 on its bundled
+OpenBLAS 0.3.31 (DYNAMIC_ARCH) under its Haswell core, the one a CPU with
+AVX2 and without AVX-512 gets; its Zen core gives the same entries, its
+SkylakeX (AVX-512) and Prescott cores other wrong sets. tests/conftest.py
+sets OPENBLAS_CORETYPE=Haswell before numpy is imported, so pytest reads
+that core on any AVX2 x86-64 CPU.
 
-Regenerate both (only when a change is meant to alter verdicts) with
-`PYTHONPATH=src python tests/test_soundness_ledger.py`.
+Regenerate it (only when a change is meant to alter verdicts) with
+`OPENBLAS_CORETYPE=Haswell PYTHONPATH=src python tests/test_soundness_ledger.py`:
+run as a script, the file does not load the conftest.
 """
 
 import json
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,8 +43,8 @@ import pytest
 
 from reluverify import bab, model
 
-DATA = Path(__file__).parent / "data"
-LEDGERS = {400: DATA / "soundness_ledger.json", 4000: DATA / "soundness_ledger_slow.json"}
+LEDGER = Path(__file__).parent / "data" / "soundness_ledger.json"
+NETS = 4000
 NUDGES = (0, 1, -1, 2, -2)
 MAX_BRANCHES = 100
 
@@ -89,33 +90,26 @@ def wrong_verdicts(count):
     return wrong
 
 
-@pytest.mark.parametrize("count", [400, pytest.param(4000, marks=pytest.mark.slow)])
+@pytest.mark.parametrize("count", [400, pytest.param(NETS, marks=pytest.mark.slow)])
 def test_wrong_verdicts_are_exactly_the_ledgers(count):
-    ledger = json.loads(LEDGERS[count].read_text(encoding="utf-8"))
-    assert (ledger["nets"], ledger["nudges"], ledger["max_branches"]) == (count, list(NUDGES),
-                                                                         MAX_BRANCHES)
+    ledger = json.loads(LEDGER.read_text(encoding="utf-8"))
+    assert (ledger["nets"], ledger["nudges"], ledger["max_branches"]) == (NETS, list(NUDGES),
+                                                                        MAX_BRANCHES)
+    listed = [e for e in ledger["wrong"] if e["net"] < count]
+    assert all(Fraction(e["witness_margin"]) > 0 for e in listed if e["verdict"] == bab.UNSAFE)
     got = wrong_verdicts(count)
-    unlisted = [e for e in got if e not in ledger["wrong"]]
-    mended = [e for e in ledger["wrong"] if e not in got]
+    unlisted = [e for e in got if e not in listed]
+    mended = [e for e in listed if e not in got]
     assert (unlisted, mended) == ([], [])
 
 
-def test_the_fast_ledger_is_the_slow_ledgers_first_nets():
-    fast, slow = (json.loads(path.read_text(encoding="utf-8")) for path in LEDGERS.values())
-    assert fast["wrong"] == [e for e in slow["wrong"] if e["net"] < fast["nets"]]
-    assert (fast["nudges"], fast["max_branches"]) == (slow["nudges"], slow["max_branches"])
-
-
-def write(count: int, path: Path) -> None:
-    wrong = wrong_verdicts(count)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f'{{\n"nets": {count},\n"nudges": {json.dumps(list(NUDGES))},\n')
+if __name__ == "__main__":
+    if os.environ.get("OPENBLAS_CORETYPE") != "Haswell":
+        sys.exit("run with OPENBLAS_CORETYPE=Haswell, the core tests/conftest.py pins")
+    wrong = wrong_verdicts(NETS)
+    with open(LEDGER, "w", encoding="utf-8") as fh:
+        fh.write(f'{{\n"nets": {NETS},\n"nudges": {json.dumps(list(NUDGES))},\n')
         fh.write(f'"max_branches": {MAX_BRANCHES},\n"wrong": [\n')
         fh.write(",\n".join(json.dumps(e) for e in wrong))
         fh.write("\n]}\n")
-    print(f"wrote {len(wrong)} wrong verdicts to {path}", file=sys.stderr)
-
-
-if __name__ == "__main__":
-    for count, path in LEDGERS.items():
-        write(count, path)
+    print(f"wrote {len(wrong)} wrong verdicts to {LEDGER}", file=sys.stderr)

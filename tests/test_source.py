@@ -94,6 +94,15 @@ def test_only_branchings_makes_a_witness():
     assert [node.name for node in wit.body if isinstance(node, ast.FunctionDef)] == ["to_dict"]
 
 
+def test_witness_imports_only_model_of_the_package():
+    # A witness is checked on the network alone, so a checker that reads no
+    # bounds can reuse witness.py.
+    tree = ast.parse((Path(reluverify.__file__).parent / "witness.py").read_text(encoding="utf-8"))
+    own = [(node.module, alias.name) for node in ast.walk(tree)
+           if isinstance(node, ast.ImportFrom) and node.level for alias in node.names]
+    assert own == [(None, "model")]
+
+
 def test_a_bench_pass_loads_neither_statistics_nor_numpy_ma(tmp_path):
     # Every process imports reluverify.cli, the benchmark's set-up probe
     # included, and bench writes two means and two medians: statistics (with

@@ -4,7 +4,7 @@ import numpy as np
 
 from reluverify import model, relax, witness
 
-from helpers import adaptive_slopes, bounds_of, branching_of, make_domain, row_stack, scalar_relu_net
+from helpers import adaptive_slopes, bounds_of, branching_of, make_domain, scalar_relu_net
 
 
 def _minimizer(w, lo, hi, b=0.0):
@@ -29,7 +29,7 @@ def _point(net, C, x):
 
 def _margins_at(net, C, x):
     """witness.validate_witness's concrete margins at the point x."""
-    concrete, _ = witness.validate_witness(net, C, row_stack(_point(net, C, x)[1]))
+    concrete, _ = witness.validate_witness(net, C, x[None])
     return concrete[0]
 
 
