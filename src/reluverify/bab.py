@@ -256,17 +256,15 @@ class RunStats:
 
 @dataclass
 class BabConfig:
-    """A run's settings: its budgets, the root's slope optimization, its trace.
-    Each budget is kept as a plain int or float."""
+    """A run's settings: its budgets and its trace. Each budget is kept as a
+    plain int or float."""
 
     timeout_seconds: float = 60.0
     max_branches: int = 100_000
-    alpha_iters: int = 20
     trace: bool = False
 
     def __post_init__(self):
-        for name, kind in (("timeout_seconds", numbers.Real), ("max_branches", numbers.Integral),
-                           ("alpha_iters", numbers.Integral)):
+        for name, kind in (("timeout_seconds", numbers.Real), ("max_branches", numbers.Integral)):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is numbers.Integral else "a real number"
@@ -281,8 +279,6 @@ class BabConfig:
             raise InputError(f"config.timeout_seconds must be positive, got {self.timeout_seconds}")
         if self.max_branches < 0:
             raise InputError(f"config.max_branches must be non-negative, got {self.max_branches}")
-        if self.alpha_iters < 0:
-            raise InputError(f"config.alpha_iters must be non-negative, got {self.alpha_iters}")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -443,7 +439,7 @@ def verify(task: VerificationTask, heuristic: str = heuristics.DRG,
     net, C = task.network, task.spec_matrix
     stack = relax.propagate_bounds(net, task.input_lower[None], task.input_upper[None])
     root = SubDomain(task.input_lower, task.input_upper, stack.neuron_bounds.intervals(0))
-    slopes, results = relax.optimize_alpha(net, C, stack, config.alpha_iters, deadline)
+    slopes, results = relax.optimize_alpha(net, C, stack, relax.ALPHA_ITERS, deadline)
     slopes = {k: v[0] for k, v in slopes.items()}
     step = zip([root], branchings(net, C, slopes, heuristic, [root.parent_lower_bound], stack,
                                   results))

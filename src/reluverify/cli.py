@@ -26,15 +26,13 @@ EXIT_INTERNAL_ERROR = 4
 
 
 def _config_from_args(args, trace: bool = False) -> bab.BabConfig:
-    return bab.BabConfig(timeout_seconds=args.timeout, max_branches=args.max_branches,
-                         alpha_iters=args.alpha_iters, trace=trace)
+    return bab.BabConfig(timeout_seconds=args.timeout, max_branches=args.max_branches, trace=trace)
 
 
 def _add_verify_options(p: argparse.ArgumentParser) -> None:
     d = bab.BabConfig()
     p.add_argument("--timeout", type=float, default=d.timeout_seconds, help="wall-clock budget (s)")
     p.add_argument("--max-branches", type=int, default=d.max_branches, help="sub-domain budget")
-    p.add_argument("--alpha-iters", type=int, default=d.alpha_iters, help="slope ascent iterations")
 
 
 def _result_dict(stats: bab.RunStats, heuristic: str, config: bab.BabConfig) -> dict:
@@ -238,9 +236,7 @@ def cmd_bench(args) -> int:
     instances = discover_suite(args.suite)
     if not instances:
         raise model.InputError(f"no (model, spec) pairs found in {args.suite}")
-    baseline = args.baseline or (heuristics.BABSR if heuristics.BABSR in kinds else kinds[0])
-    if baseline not in kinds:
-        raise model.InputError(f"--baseline {baseline!r} is not among the heuristics run")
+    baseline = heuristics.BABSR if heuristics.BABSR in kinds else kinds[0]  # for win rates
     out_dir = _out_dir(args.out)
 
     config = _config_from_args(args)
@@ -350,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench", help="compare heuristics over a suite directory")
     p.add_argument("--suite", required=True, help="directory of *.model.json / *.spec.json pairs")
     p.add_argument("--heuristics", required=True, help="comma-separated heuristic kinds")
-    p.add_argument("--baseline", default=None,
-                   help="baseline heuristic for win rates (default: babsr if run, else first)")
     p.add_argument("--out", required=True, help="output directory for CSV reports")
     _add_verify_options(p)
     p.set_defaults(func=cmd_bench)

@@ -27,19 +27,26 @@ def _check_finite(arr: np.ndarray, where: str) -> None:
         raise InputError(f"{where}: non-finite value at [{pos}]")
 
 
-def _reject_bools(value, arr: np.ndarray, where: str) -> None:
-    """Raise InputError at a boolean in the nested lists value, read as arr.
-    np.array reads JSON true as 1.0 and false as 0.0, even beside numbers, so
-    only the entries of arr that are exactly 0 or 1 are looked up in value."""
-    if isinstance(value, np.ndarray):
+def _reject_non_numbers(value, arr: np.ndarray, where: str) -> None:
+    """Raise InputError at the first entry of the nested lists value, read by
+    np.array as arr, that is not a number float64 holds: a boolean, a string
+    (np.array with a float dtype parses "2.0"), null, an object or a too large
+    integer. A numeric arr hides only booleans, read as 0 or 1: only those are looked up."""
+    numeric = arr.dtype.kind in "biuf"
+    if numeric and isinstance(value, np.ndarray):
         return
-    for idx in np.argwhere((arr == 0.0) | (arr == 1.0)):
+    for idx in np.argwhere((arr == 0) | (arr == 1)) if numeric else np.ndindex(*arr.shape):
         item = value
         for i in idx:
             item = item[i]
-        if isinstance(item, bool):
-            pos = "][".join(str(int(i)) for i in idx)
-            raise InputError(f"{where}: boolean value at [{pos}]")
+        pos = "][".join(str(int(i)) for i in idx)
+        if isinstance(item, bool) or not isinstance(item, numbers.Real):
+            kind = "boolean" if isinstance(item, bool) else "non-numeric"
+            raise InputError(f"{where}: {kind} value at [{pos}]")
+        try:
+            float(item)
+        except OverflowError:
+            raise InputError(f"{where}: integer beyond float64 range at [{pos}]") from None
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -50,17 +57,18 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 def _as_array(value, ndim: int, where: str) -> np.ndarray:
     """value as a fresh read-only float64 array of ndim dimensions (a matrix
-    non-empty), every entry a finite number, none of them a boolean."""
+    non-empty), every entry a finite number: not a boolean, not a string."""
     kind = "matrix" if ndim == 2 else "vector"
     try:
-        arr = np.array(value, dtype=np.float64)
+        arr = np.array(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{where}: not a numeric {kind} ({exc})") from None
     if arr.ndim != ndim or (ndim == 2 and arr.size == 0):
         expected = "a non-empty 2-D matrix" if ndim == 2 else "a 1-D vector"
         raise InputError(f"{where}: expected {expected}, got shape {arr.shape}")
+    _reject_non_numbers(value, arr, where)
+    arr = arr.astype(np.float64, copy=False)
     _check_finite(arr, where)
-    _reject_bools(value, arr, where)
     return _freeze(arr)
 
 

@@ -55,8 +55,9 @@ from .model import Network, RELU
 # to a point so that pruning never relies on rounding noise.
 INFEASIBILITY_TOL = 1e-9
 
-# The first step of each slope-ascent iteration along the gradient; the line
-# search halves it up to 8 times before a row stops (optimize_alpha).
+# The root's slope ascent, read by bab.verify at each call: ALPHA_ITERS iterations, each
+# first stepping ALPHA_STEP along the gradient, halved up to 8 times before a row stops.
+ALPHA_ITERS = 20
 ALPHA_STEP = 0.25
 
 

@@ -37,7 +37,7 @@ def test_verify_unsafe_at_root_with_corner_witness():
     # the reported witness is the root's optimized bound and its minimizer
     root = make_domain(task.network, task.input_lower, task.input_upper)
     _, bound = relax.optimize_alpha(task.network, task.spec_matrix, stack_of(root),
-                                    bab.BabConfig().alpha_iters)
+                                    relax.ALPHA_ITERS)
     assert stats.witness.abstract_margin == bound.lower_bound[0, 0]
     assert np.array_equal(stats.witness.x_star, bound.x_star[0, 0])
 
@@ -273,12 +273,11 @@ def test_config_rejects_budgets_out_of_range():
     with pytest.raises(model.InputError, match="max_branches"):
         bab.BabConfig(max_branches=-1)
     # A non-integral budget would pass a range check and crash the run later
-    # with a raw TypeError (range() in Worklist.pop, optimize_alpha's loop).
-    for name in ("max_branches", "alpha_iters"):
-        for value in (2.5, np.float64(3.0), True, "5", None):
-            with pytest.raises(model.InputError, match=name):
-                bab.BabConfig(**{name: value})
-        assert getattr(bab.BabConfig(**{name: np.int64(3)}), name) == 3
+    # with a raw TypeError (range() in Worklist.pop).
+    for value in (2.5, np.float64(3.0), True, "5", None):
+        with pytest.raises(model.InputError, match="max_branches"):
+            bab.BabConfig(max_branches=value)
+    assert bab.BabConfig(max_branches=np.int64(3)).max_branches == 3
     for value in ("5", None, True, 10**400, Fraction(10**400)):
         with pytest.raises(model.InputError, match="timeout_seconds"):
             bab.BabConfig(timeout_seconds=value)
@@ -293,13 +292,12 @@ def test_config_keeps_each_budget_as_a_plain_number():
     # Numpy and Fraction budgets pass the checks and are kept as the int or
     # float they equal: the config echo then serializes, and the run is the
     # one plain numbers give.
-    odd = bab.BabConfig(timeout_seconds=Fraction(600), max_branches=np.int64(40),
-                        alpha_iters=np.int32(2), trace=True)
-    plain = bab.BabConfig(timeout_seconds=600.0, max_branches=40, alpha_iters=2, trace=True)
+    odd = bab.BabConfig(timeout_seconds=Fraction(600), max_branches=np.int64(40), trace=True)
+    plain = bab.BabConfig(timeout_seconds=600.0, max_branches=40, trace=True)
     assert [(k, type(v)) for k, v in odd.to_dict().items()] == \
         [(k, type(v)) for k, v in plain.to_dict().items()]
     assert json.dumps(odd.to_dict(), allow_nan=False) == json.dumps(plain.to_dict())
-    task = random_task(np.random.default_rng(53), 3, (6, 6), 3, eps=0.8)  # Safe in 21 branches
+    task = random_task(np.random.default_rng(53), 3, (6, 6), 3, eps=0.8)  # Safe in 19 branches
     a, b = bab.verify(task, "drg", odd), bab.verify(task, "drg", plain)
     assert a.branches_visited == b.branches_visited > 0
     for name in ("verdict", "splits_made", "gap_clamp_events", "unknown_reason", "per_node_trace"):
@@ -319,7 +317,7 @@ def test_a_root_that_prunes_is_safe_past_any_deadline():
     # after the last node: a root that prunes leaves nothing to do, so the run
     # is Safe however early it times out.
     task = scalar_task(scalar_relu_net(out_bias=1.5))
-    stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=1e-9, alpha_iters=0))
+    stats = bab.verify(task, "drg", bab.BabConfig(timeout_seconds=1e-9))
     assert (stats.verdict, stats.unknown_reason, stats.branches_visited) == (bab.SAFE, None, 0)
 
 
@@ -632,7 +630,8 @@ def test_worklist_pop_skips_infeasible_children(monkeypatch):
     monkeypatch.setattr(bab, "branchings",
                         lambda *args: decided.append(list(args[4])) or take(*args))
     task = scalar_task(scalar_relu_net(out_bias=0.1))
-    stats = bab.verify(task, "drg", bab.BabConfig(alpha_iters=0, trace=True))
+    monkeypatch.setattr(relax, "ALPHA_ITERS", 0)
+    stats = bab.verify(task, "drg", bab.BabConfig(trace=True))
     assert len(pushed) == 2 and taken == [[high, low]]
     # decided by parent bound: the root, then low alone
     assert not high.bounds.is_feasible() and decided == [[-np.inf], [-1.0]]
@@ -661,7 +660,8 @@ def test_budget_is_not_exhausted_by_an_infeasible_child(monkeypatch, max_branche
     monkeypatch.setattr(bab.Worklist, "push", root_queues_only_high)
     monkeypatch.setattr(relax, "compute_bounds", lambda *a: calls.append("spec") or compute(*a))
     monkeypatch.setattr(bab, "bound_subdomains", lambda ds: calls.append(len(ds)) or bound(ds))
-    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=max_branches, alpha_iters=0))
+    monkeypatch.setattr(relax, "ALPHA_ITERS", 0)
+    stats = bab.verify(task, "drg", bab.BabConfig(max_branches=max_branches))
     assert len(pushed) == 2 and not high.neuron_bounds.is_feasible()
     assert stats.verdict == bab.SAFE
     assert stats.unknown_reason is None and stats.branches_visited == 0

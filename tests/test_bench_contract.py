@@ -7,6 +7,7 @@ are read with ast, not imported: importing run.py pins the BLAS thread
 variables for the whole test process.
 """
 
+import argparse
 import ast
 import importlib
 import inspect
@@ -14,7 +15,7 @@ import typing
 from dataclasses import fields
 from pathlib import Path
 
-from reluverify import bab, relax
+from reluverify import bab, cli, relax
 
 BENCH = Path(__file__).resolve().parents[1] / "verifbench"
 # Deleted on purpose: the witness is the bound's own minimizer, so nothing
@@ -89,6 +90,31 @@ def test_direct_calls_resolve():
                     raise AssertionError(f"{where}: {exc}") from None
                 calls += 1
     assert calls >= 3  # cli.main, cli.discover_suite, model.load_task
+
+
+def _flags(node):
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and str(n.value).startswith("--")}
+
+
+def test_the_argv_run_py_passes_parses():
+    # Every --flag run.py passes to gen and bench (gen_argv, bench_argv and
+    # each workload's gen_args) is an option of that subcommand, so deleting
+    # one the benchmark passes fails here rather than in a benchmark run.
+    run = _tree("run.py")
+    passed = {}
+    for node in run.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("gen_argv", "bench_argv"):
+            returned = next(n.value for n in ast.walk(node) if isinstance(n, ast.Return))
+            passed.setdefault(ast.literal_eval(returned.elts[0]), set()).update(_flags(node))
+    passed["gen"].update(*(_flags(node) for node in ast.walk(run) if isinstance(node, ast.Call)
+                           and getattr(node.func, "id", None) == "Workload"))
+    assert {"--seed", "--layers", "--out"} <= passed["gen"]
+    assert {"--heuristics", "--max-branches", "--timeout"} <= passed["bench"]
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    for command, flags in passed.items():
+        assert flags <= set(commands[command]._option_string_actions), command
 
 
 def test_verify_signature_and_the_run_fields_read():

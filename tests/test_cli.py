@@ -66,7 +66,7 @@ def test_verify_config_echo_keys(tmp_path, capsys):
     mp, sp = _write_toy(tmp_path, 0.1)
     assert cli.main(["verify", "--model", mp, "--spec", sp]) == 0
     echo = json.loads(capsys.readouterr().out)["config_echo"]
-    assert set(echo) == {"alpha_iters", "trace", "timeout_seconds", "max_branches", "heuristic"}
+    assert set(echo) == {"trace", "timeout_seconds", "max_branches", "heuristic"}
     assert echo == dict(dataclasses.asdict(bab.BabConfig()), heuristic="drg")
 
 
@@ -125,7 +125,6 @@ INPUT_ERRORS = {
     "bench-heuristics-repeated": (_BENCH + " --heuristics drg,babsr,drg",
                                   "--heuristics: 'drg' is repeated"),
     "bench-suite-empty": (_BENCH + " --suite {t}/empty", "no (model, spec) pairs found in"),
-    "bench-baseline-not-run": (_BENCH + " --baseline babsr", "--baseline 'babsr' is not among"),
     "bench-out-a-file": (_BENCH + " --out {t}/afile", "--out"),
     "bench-out-under-a-file": (_BENCH + " --out {t}/afile/sub", "--out"),
     "gen-out-a-file": (_GEN + " --out {t}/afile", "--out"),
@@ -196,10 +195,24 @@ def test_out_directory_that_cannot_be_made_is_an_input_error(tmp_path, capsys, m
     ("spec", "input_lower", [-1.0, False]),
     ("spec", "input_upper", [True, 1.0]),
     ("spec", "C", [[True]]),
+    ("model", "weights", [[1.0, "2.0"]]),
+    ("model", "bias", ["1"]),
+    ("spec", "input_lower", ["0.5", -1.0]),
+    ("spec", "input_upper", [1.0, "1"]),
+    ("spec", "C", [["1.0"]]),
+    ("model", "weights", [[10**400, -1.0]]),
+    ("model", "bias", [-10**400]),
+    ("spec", "input_lower", [-1.0, -10**400]),
+    ("spec", "input_upper", [10**400, 1.0]),
+    ("spec", "C", [[10**400]]),
+    ("model", "weights", [[10**20, -1.0]]),
+    ("spec", "input_upper", [1.0, 10**20]),
 ])
 def test_verify_rejects_booleans_in_arrays(tmp_path, capsys, path, field, value):
-    # np.array reads true as 1.0 and false as 0.0, even beside numbers: each
-    # of these files would load as a valid task and verify.
+    # np.array reads true as 1.0 and false as 0.0, even beside numbers, and
+    # parses a numeric string: each of these files but the last two, whose
+    # integers float64 holds, would load as a valid task and verify. An
+    # integer beyond float64's range would raise OverflowError (exit 4).
     net = model.make_network([(np.array([[1.0, -1.0]]), np.zeros(1), model.RELU),
                               (np.ones((1, 1)), np.array([0.1]), model.LINEAR)])
     files = {"model": tmp_path / "b.model.json", "spec": tmp_path / "b.spec.json"}
@@ -209,7 +222,14 @@ def test_verify_rejects_booleans_in_arrays(tmp_path, capsys, path, field, value)
     (data["layers"][0] if path == "model" else data)[field] = value
     files[path].write_text(json.dumps(data))
     rc = cli.main(["verify", "--model", str(files["model"]), "--spec", str(files["spec"])])
-    _assert_input_error(capsys, rc, f"{field}: boolean value at [")
+    bad = [v for v in np.ravel(np.array(value, dtype=object)).tolist() if type(v) is not float]
+    if bad == [10**20]:  # float64 holds it: the file loads as 1e20
+        assert rc in (0, 1, 2) and capsys.readouterr().err == ""
+        return
+    message = {bool: "boolean value", str: "non-numeric value",
+               int: "integer beyond float64 range"}[type(bad[0])]
+    key = f"layers[0]: layer.{field}" if path == "model" else field
+    _assert_input_error(capsys, rc, f"error: {files[path]}: {key}: {message} at [")
 
 
 _GONE = object()
@@ -271,19 +291,29 @@ def test_verify_rejects_timeout_that_is_not_positive(tmp_path, capsys):
 
 
 def test_bad_slope_options_exit_3(tmp_path, capsys):
+    # The root's ascent runs relax.ALPHA_ITERS iterations, each first stepping
+    # relax.ALPHA_STEP: no option sets either.
     mp, sp = _write_toy(tmp_path, 0.1)
     out = tmp_path / "report"
     runs = (["verify", "--model", mp, "--spec", sp],
             ["bench", "--suite", str(tmp_path), "--heuristics", "drg", "--out", str(out)])
     for argv in runs:
-        rc = cli.main(argv + ["--alpha-iters", "-1"])
-        _assert_input_error(capsys, rc, "alpha_iters")
-        with pytest.raises(SystemExit) as exc:  # the ascent's first step is relax.ALPHA_STEP
-            cli.main(argv + ["--alpha-step", "0.25"])
-        assert exc.value.code == 3 and "--alpha-step" in capsys.readouterr().err
+        for flag, value in (("--alpha-iters", "20"), ("--alpha-step", "0.25")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [flag, value])
+            assert exc.value.code == 3 and flag in capsys.readouterr().err
     assert not out.exists()
-    rc = cli.main(runs[0] + ["--alpha-iters", "0"])
-    assert rc == 0 and json.loads(capsys.readouterr().out)["verdict"] == "Safe"
+
+
+def test_bench_baseline_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    # The baseline is babsr when it runs, else the first kind listed.
+    (tmp_path / "suite").mkdir()
+    _write_toy(tmp_path / "suite", 0.1, "a")
+    monkeypatch.setattr(cli.bab, "verify", lambda *a, **k: pytest.fail("a search started"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main((_BENCH + " --heuristics drg,babsr --baseline babsr").format(t=tmp_path).split())
+    assert exc.value.code == 3 and "--baseline" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
 
 
 def test_verify_output_and_trace_files(tmp_path, capsys):
@@ -446,31 +476,35 @@ def test_bench_equal_branches_count_as_ties_and_wins(tmp_path):
 
 def test_bench_paired_counts_agree_where_a_kind_loses(tmp_path, capsys):
     # Seed 1 gives a 3-case suite on which drg, width and center each lose a
-    # case to babsr, so wins, ties and losses are all exercised.
-    suite, out = tmp_path / "suite", tmp_path / "report"
+    # case to babsr, so wins, ties and losses are all exercised. The baseline
+    # is babsr when it runs, else the first kind listed.
+    suite = tmp_path / "suite"
     assert cli.main(["gen", "--seed", "1", "--layers", "2", "--widths", "4", "--count", "3",
                      "--eps", "0.3", "--out", str(suite)]) == 0
-    kinds = ["drg", "babsr", "width", "center", "grad"]
-    assert cli.main(["bench", "--suite", str(suite), "--heuristics", ",".join(kinds),
-                     "--max-branches", "200", "--out", str(out)]) == 0
-    capsys.readouterr()
-    with open(out / "results.csv") as fh:
-        branches = {(r["instance"], r["heuristic"]): int(r["branches"]) for r in csv.DictReader(fh)}
-    names = sorted({name for name, _ in branches})
-    with open(out / "summary.csv") as fh:
-        summary = {r["heuristic"]: r for r in csv.DictReader(fh)}
-    with open(out / "head_to_head.csv") as fh:
-        h2h = {r["heuristic"]: r for r in csv.DictReader(fh)}
-    assert set(h2h) == set(kinds) - {"babsr"}
-    assert summary["babsr"]["win_rate_branches_pct"] == ""
-    for kind, row in h2h.items():
-        assert row["baseline"] == "babsr"
-        assert row["dominance_pct"] == summary[kind]["win_rate_branches_pct"]
-        signs = [np.sign(branches[(n, kind)] - branches[(n, "babsr")]) for n in names]
-        assert [int(row[k]) for k in ("wins", "ties", "losses")] \
-            == [signs.count(-1), signs.count(0), signs.count(1)]
-        assert sum(int(row[k]) for k in ("wins", "ties", "losses")) == len(names) == 3
-    assert any(int(row["losses"]) for row in h2h.values())
+    for kinds, baseline in ((["drg", "babsr", "width", "center", "grad"], "babsr"),
+                            (["drg", "width", "center"], "drg")):
+        out = tmp_path / baseline
+        assert cli.main(["bench", "--suite", str(suite), "--heuristics", ",".join(kinds),
+                         "--max-branches", "200", "--out", str(out)]) == 0
+        assert f"(baseline: {baseline})" in capsys.readouterr().out
+        with open(out / "results.csv") as fh:
+            branches = {(r["instance"], r["heuristic"]): int(r["branches"])
+                        for r in csv.DictReader(fh)}
+        names = sorted({name for name, _ in branches})
+        with open(out / "summary.csv") as fh:
+            summary = {r["heuristic"]: r for r in csv.DictReader(fh)}
+        with open(out / "head_to_head.csv") as fh:
+            h2h = {r["heuristic"]: r for r in csv.DictReader(fh)}
+        assert set(h2h) == set(kinds) - {baseline}
+        assert summary[baseline]["win_rate_branches_pct"] == ""
+        for kind, row in h2h.items():
+            assert row["baseline"] == baseline
+            assert row["dominance_pct"] == summary[kind]["win_rate_branches_pct"]
+            signs = [np.sign(branches[(n, kind)] - branches[(n, baseline)]) for n in names]
+            assert [int(row[k]) for k in ("wins", "ties", "losses")] \
+                == [signs.count(-1), signs.count(0), signs.count(1)]
+            assert sum(int(row[k]) for k in ("wins", "ties", "losses")) == len(names) == 3
+        assert any(int(row["losses"]) for row in h2h.values())
 
 
 def test_bench_summary_means_and_medians_are_the_ones_statistics_takes(tmp_path):
